@@ -124,11 +124,6 @@ def _integrate_tangent(chart, energy, hbar, w, delta, t_span, rtol, atol):
 # ------------------------------------------------------------- kicked top
 
 
-def kick_phase(w: complex, kick: float) -> float:
-    rho = abs(w) ** 2
-    return kick * (1.0 - rho) / (1.0 + rho)
-
-
 def apply_kick(w: complex, delta: complex, kick: float) -> tuple[complex, complex]:
     """Torsion kick and its exact tangent map (chart-form identical north/south)."""
     rho = abs(w) ** 2

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, IntegratorFailure, StiffnessError
+from .errors import ConfigError, IntegratorFailure, NumericalError, StiffnessError
 
 # Dormand-Prince 5(4) tableau
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
@@ -147,6 +147,12 @@ def solve_rk45(
             fac = 0.9 * (err + 1e-16) ** -0.14 * (err_prev + 1e-16) ** 0.08
             err_prev = max(err, 1e-16)
             h *= min(5.0, max(0.2, fac))
+        elif not math.isfinite(err):
+            bad = next((f"stage k{j + 1}" for j in range(7) if not np.isfinite(k[j]).all()),
+                       "no stage (the error estimate overflowed)")
+            raise NumericalError(
+                f"non-finite error estimate at t = {t:.6g} (h = {h:.3e}); first non-finite: {bad}"
+            )
         else:
             rejected += 1
             h *= max(0.2, 0.9 * err ** -0.2)

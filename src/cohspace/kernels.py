@@ -1,4 +1,4 @@
-"""Coherent-space kernel catalog and pointwise kernel operations.
+"""Coherent-space kernel catalog and kernel operations.
 
 A coherent space here is a label set Z together with a kernel K(z, z'),
 antiholomorphic in the first slot, such that every finite Gram matrix
@@ -23,6 +23,12 @@ antiholomorphic in the first slot, such that every finite Gram matrix
 - ``heisenberg``        line-bundle labels (lambda, s) with the *bilinear* kernel
                         lambda lambda' exp(s^T s'/hbar); not Hermitian, projective
                         degree 1 under (lambda, s) -> (alpha lambda, s).
+
+Each factory states its kernel once, over stacked label coordinates
+(n, d) x (m, d) -> (n, m), plus a one-point sampler; ``_CATALOG`` maps each
+kind to its descriptor parser.  ``cross_gram`` applies the kernel to two point
+lists (line-bundle multipliers included), ``gram_matrix`` mirrors its upper
+triangle for Hermitian kernels, and ``eval_kernel`` is its 1 x 1 case.
 
 Throughout, <a, b> = sum conj(a_k) b_k.
 """
@@ -87,12 +93,21 @@ class KernelPartials:
     d_first_second: Callable[[Point, np.ndarray, Point, np.ndarray], complex]
 
 
+def _conj_coords(z: Point) -> Point:
+    return Point(np.conj(z.coords), None if z.multiplier is None else np.conj(z.multiplier))
+
+
 @dataclass
 class KernelSpace:
+    """A catalog space.  ``kernel(A, B)`` maps stacked label coordinates
+    (n, d) x (m, d) to the (n, m) kernel values, without line-bundle
+    multipliers; ``sampler(rng)`` draws one valid point."""
+
     label_dim: int
     kind: str
-    eval_fn: Callable[[Point, Point], complex]
-    conjugate_fn: Callable[[Point], Point]
+    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    sampler: Callable[[np.random.Generator], Point]
+    conjugate_fn: Callable[[Point], Point] = _conj_coords
     partials: Optional[KernelPartials] = None
     projective_degree: Optional[int] = None
     normalized: bool = False
@@ -137,14 +152,28 @@ def validate_point(space: KernelSpace, z: Point) -> None:
         raise InvalidPointError(f"{space.kind}: label outside the domain {space.domain_name}")
 
 
+def _stacked(space: KernelSpace, points: list[Point]) -> np.ndarray:
+    for p in points:
+        validate_point(space, p)
+    return np.array([p.coords for p in points], dtype=complex).reshape(len(points), space.label_dim)
+
+
+def cross_gram(space: KernelSpace, left: Sequence[Point], right: Sequence[Point]) -> np.ndarray:
+    """K(left_i, right_j) for two point lists, shape (len(left), len(right))."""
+    left, right = list(left), list(right)
+    k = space.kernel(_stacked(space, left), _stacked(space, right))
+    if space.projective_degree is not None:
+        lam = np.outer([p.multiplier for p in left], [p.multiplier for p in right])
+        k = np.power(lam, space.projective_degree) * k
+    return k
+
+
 def eval_kernel(space: KernelSpace, z: Point, z2: Point) -> complex:
-    validate_point(space, z)
-    validate_point(space, z2)
-    return complex(space.eval_fn(z, z2))
+    return complex(cross_gram(space, (z,), (z2,))[0, 0])
 
 
-def conjugate_point(space: KernelSpace, z: Point) -> Point:
-    return space.conjugate(z)
+def _at(kernel, z: Point, w: Point) -> complex:
+    return kernel(z.coords[None, :], w.coords[None, :])[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +181,12 @@ def conjugate_point(space: KernelSpace, z: Point) -> Point:
 # ---------------------------------------------------------------------------
 
 
-def _conj_coords(z: Point) -> Point:
-    return Point(np.conj(z.coords), None if z.multiplier is None else np.conj(z.multiplier))
+def _cgauss(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
+
+
+def _sesquilinear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a.conj() @ b.T
 
 
 def trivial_space(dim: int) -> KernelSpace:
@@ -164,8 +197,8 @@ def trivial_space(dim: int) -> KernelSpace:
     return KernelSpace(
         label_dim=dim,
         kind="trivial",
-        eval_fn=lambda z, z2: np.vdot(z.coords, z2.coords),
-        conjugate_fn=_conj_coords,
+        kernel=_sesquilinear,
+        sampler=lambda rng: Point(_cgauss(rng, dim)),
         partials=partials,
         descriptor={"kind": "trivial", "dim": dim},
     )
@@ -173,11 +206,19 @@ def trivial_space(dim: int) -> KernelSpace:
 
 def euclidean_subset(dim: int, radius: float = 1.0) -> KernelSpace:
     """The trivial kernel restricted to the closed ball ||z|| <= radius."""
+
+    def sample(rng):
+        v = _cgauss(rng, dim)
+        r = np.linalg.norm(v)
+        if r > 1.0:
+            v = v * (rng.uniform(0.05, 0.95) / r)
+        return Point(v)
+
     return KernelSpace(
         label_dim=dim,
         kind="euclidean_subset",
-        eval_fn=lambda z, z2: np.vdot(z.coords, z2.coords),
-        conjugate_fn=_conj_coords,
+        kernel=_sesquilinear,
+        sampler=sample,
         domain=lambda z: float(np.linalg.norm(z.coords)) <= radius + POINT_TOL,
         domain_name=f"||z|| <= {radius}",
         descriptor={"kind": "euclidean_subset", "dim": dim, "radius": radius},
@@ -187,14 +228,19 @@ def euclidean_subset(dim: int, radius: float = 1.0) -> KernelSpace:
 def klauder_space(modes: int = 1) -> KernelSpace:
     """Labels (z0, zeta) in C x C^modes with K = exp(conj(z0) + z0' + <zeta, zeta'>)."""
 
-    def ev(z, z2):
-        return np.exp(np.conj(z.coords[0]) + z2.coords[0] + np.vdot(z.coords[1:], z2.coords[1:]))
+    def kernel(a, b):
+        return np.exp(a[:, :1].conj() + b[:, 0] + a[:, 1:].conj() @ b[:, 1:].T)
+
+    def sample(rng):
+        z0 = _cgauss(rng, 1, 0.3)
+        zeta = _cgauss(rng, modes, 0.8)
+        return Point(np.concatenate([z0, zeta]))
 
     def d_second(z, v, vdot):
-        return ev(z, v) * (vdot[0] + np.vdot(z.coords[1:], vdot[1:]))
+        return _at(kernel, z, v) * (vdot[0] + np.vdot(z.coords[1:], vdot[1:]))
 
     def d_first_second(u, udot, v, vdot):
-        k = ev(u, v)
+        k = _at(kernel, u, v)
         a = np.conj(udot[0]) + np.vdot(udot[1:], v.coords[1:])
         b = vdot[0] + np.vdot(u.coords[1:], vdot[1:])
         return k * (a * b + np.vdot(udot[1:], vdot[1:]))
@@ -202,8 +248,8 @@ def klauder_space(modes: int = 1) -> KernelSpace:
     return KernelSpace(
         label_dim=1 + modes,
         kind="klauder",
-        eval_fn=ev,
-        conjugate_fn=_conj_coords,
+        kernel=kernel,
+        sampler=sample,
         partials=KernelPartials(d_second, d_first_second),
         descriptor={"kind": "klauder", "modes": modes},
     )
@@ -211,6 +257,11 @@ def klauder_space(modes: int = 1) -> KernelSpace:
 
 def _unit_norm_residual(z: Point) -> float:
     return abs(float(np.linalg.norm(z.coords)) - 1.0)
+
+
+def _unit_spinor(rng: np.random.Generator) -> Point:
+    v = _cgauss(rng, 2)
+    return Point(v / np.linalg.norm(v))
 
 
 def spin_space(exponent: float) -> KernelSpace:
@@ -223,12 +274,13 @@ def spin_space(exponent: float) -> KernelSpace:
     n = exponent
     is_int = abs(n - round(n)) < 1e-12
 
-    def ev(z, z2):
-        s = np.vdot(z.coords, z2.coords)
+    def kernel(a, b):
+        s = _sesquilinear(a, b)
         if is_int:
-            return s ** int(round(n))
+            return np.power(s, int(round(n)))
         # principal branch for diagnostic (inadmissible) exponents
-        return np.exp(n * np.log(s)) if s != 0 else 0.0j
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(s != 0, np.exp(n * np.log(s)), 0.0j)
 
     partials = None
     if is_int:
@@ -252,8 +304,8 @@ def spin_space(exponent: float) -> KernelSpace:
     return KernelSpace(
         label_dim=2,
         kind="spin",
-        eval_fn=ev,
-        conjugate_fn=_conj_coords,
+        kernel=kernel,
+        sampler=_unit_spinor,
         partials=partials,
         normalized=True,
         constraint=_unit_norm_residual,
@@ -265,15 +317,11 @@ def spin_space(exponent: float) -> KernelSpace:
 def spin_t_space(exponent: int) -> KernelSpace:
     """Transpose variant K = (z^T z')^n on unit spinors; involutive, not Hermitian."""
     n = int(exponent)
-
-    def ev(z, z2):
-        return (z.coords @ z2.coords) ** n
-
     return KernelSpace(
         label_dim=2,
         kind="spin_t",
-        eval_fn=ev,
-        conjugate_fn=_conj_coords,
+        kernel=lambda a, b: np.power(a @ b.T, n),
+        sampler=_unit_spinor,
         hermitian=False,
         normalized=False,
         constraint=_unit_norm_residual,
@@ -285,14 +333,15 @@ def spin_t_space(exponent: int) -> KernelSpace:
 def classical_limit_space(dim: int) -> KernelSpace:
     """K(z, z') = 1 iff z' = conj(z) (within 1e-12) else 0."""
 
-    def ev(z, z2):
-        return 1.0 + 0.0j if np.allclose(np.conj(z.coords), z2.coords, rtol=0.0, atol=1e-12) else 0.0j
+    def kernel(a, b):
+        close = np.abs(a.conj()[:, None, :] - b[None, :, :]) <= 1e-12
+        return close.all(axis=-1).astype(complex)
 
     return KernelSpace(
         label_dim=dim,
         kind="classical_limit",
-        eval_fn=ev,
-        conjugate_fn=_conj_coords,
+        kernel=kernel,
+        sampler=lambda rng: Point(rng.standard_normal(dim).astype(complex)),
         normalized=True,
         descriptor={"kind": "classical_limit", "dim": dim},
     )
@@ -304,9 +353,6 @@ def power_space(base: KernelSpace, n: int) -> KernelSpace:
     if n < 1:
         raise ConfigError("power kernel needs an integer exponent n >= 1")
 
-    def ev(z, z2):
-        return base.eval_fn(z, z2) ** n
-
     partials = None
     if base.partials is not None and base.hermitian:
         bp = base.partials
@@ -316,11 +362,11 @@ def power_space(base: KernelSpace, n: int) -> KernelSpace:
             return np.conj(bp.d_second(v, u, udot))
 
         def d_second(z, v, vdot):
-            k = base.eval_fn(z, v)
+            k = _at(base.kernel, z, v)
             return n * k ** (n - 1) * bp.d_second(z, v, vdot)
 
         def d_first_second(u, udot, v, vdot):
-            k = base.eval_fn(u, v)
+            k = _at(base.kernel, u, v)
             dt = d_first(u, udot, v)
             ds = bp.d_second(u, v, vdot)
             out = n * k ** (n - 1) * bp.d_first_second(u, udot, v, vdot)
@@ -333,15 +379,18 @@ def power_space(base: KernelSpace, n: int) -> KernelSpace:
     return KernelSpace(
         label_dim=base.label_dim,
         kind="power",
-        eval_fn=ev,
+        kernel=lambda a, b: np.power(base.kernel(a, b), n),
+        sampler=base.sampler,
         conjugate_fn=base.conjugate_fn,
         partials=partials,
+        projective_degree=None if base.projective_degree is None else n * base.projective_degree,
         normalized=base.normalized,
         hermitian=base.hermitian,
         constraint=base.constraint,
         constraint_name=base.constraint_name,
         domain=base.domain,
         domain_name=base.domain_name,
+        scalar_mult=base.scalar_mult,
         descriptor={"kind": "power", "base": base.descriptor, "n": n},
         base=base,
     )
@@ -379,20 +428,22 @@ def debranges_space(coeffs: Sequence[complex] = (1j, 1.0)) -> KernelSpace:
 
     switch = 1e-8
 
-    def ev(z, z2):
-        zb = np.conj(z.coords[0])
-        w = z2.coords[0]
+    def kernel(a, b):
+        zb = a[:, :1].conj()
+        w = b[:, 0]
         diff = zb - w
-        if abs(diff) <= switch * (1.0 + abs(zb) + abs(w)):
-            mid = 0.5 * (zb + w)
-            return (_pv(cs, mid) * _pv(dc, mid) - _pv(c, mid) * _pv(dcs, mid)) / (-2j)
-        return (_pv(cs, zb) * _pv(c, w) - _pv(c, zb) * _pv(cs, w)) / (2j * diff)
+        near = np.abs(diff) <= switch * (1.0 + np.abs(zb) + np.abs(w))
+        mid = 0.5 * (zb + w)
+        limit = (_pv(cs, mid) * _pv(dc, mid) - _pv(c, mid) * _pv(dcs, mid)) / (-2j)
+        generic = ((_pv(cs, zb) * _pv(c, w) - _pv(c, zb) * _pv(cs, w))
+                   / (2j * np.where(near, 1.0, diff)))
+        return np.where(near, limit, generic)
 
     return KernelSpace(
         label_dim=1,
         kind="debranges",
-        eval_fn=ev,
-        conjugate_fn=_conj_coords,
+        kernel=kernel,
+        sampler=lambda rng: Point(_cgauss(rng, 1)),
         descriptor={"kind": "debranges", "coeffs": [[float(x.real), float(x.imag)] for x in c]},
     )
 
@@ -400,15 +451,19 @@ def debranges_space(coeffs: Sequence[complex] = (1j, 1.0)) -> KernelSpace:
 def moebius_space() -> KernelSpace:
     """Z = {(z1, z2) : |z1| > |z2|}, K = 1/(conj(z1) z1' - conj(z2) z2')."""
 
-    def ev(z, z2):
-        d = np.conj(z.coords[0]) * z2.coords[0] - np.conj(z.coords[1]) * z2.coords[1]
-        return 1.0 / d
+    def sample(rng):
+        z1 = _cgauss(rng, 1, 1.0)
+        while abs(z1[0]) < 0.3:
+            z1 = _cgauss(rng, 1, 1.0)
+        t = rng.uniform(0.0, 0.7)
+        phase = np.exp(2j * math.pi * rng.uniform())
+        return Point(np.array([z1[0], t * abs(z1[0]) * phase]))
 
     return KernelSpace(
         label_dim=2,
         kind="moebius",
-        eval_fn=ev,
-        conjugate_fn=_conj_coords,
+        kernel=lambda a, b: 1.0 / (a[:, :1].conj() * b[:, 0] - a[:, 1:].conj() * b[:, 1]),
+        sampler=sample,
         domain=lambda z: abs(z.coords[0]) > abs(z.coords[1]),
         domain_name="|z1| > |z2|",
         descriptor={"kind": "moebius"},
@@ -423,17 +478,18 @@ def discrete_space(table: np.ndarray) -> KernelSpace:
     m = tab.shape[0]
     herm = bool(np.allclose(tab, tab.conj().T, rtol=0.0, atol=1e-12))
 
-    def _idx(z: Point) -> int:
-        x = z.coords[0]
-        i = int(round(x.real))
-        if abs(x - i) > 1e-9 or not (0 <= i < m):
-            raise InvalidPointError(f"discrete: label {x} is not an index in 0..{m - 1}")
+    def _idx(x: np.ndarray) -> np.ndarray:
+        i = np.rint(x.real).astype(int)
+        bad = (np.abs(x - i) > 1e-9) | (i < 0) | (i >= m)
+        if bad.any():
+            raise InvalidPointError(f"discrete: label {x[bad][0]} is not an index in 0..{m - 1}")
         return i
 
     return KernelSpace(
         label_dim=1,
         kind="discrete",
-        eval_fn=lambda z, z2: tab[_idx(z), _idx(z2)],
+        kernel=lambda a, b: tab[_idx(a[:, 0])[:, None], _idx(b[:, 0])],
+        sampler=lambda rng: Point([complex(rng.integers(0, m))]),
         conjugate_fn=lambda z: z,
         hermitian=herm,
         descriptor={"kind": "discrete", "table": [[[v.real, v.imag] for v in row] for row in tab]},
@@ -465,8 +521,8 @@ def icosahedron_space() -> KernelSpace:
     return KernelSpace(
         label_dim=3,
         kind="icosahedron",
-        eval_fn=lambda z, z2: np.vdot(z.coords, z2.coords),
-        conjugate_fn=_conj_coords,
+        kernel=_sesquilinear,
+        sampler=lambda rng: Point(verts[rng.integers(0, len(verts))].astype(complex)),
         normalized=True,
         constraint=lambda z: _check(z),
         constraint_name="icosahedron vertex",
@@ -481,14 +537,17 @@ def heisenberg_space(modes: int = 1, hbar: float = 1.0) -> KernelSpace:
     projective degree 1 under the scalar action (lambda, s) -> (alpha lambda, s).
     """
 
-    def ev(z, z2):
-        return z.multiplier * z2.multiplier * np.exp(z.coords @ z2.coords / hbar)
+    def sample(rng):
+        lam = complex(_cgauss(rng, 1, 1.0)[0])
+        while abs(lam) < 0.1:
+            lam = complex(_cgauss(rng, 1, 1.0)[0])
+        return Point(_cgauss(rng, modes, 0.7), multiplier=lam)
 
     return KernelSpace(
         label_dim=modes,
         kind="heisenberg",
-        eval_fn=ev,
-        conjugate_fn=_conj_coords,
+        kernel=lambda a, b: np.exp(a @ b.T / hbar),
+        sampler=sample,
         hermitian=False,
         projective_degree=1,
         scalar_mult=lambda a, z: Point(z.coords, a * z.multiplier),
@@ -496,7 +555,23 @@ def heisenberg_space(modes: int = 1, hbar: float = 1.0) -> KernelSpace:
     )
 
 
-_CATALOG: dict[str, Callable[..., KernelSpace]] = {}
+# kind -> descriptor parser
+_CATALOG: dict[str, Callable[[dict], KernelSpace]] = {
+    "trivial": lambda d: trivial_space(int(d["dim"])),
+    "euclidean_subset": lambda d: euclidean_subset(int(d["dim"]), float(d.get("radius", 1.0))),
+    "klauder": lambda d: klauder_space(int(d.get("modes", 1))),
+    "spin": lambda d: spin_space(float(d["exponent"])),
+    "spin_t": lambda d: spin_t_space(int(d["exponent"])),
+    "classical_limit": lambda d: classical_limit_space(int(d["dim"])),
+    "power": lambda d: power_space(space_from_descriptor(d["base"]), int(d["n"])),
+    "debranges": lambda d: debranges_space(
+        [complex(re, im) for re, im in d.get("coeffs", [[0.0, 1.0], [1.0, 0.0]])]),
+    "moebius": lambda d: moebius_space(),
+    "discrete": lambda d: discrete_space(
+        np.array([[complex(re, im) for re, im in row] for row in d["table"]])),
+    "icosahedron": lambda d: icosahedron_space(),
+    "heisenberg": lambda d: heisenberg_space(int(d.get("modes", 1)), float(d.get("hbar", 1.0))),
+}
 
 
 def space_from_descriptor(desc: dict) -> KernelSpace:
@@ -504,36 +579,13 @@ def space_from_descriptor(desc: dict) -> KernelSpace:
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigError("space descriptor must be a dict with a 'kind' field")
     kind = desc["kind"]
+    parse = _CATALOG.get(kind) if isinstance(kind, str) else None
+    if parse is None:
+        raise ConfigError(f"unknown kernel kind '{kind}'")
     try:
-        if kind == "trivial":
-            return trivial_space(int(desc["dim"]))
-        if kind == "euclidean_subset":
-            return euclidean_subset(int(desc["dim"]), float(desc.get("radius", 1.0)))
-        if kind == "klauder":
-            return klauder_space(int(desc.get("modes", 1)))
-        if kind == "spin":
-            return spin_space(float(desc["exponent"]))
-        if kind == "spin_t":
-            return spin_t_space(int(desc["exponent"]))
-        if kind == "classical_limit":
-            return classical_limit_space(int(desc["dim"]))
-        if kind == "power":
-            return power_space(space_from_descriptor(desc["base"]), int(desc["n"]))
-        if kind == "debranges":
-            coeffs = [complex(re, im) for re, im in desc.get("coeffs", [[0.0, 1.0], [1.0, 0.0]])]
-            return debranges_space(coeffs)
-        if kind == "moebius":
-            return moebius_space()
-        if kind == "discrete":
-            tab = np.array([[complex(re, im) for re, im in row] for row in desc["table"]])
-            return discrete_space(tab)
-        if kind == "icosahedron":
-            return icosahedron_space()
-        if kind == "heisenberg":
-            return heisenberg_space(int(desc.get("modes", 1)), float(desc.get("hbar", 1.0)))
+        return parse(desc)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad descriptor for kind '{kind}': {exc}") from exc
-    raise ConfigError(f"unknown kernel kind '{kind}'")
 
 
 # ---------------------------------------------------------------------------
@@ -560,23 +612,12 @@ def distance(space: KernelSpace, z: Point, z2: Point) -> float:
 
 def gram_matrix(space: KernelSpace, points: Sequence[Point]) -> np.ndarray:
     """Gram matrix G[i, j] = K(z_i, z_j); exactly Hermitian by construction
-    for Hermitian kernels (upper triangle computed, lower mirrored)."""
+    for Hermitian kernels (upper triangle kept, lower mirrored, diagonal real)."""
     pts = list(points)
-    for p in pts:
-        validate_point(space, p)
-    n = len(pts)
-    g = np.empty((n, n), dtype=complex)
+    g = cross_gram(space, pts, pts)
     if space.hermitian:
-        for i in range(n):
-            for j in range(i, n):
-                g[i, j] = space.eval_fn(pts[i], pts[j])
-                if j > i:
-                    g[j, i] = np.conj(g[i, j])
-        g[np.diag_indices(n)] = g.diagonal().real
-    else:
-        for i in range(n):
-            for j in range(n):
-                g[i, j] = space.eval_fn(pts[i], pts[j])
+        g = np.where(np.tri(len(pts), k=-1, dtype=bool), g.conj().T, g)
+        g[np.diag_indices(len(pts))] = g.diagonal().real
     return g
 
 
@@ -588,9 +629,21 @@ class PsdVerdict:
     tolerance_used: float
 
 
-def check_coherence(space: KernelSpace, points: Sequence[Point], tol: float = PSD_TOL) -> PsdVerdict:
-    """PSD test of the Gram matrix with a relative tolerance:
+def psd_verdict(eigs: np.ndarray, tol: float) -> PsdVerdict:
+    """The PSD rule on ascending Gram eigenvalues:
     passed iff min eig >= -tol * max(1, ||G||_2)."""
+    lo = float(eigs[0])
+    norm = float(max(abs(eigs[0]), abs(eigs[-1])))
+    return PsdVerdict(
+        min_eigenvalue=lo,
+        gram_norm=norm,
+        passed=bool(lo >= -tol * max(1.0, norm)),
+        tolerance_used=float(tol),
+    )
+
+
+def check_coherence(space: KernelSpace, points: Sequence[Point], tol: float = PSD_TOL) -> PsdVerdict:
+    """PSD test of the Gram matrix with a relative tolerance (see psd_verdict)."""
     if not space.hermitian:
         raise InvalidPointError(f"{space.kind}: PSD check needs a Hermitian kernel")
     g = gram_matrix(space, points)
@@ -598,14 +651,7 @@ def check_coherence(space: KernelSpace, points: Sequence[Point], tol: float = PS
         eigs = np.linalg.eigvalsh(g)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
         raise NumericalError(f"eigensolver failed on a {g.shape[0]}x{g.shape[0]} Gram: {exc}") from exc
-    lo = float(eigs[0])
-    norm = float(max(abs(eigs[0]), abs(eigs[-1]))) if eigs.size else 0.0
-    return PsdVerdict(
-        min_eigenvalue=lo,
-        gram_norm=norm,
-        passed=bool(lo >= -tol * max(1.0, norm)),
-        tolerance_used=float(tol),
-    )
+    return psd_verdict(eigs, tol)
 
 
 def check_coherent_map(space, forward, adjoint=None, samples=None, tol: float = 1e-10):
@@ -680,57 +726,7 @@ def gu11_adjoint(a: np.ndarray) -> np.ndarray:
     return j @ np.asarray(a, dtype=complex).conj().T @ j
 
 
-# ---------------------------------------------------------------------------
-# seeded samplers (used by tests and by the CLI's kernel-check sampling)
-# ---------------------------------------------------------------------------
-
-
-def _cgauss(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
-
-
 def sample_points(space: KernelSpace, rng: np.random.Generator, count: int) -> list[Point]:
-    """Draw `count` valid points, scaled so Gram matrices stay well-conditioned."""
-    kind = space.kind
-    out: list[Point] = []
-    for _ in range(count):
-        if kind in ("trivial", "debranges"):
-            out.append(Point(_cgauss(rng, space.label_dim)))
-        elif kind == "euclidean_subset":
-            v = _cgauss(rng, space.label_dim)
-            r = np.linalg.norm(v)
-            if r > 1.0:
-                v = v * (rng.uniform(0.05, 0.95) / r)
-            out.append(Point(v))
-        elif kind == "klauder":
-            z0 = _cgauss(rng, 1, 0.3)
-            zeta = _cgauss(rng, space.label_dim - 1, 0.8)
-            out.append(Point(np.concatenate([z0, zeta])))
-        elif kind in ("spin", "spin_t"):
-            v = _cgauss(rng, 2)
-            out.append(Point(v / np.linalg.norm(v)))
-        elif kind == "classical_limit":
-            out.append(Point(rng.standard_normal(space.label_dim).astype(complex)))
-        elif kind == "power":
-            out.extend(sample_points(space.base, rng, 1))
-        elif kind == "moebius":
-            z1 = _cgauss(rng, 1, 1.0)
-            while abs(z1[0]) < 0.3:
-                z1 = _cgauss(rng, 1, 1.0)
-            t = rng.uniform(0.0, 0.7)
-            phase = np.exp(2j * math.pi * rng.uniform())
-            out.append(Point(np.array([z1[0], t * abs(z1[0]) * phase])))
-        elif kind == "icosahedron":
-            verts = icosahedron_vertices()
-            out.append(Point(verts[rng.integers(0, len(verts))].astype(complex)))
-        elif kind == "discrete":
-            m = len(space.descriptor["table"])
-            out.append(Point([complex(rng.integers(0, m))]))
-        elif kind == "heisenberg":
-            lam = complex(_cgauss(rng, 1, 1.0)[0])
-            while abs(lam) < 0.1:
-                lam = complex(_cgauss(rng, 1, 1.0)[0])
-            out.append(Point(_cgauss(rng, space.label_dim, 0.7), multiplier=lam))
-        else:
-            raise ConfigError(f"no sampler for kernel kind '{kind}'")
-    return out
+    """Draw `count` valid points with the space's seeded sampler, scaled so
+    Gram matrices stay well-conditioned (used by tests and the CLI)."""
+    return [space.sampler(rng) for _ in range(count)]

@@ -151,11 +151,6 @@ def star_element(algebra: LieStarAlgebra, x: np.ndarray) -> np.ndarray:
     return algebra.involution.T @ np.conj(x)
 
 
-def is_self_adjoint(algebra: LieStarAlgebra, x: np.ndarray, tol: float = 1e-12) -> bool:
-    x = np.asarray(x, dtype=complex)
-    return bool(np.max(np.abs(star_element(algebra, x) - x)) <= tol * max(1.0, np.max(np.abs(x))))
-
-
 # ---------------------------------------------------------------------------
 # states
 

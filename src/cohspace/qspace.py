@@ -23,8 +23,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import CoherenceViolationError, ConfigError, InvalidPointError, OutOfSpanError
-from .kernels import KernelSpace, Point, check_coherence, eval_kernel, gram_matrix, validate_point
+from .errors import (CoherenceViolationError, ConfigError, InvalidPointError, NumericalError,
+                     OutOfSpanError)
+from .kernels import (KernelSpace, Point, cross_gram, eval_kernel, gram_matrix, psd_verdict,
+                      validate_point)
 
 DEFAULT_TRUNCATION_TOL = 1e-10
 
@@ -58,18 +60,23 @@ def build_quantum_space(space: KernelSpace, points: Sequence[Point],
     pts = list(points)
     if not pts:
         raise ConfigError("need at least one basis point")
-    verdict = check_coherence(space, pts, tol=tol)
+    if not space.hermitian:
+        raise InvalidPointError(f"{space.kind}: PSD check needs a Hermitian kernel")
+    g = gram_matrix(space, pts)
+    try:
+        lam, u = np.linalg.eigh(g)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
+        raise NumericalError(f"eigensolver failed on a {len(pts)}x{len(pts)} Gram: {exc}") from exc
+    verdict = psd_verdict(lam, tol)
     if not verdict.passed:
         raise CoherenceViolationError(
             f"{space.kind}: Gram of {len(pts)} points is not PSD "
             f"(min eigenvalue {verdict.min_eigenvalue:.3e})",
             min_eigenvalue=verdict.min_eigenvalue,
         )
-    g = gram_matrix(space, pts)
-    lam, u = np.linalg.eigh(g)
     order = np.argsort(lam)[::-1]          # descending, fixed tie order
     lam, u = lam[order], u[:, order]
-    lam_max = lam[0] if lam.size else 0.0
+    lam_max = lam[0]
     if lam_max <= 0.0:
         raise CoherenceViolationError(f"{space.kind}: Gram has no positive eigenvalues")
     keep = lam > tol * lam_max
@@ -99,16 +106,14 @@ class SpanState:
 
 
 def inner_product(space: KernelSpace, a: SpanState, b: SpanState) -> complex:
-    """<a, b> = sum_jk conj(alpha_j) beta_k K(y_j, y'_k)."""
-    out = 0.0j
-    for ca, ya in zip(a.coefficients, a.labels):
-        if ca == 0:
-            continue
-        for cb, yb in zip(b.coefficients, b.labels):
-            if cb == 0:
-                continue
-            out += np.conj(ca) * cb * eval_kernel(space, ya, yb)
-    return out
+    """<a, b> = sum_jk conj(alpha_j) beta_k K(y_j, y'_k); labels with a zero
+    coefficient, or facing only zero coefficients, are neither used nor validated."""
+    ka, kb = a.coefficients != 0, b.coefficients != 0
+    if not (ka.any() and kb.any()):
+        return 0.0j
+    g = cross_gram(space, [y for y, k in zip(a.labels, ka) if k],
+                   [y for y, k in zip(b.labels, kb) if k])
+    return complex(a.coefficients[ka].conj() @ g @ b.coefficients[kb])
 
 
 def embed_state(qb: QuantumBasis, state: SpanState, tol: float = 1e-8) -> np.ndarray:

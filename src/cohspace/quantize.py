@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, SpanEscapeError, StepSizeError
-from .kernels import KernelSpace, Point, check_coherent_map, eval_kernel, validate_point
+from .kernels import KernelSpace, Point, check_coherent_map, cross_gram
 from .qspace import QuantumBasis
 
 
@@ -55,26 +55,14 @@ def quantize_map(qb: QuantumBasis, a, tol: float = 1e-6) -> QuantizedOperator:
     forward = a.forward if isinstance(a, CoherentMapSpec) else a
     space, pts = qb.space, qb.points
     n, r = qb.size, qb.rank
-    images = []
-    for p in pts:
-        img = forward(p)
-        validate_point(space, img)
-        images.append(img)
-    # kernel columns c[j, i] = K(y_j, A y_i)
-    c = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for i in range(n):
-            c[j, i] = eval_kernel(space, pts[j], images[i])
+    images = [forward(p) for p in pts]
+    c = cross_gram(space, pts, images)     # c[j, i] = K(y_j, A y_i); validates the images
+    kimg = cross_gram(space, images, images).diagonal().real
     # solve B* u = c via the eigendecomposition pseudo-inverse
     u_cols = (qb.eigvecs.conj().T @ c) / np.sqrt(qb.eigvals)[:, None]
-    residuals = np.empty(n)
-    for i in range(n):
-        kimg = eval_kernel(space, images[i], images[i]).real
-        proj = float(np.vdot(u_cols[:, i], u_cols[:, i]).real)
-        if kimg <= 0:
-            residuals[i] = 0.0
-        else:
-            residuals[i] = np.sqrt(max(0.0, kimg - proj) / kimg)
+    proj = (u_cols.conj() * u_cols).real.sum(axis=0)
+    residuals = np.sqrt(np.divide(np.maximum(0.0, kimg - proj), kimg,
+                                  out=np.zeros(n), where=kimg > 0))
     worst = float(residuals.max()) if n else 0.0
     if worst > tol:
         bad = int(np.argmax(residuals))

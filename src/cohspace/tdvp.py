@@ -140,16 +140,24 @@ class FlatChart:
         return 0.0j
 
 
+def _spin_chart(space: KernelSpace, z0: Point) -> SphereChart:
+    n = space.descriptor["exponent"]
+    if abs(n - round(n)) > 1e-12 or n < 1:
+        raise ConfigError("variational flow needs an integer spin exponent >= 1")
+    return SphereChart(int(round(n)), south=abs(z0.coords[1]) > abs(z0.coords[0]))
+
+
+_CHARTS = {
+    "klauder": lambda space, z0: FlatChart(space.label_dim - 1, z0=z0.coords[0]),
+    "spin": _spin_chart,
+}
+
+
 def chart_for(space: KernelSpace, z0: Point):
-    if space.kind == "klauder":
-        return FlatChart(space.label_dim - 1, z0=z0.coords[0])
-    if space.kind == "spin":
-        n = space.descriptor["exponent"]
-        if abs(n - round(n)) > 1e-12 or n < 1:
-            raise ConfigError("variational flow needs an integer spin exponent >= 1")
-        south = abs(z0.coords[1]) > abs(z0.coords[0])
-        return SphereChart(int(round(n)), south=south)
-    raise ConfigError(f"no variational chart for kernel kind '{space.kind}'")
+    make = _CHARTS.get(space.kind)
+    if make is None:
+        raise ConfigError(f"no variational chart for kernel kind '{space.kind}'")
+    return make(space, z0)
 
 
 # ------------------------------------------------------------ energy surfaces
@@ -257,12 +265,10 @@ def kahler_metric(space: KernelSpace, z: Point, fd_step: float = 1e-3) -> np.nda
     FD roundoff floor ~ eps/fd_step^2) — as for projectively degenerate
     kernels, where the label ray itself is a null direction.
     """
-    if space.kind == "klauder":
-        return np.eye(space.label_dim - 1)
-    if space.kind == "spin":
+    if space.kind in _CHARTS:
         chart = chart_for(space, z)
         return chart.metric(chart.coords(z))
-    if space.kind == "power" and space.base is not None:
+    if space.base is not None:  # power space: n times the base metric
         return space.descriptor["n"] * kahler_metric(space.base, z, fd_step)
 
     dim = space.label_dim

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cohspace.errors import ConfigError, StiffnessError
+from cohspace.errors import ConfigError, NumericalError, StiffnessError
 from cohspace.integrate import solve_rk45
 
 
@@ -52,6 +52,19 @@ def test_stiffness_error():
 
     with pytest.raises(StiffnessError):
         solve_rk45(f, 0.0, 1.0, np.array([2.0 + 0j]), rtol=1e-12, atol=1e-14, max_steps=5000)
+
+
+def test_nan_rhs_is_reported_as_numerical_not_stiff():
+    def f(t, y):
+        return np.full_like(y, np.nan) if t > 0.3 else -y
+
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError) as info:
+        solve_rk45(f, 0.0, 1.0, np.array([1.0 + 0j]))
+    assert not isinstance(info.value, StiffnessError)
+    msg = str(info.value)
+    assert "non-finite" in msg and "stage k" in msg and "h = " in msg
+    t = float(msg.split("t = ")[1].split(" ")[0])
+    assert 0.0 < t <= 0.3
 
 
 def test_step_hook_halts():

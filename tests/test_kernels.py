@@ -150,7 +150,7 @@ def test_gram_matches_bruteforce_oracle():
     sp = klauder_space(2)
     pts = sample_points(sp, rng, 6)
     g = gram_matrix(sp, pts)
-    g0 = oracles.gram_bruteforce(sp.eval_fn, pts)
+    g0 = oracles.gram_bruteforce(sp.eval, pts)
     np.testing.assert_allclose(g, g0, rtol=0, atol=1e-13 * max(1.0, np.abs(g0).max()))
 
 

@@ -78,6 +78,31 @@ def test_build_rejects_non_psd_kernel():
         build_quantum_space(sp, sample_points(sp, rng, 8))
 
 
+def test_build_makes_one_gram(monkeypatch):
+    import cohspace.kernels
+    import cohspace.qspace
+
+    calls = []
+
+    def counting(space, points):
+        calls.append(len(points))
+        return original(space, points)
+
+    original = cohspace.kernels.gram_matrix
+    for module in (cohspace.kernels, cohspace.qspace):
+        monkeypatch.setattr(module, "gram_matrix", counting)
+    sp = spin_space(3)
+    build_quantum_space(sp, sample_points(sp, np.random.default_rng(SEED), 9))
+    assert calls == [9]
+
+    calls.clear()
+    bad = spin_space(0.5)
+    with pytest.raises(CoherenceViolationError) as info:
+        build_quantum_space(bad, sample_points(bad, np.random.default_rng(0), 8))
+    assert calls == [8]
+    assert info.value.min_eigenvalue < -1e-6
+
+
 def test_embed_isometry():
     rng = np.random.default_rng(SEED)
     for sp, n in ((trivial_space(2), 6), (klauder_space(1), 8), (spin_space(3), 9)):
