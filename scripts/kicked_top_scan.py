@@ -66,8 +66,7 @@ def main(argv=None):
     rows = []
     for k in kicks:
         top = KickedTop(args.spin, kick=float(k), precession=args.precession)
-        res = lyapunov_kicked(top, z0, n_periods=args.periods,
-                              rtol=1e-8, seed=0)
+        res = lyapunov_kicked(top, z0, n_periods=args.periods, seed=0)
         lam_cl = classical_lyapunov(bloch0, float(k), args.precession,
                                     args.periods)
         rows.append((float(k), res.exponent, lam_cl, res.tail_gap))

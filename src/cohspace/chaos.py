@@ -1,15 +1,22 @@
 """Kicked-top dynamics and largest Lyapunov exponents of variational flows.
 
-The kicked top alternates a linear precession (variational flow of p*hbar*J_y
-over unit time, which rotates the Bloch vector by angle p about y) with an
-instantaneous torsion kick generated by (k/(n-1)) * J_z^2.  In a stereographic
-chart the kick closes in elementary form,
+The kicked top alternates a linear precession (the variational flow of
+p J_y over unit time, which rotates the Bloch vector by angle p about y) with
+an instantaneous torsion kick generated by (k/(n-1)) * J_z^2.  Both close in
+elementary form on the stereographic charts.  SU(2) acts on coherent states
+by Moebius maps, so with c, s = cos(p/2), sin(p/2) the precession is
+
+    north:  w -> (s + c w) / (c - s w),     south:  w -> (c w - s) / (s w + c),
+
+with tangent map dw -> dw / (denominator)^2 in both charts; an image beyond
+the switch radius is written in the flipped chart as w -> den/num,
+dw -> -dw/num^2, which never divides by a vanishing denominator.  The kick is
 
     w  ->  exp(i alpha) w,     alpha = k (1 - |w|^2) / (1 + |w|^2),
 
 with the same expression in both charts, and its Jacobian is analytic.  The
 largest Lyapunov exponent comes from Benettin renormalization of a variational
-tangent vector dw evolved with the linearized flow
+tangent vector dw; for continuous flows it is evolved with the linearized flow
 
     d(dw)/dt = A dw + B conj(dw),
     A = dF/dw,  B = dF/dwbar,  F = grad_wbar h / (i hbar g),
@@ -22,23 +29,13 @@ metric, which makes it continuous across chart switches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .integrate import solve_rk45
 from .kernels import KernelSpace, Point, spin_space
-from .tdvp import (
-    CHART_SWITCH_RADIUS,
-    ExpectationFunction,
-    MatrixExpectation,
-    SphereChart,
-    chart_for,
-)
-
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]]) / 2
+from .tdvp import CHART_SWITCH_RADIUS, ExpectationFunction, chart_for, charted_solve
 
 
 def spinor_from_bloch(s) -> Point:
@@ -97,28 +94,17 @@ def _metric_len(chart, w: complex, delta: complex) -> float:
     return math.sqrt(chart.metric(np.array([w]))[0, 0].real) * abs(delta)
 
 
+def _flip_tangent(y: np.ndarray) -> np.ndarray:
+    w, delta = y
+    return np.array([1.0 / w, -delta / (w * w)])   # (w, dw) pushed forward by w -> 1/w
+
+
 def _integrate_tangent(chart, energy, hbar, w, delta, t_span, rtol, atol):
     """Evolve (w, dw) over t_span with automatic chart switching."""
-    switches = 0
-    t_cur, t1 = float(t_span[0]), float(t_span[1])
-    is_sphere = isinstance(chart, SphereChart)
-    while True:
-        def hook(t, y):
-            return is_sphere and abs(y[0]) > CHART_SWITCH_RADIUS
-
-        sol = solve_rk45(_tangent_rhs(_linearized_field(chart, energy, hbar)),
-                         t_cur, t1, np.array([w, delta]), rtol=rtol, atol=atol,
-                         step_hook=hook)
-        t_cur = sol.t_end
-        w, delta = sol.y_end
-        if not sol.halted:
-            return chart, w, delta, switches
-        delta = -delta / (w * w)        # tangent pushforward of w -> 1/w
-        w = 1.0 / w
-        chart = chart.flipped()
-        switches += 1
-        if t_cur >= t1 - 1e-15 * max(1.0, abs(t1)):
-            return chart, w, delta, switches
+    segments, chart, (w, delta) = charted_solve(
+        chart, lambda ch: _tangent_rhs(_linearized_field(ch, energy, hbar)),
+        np.array([w, delta]), t_span, _flip_tangent, rtol, atol)
+    return chart, w, delta, sum(sol.halted for _, sol in segments)
 
 
 # ------------------------------------------------------------- kicked top
@@ -143,28 +129,27 @@ class KickedTop:
     n: int
     kick: float
     precession: float
-    hbar: float = 1.0
 
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError("kicked top needs n >= 1 monomials")
         self.space: KernelSpace = spin_space(self.n)
-        from .reps import SpinRep
 
-        jy = SpinRep(self.n).dgamma(_SY)
-        self.precession_energy = MatrixExpectation(self.hbar * self.precession * jy)
-
-    def period(self, chart, w, delta, rtol=1e-10, atol=1e-12):
-        chart, w, delta, switches = _integrate_tangent(
-            chart, self.precession_energy, self.hbar, w, delta, (0.0, 1.0), rtol, atol
-        )
+    def period(self, chart, w, delta):
+        """One period: the exact precession map of the chart, then the kick."""
+        c, s = math.cos(self.precession / 2), math.sin(self.precession / 2)
+        num, den = (c * w - s, s * w + c) if chart.south else (s + c * w, c - s * w)
+        if abs(num) > CHART_SWITCH_RADIUS * abs(den):
+            chart, w, delta, switches = chart.flipped(), den / num, -delta / (num * num), 1
+        else:
+            w, delta, switches = num / den, delta / (den * den), 0
         w, delta = apply_kick(w, delta, self.kick)
         return chart, w, delta, switches
 
-    def step_point(self, z: Point, rtol=1e-10) -> Point:
+    def step_point(self, z: Point) -> Point:
         chart = chart_for(self.space, z)
         w = chart.coords(z)[0]
-        chart, w, _, _ = self.period(chart, w, 0.0j, rtol=rtol)
+        chart, w, _, _ = self.period(chart, w, 0.0j)
         return chart.point(np.array([w]))
 
 
@@ -205,7 +190,6 @@ def _seed_tangent(chart, w, rng) -> complex:
 
 
 def lyapunov_kicked(top: KickedTop, z0: Point, n_periods: int = 2000,
-                    rtol: float = 1e-10, atol: float = 1e-12,
                     seed: int = 7) -> LyapunovResult:
     """Benettin estimate of the top's largest Lyapunov exponent (per period)."""
     if n_periods < 4:
@@ -217,7 +201,7 @@ def lyapunov_kicked(top: KickedTop, z0: Point, n_periods: int = 2000,
     logs = np.empty(n_periods)
     switches = 0
     for i in range(n_periods):
-        chart, w, delta, s = top.period(chart, w, delta, rtol=rtol, atol=atol)
+        chart, w, delta, s = top.period(chart, w, delta)
         switches += s
         ell = _metric_len(chart, w, delta)
         logs[i] = math.log(ell)

@@ -49,19 +49,8 @@ COMMANDS = (
 )
 
 # two-word spellings accepted on the command line
-_ALIASES = {
-    ("kernel", "eval"): "kernel-eval",
-    ("kernel", "gram"): "kernel-gram",
-    ("kernel", "check"): "kernel-check",
-    ("qspace", "build"): "qspace-build",
-    ("quantize", "map"): "quantize",
-    ("dyn", "coherent"): "dyn-coherent",
-    ("dyn", "tdvp"): "dyn-tdvp",
-    ("dyn", "lyapunov"): "dyn-lyapunov",
-    ("spec", "solve"): "spec-solve",
-    ("lie", "evolve"): "lie-evolve",
-    ("causal", "check"): "causal-check",
-}
+_ALIASES = {tuple(c.split("-")): c for c in COMMANDS if "-" in c}
+_ALIASES[("quantize", "map")] = "quantize"
 
 # per-command config fields: (flag, config key, coercion)
 # "json" fields parse the flag value as JSON, falling back to a bare string.
@@ -420,8 +409,6 @@ def _energy_of(cfg, space):
 
 
 def _trajectory_payload(traj, with_energy):
-    import numpy as np
-
     width = len(traj.points[0].coords)
     header = ["t"] + _pair_columns("c", width)
     has_mult = any(p.multiplier is not None for p in traj.points)
@@ -429,9 +416,6 @@ def _trajectory_payload(traj, with_energy):
         header += ["mult_re", "mult_im"]
     if with_energy:
         header.append("energy")
-    norms = traj.norms
-    if norms is None:
-        norms = np.array([float("nan")] * len(traj.points))
     header.append("norm")
     if traj.chart_flags is not None:
         header.append("chart")
@@ -443,14 +427,14 @@ def _trajectory_payload(traj, with_energy):
             row += [float(m.real), float(m.imag)]
         if with_energy:
             row.append(float(traj.energies[i]))
-        row.append(float(norms[i]))
+        row.append(float(traj.norms[i]))
         if traj.chart_flags is not None:
             row.append(int(traj.chart_flags[i]))
         rows.append(row)
     obj = {
         "times": [float(t) for t in traj.times],
         "points": [artifacts.complex_to_pairs(p.coords) for p in traj.points],
-        "norms": [float(v) for v in norms],
+        "norms": [float(v) for v in traj.norms],
     }
     if has_mult:
         obj["multipliers"] = [
@@ -584,10 +568,7 @@ def _h_quantize(cfg):
 
 
 def _h_dyn_coherent(cfg):
-    import numpy as np
-
     from .dynamics import LinearHamiltonianFlow, coherent_flow
-    from .kernels import eval_kernel
 
     space = _space_of(cfg)
     gen = _matrix_of(cfg, "generator")
@@ -597,8 +578,6 @@ def _h_dyn_coherent(cfg):
     t_eval = _t_eval_of(cfg, t0, t1)
     traj = coherent_flow(space, flow, z0, (t0, t1), t_eval,
                          rtol=float(cfg.get("rtol", 1e-9)))
-    if traj.norms is None:  # norm column always present: K(z, z) along the path
-        traj.norms = np.array([eval_kernel(space, p, p).real for p in traj.points])
     payload = _trajectory_payload(traj, with_energy=False)
     summary = {
         "steps": int(traj.stats.steps),
@@ -641,7 +620,6 @@ def _h_dyn_lyapunov(cfg):
             int(cfg.get("spin", 40)),
             kick=float(cfg["kick"]),
             precession=float(cfg.get("precession", math.pi / 2)),
-            hbar=float(cfg.get("hbar", 1.0)),
         )
         if cfg.get("z0") is not None:
             z0 = _point_of(cfg["z0"], "z0")
@@ -653,7 +631,6 @@ def _h_dyn_lyapunov(cfg):
         res = lyapunov_kicked(
             top, z0,
             n_periods=int(cfg.get("periods", 2000)),
-            rtol=float(cfg.get("rtol", 1e-10)),
             seed=int(cfg["seed"]),
         )
     elif system == "continuous":

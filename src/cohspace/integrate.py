@@ -51,7 +51,8 @@ class RKSolution:
 
 def _err_norm(e: np.ndarray, y0: np.ndarray, y1: np.ndarray, rtol: float, atol: float) -> float:
     sc = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean(np.abs(e / sc) ** 2)))
+    with np.errstate(invalid="ignore"):  # non-finite stages: NaN here, reported by solve_rk45
+        return float(np.sqrt(np.mean(np.abs(e / sc) ** 2)))
 
 
 def _initial_step(f, t0, y0, f0, rtol, atol, span):

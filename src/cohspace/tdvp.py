@@ -22,7 +22,6 @@ differences (CallableExpectation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,13 +38,36 @@ ENERGY_DRIFT_LIMIT = 1e-6
 # ----------------------------------------------------------------- charts
 
 
+def _derivative_table(coef, power) -> list:
+    """(coefficient, power) per order 0-2 of the components coef_k w^power_k.
+
+    The order-m row holds coef_k power_k (power_k - 1) ... and power_k - m,
+    multiplied left to right as the derivative is written; components whose
+    power is below m vanish (coefficient 0, power 0).
+    """
+    table = []
+    for order in range(3):
+        live = power >= order
+        table.append((np.where(live, coef, 0), np.where(live, power - order, 0)))
+        coef = coef * (power - order)
+    return table
+
+
+def _order_row(table: list, order: int):
+    if order not in (0, 1, 2):
+        raise ConfigError("embedding derivatives available up to order 2")
+    return table[order]
+
+
 class SphereChart:
     """Stereographic chart for unit spinors; monomial embedding of degree n."""
 
     def __init__(self, n: int, south: bool = False):
         self.n = int(n)
         self.south = bool(south)
-        self._w = np.array([math.sqrt(math.comb(self.n, k)) for k in range(self.n + 1)])
+        weights = np.array([math.sqrt(math.comb(self.n, k)) for k in range(self.n + 1)])
+        k = np.arange(self.n + 1)
+        self._table = _derivative_table(weights, (self.n - k) if self.south else k)
 
     @property
     def dim(self) -> int:
@@ -71,22 +93,8 @@ class SphereChart:
 
     # unnormalized holomorphic embedding v(w), plus derivatives in w
     def embedding(self, u: np.ndarray, order: int = 0) -> np.ndarray:
-        w = u[0]
-        n = self.n
-        k = np.arange(n + 1)
-        p = (n - k) if self.south else k          # monomial power per component
-        v = np.zeros(n + 1, dtype=complex)
-        if order == 0:
-            v = self._w * w ** p
-        elif order == 1:
-            nz = p >= 1
-            v[nz] = self._w[nz] * p[nz] * w ** (p[nz] - 1)
-        elif order == 2:
-            nz = p >= 2
-            v[nz] = self._w[nz] * p[nz] * (p[nz] - 1) * w ** (p[nz] - 2)
-        else:
-            raise ConfigError("embedding derivatives available up to order 2")
-        return v
+        coef, power = _order_row(self._table, order)
+        return coef * u[0] ** power
 
     def metric(self, u: np.ndarray) -> np.ndarray:
         rho = abs(u[0]) ** 2
@@ -105,6 +113,9 @@ class FlatChart:
         self.modes = int(modes)
         self.z0 = complex(z0)
         self.cutoff = int(cutoff)
+        n = np.arange(self.cutoff)
+        self._fact = np.cumprod(np.concatenate([[1.0], np.sqrt(np.maximum(n[1:], 1))]))
+        self._table = _derivative_table(np.exp(self.z0), n)
 
     @property
     def dim(self) -> int:
@@ -119,19 +130,8 @@ class FlatChart:
     def embedding(self, u: np.ndarray, order: int = 0) -> np.ndarray:
         if self.modes != 1:
             raise ConfigError("matrix energies support a single Klauder mode")
-        zeta = u[0]
-        n = np.arange(self.cutoff)
-        fact = np.cumprod(np.concatenate([[1.0], np.sqrt(np.maximum(n[1:], 1))]))
-        v = np.zeros(self.cutoff, dtype=complex)
-        if order == 0:
-            v = np.exp(self.z0) * zeta ** n / fact
-        elif order == 1:
-            v[1:] = np.exp(self.z0) * n[1:] * zeta ** (n[1:] - 1) / fact[1:]
-        elif order == 2:
-            v[2:] = np.exp(self.z0) * n[2:] * (n[2:] - 1) * zeta ** (n[2:] - 2) / fact[2:]
-        else:
-            raise ConfigError("embedding derivatives available up to order 2")
-        return v
+        coef, power = _order_row(self._table, order)
+        return coef * u[0] ** power / self._fact
 
     def metric(self, u: np.ndarray) -> np.ndarray:
         return np.eye(self.modes)
@@ -332,6 +332,40 @@ def tdvp_rhs(chart, energy: ExpectationFunction, hbar: float):
     return rhs
 
 
+def charted_solve(chart, rhs_for, y, t_span, flip, rtol, atol, t_eval=None, monitor=None):
+    """Integrate across chart switches from t_span[0] to t_span[1].
+
+    On a sphere chart the solve halts once |y[0]| > CHART_SWITCH_RADIUS, maps
+    the state into the flipped chart with `flip(y)` and continues there with
+    `rhs_for(chart)`.  `t_eval` samples are recorded by the segment that
+    reaches them; `monitor(chart, t, y)` runs after every accepted step and
+    may raise.  Returns the (chart, RKSolution) segments, and the chart and
+    state at t1 (flipped when the last step itself crossed the radius).
+    """
+    t_cur, t1 = float(t_span[0]), float(t_span[1])
+    remaining = None if t_eval is None else [float(t) for t in t_eval]
+    segments = []
+    can_switch = isinstance(chart, SphereChart)
+
+    def hook(t, yy):  # reads the current chart: it changes only between solves
+        if monitor is not None:
+            monitor(chart, t, yy)
+        return can_switch and abs(yy[0]) > CHART_SWITCH_RADIUS
+
+    while True:
+        sol = solve_rk45(rhs_for(chart), t_cur, t1, y, rtol=rtol, atol=atol,
+                         t_eval=remaining, step_hook=hook)
+        segments.append((chart, sol))
+        t_cur, y = sol.t_end, sol.y_end
+        if remaining is not None:
+            remaining = remaining[len(sol.times):]
+        if not sol.halted:
+            return segments, chart, y
+        chart, y = chart.flipped(), flip(y)
+        if t_cur >= t1 - 1e-15 * max(1.0, abs(t1)):
+            return segments, chart, y
+
+
 def dirac_frenkel_flow(
     space: KernelSpace,
     energy: ExpectationFunction,
@@ -351,66 +385,36 @@ def dirac_frenkel_flow(
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t_eval is None:
         t_eval = np.linspace(t0, t1, 101)
-    t_eval = [float(t) for t in t_eval]
     chart = chart_for(space, z0)
     u = chart.coords(z0)
     h0 = energy.chart_value(chart, u)
     h_scale = max(abs(h0), 1e-12)
 
-    times_out: list[float] = []
-    pts_out: list[Point] = []
-    en_out: list[float] = []
-    flags_out: list[int] = []
-    steps = rejected = 0
-    err_est = 0.0
+    def monitor(ch, t, uu):
+        hv = energy.chart_value(ch, uu)
+        if abs(hv - h0) > drift_limit * h_scale:
+            raise IntegratorFailure(
+                f"energy drift {abs(hv - h0):.3e} exceeds {drift_limit:.1e} x |h| "
+                f"at t = {t:.6g}; tighten rtol"
+            )
 
-    def record(t, uu):
-        times_out.append(t)
-        p = chart.point(uu)
-        pts_out.append(p)
-        en_out.append(energy.chart_value(chart, uu))
-        flags_out.append(1 if getattr(chart, "south", False) else 0)
-
-    remaining = [t for t in t_eval]
-    t_cur = t0
-    while remaining and remaining[0] <= t_cur + 1e-15 * max(1.0, abs(t_cur)):
-        record(remaining.pop(0), u)
-    is_sphere = isinstance(chart, SphereChart)
-
-    while remaining:
-        def hook(t, uu):
-            hv = energy.chart_value(chart, uu)
-            if abs(hv - h0) > drift_limit * h_scale:
-                raise IntegratorFailure(
-                    f"energy drift {abs(hv - h0):.3e} exceeds {drift_limit:.1e} x |h| "
-                    f"at t = {t:.6g}; tighten rtol"
-                )
-            return is_sphere and abs(uu[0]) > CHART_SWITCH_RADIUS
-
-        sol = solve_rk45(tdvp_rhs(chart, energy, hbar), t_cur, t1, u,
-                         rtol=rtol, atol=atol, t_eval=remaining, step_hook=hook)
-        for t, uu in zip(sol.times, sol.states):
-            record(t, uu)
-            remaining.remove(float(t))
-        steps += sol.stats.steps
-        rejected += sol.stats.rejected
-        err_est = sol.stats.final_error_estimate
-        t_cur, u = sol.t_end, sol.y_end
-        if sol.halted:
-            u = chart.transition(u)
-            chart = chart.flipped()
-        elif not remaining or t_cur >= t1 - 1e-15 * max(1.0, abs(t1)):
-            break
-
-    norms = np.array([eval_kernel(space, p, p).real for p in pts_out])
+    segments, _, _ = charted_solve(chart, lambda ch: tdvp_rhs(ch, energy, hbar), u, (t0, t1),
+                                   SphereChart.transition, rtol, atol,
+                                   t_eval=t_eval, monitor=monitor)
+    samples = [(ch, t, uu) for ch, sol in segments for t, uu in zip(sol.times, sol.states)]
+    points = [ch.point(uu) for ch, _, uu in samples]
     return Trajectory(
         space=space,
-        times=np.array(times_out),
-        points=pts_out,
-        stats=IntegratorStats(steps=steps, rejected=rejected, final_error_estimate=err_est),
-        energies=np.array(en_out),
-        norms=norms,
-        chart_flags=np.array(flags_out),
+        times=np.array([t for _, t, _ in samples]),
+        points=points,
+        stats=IntegratorStats(
+            steps=sum(sol.stats.steps for _, sol in segments),
+            rejected=sum(sol.stats.rejected for _, sol in segments),
+            final_error_estimate=segments[-1][1].stats.final_error_estimate,
+        ),
+        energies=np.array([energy.chart_value(ch, uu) for ch, _, uu in samples]),
+        norms=np.array([eval_kernel(space, p, p).real for p in points]),
+        chart_flags=np.array([1 if getattr(ch, "south", False) else 0 for ch, _, _ in samples]),
     )
 
 

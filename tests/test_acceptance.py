@@ -275,8 +275,7 @@ def test_criterion_6_kicked_top_lyapunov():
     results = {}
     for kick in (3.0, 0.5):
         top = KickedTop(20, kick=kick, precession=prec)
-        res = lyapunov_kicked(top, spinor_from_bloch(bloch0), n_periods=2000,
-                              rtol=1e-8, seed=0)
+        res = lyapunov_kicked(top, spinor_from_bloch(bloch0), n_periods=2000, seed=0)
         cl = kicked_top_classical_lyapunov(bloch0, kick, prec, 2000)
         results[kick] = (res.exponent, cl)
         assert np.sign(res.exponent) == np.sign(cl)

@@ -29,9 +29,10 @@ from cohspace.tdvp import (
     bloch_vector,
     chart_for,
 )
-from cohspace.chaos import _integrate_tangent, _linearized_field
+from cohspace.chaos import _flip_tangent, _integrate_tangent, _linearized_field, _metric_len
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) / 2
+SY = np.array([[0.0, -1.0j], [1.0j, 0.0]]) / 2
 SZ = np.diag([0.5, -0.5]).astype(complex)
 
 PREC = np.pi / 2
@@ -54,8 +55,41 @@ def test_period_map_matches_classical():
     for _ in range(25):
         s = rng.standard_normal(3)
         s /= np.linalg.norm(s)
-        got = bloch_vector(top.step_point(spinor_from_bloch(s), rtol=1e-12))
+        got = bloch_vector(top.step_point(spinor_from_bloch(s)))
         np.testing.assert_allclose(got, kicked_top_classical_step(s, 3.0, PREC), atol=1e-10)
+
+
+def test_exact_period_matches_integrated_precession():
+    # oracle: the precession integrated as the variational flow of p J_y
+    # (rtol 1e-12) and then kicked; starts include the preimages of both
+    # poles, whose images land at the start chart's pole or its origin
+    cases = set()
+    rng = np.random.default_rng(17)
+    for n in (6, 20):
+        for p in (np.pi / 2, 1.0, 2.5):
+            top = KickedTop(n, kick=float(rng.uniform(0.5, 6.0)), precession=p)
+            energy = MatrixExpectation(p * SpinRep(n).dgamma(SY))
+            poles = [np.array([np.sin(p), 0.0, -np.cos(p)]), np.array([-np.sin(p), 0.0, np.cos(p)])]
+            starts = [pole + eps * rng.standard_normal(3) for pole in poles for eps in (1e-3, 1e-7)]
+            starts += list(rng.standard_normal((4, 3)))
+            for s0 in starts:
+                z = spinor_from_bloch(s0)
+                chart = chart_for(top.space, z)
+                w = complex(chart.coords(z)[0])
+                d = complex(*rng.standard_normal(2))
+                ch, wg, dg, switched = top.period(chart, w, d)
+                ch_i, wi, di, _ = _integrate_tangent(chart, energy, 1.0, w, d, (0.0, 1.0),
+                                                     1e-12, 1e-14)
+                wi, di = apply_kick(wi, di, top.kick)
+                np.testing.assert_allclose(bloch_vector(ch.point(np.array([wg]))),
+                                           bloch_vector(ch_i.point(np.array([wi]))), atol=1e-10)
+                ell = _metric_len(ch_i, wi, di)
+                assert abs(_metric_len(ch, wg, dg) - ell) <= 1e-10 * ell
+                if ch_i.south != ch.south:   # the tangent itself, in the exact map's chart
+                    wi, di = _flip_tangent(np.array([wi, di]))
+                assert abs(dg - di) <= 1e-10 * abs(di)
+                cases.add((chart.south, switched))
+    assert cases == {(False, 0), (False, 1), (True, 0), (True, 1)}
 
 
 def test_kick_jacobian_matches_fd():
@@ -83,7 +117,7 @@ def test_tangent_flow_matches_flowmap_fd():
     def flow3(w, d):
         ch, ww, dd = chart0, w, d
         for _ in range(3):
-            ch, ww, dd, _ = top.period(ch, ww, dd, rtol=1e-12, atol=1e-14)
+            ch, ww, dd, _ = top.period(ch, ww, dd)
         return ww, dd
 
     h = 1e-6
@@ -117,7 +151,7 @@ def test_linearized_field_fd_route_consistent():
 
 def test_chaotic_top_exponent():
     top = KickedTop(6, 3.0, PREC)
-    res = lyapunov_kicked(top, spinor_from_bloch(BLOCH0), n_periods=500, rtol=1e-8)
+    res = lyapunov_kicked(top, spinor_from_bloch(BLOCH0), n_periods=500)
     assert res.exponent > 0.1
     assert res.chart_switches > 0
     classical = kicked_top_classical_lyapunov(BLOCH0, 3.0, PREC, 500)
@@ -129,7 +163,7 @@ def test_chaotic_top_exponent():
 
 def test_regular_top_exponent():
     top = KickedTop(6, 0.5, PREC)
-    res = lyapunov_kicked(top, spinor_from_bloch(BLOCH0), n_periods=500, rtol=1e-8)
+    res = lyapunov_kicked(top, spinor_from_bloch(BLOCH0), n_periods=500)
     assert abs(res.exponent) < 0.02
     classical = kicked_top_classical_lyapunov(BLOCH0, 0.5, PREC, 500)
     assert abs(res.exponent - classical) <= 0.005

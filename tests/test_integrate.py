@@ -54,11 +54,12 @@ def test_stiffness_error():
         solve_rk45(f, 0.0, 1.0, np.array([2.0 + 0j]), rtol=1e-12, atol=1e-14, max_steps=5000)
 
 
+@pytest.mark.filterwarnings("error")
 def test_nan_rhs_is_reported_as_numerical_not_stiff():
     def f(t, y):
         return np.full_like(y, np.nan) if t > 0.3 else -y
 
-    with np.errstate(invalid="ignore"), pytest.raises(NumericalError) as info:
+    with pytest.raises(NumericalError) as info:
         solve_rk45(f, 0.0, 1.0, np.array([1.0 + 0j]))
     assert not isinstance(info.value, StiffnessError)
     msg = str(info.value)
