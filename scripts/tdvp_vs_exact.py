@@ -50,7 +50,7 @@ def main(argv=None):
     omega = 1.1
     a = omega * np.diag([0.5, -0.5]).astype(complex)
     exact = coherent_flow(space, LinearHamiltonianFlow(a), point(z0),
-                          (0.0, args.t_final), t_eval=t_eval, rtol=1e-12)
+                          (0.0, args.t_final), t_eval=t_eval)
     energy = MatrixExpectation(rep.dgamma(a))
     var = dirac_frenkel_flow(space, energy, point(z0), (0.0, args.t_final),
                              t_eval=t_eval, rtol=1e-10)

@@ -90,7 +90,6 @@ _FIELDS: dict[str, list[tuple[str, str, str]]] = {
         ("--z0", "z0", "json"),
         ("--t-span", "t_span", "json"),
         ("--samples", "samples", "int"),
-        ("--rtol", "rtol", "float"),
         ("--hbar", "hbar", "float"),
     ],
     "dyn-tdvp": [
@@ -130,7 +129,6 @@ _FIELDS: dict[str, list[tuple[str, str, str]]] = {
         ("--observables", "observables", "json"),
         ("--t-span", "t_span", "json"),
         ("--samples", "samples", "int"),
-        ("--rtol", "rtol", "float"),
     ],
     "causal-check": [
         ("--kernel", "kernel", "json"),
@@ -238,13 +236,7 @@ def _assemble_config(args) -> dict:
         if val is not None:
             cfg[key] = val
     cfg["command"] = args.command
-    cfg.setdefault("seed", 0)
     cfg.setdefault("threads", int(os.environ.get("OMP_NUM_THREADS", "1")))
-    cfg.setdefault("format", "csv" if args.command in _CSV_DEFAULT else "json")
-    if cfg["format"] not in ("csv", "json"):
-        raise ConfigError(f"format must be 'csv' or 'json', got {cfg['format']!r}")
-    if not isinstance(cfg["seed"], int):
-        raise ConfigError(f"seed must be an integer, got {cfg['seed']!r}")
     return cfg
 
 
@@ -576,14 +568,9 @@ def _h_dyn_coherent(cfg):
     z0 = _point_of(cfg.get("z0"), "z0")
     t0, t1 = _t_span_of(cfg)
     t_eval = _t_eval_of(cfg, t0, t1)
-    traj = coherent_flow(space, flow, z0, (t0, t1), t_eval,
-                         rtol=float(cfg.get("rtol", 1e-9)))
+    traj = coherent_flow(space, flow, z0, (t0, t1), t_eval)
     payload = _trajectory_payload(traj, with_energy=False)
-    summary = {
-        "steps": int(traj.stats.steps),
-        "final_norm": float(traj.norms[-1]),
-    }
-    return payload, summary, []
+    return payload, {"final_norm": float(traj.norms[-1])}, []
 
 
 def _h_dyn_tdvp(cfg):
@@ -762,10 +749,9 @@ def _h_lie_evolve(cfg):
                          evolve_expectations)
 
     algebra, rep = _algebra_of(cfg)
-    h = _coeff_vector(cfg.get("hamiltonian"), algebra, "hamiltonian") \
-        if cfg.get("hamiltonian") is not None else None
-    if h is None:
+    if cfg.get("hamiltonian") is None:
         raise ConfigError("missing 'hamiltonian' coefficients")
+    h = _coeff_vector(cfg["hamiltonian"], algebra, "hamiltonian")
     state_spec = cfg.get("state")
     if not isinstance(state_spec, dict):
         raise ConfigError("'state' must be an object with 'density' or 'form'")
@@ -785,8 +771,7 @@ def _h_lie_evolve(cfg):
                    for i, o in enumerate(obs_spec)]
     t0, t1 = _t_span_of(cfg)
     t_eval = _t_eval_of(cfg, t0, t1, default=201)
-    table = evolve_expectations(algebra, rep, h, state, observables, (t0, t1),
-                                rtol=float(cfg.get("rtol", 1e-10)), t_eval=t_eval)
+    table = evolve_expectations(algebra, rep, h, state, observables, (t0, t1), t_eval=t_eval)
     header = ["t"]
     for nm in names:
         header += [f"{nm}_re", f"{nm}_im"]
@@ -903,6 +888,8 @@ def run(config: dict) -> dict:
         raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
     config = dict(config)
     config.setdefault("seed", 0)
+    if not isinstance(config["seed"], int):
+        raise ConfigError(f"seed must be an integer, got {config['seed']!r}")
     config["format"] = fmt
 
     start = time.perf_counter()

@@ -3,9 +3,10 @@
 For a linear label flow  i hbar dz/dt = A z  the coherent trajectory
 t -> |z(t)> solves the representation-space Schroedinger equation exactly,
 with Hamiltonian the derivation action of A (no ordering corrections).
-``coherent_flow`` integrates the label ODE; ``verify_schrodinger_lift``
-checks the fidelity of the lifted trajectory against exact eigen-propagation
-in a concrete finite representation.
+``coherent_flow`` propagates a time-independent label flow exactly,
+z(t) = exp(-i A (t - t0) / hbar) z0 by ``reps.propagate_eig``, and integrates
+a time-dependent one with RK45; ``verify_schrodinger_lift`` checks the lifted
+trajectory against exact propagation in a concrete finite representation.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_sample_times
 from .integrate import IntegratorStats, solve_rk45
 from .kernels import KernelSpace, Point, eval_kernel
 from .reps import FockRep, SpinRep, propagate_eig
@@ -42,7 +43,7 @@ class Trajectory:
     space: KernelSpace
     times: np.ndarray
     points: list[Point]
-    stats: IntegratorStats
+    stats: Optional[IntegratorStats]  # None for exactly propagated flows
     energies: Optional[np.ndarray] = None
     norms: Optional[np.ndarray] = None
     chart_flags: Optional[np.ndarray] = None  # used by variational flows
@@ -65,28 +66,29 @@ def coherent_flow(
     rtol: float = 1e-9,
     atol: float = 1e-12,
 ) -> Trajectory:
-    """Integrate the label ODE and return the sampled coherent trajectory."""
+    """Sample the coherent trajectory at t_eval: exactly for a time-independent
+    generator (``stats`` is None), else by solve_rk45 at rtol/atol."""
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t_eval is None:
         t_eval = np.linspace(t0, t1, 101)
     if flow.time_dependent:
         def rhs(t, y):
             return flow.generator(t) @ y / (1j * flow.hbar)
+
+        sol = solve_rk45(rhs, t0, t1, z0.coords, rtol=rtol, atol=atol, t_eval=t_eval)
+        times, states, stats = sol.times, sol.states, sol.stats
     else:
         a = flow.matrix_at(t0)
         if a.shape != (space.label_dim, space.label_dim):
             raise ConfigError(
                 f"generator is {a.shape}, expected ({space.label_dim}, {space.label_dim})"
             )
-        scaled = a / (1j * flow.hbar)
-
-        def rhs(t, y):
-            return scaled @ y
-
-    sol = solve_rk45(rhs, t0, t1, z0.coords, rtol=rtol, atol=atol, t_eval=t_eval)
-    pts = [Point(_project_constraint(space, y), z0.multiplier) for y in sol.states]
+        times = np.array(check_sample_times(t0, t1, t_eval))
+        states = propagate_eig(a, z0.coords, times - t0, hbar=flow.hbar)
+        stats = None
+    pts = [Point(_project_constraint(space, y), z0.multiplier) for y in states]
     norms = np.array([eval_kernel(space, p, p).real for p in pts])
-    return Trajectory(space=space, times=sol.times, points=pts, stats=sol.stats, norms=norms)
+    return Trajectory(space=space, times=times, points=pts, stats=stats, norms=norms)
 
 
 # ------------------------------------------------------------------- the lift
@@ -178,7 +180,7 @@ def ehrenfest_residual(
     """| d<X>/dt (central difference at t) - (i/hbar) <[H, X]> (t) |.
 
     `state` is a unit vector or a unit-trace density matrix, propagated
-    exactly by eigendecomposition; the residual is O(dt^2).
+    exactly by propagate_eig; the residual is O(dt^2).
     """
     state = np.asarray(state, dtype=complex)
     x_op = np.asarray(x_op, dtype=complex)
@@ -196,25 +198,12 @@ def ehrenfest_residual(
         if abs(n - 1.0) > 1e-10:
             raise DomainError(f"state norm^2 {n:.6f} != 1")
 
-    lam, u = np.linalg.eigh(h_op)
+    rho = state if is_density else np.outer(state, state.conj())
 
-    def expect(tau: float) -> float:
-        ph = np.exp(-1j * lam * tau / hbar)
-        if is_density:
-            uu = u @ np.diag(ph) @ u.conj().T
-            rho = uu @ state @ uu.conj().T
-            return float(np.trace(x_op @ rho).real)
-        psi = u @ (ph * (u.conj().T @ state))
-        return float(np.vdot(psi, x_op @ psi).real)
+    def expect(op: np.ndarray, tau: float) -> float:
+        u = propagate_eig(h_op, np.eye(len(h_op)), [tau], hbar=hbar)[0]
+        return float(np.trace(op @ (u @ rho @ u.conj().T)).real)
 
-    deriv = (expect(t + dt) - expect(t - dt)) / (2.0 * dt)
+    deriv = (expect(x_op, t + dt) - expect(x_op, t - dt)) / (2.0 * dt)
     comm = 1j / hbar * (h_op @ x_op - x_op @ h_op)
-    ph = np.exp(-1j * lam * t / hbar)
-    if is_density:
-        uu = u @ np.diag(ph) @ u.conj().T
-        rho_t = uu @ state @ uu.conj().T
-        rhs = float(np.trace(comm @ rho_t).real)
-    else:
-        psi_t = u @ (ph * (u.conj().T @ state))
-        rhs = float(np.vdot(psi_t, comm @ psi_t).real)
-    return abs(deriv - rhs)
+    return abs(deriv - expect(comm, t))

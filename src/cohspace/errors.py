@@ -4,7 +4,7 @@ Everything that represents a *domain* failure (bad point, kernel not PSD,
 state escaping a span, step-size trouble, ...) derives from DomainError so
 the CLI can map it to exit code 1 with a structured message.  Genuine
 configuration problems (unparseable JSON, unknown kind) are ConfigError and
-map to exit code 2.
+map to exit code 2.  ``check_sample_times`` checks every time grid.
 """
 
 from __future__ import annotations
@@ -21,6 +21,21 @@ class DomainError(Exception):
 
 class ConfigError(Exception):
     """Malformed configuration / unknown names; CLI exit code 2."""
+
+
+def check_sample_times(t0: float, t1: float, t_eval) -> list[float] | None:
+    """Require t1 > t0 and sample times strictly increasing inside [t0, t1]
+    (1e-12 slack at the ends); return the samples as floats (None stays None)."""
+    if not t1 > t0:
+        raise ConfigError("time span needs t1 > t0")
+    if t_eval is None:
+        return None
+    times = [float(x) for x in t_eval]
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ConfigError("t_eval must be strictly increasing")
+    if times and (times[0] < t0 - 1e-12 or times[-1] > t1 + 1e-12):
+        raise ConfigError("t_eval must lie within [t0, t1]")
+    return times
 
 
 class InvalidPointError(DomainError):

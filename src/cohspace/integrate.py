@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, IntegratorFailure, NumericalError, StiffnessError
+from .errors import IntegratorFailure, NumericalError, StiffnessError, check_sample_times
 
 # Dormand-Prince 5(4) tableau
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
@@ -30,6 +30,9 @@ _A = (
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 _ERR = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
+
+# y' = y^2 from y0 = 1 reaches max|y| ~ 1e12 before its steps underflow
+BLOW_UP_GROWTH = 1e6
 
 
 @dataclass
@@ -83,19 +86,15 @@ def solve_rk45(
     """Integrate y' = f(t, y) from t0 to t1 (forward only).
 
     `t_eval` times are hit exactly (steps are clipped); `step_hook`, called
-    after every accepted step, returns True to halt integration early.
+    after every accepted step, returns True to halt integration early.  A
+    step below 1e-14 (t1 - t0) raises StiffnessError, or NumericalError (a
+    blow-up) once max|y| exceeds BLOW_UP_GROWTH * max(1, max|y0|).
     """
-    if not t1 > t0:
-        raise ConfigError("integration needs t1 > t0")
+    eval_times = check_sample_times(t0, t1, t_eval)
     y = np.asarray(y0, dtype=complex).copy()
+    y0_max = float(np.abs(y).max(initial=0.0))
     t = float(t0)
     span = t1 - t0
-    eval_times = None if t_eval is None else [float(x) for x in t_eval]
-    if eval_times is not None:
-        if any(b <= a for a, b in zip(eval_times, eval_times[1:])):
-            raise ConfigError("t_eval must be strictly increasing")
-        if eval_times and (eval_times[0] < t0 - 1e-12 or eval_times[-1] > t1 + 1e-12):
-            raise ConfigError("t_eval must lie within [t0, t1]")
     out_t: list[float] = []
     out_y: list[np.ndarray] = []
     ei = 0
@@ -121,6 +120,12 @@ def solve_rk45(
         if eval_times is not None and ei < len(eval_times):
             h = min(h, eval_times[ei] - t)
         if h < min_h:
+            y_max = float(np.abs(y).max(initial=0.0))
+            if y_max > BLOW_UP_GROWTH * max(1.0, y0_max):
+                raise NumericalError(
+                    f"finite-time blow-up at t = {t:.6g} (h = {h:.3e}): max|y| = {y_max:.3e} "
+                    f"grew from {y0_max:.3e}"
+                )
             raise StiffnessError(
                 f"step size underflow at t = {t:.6g} (h = {h:.3e}); problem appears stiff"
             )

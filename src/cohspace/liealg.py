@@ -40,8 +40,9 @@ from .errors import (
     OutOfSpanError,
     PreconditionError,
     StatePositivityError,
+    check_sample_times,
 )
-from .integrate import solve_rk45
+from .reps import propagate_eig
 
 AXIOM_TOL = 1e-12
 CLOSURE_TOL = 1e-10
@@ -323,16 +324,17 @@ def evolve_expectations(
     state: State,
     observables: Sequence[np.ndarray],
     t_span: tuple[float, float],
-    rtol: float = 1e-10,
-    atol: float = 1e-14,
     t_eval: Optional[Sequence[float]] = None,
 ) -> ExpectationTable:
     """Propagate means through the closed linear system d<X>/dt = <H |> X>.
 
     The span of the observables must be invariant under H |> . to
     CLOSURE_TOL; otherwise ClosureError carries the escaping direction.
-    When the state is density-backed and a representation is supplied, the
-    final row is cross-checked against unitary propagation of rho.
+    The system de/dt = G e is solved exactly, e(t) = exp(G (t - t0)) e0, by
+    reps.propagate_eig with h = i G (eigendecomposition when i G is
+    Hermitian, expm otherwise).  When the state is density-backed and a
+    representation is supplied, the final row is cross-checked against
+    unitary propagation of rho.
     """
     h = np.asarray(hamiltonian, dtype=complex)
     if h.shape != (algebra.dim,):
@@ -343,8 +345,9 @@ def evolve_expectations(
     if any(o.shape != (algebra.dim,) for o in obs):
         raise ConfigError(f"observables must be coefficient vectors of length {algebra.dim}")
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if not t1 > t0:
-        raise ConfigError("t_span must satisfy t1 > t0")
+    if t_eval is None:
+        t_eval = np.linspace(t0, t1, 201)
+    times = np.array(check_sample_times(t0, t1, t_eval))
 
     span = np.stack(obs, axis=1)
     g = np.zeros((len(obs), len(obs)), dtype=complex)
@@ -362,10 +365,7 @@ def evolve_expectations(
         g[i] = coeff
 
     e0 = np.array([uncertain_value(state, o) for o in obs])
-    if t_eval is None:
-        t_eval = np.linspace(t0, t1, 201)
-    sol = solve_rk45(lambda t, e: g @ e, t0, t1, e0, rtol=rtol, atol=atol,
-                     t_eval=[float(t) for t in t_eval])
+    values = propagate_eig(1j * g, e0, times - t0)
 
     cross = None
     if isinstance(state, DensityState) and rep is not None:
@@ -374,17 +374,14 @@ def evolve_expectations(
         scale = max(1.0, float(np.max(np.abs(hmat))))
         if np.max(np.abs(hmat - hmat.conj().T)) > 1e-10 * scale:
             raise ConfigError("represented hamiltonian is not Hermitian; cannot cross-check")
-        w, v = np.linalg.eigh((hmat + hmat.conj().T) / 2)
-        tf = float(sol.times[-1])
-        u = (v * np.exp(-1j * w * (tf - t0) / algebra.hbar)) @ v.conj().T
-        rho_t = u @ state.rho @ u.conj().T
-        final = state_from_density(algebra, rep, rho_t)
+        u = propagate_eig(hmat, np.eye(len(hmat)), [times[-1] - t0], hbar=algebra.hbar)[0]
+        final = state_from_density(algebra, rep, u @ state.rho @ u.conj().T)
         vn = np.array([uncertain_value(final, o) for o in obs])
-        cross = float(np.max(np.abs(vn - sol.states[-1])))
+        cross = float(np.max(np.abs(vn - values[-1])))
 
     return ExpectationTable(
-        times=sol.times,
-        values=sol.states,
+        times=times,
+        values=values,
         observables=obs,
         generator=g,
         final_cross_check=cross,

@@ -137,12 +137,13 @@ class FockRep:
 
 
 def propagate_eig(h: np.ndarray, psi0: np.ndarray, times, hbar: float = 1.0) -> np.ndarray:
-    """Exact propagation exp(-i H t / hbar) psi0 for Hermitian H; rows = times."""
+    """Exact propagation exp(-i H t / hbar) psi0, rows = times; psi0 may be a
+    matrix of columns (the identity gives the propagator).  Hermitian H uses
+    its eigendecomposition, any other H scaling-and-squaring expm per time."""
     h = np.asarray(h, dtype=complex)
     herm_defect = np.abs(h - h.conj().T).max()
     if herm_defect > 1e-10 * max(1.0, np.abs(h).max()):
-        # non-Hermitian generators still propagate, via expm per time
         return np.array([scipy.linalg.expm(-1j * float(t) * h / hbar) @ psi0 for t in times])
     lam, u = np.linalg.eigh(h)
-    c = u.conj().T @ psi0
-    return np.array([u @ (np.exp(-1j * lam * float(t) / hbar) * c) for t in times])
+    c = (u.conj().T @ psi0).T  # eigen-axis last: the phases broadcast over columns
+    return np.array([u @ (np.exp(-1j * lam * float(t) / hbar) * c).T for t in times])

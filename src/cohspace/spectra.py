@@ -146,6 +146,16 @@ def _polish_bracket(f: Callable[[float], float], a: float, b: float, fa: float,
     return x, fx
 
 
+def _dedupe(roots: list[tuple[int, float, float]]) -> list[tuple[int, float, float]]:
+    """(n, E, residual) rows sorted by (E, n), dropping each E within 1e-10
+    relative of the last row kept."""
+    kept: list[tuple[int, float, float]] = []
+    for r in sorted(roots, key=lambda r: (r[1], r[0])):
+        if not (kept and abs(r[1] - kept[-1][1]) <= 1e-10 * max(1.0, abs(r[1]))):
+            kept.append(r)
+    return kept
+
+
 def solve_implicit_spectrum(model: ImplicitSpectralModel, interval: tuple[float, float],
                             tol: float = 1e-10, grid: int = DEFAULT_GRID) -> SpectrumResult:
     """Roots of lambda_n(E) (discrete) or solution intervals (continuous).
@@ -198,13 +208,7 @@ def solve_implicit_spectrum(model: ImplicitSpectralModel, interval: tuple[float,
                         f"E = {es[j]:.6g} without a sign change; possible tangency "
                         f"(multiplicity uncertain) — refine the grid beyond {grid} points"
                     )
-        roots.sort(key=lambda r: (r[1], r[0]))
-        deduped: list[tuple[int, float, float]] = []
-        for r in roots:
-            if deduped and abs(r[1] - deduped[-1][1]) <= 1e-10 * max(1.0, abs(r[1])):
-                continue
-            deduped.append(r)
-        return SpectrumResult(deduped, [], (e_lo, e_hi), warnings)
+        return SpectrumResult(_dedupe(roots), [], (e_lo, e_hi), warnings)
 
     # continuous family: E is in the spectrum iff 0 lies between the branch
     # extremes m xi_min - k and m xi_max - k
@@ -311,10 +315,5 @@ def assemble_from_algebra(algebra, rep: Sequence[np.ndarray],
                     )
                 found.append((order, e_best, s_best / s_top))
                 order += 1
-    found.sort(key=lambda r: (r[1], r[0]))
-    deduped: list[tuple[int, float, float]] = []
-    for r in found:
-        if deduped and abs(r[1] - deduped[-1][1]) <= 1e-10 * max(1.0, abs(r[1])):
-            continue
-        deduped.append((len(deduped), r[1], r[2]))
+    deduped = [(i, e, res) for i, (_, e, res) in enumerate(_dedupe(found))]
     return SpectrumResult(deduped, [], (e_lo, e_hi), warnings)

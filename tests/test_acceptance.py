@@ -184,7 +184,7 @@ def test_criterion_4_exact_coherent_dynamics():
     z0 = Point(np.array([0.2 + 0.1j, 1.1 - 0.4j]))
     t_eval = np.linspace(0.0, 10.0 / omega, 33)
     traj = coherent_flow(sp, LinearHamiltonianFlow(np.diag([0.0, omega]).astype(complex)),
-                         z0, (0.0, 10.0 / omega), t_eval, rtol=1e-11, atol=1e-14)
+                         z0, (0.0, 10.0 / omega), t_eval)
     _, _, num = fock_ops(64)
     phases = np.exp(-1j * omega * np.diag(num)[None, :] * t_eval[:, None])
     psi0 = fock_coherent(64, z0.coords[0], z0.coords[1])
@@ -208,7 +208,7 @@ def test_criterion_4_exact_coherent_dynamics():
     z = Point(np.array([0.8, 0.6j]))
     t_eval = np.linspace(0.0, 10.0 / omega_s, 33)
     traj = coherent_flow(sps, LinearHamiltonianFlow(a), z, (0.0, 10.0 / omega_s),
-                         t_eval, rtol=1e-11, atol=1e-14)
+                         t_eval)
     jx, jy, jz = wigner_matrices(n)
     h = omega_s * (axis[0] * jx + axis[1] * jy + axis[2] * jz)
     w, v = np.linalg.eigh(h)
@@ -239,8 +239,7 @@ def test_criterion_5_tdvp_exactness_and_conservation():
     # H in the symmetry algebra: TDVP must reproduce the exact coherent flow
     a = omega * np.diag([0.5, -0.5]).astype(complex)
     t_eval = np.linspace(0.0, 8.0, 17)
-    exact = coherent_flow(sp, LinearHamiltonianFlow(a), z, (0.0, 8.0), t_eval,
-                          rtol=1e-12, atol=1e-14)
+    exact = coherent_flow(sp, LinearHamiltonianFlow(a), z, (0.0, 8.0), t_eval)
     tdvp = dirac_frenkel_flow(sp, MatrixExpectation(rep.dgamma(a)), z, (0.0, 8.0),
                               t_eval, rtol=rtol)
     dev = max(_fidelity_deficit(sp, p, q)
@@ -349,7 +348,7 @@ def test_criterion_8_lie_state_engine():
     state = DensityState(alg, rep, rho)
     obs = [alg.basis_vector(k) for k in (1, 2, 3)]
     tab = evolve_expectations(alg, rep, 0.65 * alg.basis_vector(3), state, obs,
-                              (0.0, 6.0), rtol=1e-11)
+                              (0.0, 6.0))
     assert tab.final_cross_check is not None and tab.final_cross_check <= 1e-8
     cross_qubit = tab.final_cross_check
 
@@ -359,7 +358,7 @@ def test_criterion_8_lie_state_engine():
     state_r = state_from_density(alg_r, rep_r, np.outer(psi, psi.conj()))
     obs_r = [alg_r.basis_vector(k) for k in (1, 2, 3)]
     tab_r = evolve_expectations(alg_r, rep_r, alg_r.basis_vector(3), state_r,
-                                obs_r, (0.0, 6.0), rtol=1e-11)
+                                obs_r, (0.0, 6.0))
     assert tab_r.final_cross_check is not None and tab_r.final_cross_check <= 1e-8
 
     # sigma_X >= 0 on 500 seeded self-adjoint quantities per state

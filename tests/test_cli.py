@@ -162,16 +162,26 @@ def test_quantize_linear_map(tmp_path, monkeypatch, capsys):
 
 
 def test_identical_config_gives_identical_payload_bytes(tmp_path, monkeypatch, capsys):
-    args = ["kernel-gram", "--space", '{"kind":"klauder","modes":3}',
-            "--count", "8", "--seed", "11"]
-    code, _, _ = run_cli(args + ["--out", "a.csv"], tmp_path, monkeypatch, capsys)
-    assert code == 0
-    code, _, _ = run_cli(args + ["--out", "b.csv"], tmp_path, monkeypatch, capsys)
-    assert code == 0
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-    sha_a = json.loads((tmp_path / "a.csv.report.json").read_text())["payload"]["sha256"]
-    sha_b = json.loads((tmp_path / "b.csv.report.json").read_text())["payload"]["sha256"]
-    assert sha_a == sha_b
+    cases = [
+        ["kernel-gram", "--space", '{"kind":"klauder","modes":3}', "--count", "8",
+         "--seed", "11"],
+        ["dyn-coherent", "--space", '{"kind":"klauder","modes":1}',
+         "--generator", "[[[0,0],[0,0]],[[0,0],[1.3,0]]]", "--z0", "[[0.2,0.1],[1.1,-0.4]]",
+         "--t-span", "[0,75]"],
+        ["lie-evolve", "--algebra", "su2_qubit", "--hamiltonian", "pauli_z",
+         "--state", '{"density": [[[0.7,0],[0.15,-0.05]],[[0.15,0.05],[0.3,0]]]}',
+         "--observables", '["pauli_x","pauli_y","pauli_z"]', "--t-span", "[0,50]"],
+    ]
+    for args in cases:
+        name = args[0]
+        for out in (f"{name}-a.csv", f"{name}-b.csv"):
+            code, _, _ = run_cli(args + ["--out", out], tmp_path, monkeypatch, capsys)
+            assert code == 0, args
+        a, b = tmp_path / f"{name}-a.csv", tmp_path / f"{name}-b.csv"
+        assert a.read_bytes() == b.read_bytes()
+        sha_a = json.loads((tmp_path / f"{a.name}.report.json").read_text())["payload"]["sha256"]
+        sha_b = json.loads((tmp_path / f"{b.name}.report.json").read_text())["payload"]["sha256"]
+        assert sha_a == sha_b
 
 
 def test_report_config_echo_reproduces_run(tmp_path, monkeypatch, capsys):

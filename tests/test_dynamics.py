@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from cohspace import dynamics, integrate, liealg, tdvp
 from cohspace.dynamics import (
     LinearHamiltonianFlow,
     coherent_flow,
@@ -13,6 +14,7 @@ from cohspace.dynamics import (
     verify_schrodinger_lift,
 )
 from cohspace.errors import ConfigError, DomainError
+from cohspace.integrate import solve_rk45
 from cohspace.kernels import Point, klauder_space, spin_space
 from cohspace.reps import FockRep, SpinRep
 
@@ -34,11 +36,10 @@ def test_oscillator_labels_match_closed_form():
     z0 = Point([0.1 + 0.05j, 1.2 - 0.3j])
     omega = 1.3
     traj = coherent_flow(sp, klauder_oscillator_flow(omega), z0, (0.0, 10.0),
-                         t_eval=np.linspace(0, 10, 21), rtol=1e-10, atol=1e-13)
+                         t_eval=np.linspace(0, 10, 21))
     for t, p in zip(traj.times, traj.points):
         expected = np.array([z0.coords[0], np.exp(-1j * omega * t) * z0.coords[1]])
         np.testing.assert_allclose(p.coords, expected, rtol=1e-8, atol=1e-10)
-    assert traj.stats.steps > 0
 
 
 def test_spin_labels_match_closed_form():
@@ -47,7 +48,7 @@ def test_spin_labels_match_closed_form():
     z = z / np.linalg.norm(z)
     omega = 0.9
     traj = coherent_flow(sp, spin_precession_flow(omega), Point(z), (0.0, 12.0),
-                         t_eval=np.linspace(0, 12, 25), rtol=1e-10, atol=1e-13)
+                         t_eval=np.linspace(0, 12, 25))
     for t, p in zip(traj.times, traj.points):
         expected = np.array([np.exp(-0.5j * omega * t) * z[0], np.exp(0.5j * omega * t) * z[1]])
         # coherent states are label-valued: compare up to nothing, labels are exact here
@@ -60,7 +61,7 @@ def test_schrodinger_lift_fock():
     sp = klauder_space(1)
     z0 = Point([0.0, 1.2 + 0.4j])
     traj = coherent_flow(sp, klauder_oscillator_flow(1.0), z0, (0.0, 10.0),
-                         t_eval=np.linspace(0, 10, 41), rtol=1e-10, atol=1e-13)
+                         t_eval=np.linspace(0, 10, 41))
     report = verify_schrodinger_lift(sp, FockRep(64), klauder_oscillator_flow(1.0), traj,
                                      n_checks=8)
     assert report.max_deficit < 1e-8
@@ -73,8 +74,7 @@ def test_schrodinger_lift_spin():
     z = np.array([1.0, 0.5 - 0.8j])
     z = Point(z / np.linalg.norm(z))
     flow = spin_precession_flow(1.7)
-    traj = coherent_flow(sp, flow, z, (0.0, 8.0), t_eval=np.linspace(0, 8, 33),
-                         rtol=1e-10, atol=1e-13)
+    traj = coherent_flow(sp, flow, z, (0.0, 8.0), t_eval=np.linspace(0, 8, 33))
     report = verify_schrodinger_lift(sp, SpinRep(n), flow, traj, n_checks=6)
     assert report.max_deficit < 1e-9
 
@@ -86,8 +86,7 @@ def test_schrodinger_lift_generic_spin_generator():
     a = np.array([[0.4, 0.3 - 0.2j], [0.3 + 0.2j, -0.1]], dtype=complex)
     flow = LinearHamiltonianFlow(a, hbar=0.7)
     z = Point(np.array([0.8, 0.6j]))
-    traj = coherent_flow(sp, flow, z, (0.0, 6.0), t_eval=np.linspace(0, 6, 25),
-                         rtol=1e-10, atol=1e-13)
+    traj = coherent_flow(sp, flow, z, (0.0, 6.0), t_eval=np.linspace(0, 6, 25))
     report = verify_schrodinger_lift(sp, SpinRep(n), flow, traj, n_checks=6)
     assert report.max_deficit < 1e-9
 
@@ -106,6 +105,66 @@ def test_time_dependent_flow_lift():
     report = verify_schrodinger_lift(sp, SpinRep(n), flow, traj, n_checks=4)
     # diagonal generators commute across times, so the lift is still exact
     assert report.max_deficit < 1e-8
+
+
+def test_exact_flow_matches_rk45_oracle():
+    # the RK route on the same right-hand side A z / (i hbar), at rtol 1e-12,
+    # stays the oracle for exact propagation: agreement within 1e-9 relative
+    z = np.array([1.0, 0.6 + 0.3j]) / np.linalg.norm([1.0, 0.6 + 0.3j])
+    cases = [
+        (klauder_space(1), klauder_oscillator_flow(1.3, hbar=0.8),
+         np.array([0.1 + 0.05j, 1.2 - 0.3j]), 20.0),
+        (spin_space(4), spin_precession_flow(0.9), z, 12.0),
+        (spin_space(3), LinearHamiltonianFlow(
+            np.array([[0.4, 0.3 - 0.2j], [0.3 + 0.2j, -0.1]]), hbar=0.7), z, 9.0),
+    ]
+    for sp, flow, z0, t1 in cases:
+        t_eval = np.linspace(0.0, t1, 41)
+        traj = coherent_flow(sp, flow, Point(z0), (0.0, t1), t_eval)
+        assert traj.stats is None
+        a = flow.matrix_at(0.0)
+        ref = solve_rk45(lambda t, y: a @ y / (1j * flow.hbar), 0.0, t1, z0,
+                         rtol=1e-12, atol=1e-14, t_eval=t_eval)
+        got = np.array([p.coords for p in traj.points])
+        assert np.max(np.abs(got - ref.states)) <= 1e-9 * max(1.0, np.abs(ref.states).max())
+        np.testing.assert_array_equal(traj.times, ref.times)
+
+
+def test_time_independent_flows_never_call_the_integrator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_rk45 called")
+
+    for module in (integrate, dynamics, tdvp):
+        monkeypatch.setattr(module, "solve_rk45", refuse)
+    assert not hasattr(liealg, "solve_rk45")
+    sp = spin_space(2)
+    z = Point(np.array([1.0, 0.4 + 0.2j]) / np.linalg.norm([1.0, 0.4 + 0.2j]))
+    traj = coherent_flow(sp, spin_precession_flow(1.1), z, (0.0, 5.0))
+    assert len(traj.points) == 101
+    alg, rep = liealg.su2_qubit()
+    st = liealg.state_from_density(alg, rep, np.array([[0.7, 0.1j], [-0.1j, 0.3]]))
+    tab = liealg.evolve_expectations(alg, rep, alg.basis_vector(3), st,
+                                     [alg.basis_vector(k) for k in (1, 2, 3)], (0.0, 4.0))
+    assert tab.values.shape == (201, 3) and tab.final_cross_check <= 1e-8
+    # a time-dependent generator still takes the RK route
+    flow = LinearHamiltonianFlow(lambda t: np.diag([0.5, -0.5]).astype(complex) * (1.0 + t),
+                                 time_dependent=True)
+    with pytest.raises(AssertionError, match="solve_rk45 called"):
+        coherent_flow(sp, flow, z, (0.0, 1.0))
+
+
+def test_exact_flow_checks_sample_times():
+    sp = klauder_space(1)
+    z0 = Point([0.0, 0.5])
+    alg, rep = liealg.su2_qubit()
+    st = liealg.state_from_density(alg, rep, np.diag([0.6, 0.4]).astype(complex))
+    obs = [alg.basis_vector(k) for k in (1, 2, 3)]
+    for t_span, t_eval in [((1.0, 0.0), None), ((0.0, 1.0), [0.5, 0.2]),
+                           ((0.0, 1.0), [0.5, 2.0])]:
+        with pytest.raises(ConfigError):
+            coherent_flow(sp, klauder_oscillator_flow(), z0, t_span, t_eval)
+        with pytest.raises(ConfigError):
+            liealg.evolve_expectations(alg, rep, alg.basis_vector(3), st, obs, t_span, t_eval)
 
 
 def test_flow_shape_mismatch():

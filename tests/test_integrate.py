@@ -68,6 +68,18 @@ def test_nan_rhs_is_reported_as_numerical_not_stiff():
     assert 0.0 < t <= 0.3
 
 
+def test_blow_up_is_reported_as_numerical_not_stiff():
+    # y' = y^2, y(0) = 1 blows up at t = 1; the steps underflow only there
+    with pytest.raises(NumericalError) as info:
+        solve_rk45(lambda t, y: y * y, 0.0, 2.0, np.array([1.0 + 0j]))
+    assert not isinstance(info.value, StiffnessError)
+    msg = str(info.value)
+    assert "blow-up" in msg and "h = " in msg and "max|y| = " in msg
+    t = float(msg.split("t = ")[1].split(" ")[0])
+    assert t == pytest.approx(1.0, abs=1e-6)
+    assert float(msg.split("max|y| = ")[1].split(" ")[0]) > 1e6
+
+
 def test_step_hook_halts():
     sol = solve_rk45(lambda t, y: y, 0.0, 5.0, np.array([1.0 + 0j]),
                      step_hook=lambda t, y: abs(y[0]) > 3.0)
