@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ConfigError, PreconditionError
 

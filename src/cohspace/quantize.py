@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, SpanEscapeError, StepSizeError
-from .kernels import KernelSpace, Point, check_coherent_map, cross_gram
+from .kernels import Point, cross_gram
 from .qspace import QuantumBasis
 
 

@@ -21,10 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, TruncationError
-from .kernels import KernelSpace, Point
+from .kernels import Point
 
 TAIL_TOL = 1e-12
 
@@ -143,6 +142,8 @@ def propagate_eig(h: np.ndarray, psi0: np.ndarray, times, hbar: float = 1.0) -> 
     h = np.asarray(h, dtype=complex)
     herm_defect = np.abs(h - h.conj().T).max()
     if herm_defect > 1e-10 * max(1.0, np.abs(h).max()):
+        import scipy.linalg  # here, so that runs that never reach this branch never load scipy
+
         return np.array([scipy.linalg.expm(-1j * float(t) * h / hbar) @ psi0 for t in times])
     lam, u = np.linalg.eigh(h)
     c = (u.conj().T @ psi0).T  # eigen-axis last: the phases broadcast over columns

@@ -341,6 +341,26 @@ def test_installed_entry_point_runs(tmp_path, subprocess_env):
     assert payload == {"re": 1.0, "im": 0.0}
 
 
+def test_kicked_top_run_never_imports_scipy(tmp_path, subprocess_env):
+    # `python -m cohspace.cli` is runpy.run_module(..., alter_sys=True); running
+    # it that way lets the child report its sys.modules after the command
+    probe = ("import json, runpy, sys\n"
+             "sys.argv[0] = 'cohspace.cli'\n"
+             "try:\n"
+             "    runpy.run_module('cohspace.cli', run_name='__main__', alter_sys=True)\n"
+             "except SystemExit as exc:\n"
+             "    rc = exc.code\n"
+             "print(json.dumps({'rc': rc, 'scipy': sorted(m for m in sys.modules\n"
+             "                                            if m.split('.')[0] == 'scipy')}))\n")
+    args = ["dyn-lyapunov", "--kick", "3", "--spin", "20", "--periods", "2000"]
+    res = subprocess.run([sys.executable, "-c", probe] + args,
+                         cwd=tmp_path, env=subprocess_env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    got = json.loads(res.stdout.strip().splitlines()[-1])
+    assert got == {"rc": 0, "scipy": []}
+    assert (tmp_path / "cohspace-dyn-lyapunov.csv").exists()
+
+
 def test_json_and_csv_formats_agree(tmp_path, monkeypatch, capsys):
     args = ["kernel-gram", "--space", '{"kind":"spin","exponent":2}',
             "--count", "4", "--seed", "9"]

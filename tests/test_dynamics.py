@@ -91,7 +91,7 @@ def test_schrodinger_lift_generic_spin_generator():
     assert report.max_deficit < 1e-9
 
 
-def test_time_dependent_flow_lift():
+def test_time_dependent_flow_lift(monkeypatch):
     n = 2
     sp = spin_space(n)
 
@@ -102,9 +102,17 @@ def test_time_dependent_flow_lift():
     z = Point(np.array([1.0, 0.4 + 0.2j]) / np.linalg.norm([1.0, 0.4 + 0.2j]))
     traj = coherent_flow(sp, flow, z, (0.0, 5.0), t_eval=np.linspace(0, 5, 11),
                          rtol=1e-11, atol=1e-14)
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve_rk45(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_rk45", counted)
     report = verify_schrodinger_lift(sp, SpinRep(n), flow, traj, n_checks=4)
     # diagonal generators commute across times, so the lift is still exact
     assert report.max_deficit < 1e-8
+    assert len(solves) == 1 and len(report.checked_times) == 4  # one solve, sampled
 
 
 def test_exact_flow_matches_rk45_oracle():

@@ -261,6 +261,22 @@ def test_chart_switch_roundtrip():
     assert drift <= 1e-8 * abs(traj.energies[0])
 
 
+def test_samples_do_not_change_the_variational_run():
+    # the chart-switching flow of test_chart_switch_roundtrip, sampled at
+    # 101 times and at its two ends: same step sequence, same end state
+    n, omega = 4, 1.3
+    sp = spin_space(n)
+    z0 = unit_spinor(1.0, 0.2)
+    en = MatrixExpectation(omega * SpinRep(n).dgamma(SX))
+    dense = dirac_frenkel_flow(sp, en, z0, (0.0, 6.0), t_eval=np.linspace(0.0, 6.0, 101),
+                               rtol=1e-10)
+    ends = dirac_frenkel_flow(sp, en, z0, (0.0, 6.0), t_eval=[0.0, 6.0], rtol=1e-10)
+    assert np.count_nonzero(np.diff(dense.chart_flags)) >= 2  # switched there and back
+    assert dense.stats == ends.stats
+    assert dense.points[-1].coords.tobytes() == ends.points[-1].coords.tobytes()
+    assert dense.chart_flags[-1] == ends.chart_flags[-1]
+
+
 def test_energy_conservation_long_run():
     n = 6
     rep = SpinRep(n)
