@@ -160,10 +160,11 @@ def lattice_weyl_kernel(nonlocal_violation: bool = False):
 def section_from_pairs(pairs: Iterable[Sequence[float]]) -> CausalSection:
     """Build a section from rows [t, x, re, im] (JSON-friendly form)."""
     vals: dict[Site, complex] = {}
-    for row in pairs:
-        if len(row) != 4:
-            raise ConfigError("section rows must be [t, x, re, im]")
-        t, x, re, im = row
-        site = (int(t), int(x))
-        vals[site] = vals.get(site, 0.0j) + complex(float(re), float(im))
+    try:
+        for row in pairs:
+            t, x, re, im = row
+            site = (int(t), int(x))
+            vals[site] = vals.get(site, 0.0j) + complex(float(re), float(im))
+    except (TypeError, ValueError):
+        raise ConfigError(f"section rows must be [t, x, re, im] numbers, got {pairs!r}") from None
     return CausalSection(vals)

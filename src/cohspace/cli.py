@@ -1,9 +1,14 @@
 """Command-line front end: one config in, two deterministic artifacts out.
 
 Every run writes a payload (CSV or JSON with the numbers) and a JSON run
-report echoing the complete configuration — seed always included — plus a
-SHA-256 of the payload, so a report and its input files reproduce the run bit
-for bit.  Writes are atomic (temp file + rename).
+report echoing the complete effective configuration — defaults and seed
+included — plus a SHA-256 of the payload, so a report and its input files
+reproduce the run bit for bit.  Writes are atomic (temp file + rename).
+
+Each command is declared once, in SCHEMA: its handler, its default payload
+format and its config fields.  The argparse flags, the config checks (an
+unknown key or a value of the wrong type is a configuration error) and the
+defaults all come from that table.
 
 Thread pinning happens before any numeric import: --threads (or the
 COHSPACE_THREADS variable) is applied to the BLAS/OpenMP environment while
@@ -18,9 +23,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 import time
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from . import io as artifacts
@@ -34,115 +41,27 @@ _BLAS_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
-COMMANDS = (
-    "kernel-eval",
-    "kernel-gram",
-    "kernel-check",
-    "qspace-build",
-    "quantize",
-    "dyn-coherent",
-    "dyn-tdvp",
-    "dyn-lyapunov",
-    "spec-solve",
-    "lie-evolve",
-    "causal-check",
-)
+# A config field is (key, type, default).  A default of None leaves the key
+# to the library's own default (it is passed on only when set); REQUIRED
+# makes a missing key a configuration error.  A null value means "not set".
+REQUIRED = object()
 
-# two-word spellings accepted on the command line
-_ALIASES = {tuple(c.split("-")): c for c in COMMANDS if "-" in c}
-_ALIASES[("quantize", "map")] = "quantize"
-
-# per-command config fields: (flag, config key, coercion)
-# "json" fields parse the flag value as JSON, falling back to a bare string.
-_FIELDS: dict[str, list[tuple[str, str, str]]] = {
-    "kernel-eval": [
-        ("--space", "space", "json"),
-        ("--z", "z", "json"),
-        ("--z2", "z2", "json"),
-    ],
-    "kernel-gram": [
-        ("--space", "space", "json"),
-        ("--points", "points", "json"),
-        ("--count", "count", "int"),
-    ],
-    "kernel-check": [
-        ("--space", "space", "json"),
-        ("--points", "points", "json"),
-        ("--count", "count", "int"),
-        ("--tol", "tol", "float"),
-    ],
-    "qspace-build": [
-        ("--space", "space", "json"),
-        ("--points", "points", "json"),
-        ("--count", "count", "int"),
-        ("--tol", "tol", "float"),
-    ],
-    "quantize": [
-        ("--space", "space", "json"),
-        ("--points", "points", "json"),
-        ("--count", "count", "int"),
-        ("--map", "map", "json"),
-        ("--tol", "tol", "float"),
-    ],
-    "dyn-coherent": [
-        ("--space", "space", "json"),
-        ("--generator", "generator", "json"),
-        ("--z0", "z0", "json"),
-        ("--t-span", "t_span", "json"),
-        ("--samples", "samples", "int"),
-        ("--hbar", "hbar", "float"),
-    ],
-    "dyn-tdvp": [
-        ("--space", "space", "json"),
-        ("--energy", "energy", "json"),
-        ("--z0", "z0", "json"),
-        ("--t-span", "t_span", "json"),
-        ("--samples", "samples", "int"),
-        ("--rtol", "rtol", "float"),
-        ("--hbar", "hbar", "float"),
-    ],
-    "dyn-lyapunov": [
-        ("--system", "system", "json"),
-        ("--spin", "spin", "int"),
-        ("--kick", "kick", "float"),
-        ("--precession", "precession", "float"),
-        ("--periods", "periods", "int"),
-        ("--bloch0", "bloch0", "json"),
-        ("--space", "space", "json"),
-        ("--energy", "energy", "json"),
-        ("--z0", "z0", "json"),
-        ("--t-total", "t_total", "float"),
-        ("--resample", "resample", "float"),
-        ("--rtol", "rtol", "float"),
-        ("--hbar", "hbar", "float"),
-    ],
-    "spec-solve": [
-        ("--model", "model", "json"),
-        ("--interval", "interval", "json"),
-        ("--tol", "tol", "float"),
-        ("--grid", "grid", "int"),
-    ],
-    "lie-evolve": [
-        ("--algebra", "algebra", "json"),
-        ("--hamiltonian", "hamiltonian", "json"),
-        ("--state", "state", "json"),
-        ("--observables", "observables", "json"),
-        ("--t-span", "t_span", "json"),
-        ("--samples", "samples", "int"),
-    ],
-    "causal-check": [
-        ("--kernel", "kernel", "json"),
-        ("--nonlocal-violation", "nonlocal_violation", "json"),
-        ("--triples", "triples", "json"),
-        ("--count", "count", "int"),
-        ("--tol", "tol", "float"),
-    ],
+# field type -> (conversion of flag text and of config values, accepted
+# config value class, what the error message asks for); any other type is
+# "json": flag text parsed as JSON, falling back to a bare string.
+_TYPES = {
+    "int": (int, numbers.Integral, "an integer"),
+    "float": (float, numbers.Real, "a number"),
+    "str": (str, str, "a string"),
 }
 
-# commands whose natural payload is a table rather than a verdict
-_CSV_DEFAULT = frozenset(
-    ("kernel-gram", "qspace-build", "quantize", "dyn-coherent", "dyn-tdvp",
-     "dyn-lyapunov", "spec-solve", "lie-evolve")
+# keys every command takes; "format" defaults to the command's own format
+_COMMON = (
+    ("seed", "int", 0),
+    ("threads", "int", 1),
+    ("format", "str", None),
+    ("out", "str", None),
+    ("report", "str", None),
 )
 
 
@@ -173,6 +92,84 @@ def _pin_threads(n: int) -> None:
         os.environ[var] = str(n)
 
 
+# ------------------------------------------------------ fields and values
+
+
+def _checked(key: str, kind: str, value):
+    """A config value of the field's type (floats as float), else ConfigError."""
+    if kind not in _TYPES:
+        return value
+    convert, accepted, noun = _TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{key!r} must be {noun}, got {value!r}")
+    return convert(value)
+
+
+def _numbers(value, key: str, n: int) -> list:
+    """A list of n numbers as floats, else ConfigError naming the key."""
+    if not (isinstance(value, (list, tuple)) and len(value) == n):
+        raise ConfigError(f"{key!r} must be a list of {n} numbers, got {value!r}")
+    return [_checked(key, "float", v) for v in value]
+
+
+def _parse_flag(raw: str, kind: str, key: str):
+    if kind in _TYPES:
+        convert, _, noun = _TYPES[kind]
+        try:
+            return convert(raw)
+        except ValueError:
+            raise ConfigError(f"{key!r} must be {noun}, got {raw!r}")
+    try:  # structured values as JSON text, bare words stay strings
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw
+
+
+def _flag_fields(command: str) -> dict:
+    """key -> type of every field the command's flags can set."""
+    entry = SCHEMA[command]
+    fields = list(entry.fields)
+    for _, extra in (entry.systems or {}).values():
+        fields += extra
+    return {key: kind for key, kind, _ in fields}
+
+
+def _effective(command: str, config: dict) -> dict:
+    """The effective config: every key checked against the command's fields,
+    defaults filled in, unset optional keys left out."""
+    entry = SCHEMA[command]
+    fields = _COMMON + entry.fields
+    if entry.systems is not None:  # the chosen system adds its own fields
+        system = config.get("system")
+        system = entry.fields[0][2] if system is None else _checked("system", "str", system)
+        if system not in entry.systems:
+            raise ConfigError(f"unknown system {system!r} ({' or '.join(entry.systems)})")
+        fields += entry.systems[system][1]
+    accepted = sorted(["command"] + [key for key, _, _ in fields])
+    unknown = sorted(set(config) - set(accepted))
+    if unknown:
+        raise ConfigError(f"{command}: unknown key {', '.join(map(repr, unknown))}; "
+                          f"accepted keys: {', '.join(accepted)}")
+    cfg = {"command": command}
+    for key, kind, default in fields:
+        value = config.get(key)
+        if value is not None:
+            cfg[key] = _checked(key, kind, value)
+        elif default is REQUIRED:
+            raise ConfigError(f"{command}: missing required key {key!r}")
+        elif default is not None:
+            cfg[key] = default
+    cfg.setdefault("format", entry.format)
+    if cfg["format"] not in ("csv", "json"):
+        raise ConfigError(f"format must be 'csv' or 'json', got {cfg['format']!r}")
+    return cfg
+
+
+def _given(cfg: dict, *keys) -> dict:
+    """The optional keys that are set, as keyword arguments for the library."""
+    return {key: cfg[key] for key in keys if key in cfg}
+
+
 # ------------------------------------------------------------ arg parsing
 
 
@@ -182,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="coherence-kernel toolbox: spaces, quantization, dynamics",
     )
     sub = parser.add_subparsers(dest="command")
-    for command in COMMANDS:
+    for command in SCHEMA:
         sp = sub.add_parser(command)
         sp.add_argument("--config", help="JSON file with config fields; flags override it")
         sp.add_argument("--out", help="payload path (default cohspace-<command>.<format>)")
@@ -190,27 +187,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("csv", "json"), help="payload format")
         sp.add_argument("--seed", type=int, help="RNG seed (always recorded; default 0)")
         sp.add_argument("--threads", type=int, help="BLAS/OpenMP thread count (default 1)")
-        for flag, key, _kind in _FIELDS[command]:
-            sp.add_argument(flag, dest=key, type=str, default=None)
+        for key in _flag_fields(command):
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, type=str, default=None)
     return parser
-
-
-def _coerce(raw: str, kind: str, key: str):
-    if kind == "int":
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}")
-    if kind == "float":
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}")
-    # "json": structured values as JSON text, bare words stay strings
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError:
-        return raw
 
 
 def _assemble_config(args) -> dict:
@@ -227,11 +206,11 @@ def _assemble_config(args) -> dict:
             raise ConfigError("config file must hold a JSON object")
         loaded.pop("command", None)  # the subcommand on the command line wins
         cfg.update(loaded)
-    for _flag, key, kind in _FIELDS[args.command]:
+    for key, kind in _flag_fields(args.command).items():
         raw = getattr(args, key)
         if raw is not None:
-            cfg[key] = _coerce(raw, kind, key)
-    for key in ("out", "report", "format", "seed", "threads"):
+            cfg[key] = _parse_flag(raw, kind, key)
+    for key, _, _ in _COMMON:
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
@@ -258,52 +237,53 @@ def _plain(obj):
     raise ConfigError(f"cannot serialize {type(obj).__name__} into a report")
 
 
+def _kind_of(spec, table: dict, what: str):
+    """(table entry, descriptor) for a {"kind": ...} descriptor; a bare
+    string names the kind."""
+    if isinstance(spec, str):
+        spec = {"kind": spec}
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ConfigError(f"{what!r} must be an object with a 'kind'")
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"unknown {what} kind {kind!r} ({', '.join(table)})")
+    return table[kind], spec
+
+
 def _space_of(cfg):
     from .kernels import space_from_descriptor
 
-    desc = cfg.get("space")
-    if desc is None:
-        raise ConfigError("missing 'space' descriptor")
-    if isinstance(desc, str):
-        desc = {"kind": desc}
-    if not isinstance(desc, dict):
-        raise ConfigError("'space' must be a descriptor object or a kind name")
-    return space_from_descriptor(desc)
+    desc = cfg["space"]
+    return space_from_descriptor({"kind": desc} if isinstance(desc, str) else desc)
 
 
-def _coords_array(coords):
+def _coords_array(coords, name):
     import numpy as np
 
+    if not isinstance(coords, (list, tuple)):
+        raise ConfigError(f"{name}: coordinates must be a list")
     out = []
     for c in coords:
-        if isinstance(c, bool):
-            raise ConfigError("coordinates must be numbers or [re, im] pairs")
-        if isinstance(c, (int, float)):
-            out.append(complex(c))
-        elif isinstance(c, (list, tuple)) and len(c) == 2:
-            out.append(complex(float(c[0]), float(c[1])))
+        if isinstance(c, (list, tuple)):
+            out.append(complex(*_numbers(c, name, 2)))
         else:
-            raise ConfigError("coordinates must be numbers or [re, im] pairs")
+            out.append(complex(_checked(name, "float", c)))
     return np.array(out, dtype=complex)
 
 
-def _point_of(data, name="point"):
+def _point_of(data, name):
     from .kernels import Point
 
-    if data is None:
-        raise ConfigError(f"missing '{name}'")
     if isinstance(data, dict):
         coords = data.get("coords")
         if coords is None:
             raise ConfigError(f"{name}: point object needs 'coords'")
         mult = data.get("multiplier")
         if mult is not None:
-            if not (isinstance(mult, (list, tuple)) and len(mult) == 2):
-                raise ConfigError(f"{name}: multiplier must be an [re, im] pair")
-            mult = complex(float(mult[0]), float(mult[1]))
-        return Point(_coords_array(coords), mult)
+            mult = complex(*_numbers(mult, f"{name}.multiplier", 2))
+        return Point(_coords_array(coords, name), mult)
     if isinstance(data, (list, tuple)):
-        return Point(_coords_array(data))
+        return Point(_coords_array(data, name))
     raise ConfigError(f"{name}: must be a coordinate list or an object with 'coords'")
 
 
@@ -320,15 +300,14 @@ def _points_of(cfg, space):
     count = cfg.get("count")
     if count is None:
         raise ConfigError("need either 'points' or 'count'")
-    count = int(count)
     if count < 1:
         raise ConfigError("'count' must be positive")
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(cfg["seed"])
     return sample_points(space, rng, count)
 
 
-def _matrix_of(cfg, key):
-    data = cfg.get(key)
+def _matrix_of(spec, key):
+    data = spec.get(key)
     if data is None:
         raise ConfigError(f"missing '{key}' matrix")
     m = artifacts.pairs_to_complex(data)
@@ -353,51 +332,41 @@ def _interleave(vec):
     return row
 
 
-def _t_span_of(cfg):
-    span = cfg.get("t_span")
-    if (not isinstance(span, (list, tuple))) or len(span) != 2:
-        raise ConfigError("'t_span' must be [t0, t1]")
-    return float(span[0]), float(span[1])
-
-
-def _t_eval_of(cfg, t0, t1, default=101):
+def _t_eval_of(cfg):
     import numpy as np
 
-    n = int(cfg.get("samples", default))
-    if n < 2:
+    t0, t1 = _numbers(cfg["t_span"], "t_span", 2)
+    if cfg["samples"] < 2:
         raise ConfigError("'samples' must be at least 2")
-    return np.linspace(t0, t1, n)
+    return (t0, t1), np.linspace(t0, t1, cfg["samples"])
+
+
+def _matrix_energy(spec, space):
+    from .tdvp import MatrixExpectation
+
+    return MatrixExpectation(_matrix_of(spec, "matrix"))
+
+
+def _spin_axis_energy(spec, space):
+    from .liealg import pauli_matrices
+    from .reps import SpinRep
+    from .tdvp import MatrixExpectation
+
+    if space.kind not in ("spin", "spin_t"):
+        raise ConfigError("spin_axis energies need a spin space")
+    x, y, z = _numbers(spec.get("axis"), "energy.axis", 3)
+    coeff = _checked("energy.coeff", "float", spec.get("coeff", 1.0))
+    sx, sy, sz = (s / 2 for s in pauli_matrices())
+    rep = SpinRep(int(space.descriptor["exponent"]))
+    return MatrixExpectation(rep.dgamma(coeff * (x * sx + y * sy + z * sz)))
+
+
+_ENERGIES = {"matrix": _matrix_energy, "spin_axis": _spin_axis_energy}
 
 
 def _energy_of(cfg, space):
-    from .tdvp import MatrixExpectation
-
-    spec = cfg.get("energy")
-    if spec is None:
-        raise ConfigError("missing 'energy' descriptor")
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("'energy' must be an object with a 'kind'")
-    kind = spec["kind"]
-    if kind == "matrix":
-        return MatrixExpectation(_matrix_of(spec, "matrix"))
-    if kind == "spin_axis":
-        import numpy as np
-
-        from .reps import SpinRep
-
-        if space.kind not in ("spin", "spin_t"):
-            raise ConfigError("spin_axis energies need a spin space")
-        axis = spec.get("axis")
-        if not (isinstance(axis, (list, tuple)) and len(axis) == 3):
-            raise ConfigError("spin_axis: 'axis' must be [x, y, z]")
-        coeff = float(spec.get("coeff", 1.0))
-        sx = np.array([[0, 1], [1, 0]], dtype=complex) / 2
-        sy = np.array([[0, -1j], [1j, 0]], dtype=complex) / 2
-        sz = np.array([[1, 0], [0, -1]], dtype=complex) / 2
-        m = coeff * (float(axis[0]) * sx + float(axis[1]) * sy + float(axis[2]) * sz)
-        rep = SpinRep(int(space.descriptor["exponent"]))
-        return MatrixExpectation(rep.dgamma(m))
-    raise ConfigError(f"unknown energy kind {kind!r}")
+    build, spec = _kind_of(cfg["energy"], _ENERGIES, "energy")
+    return build(spec, space)
 
 
 def _trajectory_payload(traj, with_energy):
@@ -443,17 +412,16 @@ def _trajectory_payload(traj, with_energy):
 
 # ------------------------------------------------------------- handlers
 #
-# Each handler maps a validated config to (payload, summary, warnings) with
-# payload = {"csv": (header, rows), "json": obj} so --format picks either.
+# Each handler maps an effective config (see _effective) to (payload,
+# summary, warnings) with payload = {"csv": (header, rows), "json": obj} so
+# the format picks either.
 
 
 def _h_kernel_eval(cfg):
     from .kernels import eval_kernel
 
     space = _space_of(cfg)
-    z = _point_of(cfg.get("z"), "z")
-    z2 = _point_of(cfg.get("z2"), "z2")
-    v = eval_kernel(space, z, z2)
+    v = eval_kernel(space, _point_of(cfg["z"], "z"), _point_of(cfg["z2"], "z2"))
     out = {"re": float(v.real), "im": float(v.imag)}
     payload = {"json": out, "csv": (["re", "im"], [[out["re"], out["im"]]])}
     return payload, dict(out), []
@@ -478,10 +446,7 @@ def _h_kernel_check(cfg):
 
     space = _space_of(cfg)
     pts = _points_of(cfg, space)
-    kwargs = {}
-    if cfg.get("tol") is not None:
-        kwargs["tol"] = float(cfg["tol"])
-    verdict = check_coherence(space, pts, **kwargs)
+    verdict = check_coherence(space, pts, **_given(cfg, "tol"))
     obj = {
         "passed": bool(verdict.passed),
         "min_eigenvalue": float(verdict.min_eigenvalue),
@@ -502,10 +467,7 @@ def _h_qspace_build(cfg):
 
     space = _space_of(cfg)
     pts = _points_of(cfg, space)
-    kwargs = {}
-    if cfg.get("tol") is not None:
-        kwargs["tol"] = float(cfg["tol"])
-    qb = build_quantum_space(space, pts, **kwargs)
+    qb = build_quantum_space(space, pts, **_given(cfg, "tol"))
     eigvals = [float(v) for v in qb.eigvals]
     header = ["index", "eigenvalue", "retained"]
     rows = [[i, v, i < qb.rank] for i, v in enumerate(eigvals)]
@@ -520,18 +482,14 @@ def _h_qspace_build(cfg):
     return {"csv": (header, rows), "json": obj}, summary, []
 
 
-def _map_of(cfg):
+def _linear_map(spec):
     from .kernels import linear_point_map
 
-    spec = cfg.get("map")
-    if spec is None:
-        raise ConfigError("missing 'map' descriptor")
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("'map' must be an object with a 'kind'")
-    if spec["kind"] == "linear":
-        m = _matrix_of(spec, "matrix")
-        return linear_point_map(m, renormalize=bool(spec.get("renormalize", False)))
-    raise ConfigError(f"unknown map kind {spec['kind']!r}")
+    return linear_point_map(_matrix_of(spec, "matrix"),
+                            renormalize=bool(spec.get("renormalize", False)))
+
+
+_MAPS = {"linear": _linear_map}
 
 
 def _h_quantize(cfg):
@@ -541,11 +499,8 @@ def _h_quantize(cfg):
     space = _space_of(cfg)
     pts = _points_of(cfg, space)
     qb = build_quantum_space(space, pts)
-    a = _map_of(cfg)
-    kwargs = {}
-    if cfg.get("tol") is not None:
-        kwargs["tol"] = float(cfg["tol"])
-    op = quantize_map(qb, a, **kwargs)
+    build, spec = _kind_of(cfg["map"], _MAPS, "map")
+    op = quantize_map(qb, build(spec), **_given(cfg, "tol"))
     n = op.matrix.shape[0]
     header = _pair_columns("g", n)
     rows = [_interleave(op.matrix[i]) for i in range(n)]
@@ -563,12 +518,10 @@ def _h_dyn_coherent(cfg):
     from .dynamics import LinearHamiltonianFlow, coherent_flow
 
     space = _space_of(cfg)
-    gen = _matrix_of(cfg, "generator")
-    flow = LinearHamiltonianFlow(gen, hbar=float(cfg.get("hbar", 1.0)))
-    z0 = _point_of(cfg.get("z0"), "z0")
-    t0, t1 = _t_span_of(cfg)
-    t_eval = _t_eval_of(cfg, t0, t1)
-    traj = coherent_flow(space, flow, z0, (t0, t1), t_eval)
+    flow = LinearHamiltonianFlow(_matrix_of(cfg, "generator"), hbar=cfg["hbar"])
+    z0 = _point_of(cfg["z0"], "z0")
+    t_span, t_eval = _t_eval_of(cfg)
+    traj = coherent_flow(space, flow, z0, t_span, t_eval)
     payload = _trajectory_payload(traj, with_energy=False)
     return payload, {"final_norm": float(traj.norms[-1])}, []
 
@@ -578,64 +531,47 @@ def _h_dyn_tdvp(cfg):
 
     space = _space_of(cfg)
     energy = _energy_of(cfg, space)
-    z0 = _point_of(cfg.get("z0"), "z0")
-    t0, t1 = _t_span_of(cfg)
-    t_eval = _t_eval_of(cfg, t0, t1)
-    traj = dirac_frenkel_flow(space, energy, z0, (t0, t1), t_eval,
-                              rtol=float(cfg.get("rtol", 1e-9)),
-                              hbar=float(cfg.get("hbar", 1.0)))
+    z0 = _point_of(cfg["z0"], "z0")
+    t_span, t_eval = _t_eval_of(cfg)
+    traj = dirac_frenkel_flow(space, energy, z0, t_span, t_eval,
+                              rtol=cfg["rtol"], hbar=cfg["hbar"])
     payload = _trajectory_payload(traj, with_energy=True)
     e = traj.energies
     scale = max(abs(float(e[0])), 1e-12)
     summary = {
         "steps": int(traj.stats.steps),
         "energy_drift": float(max(abs(e - e[0])) / scale),
-        "chart_switches": int(sum(traj.chart_flags[1:] != traj.chart_flags[:-1]))
-        if traj.chart_flags is not None else 0,
+        "chart_switches": int(traj.chart_switches),
     }
     return payload, summary, []
 
 
-def _h_dyn_lyapunov(cfg):
-    system = cfg.get("system", "kicked_top")
-    if system == "kicked_top":
-        from .chaos import KickedTop, lyapunov_kicked, spinor_from_bloch
+def _kicked_top_exponent(cfg):
+    from .chaos import KickedTop, lyapunov_kicked, spinor_from_bloch
 
-        if cfg.get("kick") is None:
-            raise ConfigError("kicked_top needs a 'kick' strength")
-        top = KickedTop(
-            int(cfg.get("spin", 40)),
-            kick=float(cfg["kick"]),
-            precession=float(cfg.get("precession", math.pi / 2)),
-        )
-        if cfg.get("z0") is not None:
-            z0 = _point_of(cfg["z0"], "z0")
-        else:
-            bloch0 = cfg.get("bloch0", [0.62, 0.4, 0.68])
-            if not (isinstance(bloch0, (list, tuple)) and len(bloch0) == 3):
-                raise ConfigError("'bloch0' must be [x, y, z]")
-            z0 = spinor_from_bloch([float(v) for v in bloch0])
-        res = lyapunov_kicked(
-            top, z0,
-            n_periods=int(cfg.get("periods", 2000)),
-            seed=int(cfg["seed"]),
-        )
-    elif system == "continuous":
-        from .chaos import lyapunov_continuous
-
-        space = _space_of(cfg)
-        energy = _energy_of(cfg, space)
-        z0 = _point_of(cfg.get("z0"), "z0")
-        res = lyapunov_continuous(
-            space, energy, z0,
-            t_total=float(cfg.get("t_total", 200.0)),
-            resample=float(cfg.get("resample", 1.0)),
-            rtol=float(cfg.get("rtol", 1e-10)),
-            hbar=float(cfg.get("hbar", 1.0)),
-            seed=int(cfg["seed"]),
-        )
+    top = KickedTop(cfg["spin"], kick=cfg["kick"], precession=cfg["precession"])
+    if "z0" in cfg:
+        z0 = _point_of(cfg["z0"], "z0")
     else:
-        raise ConfigError(f"unknown system {system!r} (kicked_top or continuous)")
+        z0 = spinor_from_bloch(_numbers(cfg["bloch0"], "bloch0", 3))
+    return lyapunov_kicked(top, z0, n_periods=cfg["periods"], seed=cfg["seed"])
+
+
+def _continuous_exponent(cfg):
+    from .chaos import lyapunov_continuous
+
+    space = _space_of(cfg)
+    energy = _energy_of(cfg, space)
+    return lyapunov_continuous(
+        space, energy, _point_of(cfg["z0"], "z0"),
+        t_total=cfg["t_total"], resample=cfg["resample"], rtol=cfg["rtol"],
+        hbar=cfg["hbar"], seed=cfg["seed"],
+    )
+
+
+def _h_dyn_lyapunov(cfg):
+    exponent, _ = SCHEMA["dyn-lyapunov"].systems[cfg["system"]]
+    res = exponent(cfg)
     header = ["segment", "time", "running_estimate"]
     rows = [[i + 1, float(t), float(r)]
             for i, (t, r) in enumerate(zip(res.times, res.running))]
@@ -655,46 +591,34 @@ def _h_dyn_lyapunov(cfg):
     return {"csv": (header, rows), "json": obj}, summary, []
 
 
-def _model_of(cfg):
-    from .spectra import coulomb_model, free_particle_model, oscillator_model
+# model kind -> (factory in spectra, parameter types)
+_MODELS = {
+    "oscillator": ("oscillator_model", {"omega": "float", "hbar": "float", "n_max": "int"}),
+    "coulomb": ("coulomb_model",
+                {"mass": "float", "alpha": "float", "hbar": "float", "n_max": "int"}),
+    "free_particle": ("free_particle_model", {"mass": "float", "c": "float", "p_max": "float"}),
+}
 
-    spec = cfg.get("model")
-    if spec is None:
-        raise ConfigError("missing 'model' descriptor")
-    if isinstance(spec, str):
-        spec = {"kind": spec}
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError("'model' must be an object with a 'kind'")
-    kind = spec["kind"]
-    extra = {k: v for k, v in spec.items() if k != "kind"}
-    try:
-        if kind == "oscillator":
-            return oscillator_model(**{k: (int(v) if k == "n_max" else float(v))
-                                       for k, v in extra.items()})
-        if kind == "coulomb":
-            return coulomb_model(**{k: (int(v) if k == "n_max" else float(v))
-                                    for k, v in extra.items()})
-        if kind == "free_particle":
-            return free_particle_model(**{k: float(v) for k, v in extra.items()})
-    except TypeError as exc:
-        raise ConfigError(f"model {kind!r}: {exc}")
-    raise ConfigError(f"unknown model kind {kind!r}")
+
+def _model_of(cfg):
+    from . import spectra
+
+    (factory, params), spec = _kind_of(cfg["model"], _MODELS, "model")
+    kwargs = {k: v for k, v in spec.items() if k != "kind"}
+    unknown = sorted(set(kwargs) - set(params))
+    if unknown:
+        raise ConfigError(f"model {spec['kind']!r}: unknown parameter "
+                          f"{', '.join(map(repr, unknown))} ({', '.join(params)})")
+    return getattr(spectra, factory)(
+        **{k: _checked(f"model.{k}", params[k], v) for k, v in kwargs.items()})
 
 
 def _h_spec_solve(cfg):
     from .spectra import solve_implicit_spectrum
 
     model = _model_of(cfg)
-    interval = cfg.get("interval")
-    if not (isinstance(interval, (list, tuple)) and len(interval) == 2):
-        raise ConfigError("'interval' must be [lo, hi]")
-    kwargs = {}
-    if cfg.get("tol") is not None:
-        kwargs["tol"] = float(cfg["tol"])
-    if cfg.get("grid") is not None:
-        kwargs["grid"] = int(cfg["grid"])
-    res = solve_implicit_spectrum(model, (float(interval[0]), float(interval[1])),
-                                  **kwargs)
+    interval = tuple(_numbers(cfg["interval"], "interval", 2))
+    res = solve_implicit_spectrum(model, interval, **_given(cfg, "tol", "grid"))
     header = ["kind", "branch", "energy_lo", "energy_hi", "residual"]
     rows = []
     for n, e, r in res.discrete:
@@ -715,9 +639,7 @@ def _h_spec_solve(cfg):
 def _algebra_of(cfg):
     from .liealg import CATALOG, algebra_from_descriptor
 
-    spec = cfg.get("algebra")
-    if spec is None:
-        raise ConfigError("missing 'algebra' (catalog name or descriptor)")
+    spec = cfg["algebra"]
     if isinstance(spec, str):
         if spec not in CATALOG:
             raise ConfigError(
@@ -749,10 +671,8 @@ def _h_lie_evolve(cfg):
                          evolve_expectations)
 
     algebra, rep = _algebra_of(cfg)
-    if cfg.get("hamiltonian") is None:
-        raise ConfigError("missing 'hamiltonian' coefficients")
     h = _coeff_vector(cfg["hamiltonian"], algebra, "hamiltonian")
-    state_spec = cfg.get("state")
+    state_spec = cfg["state"]
     if not isinstance(state_spec, dict):
         raise ConfigError("'state' must be an object with 'density' or 'form'")
     if "density" in state_spec:
@@ -763,15 +683,14 @@ def _h_lie_evolve(cfg):
         state = AlgebraState(algebra, artifacts.pairs_to_complex(state_spec["form"]))
     else:
         raise ConfigError("'state' must be an object with 'density' or 'form'")
-    obs_spec = cfg.get("observables")
+    obs_spec = cfg["observables"]
     if not isinstance(obs_spec, (list, tuple)) or not obs_spec:
         raise ConfigError("'observables' must be a non-empty list")
     names = [o if isinstance(o, str) else f"obs{i}" for i, o in enumerate(obs_spec)]
     observables = [_coeff_vector(o, algebra, f"observables[{i}]")
                    for i, o in enumerate(obs_spec)]
-    t0, t1 = _t_span_of(cfg)
-    t_eval = _t_eval_of(cfg, t0, t1, default=201)
-    table = evolve_expectations(algebra, rep, h, state, observables, (t0, t1), t_eval=t_eval)
+    t_span, t_eval = _t_eval_of(cfg)
+    table = evolve_expectations(algebra, rep, h, state, observables, t_span, t_eval=t_eval)
     header = ["t"]
     for nm in names:
         header += [f"{nm}_re", f"{nm}_im"]
@@ -824,24 +743,22 @@ def _h_causal_check(cfg):
 
     from .causal import check_causal_conditions, lattice_weyl_kernel, section_from_pairs
 
-    kind = cfg.get("kernel", "lattice_weyl")
-    if kind != "lattice_weyl":
-        raise ConfigError(f"unknown causal kernel {kind!r}")
-    kernel, independent = lattice_weyl_kernel(bool(cfg.get("nonlocal_violation", False)))
+    if cfg["kernel"] != "lattice_weyl":
+        raise ConfigError(f"unknown causal kernel {cfg['kernel']!r}")
+    kernel, independent = lattice_weyl_kernel(bool(cfg["nonlocal_violation"]))
     spec = cfg.get("triples")
     if spec is not None:
+        if not isinstance(spec, (list, tuple)):
+            raise ConfigError(f"'triples' must be a list of [j, k, j'] triples, got {spec!r}")
         triples = []
         for i, triple in enumerate(spec):
             if not (isinstance(triple, (list, tuple)) and len(triple) == 3):
                 raise ConfigError(f"triples[{i}]: each entry must hold 3 sections")
             triples.append(tuple(section_from_pairs(s) for s in triple))
     else:
-        rng = np.random.default_rng(int(cfg["seed"]))
-        triples = _random_triples(rng, int(cfg.get("count", 20)), independent)
-    kwargs = {}
-    if cfg.get("tol") is not None:
-        kwargs["tol"] = float(cfg["tol"])
-    verdict = check_causal_conditions(kernel, independent, triples, **kwargs)
+        rng = np.random.default_rng(cfg["seed"])
+        triples = _random_triples(rng, cfg["count"], independent)
+    verdict = check_causal_conditions(kernel, independent, triples, **_given(cfg, "tol"))
     obj = {
         "passed": bool(verdict.passed),
         "normal_checked": int(verdict.normal_checked),
@@ -856,19 +773,58 @@ def _h_causal_check(cfg):
     return {"csv": (header, [row]), "json": obj}, summary, []
 
 
-_HANDLERS = {
-    "kernel-eval": _h_kernel_eval,
-    "kernel-gram": _h_kernel_gram,
-    "kernel-check": _h_kernel_check,
-    "qspace-build": _h_qspace_build,
-    "quantize": _h_quantize,
-    "dyn-coherent": _h_dyn_coherent,
-    "dyn-tdvp": _h_dyn_tdvp,
-    "dyn-lyapunov": _h_dyn_lyapunov,
-    "spec-solve": _h_spec_solve,
-    "lie-evolve": _h_lie_evolve,
-    "causal-check": _h_causal_check,
+# ------------------------------------------------------------ the schema
+
+
+class Command(NamedTuple):
+    handler: Callable[[dict], tuple]
+    format: str              # default payload format
+    fields: tuple            # (key, type, default)
+    # dyn-lyapunov: system -> (exponent runner, the system's own fields); the
+    # command's own fields are then just ("system", "str", default system)
+    systems: Optional[dict] = None
+
+
+_POINTS = (("space", "json", REQUIRED), ("points", "json", None), ("count", "int", None))
+_FLOW = (("space", "json", REQUIRED), ("z0", "json", REQUIRED), ("t_span", "json", REQUIRED),
+         ("samples", "int", 101), ("hbar", "float", 1.0))
+
+SCHEMA = {
+    "kernel-eval": Command(_h_kernel_eval, "json", (
+        ("space", "json", REQUIRED), ("z", "json", REQUIRED), ("z2", "json", REQUIRED))),
+    "kernel-gram": Command(_h_kernel_gram, "csv", _POINTS),
+    "kernel-check": Command(_h_kernel_check, "json", _POINTS + (("tol", "float", None),)),
+    "qspace-build": Command(_h_qspace_build, "csv", _POINTS + (("tol", "float", None),)),
+    "quantize": Command(_h_quantize, "csv", _POINTS + (
+        ("map", "json", REQUIRED), ("tol", "float", None))),
+    "dyn-coherent": Command(_h_dyn_coherent, "csv", _FLOW + (("generator", "json", REQUIRED),)),
+    "dyn-tdvp": Command(_h_dyn_tdvp, "csv", _FLOW + (
+        ("energy", "json", REQUIRED), ("rtol", "float", 1e-9))),
+    "dyn-lyapunov": Command(_h_dyn_lyapunov, "csv", (("system", "str", "kicked_top"),), {
+        "kicked_top": (_kicked_top_exponent, (
+            ("kick", "float", REQUIRED), ("spin", "int", 40),
+            ("precession", "float", math.pi / 2), ("periods", "int", 2000),
+            ("bloch0", "json", (0.62, 0.4, 0.68)), ("z0", "json", None))),
+        "continuous": (_continuous_exponent, (
+            ("space", "json", REQUIRED), ("energy", "json", REQUIRED), ("z0", "json", REQUIRED),
+            ("t_total", "float", 200.0), ("resample", "float", 1.0),
+            ("rtol", "float", 1e-10), ("hbar", "float", 1.0))),
+    }),
+    "spec-solve": Command(_h_spec_solve, "csv", (
+        ("model", "json", REQUIRED), ("interval", "json", REQUIRED),
+        ("tol", "float", None), ("grid", "int", None))),
+    "lie-evolve": Command(_h_lie_evolve, "csv", (
+        ("algebra", "json", REQUIRED), ("hamiltonian", "json", REQUIRED),
+        ("state", "json", REQUIRED), ("observables", "json", REQUIRED),
+        ("t_span", "json", REQUIRED), ("samples", "int", 201))),
+    "causal-check": Command(_h_causal_check, "json", (
+        ("kernel", "str", "lattice_weyl"), ("nonlocal_violation", "json", False),
+        ("triples", "json", None), ("count", "int", 20), ("tol", "float", None))),
 }
+
+# two-word spellings accepted on the command line
+_ALIASES = {tuple(c.split("-")): c for c in SCHEMA if "-" in c}
+_ALIASES[("quantize", "map")] = "quantize"
 
 
 # ------------------------------------------------------------ run + main
@@ -877,26 +833,21 @@ _HANDLERS = {
 def run(config: dict) -> dict:
     """Execute one config dict; write payload + report; return the report.
 
-    The returned dict carries one extra key, "report_path", that is not part
-    of the serialized report.
+    The report's "config" is the effective config (see _effective).  The
+    returned dict carries one extra key, "report_path", that is not part of
+    the serialized report.
     """
     command = config.get("command")
-    if command not in _HANDLERS:
+    if command not in SCHEMA:
         raise ConfigError(f"unknown command {command!r}")
-    fmt = config.get("format", "csv" if command in _CSV_DEFAULT else "json")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
-    config = dict(config)
-    config.setdefault("seed", 0)
-    if not isinstance(config["seed"], int):
-        raise ConfigError(f"seed must be an integer, got {config['seed']!r}")
-    config["format"] = fmt
+    cfg = _effective(command, config)
+    fmt = cfg["format"]
 
     start = time.perf_counter()
-    payload, summary, warnings = _HANDLERS[command](config)
+    payload, summary, warnings = SCHEMA[command].handler(cfg)
     wall = time.perf_counter() - start
 
-    out_path = config.get("out") or f"cohspace-{command}.{fmt}"
+    out_path = cfg.get("out") or f"cohspace-{command}.{fmt}"
     try:
         if fmt == "csv":
             header, rows = payload["csv"]
@@ -910,15 +861,15 @@ def run(config: dict) -> dict:
     report = {
         "command": command,
         "version": __version__,
-        "config": _plain(config),
-        "seed": int(config["seed"]),
-        "threads": int(config.get("threads", 1)),
+        "config": _plain(cfg),
+        "seed": cfg["seed"],
+        "threads": cfg["threads"],
         "wall_time_s": wall,
         "warnings": [str(w) for w in warnings],
         "payload": {"path": out_path, "format": fmt, "sha256": digest},
         "summary": _plain(summary),
     }
-    report_path = config.get("report") or out_path + ".report.json"
+    report_path = cfg.get("report") or out_path + ".report.json"
     try:
         artifacts.write_json(report_path, report)
     except OSError as exc:

@@ -47,6 +47,7 @@ class Trajectory:
     energies: Optional[np.ndarray] = None
     norms: Optional[np.ndarray] = None
     chart_flags: Optional[np.ndarray] = None  # used by variational flows
+    chart_switches: int = 0  # chart flips made by the driver (not sample-dependent)
 
 
 def _project_constraint(space: KernelSpace, coords: np.ndarray) -> np.ndarray:

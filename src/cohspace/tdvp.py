@@ -415,6 +415,7 @@ def dirac_frenkel_flow(
         energies=np.array([energy.chart_value(ch, uu) for ch, _, uu in samples]),
         norms=np.array([eval_kernel(space, p, p).real for p in points]),
         chart_flags=np.array([1 if getattr(ch, "south", False) else 0 for ch, _, _ in samples]),
+        chart_switches=len(segments) - 1,
     )
 
 

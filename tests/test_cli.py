@@ -10,6 +10,7 @@ cohspace as the test process, installed or not.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,19 +185,70 @@ def test_identical_config_gives_identical_payload_bytes(tmp_path, monkeypatch, c
         assert sha_a == sha_b
 
 
+# one small run per command (two for dyn-lyapunov, one per system)
+_FLIP = json.dumps({"kind": "linear", "matrix": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]})
+_SPIN4 = ["--space", '{"kind":"spin","exponent":4}',
+          "--energy", '{"kind":"spin_axis","axis":[0.3,0,1],"coeff":1.0}',
+          "--z0", "[[0.8,0],[0.6,0]]"]
+_RUNS = [
+    ["kernel-eval", "--space", '{"kind":"trivial","dim":2}', "--z", "[1,0]",
+     "--z2", "[0.6,0.8]"],
+    ["kernel-gram", "--space", '{"kind":"spin","exponent":2}', "--count", "4", "--seed", "9"],
+    ["kernel-check", "--space", '{"kind":"spin","exponent":0.6}', "--count", "6"],
+    ["qspace-build", "--space", "icosahedron", "--count", "12", "--seed", "5"],
+    ["quantize", "--space", '{"kind":"spin","exponent":1}', "--count", "6", "--map", _FLIP],
+    ["dyn-coherent", "--space", '{"kind":"spin","exponent":2}',
+     "--generator", "[[[0,0],[0,-0.5]],[[0,0.5],[0,0]]]", "--z0", "[[1,0],[0,0]]",
+     "--t-span", "[0,3]", "--samples", "7"],
+    ["dyn-tdvp"] + _SPIN4 + ["--t-span", "[0,2]", "--samples", "5"],
+    ["dyn-lyapunov", "--kick", "3.0", "--spin", "8", "--periods", "20"],
+    ["dyn-lyapunov", "--system", "continuous"] + _SPIN4 + ["--t-total", "4"],
+    ["spec-solve", "--model", "oscillator", "--interval", "[0,4]"],
+    ["lie-evolve", "--algebra", "su2_qubit", "--hamiltonian", "pauli_z",
+     "--state", '{"density": [[[0.7,0],[0.15,-0.05]],[[0.15,0.05],[0.3,0]]]}',
+     "--observables", '["pauli_x","pauli_y","pauli_z"]', "--t-span", "[0,2]", "--samples", "3"],
+    ["causal-check", "--count", "6"],
+]
+
+
+def _defaulted_keys(cfg):
+    entry = cli.SCHEMA[cfg["command"]]
+    fields = cli._COMMON + entry.fields
+    if entry.systems is not None:
+        fields += entry.systems[cfg["system"]][1]
+    return {key for key, _, default in fields
+            if default is not None and default is not cli.REQUIRED}
+
+
 def test_report_config_echo_reproduces_run(tmp_path, monkeypatch, capsys):
-    code, _, _ = run_cli(
-        ["qspace-build", "--space", "icosahedron", "--count", "12",
-         "--seed", "5", "--out", "a.csv", "--report", "a.rep.json"],
-        tmp_path, monkeypatch, capsys)
-    assert code == 0
-    echoed = json.loads((tmp_path / "a.rep.json").read_text())["config"]
-    echoed["out"], echoed["report"] = "b.csv", "b.rep.json"
-    (tmp_path / "echo.json").write_text(json.dumps(echoed))
-    code, _, _ = run_cli(["qspace-build", "--config", "echo.json"],
-                         tmp_path, monkeypatch, capsys)
-    assert code == 0
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert {args[0] for args in _RUNS} == set(cli.SCHEMA)
+    for i, args in enumerate(_RUNS):
+        code, _, err = run_cli(args + ["--out", f"a{i}", "--report", f"a{i}.json"],
+                               tmp_path, monkeypatch, capsys)
+        assert code == 0, (args, err)
+        echoed = json.loads((tmp_path / f"a{i}.json").read_text())["config"]
+        assert _defaulted_keys(echoed) <= set(echoed), args  # the effective values
+        echoed["out"], echoed["report"] = f"b{i}", f"b{i}.json"
+        (tmp_path / "echo.json").write_text(json.dumps(echoed))
+        code, _, err = run_cli([args[0], "--config", "echo.json"],
+                               tmp_path, monkeypatch, capsys)
+        assert code == 0, (args, err)
+        assert (tmp_path / f"a{i}").read_bytes() == (tmp_path / f"b{i}").read_bytes(), args
+        again = json.loads((tmp_path / f"b{i}.json").read_text())["config"]
+        assert again == echoed, args
+
+
+def test_tdvp_chart_switches_count_driver_flips_not_samples(tmp_path):
+    # spin 4 under 1.3 J_x from [1, 0.2] crosses the chart radius twice on [0, 6];
+    # two samples used to see no chart change at all
+    switches = []
+    for n in (2, 5, 101):
+        report = cli.run({"command": "dyn-tdvp", "space": {"kind": "spin", "exponent": 4},
+                          "energy": {"kind": "spin_axis", "axis": [1, 0, 0], "coeff": 1.3},
+                          "z0": [1, 0.2], "t_span": [0, 6], "samples": n,
+                          "out": str(tmp_path / f"s{n}.csv")})
+        switches.append(report["summary"]["chart_switches"])
+    assert switches == [2, 2, 2]
 
 
 def test_seed_always_recorded(tmp_path, monkeypatch, capsys):
@@ -235,6 +287,29 @@ def test_emitted_descriptors_accepted_back(tmp_path, monkeypatch, capsys):
         list(alg.basis_names) == ["unit", "jx", "jy", "jz"]
 
 
+def _doc_keys(fields):
+    cells = []
+    for key, kind, default in fields:
+        if default is cli.REQUIRED:
+            cells.append(f"`{key}` {kind}, required")
+        elif default is None:
+            cells.append(f"`{key}` {kind}")
+        else:
+            cells.append(f"`{key}` {kind} = `{json.dumps(default)}`")
+    return "; ".join(cells)
+
+
+def test_formats_md_documents_the_schema():
+    doc = (Path(__file__).resolve().parents[1] / "formats.md").read_text(encoding="utf-8")
+    for key, _, _ in cli._COMMON:
+        assert f"| `{key}` |" in doc, key
+    for command, entry in cli.SCHEMA.items():
+        assert f"- **{command}** ({entry.format}):" in doc, command
+        assert f"| `{command}` | {_doc_keys(entry.fields)} |" in doc, command
+        for system, (_, fields) in (entry.systems or {}).items():
+            assert f"| `{command}`, system `{system}` | {_doc_keys(fields)} |" in doc, system
+
+
 # ------------------------------------------------------------ exit codes
 
 
@@ -261,6 +336,44 @@ def test_exit_2_on_missing_fields_and_bad_values(tmp_path, monkeypatch, capsys):
         code, _, err = run_cli(args, tmp_path, monkeypatch, capsys)
         assert code == 2, args
         assert "config error" in err
+
+
+_COHERENT = {"space": {"kind": "spin", "exponent": 2},
+             "generator": [[[0, 0], [0, -0.5]], [[0, 0.5], [0, 0]]],
+             "z0": [[1, 0], [0, 0]], "t_span": [0, 3]}
+
+
+_BAD_KEYS = [
+    ("dyn-coherent", dict(_COHERENT, samples="abc"), "samples"),
+    ("kernel-gram", {"space": {"kind": "spin", "exponent": 2}, "count": "x"}, "count"),
+    ("dyn-lyapunov", {"kick": "big"}, "kick"),
+    ("dyn-lyapunov", {"kick": 3.0, "spin": 4, "periods": 4, "bloch0": ["a", 1, 2]}, "bloch0"),
+    ("causal-check", {"triples": 5}, "triples"),
+    ("spec-solve", {"model": "oscillator", "interval": ["a", "b"]}, "interval"),
+    ("dyn-coherent", dict(_COHERENT, t_spam=3), "t_spam"),
+    ("dyn-coherent", dict(_COHERENT, rtol=1e-6), "rtol"),
+    ("dyn-lyapunov", {"kick": 3.0, "periods": 4, "rtol": 1e-6}, "rtol"),
+    ("dyn-lyapunov", {"kick": 3.0, "periods": 4, "hbar": 2.0}, "hbar"),
+]
+
+
+@pytest.mark.parametrize("command, config, key", _BAD_KEYS,
+                         ids=[f"{command}-{key}" for command, _, key in _BAD_KEYS])
+def test_exit_2_names_the_bad_or_unknown_key(tmp_path, monkeypatch, capsys,
+                                              command, config, key):
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    code, _, err = run_cli([command, "--config", "c.json"], tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert err.startswith("config error: ") and f"'{key}'" in err
+    assert "Traceback" not in err
+
+
+def test_exit_2_names_a_bad_model_parameter(tmp_path, monkeypatch, capsys):
+    code, _, err = run_cli(["spec-solve", "--model", '{"kind":"oscillator","omega":"fast"}',
+                            "--interval", "[0,2]"], tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert err.startswith("config error: ") and "omega" in err
+    assert "Traceback" not in err
 
 
 def test_exit_1_domain_error_as_json_on_stderr(tmp_path, monkeypatch, capsys):
