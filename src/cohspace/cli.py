@@ -10,10 +10,11 @@ format and its config fields.  The argparse flags, the config checks (an
 unknown key or a value of the wrong type is a configuration error) and the
 defaults all come from that table.
 
-Thread pinning happens before any numeric import: --threads (or the
-COHSPACE_THREADS variable) is applied to the BLAS/OpenMP environment while
-this module still only uses the standard library, which is why the package
-root must stay free of numpy imports.
+Thread pinning happens before any numeric import: the arguments and the
+config file are read with the standard library alone, then the effective
+thread count (--threads, else the config's "threads", else the
+COHSPACE_THREADS variable, else 1) is applied to the BLAS/OpenMP
+environment, which is why the package root must stay free of numpy imports.
 
 Exit codes: 0 success, 1 domain error (diagnostic payload as JSON on stderr),
 2 configuration / usage error.
@@ -68,26 +69,17 @@ _COMMON = (
 # --------------------------------------------------------- thread pinning
 
 
-def _threads_from(argv) -> int:
-    """--threads wins over COHSPACE_THREADS; default 1 (single process)."""
-    val = None
-    for i, a in enumerate(argv):
-        if a == "--threads" and i + 1 < len(argv):
-            val = argv[i + 1]
-        elif a.startswith("--threads="):
-            val = a.split("=", 1)[1]
+def _pin_threads(cfg: dict) -> None:
+    """Pin the BLAS/OpenMP pools to the effective thread count and record it
+    as cfg["threads"]: the flag or config value already in cfg, else
+    COHSPACE_THREADS, else 1 (single process)."""
+    val = cfg.get("threads")
     if val is None:
-        val = os.environ.get("COHSPACE_THREADS", "1")
-    try:
-        n = int(val)
-    except (TypeError, ValueError):
-        raise ConfigError(f"--threads must be a positive integer, got {val!r}")
+        val = _parse_flag(os.environ.get("COHSPACE_THREADS", "1"), "int", "COHSPACE_THREADS")
+    n = _checked("threads", "int", val)
     if n < 1:
-        raise ConfigError(f"--threads must be a positive integer, got {val!r}")
-    return n
-
-
-def _pin_threads(n: int) -> None:
+        raise ConfigError(f"threads must be a positive integer, got {val!r}")
+    cfg["threads"] = n
     for var in _BLAS_VARS:
         os.environ[var] = str(n)
 
@@ -215,7 +207,6 @@ def _assemble_config(args) -> dict:
         if val is not None:
             cfg[key] = val
     cfg["command"] = args.command
-    cfg.setdefault("threads", int(os.environ.get("OMP_NUM_THREADS", "1")))
     return cfg
 
 
@@ -536,11 +527,9 @@ def _h_dyn_tdvp(cfg):
     traj = dirac_frenkel_flow(space, energy, z0, t_span, t_eval,
                               rtol=cfg["rtol"], hbar=cfg["hbar"])
     payload = _trajectory_payload(traj, with_energy=True)
-    e = traj.energies
-    scale = max(abs(float(e[0])), 1e-12)
     summary = {
         "steps": int(traj.stats.steps),
-        "energy_drift": float(max(abs(e - e[0])) / scale),
+        "energy_drift": float(traj.energy_drift),
         "chart_switches": int(traj.chart_switches),
     }
     return payload, summary, []
@@ -882,11 +871,6 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if len(argv) >= 2 and (argv[0], argv[1]) in _ALIASES:
         argv[:2] = [_ALIASES[(argv[0], argv[1])]]
-    try:
-        _pin_threads(_threads_from(argv))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -898,6 +882,7 @@ def main(argv=None) -> int:
         return 2
     try:
         config = _assemble_config(args)
+        _pin_threads(config)
         report = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

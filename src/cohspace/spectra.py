@@ -1,10 +1,17 @@
 """Spectra of implicit eigenvalue problems I(E) psi = 0.
 
-A model supplies scalars m(E), k(E) and a spectral family: either a discrete
+A model supplies m(E), k(E) and a spectral family: either a discrete
 branch xi_n(E) (one root function lambda_n(E) = m(E) xi_n(E) - k(E) per
 index), or a continuous range [xi_min(E), xi_max(E)] whose solutions form
-intervals.  Roots are bracketed on a uniform scan grid and polished by a
-guarded bisection/secant iteration down to |lambda| <= tol.
+intervals.
+
+Array contract: every model function takes an ndarray of E (xi takes the
+index first) and returns values that broadcast to that shape, so a constant
+such as `lambda e: 1.0` is a valid m.  The scan evaluates m and k once on
+the whole grid and each branch once, and reads sign changes off the value
+arrays; the bracket polish and the band-edge refinement call the same
+functions with a single float E.  Roots are bracketed on a uniform scan grid
+and polished by a guarded bisection/secant iteration down to |lambda| <= tol.
 
 assemble_from_algebra is the independent matrix route: it builds
 I(E) = sum_a c_a(E) rep(X_a) explicitly and locates the E where the smallest
@@ -30,16 +37,17 @@ from .errors import ConfigError, ModelDegeneracyError, TruncationError
 DEFAULT_GRID = 10_000
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+EFunction = Callable[[np.ndarray], np.ndarray]  # E array -> values broadcasting to its shape
+
 
 @dataclass
 class ImplicitSpectralModel:
-    m: Callable[[float], float]
-    k: Callable[[float], float]
-    xi: Optional[Callable[[int, float], float]] = None      # discrete family
+    m: EFunction
+    k: EFunction
+    xi: Optional[Callable[[int, np.ndarray], np.ndarray]] = None  # discrete family
     indices: Optional[Sequence[int]] = None
-    xi_min: Optional[Callable[[float], float]] = None       # continuous family
-    xi_max: Optional[Callable[[float], float]] = None
-    name: str = "custom"
+    xi_min: Optional[EFunction] = None  # continuous family
+    xi_max: Optional[EFunction] = None
 
     def __post_init__(self):
         discrete = self.xi is not None
@@ -50,11 +58,6 @@ class ImplicitSpectralModel:
             raise ConfigError("discrete model needs the index list to scan")
         if continuous and (self.xi_min is None or self.xi_max is None):
             raise ConfigError("continuous model needs both range endpoints")
-
-    def branch(self, n: int) -> Callable[[float], float]:
-        def lam(e: float) -> float:
-            return self.m(e) * self.xi(n, e) - self.k(e)
-        return lam
 
 
 @dataclass
@@ -74,7 +77,6 @@ def oscillator_model(omega: float = 1.0, hbar: float = 1.0, n_max: int = 32) -> 
         k=lambda e: e,
         xi=lambda n, e: hbar * omega * (n + 0.5),
         indices=range(n_max + 1),
-        name="oscillator",
     )
 
 
@@ -86,15 +88,14 @@ def coulomb_model(mass: float = 1.0, alpha: float = 1.0, hbar: float = 1.0,
     weighted by m(E) = sqrt(-2 mass E)/hbar against k = mass alpha/hbar^2,
     which closes to E_n = -mass alpha^2 / (2 hbar^2 n^2).
     """
-    def m(e: float) -> float:
-        return math.sqrt(max(0.0, -2.0 * mass * e)) / hbar
+    def m(e):
+        return np.sqrt(np.maximum(0.0, -2.0 * mass * e)) / hbar
 
     return ImplicitSpectralModel(
         m=m,
         k=lambda e: mass * alpha / hbar ** 2,
         xi=lambda n, e: float(n),
         indices=range(1, n_max + 1),
-        name="coulomb",
     )
 
 
@@ -105,7 +106,6 @@ def free_particle_model(mass: float = 1.0, c: float = 1.0, p_max: float = 10.0) 
         k=lambda e: (e / c) ** 2 - (mass * c) ** 2,
         xi_min=lambda e: 0.0,
         xi_max=lambda e: p_max ** 2,
-        name="free",
     )
 
 
@@ -156,6 +156,22 @@ def _dedupe(roots: list[tuple[int, float, float]]) -> list[tuple[int, float, flo
     return kept
 
 
+def _scan_grid(interval: tuple[float, float], grid: int) -> tuple[tuple[float, float], np.ndarray]:
+    """The search interval as floats and its uniform scan grid."""
+    e_lo, e_hi = float(interval[0]), float(interval[1])
+    if not e_hi > e_lo:
+        raise ConfigError("search interval must have positive length")
+    return (e_lo, e_hi), np.linspace(e_lo, e_hi, grid)
+
+
+def _inside(model: ImplicitSpectralModel, e, m, k):
+    """Whether 0 lies between the branch extremes m xi_min(E) - k and
+    m xi_max(E) - k, given m = m(E) and k = k(E); elementwise for an array."""
+    lo = m * model.xi_min(e) - k
+    hi = m * model.xi_max(e) - k
+    return (np.minimum(lo, hi) <= 0.0) & (np.maximum(lo, hi) >= 0.0)
+
+
 def solve_implicit_spectrum(model: ImplicitSpectralModel, interval: tuple[float, float],
                             tol: float = 1e-10, grid: int = DEFAULT_GRID) -> SpectrumResult:
     """Roots of lambda_n(E) (discrete) or solution intervals (continuous).
@@ -165,12 +181,9 @@ def solve_implicit_spectrum(model: ImplicitSpectralModel, interval: tuple[float,
     possible tangencies (near-zero grid minima without a sign change) as
     multiplicity-uncertain warnings.
     """
-    e_lo, e_hi = float(interval[0]), float(interval[1])
-    if not e_hi > e_lo:
-        raise ConfigError("search interval must have positive length")
-    es = np.linspace(e_lo, e_hi, grid)
-    m_vals = np.array([model.m(e) for e in es])
-    k_vals = np.array([model.k(e) for e in es])
+    (e_lo, e_hi), es = _scan_grid(interval, grid)
+    m_vals = np.broadcast_to(model.m(es), es.shape)
+    k_vals = np.broadcast_to(model.k(es), es.shape)
     both_zero = (m_vals == 0.0) & (k_vals == 0.0)
     if both_zero.any():
         e_bad = es[int(np.argmax(both_zero))]
@@ -184,19 +197,18 @@ def solve_implicit_spectrum(model: ImplicitSpectralModel, interval: tuple[float,
 
     if model.xi is not None:
         for n in model.indices:
-            lam = model.branch(n)
-            vals = m_vals * np.array([model.xi(n, e) for e in es]) - k_vals
+            def lam(e: float, n=n) -> float:
+                return float(model.m(e) * model.xi(n, e) - model.k(e))
+
+            vals = m_vals * model.xi(n, es) - k_vals
             scale = max(1.0, float(np.max(np.abs(vals))))
             signs = np.sign(vals)
-            for i in range(len(es) - 1):
-                if signs[i] == 0.0:
-                    roots.append((n, float(es[i]), abs(vals[i])))
-                elif signs[i] * signs[i + 1] < 0:
-                    root, fr = _polish_bracket(lam, float(es[i]), float(es[i + 1]),
-                                               float(vals[i]), float(vals[i + 1]), tol)
-                    roots.append((n, root, abs(fr)))
-            if signs[-1] == 0.0:
-                roots.append((n, float(es[-1]), abs(vals[-1])))
+            for i in np.flatnonzero(signs == 0.0):
+                roots.append((n, float(es[i]), abs(vals[i])))
+            for i in np.flatnonzero(signs[:-1] * signs[1:] < 0):
+                root, fr = _polish_bracket(lam, float(es[i]), float(es[i + 1]),
+                                           float(vals[i]), float(vals[i + 1]), tol)
+                roots.append((n, root, abs(fr)))
             # tangency sweep: small interior minima with no sign change
             interior = np.abs(vals[1:-1])
             dips = (interior < 1e-6 * scale) & (interior < np.abs(vals[:-2])) & (interior < np.abs(vals[2:]))
@@ -210,38 +222,25 @@ def solve_implicit_spectrum(model: ImplicitSpectralModel, interval: tuple[float,
                     )
         return SpectrumResult(_dedupe(roots), [], (e_lo, e_hi), warnings)
 
-    # continuous family: E is in the spectrum iff 0 lies between the branch
-    # extremes m xi_min - k and m xi_max - k
-    lo_vals = m_vals * np.array([model.xi_min(e) for e in es]) - k_vals
-    hi_vals = m_vals * np.array([model.xi_max(e) for e in es]) - k_vals
-    inside = (np.minimum(lo_vals, hi_vals) <= 0.0) & (np.maximum(lo_vals, hi_vals) >= 0.0)
+    # continuous family: each run of grid points inside the solution set is
+    # one interval, its edges refined between the last node out and the first in
+    inside = _inside(model, es, m_vals, k_vals)
+    runs = np.flatnonzero(np.diff(np.concatenate(([False], inside, [False])))).reshape(-1, 2)
     intervals: list[tuple[float, float]] = []
-    i = 0
-    while i < grid:
-        if inside[i]:
-            j = i
-            while j + 1 < grid and inside[j + 1]:
-                j += 1
-            a = _refine_edge(model, es[i - 1], es[i]) if i > 0 else es[0]
-            b = _refine_edge(model, es[j + 1], es[j]) if j < grid - 1 else es[-1]
-            intervals.append((float(a), float(b)))
-            i = j + 1
-        else:
-            i += 1
+    for i, stop in runs:
+        j = stop - 1
+        a = _refine_edge(model, es[i - 1], es[i]) if i > 0 else es[0]
+        b = _refine_edge(model, es[j + 1], es[j]) if j < grid - 1 else es[-1]
+        intervals.append((float(a), float(b)))
     return SpectrumResult([], intervals, (e_lo, e_hi), warnings)
 
 
 def _refine_edge(model: ImplicitSpectralModel, e_out: float, e_in: float) -> float:
     """Bisect the boundary of the continuous-solution set between grid nodes."""
-    def inside(e: float) -> bool:
-        lo = model.m(e) * model.xi_min(e) - model.k(e)
-        hi = model.m(e) * model.xi_max(e) - model.k(e)
-        return min(lo, hi) <= 0.0 <= max(lo, hi)
-
     a, b = e_out, e_in     # a outside, b inside (order along E axis varies)
     for _ in range(80):
         mid = 0.5 * (a + b)
-        if inside(mid):
+        if _inside(model, mid, model.m(mid), model.k(mid)):
             b = mid
         else:
             a = mid
@@ -278,42 +277,35 @@ def assemble_from_algebra(algebra, rep: Sequence[np.ndarray],
         s = np.linalg.svd(build(e), compute_uv=False)
         return float(s[-1]), float(s[0])
 
-    e_lo, e_hi = float(interval[0]), float(interval[1])
-    if not e_hi > e_lo:
-        raise ConfigError("search interval must have positive length")
-    es = np.linspace(e_lo, e_hi, grid)
-    smin = np.empty(grid)
-    smax = np.empty(grid)
-    for i, e in enumerate(es):
-        smin[i], smax[i] = sigma(e)
+    (e_lo, e_hi), es = _scan_grid(interval, grid)
+    smin, smax = np.array([sigma(e) for e in es]).reshape(-1, 2).T
+    mid = smin[1:-1]
+    minima = (mid <= smin[:-2]) & (mid <= smin[2:]) & (mid < 0.5 * smax[1:-1])
 
     found: list[tuple[int, float, float]] = []
     warnings: list[str] = []
-    order = 0
-    for i in range(1, grid - 1):
-        if smin[i] <= smin[i - 1] and smin[i] <= smin[i + 1] and smin[i] < 0.5 * smax[i]:
-            a, b = float(es[i - 1]), float(es[i + 1])
-            x1 = b - GOLDEN * (b - a)
-            x2 = a + GOLDEN * (b - a)
-            f1, f2 = sigma(x1)[0], sigma(x2)[0]
-            while b - a > 1e-14 * max(1.0, abs(a), abs(b)):
-                if f1 < f2:
-                    b, x2, f2 = x2, x1, f1
-                    x1 = b - GOLDEN * (b - a)
-                    f1 = sigma(x1)[0]
-                else:
-                    a, x1, f1 = x1, x2, f2
-                    x2 = a + GOLDEN * (b - a)
-                    f2 = sigma(x2)[0]
-            e_best = 0.5 * (a + b)
-            s_best, s_top = sigma(e_best)
-            if s_best <= tol * s_top:
-                if tail_bound is not None and tail_bound > tol * s_top:
-                    raise TruncationError(
-                        f"declared truncation tail bound {tail_bound:.3e} exceeds the "
-                        f"acceptance threshold {tol * s_top:.3e} at E = {e_best:.6g}"
-                    )
-                found.append((order, e_best, s_best / s_top))
-                order += 1
+    for i in np.flatnonzero(minima) + 1:
+        a, b = float(es[i - 1]), float(es[i + 1])
+        x1 = b - GOLDEN * (b - a)
+        x2 = a + GOLDEN * (b - a)
+        f1, f2 = sigma(x1)[0], sigma(x2)[0]
+        while b - a > 1e-14 * max(1.0, abs(a), abs(b)):
+            if f1 < f2:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - GOLDEN * (b - a)
+                f1 = sigma(x1)[0]
+            else:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + GOLDEN * (b - a)
+                f2 = sigma(x2)[0]
+        e_best = 0.5 * (a + b)
+        s_best, s_top = sigma(e_best)
+        if s_best <= tol * s_top:
+            if tail_bound is not None and tail_bound > tol * s_top:
+                raise TruncationError(
+                    f"declared truncation tail bound {tail_bound:.3e} exceeds the "
+                    f"acceptance threshold {tol * s_top:.3e} at E = {e_best:.6g}"
+                )
+            found.append((len(found), e_best, s_best / s_top))
     deduped = [(i, e, res) for i, (_, e, res) in enumerate(_dedupe(found))]
     return SpectrumResult(deduped, [], (e_lo, e_hi), warnings)

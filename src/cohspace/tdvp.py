@@ -380,7 +380,8 @@ def dirac_frenkel_flow(
     """Variational flow in the space's chart; chart switches are automatic.
 
     Energy is monitored at every accepted step; relative drift beyond
-    `drift_limit` raises IntegratorFailure with the observed drift.
+    `drift_limit` raises IntegratorFailure with the observed drift, and the
+    largest relative drift is returned as `Trajectory.energy_drift`.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t_eval is None:
@@ -389,14 +390,17 @@ def dirac_frenkel_flow(
     u = chart.coords(z0)
     h0 = energy.chart_value(chart, u)
     h_scale = max(abs(h0), 1e-12)
+    worst = 0.0
 
     def monitor(ch, t, uu):
-        hv = energy.chart_value(ch, uu)
-        if abs(hv - h0) > drift_limit * h_scale:
+        nonlocal worst
+        dev = abs(energy.chart_value(ch, uu) - h0)
+        if dev > drift_limit * h_scale:
             raise IntegratorFailure(
-                f"energy drift {abs(hv - h0):.3e} exceeds {drift_limit:.1e} x |h| "
+                f"energy drift {dev:.3e} exceeds {drift_limit:.1e} x |h| "
                 f"at t = {t:.6g}; tighten rtol"
             )
+        worst = max(worst, dev)
 
     segments, _, _ = charted_solve(chart, lambda ch: tdvp_rhs(ch, energy, hbar), u, (t0, t1),
                                    SphereChart.transition, rtol, atol,
@@ -416,6 +420,7 @@ def dirac_frenkel_flow(
         norms=np.array([eval_kernel(space, p, p).real for p in points]),
         chart_flags=np.array([1 if getattr(ch, "south", False) else 0 for ch, _, _ in samples]),
         chart_switches=len(segments) - 1,
+        energy_drift=worst / h_scale,
     )
 
 

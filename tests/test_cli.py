@@ -251,6 +251,19 @@ def test_tdvp_chart_switches_count_driver_flips_not_samples(tmp_path):
     assert switches == [2, 2, 2]
 
 
+def test_tdvp_energy_drift_covers_steps_not_samples(tmp_path):
+    # read off the samples, the drift would be 6.6e-10, 1.1e-9 and 2.2e-9
+    drifts = []
+    for n in (2, 5, 101):
+        report = cli.run({"command": "dyn-tdvp", "space": {"kind": "spin", "exponent": 4},
+                          "energy": {"kind": "spin_axis", "axis": [1, 0, 0], "coeff": 1.3},
+                          "z0": [1, 0.2], "t_span": [0, 6], "samples": n,
+                          "out": str(tmp_path / f"s{n}.csv")})
+        drifts.append(report["summary"]["energy_drift"])
+    assert drifts[0] == drifts[1] == drifts[2]
+    assert 0.0 < drifts[0] < 1e-8
+
+
 def test_seed_always_recorded(tmp_path, monkeypatch, capsys):
     code, _, _ = run_cli(
         ["kernel-eval", "--space", '{"kind":"trivial","dim":2}',
@@ -441,6 +454,30 @@ def test_threads_env_and_flag(tmp_path, subprocess_env):
     assert res.returncode == 0, res.stderr
     got = json.loads(res.stdout.strip().splitlines()[-1])
     assert got == {"rc": 0, "threads": 3, "omp": "3"}
+
+
+def test_config_threads_pin_the_pool(tmp_path, subprocess_env):
+    # precedence: --threads, then the config's "threads", then COHSPACE_THREADS
+    env = dict(subprocess_env, COHSPACE_THREADS="2")
+    env.pop("OMP_NUM_THREADS", None)
+    probe = ("import json, os, sys\n"
+             "from cohspace.cli import main\n"
+             "rc = main(sys.argv[1:])\n"
+             "rep = json.load(open('r.json')) if rc == 0 else {}\n"
+             "print(json.dumps({'rc': rc, 'threads': rep.get('threads'),"
+             " 'omp': os.environ.get('OMP_NUM_THREADS')}))\n")
+    (tmp_path / "four.json").write_text(json.dumps({"threads": 4}))
+    (tmp_path / "zero.json").write_text(json.dumps({"threads": 0}))
+    args = ["kernel-eval", "--space", '{"kind":"trivial","dim":2}',
+            "--z", "[1,0]", "--z2", "[0,1]", "--report", "r.json"]
+    for extra, want in ((["--config", "four.json"], {"rc": 0, "threads": 4, "omp": "4"}),
+                        (["--config", "four.json", "--threads", "3"],
+                         {"rc": 0, "threads": 3, "omp": "3"}),
+                        (["--config", "zero.json"], {"rc": 2, "threads": None, "omp": None})):
+        res = subprocess.run([sys.executable, "-c", probe] + args + extra,
+                             cwd=tmp_path, env=env, capture_output=True, text=True)
+        got = json.loads(res.stdout.strip().splitlines()[-1])
+        assert got == want, res.stderr
 
 
 def test_installed_entry_point_runs(tmp_path, subprocess_env):
