@@ -10,6 +10,14 @@ format and its config fields.  The argparse flags, the config checks (an
 unknown key or a value of the wrong type is a configuration error) and the
 defaults all come from that table.
 
+Each handler maps the effective config to (payload, summary, warnings).
+The payload is lazy, {"csv": thunk, "json": thunk}, and run calls only the
+thunk of the requested format: the CSV thunk gives a header and column
+blocks (numpy arrays, or sequences of cells), the JSON thunk an object
+whose numeric blocks stay ndarrays, and io.write_csv or io.write_json
+renders them in bulk (see cohspace.io).  Most handlers declare their table
+once, as columns (_columns), and both formats follow from it.
+
 Thread pinning happens before any numeric import: the arguments and the
 config file are read with the standard library alone, then the effective
 thread count (--threads, else the config's "threads", else the
@@ -213,21 +221,6 @@ def _assemble_config(args) -> dict:
 # ------------------------------------------------------- shared builders
 
 
-def _plain(obj):
-    """Recursively turn numpy scalars/arrays into JSON-safe python values."""
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if hasattr(obj, "tolist"):
-        return _plain(obj.tolist())
-    if hasattr(obj, "item"):
-        return _plain(obj.item())
-    raise ConfigError(f"cannot serialize {type(obj).__name__} into a report")
-
-
 def _kind_of(spec, table: dict, what: str):
     """(table entry, descriptor) for a {"kind": ...} descriptor; a bare
     string names the kind."""
@@ -307,20 +300,9 @@ def _matrix_of(spec, key):
     return m
 
 
-def _pair_columns(label, width):
-    cols = []
-    for j in range(width):
-        cols.append(f"{label}{j}_re")
-        cols.append(f"{label}{j}_im")
-    return cols
-
-
-def _interleave(vec):
-    row = []
-    for v in vec:
-        row.append(float(v.real))
-        row.append(float(v.imag))
-    return row
+def _pair_columns(names):
+    """CSV names of complex columns: <name>_re, <name>_im for each name."""
+    return [f"{name}_{part}" for name in names for part in ("re", "im")]
 
 
 def _t_eval_of(cfg):
@@ -360,52 +342,37 @@ def _energy_of(cfg, space):
     return build(spec, space)
 
 
+def _columns(columns, **extra):
+    """The payload of a table declared once as (CSV names, JSON key or None,
+    array) column blocks; the JSON object holds the keyed blocks and extra."""
+    header = [name for names, _, _ in columns for name in names]
+    return {"csv": lambda: (header, [block for _, _, block in columns]),
+            "json": lambda: dict(extra, **{key: block for _, key, block in columns if key})}
+
+
+def _one_row(obj, header):
+    """The payload of a one-row table: the CSV has obj's values under header."""
+    return {"csv": lambda: (header, [[obj[k]] for k in header]), "json": lambda: obj}
+
+
 def _trajectory_payload(traj, with_energy):
-    width = len(traj.points[0].coords)
-    header = ["t"] + _pair_columns("c", width)
-    has_mult = any(p.multiplier is not None for p in traj.points)
-    if has_mult:
-        header += ["mult_re", "mult_im"]
+    import numpy as np
+
+    coords = np.array([p.coords for p in traj.points], dtype=complex)
+    columns = [(["t"], "times", traj.times),
+               (_pair_columns(f"c{j}" for j in range(coords.shape[1])), "points", coords)]
+    if any(p.multiplier is not None for p in traj.points):
+        mult = [0j if p.multiplier is None else p.multiplier for p in traj.points]
+        columns.append((_pair_columns(["mult"]), "multipliers", np.array(mult, dtype=complex)))
     if with_energy:
-        header.append("energy")
-    header.append("norm")
+        columns.append((["energy"], "energies", traj.energies))
+    columns.append((["norm"], "norms", traj.norms))
     if traj.chart_flags is not None:
-        header.append("chart")
-    rows = []
-    for i, (t, p) in enumerate(zip(traj.times, traj.points)):
-        row = [float(t)] + _interleave(p.coords)
-        if has_mult:
-            m = p.multiplier if p.multiplier is not None else 0.0j
-            row += [float(m.real), float(m.imag)]
-        if with_energy:
-            row.append(float(traj.energies[i]))
-        row.append(float(traj.norms[i]))
-        if traj.chart_flags is not None:
-            row.append(int(traj.chart_flags[i]))
-        rows.append(row)
-    obj = {
-        "times": [float(t) for t in traj.times],
-        "points": [artifacts.complex_to_pairs(p.coords) for p in traj.points],
-        "norms": [float(v) for v in traj.norms],
-    }
-    if has_mult:
-        obj["multipliers"] = [
-            [float(p.multiplier.real), float(p.multiplier.imag)]
-            if p.multiplier is not None else [0.0, 0.0]
-            for p in traj.points
-        ]
-    if with_energy:
-        obj["energies"] = [float(e) for e in traj.energies]
-    if traj.chart_flags is not None:
-        obj["charts"] = [int(f) for f in traj.chart_flags]
-    return {"csv": (header, rows), "json": obj}
+        columns.append((["chart"], "charts", traj.chart_flags))
+    return _columns(columns)
 
 
 # ------------------------------------------------------------- handlers
-#
-# Each handler maps an effective config (see _effective) to (payload,
-# summary, warnings) with payload = {"csv": (header, rows), "json": obj} so
-# the format picks either.
 
 
 def _h_kernel_eval(cfg):
@@ -414,8 +381,7 @@ def _h_kernel_eval(cfg):
     space = _space_of(cfg)
     v = eval_kernel(space, _point_of(cfg["z"], "z"), _point_of(cfg["z2"], "z2"))
     out = {"re": float(v.real), "im": float(v.imag)}
-    payload = {"json": out, "csv": (["re", "im"], [[out["re"], out["im"]]])}
-    return payload, dict(out), []
+    return _one_row(out, ["re", "im"]), dict(out), []
 
 
 def _h_kernel_gram(cfg):
@@ -425,11 +391,9 @@ def _h_kernel_gram(cfg):
     pts = _points_of(cfg, space)
     g = gram_matrix(space, pts)
     n = g.shape[0]
-    header = _pair_columns("k", n)
-    rows = [_interleave(g[i]) for i in range(n)]
-    obj = {"gram": artifacts.complex_to_pairs(g), "space": dict(space.descriptor)}
-    summary = {"points": n, "hermitian": bool(space.hermitian)}
-    return {"csv": (header, rows), "json": obj}, summary, []
+    payload = _columns([(_pair_columns(f"k{j}" for j in range(n)), "gram", g)],
+                       space=dict(space.descriptor))
+    return payload, {"points": n, "hermitian": bool(space.hermitian)}, []
 
 
 def _h_kernel_check(cfg):
@@ -446,11 +410,9 @@ def _h_kernel_check(cfg):
         "points": len(pts),
         "space": dict(space.descriptor),
     }
-    header = ["passed", "min_eigenvalue", "gram_norm", "tolerance", "points"]
-    row = [obj["passed"], obj["min_eigenvalue"], obj["gram_norm"],
-           obj["tolerance"], obj["points"]]
+    payload = _one_row(obj, ["passed", "min_eigenvalue", "gram_norm", "tolerance", "points"])
     summary = {k: obj[k] for k in ("passed", "min_eigenvalue", "tolerance")}
-    return {"csv": (header, [row]), "json": obj}, summary, []
+    return payload, summary, []
 
 
 def _h_qspace_build(cfg):
@@ -459,18 +421,13 @@ def _h_qspace_build(cfg):
     space = _space_of(cfg)
     pts = _points_of(cfg, space)
     qb = build_quantum_space(space, pts, **_given(cfg, "tol"))
-    eigvals = [float(v) for v in qb.eigvals]
-    header = ["index", "eigenvalue", "retained"]
-    rows = [[i, v, i < qb.rank] for i, v in enumerate(eigvals)]
-    obj = {
-        "rank": int(qb.rank),
-        "size": int(qb.size),
-        "eigenvalues": eigvals,
-        "truncation_tol": float(qb.truncation_tol),
-        "space": dict(space.descriptor),
-    }
+    index = range(len(qb.eigvals))
     summary = {"rank": int(qb.rank), "size": int(qb.size)}
-    return {"csv": (header, rows), "json": obj}, summary, []
+    payload = _columns([(["index"], None, index), (["eigenvalue"], "eigenvalues", qb.eigvals),
+                        (["retained"], None, [i < qb.rank for i in index])],
+                       truncation_tol=float(qb.truncation_tol), space=dict(space.descriptor),
+                       **summary)
+    return payload, summary, []
 
 
 def _linear_map(spec):
@@ -492,17 +449,11 @@ def _h_quantize(cfg):
     qb = build_quantum_space(space, pts)
     build, spec = _kind_of(cfg["map"], _MAPS, "map")
     op = quantize_map(qb, build(spec), **_given(cfg, "tol"))
-    n = op.matrix.shape[0]
-    header = _pair_columns("g", n)
-    rows = [_interleave(op.matrix[i]) for i in range(n)]
-    obj = {
-        "matrix": artifacts.complex_to_pairs(op.matrix),
-        "residual": float(op.residual),
-        "rank": int(qb.rank),
-        "space": dict(space.descriptor),
-    }
     summary = {"residual": float(op.residual), "rank": int(qb.rank)}
-    return {"csv": (header, rows), "json": obj}, summary, []
+    names = (f"g{j}" for j in range(op.matrix.shape[0]))
+    payload = _columns([(_pair_columns(names), "matrix", op.matrix)],
+                       space=dict(space.descriptor), **summary)
+    return payload, summary, []
 
 
 def _h_dyn_coherent(cfg):
@@ -561,23 +512,15 @@ def _continuous_exponent(cfg):
 def _h_dyn_lyapunov(cfg):
     exponent, _ = SCHEMA["dyn-lyapunov"].systems[cfg["system"]]
     res = exponent(cfg)
-    header = ["segment", "time", "running_estimate"]
-    rows = [[i + 1, float(t), float(r)]
-            for i, (t, r) in enumerate(zip(res.times, res.running))]
-    obj = {
-        "exponent": float(res.exponent),
-        "times": [float(t) for t in res.times],
-        "running": [float(r) for r in res.running],
-        "tail_gap": float(res.tail_gap),
-        "chart_switches": int(res.chart_switches),
-    }
     summary = {
         "exponent": float(res.exponent),
         "tail_gap": float(res.tail_gap),
         "chart_switches": int(res.chart_switches),
-        "segments": int(res.segments),
     }
-    return {"csv": (header, rows), "json": obj}, summary, []
+    payload = _columns([(["segment"], None, range(1, res.segments + 1)),
+                        (["time"], "times", res.times),
+                        (["running_estimate"], "running", res.running)], **summary)
+    return payload, dict(summary, segments=int(res.segments)), []
 
 
 # model kind -> (factory in spectra, parameter types)
@@ -609,20 +552,18 @@ def _h_spec_solve(cfg):
     interval = tuple(_numbers(cfg["interval"], "interval", 2))
     res = solve_implicit_spectrum(model, interval, **_given(cfg, "tol", "grid"))
     header = ["kind", "branch", "energy_lo", "energy_hi", "residual"]
-    rows = []
-    for n, e, r in res.discrete:
-        rows.append(["discrete", int(n), float(e), float(e), float(r)])
-    for lo, hi in res.continuous:
-        rows.append(["continuous", -1, float(lo), float(hi), ""])
-    obj = {
-        "discrete": [{"branch": int(n), "energy": float(e), "residual": float(r)}
-                     for n, e, r in res.discrete],
-        "continuous": [{"lo": float(lo), "hi": float(hi)}
-                       for lo, hi in res.continuous],
-        "search_interval": [float(v) for v in res.search_interval],
+    rows = ([("discrete", n, e, e, r) for n, e, r in res.discrete]
+            + [("continuous", -1, lo, hi, "") for lo, hi in res.continuous])
+    payload = {
+        "csv": lambda: (header, list(zip(*rows)) or [()] * len(header)),
+        "json": lambda: {
+            "discrete": [{"branch": n, "energy": e, "residual": r} for n, e, r in res.discrete],
+            "continuous": [{"lo": lo, "hi": hi} for lo, hi in res.continuous],
+            "search_interval": res.search_interval,
+        },
     }
     summary = {"n_discrete": len(res.discrete), "n_continuous": len(res.continuous)}
-    return {"csv": (header, rows), "json": obj}, summary, list(res.warnings)
+    return payload, summary, list(res.warnings)
 
 
 def _algebra_of(cfg):
@@ -680,23 +621,13 @@ def _h_lie_evolve(cfg):
                    for i, o in enumerate(obs_spec)]
     t_span, t_eval = _t_eval_of(cfg)
     table = evolve_expectations(algebra, rep, h, state, observables, t_span, t_eval=t_eval)
-    header = ["t"]
-    for nm in names:
-        header += [f"{nm}_re", f"{nm}_im"]
-    rows = []
-    for i, t in enumerate(table.times):
-        rows.append([float(t)] + _interleave(table.values[i]))
-    obj = {
-        "times": [float(t) for t in table.times],
-        "values": artifacts.complex_to_pairs(table.values),
-        "observables": names,
-        "algebra": algebra_descriptor(algebra),
-        "final_cross_check": None if table.final_cross_check is None
-        else float(table.final_cross_check),
-    }
-    summary = {"final_cross_check": obj["final_cross_check"],
-               "observables": len(names)}
-    return {"csv": (header, rows), "json": obj}, summary, []
+    cross = table.final_cross_check
+    cross = None if cross is None else float(cross)
+    payload = _columns([(["t"], "times", table.times),
+                        (_pair_columns(names), "values", table.values)],
+                       observables=names, algebra=algebra_descriptor(algebra),
+                       final_cross_check=cross)
+    return payload, {"final_cross_check": cross, "observables": len(names)}, []
 
 
 def _random_triples(rng, count, independent):
@@ -756,10 +687,8 @@ def _h_causal_check(cfg):
         "causal_max": float(verdict.causal_max),
         "tolerance": float(verdict.tolerance_used),
     }
-    header = list(obj)
-    row = [obj[k] for k in header]
     summary = {k: obj[k] for k in ("passed", "normal_max", "causal_max")}
-    return {"csv": (header, [row]), "json": obj}, summary, []
+    return _one_row(obj, list(obj)), summary, []
 
 
 # ------------------------------------------------------------ the schema
@@ -837,12 +766,12 @@ def run(config: dict) -> dict:
     wall = time.perf_counter() - start
 
     out_path = cfg.get("out") or f"cohspace-{command}.{fmt}"
+    content = payload[fmt]()
     try:
         if fmt == "csv":
-            header, rows = payload["csv"]
-            artifacts.write_csv(out_path, header, rows)
+            artifacts.write_csv(out_path, *content)
         else:
-            artifacts.write_json(out_path, _plain(payload["json"]))
+            artifacts.write_json(out_path, content)
         digest = artifacts.sha256_file(out_path)
     except OSError as exc:
         raise ConfigError(f"cannot write payload {out_path!r}: {exc}")
@@ -850,13 +779,13 @@ def run(config: dict) -> dict:
     report = {
         "command": command,
         "version": __version__,
-        "config": _plain(cfg),
+        "config": cfg,
         "seed": cfg["seed"],
         "threads": cfg["threads"],
         "wall_time_s": wall,
         "warnings": [str(w) for w in warnings],
         "payload": {"path": out_path, "format": fmt, "sha256": digest},
-        "summary": _plain(summary),
+        "summary": summary,
     }
     report_path = cfg.get("report") or out_path + ".report.json"
     try:
@@ -894,7 +823,7 @@ def main(argv=None) -> int:
         "report": report["report_path"],
         "payload": report["payload"]["path"],
         "summary": report["summary"],
-    }, sort_keys=True))
+    }, sort_keys=True, default=lambda value: value.tolist()))  # numpy scalars as python
     return 0
 
 

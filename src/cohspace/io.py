@@ -1,18 +1,29 @@
 """Deterministic artifact writing: atomic replace, locale-free CSV, sorted JSON.
 
-This module is importable without numpy so the CLI can parse arguments and
-pin thread pools before any numeric library loads; the complex-pair helpers
-pull numpy lazily.
+Payloads arrive as arrays and are rendered in bulk with float.__repr__.
+write_csv takes a header and column blocks: a 1-D array or a sequence is one
+column, a 2-D array several, and a complex block gives a re, im pair per
+column; non-float blocks follow format_cell cell by cell.  write_json takes a
+tree whose numeric blocks stay ndarrays (a complex one gains a trailing
+[re, im] axis) and writes json.dumps(tree, indent=2, sort_keys=True) + "\\n"
+of the .tolist() tree, byte for byte.
+
+Importable without numpy, so the CLI can pin thread pools before any numeric
+library loads; the array helpers import numpy lazily.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 
 from .errors import ConfigError
+
+# json's spelling of the non-finite floats that float.__repr__ writes
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -47,22 +58,87 @@ def format_cell(value) -> str:
     raise ConfigError(f"cannot format a {type(value).__name__} into a CSV cell")
 
 
-def csv_text(header, rows) -> str:
-    width = len(header)
-    lines = [",".join(header)]
-    for row in rows:
-        if len(row) != width:
-            raise ConfigError(f"CSV row has {len(row)} cells, header has {width}")
-        lines.append(",".join(format_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _as_real(a):
+    """A complex array as floats with a trailing [re, im] axis; others unchanged."""
+    if a.dtype.kind != "c":
+        return a
+    import numpy as np
+
+    return np.stack([a.real, a.imag], axis=-1)
 
 
-def write_csv(path: str, header, rows) -> None:
-    atomic_write_text(path, csv_text(header, rows))
+def _fragments(block) -> tuple[int, list]:
+    """(column count, one comma-joined CSV fragment per row) of one block."""
+    if not hasattr(block, "dtype"):
+        return 1, [format_cell(v) for v in block]
+    a = _as_real(block)
+    cell = float.__repr__ if a.dtype.kind == "f" else format_cell
+    if a.ndim == 1:
+        return 1, list(map(cell, a.tolist()))
+    a = a.reshape(a.shape[0], math.prod(a.shape[1:]))
+    return a.shape[1], [",".join(map(cell, row.tolist())) for row in a]  # a row at a time
+
+
+def csv_text(header, blocks) -> str:
+    widths, columns = zip(*map(_fragments, blocks))
+    if sum(widths) != len(header):
+        raise ConfigError(f"CSV blocks have {sum(widths)} columns, header has {len(header)}")
+    if len(set(map(len, columns))) > 1:
+        raise ConfigError("CSV blocks differ in row count")
+    rows = columns[0] if len(columns) == 1 else map(",".join, zip(*columns))
+    return "\n".join([",".join(header), *rows]) + "\n"
+
+
+def write_csv(path: str, header, blocks) -> None:
+    atomic_write_text(path, csv_text(header, blocks))
+
+
+def _array_json(a, nl: str) -> str:
+    """An ndarray or numpy scalar as json.dumps(indent=2) lays out its
+    .tolist(), with nl the line break and indent of the array's own line."""
+    import numpy as np
+
+    a = _as_real(np.asarray(a))
+    flat = a.ravel().tolist()
+    if a.dtype.kind == "f":
+        items = list(map(float.__repr__, flat))
+        if not np.isfinite(a).all():
+            items = [_NONFINITE.get(s, s) for s in items]
+    else:
+        items = list(map(json.dumps, flat))
+    for depth in range(a.ndim - 1, -1, -1):  # innermost axis first
+        n = a.shape[depth]
+        if n == 0:
+            items = ["[]"] * math.prod(a.shape[:depth])
+            continue
+        inner = nl + "  " * (depth + 1)
+        open_, close = "[" + inner, nl + "  " * depth + "]"
+        groups = map(("," + inner).join, zip(*[iter(items)] * n))  # runs of n items
+        items = [open_ + group + close for group in groups]
+    return items[0]
+
+
+# what json.dumps writes for a numeric block until the block is rendered
+_MARK = "\0cohspace-array\0"
 
 
 def json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) + "\\n", with each numpy
+    value (json.dumps cannot encode it) rendered by _array_json in place."""
+    blocks = []
+
+    def stash(value):
+        blocks.append(value)
+        return _MARK
+
+    pieces = json.dumps(obj, indent=2, sort_keys=True, default=stash).split(json.dumps(_MARK))
+    if len(pieces) != len(blocks) + 1:
+        raise ConfigError(f"JSON strings may not equal {_MARK!r}")
+    out = [pieces[0]]
+    for block, piece in zip(blocks, pieces[1:]):
+        line = out[-1][out[-1].rfind("\n") + 1:]  # the block's own line
+        out += [_array_json(block, "\n" + " " * (len(line) - len(line.lstrip(" ")))), piece]
+    return "".join(out) + "\n"
 
 
 def write_json(path: str, obj) -> None:
@@ -88,11 +164,3 @@ def pairs_to_complex(data):
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ConfigError("complex data must be nested [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
-
-
-def complex_to_pairs(values):
-    """Complex array -> nested [re, im] pair lists (JSON-ready)."""
-    import numpy as np
-
-    arr = np.asarray(values, dtype=complex)
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()

@@ -161,6 +161,8 @@ def _scan_grid(interval: tuple[float, float], grid: int) -> tuple[tuple[float, f
     e_lo, e_hi = float(interval[0]), float(interval[1])
     if not e_hi > e_lo:
         raise ConfigError("search interval must have positive length")
+    if grid < 2:
+        raise ConfigError(f"grid must be at least 2 points to bracket a root, got {grid}")
     return (e_lo, e_hi), np.linspace(e_lo, e_hi, grid)
 
 

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from cohspace import cli
-from cohspace.io import complex_to_pairs
 from cohspace.kernels import eval_kernel, point, space_from_descriptor
 from cohspace.liealg import algebra_from_descriptor
 
@@ -289,7 +288,7 @@ def test_emitted_descriptors_accepted_back(tmp_path, monkeypatch, capsys):
     code, _, _ = run_cli(
         ["lie-evolve", "--algebra", "so3_rotator",
          "--hamiltonian", "[[0,0],[0,0],[0,0],[1,0]]",
-         "--state", json.dumps({"form": complex_to_pairs(np.eye(4))}),
+         "--state", json.dumps({"form": np.stack([np.eye(4), np.zeros((4, 4))], -1).tolist()}),
          "--observables", '["jz"]', "--t-span", "[0,1]", "--samples", "3",
          "--format", "json", "--out", "lie.json"],
         tmp_path, monkeypatch, capsys)
@@ -321,6 +320,56 @@ def test_formats_md_documents_the_schema():
         assert f"| `{command}` | {_doc_keys(entry.fields)} |" in doc, command
         for system, (_, fields) in (entry.systems or {}).items():
             assert f"| `{command}`, system `{system}` | {_doc_keys(fields)} |" in doc, system
+
+
+# every command at its README size (plus the continuous Lyapunov system)
+_README_RUNS = [
+    ["kernel-eval", "--space", '{"kind":"trivial","dim":2}', "--z", "[1,0]", "--z2", "[0,1]"],
+    ["kernel-gram", "--space", '{"kind":"spin","exponent":3}', "--count", "20", "--seed", "11"],
+    ["kernel-check", "--space", '{"kind":"spin","exponent":0.6}', "--count", "40"],
+    ["qspace-build", "--space", "icosahedron", "--count", "12"],
+    ["quantize", "--space", '{"kind":"trivial","dim":2}', "--count", "8", "--map", _FLIP],
+    ["dyn-coherent", "--space", '{"kind":"klauder","modes":1}',
+     "--generator", "[[[0,0],[0,0]],[[0,0],[1.3,0]]]", "--z0", "[[0.2,0.1],[1.1,-0.4]]",
+     "--t-span", "[0,6]"],
+    ["dyn-tdvp", "--space", '{"kind":"spin","exponent":4}',
+     "--energy", '{"kind":"spin_axis","axis":[0,0,1],"coeff":1.1}',
+     "--z0", "[[0.8,0],[0.48,0.36]]", "--t-span", "[0,8]"],
+    ["dyn-lyapunov", "--system", "kicked_top", "--kick", "3", "--spin", "20",
+     "--periods", "2000"],
+    ["dyn-lyapunov", "--system", "continuous"] + _SPIN4 + ["--t-total", "4"],
+    ["spec-solve", "--model", "oscillator", "--interval", "[0,10]"],
+    ["lie-evolve", "--algebra", "su2_qubit", "--hamiltonian", "pauli_z",
+     "--state", '{"density":[[[0.7,0],[0.15,-0.05]],[[0.15,0.05],[0.3,0]]]}',
+     "--observables", '["pauli_x","pauli_y","pauli_z"]', "--t-span", "[0,6]"],
+    ["causal-check", "--kernel", "lattice_weyl", "--count", "20"],
+]
+
+
+def _canonical_cell(cell):
+    if cell in ("", "true", "false", "discrete", "continuous"):
+        return cell
+    try:
+        return str(int(cell))
+    except ValueError:
+        return repr(float(cell))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_every_payload_is_in_canonical_form(tmp_path, monkeypatch, capsys, fmt):
+    assert {args[0] for args in _README_RUNS} == set(cli.SCHEMA)
+    for i, args in enumerate(_README_RUNS):
+        code, _, err = run_cli(args + ["--format", fmt, "--out", f"p{i}"],
+                               tmp_path, monkeypatch, capsys)
+        assert code == 0, (args, err)
+        text = (tmp_path / f"p{i}").read_text()
+        if fmt == "json":
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", args
+        else:
+            assert text.endswith("\n") and len(text.splitlines()) > 1, args
+            for line in text.splitlines()[1:]:
+                cells = line.split(",")
+                assert cells == [_canonical_cell(c) for c in cells], (args, line)
 
 
 # ------------------------------------------------------------ exit codes
@@ -386,6 +435,15 @@ def test_exit_2_names_a_bad_model_parameter(tmp_path, monkeypatch, capsys):
                             "--interval", "[0,2]"], tmp_path, monkeypatch, capsys)
     assert code == 2
     assert err.startswith("config error: ") and "omega" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid", ["0", "-5", "1"])
+def test_exit_2_on_a_grid_that_cannot_bracket(tmp_path, monkeypatch, capsys, grid):
+    code, _, err = run_cli(["spec-solve", "--model", "oscillator", "--interval", "[0,10]",
+                            "--grid", grid], tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert err.startswith("config error: ") and "grid" in err
     assert "Traceback" not in err
 
 

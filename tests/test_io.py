@@ -1,0 +1,139 @@
+"""The array writers in cohspace.io against the row-by-row oracles they replace.
+
+The JSON oracle is ``json.dumps(tree, indent=2, sort_keys=True) + "\\n"`` of
+the ``.tolist()`` tree (complex blocks as trailing [re, im] pairs); the CSV
+oracle joins ``format_cell`` over rows assembled cell by cell.  Both are
+written here from plain Python values, and the writers must match them
+exactly, string for string.
+"""
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from cohspace.errors import ConfigError
+from cohspace.io import csv_text, format_cell, json_text, write_csv, write_json
+
+SPECIAL = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
+           1e-300, 1.7976931348623157e308, 0.1, -1.5, 1e16, 123456789.0]
+floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) \
+    | st.sampled_from(SPECIAL)
+complexes = st.builds(complex, floats, floats)
+ints = st.integers(-2**62, 2**62)
+keys = st.text(max_size=6) | st.sampled_from(['"', "\\", "\n", "é", " ", "a\x00b", "B", "a"])
+shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+
+arrays = st.one_of(
+    hnp.arrays(np.float64, shapes, elements=floats),
+    hnp.arrays(np.complex128, shapes, elements=complexes),
+    hnp.arrays(np.int64, shapes, elements=ints),
+    hnp.arrays(np.bool_, shapes),
+)
+scalars = st.one_of(st.none(), st.booleans(), ints, floats, st.text(max_size=4),
+                    st.builds(np.float64, floats), st.builds(np.int64, ints))
+trees = st.recursive(
+    arrays | scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(keys, inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def plain(obj):
+    """The .tolist() tree json.dumps understands; complex as [re, im] pairs."""
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    if isinstance(obj, (np.ndarray, np.generic)):
+        if np.iscomplexobj(obj):
+            return np.stack([np.real(obj), np.imag(obj)], axis=-1).tolist()
+        return obj.tolist()
+    return obj
+
+
+def json_oracle(tree):
+    return json.dumps(plain(tree), indent=2, sort_keys=True) + "\n"
+
+
+@given(trees)
+@example({"a": np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324])})
+@example({"empty": np.zeros((0,)), "one": np.array([1.5]), "nested": np.zeros((2, 0, 3))})
+@example({"z": np.array([[1 - 0.0j, complex(math.nan, -math.inf)]]), "s": np.complex128(2j)})
+@example({"n": np.arange(3), "b": np.array([True, False]), "x": np.float64(-0.0)})
+@example({"b": {"\"q\\": [], "B": {}, "a": [np.zeros((1, 1)), None]}, "A": ()})
+def test_json_text_matches_json_dumps(tree):
+    assert json_text(tree) == json_oracle(tree)
+
+
+@st.composite
+def csv_tables(draw):
+    """(header, blocks, rows): column blocks and the same table as Python rows."""
+    n = draw(st.integers(0, 4))
+    blocks, columns, width = [], [], 0  # columns: per block, the cells of each row
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["f1", "f2", "c1", "c2", "i1", "b1", "list"]))
+        if kind == "list":
+            cells = draw(st.lists(st.sampled_from(["discrete", "continuous", ""]) | floats | ints,
+                                  min_size=n, max_size=n))
+            blocks.append(cells)
+            columns.append([[c] for c in cells])
+            width += 1
+            continue
+        dtype, elements = {"f": (np.float64, floats), "c": (np.complex128, complexes),
+                           "i": (np.int64, ints), "b": (np.bool_, st.booleans())}[kind[0]]
+        shape = (n,) if kind[1] == "1" else (n, draw(st.integers(1, 3)))
+        a = draw(hnp.arrays(dtype, shape, elements=elements))
+        rows = [r if isinstance(r, list) else [r] for r in a.tolist()]
+        if kind[0] == "c":
+            rows = [[part for z in r for part in (z.real, z.imag)] for r in rows]
+        blocks.append(a)
+        columns.append(rows)
+        width += (2 if kind[0] == "c" else 1) * (shape[1] if len(shape) == 2 else 1)
+    rows = [sum((col[i] for col in columns), []) for i in range(n)]
+    return [f"h{j}" for j in range(width)], blocks, rows
+
+
+def csv_oracle(header, rows):
+    lines = [",".join(header)]
+    lines += [",".join(format_cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@given(csv_tables())
+def test_csv_text_matches_format_cell_rows(table):
+    header, blocks, rows = table
+    assert csv_text(header, blocks) == csv_oracle(header, rows)
+
+
+def test_csv_text_special_values_and_mixed_columns():
+    g = np.array([[complex(-0.0, math.nan), complex(math.inf, 5e-324)]])
+    header = ["kind", "k0_re", "k0_im", "k1_re", "k1_im", "i", "ok"]
+    text = csv_text(header, [["x"], g, np.array([7]), np.array([True])])
+    assert text == ",".join(header) + "\nx,-0.0,nan,inf,5e-324,7,true\n"
+    assert csv_text(["a", "b"], [np.zeros((0, 2))]) == "a,b\n"
+
+
+def test_csv_text_rejects_ragged_blocks():
+    with pytest.raises(ConfigError, match="header has 3"):
+        csv_text(["a", "b", "c"], [np.zeros((2, 2))])
+    with pytest.raises(ConfigError, match="row count"):
+        csv_text(["a", "b"], [np.zeros(2), np.zeros(3)])
+
+
+def test_json_text_rejects_what_it_cannot_render():
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        json_text({"a": {1, 2}})
+    with pytest.raises(ConfigError, match="may not equal"):
+        json_text({"a": np.zeros(2), "b": "\0cohspace-array\0"})
+
+
+def test_writers_write_the_rendered_text(tmp_path):
+    tree = {"m": np.eye(2) * (1 + 1j), "t": 0.5}
+    write_json(str(tmp_path / "p.json"), tree)
+    assert (tmp_path / "p.json").read_text() == json_oracle(tree)
+    write_csv(str(tmp_path / "p.csv"), ["t", "x"], [np.array([0.5]), [1]])
+    assert (tmp_path / "p.csv").read_text() == "t,x\n0.5,1\n"
