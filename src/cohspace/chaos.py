@@ -58,10 +58,9 @@ def _linearized_field(chart, energy: ExpectationFunction, hbar: float, fd_step: 
     """Return f(w) -> (F, A, B): the chart velocity and its Wirtinger Jacobian."""
     if hasattr(energy, "chart_second"):
         def fab(w: complex):
-            u = np.array([w])
-            g = chart.metric(u)[0, 0]
-            g_w = chart.metric_dw(u)
-            _, grad, mixed, grad2 = energy.chart_second(chart, u)
+            g = chart.scalar_metric(w)
+            g_w = chart.metric_dw(w)
+            _, grad, mixed, grad2 = energy.chart_second(chart, np.array([w]))
             scale = 1.0 / (1j * hbar * g * g)
             return (
                 grad / (1j * hbar * g),
@@ -71,8 +70,8 @@ def _linearized_field(chart, energy: ExpectationFunction, hbar: float, fd_step: 
         return fab
 
     def velocity(w: complex) -> complex:
-        u = np.array([w])
-        return complex(energy.chart_grad(chart, u)[0] / (1j * hbar * chart.metric(u)[0, 0]))
+        grad = energy.chart_grad(chart, np.array([w]))[0]
+        return complex(grad / (1j * hbar * chart.scalar_metric(w)))
 
     def fab_fd(w: complex):
         h = fd_step
@@ -91,7 +90,7 @@ def _tangent_rhs(fab):
 
 
 def _metric_len(chart, w: complex, delta: complex) -> float:
-    return math.sqrt(chart.metric(np.array([w]))[0, 0].real) * abs(delta)
+    return math.sqrt(chart.scalar_metric(w)) * abs(delta)
 
 
 def _flip_tangent(y: np.ndarray) -> np.ndarray:

@@ -159,9 +159,11 @@ def _stacked(space: KernelSpace, points: list[Point]) -> np.ndarray:
 
 
 def cross_gram(space: KernelSpace, left: Sequence[Point], right: Sequence[Point]) -> np.ndarray:
-    """K(left_i, right_j) for two point lists, shape (len(left), len(right))."""
-    left, right = list(left), list(right)
-    k = space.kernel(_stacked(space, left), _stacked(space, right))
+    """K(left_i, right_j) for two point lists, shape (len(left), len(right));
+    passing the same object as both lists validates and stacks it once."""
+    left, right = (list(left),) * 2 if right is left else (list(left), list(right))
+    a = _stacked(space, left)
+    k = space.kernel(a, a if right is left else _stacked(space, right))
     if space.projective_degree is not None:
         lam = np.outer([p.multiplier for p in left], [p.multiplier for p in right])
         k = np.power(lam, space.projective_degree) * k
@@ -169,7 +171,8 @@ def cross_gram(space: KernelSpace, left: Sequence[Point], right: Sequence[Point]
 
 
 def eval_kernel(space: KernelSpace, z: Point, z2: Point) -> complex:
-    return complex(cross_gram(space, (z,), (z2,))[0, 0])
+    pts = (z,)
+    return complex(cross_gram(space, pts, pts if z2 is z else (z2,))[0, 0])
 
 
 def _at(kernel, z: Point, w: Point) -> complex:

@@ -13,10 +13,12 @@ integrated here with the embedded RK5(4).  Charts:
 - Spin (n = 2j): stereographic charts w = z2/z1 (north) and 1/w (south),
   metric n/(1+|w|^2)^2; the flow switches chart when |w| > 2.
 
-For the spin chart with an operator given as a matrix in the monomial
-representation, energies and their Wirtinger derivatives are analytic
-(MatrixExpectation); arbitrary energy callables fall back to central
-differences (CallableExpectation).
+For a Hermitian matrix in the chart's embedding representation, energies and
+their Wirtinger derivatives are analytic (MatrixExpectation): one embedding
+jet [v, v', v''] from a single power vector w^k per evaluation, every moment
+<v_a|H|v_b>, <v_a|v_b> from one H-product.  Energy callables fall back to
+central differences (CallableExpectation).  Each chart's metric is a scalar
+times the identity, so the chart velocity is a division, not a linear solve.
 """
 
 from __future__ import annotations
@@ -38,25 +40,36 @@ ENERGY_DRIFT_LIMIT = 1e-6
 # ----------------------------------------------------------------- charts
 
 
-def _derivative_table(coef, power) -> list:
-    """(coefficient, power) per order 0-2 of the components coef_k w^power_k.
+def _derivative_table(coef, power) -> tuple:
+    """(coefficients, powers), rows for orders 0-2, of the components
+    coef_k w^power_k and their w-derivatives, plus the exponents 0 ... d-1.
 
     The order-m row holds coef_k power_k (power_k - 1) ... and power_k - m,
     multiplied left to right as the derivative is written; components whose
-    power is below m vanish (coefficient 0, power 0).
+    power is below m vanish (coefficient 0, power 0).  Coefficients are
+    stored complex, the type numpy would cast them to for each product with a
+    complex power row, so the products are unchanged.
     """
-    table = []
+    coefs, powers = [], []
     for order in range(3):
         live = power >= order
-        table.append((np.where(live, coef, 0), np.where(live, power - order, 0)))
+        coefs.append(np.where(live, coef, 0))
+        powers.append(np.where(live, power - order, 0))
         coef = coef * (power - order)
-    return table
+    return np.array(coefs, dtype=complex), np.array(powers), np.arange(len(powers[0]))
 
 
-def _order_row(table: list, order: int):
+def _jet(table: tuple, w, order: int) -> np.ndarray:
+    """Rows [v, v', v''] up to `order` of the components coef_k w^power_k.
+
+    The rows index the one power vector w^0 ... w^(d-1) with their table
+    powers, so row m equals coef_m * w ** power_m elementwise.  A scalar `w`
+    gives shape (order + 1, d), a column (S, 1) of S points (S, order + 1, d).
+    """
     if order not in (0, 1, 2):
         raise ConfigError("embedding derivatives available up to order 2")
-    return table[order]
+    coef, power, exponents = table
+    return coef[:order + 1] * (w ** exponents).take(power[:order + 1], -1)
 
 
 class SphereChart:
@@ -91,18 +104,18 @@ class SphereChart:
     def transition(u: np.ndarray) -> np.ndarray:
         return np.array([1.0 / u[0]])
 
-    # unnormalized holomorphic embedding v(w), plus derivatives in w
+    def jet(self, w, order: int = 0) -> np.ndarray:
+        """Monomial embedding v(w) and its w-derivatives up to `order` (see _jet)."""
+        return _jet(self._table, w, order)
+
     def embedding(self, u: np.ndarray, order: int = 0) -> np.ndarray:
-        coef, power = _order_row(self._table, order)
-        return coef * u[0] ** power
+        return self.jet(u[0], order)[order]
 
-    def metric(self, u: np.ndarray) -> np.ndarray:
-        rho = abs(u[0]) ** 2
-        return np.array([[self.n / (1.0 + rho) ** 2]])
+    def scalar_metric(self, w: complex) -> float:
+        return self.n / (1.0 + abs(w) ** 2) ** 2
 
-    def metric_dw(self, u: np.ndarray) -> complex:
+    def metric_dw(self, w: complex) -> complex:
         """d g / d w (holomorphic Wirtinger derivative of the scalar metric)."""
-        w = u[0]
         return -2.0 * self.n * np.conj(w) / (1.0 + abs(w) ** 2) ** 3
 
 
@@ -127,16 +140,20 @@ class FlatChart:
     def point(self, u: np.ndarray) -> Point:
         return Point(np.concatenate([[self.z0], u]))
 
-    def embedding(self, u: np.ndarray, order: int = 0) -> np.ndarray:
+    def jet(self, w, order: int = 0) -> np.ndarray:
+        """Fock-basis embedding of the single mode and its derivatives (see _jet)."""
         if self.modes != 1:
             raise ConfigError("matrix energies support a single Klauder mode")
-        coef, power = _order_row(self._table, order)
-        return coef * u[0] ** power / self._fact
+        return _jet(self._table, w, order) / self._fact
 
-    def metric(self, u: np.ndarray) -> np.ndarray:
-        return np.eye(self.modes)
+    def embedding(self, u: np.ndarray, order: int = 0) -> np.ndarray:
+        return self.jet(u[0], order)[order]
 
-    def metric_dw(self, u: np.ndarray) -> complex:
+    def scalar_metric(self, w: complex) -> float:
+        """The metric is 1 times the identity, for every number of modes."""
+        return 1.0
+
+    def metric_dw(self, w: complex) -> complex:
         return 0.0j
 
 
@@ -173,6 +190,10 @@ class ExpectationFunction:
         """Conjugate Wirtinger gradient d h / d ubar (h real)."""
         raise NotImplementedError
 
+    def chart_values(self, chart, us: np.ndarray) -> np.ndarray:
+        """h at each row of `us` (samples x chart dim)."""
+        return np.array([self.chart_value(chart, u) for u in us], dtype=float)
+
 
 class CallableExpectation(ExpectationFunction):
     """Energy given as a function on label points; gradients by central FD."""
@@ -197,51 +218,55 @@ class CallableExpectation(ExpectationFunction):
 
 
 class MatrixExpectation(ExpectationFunction):
-    """Energy from an operator matrix in the chart's embedding representation."""
+    """Energy from a Hermitian operator matrix in the chart's embedding
+    representation; raises ConfigError for a non-Hermitian matrix."""
 
     def __init__(self, matrix: np.ndarray):
         self.h = np.asarray(matrix, dtype=complex)
+        if self.h.ndim != 2 or self.h.shape[0] != self.h.shape[1] or not self.h.size:
+            raise ConfigError(f"operator must be a square matrix, got shape {self.h.shape}")
+        dev = np.abs(self.h - self.h.conj().T)
+        i, j = np.unravel_index(np.argmax(dev), dev.shape)
+        if dev[i, j] > 1e-12 * max(1.0, np.abs(self.h).max()):
+            raise ConfigError(f"energy matrix is not Hermitian: |H - H^dagger| is {dev[i, j]:.3e} "
+                              f"between entries ({i}, {j}) and ({j}, {i})")
+        # [H^T | 1]: a row v times it is the row [H v | v]
+        self._ket_map = np.concatenate((self.h.T, np.eye(len(self.h))), axis=1)
 
-    def _nd(self, chart, u):
-        v = chart.embedding(u, 0)
-        if self.h.shape != (len(v), len(v)):
-            raise ConfigError(
-                f"operator is {self.h.shape} but the chart embeds into dimension {len(v)}"
-            )
-        hv = self.h @ v
-        num = complex(np.vdot(v, hv))
-        den = float(np.vdot(v, v).real)
-        return v, hv, num, den
+    def _checked_jet(self, chart, w, order):
+        jet = chart.jet(w, order)
+        d = jet.shape[-1]
+        if self.h.shape != (d, d):
+            raise ConfigError(f"operator is {self.h.shape} but the chart embeds into dimension {d}")
+        return jet
+
+    def _moments(self, chart, u, order):
+        """Row a (a <= order) of Python complex moments of the jet rows v_a:
+        [<v_a|H|v_0>, <v_a|v_0>], followed by [<v_a|H|v_1>, <v_a|v_1>] at
+        order 2, all from one product with H and one small matmul."""
+        jet = self._checked_jet(chart, u[0], order)
+        kets = np.dot(jet[0] if order < 2 else jet[:2], self._ket_map)  # [H v_b | v_b]
+        return np.dot(jet.conj(), kets.reshape(-1, jet.shape[-1]).T).tolist()
 
     def chart_value(self, chart, u):
-        _, _, num, den = self._nd(chart, u)
-        return num.real / den
+        ((num, den),) = self._moments(chart, u, 0)
+        return num.real / den.real
+
+    def chart_values(self, chart, us):
+        v = self._checked_jet(chart, us, 0)[:, 0]       # samples x d
+        num = np.einsum("sd,sd->s", v.conj(), v @ self.h.T)
+        return num.real / np.einsum("sd,sd->s", v.conj(), v).real
 
     def chart_grad(self, chart, u):
-        if chart.dim != 1:
-            raise ConfigError("matrix energies implemented for 1-d charts")
-        v, hv, num, den = self._nd(chart, u)
-        v1 = chart.embedding(u, 1)
-        dnum = complex(np.vdot(v1, hv))          # d/d wbar of v* H v
-        dden = complex(np.vdot(v1, v))
+        (num, den), (dnum, dden) = self._moments(chart, u, 1)  # d/d wbar: row 1
+        den = den.real
         return np.array([(dnum * den - num * dden) / den ** 2])
 
     def chart_second(self, chart, u):
         """(h, dh/dwbar, d2h/(dw dwbar), d2h/dwbar2) for tangent linearization."""
-        v = chart.embedding(u, 0)
-        if self.h.shape != (len(v), len(v)):
-            raise ConfigError(
-                f"operator is {self.h.shape} but the chart embeds into dimension {len(v)}"
-            )
-        v1 = chart.embedding(u, 1)
-        v2 = chart.embedding(u, 2)
-        hv, hv1 = self.h @ v, self.h @ v1
-        num = complex(np.vdot(v, hv))
-        den = complex(np.vdot(v, v))
-        dn, dd = complex(np.vdot(v1, hv)), complex(np.vdot(v1, v))       # d/d wbar
-        dn_h, dd_h = complex(np.vdot(v, hv1)), complex(np.vdot(v, v1))   # d/d w
-        dndn_h, dddd_h = complex(np.vdot(v1, hv1)), complex(np.vdot(v1, v1))  # mixed
-        dn2, dd2 = complex(np.vdot(v2, hv)), complex(np.vdot(v2, v))     # d2/d wbar2
+        # d/d wbar in row 1, d/d w in columns 2-3, d2/d wbar2 in row 2
+        (num, den, dn_h, dd_h), (dn, dd, dndn_h, dddd_h), (dn2, dd2, _, _) = \
+            self._moments(chart, u, 2)
         h_val = (num / den).real
         p = dn * den - num * dd                   # numerator of dh/dwbar
         grad = p / den ** 2
@@ -267,7 +292,7 @@ def kahler_metric(space: KernelSpace, z: Point, fd_step: float = 1e-3) -> np.nda
     """
     if space.kind in _CHARTS:
         chart = chart_for(space, z)
-        return chart.metric(chart.coords(z))
+        return chart.scalar_metric(chart.coords(z)[0]) * np.eye(chart.dim)
     if space.base is not None:  # power space: n times the base metric
         return space.descriptor["n"] * kahler_metric(space.base, z, fd_step)
 
@@ -321,13 +346,7 @@ def kahler_metric(space: KernelSpace, z: Point, fd_step: float = 1e-3) -> np.nda
 
 def tdvp_rhs(chart, energy: ExpectationFunction, hbar: float):
     def rhs(t, u):
-        g = chart.metric(u)
-        grad = energy.chart_grad(chart, u)
-        if g.shape == (1, 1):
-            x = grad / g[0, 0]
-        else:
-            x = np.linalg.solve(g, grad)
-        return x / (1j * hbar)
+        return energy.chart_grad(chart, u) / chart.scalar_metric(u[0]) / (1j * hbar)
 
     return rhs
 
@@ -416,7 +435,7 @@ def dirac_frenkel_flow(
             rejected=sum(sol.stats.rejected for _, sol in segments),
             final_error_estimate=segments[-1][1].stats.final_error_estimate,
         ),
-        energies=np.array([energy.chart_value(ch, uu) for ch, _, uu in samples]),
+        energies=np.concatenate([energy.chart_values(ch, sol.states) for ch, sol in segments]),
         norms=np.array([eval_kernel(space, p, p).real for p in points]),
         chart_flags=np.array([1 if getattr(ch, "south", False) else 0 for ch, _, _ in samples]),
         chart_switches=len(segments) - 1,

@@ -447,6 +447,22 @@ def test_exit_2_on_a_grid_that_cannot_bracket(tmp_path, monkeypatch, capsys, gri
     assert "Traceback" not in err
 
 
+_NON_HERMITIAN = ["--space", '{"kind":"spin","exponent":1}',
+                  "--energy", '{"kind":"matrix","matrix":[[[0,0],[1,0]],[[0,0],[0,0]]]}',
+                  "--z0", "[[0.8,0],[0.6,0]]"]
+
+
+@pytest.mark.parametrize("args", [["dyn-tdvp", "--t-span", "[0,2]"],
+                                  ["dyn-lyapunov", "--system", "continuous"]],
+                         ids=["dyn-tdvp", "dyn-lyapunov-continuous"])
+def test_exit_2_on_a_non_hermitian_energy_matrix(tmp_path, monkeypatch, capsys, args):
+    # h = <v|H|v>/<v|v> and its derivative formulas assume H = H^dagger
+    code, _, err = run_cli(args + _NON_HERMITIAN, tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert err.startswith("config error: ") and "not Hermitian" in err and "(0, 1) and (1, 0)" in err
+    assert "Traceback" not in err
+
+
 def test_exit_1_domain_error_as_json_on_stderr(tmp_path, monkeypatch, capsys):
     code, _, err = run_cli(
         ["qspace-build", "--space", '{"kind":"spin","exponent":0.6}',

@@ -12,6 +12,7 @@ from cohspace.kernels import (
     check_coherence,
     check_coherent_map,
     classical_limit_space,
+    cross_gram,
     debranges_space,
     discrete_space,
     distance,
@@ -152,6 +153,31 @@ def test_gram_matches_bruteforce_oracle():
     g = gram_matrix(sp, pts)
     g0 = oracles.gram_bruteforce(sp.eval, pts)
     np.testing.assert_allclose(g, g0, rtol=0, atol=1e-13 * max(1.0, np.abs(g0).max()))
+
+
+def test_a_point_list_on_both_sides_is_validated_once(monkeypatch):
+    import cohspace.kernels as kernels
+
+    sp = heisenberg_space(1)  # projective: the multipliers pair up as well
+    pts = sample_points(sp, np.random.default_rng(RNG_SEED), 5)
+    calls = []
+    validate = kernels.validate_point
+    monkeypatch.setattr(kernels, "validate_point",
+                        lambda space, z: (calls.append(z), validate(space, z))[1])
+
+    def count(fn, *args):
+        calls.clear()
+        out = fn(sp, *args)
+        return len(calls), out
+
+    n_same, same = count(cross_gram, pts, pts)
+    n_apart, apart = count(cross_gram, pts, list(pts))
+    assert (n_same, n_apart) == (5, 10)
+    assert same.tobytes() == apart.tobytes()
+    assert count(gram_matrix, pts)[0] == 5
+    n_diag, diag = count(eval_kernel, pts[2], pts[2])
+    assert n_diag == 1 and diag == same[2, 2]
+    assert count(eval_kernel, pts[2], pts[3]) == (2, same[2, 3])
 
 
 def test_spin_integer_exponents_are_coherent():

@@ -93,7 +93,7 @@ def test_spin_metric_matches_fd_of_log_kernel():
         - logk(u[0] - h, u[0] + h)
         + logk(u[0] - h, u[0] - h)
     ) / (4 * h * h)
-    g = chart.metric(u)[0, 0]
+    g = chart.scalar_metric(u[0])
     assert g == pytest.approx(n / (1 + abs(u[0]) ** 2) ** 2)
     assert fd.real == pytest.approx(g, rel=1e-6)
 
@@ -179,6 +179,86 @@ def test_matrix_expectation_second_derivatives():
     assert grad2 == pytest.approx((dx + 1j * dy) / 2, rel=1e-5, abs=1e-8)
 
 
+# One jet per evaluation against the per-order route it replaced: one
+# embedding call per derivative order (coef_m * w ** power_m from the chart's
+# derivative table), one mat-vec per ket and one vdot per moment.
+
+
+def _per_order_embedding(chart, u, order):
+    coef, power, _ = chart._table
+    v = coef[order] * u[0] ** power[order]
+    return v / chart._fact if isinstance(chart, FlatChart) else v
+
+
+def _per_order_route(ham, chart, u):
+    """(h, dh/dwbar, d2h/(dw dwbar), d2h/dwbar2) by the per-order route."""
+    v, v1, v2 = (_per_order_embedding(chart, u, m) for m in range(3))
+    hv, hv1 = ham @ v, ham @ v1
+    num, den = complex(np.vdot(v, hv)), complex(np.vdot(v, v))
+    dn, dd = complex(np.vdot(v1, hv)), complex(np.vdot(v1, v))
+    dn_h, dd_h = complex(np.vdot(v, hv1)), complex(np.vdot(v, v1))
+    dndn_h, dddd_h = complex(np.vdot(v1, hv1)), complex(np.vdot(v1, v1))
+    dn2, dd2 = complex(np.vdot(v2, hv)), complex(np.vdot(v2, v))
+    p = dn * den - num * dd
+    dp_h = dndn_h * den + dn * dd_h - dn_h * dd - num * dddd_h
+    dp_b = dn2 * den - num * dd2
+    return ((num / den).real, p / den ** 2, (dp_h * den - 2.0 * p * dd_h) / den ** 3,
+            (dp_b * den - 2.0 * p * dd) / den ** 3)
+
+
+def _random_hermitian(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return (a + a.conj().T) / 2
+
+
+_ONE_JET_CHARTS = [(SphereChart(n, south=south), f"sphere{n}-{'south' if south else 'north'}")
+                   for n in (1, 4, 10, 40) for south in (False, True)]
+_ONE_JET_CHARTS.append((FlatChart(1, z0=0.2 - 0.1j, cutoff=64), "flat"))
+_ONE_JET_POINTS = (0.0j, 0.3 - 0.2j, -1.1 + 0.7j, 1.6 + 1.2j)   # up to the switch radius 2
+
+
+@pytest.mark.parametrize("chart", [c for c, _ in _ONE_JET_CHARTS],
+                         ids=[name for _, name in _ONE_JET_CHARTS])
+def test_one_jet_agrees_with_the_per_order_route(chart):
+    d = len(_per_order_embedding(chart, np.array([0.5j]), 0))
+    ham = _random_hermitian(np.random.default_rng(d), d)
+    en = MatrixExpectation(ham)
+    for w in _ONE_JET_POINTS:
+        u = np.array([w])
+        jet = chart.jet(u[0], 2)
+        for m in range(3):  # same arithmetic per component: bit-equal rows
+            assert jet[m].tobytes() == _per_order_embedding(chart, u, m).tobytes()
+            assert chart.embedding(u, m).tobytes() == jet[m].tobytes()
+        want = _per_order_route(ham, chart, u)
+        got = (en.chart_value(chart, u), en.chart_grad(chart, u)[0]) + en.chart_second(chart, u)
+        for value, ref in zip(got, (want[0], want[1]) + want):
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (w, got, want)
+
+
+@pytest.mark.parametrize("chart", [SphereChart(40), SphereChart(7, south=True),
+                                   FlatChart(1, z0=0.1j, cutoff=64)], ids=["n40", "n7-south", "flat"])
+def test_batched_sample_energies_match_chart_value(chart):
+    rng = np.random.default_rng(3)
+    d = len(chart.embedding(np.array([0.0j])))
+    en = MatrixExpectation(_random_hermitian(rng, d))
+    us = (rng.uniform(-1.4, 1.4, size=(25, 1)) + 1j * rng.uniform(-1.4, 1.4, size=(25, 1)))
+    got = en.chart_values(chart, us)
+    want = np.array([en.chart_value(chart, u) for u in us])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
+    assert en.chart_values(chart, us[:0]).shape == (0,)
+
+
+def test_non_hermitian_energy_matrix_rejected():
+    from cohspace.errors import ConfigError
+
+    ham = _random_hermitian(np.random.default_rng(1), 5) * 50.0
+    MatrixExpectation(ham + 1e-13 * np.eye(5)[::-1] * 1j)  # rounding-level asymmetry passes
+    bad = ham.copy()
+    bad[3, 1] += 1e-6
+    with pytest.raises(ConfigError, match=r"not Hermitian.*1\.000e-06 between entries \(1, 3\) and \(3, 1\)"):
+        MatrixExpectation(bad)
+
+
 # ------------------------------------------------------------------- flows
 
 
@@ -203,6 +283,18 @@ def test_oscillator_tdvp_matches_exact():
     ref = coherent_flow(sp, flow, z0, (0.0, 7.0), t_eval=t_eval, rtol=1e-10)
     ref_zeta = np.array([p.coords[1] for p in ref.points])
     np.testing.assert_allclose(got, ref_zeta, atol=5e-9)
+
+
+def test_two_mode_klauder_flow_with_an_energy_callable():
+    # the flat chart's metric is the identity for any number of modes
+    omega = np.array([0.7, 1.9])
+    z0 = Point([0.1, 0.5 + 0.2j, -0.3 + 0.6j])
+    energy = CallableExpectation(lambda p: float(omega @ np.abs(p.coords[1:]) ** 2))
+    t_eval = np.linspace(0.0, 3.0, 7)
+    traj = dirac_frenkel_flow(klauder_space(2), energy, z0, (0.0, 3.0), t_eval=t_eval)
+    got = np.array([p.coords[1:] for p in traj.points])
+    exact = z0.coords[1:] * np.exp(-1j * np.outer(t_eval, omega))
+    np.testing.assert_allclose(got, exact, atol=1e-6)
 
 
 def test_driven_oscillator_closed_form():
