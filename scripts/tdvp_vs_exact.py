@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from cohspace.dynamics import LinearHamiltonianFlow, coherent_flow
-from cohspace.kernels import eval_kernel, point, spin_space
+from cohspace.kernels import Point, eval_kernel, spin_space
 from cohspace.reps import SpinRep
 from cohspace.tdvp import MatrixExpectation, dirac_frenkel_flow
 
@@ -49,10 +49,10 @@ def main(argv=None):
     # --- case 1: precession, exact vs variational -----------------------
     omega = 1.1
     a = omega * np.diag([0.5, -0.5]).astype(complex)
-    exact = coherent_flow(space, LinearHamiltonianFlow(a), point(z0),
+    exact = coherent_flow(space, LinearHamiltonianFlow(a), Point(z0),
                           (0.0, args.t_final), t_eval=t_eval)
     energy = MatrixExpectation(rep.dgamma(a))
-    var = dirac_frenkel_flow(space, energy, point(z0), (0.0, args.t_final),
+    var = dirac_frenkel_flow(space, energy, Point(z0), (0.0, args.t_final),
                              t_eval=t_eval, rtol=1e-10)
     print("precession (exact case):")
     print(f"{'t':>6} {'fidelity deficit':>18}")
@@ -64,7 +64,7 @@ def main(argv=None):
     jz = rep.dgamma(np.diag([0.5, -0.5]).astype(complex))
     h = jz @ jz / n + 0.3 * jx
     t_eval2 = np.linspace(0.0, 50.0, 11)
-    tw = dirac_frenkel_flow(space, MatrixExpectation(h), point(z0),
+    tw = dirac_frenkel_flow(space, MatrixExpectation(h), Point(z0),
                             (0.0, 50.0), t_eval=t_eval2, rtol=1e-10)
     e0 = tw.energies[0]
     print("\ntwisting (projected case):")

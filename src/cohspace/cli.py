@@ -356,14 +356,10 @@ def _one_row(obj, header):
 
 
 def _trajectory_payload(traj, with_energy):
-    import numpy as np
-
-    coords = np.array([p.coords for p in traj.points], dtype=complex)
     columns = [(["t"], "times", traj.times),
-               (_pair_columns(f"c{j}" for j in range(coords.shape[1])), "points", coords)]
-    if any(p.multiplier is not None for p in traj.points):
-        mult = [0j if p.multiplier is None else p.multiplier for p in traj.points]
-        columns.append((_pair_columns(["mult"]), "multipliers", np.array(mult, dtype=complex)))
+               (_pair_columns(f"c{j}" for j in range(traj.coords.shape[1])), "points", traj.coords)]
+    if traj.multipliers is not None:
+        columns.append((_pair_columns(["mult"]), "multipliers", traj.multipliers))
     if with_energy:
         columns.append((["energy"], "energies", traj.energies))
     columns.append((["norm"], "norms", traj.norms))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, check_sample_times
 from .integrate import IntegratorStats, solve_rk45
-from .kernels import KernelSpace, Point, eval_kernel
+from .kernels import KernelSpace, Point, kernel_diagonal, row_norms
 from .reps import FockRep, SpinRep, propagate_eig
 
 
@@ -40,22 +40,31 @@ class LinearHamiltonianFlow:
 
 @dataclass
 class Trajectory:
+    """Label coordinates (S, label_dim) at S times; multipliers (S,) or None."""
+
     space: KernelSpace
     times: np.ndarray
-    points: list[Point]
+    coords: np.ndarray
     stats: Optional[IntegratorStats]  # None for exactly propagated flows
+    multipliers: Optional[np.ndarray] = None
     energies: Optional[np.ndarray] = None
     norms: Optional[np.ndarray] = None
     chart_flags: Optional[np.ndarray] = None  # used by variational flows
     chart_switches: int = 0  # chart flips made by the driver (not sample-dependent)
     energy_drift: Optional[float] = None  # worst relative drift over accepted steps (TDVP)
 
+    @property
+    def points(self) -> list[Point]:
+        """The samples as Points over views of the coordinate rows, built on each access."""
+        mults = [None] * len(self.coords) if self.multipliers is None else self.multipliers
+        return [Point(c, m) for c, m in zip(self.coords, mults)]
+
 
 def _project_constraint(space: KernelSpace, coords: np.ndarray) -> np.ndarray:
-    # unit-norm label manifolds: remove the off-manifold (radial) integration
+    # unit-norm label manifolds: remove each row's off-manifold (radial)
     # error; the exact flow preserves the norm, so this only subtracts noise
     if space.constraint_name == "unit spinor norm":
-        return coords / np.linalg.norm(coords)
+        return coords / row_norms(coords)[:, None]
     return coords
 
 
@@ -88,9 +97,10 @@ def coherent_flow(
         times = np.array(check_sample_times(t0, t1, t_eval))
         states = propagate_eig(a, z0.coords, times - t0, hbar=flow.hbar)
         stats = None
-    pts = [Point(_project_constraint(space, y), z0.multiplier) for y in states]
-    norms = np.array([eval_kernel(space, p, p).real for p in pts])
-    return Trajectory(space=space, times=times, points=pts, stats=stats, norms=norms)
+    coords = _project_constraint(space, states)
+    mults = None if z0.multiplier is None else np.full(len(coords), z0.multiplier, dtype=complex)
+    return Trajectory(space=space, times=times, coords=coords, stats=stats, multipliers=mults,
+                      norms=kernel_diagonal(space, coords, mults).real)
 
 
 # ------------------------------------------------------------------- the lift
@@ -120,13 +130,13 @@ def _rep_hamiltonian(rep, label_generator: np.ndarray) -> np.ndarray:
 
 
 def verify_schrodinger_lift(
-    space: KernelSpace,
     rep,
     flow: LinearHamiltonianFlow,
     traj: Trajectory,
     n_checks: int = 5,
 ) -> LiftReport:
-    """Fidelity of the coherent trajectory against exact matrix propagation.
+    """Fidelity of the coherent trajectory against exact matrix propagation,
+    with the coherent-state norms K(z, z) the trajectory carries.
 
     Time-independent flows are propagated by eigendecomposition (no second
     integrator error budget); declared time-dependent flows are integrated in
@@ -137,7 +147,8 @@ def verify_schrodinger_lift(
         raise ConfigError("trajectory too short to verify")
     idx = np.unique(np.linspace(0, len(traj.times) - 1, n_checks).astype(int))
     t0 = traj.times[0]
-    psi0 = rep.embed(traj.points[0])
+    points = traj.points
+    psi0 = rep.embed(points[0])
     times_rel = [traj.times[i] - t0 for i in idx]
     if flow.time_dependent:
         def rhs(t, y):
@@ -150,11 +161,10 @@ def verify_schrodinger_lift(
         psis = propagate_eig(h_q, psi0, times_rel, hbar=flow.hbar)
     deficits = np.empty(len(idx))
     for row, i in enumerate(idx):
-        z_t = traj.points[i]
-        v = rep.embed(z_t)
+        v = rep.embed(points[i])
         psi = psis[row]
         overlap = np.vdot(psi, v)
-        denom = float(np.vdot(psi, psi).real) * eval_kernel(space, z_t, z_t).real
+        denom = float(np.vdot(psi, psi).real) * traj.norms[i]
         deficits[row] = 1.0 - abs(overlap) ** 2 / denom
     return LiftReport(
         checked_times=traj.times[idx],

@@ -24,11 +24,13 @@ antiholomorphic in the first slot, such that every finite Gram matrix
                         lambda lambda' exp(s^T s'/hbar); not Hermitian, projective
                         degree 1 under (lambda, s) -> (alpha lambda, s).
 
-Each factory states its kernel once, over stacked label coordinates
-(n, d) x (m, d) -> (n, m), plus a one-point sampler; ``_CATALOG`` maps each
-kind to its descriptor parser.  ``cross_gram`` applies the kernel to two point
-lists (line-bundle multipliers included), ``gram_matrix`` mirrors its upper
-triangle for Hermitian kernels, and ``eval_kernel`` is its 1 x 1 case.
+Each factory states once, over stacked label coordinates, its kernel
+(n, d) x (m, d) -> (n, m) and its point constraint and domain (n, d) -> (n,),
+plus a one-point sampler; ``_CATALOG`` maps each kind to its descriptor parser.
+``check_stack`` checks a stack in one pass (``validate_point`` is one row),
+``cross_gram`` applies the kernel to two point lists (line-bundle multipliers
+included), ``gram_matrix`` mirrors its upper triangle for Hermitian kernels,
+and ``eval_kernel`` is its 1 x 1 case.
 
 Throughout, <a, b> = sum conj(a_k) b_k.
 """
@@ -36,7 +38,7 @@ Throughout, <a, b> = sum conj(a_k) b_k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -77,10 +79,6 @@ class Point:
         return abs(a - b) <= tol
 
 
-def point(coords, multiplier=None) -> Point:
-    return Point(coords, multiplier)
-
-
 @dataclass
 class KernelPartials:
     """Analytic path derivatives of the kernel.
@@ -110,11 +108,10 @@ class KernelSpace:
     conjugate_fn: Callable[[Point], Point] = _conj_coords
     partials: Optional[KernelPartials] = None
     projective_degree: Optional[int] = None
-    normalized: bool = False
     hermitian: bool = True
-    constraint: Optional[Callable[[Point], float]] = None
+    constraint: Optional[Callable[[np.ndarray], np.ndarray]] = None  # residual per row
     constraint_name: str = ""
-    domain: Optional[Callable[[Point], bool]] = None
+    domain: Optional[Callable[[np.ndarray], np.ndarray]] = None  # True per row inside
     domain_name: str = ""
     scalar_mult: Optional[Callable[[complex, Point], Point]] = None
     descriptor: dict = field(default_factory=dict)
@@ -128,51 +125,82 @@ class KernelSpace:
         return self.conjugate_fn(z)
 
 
-def validate_point(space: KernelSpace, z: Point) -> None:
-    if not isinstance(z, Point):
-        raise InvalidPointError(f"expected a Point, got {type(z).__name__}")
-    if z.coords.shape != (space.label_dim,):
-        raise InvalidPointError(
-            f"{space.kind}: label has {z.coords.shape[0]} coordinates, expected {space.label_dim}"
-        )
-    if not np.all(np.isfinite(z.coords.view(float))):
-        raise InvalidPointError(f"{space.kind}: non-finite label coordinates")
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """The norm of each row, bit for bit np.linalg.norm's of the row alone."""
+    return np.sqrt(np.vecdot(a.real, a.real) + np.vecdot(a.imag, a.imag))
+
+
+def check_stack(space: KernelSpace, coords: np.ndarray, multipliers=None) -> None:
+    """Check labels (n, d) with multipliers (n,) or None in one pass: each
+    row's finiteness, multiplier, constraint and domain, in that order.  The
+    first bad row raises the InvalidPointError validate_point gives it."""
+    if coords.ndim != 2 or coords.shape[1] != space.label_dim:
+        raise InvalidPointError(f"{space.kind}: label has {coords.shape[-1]} coordinates, "
+                                f"expected {space.label_dim}")
+    checks = [(~np.isfinite(coords).all(axis=1), lambda i: "non-finite label coordinates")]
     if space.projective_degree is not None:
-        if z.multiplier is None:
-            raise InvalidPointError(f"{space.kind}: line-bundle point needs a multiplier")
-        if not (math.isfinite(z.multiplier.real) and math.isfinite(z.multiplier.imag)):
-            raise InvalidPointError(f"{space.kind}: non-finite multiplier")
-    if space.constraint is not None:
-        res = float(space.constraint(z))
-        if res > POINT_TOL:
-            raise InvalidPointError(
-                f"{space.kind}: constraint '{space.constraint_name}' violated (residual {res:.3e})"
-            )
-    if space.domain is not None and not space.domain(z):
-        raise InvalidPointError(f"{space.kind}: label outside the domain {space.domain_name}")
+        checks.append((np.ones(len(coords), bool), lambda i: "line-bundle point needs a multiplier")
+                      if multipliers is None else
+                      (~np.isfinite(multipliers), lambda i: "non-finite multiplier"))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite rows fail quietly
+        if space.constraint is not None:
+            res = space.constraint(coords)
+            checks.append((res > POINT_TOL, lambda i: f"constraint '{space.constraint_name}' "
+                                                      f"violated (residual {res[i]:.3e})"))
+        if space.domain is not None:
+            checks.append((~space.domain(coords),
+                           lambda i: f"label outside the domain {space.domain_name}"))
+    fails = [(int(bad.argmax()), j) for j, (bad, _) in enumerate(checks) if bad.any()]
+    if fails:  # the least (row, check) pair is the first bad row's first failure
+        row, j = min(fails)
+        raise InvalidPointError(f"{space.kind}: {checks[j][1](row)}")
 
 
-def _stacked(space: KernelSpace, points: list[Point]) -> np.ndarray:
-    for p in points:
-        validate_point(space, p)
-    return np.array([p.coords for p in points], dtype=complex).reshape(len(points), space.label_dim)
+def _stacked(space: KernelSpace, points: list) -> tuple:
+    """Coordinates (n, d) and multipliers ((n,) or None) of a point list,
+    checked as one stack; the first entry that cannot join it (not a Point,
+    a wrong shape, no multiplier) is checked after the rows before it."""
+    d, line = space.label_dim, space.projective_degree is not None
+    cut = next((i for i, p in enumerate(points) if not isinstance(p, Point)
+                or p.coords.shape != (d,) or (line and p.multiplier is None)), len(points))
+    coords = np.array([p.coords for p in points[:cut]], dtype=complex).reshape(cut, d)
+    mults = np.array([p.multiplier for p in points[:cut]], dtype=complex) if line else None
+    check_stack(space, coords, mults)
+    if cut < len(points):
+        if not isinstance(points[cut], Point):
+            raise InvalidPointError(f"expected a Point, got {type(points[cut]).__name__}")
+        check_stack(space, points[cut].coords[None, :])  # raises
+    return coords, mults
+
+
+def validate_point(space: KernelSpace, z: Point) -> None:
+    _stacked(space, [z])
 
 
 def cross_gram(space: KernelSpace, left: Sequence[Point], right: Sequence[Point]) -> np.ndarray:
     """K(left_i, right_j) for two point lists, shape (len(left), len(right));
-    passing the same object as both lists validates and stacks it once."""
-    left, right = (list(left),) * 2 if right is left else (list(left), list(right))
-    a = _stacked(space, left)
-    k = space.kernel(a, a if right is left else _stacked(space, right))
+    passing the same object as both lists checks and stacks it once."""
+    a, la = _stacked(space, list(left))
+    b, lb = (a, la) if right is left else _stacked(space, list(right))
+    k = space.kernel(a, b)
     if space.projective_degree is not None:
-        lam = np.outer([p.multiplier for p in left], [p.multiplier for p in right])
-        k = np.power(lam, space.projective_degree) * k
+        k = np.power(np.outer(la, lb), space.projective_degree) * k
     return k
 
 
 def eval_kernel(space: KernelSpace, z: Point, z2: Point) -> complex:
     pts = (z,)
     return complex(cross_gram(space, pts, pts if z2 is z else (z2,))[0, 0])
+
+
+def kernel_diagonal(space: KernelSpace, coords: np.ndarray, multipliers=None) -> np.ndarray:
+    """K(z_i, z_i) of checked labels (n, d), one row at a time through
+    space.kernel: each equals eval_kernel(z_i, z_i); no n x n matrix is formed."""
+    check_stack(space, coords, multipliers)
+    k = np.array([space.kernel(row, row)[0, 0] for row in coords[:, None]], dtype=complex)
+    if space.projective_degree is not None:
+        k = np.power(multipliers * multipliers, space.projective_degree) * k
+    return k
 
 
 def _at(kernel, z: Point, w: Point) -> complex:
@@ -222,7 +250,7 @@ def euclidean_subset(dim: int, radius: float = 1.0) -> KernelSpace:
         kind="euclidean_subset",
         kernel=_sesquilinear,
         sampler=sample,
-        domain=lambda z: float(np.linalg.norm(z.coords)) <= radius + POINT_TOL,
+        domain=lambda a: row_norms(a) <= radius + POINT_TOL,
         domain_name=f"||z|| <= {radius}",
         descriptor={"kind": "euclidean_subset", "dim": dim, "radius": radius},
     )
@@ -258,8 +286,8 @@ def klauder_space(modes: int = 1) -> KernelSpace:
     )
 
 
-def _unit_norm_residual(z: Point) -> float:
-    return abs(float(np.linalg.norm(z.coords)) - 1.0)
+def _unit_norm_residual(a: np.ndarray) -> np.ndarray:
+    return np.abs(row_norms(a) - 1.0)
 
 
 def _unit_spinor(rng: np.random.Generator) -> Point:
@@ -310,7 +338,6 @@ def spin_space(exponent: float) -> KernelSpace:
         kernel=kernel,
         sampler=_unit_spinor,
         partials=partials,
-        normalized=True,
         constraint=_unit_norm_residual,
         constraint_name="unit spinor norm",
         descriptor={"kind": "spin", "exponent": n},
@@ -326,7 +353,6 @@ def spin_t_space(exponent: int) -> KernelSpace:
         kernel=lambda a, b: np.power(a @ b.T, n),
         sampler=_unit_spinor,
         hermitian=False,
-        normalized=False,
         constraint=_unit_norm_residual,
         constraint_name="unit spinor norm",
         descriptor={"kind": "spin_t", "exponent": n},
@@ -345,7 +371,6 @@ def classical_limit_space(dim: int) -> KernelSpace:
         kind="classical_limit",
         kernel=kernel,
         sampler=lambda rng: Point(rng.standard_normal(dim).astype(complex)),
-        normalized=True,
         descriptor={"kind": "classical_limit", "dim": dim},
     )
 
@@ -379,21 +404,13 @@ def power_space(base: KernelSpace, n: int) -> KernelSpace:
 
         partials = KernelPartials(d_second, d_first_second)
 
-    return KernelSpace(
-        label_dim=base.label_dim,
+    # labels, sampler, checks and symmetries are the base's
+    return replace(
+        base,
         kind="power",
         kernel=lambda a, b: np.power(base.kernel(a, b), n),
-        sampler=base.sampler,
-        conjugate_fn=base.conjugate_fn,
         partials=partials,
         projective_degree=None if base.projective_degree is None else n * base.projective_degree,
-        normalized=base.normalized,
-        hermitian=base.hermitian,
-        constraint=base.constraint,
-        constraint_name=base.constraint_name,
-        domain=base.domain,
-        domain_name=base.domain_name,
-        scalar_mult=base.scalar_mult,
         descriptor={"kind": "power", "base": base.descriptor, "n": n},
         base=base,
     )
@@ -467,7 +484,7 @@ def moebius_space() -> KernelSpace:
         kind="moebius",
         kernel=lambda a, b: 1.0 / (a[:, :1].conj() * b[:, 0] - a[:, 1:].conj() * b[:, 1]),
         sampler=sample,
-        domain=lambda z: abs(z.coords[0]) > abs(z.coords[1]),
+        domain=lambda a: np.abs(a[:, 0]) > np.abs(a[:, 1]),
         domain_name="|z1| > |z2|",
         descriptor={"kind": "moebius"},
     )
@@ -517,17 +534,12 @@ def icosahedron_space() -> KernelSpace:
     """Icosahedron vertices in R^3 c C^3 with the dot-product kernel (Gram rank 3)."""
     verts = icosahedron_vertices()
 
-    def _check(z: Point) -> float:
-        d = np.abs(verts - z.coords[None, :]).max(axis=1)
-        return float(d.min())
-
     return KernelSpace(
         label_dim=3,
         kind="icosahedron",
         kernel=_sesquilinear,
         sampler=lambda rng: Point(verts[rng.integers(0, len(verts))].astype(complex)),
-        normalized=True,
-        constraint=lambda z: _check(z),
+        constraint=lambda a: np.abs(verts - a[:, None, :]).max(axis=2).min(axis=1),
         constraint_name="icosahedron vertex",
         descriptor={"kind": "icosahedron"},
     )
@@ -675,9 +687,7 @@ def check_coherent_map(space, forward, adjoint=None, samples=None, tol: float = 
     for z, z2 in samples:
         az2 = forward(z2)
         asz = adjoint(z)
-        validate_point(space, az2)
-        validate_point(space, asz)
-        lhs = eval_kernel(space, z, az2)
+        lhs = eval_kernel(space, z, az2)  # each call checks its labels, images too
         rhs = eval_kernel(space, asz, z2)
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
     return worst <= tol, worst

@@ -47,9 +47,6 @@ class QuantumBasis:
     def size(self) -> int:
         return len(self.points)
 
-    def coords_of_basis_vector(self, i: int) -> np.ndarray:
-        return self.factor[:, i]
-
 
 def build_quantum_space(space: KernelSpace, points: Sequence[Point],
                         tol: float = DEFAULT_TRUNCATION_TOL) -> QuantumBasis:
@@ -150,15 +147,10 @@ def embed_state(qb: QuantumBasis, state: SpanState, tol: float = 1e-8) -> np.nda
 
 @dataclass
 class DerivativeState:
-    """First derivative (d/dt)|path(t)> at `time`; order is fixed to 1."""
+    """First derivative (d/dt)|path(t)> at `time`."""
 
     path: Callable[[float], Point]
     time: float
-    order: int = 1
-
-    def __post_init__(self):
-        if self.order != 1:
-            raise ConfigError("only first-order derivative states are supported")
 
 
 def _path_point(space: KernelSpace, path, t: float) -> Point:

@@ -44,7 +44,6 @@ class GeneratorSpec:
     """One-parameter label flow s -> flow(s): Point -> Point with flow(0) = id."""
 
     flow: Callable[[float], Callable[[Point], Point]]
-    analytic_derivative: Optional[Callable[[Point], np.ndarray]] = None
 
 
 def quantize_map(qb: QuantumBasis, a, tol: float = 1e-6) -> QuantizedOperator:

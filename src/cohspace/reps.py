@@ -41,18 +41,6 @@ class SpinRep:
         return np.array([math.sqrt(math.comb(self.n, k)) * z1 ** (self.n - k) * z2 ** k
                          for k in range(self.n + 1)])
 
-    def embed_grad(self, z: Point) -> np.ndarray:
-        """d embed / d(z1, z2): shape (dim, 2)."""
-        z1, z2 = z.coords
-        g = np.zeros((self.dim, 2), dtype=complex)
-        for k in range(self.n + 1):
-            c = math.sqrt(math.comb(self.n, k))
-            if self.n - k >= 1:
-                g[k, 0] = c * (self.n - k) * z1 ** (self.n - k - 1) * z2 ** k
-            if k >= 1:
-                g[k, 1] = c * k * z1 ** (self.n - k) * z2 ** (k - 1)
-        return g
-
     def dgamma(self, x: np.ndarray) -> np.ndarray:
         """Derivation action of the label generator X (2x2) on monomials:
         row k couples to k (diag), k+1 (X12 band) and k-1 (X21 band)."""
@@ -110,7 +98,7 @@ class FockRep:
     def number(self) -> np.ndarray:
         return np.diag(np.arange(self.cutoff)).astype(complex)
 
-    def embed(self, z: Point, check_tail: bool = True) -> np.ndarray:
+    def embed(self, z: Point) -> np.ndarray:
         if z.coords.shape != (2,):
             raise ConfigError("FockRep embeds single-mode Klauder labels (z0, zeta)")
         z0, zeta = z.coords
@@ -120,14 +108,12 @@ class FockRep:
             v[n] = term
             term = term * zeta / math.sqrt(n + 1)
         v = np.exp(z0) * v
-        if check_tail:
-            kzz = math.exp(2.0 * z0.real + abs(zeta) ** 2)
-            tail = 1.0 - float(np.vdot(v, v).real) / kzz
-            if tail > TAIL_TOL:
-                raise TruncationError(
-                    f"Fock cutoff {self.cutoff} keeps only 1-{tail:.2e} of the state; "
-                    "raise the cutoff"
-                )
+        kzz = math.exp(2.0 * z0.real + abs(zeta) ** 2)
+        tail = 1.0 - float(np.vdot(v, v).real) / kzz
+        if tail > TAIL_TOL:
+            raise TruncationError(
+                f"Fock cutoff {self.cutoff} keeps only 1-{tail:.2e} of the state; raise the cutoff"
+            )
         return v
 
     def one_body(self, coeff: complex) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateMetricError, IntegratorFailure
 from .integrate import IntegratorStats, solve_rk45
-from .kernels import KernelSpace, Point, eval_kernel
+from .kernels import KernelSpace, Point, eval_kernel, kernel_diagonal
 from .dynamics import Trajectory
 
 CHART_SWITCH_RADIUS = 2.0
@@ -90,12 +90,14 @@ class SphereChart:
         z1, z2 = z.coords
         return np.array([z1 / z2 if self.south else z2 / z1])
 
+    def labels(self, us: np.ndarray) -> np.ndarray:
+        """Unit spinors (S, 2) of the chart coordinates us (S, 1)."""
+        w = us[:, 0]
+        s = 1.0 / np.sqrt(1.0 + np.abs(w) ** 2)
+        return np.stack((w * s, s) if self.south else (s, w * s), axis=1)
+
     def point(self, u: np.ndarray) -> Point:
-        w = u[0]
-        s = 1.0 / math.sqrt(1.0 + abs(w) ** 2)
-        if self.south:
-            return Point(np.array([w * s, s]))
-        return Point(np.array([s, w * s]))
+        return Point(self.labels(u[None])[0])
 
     def flipped(self) -> "SphereChart":
         return SphereChart(self.n, south=not self.south)
@@ -137,8 +139,12 @@ class FlatChart:
     def coords(self, z: Point) -> np.ndarray:
         return z.coords[1:].copy()
 
+    def labels(self, us: np.ndarray) -> np.ndarray:
+        """Klauder labels (S, 1 + modes): z0 beside each row of us (S, modes)."""
+        return np.concatenate([np.full((len(us), 1), self.z0), us], axis=1)
+
     def point(self, u: np.ndarray) -> Point:
-        return Point(np.concatenate([[self.z0], u]))
+        return Point(self.labels(u[None])[0])
 
     def jet(self, w, order: int = 0) -> np.ndarray:
         """Fock-basis embedding of the single mode and its derivatives (see _jet)."""
@@ -424,20 +430,20 @@ def dirac_frenkel_flow(
     segments, _, _ = charted_solve(chart, lambda ch: tdvp_rhs(ch, energy, hbar), u, (t0, t1),
                                    SphereChart.transition, rtol, atol,
                                    t_eval=t_eval, monitor=monitor)
-    samples = [(ch, t, uu) for ch, sol in segments for t, uu in zip(sol.times, sol.states)]
-    points = [ch.point(uu) for ch, _, uu in samples]
+    coords = np.concatenate([ch.labels(sol.states) for ch, sol in segments])
     return Trajectory(
         space=space,
-        times=np.array([t for _, t, _ in samples]),
-        points=points,
+        times=np.concatenate([sol.times for _, sol in segments]),
+        coords=coords,
         stats=IntegratorStats(
             steps=sum(sol.stats.steps for _, sol in segments),
             rejected=sum(sol.stats.rejected for _, sol in segments),
             final_error_estimate=segments[-1][1].stats.final_error_estimate,
         ),
         energies=np.concatenate([energy.chart_values(ch, sol.states) for ch, sol in segments]),
-        norms=np.array([eval_kernel(space, p, p).real for p in points]),
-        chart_flags=np.array([1 if getattr(ch, "south", False) else 0 for ch, _, _ in samples]),
+        norms=kernel_diagonal(space, coords).real,
+        chart_flags=np.concatenate([np.full(len(sol.times), int(getattr(ch, "south", False)))
+                                    for ch, sol in segments]),
         chart_switches=len(segments) - 1,
         energy_drift=worst / h_scale,
     )

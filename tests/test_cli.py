@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from cohspace import cli
-from cohspace.kernels import eval_kernel, point, space_from_descriptor
+from cohspace.kernels import Point, eval_kernel, space_from_descriptor
 from cohspace.liealg import algebra_from_descriptor
 
 
@@ -261,6 +261,21 @@ def test_tdvp_energy_drift_covers_steps_not_samples(tmp_path):
         drifts.append(report["summary"]["energy_drift"])
     assert drifts[0] == drifts[1] == drifts[2]
     assert 0.0 < drifts[0] < 1e-8
+
+
+def test_dyn_coherent_rows_carry_the_multiplier_of_z0(tmp_path):
+    # a line-bundle start point: the flow moves the label, never its multiplier
+    cfg = {"command": "dyn-coherent", "space": {"kind": "heisenberg", "modes": 1},
+           "generator": [[[0.7, 0]]], "t_span": [0, 2], "samples": 5,
+           "z0": {"coords": [[0.3, -0.2]], "multiplier": [0.8, -0.6]}}
+    cli.run(dict(cfg, out=str(tmp_path / "traj.csv")))
+    header, rows = read_csv(tmp_path / "traj.csv")
+    assert header[-3:] == ["mult_re", "mult_im", "norm"]
+    assert [(float(r[-3]), float(r[-2])) for r in rows] == [(0.8, -0.6)] * 5
+    cli.run(dict(cfg, format="json", out=str(tmp_path / "traj.json")))
+    payload = json.loads((tmp_path / "traj.json").read_text())
+    assert payload["multipliers"] == [[0.8, -0.6]] * 5
+    assert len(payload["points"]) == 5
 
 
 def test_seed_always_recorded(tmp_path, monkeypatch, capsys):
@@ -616,6 +631,6 @@ def test_point_objects_with_multiplier(tmp_path, monkeypatch, capsys):
     assert code == 0
     payload = json.loads((tmp_path / "k.json").read_text())
     space = space_from_descriptor({"kind": "klauder", "modes": 1})
-    z_pt = point([1, 0], 0.1 + 0.2j)
+    z_pt = Point([1, 0], 0.1 + 0.2j)
     want = eval_kernel(space, z_pt, z_pt)
     assert complex(payload["re"], payload["im"]) == pytest.approx(want, rel=1e-12)

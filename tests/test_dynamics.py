@@ -15,8 +15,8 @@ from cohspace.dynamics import (
 )
 from cohspace.errors import ConfigError, DomainError
 from cohspace.integrate import solve_rk45
-from cohspace.kernels import Point, klauder_space, spin_space
-from cohspace.reps import FockRep, SpinRep
+from cohspace.kernels import Point, eval_kernel, heisenberg_space, klauder_space, spin_space
+from cohspace.reps import FockRep, SpinRep, propagate_eig
 
 HBAR = 1.0
 
@@ -62,7 +62,7 @@ def test_schrodinger_lift_fock():
     z0 = Point([0.0, 1.2 + 0.4j])
     traj = coherent_flow(sp, klauder_oscillator_flow(1.0), z0, (0.0, 10.0),
                          t_eval=np.linspace(0, 10, 41))
-    report = verify_schrodinger_lift(sp, FockRep(64), klauder_oscillator_flow(1.0), traj,
+    report = verify_schrodinger_lift(FockRep(64), klauder_oscillator_flow(1.0), traj,
                                      n_checks=8)
     assert report.max_deficit < 1e-8
     assert report.rep_dim == 64
@@ -75,7 +75,7 @@ def test_schrodinger_lift_spin():
     z = Point(z / np.linalg.norm(z))
     flow = spin_precession_flow(1.7)
     traj = coherent_flow(sp, flow, z, (0.0, 8.0), t_eval=np.linspace(0, 8, 33))
-    report = verify_schrodinger_lift(sp, SpinRep(n), flow, traj, n_checks=6)
+    report = verify_schrodinger_lift(SpinRep(n), flow, traj, n_checks=6)
     assert report.max_deficit < 1e-9
 
 
@@ -87,7 +87,7 @@ def test_schrodinger_lift_generic_spin_generator():
     flow = LinearHamiltonianFlow(a, hbar=0.7)
     z = Point(np.array([0.8, 0.6j]))
     traj = coherent_flow(sp, flow, z, (0.0, 6.0), t_eval=np.linspace(0, 6, 25))
-    report = verify_schrodinger_lift(sp, SpinRep(n), flow, traj, n_checks=6)
+    report = verify_schrodinger_lift(SpinRep(n), flow, traj, n_checks=6)
     assert report.max_deficit < 1e-9
 
 
@@ -109,7 +109,7 @@ def test_time_dependent_flow_lift(monkeypatch):
         return solve_rk45(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "solve_rk45", counted)
-    report = verify_schrodinger_lift(sp, SpinRep(n), flow, traj, n_checks=4)
+    report = verify_schrodinger_lift(SpinRep(n), flow, traj, n_checks=4)
     # diagonal generators commute across times, so the lift is still exact
     assert report.max_deficit < 1e-8
     assert len(solves) == 1 and len(report.checked_times) == 4  # one solve, sampled
@@ -136,6 +136,26 @@ def test_exact_flow_matches_rk45_oracle():
         got = np.array([p.coords for p in traj.points])
         assert np.max(np.abs(got - ref.states)) <= 1e-9 * max(1.0, np.abs(ref.states).max())
         np.testing.assert_array_equal(traj.times, ref.times)
+
+
+def test_coherent_trajectory_matches_the_per_sample_route():
+    # the per-sample route: np.linalg.norm of each state on the unit-spinor
+    # kinds, a Point per sample carrying z0's multiplier, eval_kernel per norm
+    cases = [
+        (spin_space(3), np.array([[0.4, 0.3 - 0.2j], [0.3 + 0.2j, -0.1]]), Point([0.8, 0.6j])),
+        (klauder_space(1), np.diag([0.0, 1.3]), Point([0.1 + 0.05j, 1.2 - 0.3j])),
+        (heisenberg_space(2), np.diag([0.7, -1.1]), Point([0.3 - 0.2j, 0.5j], 0.8 - 0.6j)),
+    ]
+    for sp, a, z0 in cases:
+        traj = coherent_flow(sp, LinearHamiltonianFlow(a), z0, (0.0, 4.0),
+                             t_eval=np.linspace(0.0, 4.0, 41))
+        states = propagate_eig(a, z0.coords, traj.times)
+        want = [y / np.linalg.norm(y) if sp.kind == "spin" else y for y in states]
+        np.testing.assert_allclose(traj.coords, want, rtol=0, atol=1e-15)
+        pts = traj.points
+        assert [p.multiplier for p in pts] == [z0.multiplier] * 41
+        norms = [eval_kernel(sp, p, p).real for p in pts]
+        np.testing.assert_allclose(traj.norms, norms, rtol=1e-13, atol=0)
 
 
 def test_time_independent_flows_never_call_the_integrator(monkeypatch):

@@ -33,6 +33,7 @@ from cohspace.kernels import (
     spin_space,
     spin_t_space,
     trivial_space,
+    validate_point,
 )
 
 RNG_SEED = 0
@@ -160,24 +161,94 @@ def test_a_point_list_on_both_sides_is_validated_once(monkeypatch):
 
     sp = heisenberg_space(1)  # projective: the multipliers pair up as well
     pts = sample_points(sp, np.random.default_rng(RNG_SEED), 5)
-    calls = []
-    validate = kernels.validate_point
-    monkeypatch.setattr(kernels, "validate_point",
-                        lambda space, z: (calls.append(z), validate(space, z))[1])
+    rows = []
+    check = kernels.check_stack
+    monkeypatch.setattr(kernels, "check_stack",
+                        lambda space, coords, mults=None: (rows.append(len(coords)),
+                                                           check(space, coords, mults))[1])
 
     def count(fn, *args):
-        calls.clear()
+        rows.clear()
         out = fn(sp, *args)
-        return len(calls), out
+        return list(rows), out
 
     n_same, same = count(cross_gram, pts, pts)
     n_apart, apart = count(cross_gram, pts, list(pts))
-    assert (n_same, n_apart) == (5, 10)
+    assert (n_same, n_apart) == ([5], [5, 5])  # one stacked check per distinct list
     assert same.tobytes() == apart.tobytes()
-    assert count(gram_matrix, pts)[0] == 5
+    assert count(gram_matrix, pts)[0] == [5]
     n_diag, diag = count(eval_kernel, pts[2], pts[2])
-    assert n_diag == 1 and diag == same[2, 2]
-    assert count(eval_kernel, pts[2], pts[3]) == (2, same[2, 3])
+    assert n_diag == [1] and diag == same[2, 2]
+    assert count(eval_kernel, pts[2], pts[3]) == ([1, 1], same[2, 3])
+
+
+def _checked_catalog():
+    """Every catalog kind, with the constraint, domain and line-bundle cases."""
+    return hermitian_catalog() + [
+        spin_space(2.5), spin_t_space(2), heisenberg_space(2),
+        power_space(heisenberg_space(1), 2), power_space(spin_space(2), 3),
+        discrete_space(np.eye(3)),
+    ]
+
+
+def _invalid_points(sp, good):
+    """(label, verdict) for each way a label can go wrong in sp: True when it
+    must be rejected, False when it must pass, None when the kind decides."""
+    d, m = sp.label_dim, good.multiplier
+    cases = [(Point(np.zeros(d + 1), m), True), (Point(np.full(d, np.nan), m), True),
+             (Point(np.r_[np.inf, np.zeros(d - 1)], m), True),
+             (Point(np.full(d, complex(0.0, -np.inf)), m), True), ("not a point", True)]
+    if sp.projective_degree is not None:
+        cases += [(Point(good.coords), True), (Point(good.coords, complex(np.nan, 1.0)), True),
+                  (Point(np.full(d, np.nan)), True)]
+    if sp.constraint is not None or sp.domain is not None:
+        unit = sp.constraint_name == "unit spinor norm"
+        one_off = good.coords + np.r_[np.zeros(d - 1), 0.5]  # the last coordinate moved
+        cases += [(Point(np.full(d, 5.0), m), True),
+                  (Point(one_off, m), True if sp.constraint is not None else None),
+                  (Point(good.coords * (1 + 3e-12), m), True if unit else None),
+                  (Point(good.coords * (1 + 3e-13), m), False)]
+    return cases
+
+
+def _first_rejection(sp, pts):
+    """(index, error class, text) of the first label validate_point rejects
+    on its own, or None: the per-point route, kept as the oracle."""
+    for i, p in enumerate(pts):
+        try:
+            validate_point(sp, p)
+        except InvalidPointError as exc:
+            return i, type(exc), str(exc)
+    return None
+
+
+def _stacked_rejection(sp, pts):
+    try:
+        cross_gram(sp, pts, pts)
+    except InvalidPointError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_the_stacked_check_agrees_with_the_per_point_route():
+    rng = np.random.default_rng(RNG_SEED)
+    for sp in _checked_catalog():
+        good = sample_points(sp, rng, 4)
+        cases = _invalid_points(sp, good[0])
+        for bad, verdict in cases:
+            if verdict is not None:
+                assert (_first_rejection(sp, [bad]) is not None) == verdict, (sp.kind, bad)
+        bad = [b for b, _ in cases]
+        lists = ([good] + [good[:2] + [b] + good[2:] for b in bad]
+                 + [[b, c] + good for b, c in zip(bad, bad[1:] + bad[:1])])
+        for pts in lists:
+            want = _first_rejection(sp, pts)
+            if want is None:
+                assert _stacked_rejection(sp, pts) is None, (sp.kind, pts)
+                continue
+            i, cls, text = want
+            assert _stacked_rejection(sp, pts) == (cls, text), (sp.kind, pts)
+            assert _stacked_rejection(sp, pts[:i]) is None  # the same first bad label
 
 
 def test_spin_integer_exponents_are_coherent():
@@ -317,6 +388,17 @@ def test_moebius_semigroup_members_and_nonmembers():
     assert not v.member and v.alpha < 0
     # |beta| > alpha
     assert not member(np.array([[1.0, 1.5], [0.0, 0.1]])).member
+
+
+def test_moebius_semigroup_numbers_worked_by_hand():
+    # alpha = |A11|^2 - |A21|^2, beta = conj(A11) A12 - conj(A21) A22,
+    # gamma = |A22|^2 - |A12|^2; member iff gamma <= alpha - 2 |beta| (and more)
+    v = moebius_semigroup_member(np.array([[6.0, 0.5], [1.0, 4j]]))
+    # alpha = 36 - 1, beta = 3 - 4i, gamma = 16 - 0.25 <= 35 - 2 * 5
+    assert (v.member, v.alpha, v.beta_abs, v.gamma) == (True, 35.0, 5.0, 15.75)
+    v = moebius_semigroup_member(np.array([[3.0, 1.0], [1.0, 4j]]))
+    # alpha = 9 - 1, beta = 3 - 4i, gamma = 16 - 1 > 8 - 2 * 5
+    assert (v.member, v.alpha, v.beta_abs, v.gamma) == (False, 8.0, 5.0, 15.0)
 
 
 def test_moebius_member_maps_preserve_domain_and_adjoint_identity():

@@ -3,9 +3,15 @@
 Every name an import statement binds in ``src/cohspace`` must be used in the
 scope that imports it: the module for module-level imports, the function for
 imports inside a function.  Names used only inside string annotations count.
+
+Every function, class, method and class-level field defined in
+``src/cohspace`` must be named somewhere besides its definition, in ``src``,
+``tests``, ``scripts`` or ``bench`` (a whole-word search of the Python files).
 """
 
 import ast
+import collections
+import re
 from pathlib import Path
 
 import cohspace
@@ -77,3 +83,64 @@ def test_no_unused_imports_in_the_package():
     assert len(modules) >= 15
     found = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in modules}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+# ------------------------------------------------------------- dead names
+
+
+def defined_names(source: str) -> list:
+    """(qualified name, name) of every function, class, method and
+    class-level field the module defines; dunder names are called implicitly
+    and left out."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            names = []
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [child.name]
+            elif isinstance(node, ast.ClassDef) and isinstance(child, ast.AnnAssign):
+                names = [child.target.id] if isinstance(child.target, ast.Name) else []
+            elif isinstance(node, ast.ClassDef) and isinstance(child, ast.Assign):
+                names = [t.id for t in child.targets if isinstance(t, ast.Name)]
+            found.extend((prefix + name, name) for name in names
+                         if not (name.startswith("__") and name.endswith("__")))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{prefix}{child.name}.")
+            elif not isinstance(child, (ast.AnnAssign, ast.Assign)):
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def dead_names(package_sources, corpus) -> list:
+    """Qualified names the package defines that the corpus (the package
+    included) names no more often than the package defines them."""
+    defined = [pair for source in package_sources for pair in defined_names(source)]
+    definitions = collections.Counter(name for _, name in defined)
+    words = collections.Counter(re.findall(r"\w+", "\n".join(corpus)))
+    return sorted(q for q, name in defined if words[name] <= definitions[name])
+
+
+def test_the_scan_finds_dead_names():
+    package = ("class Widget:\n    size: int = 0\n    spare_slot: int = 1\n"
+               "    def __init__(self):\n        self.size = 2\n"
+               "    def orphan_method(self):\n        return self.size\n"
+               "def used_helper():\n    def inner_orphan():\n        return 1\n    return Widget()\n"
+               "def lonely_helper():\n    return used_helper()\n")
+    elsewhere = "from pkg import lonely_helper\nlonely_helper()\n"
+    assert dead_names([package], [package, elsewhere]) == [
+        "Widget.orphan_method", "Widget.spare_slot", "used_helper.inner_orphan"]
+    assert dead_names([package], [package]) == [
+        "Widget.orphan_method", "Widget.spare_slot", "lonely_helper", "used_helper.inner_orphan"]
+
+
+def test_every_name_the_package_defines_is_named_elsewhere():
+    root = Path(__file__).resolve().parents[1]
+    package = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    corpus = [path.read_text(encoding="utf-8")
+              for folder in ("src", "tests", "scripts", "bench")
+              for path in sorted((root / folder).rglob("*.py"))]
+    assert len(package) >= 15 and len(corpus) > len(package)
+    assert dead_names(package, corpus) == []

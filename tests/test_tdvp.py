@@ -7,6 +7,8 @@ exp(-i w t) zeta0, driven oscillator closed form).  Metric values are checked
 against finite differences of the log-kernel written out independently here.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -367,6 +369,39 @@ def test_samples_do_not_change_the_variational_run():
     assert dense.stats == ends.stats
     assert dense.points[-1].coords.tobytes() == ends.points[-1].coords.tobytes()
     assert dense.chart_flags[-1] == ends.chart_flags[-1]
+
+
+def _per_sample_label(chart, u):
+    """The chart map of one sample in scalar arithmetic: the oracle for the
+    batched chart maps."""
+    if isinstance(chart, FlatChart):
+        return np.concatenate([[chart.z0], u])
+    w = u[0]
+    s = 1.0 / math.sqrt(1.0 + abs(w) ** 2)
+    return np.array([w * s, s] if chart.south else [s, w * s])
+
+
+@pytest.mark.parametrize("kind", ["spin", "klauder"])
+def test_trajectory_labels_match_the_per_sample_route(monkeypatch, kind):
+    from cohspace import tdvp
+
+    runs = []
+    solve = tdvp.charted_solve
+    monkeypatch.setattr(tdvp, "charted_solve",
+                        lambda *args, **kwargs: runs.append(solve(*args, **kwargs)) or runs[-1])
+    if kind == "spin":  # the chart-switching flow of test_chart_switch_roundtrip
+        sp, z0 = spin_space(4), unit_spinor(1.0, 0.2)
+        en = MatrixExpectation(1.3 * SpinRep(4).dgamma(SX))
+    else:
+        sp, z0 = klauder_space(1), Point([0.1 + 0.05j, 0.8 - 0.4j])
+        en = MatrixExpectation(1.3 * np.diag(np.arange(64, dtype=float)))
+    traj = dirac_frenkel_flow(sp, en, z0, (0.0, 6.0), t_eval=np.linspace(0.0, 6.0, 121))
+    ((segments, _, _),) = runs
+    assert len(segments) == (3 if kind == "spin" else 1)
+    want = [_per_sample_label(ch, u) for ch, sol in segments for u in sol.states]
+    np.testing.assert_allclose(traj.coords, want, rtol=0, atol=1e-15)
+    norms = [eval_kernel(sp, p, p).real for p in traj.points]
+    np.testing.assert_allclose(traj.norms, norms, rtol=1e-13, atol=0)
 
 
 def test_energy_conservation_long_run():
