@@ -21,9 +21,11 @@ tangent vector dw; for continuous flows it is evolved with the linearized flow
     d(dw)/dt = A dw + B conj(dw),
     A = dF/dw,  B = dF/dwbar,  F = grad_wbar h / (i hbar g),
 
-analytic when the energy supplies second Wirtinger derivatives, central
-finite differences otherwise.  Tangent length is measured with the chart
-metric, which makes it continuous across chart switches.
+from the second Wirtinger derivatives every energy supplies (`chart_second`;
+CallableExpectation takes them by central differences), and a chart switch
+carries the tangent through the chart's `transition`.  Both drivers share one
+renormalization loop; tangent length is measured with the chart metric, which
+makes it continuous across chart switches.
 """
 
 from __future__ import annotations
@@ -54,32 +56,19 @@ def spinor_from_bloch(s) -> Point:
 # --------------------------------------------------- linearized chart field
 
 
-def _linearized_field(chart, energy: ExpectationFunction, hbar: float, fd_step: float = 1e-6):
+def _linearized_field(chart, energy: ExpectationFunction, hbar: float):
     """Return f(w) -> (F, A, B): the chart velocity and its Wirtinger Jacobian."""
-    if hasattr(energy, "chart_second"):
-        def fab(w: complex):
-            g = chart.scalar_metric(w)
-            g_w = chart.metric_dw(w)
-            _, grad, mixed, grad2 = energy.chart_second(chart, np.array([w]))
-            scale = 1.0 / (1j * hbar * g * g)
-            return (
-                grad / (1j * hbar * g),
-                (mixed * g - grad * g_w) * scale,
-                (grad2 * g - grad * np.conj(g_w)) * scale,
-            )
-        return fab
-
-    def velocity(w: complex) -> complex:
-        grad = energy.chart_grad(chart, np.array([w]))[0]
-        return complex(grad / (1j * hbar * chart.scalar_metric(w)))
-
-    def fab_fd(w: complex):
-        h = fd_step
-        fx = (velocity(w + h) - velocity(w - h)) / (2 * h)
-        fy = (velocity(w + 1j * h) - velocity(w - 1j * h)) / (2 * h)
-        return velocity(w), (fx - 1j * fy) / 2, (fx + 1j * fy) / 2
-
-    return fab_fd
+    def fab(w: complex):
+        g = chart.scalar_metric(w)
+        g_w = chart.metric_dw(w)
+        _, grad, mixed, grad2 = energy.chart_second(chart, np.array([w]))
+        scale = 1.0 / (1j * hbar * g * g)
+        return (
+            grad / (1j * hbar * g),
+            (mixed * g - grad * g_w) * scale,
+            (grad2 * g - grad * np.conj(g_w)) * scale,
+        )
+    return fab
 
 
 def _tangent_rhs(fab):
@@ -93,16 +82,11 @@ def _metric_len(chart, w: complex, delta: complex) -> float:
     return math.sqrt(chart.scalar_metric(w)) * abs(delta)
 
 
-def _flip_tangent(y: np.ndarray) -> np.ndarray:
-    w, delta = y
-    return np.array([1.0 / w, -delta / (w * w)])   # (w, dw) pushed forward by w -> 1/w
-
-
 def _integrate_tangent(chart, energy, hbar, w, delta, t_span, rtol, atol):
     """Evolve (w, dw) over t_span with automatic chart switching."""
     segments, chart, (w, delta) = charted_solve(
         chart, lambda ch: _tangent_rhs(_linearized_field(ch, energy, hbar)),
-        np.array([w, delta]), t_span, _flip_tangent, rtol, atol)
+        np.array([w, delta]), t_span, rtol, atol)
     return chart, w, delta, sum(sol.halted for _, sol in segments)
 
 
@@ -168,12 +152,30 @@ class LyapunovResult:
         return len(self.times)
 
 
-def _benettin_result(times: np.ndarray, logs: np.ndarray, durations: np.ndarray,
-                     switches: int) -> LyapunovResult:
-    running = np.cumsum(logs) / np.cumsum(durations)
+def _benettin(chart, w: complex, advance, n_seg: int, duration: float,
+              rng: np.random.Generator) -> LyapunovResult:
+    """Benettin renormalization shared by every driver.
+
+    Seeds a random tangent of unit metric length at w, then for each of n_seg
+    segments of length `duration` runs advance(chart, w, delta) -> (chart, w,
+    delta, switches), logs the tangent's metric length and renormalizes it.
+    """
+    d = rng.standard_normal() + 1j * rng.standard_normal()
+    delta = d / _metric_len(chart, w, d)
+    logs = np.empty(n_seg)
+    switches = 0
+    for i in range(n_seg):
+        chart, w, delta, s = advance(chart, w, delta)
+        switches += s
+        ell = _metric_len(chart, w, delta)
+        logs[i] = math.log(ell)
+        delta /= ell
+    durations = np.full(n_seg, float(duration))
+    times = np.cumsum(durations)
+    running = np.cumsum(logs) / times
     exponent = float(running[-1])
-    q = max(1, (3 * len(logs)) // 4)
-    tail = float(np.sum(logs[q:]) / np.sum(durations[q:])) if q < len(logs) else exponent
+    q = max(1, (3 * n_seg) // 4)
+    tail = float(np.sum(logs[q:]) / np.sum(durations[q:])) if q < n_seg else exponent
     return LyapunovResult(
         exponent=exponent,
         times=times,
@@ -183,30 +185,14 @@ def _benettin_result(times: np.ndarray, logs: np.ndarray, durations: np.ndarray,
     )
 
 
-def _seed_tangent(chart, w, rng) -> complex:
-    d = rng.standard_normal() + 1j * rng.standard_normal()
-    return d / _metric_len(chart, w, d)
-
-
 def lyapunov_kicked(top: KickedTop, z0: Point, n_periods: int = 2000,
                     seed: int = 7) -> LyapunovResult:
     """Benettin estimate of the top's largest Lyapunov exponent (per period)."""
     if n_periods < 4:
         raise ConfigError("need at least 4 periods for a tail estimate")
-    rng = np.random.default_rng(seed)
     chart = chart_for(top.space, z0)
-    w = complex(chart.coords(z0)[0])
-    delta = _seed_tangent(chart, w, rng)
-    logs = np.empty(n_periods)
-    switches = 0
-    for i in range(n_periods):
-        chart, w, delta, s = top.period(chart, w, delta)
-        switches += s
-        ell = _metric_len(chart, w, delta)
-        logs[i] = math.log(ell)
-        delta /= ell
-    times = np.arange(1, n_periods + 1, dtype=float)
-    return _benettin_result(times, logs, np.ones(n_periods), switches)
+    return _benettin(chart, complex(chart.coords(z0)[0]), top.period, n_periods, 1.0,
+                     np.random.default_rng(seed))
 
 
 def lyapunov_continuous(space: KernelSpace, energy: ExpectationFunction, z0: Point,
@@ -220,21 +206,9 @@ def lyapunov_continuous(space: KernelSpace, energy: ExpectationFunction, z0: Poi
     chart = chart_for(space, z0)
     if chart.dim != 1:
         raise ConfigError("tangent linearization implemented for 1-d charts")
-    rng = np.random.default_rng(seed)
-    w = complex(chart.coords(z0)[0])
-    delta = _seed_tangent(chart, w, rng)
-    logs = np.empty(n_seg)
-    times = np.empty(n_seg)
-    switches = 0
-    t = 0.0
-    for i in range(n_seg):
-        chart, w, delta, s = _integrate_tangent(
-            chart, energy, hbar, w, delta, (0.0, resample), rtol, atol
-        )
-        switches += s
-        t += resample
-        ell = _metric_len(chart, w, delta)
-        logs[i] = math.log(ell)
-        times[i] = t
-        delta /= ell
-    return _benettin_result(times, logs, np.full(n_seg, resample), switches)
+
+    def advance(chart, w, delta):
+        return _integrate_tangent(chart, energy, hbar, w, delta, (0.0, resample), rtol, atol)
+
+    return _benettin(chart, complex(chart.coords(z0)[0]), advance, n_seg, resample,
+                     np.random.default_rng(seed))

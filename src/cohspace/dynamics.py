@@ -24,16 +24,14 @@ from .reps import FockRep, SpinRep, propagate_eig
 
 @dataclass
 class LinearHamiltonianFlow:
-    """i hbar dz/dt = generator(t) z on label coordinates; generator must be
-    a matrix (time-independent) or a callable t -> matrix with
-    time_dependent=True."""
+    """i hbar dz/dt = generator(t) z on label coordinates; generator is a
+    matrix (time-independent) or a callable t -> matrix (time-dependent)."""
 
     generator: Union[np.ndarray, Callable[[float], np.ndarray]]
     hbar: float = 1.0
-    time_dependent: bool = False
 
     def matrix_at(self, t: float) -> np.ndarray:
-        if self.time_dependent:
+        if callable(self.generator):
             return np.asarray(self.generator(t), dtype=complex)
         return np.asarray(self.generator, dtype=complex)
 
@@ -82,7 +80,7 @@ def coherent_flow(
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t_eval is None:
         t_eval = np.linspace(t0, t1, 101)
-    if flow.time_dependent:
+    if callable(flow.generator):
         def rhs(t, y):
             return flow.generator(t) @ y / (1j * flow.hbar)
 
@@ -139,7 +137,7 @@ def verify_schrodinger_lift(
     with the coherent-state norms K(z, z) the trajectory carries.
 
     Time-independent flows are propagated by eigendecomposition (no second
-    integrator error budget); declared time-dependent flows are integrated in
+    integrator error budget); time-dependent (callable) flows are integrated in
     one solve sampled at the check times, at rtol 100x tighter than typical
     trajectory tolerances.
     """
@@ -150,7 +148,7 @@ def verify_schrodinger_lift(
     points = traj.points
     psi0 = rep.embed(points[0])
     times_rel = [traj.times[i] - t0 for i in idx]
-    if flow.time_dependent:
+    if callable(flow.generator):
         def rhs(t, y):
             return _rep_hamiltonian(rep, flow.generator(t)) @ y / (1j * flow.hbar)
 

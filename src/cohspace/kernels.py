@@ -241,8 +241,8 @@ def euclidean_subset(dim: int, radius: float = 1.0) -> KernelSpace:
     def sample(rng):
         v = _cgauss(rng, dim)
         r = np.linalg.norm(v)
-        if r > 1.0:
-            v = v * (rng.uniform(0.05, 0.95) / r)
+        if r > radius:
+            v = v * (rng.uniform(0.05, 0.95) * radius / r)
         return Point(v)
 
     return KernelSpace(

@@ -47,6 +47,7 @@ from .reps import propagate_eig
 AXIOM_TOL = 1e-12
 CLOSURE_TOL = 1e-10
 VARIANCE_FLOOR = -1e-8  # below this a negative variance is a positivity failure
+UNCERTAINTY_RATIO = 0.1  # "much smaller": sigma_X at most this share of |mean| + delta
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,7 +449,7 @@ class ObservabilityReport:
     """Truth values of the two observability requirements at a site.
 
     slow_variation: the mean moves by at most delta under every probe shift;
-    small_uncertainty: sigma_X is below ratio_threshold * (|mean| + delta).
+    small_uncertainty: sigma_X is below UNCERTAINTY_RATIO * (|mean| + delta).
     The raw numbers are reported so callers can apply their own reading of
     "much smaller".
     """
@@ -467,7 +468,6 @@ def observability_report(
     site: Sequence[int],
     shifts: Sequence[Sequence[int]],
     delta: float,
-    ratio_threshold: float = 0.1,
 ) -> ObservabilityReport:
     if delta < 0:
         raise ConfigError("delta must be nonnegative")
@@ -492,7 +492,7 @@ def observability_report(
         slow_variation=variation <= delta,
         uncertainty=sigma,
         scale=scale,
-        small_uncertainty=sigma <= ratio_threshold * scale,
+        small_uncertainty=sigma <= UNCERTAINTY_RATIO * scale,
         ratio=ratio,
     )
 

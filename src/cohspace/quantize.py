@@ -30,7 +30,6 @@ from .qspace import QuantumBasis
 class CoherentMapSpec:
     forward: Callable[[Point], Point]
     adjoint: Optional[Callable[[Point], Point]] = None
-    linear_rep: Optional[np.ndarray] = None  # label-space matrix, when the map is linear
 
 
 @dataclass

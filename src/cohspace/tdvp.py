@@ -11,14 +11,17 @@ integrated here with the embedded RK5(4).  Charts:
 - Klauder labels: the zeta block (the z0 direction is metric-null, carried as
   a constant spectator); the metric is exactly the identity.
 - Spin (n = 2j): stereographic charts w = z2/z1 (north) and 1/w (south),
-  metric n/(1+|w|^2)^2; the flow switches chart when |w| > 2.
+  metric n/(1+|w|^2)^2; the flow switches chart when |w| > 2, and
+  `transition` carries tangents along with the state (dw -> -dw/w^2).
 
 For a Hermitian matrix in the chart's embedding representation, energies and
 their Wirtinger derivatives are analytic (MatrixExpectation): one embedding
 jet [v, v', v''] from a single power vector w^k per evaluation, every moment
-<v_a|H|v_b>, <v_a|v_b> from one H-product.  Energy callables fall back to
-central differences (CallableExpectation).  Each chart's metric is a scalar
-times the identity, so the chart velocity is a division, not a linear solve.
+<v_a|H|v_b>, <v_a|v_b> from one H-product.  Every energy also supplies the
+second derivatives tangent linearization needs (`chart_second`); energy
+callables take all derivatives from one central-difference Wirtinger stencil
+(CallableExpectation).  Each chart's metric is a scalar times the identity,
+so the chart velocity is a division, not a linear solve.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .dynamics import Trajectory
 
 CHART_SWITCH_RADIUS = 2.0
 ENERGY_DRIFT_LIMIT = 1e-6
+ENERGY_FD_STEP = 1e-6     # central-difference step of CallableExpectation
+METRIC_FD_STEP = 1e-3     # finite-difference step of the generic Kaehler metric
 
 
 # ----------------------------------------------------------------- charts
@@ -103,8 +108,11 @@ class SphereChart:
         return SphereChart(self.n, south=not self.south)
 
     @staticmethod
-    def transition(u: np.ndarray) -> np.ndarray:
-        return np.array([1.0 / u[0]])
+    def transition(y: np.ndarray) -> np.ndarray:
+        """The state y = (w, *tangents) in the flipped chart: w -> 1/w, each
+        tangent pushed forward as dw -> -dw / w^2."""
+        w = y[0]
+        return np.concatenate(([1.0 / w], -y[1:] / (w * w)))
 
     def jet(self, w, order: int = 0) -> np.ndarray:
         """Monomial embedding v(w) and its w-derivatives up to `order` (see _jet)."""
@@ -201,26 +209,38 @@ class ExpectationFunction:
         return np.array([self.chart_value(chart, u) for u in us], dtype=float)
 
 
-class CallableExpectation(ExpectationFunction):
-    """Energy given as a function on label points; gradients by central FD."""
+def _wirtinger(f: Callable[[np.ndarray], complex], u: np.ndarray) -> np.ndarray:
+    """Rows (d f/d u_j, d f/d ubar_j) over the chart coordinates j, from the
+    central differences fx, fy of f along Re u_j and Im u_j (ENERGY_FD_STEP):
+    d/du = (fx - i fy) / 2 and d/dubar = (fx + i fy) / 2."""
+    h = ENERGY_FD_STEP
+    out = np.zeros((2, len(u)), dtype=complex)
+    for j in range(len(u)):
+        e = np.zeros(len(u), dtype=complex)
+        e[j] = h
+        fx = (f(u + e) - f(u - e)) / (2 * h)
+        fy = (f(u + 1j * e) - f(u - 1j * e)) / (2 * h)
+        out[:, j] = (fx - 1j * fy) / 2, (fx + 1j * fy) / 2
+    return out
 
-    def __init__(self, fn: Callable[[Point], float], step: float = 1e-6):
+
+class CallableExpectation(ExpectationFunction):
+    """Energy given as a function on label points; derivatives by central FD."""
+
+    def __init__(self, fn: Callable[[Point], float]):
         self.fn = fn
-        self.step = step
 
     def chart_value(self, chart, u):
         return float(self.fn(chart.point(u)))
 
     def chart_grad(self, chart, u):
-        h = self.step
-        g = np.zeros(len(u), dtype=complex)
-        for j in range(len(u)):
-            e = np.zeros(len(u), dtype=complex)
-            e[j] = 1.0
-            dre = (self.chart_value(chart, u + h * e) - self.chart_value(chart, u - h * e)) / (2 * h)
-            dim_ = (self.chart_value(chart, u + 1j * h * e) - self.chart_value(chart, u - 1j * h * e)) / (2 * h)
-            g[j] = 0.5 * (dre + 1j * dim_)  # d/d ubar for real h
-        return g
+        return _wirtinger(lambda v: self.chart_value(chart, v), u)[1]
+
+    def chart_second(self, chart, u):
+        """(h, dh/dwbar, d2h/(dw dwbar), d2h/dwbar2) on a 1-d chart, the
+        second derivatives by central differences of chart_grad."""
+        (mixed,), (grad2,) = _wirtinger(lambda v: self.chart_grad(chart, v)[0], u)
+        return self.chart_value(chart, u), self.chart_grad(chart, u)[0], mixed, grad2
 
 
 class MatrixExpectation(ExpectationFunction):
@@ -286,24 +306,24 @@ class MatrixExpectation(ExpectationFunction):
 # ------------------------------------------------------------- Kaehler metric
 
 
-def kahler_metric(space: KernelSpace, z: Point, fd_step: float = 1e-3) -> np.ndarray:
+def kahler_metric(space: KernelSpace, z: Point) -> np.ndarray:
     """Metric g = d_ubar d_u log K at the diagonal.
 
     Analytic for klauder (identity on the zeta block) and spin (stereographic
     chart); finite differences over the label coordinates otherwise.  Raises
     DegenerateMetricError (listing null directions) when the smallest
     eigenvalue is indistinguishable from zero — below max(1e-12 * trace,
-    FD roundoff floor ~ eps/fd_step^2) — as for projectively degenerate
+    FD roundoff floor ~ eps/METRIC_FD_STEP^2) — as for projectively degenerate
     kernels, where the label ray itself is a null direction.
     """
     if space.kind in _CHARTS:
         chart = chart_for(space, z)
         return chart.scalar_metric(chart.coords(z)[0]) * np.eye(chart.dim)
     if space.base is not None:  # power space: n times the base metric
-        return space.descriptor["n"] * kahler_metric(space.base, z, fd_step)
+        return space.descriptor["n"] * kahler_metric(space.base, z)
 
     dim = space.label_dim
-    h = fd_step
+    h = METRIC_FD_STEP
 
     def logk(a, b):
         return np.log(eval_kernel(space, Point(a), Point(b)))
@@ -336,7 +356,7 @@ def kahler_metric(space: KernelSpace, z: Point, fd_step: float = 1e-3) -> np.nda
     eigs, vecs = np.linalg.eigh(g)
     tr = float(np.trace(g).real)
     log_scale = max(1.0, abs(logk(z.coords, z.coords)))
-    floor = max(1e-12 * max(tr, 1e-300), 32.0 * np.finfo(float).eps * log_scale / fd_step ** 2)
+    floor = max(1e-12 * max(tr, 1e-300), 32.0 * np.finfo(float).eps * log_scale / h ** 2)
     if eigs[0] < floor:
         null = [vecs[:, i] for i in range(dim) if eigs[i] < floor]
         raise DegenerateMetricError(
@@ -357,15 +377,16 @@ def tdvp_rhs(chart, energy: ExpectationFunction, hbar: float):
     return rhs
 
 
-def charted_solve(chart, rhs_for, y, t_span, flip, rtol, atol, t_eval=None, monitor=None):
+def charted_solve(chart, rhs_for, y, t_span, rtol, atol, t_eval=None, monitor=None):
     """Integrate across chart switches from t_span[0] to t_span[1].
 
     On a sphere chart the solve halts once |y[0]| > CHART_SWITCH_RADIUS, maps
-    the state into the flipped chart with `flip(y)` and continues there with
-    `rhs_for(chart)`.  `t_eval` samples are recorded by the segment that
-    reaches them; `monitor(chart, t, y)` runs after every accepted step and
-    may raise.  Returns the (chart, RKSolution) segments, and the chart and
-    state at t1 (flipped when the last step itself crossed the radius).
+    the state (w, *tangents) into the flipped chart with `chart.transition`
+    and continues there with `rhs_for(chart)`.  `t_eval` samples are recorded
+    by the segment that reaches them; `monitor(chart, t, y)` runs after every
+    accepted step and may raise.  Returns the (chart, RKSolution) segments,
+    and the chart and state at t1 (flipped when the last step itself crossed
+    the radius).
     """
     t_cur, t1 = float(t_span[0]), float(t_span[1])
     remaining = None if t_eval is None else [float(t) for t in t_eval]
@@ -386,7 +407,7 @@ def charted_solve(chart, rhs_for, y, t_span, flip, rtol, atol, t_eval=None, moni
             remaining = remaining[len(sol.times):]
         if not sol.halted:
             return segments, chart, y
-        chart, y = chart.flipped(), flip(y)
+        chart, y = chart.flipped(), chart.transition(y)
         if t_cur >= t1 - 1e-15 * max(1.0, abs(t1)):
             return segments, chart, y
 
@@ -400,12 +421,11 @@ def dirac_frenkel_flow(
     rtol: float = 1e-9,
     atol: float = 1e-12,
     hbar: float = 1.0,
-    drift_limit: float = ENERGY_DRIFT_LIMIT,
 ) -> Trajectory:
     """Variational flow in the space's chart; chart switches are automatic.
 
     Energy is monitored at every accepted step; relative drift beyond
-    `drift_limit` raises IntegratorFailure with the observed drift, and the
+    ENERGY_DRIFT_LIMIT raises IntegratorFailure with the observed drift, and the
     largest relative drift is returned as `Trajectory.energy_drift`.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -420,16 +440,15 @@ def dirac_frenkel_flow(
     def monitor(ch, t, uu):
         nonlocal worst
         dev = abs(energy.chart_value(ch, uu) - h0)
-        if dev > drift_limit * h_scale:
+        if dev > ENERGY_DRIFT_LIMIT * h_scale:
             raise IntegratorFailure(
-                f"energy drift {dev:.3e} exceeds {drift_limit:.1e} x |h| "
+                f"energy drift {dev:.3e} exceeds {ENERGY_DRIFT_LIMIT:.1e} x |h| "
                 f"at t = {t:.6g}; tighten rtol"
             )
         worst = max(worst, dev)
 
     segments, _, _ = charted_solve(chart, lambda ch: tdvp_rhs(ch, energy, hbar), u, (t0, t1),
-                                   SphereChart.transition, rtol, atol,
-                                   t_eval=t_eval, monitor=monitor)
+                                   rtol, atol, t_eval=t_eval, monitor=monitor)
     coords = np.concatenate([ch.labels(sol.states) for ch, sol in segments])
     return Trajectory(
         space=space,

@@ -82,8 +82,7 @@ def _unitary(rng, d):
 
 def _linear_spec(u):
     return CoherentMapSpec(forward=linear_point_map(u),
-                           adjoint=linear_point_map(u.conj().T),
-                           linear_rep=u)
+                           adjoint=linear_point_map(u.conj().T))
 
 
 # ---------------------------------------------------------------- 1: PSD

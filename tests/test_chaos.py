@@ -7,6 +7,8 @@ classical oracle: the period map, and Benettin exponents in the chaotic
 (k = 3, lambda ~ 0.35) and regular (k = 0.5, lambda ~ 0) regimes.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ from cohspace.tdvp import (
     bloch_vector,
     chart_for,
 )
-from cohspace.chaos import _flip_tangent, _integrate_tangent, _linearized_field, _metric_len
+from cohspace.chaos import _integrate_tangent, _linearized_field, _metric_len
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) / 2
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]]) / 2
@@ -86,7 +88,7 @@ def test_exact_period_matches_integrated_precession():
                 ell = _metric_len(ch_i, wi, di)
                 assert abs(_metric_len(ch, wg, dg) - ell) <= 1e-10 * ell
                 if ch_i.south != ch.south:   # the tangent itself, in the exact map's chart
-                    wi, di = _flip_tangent(np.array([wi, di]))
+                    wi, di = SphereChart.transition(np.array([wi, di]))
                 assert abs(dg - di) <= 1e-10 * abs(di)
                 cases.add((chart.south, switched))
     assert cases == {(False, 0), (False, 1), (True, 0), (True, 1)}
@@ -167,6 +169,32 @@ def test_regular_top_exponent():
     assert abs(res.exponent) < 0.02
     classical = kicked_top_classical_lyapunov(BLOCH0, 0.5, PREC, 500)
     assert abs(res.exponent - classical) <= 0.005
+
+
+@pytest.mark.parametrize("system", ["kicked", "continuous"])
+def test_segment_times_and_running_means(monkeypatch, system):
+    # times are the sequential sums of the segment length, bit for bit; each
+    # running estimate is the sum of the logged metric lengths over its time
+    from cohspace import chaos
+
+    lengths = []
+    monkeypatch.setattr(chaos, "_metric_len",
+                        lambda *args: lengths.append(_metric_len(*args)) or lengths[-1])
+    if system == "kicked":
+        res = lyapunov_kicked(KickedTop(6, 3.0, PREC), spinor_from_bloch(BLOCH0), n_periods=12)
+        want = np.arange(1, 13, dtype=float)
+    else:
+        res = lyapunov_continuous(spin_space(4), MatrixExpectation(1.3 * SpinRep(4).dgamma(SX)),
+                                  spinor_from_bloch(BLOCH0), t_total=0.8, resample=0.1)
+        want, t = [], 0.0
+        for _ in range(8):
+            t += 0.1
+            want.append(t)
+        want = np.array(want)
+    assert res.times.tobytes() == want.tobytes()
+    logs = [math.log(ell) for ell in lengths[1:]]   # lengths[0] normalizes the seed tangent
+    assert len(logs) == res.segments
+    assert res.running.tobytes() == (np.cumsum(logs) / want).tobytes()
 
 
 def test_continuous_integrable_flow():

@@ -98,7 +98,7 @@ def test_time_dependent_flow_lift(monkeypatch):
     def gen(t):
         return np.diag([0.5, -0.5]).astype(complex) * (1.0 + 0.5 * math.sin(t))
 
-    flow = LinearHamiltonianFlow(gen, hbar=1.0, time_dependent=True)
+    flow = LinearHamiltonianFlow(gen, hbar=1.0)
     z = Point(np.array([1.0, 0.4 + 0.2j]) / np.linalg.norm([1.0, 0.4 + 0.2j]))
     traj = coherent_flow(sp, flow, z, (0.0, 5.0), t_eval=np.linspace(0, 5, 11),
                          rtol=1e-11, atol=1e-14)
@@ -175,8 +175,7 @@ def test_time_independent_flows_never_call_the_integrator(monkeypatch):
                                      [alg.basis_vector(k) for k in (1, 2, 3)], (0.0, 4.0))
     assert tab.values.shape == (201, 3) and tab.final_cross_check <= 1e-8
     # a time-dependent generator still takes the RK route
-    flow = LinearHamiltonianFlow(lambda t: np.diag([0.5, -0.5]).astype(complex) * (1.0 + t),
-                                 time_dependent=True)
+    flow = LinearHamiltonianFlow(lambda t: np.diag([0.5, -0.5]).astype(complex) * (1.0 + t))
     with pytest.raises(AssertionError, match="solve_rk45 called"):
         coherent_flow(sp, flow, z, (0.0, 1.0))
 

@@ -11,6 +11,7 @@ from cohspace.kernels import (
     Point,
     check_coherence,
     check_coherent_map,
+    check_stack,
     classical_limit_space,
     cross_gram,
     debranges_space,
@@ -102,6 +103,15 @@ def test_euclidean_subset_restriction_matches_trivial():
     rng = np.random.default_rng(RNG_SEED)
     pts = sample_points(sub, rng, 8)
     assert np.array_equal(gram_matrix(sub, pts), gram_matrix(triv, pts))
+
+
+def test_euclidean_subset_samples_lie_in_their_own_ball():
+    rng = np.random.default_rng(RNG_SEED)
+    for radius in (0.5, 3.0):
+        sub = euclidean_subset(2, radius=radius)
+        coords = np.array([p.coords for p in sample_points(sub, rng, 200)])
+        check_stack(sub, coords)   # raises on a sample outside the closed ball
+    assert np.linalg.norm(coords, axis=1).max() > 1.0   # radius 3 reaches past the unit ball
 
 
 def test_euclidean_subset_rejects_outside_points():

@@ -38,8 +38,7 @@ def rand_unitary(rng, n):
 
 def linear_spec(m, adjoint=None):
     return CoherentMapSpec(forward=linear_point_map(m),
-                           adjoint=None if adjoint is None else linear_point_map(adjoint),
-                           linear_rep=np.asarray(m, dtype=complex))
+                           adjoint=None if adjoint is None else linear_point_map(adjoint))
 
 
 def circle_klauder_basis(n=12, radius=0.9):
