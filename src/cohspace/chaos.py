@@ -200,7 +200,10 @@ def lyapunov_continuous(space: KernelSpace, energy: ExpectationFunction, z0: Poi
                         rtol: float = 1e-10, atol: float = 1e-12, hbar: float = 1.0,
                         seed: int = 7) -> LyapunovResult:
     """Benettin estimate for an autonomous variational flow (per unit time)."""
-    n_seg = int(round(t_total / resample))
+    ratio = t_total / resample if resample > 0 else 0.0
+    n_seg = round(ratio)
+    if abs(ratio - n_seg) > 1e-9 * abs(ratio):
+        raise ConfigError(f"'t_total' ({t_total}) must be a whole multiple of 'resample' ({resample})")
     if n_seg < 4:
         raise ConfigError("need at least 4 renormalization segments")
     chart = chart_for(space, z0)

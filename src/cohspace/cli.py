@@ -6,9 +6,10 @@ included — plus a SHA-256 of the payload, so a report and its input files
 reproduce the run bit for bit.  Writes are atomic (temp file + rename).
 
 Each command is declared once, in SCHEMA: its handler, its default payload
-format and its config fields.  The argparse flags, the config checks (an
-unknown key or a value of the wrong type is a configuration error) and the
-defaults all come from that table.
+format and its config fields.  The argparse flags, the config checks and the
+defaults all come from that table.  The config and every descriptor in it
+pass errors.check_fields: an unknown key, a missing required key or a value
+of the wrong type is a configuration error that names the key ("space.dim").
 
 Each handler maps the effective config to (payload, summary, warnings).
 The payload is lazy, {"csv": thunk, "json": thunk}, and run calls only the
@@ -32,7 +33,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import os
 import sys
 import time
@@ -40,7 +40,8 @@ from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from . import io as artifacts
-from .errors import ConfigError, DomainError, NumericalError
+from .errors import (REQUIRED, TYPES, ConfigError, DomainError, NumericalError, check_fields,
+                     check_value, from_descriptor)
 
 _BLAS_VARS = (
     "OMP_NUM_THREADS",
@@ -49,20 +50,6 @@ _BLAS_VARS = (
     "VECLIB_MAXIMUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
-
-# A config field is (key, type, default).  A default of None leaves the key
-# to the library's own default (it is passed on only when set); REQUIRED
-# makes a missing key a configuration error.  A null value means "not set".
-REQUIRED = object()
-
-# field type -> (conversion of flag text and of config values, accepted
-# config value class, what the error message asks for); any other type is
-# "json": flag text parsed as JSON, falling back to a bare string.
-_TYPES = {
-    "int": (int, numbers.Integral, "an integer"),
-    "float": (float, numbers.Real, "a number"),
-    "str": (str, str, "a string"),
-}
 
 # keys every command takes; "format" defaults to the command's own format
 _COMMON = (
@@ -84,7 +71,7 @@ def _pin_threads(cfg: dict) -> None:
     val = cfg.get("threads")
     if val is None:
         val = _parse_flag(os.environ.get("COHSPACE_THREADS", "1"), "int", "COHSPACE_THREADS")
-    n = _checked("threads", "int", val)
+    n = check_value("threads", "int", val)
     if n < 1:
         raise ConfigError(f"threads must be a positive integer, got {val!r}")
     cfg["threads"] = n
@@ -95,26 +82,16 @@ def _pin_threads(cfg: dict) -> None:
 # ------------------------------------------------------ fields and values
 
 
-def _checked(key: str, kind: str, value):
-    """A config value of the field's type (floats as float), else ConfigError."""
-    if kind not in _TYPES:
-        return value
-    convert, accepted, noun = _TYPES[kind]
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ConfigError(f"{key!r} must be {noun}, got {value!r}")
-    return convert(value)
-
-
 def _numbers(value, key: str, n: int) -> list:
     """A list of n numbers as floats, else ConfigError naming the key."""
     if not (isinstance(value, (list, tuple)) and len(value) == n):
         raise ConfigError(f"{key!r} must be a list of {n} numbers, got {value!r}")
-    return [_checked(key, "float", v) for v in value]
+    return [check_value(key, "float", v) for v in value]
 
 
 def _parse_flag(raw: str, kind: str, key: str):
-    if kind in _TYPES:
-        convert, _, noun = _TYPES[kind]
+    if kind in TYPES:
+        convert, _, noun = TYPES[kind]
         try:
             return convert(raw)
         except ValueError:
@@ -141,24 +118,12 @@ def _effective(command: str, config: dict) -> dict:
     fields = _COMMON + entry.fields
     if entry.systems is not None:  # the chosen system adds its own fields
         system = config.get("system")
-        system = entry.fields[0][2] if system is None else _checked("system", "str", system)
+        system = entry.fields[0][2] if system is None else check_value("system", "str", system)
         if system not in entry.systems:
             raise ConfigError(f"unknown system {system!r} ({' or '.join(entry.systems)})")
         fields += entry.systems[system][1]
-    accepted = sorted(["command"] + [key for key, _, _ in fields])
-    unknown = sorted(set(config) - set(accepted))
-    if unknown:
-        raise ConfigError(f"{command}: unknown key {', '.join(map(repr, unknown))}; "
-                          f"accepted keys: {', '.join(accepted)}")
-    cfg = {"command": command}
-    for key, kind, default in fields:
-        value = config.get(key)
-        if value is not None:
-            cfg[key] = _checked(key, kind, value)
-        elif default is REQUIRED:
-            raise ConfigError(f"{command}: missing required key {key!r}")
-        elif default is not None:
-            cfg[key] = default
+    given = {key: value for key, value in config.items() if key != "command"}
+    cfg = {"command": command, **check_fields("", given, fields)}
     cfg.setdefault("format", entry.format)
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be 'csv' or 'json', got {cfg['format']!r}")
@@ -221,24 +186,10 @@ def _assemble_config(args) -> dict:
 # ------------------------------------------------------- shared builders
 
 
-def _kind_of(spec, table: dict, what: str):
-    """(table entry, descriptor) for a {"kind": ...} descriptor; a bare
-    string names the kind."""
-    if isinstance(spec, str):
-        spec = {"kind": spec}
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"{what!r} must be an object with a 'kind'")
-    kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in table:
-        raise ConfigError(f"unknown {what} kind {kind!r} ({', '.join(table)})")
-    return table[kind], spec
-
-
 def _space_of(cfg):
     from .kernels import space_from_descriptor
 
-    desc = cfg["space"]
-    return space_from_descriptor({"kind": desc} if isinstance(desc, str) else desc)
+    return space_from_descriptor(cfg["space"])
 
 
 def _coords_array(coords, name):
@@ -251,7 +202,7 @@ def _coords_array(coords, name):
         if isinstance(c, (list, tuple)):
             out.append(complex(*_numbers(c, name, 2)))
         else:
-            out.append(complex(_checked(name, "float", c)))
+            out.append(complex(check_value(name, "float", c)))
     return np.array(out, dtype=complex)
 
 
@@ -259,13 +210,10 @@ def _point_of(data, name):
     from .kernels import Point
 
     if isinstance(data, dict):
-        coords = data.get("coords")
-        if coords is None:
-            raise ConfigError(f"{name}: point object needs 'coords'")
-        mult = data.get("multiplier")
-        if mult is not None:
-            mult = complex(*_numbers(mult, f"{name}.multiplier", 2))
-        return Point(_coords_array(coords, name), mult)
+        point = check_fields(name, data, (("coords", "json", REQUIRED), ("multiplier", "json", None)))
+        mult = point.get("multiplier")
+        return Point(_coords_array(point["coords"], name),
+                     None if mult is None else complex(*_numbers(mult, f"{name}.multiplier", 2)))
     if isinstance(data, (list, tuple)):
         return Point(_coords_array(data, name))
     raise ConfigError(f"{name}: must be a coordinate list or an object with 'coords'")
@@ -290,10 +238,7 @@ def _points_of(cfg, space):
     return sample_points(space, rng, count)
 
 
-def _matrix_of(spec, key):
-    data = spec.get(key)
-    if data is None:
-        raise ConfigError(f"missing '{key}' matrix")
+def _matrix_of(data, key):
     m = artifacts.pairs_to_complex(data)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ConfigError(f"'{key}' must be a square matrix of [re, im] pairs")
@@ -314,32 +259,30 @@ def _t_eval_of(cfg):
     return (t0, t1), np.linspace(t0, t1, cfg["samples"])
 
 
-def _matrix_energy(spec, space):
-    from .tdvp import MatrixExpectation
-
-    return MatrixExpectation(_matrix_of(spec, "matrix"))
-
-
-def _spin_axis_energy(spec, space):
+def _spin_axis_hamiltonian(space, axis, coeff=1.0):
     from .liealg import pauli_matrices
     from .reps import SpinRep
-    from .tdvp import MatrixExpectation
 
     if space.kind not in ("spin", "spin_t"):
         raise ConfigError("spin_axis energies need a spin space")
-    x, y, z = _numbers(spec.get("axis"), "energy.axis", 3)
-    coeff = _checked("energy.coeff", "float", spec.get("coeff", 1.0))
+    x, y, z = _numbers(axis, "energy.axis", 3)
     sx, sy, sz = (s / 2 for s in pauli_matrices())
     rep = SpinRep(int(space.descriptor["exponent"]))
-    return MatrixExpectation(rep.dgamma(coeff * (x * sx + y * sy + z * sz)))
+    return rep.dgamma(coeff * (x * sx + y * sy + z * sz))
 
 
-_ENERGIES = {"matrix": _matrix_energy, "spin_axis": _spin_axis_energy}
+# energy kind -> (Hamiltonian matrix from (space, **fields), fields)
+_ENERGIES = {
+    "matrix": (lambda space, matrix: _matrix_of(matrix, "energy.matrix"),
+               (("matrix", "json", REQUIRED),)),
+    "spin_axis": (_spin_axis_hamiltonian, (("axis", "json", REQUIRED), ("coeff", "float", None))),
+}
 
 
 def _energy_of(cfg, space):
-    build, spec = _kind_of(cfg["energy"], _ENERGIES, "energy")
-    return build(spec, space)
+    from .tdvp import MatrixExpectation
+
+    return MatrixExpectation(from_descriptor(cfg["energy"], _ENERGIES, "energy", space))
 
 
 def _columns(columns, **extra):
@@ -426,14 +369,13 @@ def _h_qspace_build(cfg):
     return payload, summary, []
 
 
-def _linear_map(spec):
+def _linear_map(matrix, renormalize=False):
     from .kernels import linear_point_map
 
-    return linear_point_map(_matrix_of(spec, "matrix"),
-                            renormalize=bool(spec.get("renormalize", False)))
+    return linear_point_map(_matrix_of(matrix, "map.matrix"), renormalize)
 
 
-_MAPS = {"linear": _linear_map}
+_MAPS = {"linear": (_linear_map, (("matrix", "json", REQUIRED), ("renormalize", "json", None)))}
 
 
 def _h_quantize(cfg):
@@ -443,8 +385,7 @@ def _h_quantize(cfg):
     space = _space_of(cfg)
     pts = _points_of(cfg, space)
     qb = build_quantum_space(space, pts)
-    build, spec = _kind_of(cfg["map"], _MAPS, "map")
-    op = quantize_map(qb, build(spec), **_given(cfg, "tol"))
+    op = quantize_map(qb, from_descriptor(cfg["map"], _MAPS, "map"), **_given(cfg, "tol"))
     summary = {"residual": float(op.residual), "rank": int(qb.rank)}
     names = (f"g{j}" for j in range(op.matrix.shape[0]))
     payload = _columns([(_pair_columns(names), "matrix", op.matrix)],
@@ -456,7 +397,7 @@ def _h_dyn_coherent(cfg):
     from .dynamics import LinearHamiltonianFlow, coherent_flow
 
     space = _space_of(cfg)
-    flow = LinearHamiltonianFlow(_matrix_of(cfg, "generator"), hbar=cfg["hbar"])
+    flow = LinearHamiltonianFlow(_matrix_of(cfg["generator"], "generator"), hbar=cfg["hbar"])
     z0 = _point_of(cfg["z0"], "z0")
     t_span, t_eval = _t_eval_of(cfg)
     traj = coherent_flow(space, flow, z0, t_span, t_eval)
@@ -519,34 +460,24 @@ def _h_dyn_lyapunov(cfg):
     return payload, dict(summary, segments=int(res.segments)), []
 
 
-# model kind -> (factory in spectra, parameter types)
+# model kind -> (factory of (the spectra module, **fields), fields)
 _MODELS = {
-    "oscillator": ("oscillator_model", {"omega": "float", "hbar": "float", "n_max": "int"}),
-    "coulomb": ("coulomb_model",
-                {"mass": "float", "alpha": "float", "hbar": "float", "n_max": "int"}),
-    "free_particle": ("free_particle_model", {"mass": "float", "c": "float", "p_max": "float"}),
+    "oscillator": (lambda spectra, **params: spectra.oscillator_model(**params), (
+        ("omega", "float", None), ("hbar", "float", None), ("n_max", "int", None))),
+    "coulomb": (lambda spectra, **params: spectra.coulomb_model(**params), (
+        ("mass", "float", None), ("alpha", "float", None), ("hbar", "float", None),
+        ("n_max", "int", None))),
+    "free_particle": (lambda spectra, **params: spectra.free_particle_model(**params), (
+        ("mass", "float", None), ("c", "float", None), ("p_max", "float", None))),
 }
 
 
-def _model_of(cfg):
+def _h_spec_solve(cfg):
     from . import spectra
 
-    (factory, params), spec = _kind_of(cfg["model"], _MODELS, "model")
-    kwargs = {k: v for k, v in spec.items() if k != "kind"}
-    unknown = sorted(set(kwargs) - set(params))
-    if unknown:
-        raise ConfigError(f"model {spec['kind']!r}: unknown parameter "
-                          f"{', '.join(map(repr, unknown))} ({', '.join(params)})")
-    return getattr(spectra, factory)(
-        **{k: _checked(f"model.{k}", params[k], v) for k, v in kwargs.items()})
-
-
-def _h_spec_solve(cfg):
-    from .spectra import solve_implicit_spectrum
-
-    model = _model_of(cfg)
+    model = from_descriptor(cfg["model"], _MODELS, "model", spectra)
     interval = tuple(_numbers(cfg["interval"], "interval", 2))
-    res = solve_implicit_spectrum(model, interval, **_given(cfg, "tol", "grid"))
+    res = spectra.solve_implicit_spectrum(model, interval, **_given(cfg, "tol", "grid"))
     header = ["kind", "branch", "energy_lo", "energy_hi", "residual"]
     rows = ([("discrete", n, e, e, r) for n, e, r in res.discrete]
             + [("continuous", -1, lo, hi, "") for lo, hi in res.continuous])
@@ -568,9 +499,7 @@ def _algebra_of(cfg):
     spec = cfg["algebra"]
     if isinstance(spec, str):
         if spec not in CATALOG:
-            raise ConfigError(
-                f"unknown algebra {spec!r}; catalog: {', '.join(sorted(CATALOG))}"
-            )
+            raise ConfigError(f"unknown algebra {spec!r}; catalog: {', '.join(sorted(CATALOG))}")
         return CATALOG[spec]()
     if isinstance(spec, dict):
         return algebra_from_descriptor(spec), None
@@ -586,9 +515,7 @@ def _coeff_vector(data, algebra, what):
         return algebra.basis_vector(algebra.basis_names.index(data))
     v = artifacts.pairs_to_complex(data)
     if v.ndim != 1 or v.shape[0] != algebra.dim:
-        raise ConfigError(
-            f"{what}: expected {algebra.dim} coefficient pairs, got shape {v.shape}"
-        )
+        raise ConfigError(f"{what}: expected {algebra.dim} coefficient pairs, got shape {v.shape}")
     return np.asarray(v)
 
 

@@ -1,13 +1,18 @@
-"""Exception types shared across the package.
+"""Exception types and the one input rule shared across the package.
 
 Everything that represents a *domain* failure (bad point, kernel not PSD,
 state escaping a span, step-size trouble, ...) derives from DomainError so
 the CLI can map it to exit code 1 with a structured message.  Genuine
-configuration problems (unparseable JSON, unknown kind) are ConfigError and
-map to exit code 2.  ``check_sample_times`` checks every time grid.
+configuration problems (unparseable JSON, unknown kind or key, ill-typed
+value) are ConfigError and map to exit code 2.  ``check_fields`` checks every
+input object (the config and each descriptor in it) against its (key, type,
+default) fields, ``from_descriptor`` builds an object from a {"kind": ...}
+descriptor, and ``check_sample_times`` checks every time grid.
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class DomainError(Exception):
@@ -21,6 +26,65 @@ class DomainError(Exception):
 
 class ConfigError(Exception):
     """Malformed configuration / unknown names; CLI exit code 2."""
+
+
+# A field is (key, type, default).  A default of None leaves the key to the
+# factory's own default (it is passed on only when set); REQUIRED makes a
+# missing key a configuration error.  A null value means "not set".
+REQUIRED = object()
+# field type -> (conversion of flag text and of values, accepted value class,
+# what the error message asks for); any other type ("json") is taken as is.
+TYPES = {
+    "int": (int, numbers.Integral, "an integer"),
+    "float": (float, numbers.Real, "a number"),
+    "str": (str, str, "a string"),
+}
+
+
+def check_value(key: str, kind: str, value):
+    """A value of the field's type (floats as float), else ConfigError."""
+    if kind not in TYPES:
+        return value
+    convert, accepted, noun = TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{key!r} must be {noun}, got {value!r}")
+    return convert(value)
+
+
+def check_fields(what: str, given: dict, fields) -> dict:
+    """given checked against fields (no unknown key, no missing required key,
+    each value of its type), with defaults filled in and unset optional keys
+    left out.  Errors name a key under the prefix what ("space.dim"), if any."""
+    prefix = f"{what}." if what else ""
+    accepted = sorted(key for key, _, _ in fields)
+    unknown = sorted(set(given) - set(accepted))
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(repr(prefix + k) for k in unknown)}; "
+                          f"accepted keys: {', '.join(accepted) or 'none'}")
+    out = {}
+    for key, kind, default in fields:
+        value = given.get(key)
+        if value is not None:
+            out[key] = check_value(prefix + key, kind, value)
+        elif default is REQUIRED:
+            raise ConfigError(f"missing required key {prefix + key!r}")
+        elif default is not None:
+            out[key] = default
+    return out
+
+
+def from_descriptor(spec, table: dict, what: str, *args):
+    """factory(*args, **checked fields) for a {"kind": ...} descriptor (a bare
+    string names the kind), with table mapping each kind to (factory, fields)."""
+    spec = {"kind": spec} if isinstance(spec, str) else spec
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ConfigError(f"{what!r} must be an object with a 'kind'")
+    given = dict(spec)
+    kind = given.pop("kind")
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"unknown {what} kind {kind!r} ({', '.join(table)})")
+    factory, fields = table[kind]
+    return factory(*args, **check_fields(what, given, fields))
 
 
 def check_sample_times(t0: float, t1: float, t_eval) -> list[float] | None:

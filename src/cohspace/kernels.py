@@ -26,7 +26,7 @@ antiholomorphic in the first slot, such that every finite Gram matrix
 
 Each factory states once, over stacked label coordinates, its kernel
 (n, d) x (m, d) -> (n, m) and its point constraint and domain (n, d) -> (n,),
-plus a one-point sampler; ``_CATALOG`` maps each kind to its descriptor parser.
+plus a one-point sampler; ``_CATALOG`` maps each kind to (factory, fields).
 ``check_stack`` checks a stack in one pass (``validate_point`` is one row),
 ``cross_gram`` applies the kernel to two point lists (line-bundle multipliers
 included), ``gram_matrix`` mirrors its upper triangle for Hermitian kernels,
@@ -44,10 +44,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    REQUIRED,
     CoherenceViolationError,
     ConfigError,
     InvalidPointError,
     NumericalError,
+    from_descriptor,
 )
 
 POINT_TOL = 1e-12          # constraint residual accepted as "on the manifold"
@@ -570,37 +572,35 @@ def heisenberg_space(modes: int = 1, hbar: float = 1.0) -> KernelSpace:
     )
 
 
-# kind -> descriptor parser
-_CATALOG: dict[str, Callable[[dict], KernelSpace]] = {
-    "trivial": lambda d: trivial_space(int(d["dim"])),
-    "euclidean_subset": lambda d: euclidean_subset(int(d["dim"]), float(d.get("radius", 1.0))),
-    "klauder": lambda d: klauder_space(int(d.get("modes", 1))),
-    "spin": lambda d: spin_space(float(d["exponent"])),
-    "spin_t": lambda d: spin_t_space(int(d["exponent"])),
-    "classical_limit": lambda d: classical_limit_space(int(d["dim"])),
-    "power": lambda d: power_space(space_from_descriptor(d["base"]), int(d["n"])),
-    "debranges": lambda d: debranges_space(
-        [complex(re, im) for re, im in d.get("coeffs", [[0.0, 1.0], [1.0, 0.0]])]),
-    "moebius": lambda d: moebius_space(),
-    "discrete": lambda d: discrete_space(
-        np.array([[complex(re, im) for re, im in row] for row in d["table"]])),
-    "icosahedron": lambda d: icosahedron_space(),
-    "heisenberg": lambda d: heisenberg_space(int(d.get("modes", 1)), float(d.get("hbar", 1.0))),
+_DIM = ("dim", "int", REQUIRED)
+_MODES = ("modes", "int", None)
+# kind -> (factory, descriptor fields); unset optional fields take its defaults
+_CATALOG: dict[str, tuple[Callable[..., KernelSpace], tuple]] = {
+    "trivial": (trivial_space, (_DIM,)),
+    "euclidean_subset": (euclidean_subset, (_DIM, ("radius", "float", None))),
+    "klauder": (klauder_space, (_MODES,)),
+    "spin": (spin_space, (("exponent", "float", REQUIRED),)),
+    "spin_t": (spin_t_space, (("exponent", "int", REQUIRED),)),
+    "classical_limit": (classical_limit_space, (_DIM,)),
+    "power": (lambda base, n: power_space(from_descriptor(base, _CATALOG, "space.base"), n),
+              (("base", "json", REQUIRED), ("n", "int", REQUIRED))),
+    "debranges": (lambda coeffs: debranges_space([complex(re, im) for re, im in coeffs]),
+                  (("coeffs", "json", ((0.0, 1.0), (1.0, 0.0))),)),
+    "moebius": (moebius_space, ()),
+    "discrete": (lambda table: discrete_space(np.array([[complex(re, im) for re, im in row]
+                                                        for row in table])),
+                 (("table", "json", REQUIRED),)),
+    "icosahedron": (icosahedron_space, ()),
+    "heisenberg": (heisenberg_space, (_MODES, ("hbar", "float", None))),
 }
 
 
-def space_from_descriptor(desc: dict) -> KernelSpace:
-    """Build a catalog space from its JSON descriptor (round-trips with .descriptor)."""
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError("space descriptor must be a dict with a 'kind' field")
-    kind = desc["kind"]
-    parse = _CATALOG.get(kind) if isinstance(kind, str) else None
-    if parse is None:
-        raise ConfigError(f"unknown kernel kind '{kind}'")
+def space_from_descriptor(desc) -> KernelSpace:
+    """A catalog space from its JSON descriptor or kind name (round-trips with .descriptor)."""
     try:
-        return parse(desc)
+        return from_descriptor(desc, _CATALOG, "space")
     except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad descriptor for kind '{kind}': {exc}") from exc
+        raise ConfigError(f"bad space descriptor: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -34,12 +34,14 @@ from typing import Callable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
+    REQUIRED,
     AlgebraAxiomError,
     ClosureError,
     ConfigError,
     OutOfSpanError,
     PreconditionError,
     StatePositivityError,
+    check_fields,
     check_sample_times,
 )
 from .reps import propagate_eig
@@ -738,21 +740,25 @@ def algebra_descriptor(algebra: LieStarAlgebra) -> dict:
     }
 
 
+_DESCRIPTOR = (("name", "str", REQUIRED), ("dim", "int", REQUIRED), ("basis", "json", REQUIRED),
+               ("unit_index", "int", None), ("convention", "str", None), ("hbar", "float", None),
+               ("structure", "json", REQUIRED), ("involution", "json", REQUIRED))
+
+
 def algebra_from_descriptor(data: Mapping) -> LieStarAlgebra:
+    """The algebra of a descriptor as algebra_descriptor writes it."""
+    spec = check_fields("algebra", data, _DESCRIPTOR)
+    dim = spec.pop("dim")
     try:
-        dim = int(data["dim"])
-        names = tuple(str(s) for s in data["basis"])
-        unit_index = int(data.get("unit_index", 0))
-        convention = str(data.get("convention", "quantum"))
-        hbar = float(data.get("hbar", 1.0))
+        names = tuple(str(s) for s in spec.pop("basis"))
         c = np.zeros((dim, dim, dim), dtype=complex)
-        for a, b, cc, re, im in data["structure"]:
+        for a, b, cc, re, im in spec.pop("structure"):
             c[int(a), int(b), int(cc)] = float(re) + 1j * float(im)
         m = np.zeros((dim, dim), dtype=complex)
-        for a, b, re, im in data["involution"]:
+        for a, b, re, im in spec.pop("involution"):
             m[int(a), int(b)] = float(re) + 1j * float(im)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError) as exc:
         raise ConfigError(f"bad algebra descriptor: {exc}") from None
     if len(names) != dim:
         raise ConfigError(f"descriptor lists {len(names)} basis names for dim {dim}")
-    return LieStarAlgebra(str(data["name"]), names, c, m, unit_index, convention, hbar)
+    return LieStarAlgebra(basis_names=names, structure=c, involution=m, **spec)

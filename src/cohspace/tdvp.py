@@ -39,6 +39,7 @@ from .dynamics import Trajectory
 CHART_SWITCH_RADIUS = 2.0
 ENERGY_DRIFT_LIMIT = 1e-6
 ENERGY_FD_STEP = 1e-6     # central-difference step of CallableExpectation
+FLAT_CHART_CUTOFF = 64    # Fock levels of the Klauder chart embedding
 METRIC_FD_STEP = 1e-3     # finite-difference step of the generic Kaehler metric
 
 
@@ -132,11 +133,10 @@ class SphereChart:
 class FlatChart:
     """Klauder zeta-chart: metric identically the identity; z0 is a spectator."""
 
-    def __init__(self, modes: int, z0: complex = 0.0, cutoff: int = 64):
+    def __init__(self, modes: int, z0: complex = 0.0):
         self.modes = int(modes)
         self.z0 = complex(z0)
-        self.cutoff = int(cutoff)
-        n = np.arange(self.cutoff)
+        n = np.arange(FLAT_CHART_CUTOFF)
         self._fact = np.cumprod(np.concatenate([[1.0], np.sqrt(np.maximum(n[1:], 1))]))
         self._table = _derivative_table(np.exp(self.z0), n)
 

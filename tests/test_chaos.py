@@ -220,6 +220,14 @@ def test_continuous_linear_flow_zero_exponent():
     assert abs(res.exponent) < 1e-9
 
 
+@pytest.mark.parametrize("t_total", [2.0, 1.3])
+def test_segment_count_must_be_whole(t_total):
+    # resample 0.3 divides neither: 2.0 used to run to t = 2.1, and 1.3 to t = 1.2
+    with pytest.raises(ConfigError, match="'t_total'.*'resample'"):
+        lyapunov_continuous(spin_space(4), MatrixExpectation(1.3 * SpinRep(4).dgamma(SX)),
+                            spinor_from_bloch(BLOCH0), t_total=t_total, resample=0.3)
+
+
 def test_config_errors():
     with pytest.raises(ConfigError):
         KickedTop(0, 1.0, 1.0)

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cohspace import cli
+from cohspace import cli, kernels, liealg
 from cohspace.kernels import Point, eval_kernel, space_from_descriptor
 from cohspace.liealg import algebra_from_descriptor
 
@@ -315,6 +315,7 @@ def test_emitted_descriptors_accepted_back(tmp_path, monkeypatch, capsys):
 
 
 def _doc_keys(fields):
+    """A field table as formats.md renders it; an empty table is a dash."""
     cells = []
     for key, kind, default in fields:
         if default is cli.REQUIRED:
@@ -323,7 +324,7 @@ def _doc_keys(fields):
             cells.append(f"`{key}` {kind}")
         else:
             cells.append(f"`{key}` {kind} = `{json.dumps(default)}`")
-    return "; ".join(cells)
+    return "; ".join(cells) or "—"
 
 
 def test_formats_md_documents_the_schema():
@@ -335,6 +336,11 @@ def test_formats_md_documents_the_schema():
         assert f"| `{command}` | {_doc_keys(entry.fields)} |" in doc, command
         for system, (_, fields) in (entry.systems or {}).items():
             assert f"| `{command}`, system `{system}` | {_doc_keys(fields)} |" in doc, system
+    # every descriptor kind, one row each, and the algebra descriptor
+    for table in (kernels._CATALOG, cli._ENERGIES, cli._MAPS, cli._MODELS):
+        for kind, (_, fields) in table.items():
+            assert f"| `{kind}` | {_doc_keys(fields)} |" in doc, kind
+    assert f"| algebra descriptor | {_doc_keys(liealg._DESCRIPTOR)} |" in doc
 
 
 # every command at its README size (plus the continuous Lyapunov system)
@@ -420,6 +426,10 @@ _COHERENT = {"space": {"kind": "spin", "exponent": 2},
              "z0": [[1, 0], [0, 0]], "t_span": [0, 3]}
 
 
+_SU2 = liealg.algebra_descriptor(liealg.su2_qubit()[0])
+_LIE = {"hamiltonian": "pauli_z", "observables": ["pauli_z"], "t_span": [0, 1], "samples": 3,
+        "state": {"form": np.stack([np.eye(4), np.zeros((4, 4))], -1).tolist()}}
+
 _BAD_KEYS = [
     ("dyn-coherent", dict(_COHERENT, samples="abc"), "samples"),
     ("kernel-gram", {"space": {"kind": "spin", "exponent": 2}, "count": "x"}, "count"),
@@ -431,6 +441,18 @@ _BAD_KEYS = [
     ("dyn-coherent", dict(_COHERENT, rtol=1e-6), "rtol"),
     ("dyn-lyapunov", {"kick": 3.0, "periods": 4, "rtol": 1e-6}, "rtol"),
     ("dyn-lyapunov", {"kick": 3.0, "periods": 4, "hbar": 2.0}, "hbar"),
+    # nested descriptors follow the same rule, their keys named under a prefix
+    ("kernel-gram", {"space": {"kind": "klauder", "mode": 3}, "count": 2}, "space.mode"),
+    ("kernel-gram", {"space": {"kind": "trivial", "dim": 2.7}, "count": 2}, "space.dim"),
+    ("kernel-gram", {"space": {"kind": "power", "base": {"kind": "klauder", "mode": 2}, "n": 2},
+                     "count": 2}, "space.base.mode"),
+    ("dyn-tdvp", {"space": {"kind": "spin", "exponent": 2}, "z0": [1, 0.2], "t_span": [0, 1],
+                  "energy": {"kind": "spin_axis", "axis": [0, 0, 1], "coef": 5.0}}, "energy.coef"),
+    ("quantize", {"space": {"kind": "trivial", "dim": 2}, "count": 4,
+                  "map": dict(json.loads(_FLIP), renormalise=True)}, "map.renormalise"),
+    ("lie-evolve", dict(_LIE, algebra=dict(_SU2, hbarr=2.0)), "algebra.hbarr"),
+    ("kernel-eval", {"space": {"kind": "trivial", "dim": 1}, "z2": [0.1],
+                     "z": {"coords": [0.2], "multipler": [2, 0]}}, "z.multipler"),
 ]
 
 
@@ -443,6 +465,14 @@ def test_exit_2_names_the_bad_or_unknown_key(tmp_path, monkeypatch, capsys,
     assert code == 2
     assert err.startswith("config error: ") and f"'{key}'" in err
     assert "Traceback" not in err
+
+
+def test_exit_2_on_a_partial_lyapunov_segment(tmp_path, monkeypatch, capsys):
+    # t_total 2.0 over resample 0.3 used to run 7 segments to t = 2.1
+    code, _, err = run_cli(["dyn-lyapunov", "--system", "continuous"] + _SPIN4
+                           + ["--t-total", "2.0", "--resample", "0.3"], tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert err.startswith("config error: ") and "'t_total'" in err and "'resample'" in err
 
 
 def test_exit_2_names_a_bad_model_parameter(tmp_path, monkeypatch, capsys):

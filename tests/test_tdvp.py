@@ -63,7 +63,7 @@ def test_sphere_chart_roundtrip_and_embedding():
 
 
 def test_flat_chart_embedding_matches_fock():
-    chart = FlatChart(1, z0=0.15 + 0.1j, cutoff=64)
+    chart = FlatChart(1, z0=0.15 + 0.1j)
     u = np.array([0.7 - 0.35j])
     np.testing.assert_allclose(
         chart.embedding(u), FockRep(64).embed(chart.point(u)), atol=1e-14
@@ -149,7 +149,7 @@ def test_matrix_expectation_grad_matches_fd():
     got = en.chart_grad(chart, u)[0]
     assert abs(got - fd) <= 1e-6 * (1 + abs(got))
 
-    flat = FlatChart(1, cutoff=64)
+    flat = FlatChart(1)
     en2 = MatrixExpectation(np.diag(np.arange(64, dtype=float)))
     u2 = np.array([0.8 - 0.3j])
     fd2 = wirtinger_conj_fd(lambda x: en2.chart_value(flat, x), u2)
@@ -215,7 +215,7 @@ def _random_hermitian(rng, d):
 
 _ONE_JET_CHARTS = [(SphereChart(n, south=south), f"sphere{n}-{'south' if south else 'north'}")
                    for n in (1, 4, 10, 40) for south in (False, True)]
-_ONE_JET_CHARTS.append((FlatChart(1, z0=0.2 - 0.1j, cutoff=64), "flat"))
+_ONE_JET_CHARTS.append((FlatChart(1, z0=0.2 - 0.1j), "flat"))
 _ONE_JET_POINTS = (0.0j, 0.3 - 0.2j, -1.1 + 0.7j, 1.6 + 1.2j)   # up to the switch radius 2
 
 
@@ -238,7 +238,7 @@ def test_one_jet_agrees_with_the_per_order_route(chart):
 
 
 @pytest.mark.parametrize("chart", [SphereChart(40), SphereChart(7, south=True),
-                                   FlatChart(1, z0=0.1j, cutoff=64)], ids=["n40", "n7-south", "flat"])
+                                   FlatChart(1, z0=0.1j)], ids=["n40", "n7-south", "flat"])
 def test_batched_sample_energies_match_chart_value(chart):
     rng = np.random.default_rng(3)
     d = len(chart.embedding(np.array([0.0j])))
