@@ -375,7 +375,7 @@ def _linear_map(matrix, renormalize=False):
     return linear_point_map(_matrix_of(matrix, "map.matrix"), renormalize)
 
 
-_MAPS = {"linear": (_linear_map, (("matrix", "json", REQUIRED), ("renormalize", "json", None)))}
+_MAPS = {"linear": (_linear_map, (("matrix", "json", REQUIRED), ("renormalize", "bool", None)))}
 
 
 def _h_quantize(cfg):
@@ -519,23 +519,26 @@ def _coeff_vector(data, algebra, what):
     return np.asarray(v)
 
 
+# a lie-evolve state gives exactly one of these
+_STATE = (("density", "json", None), ("form", "json", None))
+
+
 def _h_lie_evolve(cfg):
     from .liealg import (AlgebraState, DensityState, algebra_descriptor,
                          evolve_expectations)
 
     algebra, rep = _algebra_of(cfg)
     h = _coeff_vector(cfg["hamiltonian"], algebra, "hamiltonian")
-    state_spec = cfg["state"]
-    if not isinstance(state_spec, dict):
-        raise ConfigError("'state' must be an object with 'density' or 'form'")
-    if "density" in state_spec:
+    spec = cfg["state"]
+    spec = check_fields("state", spec, _STATE) if isinstance(spec, dict) else {}
+    if len(spec) != 1:
+        raise ConfigError("'state' must be an object with one of 'density' and 'form'")
+    if "density" in spec:
         if rep is None:
             raise ConfigError("density states need an algebra with a catalog rep")
-        state = DensityState(algebra, rep, artifacts.pairs_to_complex(state_spec["density"]))
-    elif "form" in state_spec:
-        state = AlgebraState(algebra, artifacts.pairs_to_complex(state_spec["form"]))
+        state = DensityState(algebra, rep, artifacts.pairs_to_complex(spec["density"]))
     else:
-        raise ConfigError("'state' must be an object with 'density' or 'form'")
+        state = AlgebraState(algebra, artifacts.pairs_to_complex(spec["form"]))
     obs_spec = cfg["observables"]
     if not isinstance(obs_spec, (list, tuple)) or not obs_spec:
         raise ConfigError("'observables' must be a non-empty list")
@@ -588,7 +591,7 @@ def _h_causal_check(cfg):
 
     if cfg["kernel"] != "lattice_weyl":
         raise ConfigError(f"unknown causal kernel {cfg['kernel']!r}")
-    kernel, independent = lattice_weyl_kernel(bool(cfg["nonlocal_violation"]))
+    kernel, independent = lattice_weyl_kernel(cfg["nonlocal_violation"])
     spec = cfg.get("triples")
     if spec is not None:
         if not isinstance(spec, (list, tuple)):
@@ -659,7 +662,7 @@ SCHEMA = {
         ("state", "json", REQUIRED), ("observables", "json", REQUIRED),
         ("t_span", "json", REQUIRED), ("samples", "int", 201))),
     "causal-check": Command(_h_causal_check, "json", (
-        ("kernel", "str", "lattice_weyl"), ("nonlocal_violation", "json", False),
+        ("kernel", "str", "lattice_weyl"), ("nonlocal_violation", "bool", False),
         ("triples", "json", None), ("count", "int", 20), ("tol", "float", None))),
 }
 

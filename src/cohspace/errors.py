@@ -32,21 +32,32 @@ class ConfigError(Exception):
 # factory's own default (it is passed on only when set); REQUIRED makes a
 # missing key a configuration error.  A null value means "not set".
 REQUIRED = object()
+
+
+def _bool(value) -> bool:
+    """A bool as is, and the flag text of a JSON bool ("true", "false") as one."""
+    if isinstance(value, bool) or value in ("true", "false"):
+        return value in (True, "true")
+    raise ValueError(value)
+
+
 # field type -> (conversion of flag text and of values, accepted value class,
 # what the error message asks for); any other type ("json") is taken as is.
 TYPES = {
     "int": (int, numbers.Integral, "an integer"),
     "float": (float, numbers.Real, "a number"),
     "str": (str, str, "a string"),
+    "bool": (_bool, bool, "true or false"),
 }
 
 
 def check_value(key: str, kind: str, value):
-    """A value of the field's type (floats as float), else ConfigError."""
+    """A value of the field's type (floats as float), else ConfigError; a bool
+    is only of type bool."""
     if kind not in TYPES:
         return value
     convert, accepted, noun = TYPES[kind]
-    if isinstance(value, bool) or not isinstance(value, accepted):
+    if isinstance(value, bool) != (accepted is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{key!r} must be {noun}, got {value!r}")
     return convert(value)
 

@@ -8,6 +8,11 @@ tree whose numeric blocks stay ndarrays (a complex one gains a trailing
 [re, im] axis) and writes json.dumps(tree, indent=2, sort_keys=True) + "\\n"
 of the .tolist() tree, byte for byte.
 
+A Hermitian block (see _is_hermitian) renders each entry above the diagonal
+once: its mirror below reuses the real text and the sign-flipped imaginary
+text, since repr(-x) is repr(x) with its sign flipped for every finite x.
+That changes no byte of the output.
+
 Importable without numpy, so the CLI can pin thread pools before any numeric
 library loads; the array helpers import numpy lazily.
 """
@@ -67,10 +72,47 @@ def _as_real(a):
     return np.stack([a.real, a.imag], axis=-1)
 
 
+def _is_hermitian(a) -> bool:
+    """Whether a is a finite square complex128 2-D array equal to its conjugate
+    transpose bit for bit: the real parts equal as uint64 and, off the
+    diagonal, the imaginary parts differing in the sign bit alone."""
+    if a.ndim != 2 or a.dtype != "complex128" or a.shape[0] != a.shape[1]:
+        return False
+    import numpy as np
+
+    if not np.isfinite(a).all():  # repr ignores the sign of a nan
+        return False
+    bits = np.ascontiguousarray(a).view(np.uint64)
+    re, im = bits[:, 0::2], bits[:, 1::2]
+    flips = im ^ im.T
+    np.fill_diagonal(flips, 1 << 63)
+    return bool((re == re.T).all() and (flips == 1 << 63).all())
+
+
+def _hermitian_rows(a):
+    """The float texts (re, im per entry) of a Hermitian block a row at a time.
+    Each column's mirrored texts wait in a list released with its row."""
+    import numpy as np
+
+    f = np.ascontiguousarray(a).view(float)
+    waiting = [[] for _ in range(len(f))]
+    for i, row in enumerate(waiting):
+        texts = list(map(float.__repr__, f[i, 2 * i:].tolist()))  # diagonal and upper
+        flipped = [s[1:] if s[0] == "-" else "-" + s for s in texts[3::2]]
+        for mirror, re, im in zip(waiting[i + 1:], texts[2::2], flipped):
+            mirror.append(re)
+            mirror.append(im)
+        waiting[i] = None
+        row += texts
+        yield row
+
+
 def _fragments(block) -> tuple[int, list]:
     """(column count, one comma-joined CSV fragment per row) of one block."""
     if not hasattr(block, "dtype"):
         return 1, [format_cell(v) for v in block]
+    if _is_hermitian(block):
+        return 2 * len(block), list(map(",".join, _hermitian_rows(block)))
     a = _as_real(block)
     cell = float.__repr__ if a.dtype.kind == "f" else format_cell
     if a.ndim == 1:
@@ -98,18 +140,20 @@ def _array_json(a, nl: str) -> str:
     .tolist(), with nl the line break and indent of the array's own line."""
     import numpy as np
 
-    a = _as_real(np.asarray(a))
-    flat = a.ravel().tolist()
-    if a.dtype.kind == "f":
-        items = list(map(float.__repr__, flat))
+    a = np.asarray(a)
+    shape = (*a.shape, 2) if a.dtype.kind == "c" else a.shape  # complex as [re, im]
+    if _is_hermitian(a):
+        items = [s for row in _hermitian_rows(a) for s in row]
+    elif a.dtype.kind in "fc":
+        items = list(map(float.__repr__, _as_real(a).ravel().tolist()))
         if not np.isfinite(a).all():
             items = [_NONFINITE.get(s, s) for s in items]
     else:
-        items = list(map(json.dumps, flat))
-    for depth in range(a.ndim - 1, -1, -1):  # innermost axis first
-        n = a.shape[depth]
+        items = list(map(json.dumps, a.ravel().tolist()))
+    for depth in range(len(shape) - 1, -1, -1):  # innermost axis first
+        n = shape[depth]
         if n == 0:
-            items = ["[]"] * math.prod(a.shape[:depth])
+            items = ["[]"] * math.prod(shape[:depth])
             continue
         inner = nl + "  " * (depth + 1)
         open_, close = "[" + inner, nl + "  " * depth + "]"

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from cohspace import cli, kernels, liealg
+from cohspace import io as artifacts
 from cohspace.kernels import Point, eval_kernel, space_from_descriptor
 from cohspace.liealg import algebra_from_descriptor
 
@@ -336,11 +337,12 @@ def test_formats_md_documents_the_schema():
         assert f"| `{command}` | {_doc_keys(entry.fields)} |" in doc, command
         for system, (_, fields) in (entry.systems or {}).items():
             assert f"| `{command}`, system `{system}` | {_doc_keys(fields)} |" in doc, system
-    # every descriptor kind, one row each, and the algebra descriptor
+    # every descriptor kind, one row each, the algebra descriptor and the state
     for table in (kernels._CATALOG, cli._ENERGIES, cli._MAPS, cli._MODELS):
         for kind, (_, fields) in table.items():
             assert f"| `{kind}` | {_doc_keys(fields)} |" in doc, kind
     assert f"| algebra descriptor | {_doc_keys(liealg._DESCRIPTOR)} |" in doc
+    assert f"| state object | {_doc_keys(cli._STATE)} |" in doc
 
 
 # every command at its README size (plus the continuous Lyapunov system)
@@ -453,6 +455,7 @@ _BAD_KEYS = [
     ("lie-evolve", dict(_LIE, algebra=dict(_SU2, hbarr=2.0)), "algebra.hbarr"),
     ("kernel-eval", {"space": {"kind": "trivial", "dim": 1}, "z2": [0.1],
                      "z": {"coords": [0.2], "multipler": [2, 0]}}, "z.multipler"),
+    ("lie-evolve", dict(_LIE, algebra=_SU2, state=dict(_LIE["state"], densty=1)), "state.densty"),
 ]
 
 
@@ -465,6 +468,44 @@ def test_exit_2_names_the_bad_or_unknown_key(tmp_path, monkeypatch, capsys,
     assert code == 2
     assert err.startswith("config error: ") and f"'{key}'" in err
     assert "Traceback" not in err
+
+
+_DENSITY = [[[0.7, 0], [0.15, -0.05]], [[0.15, 0.05], [0.3, 0]]]
+
+
+@pytest.mark.parametrize("state", [{"density": _DENSITY, "form": _LIE["state"]["form"]}, {}],
+                         ids=["both", "neither"])
+def test_exit_2_unless_the_state_gives_one_of_density_and_form(tmp_path, monkeypatch, capsys,
+                                                               state):
+    (tmp_path / "c.json").write_text(json.dumps(dict(_LIE, algebra="su2_qubit", state=state)))
+    code, _, err = run_cli(["lie-evolve", "--config", "c.json"], tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert err.startswith("config error: ") and "'state'" in err
+
+
+_NOT_BOOLS = [
+    ("quantize", lambda v: {"space": {"kind": "trivial", "dim": 2}, "count": 4,
+                            "map": dict(json.loads(_FLIP), renormalize=v)}, "map.renormalize"),
+    ("causal-check", lambda v: {"count": 2, "nonlocal_violation": v}, "nonlocal_violation"),
+]
+
+
+@pytest.mark.parametrize("value", ["false", 0, "yes"])
+@pytest.mark.parametrize("command, config, key", _NOT_BOOLS, ids=[c for c, _, _ in _NOT_BOOLS])
+def test_exit_2_on_a_bool_field_that_is_not_a_bool(tmp_path, monkeypatch, capsys,
+                                                   command, config, key, value):
+    (tmp_path / "c.json").write_text(json.dumps(config(value)))
+    code, _, err = run_cli([command, "--config", "c.json"], tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert err.startswith("config error: ") and f"'{key}'" in err
+
+
+def test_bool_flags_are_json_bools(tmp_path, monkeypatch, capsys):
+    args = ["causal-check", "--count", "4", "--out", "c.json", "--nonlocal-violation"]
+    assert run_cli(args + ["false"], tmp_path, monkeypatch, capsys)[0] == 0
+    assert json.loads((tmp_path / "c.json").read_text())["passed"]
+    code, _, err = run_cli(args + ["0"], tmp_path, monkeypatch, capsys)
+    assert code == 2 and "'nonlocal_violation'" in err
 
 
 def test_exit_2_on_a_partial_lyapunov_segment(tmp_path, monkeypatch, capsys):
@@ -650,6 +691,37 @@ def test_json_and_csv_formats_agree(tmp_path, monkeypatch, capsys):
     pts = sample_points(space, rng, 4)
     assert g_csv[0, 1] == pytest.approx(
         complex(eval_kernel(space, pts[0], pts[1])), abs=1e-15)
+
+
+_GRAM_SPACES = [{"kind": "spin", "exponent": 3}, {"kind": "klauder", "modes": 2},
+                {"kind": "debranges"}, {"kind": "spin_t", "exponent": 2}]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_kernel_gram_bytes_do_not_depend_on_the_hermitian_mirror(tmp_path, monkeypatch, fmt):
+    """The mirrored rendering of a Hermitian Gram gives the general route's
+    bytes; a non-Hermitian kind (spin_t) takes the general route."""
+    monkeypatch.chdir(tmp_path)
+    seen, is_hermitian = [], artifacts._is_hermitian
+
+    def spy(a):
+        seen.append(is_hermitian(a))
+        return seen[-1]
+
+    monkeypatch.setattr(artifacts, "_is_hermitian", spy)
+
+    def payloads():
+        out = []
+        for space in _GRAM_SPACES:
+            cli.run({"command": "kernel-gram", "space": space, "count": 9, "seed": 4,
+                     "format": fmt, "out": f"g.{fmt}"})
+            out.append((tmp_path / f"g.{fmt}").read_bytes())
+        return out
+
+    mirrored = payloads()
+    assert seen == [True, True, True, False]
+    monkeypatch.setattr(artifacts, "_is_hermitian", lambda a: False)
+    assert payloads() == mirrored
 
 
 def test_point_objects_with_multiplier(tmp_path, monkeypatch, capsys):

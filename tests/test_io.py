@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cohspace.errors import ConfigError
-from cohspace.io import csv_text, format_cell, json_text, write_csv, write_json
+from cohspace.io import _is_hermitian, csv_text, format_cell, json_text, write_csv, write_json
 
 SPECIAL = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
            1e-300, 1.7976931348623157e308, 0.1, -1.5, 1e16, 123456789.0]
@@ -137,3 +137,69 @@ def test_writers_write_the_rendered_text(tmp_path):
     assert (tmp_path / "p.json").read_text() == json_oracle(tree)
     write_csv(str(tmp_path / "p.csv"), ["t", "x"], [np.array([0.5]), [1]])
     assert (tmp_path / "p.csv").read_text() == "t,x\n0.5,1\n"
+
+
+# Hermitian blocks: each entry above the diagonal is rendered once, its
+# mirror below reuses the texts; both writers must still match the oracles.
+finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True) \
+    | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1.7976931348623157e308, -1e308])
+square = hnp.arrays(np.complex128, st.integers(0, 5).map(lambda n: (n, n)),
+                    elements=st.builds(complex, finite, finite))
+
+
+def assert_renders_like_the_oracles(g):
+    rows = [[x for cell in row for x in (cell if isinstance(cell, list) else [cell])]
+            for row in plain(g)]
+    header = [f"h{j}" for j in range(len(rows[0]) if rows else 0)]
+    assert csv_text(header, [g]) == csv_oracle(header, rows)
+    assert json_text({"g": g}) == json_oracle({"g": g})
+
+
+def mirrored(a):
+    """The upper triangle of a, its conjugate mirrored below, a real diagonal."""
+    g = np.where(np.tri(len(a), k=-1, dtype=bool), a.conj().T, a)
+    g[np.diag_indices(len(a))] = g.diagonal().real
+    return g
+
+
+@given(square, st.booleans())
+def test_hermitian_blocks_render_like_the_oracles(a, summed):
+    if summed:  # overflow and equal imaginary parts (+0.0 both ways) fall back
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = a + a.conj().T
+        g[np.diag_indices(len(a))] = g.diagonal().real
+    else:
+        g = mirrored(a)
+        assert _is_hermitian(g)
+    assert_renders_like_the_oracles(g)
+
+
+def _near_misses():
+    g = mirrored(np.array([[2, 1 - 1j, 0j], [0, 5e-324, complex(3e300, -0.0)], [0, 0, -0.0]]))
+    ulp = g.copy()
+    ulp[1, 0] = complex(np.nextafter(g[1, 0].real, 2.0), g[1, 0].imag)
+    plus_zero = g.copy()
+    plus_zero[2, 0] = complex(g[2, 0].real, 0.0)  # the mirror of +0.0 needs -0.0
+    inf, nan = g.copy(), g.copy()
+    inf[0, 2], inf[2, 0] = complex(math.inf, 1), complex(math.inf, -1)
+    nan[1, 1] = math.nan
+    strided = mirrored(np.arange(16.0).reshape(4, 4) * (1 + 0.5j))[::2, ::2]
+    return [
+        ("hermitian", g, True), ("one ulp off", ulp, False), ("+0.0 mirror", plus_zero, False),
+        ("inf", inf, False), ("nan", nan, False), ("transposed", g.T, True),
+        ("reversed", g[::-1, ::-1], True), ("strided", strided, True),
+        ("0x0", np.zeros((0, 0), complex), True), ("1x1", np.array([[complex(1.5, -0.0)]]), True),
+        ("real symmetric, complex", mirrored(np.array([[1, 2], [0, 3]], complex)), True),
+        ("real symmetric, float", np.array([[1.0, 2.0], [2.0, 3.0]]), False),
+        ("complex symmetric", np.array([[1, 2 + 1j], [2 + 1j, 3]]), False),
+        ("not square", g[:2], False), ("complex64", strided.astype(np.complex64), False),
+    ]
+
+
+_NEAR_MISSES = _near_misses()
+
+
+@pytest.mark.parametrize("name, g, hermitian", _NEAR_MISSES, ids=[c[0] for c in _NEAR_MISSES])
+def test_hermitian_near_misses_render_like_the_oracles(name, g, hermitian):
+    assert _is_hermitian(g) is hermitian
+    assert_renders_like_the_oracles(g)
