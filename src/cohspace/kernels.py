@@ -631,7 +631,7 @@ def gram_matrix(space: KernelSpace, points: Sequence[Point]) -> np.ndarray:
     pts = list(points)
     g = cross_gram(space, pts, pts)
     if space.hermitian:
-        g = np.where(np.tri(len(pts), k=-1, dtype=bool), g.conj().T, g)
+        np.copyto(g, g.conj().T, where=np.tri(len(pts), k=-1, dtype=bool))
         g[np.diag_indices(len(pts))] = g.diagonal().real
     return g
 

@@ -4,10 +4,12 @@ The JSON oracle is ``json.dumps(tree, indent=2, sort_keys=True) + "\\n"`` of
 the ``.tolist()`` tree (complex blocks as trailing [re, im] pairs); the CSV
 oracle joins ``format_cell`` over rows assembled cell by cell.  Both are
 written here from plain Python values, and the writers must match them
-exactly, string for string.
+exactly: the chunks they stream, joined, string for string, and the file
+they write, byte for byte.
 """
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cohspace.errors import ConfigError
-from cohspace.io import _is_hermitian, csv_text, format_cell, json_text, write_csv, write_json
+from cohspace.io import (_is_hermitian, csv_chunks, format_cell, json_chunks, write_csv,
+                         write_json)
 
 SPECIAL = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
            1e-300, 1.7976931348623157e308, 0.1, -1.5, 1e16, 123456789.0]
@@ -59,14 +62,40 @@ def json_oracle(tree):
     return json.dumps(plain(tree), indent=2, sort_keys=True) + "\n"
 
 
+def text(chunks):
+    """The text of a chunk stream, each chunk a str."""
+    chunks = list(chunks)
+    assert all(type(chunk) is str for chunk in chunks)
+    return "".join(chunks)
+
+
+@pytest.fixture(scope="module")
+def folder(tmp_path_factory):
+    return tmp_path_factory.mktemp("payloads")
+
+
+def assert_json_routes(folder, tree, expected):
+    """json_chunks joins to expected, and write_json writes it."""
+    assert text(json_chunks(tree)) == expected
+    write_json(str(folder / "p.json"), tree)
+    assert (folder / "p.json").read_bytes() == expected.encode()
+
+
+def assert_csv_routes(folder, header, blocks, expected):
+    """csv_chunks joins to expected, and write_csv writes it."""
+    assert text(csv_chunks(header, blocks)) == expected
+    write_csv(str(folder / "p.csv"), header, blocks)
+    assert (folder / "p.csv").read_bytes() == expected.encode()
+
+
 @given(trees)
 @example({"a": np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324])})
 @example({"empty": np.zeros((0,)), "one": np.array([1.5]), "nested": np.zeros((2, 0, 3))})
 @example({"z": np.array([[1 - 0.0j, complex(math.nan, -math.inf)]]), "s": np.complex128(2j)})
 @example({"n": np.arange(3), "b": np.array([True, False]), "x": np.float64(-0.0)})
 @example({"b": {"\"q\\": [], "B": {}, "a": [np.zeros((1, 1)), None]}, "A": ()})
-def test_json_text_matches_json_dumps(tree):
-    assert json_text(tree) == json_oracle(tree)
+def test_json_text_matches_json_dumps(folder, tree):
+    assert_json_routes(folder, tree, json_oracle(tree))
 
 
 @st.composite
@@ -104,31 +133,31 @@ def csv_oracle(header, rows):
 
 
 @given(csv_tables())
-def test_csv_text_matches_format_cell_rows(table):
+def test_csv_text_matches_format_cell_rows(folder, table):
     header, blocks, rows = table
-    assert csv_text(header, blocks) == csv_oracle(header, rows)
+    assert_csv_routes(folder, header, blocks, csv_oracle(header, rows))
 
 
 def test_csv_text_special_values_and_mixed_columns():
     g = np.array([[complex(-0.0, math.nan), complex(math.inf, 5e-324)]])
     header = ["kind", "k0_re", "k0_im", "k1_re", "k1_im", "i", "ok"]
-    text = csv_text(header, [["x"], g, np.array([7]), np.array([True])])
-    assert text == ",".join(header) + "\nx,-0.0,nan,inf,5e-324,7,true\n"
-    assert csv_text(["a", "b"], [np.zeros((0, 2))]) == "a,b\n"
+    rendered = text(csv_chunks(header, [["x"], g, np.array([7]), np.array([True])]))
+    assert rendered == ",".join(header) + "\nx,-0.0,nan,inf,5e-324,7,true\n"
+    assert text(csv_chunks(["a", "b"], [np.zeros((0, 2))])) == "a,b\n"
 
 
 def test_csv_text_rejects_ragged_blocks():
     with pytest.raises(ConfigError, match="header has 3"):
-        csv_text(["a", "b", "c"], [np.zeros((2, 2))])
+        csv_chunks(["a", "b", "c"], [np.zeros((2, 2))])
     with pytest.raises(ConfigError, match="row count"):
-        csv_text(["a", "b"], [np.zeros(2), np.zeros(3)])
+        csv_chunks(["a", "b"], [np.zeros(2), np.zeros(3)])
 
 
 def test_json_text_rejects_what_it_cannot_render():
     with pytest.raises(TypeError, match="set is not JSON serializable"):
-        json_text({"a": {1, 2}})
+        json_chunks({"a": {1, 2}})
     with pytest.raises(ConfigError, match="may not equal"):
-        json_text({"a": np.zeros(2), "b": "\0cohspace-array\0"})
+        json_chunks({"a": np.zeros(2), "b": "\0cohspace-array\0"})
 
 
 def test_writers_write_the_rendered_text(tmp_path):
@@ -147,12 +176,12 @@ square = hnp.arrays(np.complex128, st.integers(0, 5).map(lambda n: (n, n)),
                     elements=st.builds(complex, finite, finite))
 
 
-def assert_renders_like_the_oracles(g):
+def assert_renders_like_the_oracles(folder, g):
     rows = [[x for cell in row for x in (cell if isinstance(cell, list) else [cell])]
             for row in plain(g)]
     header = [f"h{j}" for j in range(len(rows[0]) if rows else 0)]
-    assert csv_text(header, [g]) == csv_oracle(header, rows)
-    assert json_text({"g": g}) == json_oracle({"g": g})
+    assert_csv_routes(folder, header, [g], csv_oracle(header, rows))
+    assert_json_routes(folder, {"g": g}, json_oracle({"g": g}))
 
 
 def mirrored(a):
@@ -163,7 +192,7 @@ def mirrored(a):
 
 
 @given(square, st.booleans())
-def test_hermitian_blocks_render_like_the_oracles(a, summed):
+def test_hermitian_blocks_render_like_the_oracles(folder, a, summed):
     if summed:  # overflow and equal imaginary parts (+0.0 both ways) fall back
         with np.errstate(over="ignore", invalid="ignore"):
             g = a + a.conj().T
@@ -171,7 +200,7 @@ def test_hermitian_blocks_render_like_the_oracles(a, summed):
     else:
         g = mirrored(a)
         assert _is_hermitian(g)
-    assert_renders_like_the_oracles(g)
+    assert_renders_like_the_oracles(folder, g)
 
 
 def _near_misses():
@@ -200,6 +229,53 @@ _NEAR_MISSES = _near_misses()
 
 
 @pytest.mark.parametrize("name, g, hermitian", _NEAR_MISSES, ids=[c[0] for c in _NEAR_MISSES])
-def test_hermitian_near_misses_render_like_the_oracles(name, g, hermitian):
+def test_hermitian_near_misses_render_like_the_oracles(folder, name, g, hermitian):
     assert _is_hermitian(g) is hermitian
-    assert_renders_like_the_oracles(g)
+    assert_renders_like_the_oracles(folder, g)
+
+
+def test_a_failed_render_leaves_the_target_untouched(tmp_path):
+    path = str(tmp_path / "p")
+    write_csv(path, ["x"], [np.arange(3.0)])
+    before = (tmp_path / "p").read_bytes()
+    header, blocks = ["x", "kind"], [np.arange(3.0), ["a", "b", {}]]
+    chunks = csv_chunks(header, blocks)  # streamed: the rows before the dict render
+    assert [next(chunks), next(chunks)] == ["x,kind\n", "0.0,a\n"]
+    failures = [
+        (ConfigError, "cannot format a dict", lambda: write_csv(path, header, blocks)),
+        (ConfigError, "may not equal",
+         lambda: write_json(path, {"a": np.zeros(2), "b": "\0cohspace-array\0"})),
+        (TypeError, "set is not JSON serializable",
+         lambda: write_json(path, {"a": np.array([1, {2}], dtype=object)})),
+    ]
+    for error, message, write in failures:
+        with pytest.raises(error, match=message):
+            write()
+        assert (tmp_path / "p").read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["p"]  # no .tmp-*~ left
+
+
+_rng = np.random.default_rng(7)
+_LARGE = {"hermitian 300x300": mirrored(_rng.standard_normal((300, 300))
+                                        + 1j * _rng.standard_normal((300, 300))),
+          "float 300x600": _rng.standard_normal((300, 600))}
+
+
+@pytest.mark.parametrize("kind", ["csv", "json"])
+@pytest.mark.parametrize("name", list(_LARGE))
+def test_writers_hold_less_than_the_file_they_write(tmp_path, name, kind):
+    """The traced allocation peak of a write stays below the file's size:
+    the payload's text is never held whole."""
+    block = _LARGE[name]  # 600 CSV columns either way
+    assert _is_hermitian(block) is name.startswith("hermitian")
+    path = tmp_path / f"p.{kind}"
+    tracemalloc.start()
+    try:
+        if kind == "csv":
+            write_csv(str(path), [f"h{j}" for j in range(600)], [block])
+        else:
+            write_json(str(path), {"g": block})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size, f"peak {peak} B for a file of {path.stat().st_size} B"
