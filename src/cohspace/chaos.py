@@ -21,11 +21,12 @@ tangent vector dw; for continuous flows it is evolved with the linearized flow
     d(dw)/dt = A dw + B conj(dw),
     A = dF/dw,  B = dF/dwbar,  F = grad_wbar h / (i hbar g),
 
-from the second Wirtinger derivatives every energy supplies (`chart_second`;
-CallableExpectation takes them by central differences), and a chart switch
-carries the tangent through the chart's `transition`.  Both drivers share one
-renormalization loop; tangent length is measured with the chart metric, which
-makes it continuous across chart switches.
+which `tdvp.chart_rhs` builds from the second Wirtinger derivatives of the
+energy bound to each chart (`energy.on(chart)`; CallableExpectation takes
+them by central differences), and a chart switch carries the tangent through
+the chart's `transition`.  Both drivers share one renormalization loop;
+tangent length is measured with the chart metric, which makes it continuous
+across chart switches.
 """
 
 from __future__ import annotations
@@ -51,43 +52,6 @@ def spinor_from_bloch(s) -> Point:
         wt = (x - 1j * y) / (1.0 - z)
         v = np.array([wt, 1.0]) / math.sqrt(1.0 + abs(wt) ** 2)
     return Point(v)
-
-
-# --------------------------------------------------- linearized chart field
-
-
-def _linearized_field(chart, energy: ExpectationFunction, hbar: float):
-    """Return f(w) -> (F, A, B): the chart velocity and its Wirtinger Jacobian."""
-    def fab(w: complex):
-        g = chart.scalar_metric(w)
-        g_w = chart.metric_dw(w)
-        _, grad, mixed, grad2 = energy.chart_second(chart, np.array([w]))
-        scale = 1.0 / (1j * hbar * g * g)
-        return (
-            grad / (1j * hbar * g),
-            (mixed * g - grad * g_w) * scale,
-            (grad2 * g - grad * np.conj(g_w)) * scale,
-        )
-    return fab
-
-
-def _tangent_rhs(fab):
-    def rhs(t, y):
-        f, a, b = fab(y[0])
-        return np.array([f, a * y[1] + b * np.conj(y[1])])
-    return rhs
-
-
-def _metric_len(chart, w: complex, delta: complex) -> float:
-    return math.sqrt(chart.scalar_metric(w)) * abs(delta)
-
-
-def _integrate_tangent(chart, energy, hbar, w, delta, t_span, rtol, atol):
-    """Evolve (w, dw) over t_span with automatic chart switching."""
-    segments, chart, (w, delta) = charted_solve(
-        chart, lambda ch: _tangent_rhs(_linearized_field(ch, energy, hbar)),
-        np.array([w, delta]), t_span, rtol, atol)
-    return chart, w, delta, sum(sol.halted for _, sol in segments)
 
 
 # ------------------------------------------------------------- kicked top
@@ -117,10 +81,11 @@ class KickedTop:
         if self.n < 1:
             raise ConfigError("kicked top needs n >= 1 monomials")
         self.space: KernelSpace = spin_space(self.n)
+        self._cs = math.cos(self.precession / 2), math.sin(self.precession / 2)
 
     def period(self, chart, w, delta):
         """One period: the exact precession map of the chart, then the kick."""
-        c, s = math.cos(self.precession / 2), math.sin(self.precession / 2)
+        c, s = self._cs
         num, den = (c * w - s, s * w + c) if chart.south else (s + c * w, c - s * w)
         if abs(num) > CHART_SWITCH_RADIUS * abs(den):
             chart, w, delta, switches = chart.flipped(), den / num, -delta / (num * num), 1
@@ -150,6 +115,10 @@ class LyapunovResult:
     @property
     def segments(self) -> int:
         return len(self.times)
+
+
+def _metric_len(chart, w: complex, delta: complex) -> float:
+    return math.sqrt(chart.scalar_metric(w)) * abs(delta)
 
 
 def _benettin(chart, w: complex, advance, n_seg: int, duration: float,
@@ -210,8 +179,10 @@ def lyapunov_continuous(space: KernelSpace, energy: ExpectationFunction, z0: Poi
     if chart.dim != 1:
         raise ConfigError("tangent linearization implemented for 1-d charts")
 
-    def advance(chart, w, delta):
-        return _integrate_tangent(chart, energy, hbar, w, delta, (0.0, resample), rtol, atol)
+    def advance(chart, w, delta):  # (w, dw) over one segment, switching charts as needed
+        segments, chart, (w, delta) = charted_solve(
+            chart, energy, np.array([w, delta]), (0.0, resample), rtol, atol, hbar, tangent=True)
+        return chart, w, delta, sum(sol.halted for _, sol in segments)
 
     return _benettin(chart, complex(chart.coords(z0)[0]), advance, n_seg, resample,
                      np.random.default_rng(seed))

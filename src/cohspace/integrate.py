@@ -72,8 +72,8 @@ class RKSolution:
     halted: bool             # True when step_hook requested an early stop
 
 
-def _err_norm(e: np.ndarray, y0: np.ndarray, y1: np.ndarray, rtol: float, atol: float) -> float:
-    sc = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
+def _err_norm(e: np.ndarray, abs0: np.ndarray, abs1: np.ndarray, rtol, atol) -> float:
+    sc = atol + rtol * np.maximum(abs0, abs1)  # abs0, abs1: |y| before and after the step
     with np.errstate(invalid="ignore"):  # non-finite stages: NaN here, reported by solve_rk45
         # the RMS: sum() / size is np.mean's arithmetic without its call overhead
         return math.sqrt(float((np.abs(e / sc) ** 2).sum()) / e.size)
@@ -121,7 +121,8 @@ def solve_rk45(
     """
     eval_times = check_sample_times(t0, t1, t_eval) or []
     y = np.asarray(y0, dtype=complex).copy()
-    y0_max = float(np.abs(y).max(initial=0.0))
+    y_abs = np.abs(y)  # |y| of the current state, reused by the next step's error norm
+    y0_max = float(y_abs.max(initial=0.0))
     t = float(t0)
     span = t1 - t0
     slack = 1e-15 * span
@@ -130,7 +131,7 @@ def solve_rk45(
     states[:ei] = y
 
     k = np.zeros((7, y.size), dtype=complex)  # the stages of one step
-    kr = k.view(float)  # real view: real tableau weights act on it by one `@`
+    kr = k.view(float)  # real view: real tableau weights act on it by one `dot`
     k[0] = f(t, y)
     h = _initial_step(f, t, y, k[0], rtol, atol, span)
     accepted = rejected = 0
@@ -144,7 +145,7 @@ def solve_rk45(
             raise IntegratorFailure(f"exceeded {max_steps} steps at t = {t:.6g}")
         h = min(h, t1 - t)
         if h < min_h:
-            y_max = float(np.abs(y).max(initial=0.0))
+            y_max = float(y_abs.max(initial=0.0))
             if y_max > BLOW_UP_GROWTH * max(1.0, y0_max):
                 raise NumericalError(
                     f"finite-time blow-up at t = {t:.6g} (h = {h:.3e}): max|y| = {y_max:.3e} "
@@ -156,11 +157,12 @@ def solve_rk45(
         # rows of _A vanish from column i on, so stages not yet computed in
         # this step (finite leftovers) add exact zeros
         for i in range(1, 7):
-            yi = y + h * (_A[i] @ kr).view(complex)
+            yi = y + h * _A[i].dot(kr).view(complex)
             k[i] = f(t + _C[i] * h, yi)
         y5 = yi
-        e = h * (_ERR @ kr).view(complex)
-        err = _err_norm(e, y, y5, rtol, atol)
+        e = h * _ERR.dot(kr).view(complex)
+        y5_abs = np.abs(y5)
+        err = _err_norm(e, y_abs, y5_abs, rtol, atol)
         if err <= 1.0:
             t_old, t = t, t + h
             j = bisect_right(eval_times, t + slack, ei)
@@ -170,7 +172,7 @@ def solve_rk45(
                     states[ei:mid] = _dense(y, h, kr, (np.array(eval_times[ei:mid]) - t_old) / h)
                 states[mid:j] = y5
                 ei = j
-            y = y5
+            y, y_abs = y5, y5_abs
             k[0] = k[6]  # FSAL
             accepted += 1
             if step_hook is not None and step_hook(t, y):

@@ -71,11 +71,14 @@ def format_cell(value) -> str:
 
 
 def _as_real(a):
-    """A complex array as floats with a trailing [re, im] axis; others unchanged."""
+    """A complex array as floats with a trailing [re, im] axis, a view when it
+    is C-contiguous complex128 with axes; others unchanged."""
     if a.dtype.kind != "c":
         return a
     import numpy as np
 
+    if a.ndim and a.dtype == np.complex128 and a.flags.c_contiguous:
+        return a.view(float).reshape(*a.shape, 2)
     return np.stack([a.real, a.imag], axis=-1)
 
 

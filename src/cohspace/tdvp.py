@@ -14,18 +14,19 @@ integrated here with the embedded RK5(4).  Charts:
   metric n/(1+|w|^2)^2; the flow switches chart when |w| > 2, and
   `transition` carries tangents along with the state (dw -> -dw/w^2).
 
-For a Hermitian matrix in the chart's embedding representation, energies and
-their Wirtinger derivatives are analytic (MatrixExpectation): one embedding
-jet [v, v', v''] from a single power vector w^k per evaluation, every moment
-<v_a|H|v_b>, <v_a|v_b> from one H-product.  Every energy also supplies the
-second derivatives tangent linearization needs (`chart_second`); energy
-callables take all derivatives from one central-difference Wirtinger stencil
-(CallableExpectation).  Each chart's metric is a scalar times the identity,
-so the chart velocity is a division, not a linear solve.
+`energy.on(chart)` checks an energy against a chart once and returns
+`derivs(u, order)`, h and its Wirtinger derivatives up to second order, from
+which `chart_rhs` builds the velocity and the linearized tangent flow.  For a
+Hermitian matrix in the chart's embedding representation they are analytic
+(MatrixExpectation): one embedding jet [v, v', v''] per evaluation, every
+moment <v_a|H|v_b>, <v_a|v_b> from one H-product.  Energy callables take them
+from one central-difference Wirtinger stencil (CallableExpectation).  Each
+chart's metric is a scalar times the identity: the velocity is a division.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Optional, Sequence
 
@@ -78,15 +79,22 @@ def _jet(table: tuple, w, order: int) -> np.ndarray:
     return coef[:order + 1] * (w ** exponents).take(power[:order + 1], -1)
 
 
+@functools.cache
+def _sphere_table(n: int, south: bool) -> tuple:
+    """The derivative table of the degree-n monomials on one side, shared by
+    every chart of that side."""
+    weights = np.array([math.sqrt(math.comb(n, k)) for k in range(n + 1)])
+    k = np.arange(n + 1)
+    return _derivative_table(weights, (n - k) if south else k)
+
+
 class SphereChart:
     """Stereographic chart for unit spinors; monomial embedding of degree n."""
 
     def __init__(self, n: int, south: bool = False):
         self.n = int(n)
         self.south = bool(south)
-        weights = np.array([math.sqrt(math.comb(self.n, k)) for k in range(self.n + 1)])
-        k = np.arange(self.n + 1)
-        self._table = _derivative_table(weights, (self.n - k) if self.south else k)
+        self._table = _sphere_table(self.n, self.south)
 
     @property
     def dim(self) -> int:
@@ -197,50 +205,58 @@ def chart_for(space: KernelSpace, z0: Point):
 class ExpectationFunction:
     """Normalized energy surface h(u) = <z(u)|H|z(u)> / K(z(u), z(u))."""
 
-    def chart_value(self, chart, u: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def chart_grad(self, chart, u: np.ndarray) -> np.ndarray:
-        """Conjugate Wirtinger gradient d h / d ubar (h real)."""
+    def on(self, chart) -> Callable[[np.ndarray, int], tuple]:
+        """The energy bound to `chart`, checked against it once: derivs(u,
+        order) gives (h,) at order 0, (h, d h / d ubar) at order 1 and, on a
+        1-d chart, (h, dh/dwbar, d2h/(dw dwbar), d2h/dwbar2) at order 2."""
         raise NotImplementedError
 
     def chart_values(self, chart, us: np.ndarray) -> np.ndarray:
-        """h at each row of `us` (samples x chart dim)."""
-        return np.array([self.chart_value(chart, u) for u in us], dtype=float)
+        """h at each row of `us` (samples x chart dim), on a chart `on` accepted."""
+        derivs = self.on(chart)
+        return np.array([derivs(u, 0)[0] for u in us], dtype=float)
 
 
-def _wirtinger(f: Callable[[np.ndarray], complex], u: np.ndarray) -> np.ndarray:
-    """Rows (d f/d u_j, d f/d ubar_j) over the chart coordinates j, from the
-    central differences fx, fy of f along Re u_j and Im u_j (ENERGY_FD_STEP):
-    d/du = (fx - i fy) / 2 and d/dubar = (fx + i fy) / 2."""
+def _wirtinger(f: Callable[[np.ndarray], complex], u: np.ndarray) -> tuple:
+    """(mean, d f/d u row, d f/d ubar row) over the chart coordinates j, from
+    the central differences fx, fy of f along Re u_j and Im u_j
+    (ENERGY_FD_STEP): d/du = (fx - i fy) / 2 and d/dubar = (fx + i fy) / 2.
+    The mean of the 4 dim stencil values is f(u) to O(ENERGY_FD_STEP^2)."""
     h = ENERGY_FD_STEP
     out = np.zeros((2, len(u)), dtype=complex)
+    total = 0.0
     for j in range(len(u)):
         e = np.zeros(len(u), dtype=complex)
         e[j] = h
-        fx = (f(u + e) - f(u - e)) / (2 * h)
-        fy = (f(u + 1j * e) - f(u - 1j * e)) / (2 * h)
+        xp, xm, yp, ym = f(u + e), f(u - e), f(u + 1j * e), f(u - 1j * e)
+        fx, fy = (xp - xm) / (2 * h), (yp - ym) / (2 * h)
         out[:, j] = (fx - 1j * fy) / 2, (fx + 1j * fy) / 2
-    return out
+        total += xp + xm + yp + ym
+    return total / (4 * len(u)), out[0], out[1]
 
 
 class CallableExpectation(ExpectationFunction):
-    """Energy given as a function on label points; derivatives by central FD."""
+    """Energy given as a function on label points; derivatives by central FD.
+    At order 1 the stencil's mean stands in for h, so the velocity costs only
+    the stencil's calls; order 2 differentiates the stencil gradient."""
 
     def __init__(self, fn: Callable[[Point], float]):
         self.fn = fn
 
-    def chart_value(self, chart, u):
-        return float(self.fn(chart.point(u)))
+    def on(self, chart):
+        def h(u):
+            return float(self.fn(chart.point(u)))
 
-    def chart_grad(self, chart, u):
-        return _wirtinger(lambda v: self.chart_value(chart, v), u)[1]
+        def derivs(u, order):
+            if order == 0:
+                return (h(u),)
+            mean, _, grad = _wirtinger(h, u)
+            if order == 1:
+                return mean, grad
+            _, (mixed,), (grad2,) = _wirtinger(lambda v: _wirtinger(h, v)[2][0], u)
+            return h(u), grad[0], mixed, grad2
 
-    def chart_second(self, chart, u):
-        """(h, dh/dwbar, d2h/(dw dwbar), d2h/dwbar2) on a 1-d chart, the
-        second derivatives by central differences of chart_grad."""
-        (mixed,), (grad2,) = _wirtinger(lambda v: self.chart_grad(chart, v)[0], u)
-        return self.chart_value(chart, u), self.chart_grad(chart, u)[0], mixed, grad2
+        return derivs
 
 
 class MatrixExpectation(ExpectationFunction):
@@ -259,48 +275,40 @@ class MatrixExpectation(ExpectationFunction):
         # [H^T | 1]: a row v times it is the row [H v | v]
         self._ket_map = np.concatenate((self.h.T, np.eye(len(self.h))), axis=1)
 
-    def _checked_jet(self, chart, w, order):
-        jet = chart.jet(w, order)
-        d = jet.shape[-1]
+    def on(self, chart):
+        """Row a (a <= order) of the Python complex moments of the jet rows
+        v_a is [<v_a|H|v_0>, <v_a|v_0>], followed by [<v_a|H|v_1>, <v_a|v_1>]
+        at order 2, all from one product with H and one small matmul."""
+        jet, ket_map = chart.jet, self._ket_map
+        d = jet(0.0).shape[-1]
         if self.h.shape != (d, d):
             raise ConfigError(f"operator is {self.h.shape} but the chart embeds into dimension {d}")
-        return jet
 
-    def _moments(self, chart, u, order):
-        """Row a (a <= order) of Python complex moments of the jet rows v_a:
-        [<v_a|H|v_0>, <v_a|v_0>], followed by [<v_a|H|v_1>, <v_a|v_1>] at
-        order 2, all from one product with H and one small matmul."""
-        jet = self._checked_jet(chart, u[0], order)
-        kets = np.dot(jet[0] if order < 2 else jet[:2], self._ket_map)  # [H v_b | v_b]
-        return np.dot(jet.conj(), kets.reshape(-1, jet.shape[-1]).T).tolist()
+        def derivs(u, order):
+            v = jet(u[0], order)
+            kets = np.dot(v[0] if order < 2 else v[:2], ket_map)  # [H v_b | v_b]
+            moments = np.dot(v.conj(), kets.reshape(-1, d).T).tolist()
+            if order == 0:
+                ((num, den),) = moments
+                return (num.real / den.real,)
+            if order == 1:
+                (num, den), (dnum, dden) = moments  # d/d wbar: row 1
+                den = den.real
+                return num.real / den, np.array([(dnum * den - num * dden) / den ** 2])
+            # d/d wbar in row 1, d/d w in columns 2-3, d2/d wbar2 in row 2
+            (num, den, dn_h, dd_h), (dn, dd, dndn_h, dddd_h), (dn2, dd2, _, _) = moments
+            p = dn * den - num * dd                   # numerator of dh/dwbar
+            dp_h = dndn_h * den + dn * dd_h - dn_h * dd - num * dddd_h
+            dp_b = dn2 * den - num * dd2              # d2 num and den wrt wbar2
+            return ((num / den).real, p / den ** 2, (dp_h * den - 2.0 * p * dd_h) / den ** 3,
+                    (dp_b * den - 2.0 * p * dd) / den ** 3)
 
-    def chart_value(self, chart, u):
-        ((num, den),) = self._moments(chart, u, 0)
-        return num.real / den.real
+        return derivs
 
     def chart_values(self, chart, us):
-        v = self._checked_jet(chart, us, 0)[:, 0]       # samples x d
+        v = chart.jet(us, 0)[:, 0]       # samples x d
         num = np.einsum("sd,sd->s", v.conj(), v @ self.h.T)
         return num.real / np.einsum("sd,sd->s", v.conj(), v).real
-
-    def chart_grad(self, chart, u):
-        (num, den), (dnum, dden) = self._moments(chart, u, 1)  # d/d wbar: row 1
-        den = den.real
-        return np.array([(dnum * den - num * dden) / den ** 2])
-
-    def chart_second(self, chart, u):
-        """(h, dh/dwbar, d2h/(dw dwbar), d2h/dwbar2) for tangent linearization."""
-        # d/d wbar in row 1, d/d w in columns 2-3, d2/d wbar2 in row 2
-        (num, den, dn_h, dd_h), (dn, dd, dndn_h, dddd_h), (dn2, dd2, _, _) = \
-            self._moments(chart, u, 2)
-        h_val = (num / den).real
-        p = dn * den - num * dd                   # numerator of dh/dwbar
-        grad = p / den ** 2
-        dp_h = dndn_h * den + dn * dd_h - dn_h * dd - num * dddd_h
-        dp_b = dn2 * den - num * dd2              # d2 num and den wrt wbar2
-        mixed = (dp_h * den - 2.0 * p * dd_h) / den ** 3
-        grad2 = (dp_b * den - 2.0 * p * dd) / den ** 3
-        return h_val, grad, mixed, grad2
 
 
 # ------------------------------------------------------------- Kaehler metric
@@ -331,10 +339,7 @@ def kahler_metric(space: KernelSpace, z: Point) -> np.ndarray:
     g = np.empty((dim, dim), dtype=complex)
     for j in range(dim):
         for k in range(dim):
-            ej = np.zeros(dim)
-            ek = np.zeros(dim)
-            ej[j] = 1.0
-            ek[k] = 1.0
+            ej, ek = np.eye(dim)[j], np.eye(dim)[k]
 
             def mixed(step):
                 zp = z.coords
@@ -370,37 +375,53 @@ def kahler_metric(space: KernelSpace, z: Point) -> np.ndarray:
 # ------------------------------------------------------------ variational flow
 
 
-def tdvp_rhs(chart, energy: ExpectationFunction, hbar: float):
-    def rhs(t, u):
-        return energy.chart_grad(chart, u) / chart.scalar_metric(u[0]) / (1j * hbar)
+def chart_rhs(chart, derivs, hbar: float, tangent: bool = False):
+    """f(t, y) of the variational flow on `chart`, `derivs` the energy bound
+    to it: F = grad_ubar h / g / (i hbar) of y = u, or with `tangent`, on a
+    1-d chart, y = (w, dw) and dw' = A dw + B conj(dw), A = dF/dw, B = dF/dwbar.
+    """
+    def velocity(t, u):
+        return derivs(u, 1)[1] / chart.scalar_metric(u[0]) / (1j * hbar)
 
-    return rhs
+    def with_tangent(t, y):
+        w = y[0]
+        g, g_w = chart.scalar_metric(w), chart.metric_dw(w)
+        _, grad, mixed, grad2 = derivs(y[:1], 2)
+        scale = 1.0 / (1j * hbar * g * g)
+        a = (mixed * g - grad * g_w) * scale
+        b = (grad2 * g - grad * np.conj(g_w)) * scale
+        return np.array([grad / (1j * hbar * g), a * y[1] + b * np.conj(y[1])])
+
+    return with_tangent if tangent else velocity
 
 
-def charted_solve(chart, rhs_for, y, t_span, rtol, atol, t_eval=None, monitor=None):
-    """Integrate across chart switches from t_span[0] to t_span[1].
+def charted_solve(chart, energy: ExpectationFunction, y, t_span, rtol, atol, hbar=1.0,
+                  tangent=False, t_eval=None, monitor=None):
+    """Integrate `chart_rhs` across chart switches from t_span[0] to t_span[1],
+    binding the energy to each chart once.
 
     On a sphere chart the solve halts once |y[0]| > CHART_SWITCH_RADIUS, maps
     the state (w, *tangents) into the flipped chart with `chart.transition`
-    and continues there with `rhs_for(chart)`.  `t_eval` samples are recorded
-    by the segment that reaches them; `monitor(chart, t, y)` runs after every
-    accepted step and may raise.  Returns the (chart, RKSolution) segments,
-    and the chart and state at t1 (flipped when the last step itself crossed
-    the radius).
+    and continues there.  `t_eval` samples are recorded by the segment that
+    reaches them; `monitor(derivs, t, y)`, derivs the current binding, runs
+    after every accepted step and may raise.  Returns the (chart, RKSolution)
+    segments, and the chart and state at t1 (flipped when the last step
+    itself crossed the radius).
     """
     t_cur, t1 = float(t_span[0]), float(t_span[1])
     remaining = None if t_eval is None else [float(t) for t in t_eval]
     segments = []
     can_switch = isinstance(chart, SphereChart)
 
-    def hook(t, yy):  # reads the current chart: it changes only between solves
+    def hook(t, yy):  # reads the current binding: it changes only between solves
         if monitor is not None:
-            monitor(chart, t, yy)
+            monitor(derivs, t, yy)
         return can_switch and abs(yy[0]) > CHART_SWITCH_RADIUS
 
     while True:
-        sol = solve_rk45(rhs_for(chart), t_cur, t1, y, rtol=rtol, atol=atol,
-                         t_eval=remaining, step_hook=hook)
+        derivs = energy.on(chart)
+        sol = solve_rk45(chart_rhs(chart, derivs, hbar, tangent), t_cur, t1, y, rtol=rtol,
+                         atol=atol, t_eval=remaining, step_hook=hook)
         segments.append((chart, sol))
         t_cur, y = sol.t_end, sol.y_end
         if remaining is not None:
@@ -433,13 +454,13 @@ def dirac_frenkel_flow(
         t_eval = np.linspace(t0, t1, 101)
     chart = chart_for(space, z0)
     u = chart.coords(z0)
-    h0 = energy.chart_value(chart, u)
+    h0 = energy.on(chart)(u, 0)[0]
     h_scale = max(abs(h0), 1e-12)
     worst = 0.0
 
-    def monitor(ch, t, uu):
+    def monitor(derivs, t, uu):
         nonlocal worst
-        dev = abs(energy.chart_value(ch, uu) - h0)
+        dev = abs(derivs(uu, 0)[0] - h0)
         if dev > ENERGY_DRIFT_LIMIT * h_scale:
             raise IntegratorFailure(
                 f"energy drift {dev:.3e} exceeds {ENERGY_DRIFT_LIMIT:.1e} x |h| "
@@ -447,8 +468,8 @@ def dirac_frenkel_flow(
             )
         worst = max(worst, dev)
 
-    segments, _, _ = charted_solve(chart, lambda ch: tdvp_rhs(ch, energy, hbar), u, (t0, t1),
-                                   rtol, atol, t_eval=t_eval, monitor=monitor)
+    segments, _, _ = charted_solve(chart, energy, u, (t0, t1), rtol, atol, hbar=hbar,
+                                   t_eval=t_eval, monitor=monitor)
     coords = np.concatenate([ch.labels(sol.states) for ch, sol in segments])
     return Trajectory(
         space=space,

@@ -30,8 +30,10 @@ from cohspace.tdvp import (
     SphereChart,
     bloch_vector,
     chart_for,
+    chart_rhs,
+    charted_solve,
 )
-from cohspace.chaos import _integrate_tangent, _linearized_field, _metric_len
+from cohspace.chaos import _metric_len
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) / 2
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]]) / 2
@@ -80,8 +82,8 @@ def test_exact_period_matches_integrated_precession():
                 w = complex(chart.coords(z)[0])
                 d = complex(*rng.standard_normal(2))
                 ch, wg, dg, switched = top.period(chart, w, d)
-                ch_i, wi, di, _ = _integrate_tangent(chart, energy, 1.0, w, d, (0.0, 1.0),
-                                                     1e-12, 1e-14)
+                _, ch_i, (wi, di) = charted_solve(chart, energy, np.array([w, d]), (0.0, 1.0),
+                                                  1e-12, 1e-14, tangent=True)
                 wi, di = apply_kick(wi, di, top.kick)
                 np.testing.assert_allclose(bloch_vector(ch.point(np.array([wg]))),
                                            bloch_vector(ch_i.point(np.array([wi]))), atol=1e-10)
@@ -131,6 +133,19 @@ def test_tangent_flow_matches_flowmap_fd():
         assert abs(dd - fd) <= 1e-7 * (1 + abs(dd))
 
 
+def _tangent_field(chart, energy):
+    """f(w) -> (F, A, B) of the tangent RHS [F, A dw + B conj(dw)], read off
+    at dw = 1 and dw = i."""
+    rhs = chart_rhs(chart, energy.on(chart), 1.0, tangent=True)
+
+    def fab(w):
+        f, at_1 = rhs(0.0, np.array([w, 1.0]))
+        _, at_i = rhs(0.0, np.array([w, 1.0j]))
+        return f, (at_1 - 1j * at_i) / 2, (at_1 + 1j * at_i) / 2
+
+    return fab
+
+
 def test_linearized_field_fd_route_consistent():
     n = 6
     rep = SpinRep(n)
@@ -141,8 +156,8 @@ def test_linearized_field_fd_route_consistent():
         return (np.vdot(v, ham @ v) / np.vdot(v, v)).real
 
     chart = SphereChart(n)
-    analytic = _linearized_field(chart, MatrixExpectation(ham), 1.0)
-    fd = _linearized_field(chart, CallableExpectation(h_fn), 1.0)
+    analytic = _tangent_field(chart, MatrixExpectation(ham))
+    fd = _tangent_field(chart, CallableExpectation(h_fn))
     for w in (0.3 + 0.2j, -0.8 + 0.5j, 1.4 - 0.9j):
         fa, aa, ba = analytic(w)
         fb, ab, bb = fd(w)
@@ -237,4 +252,4 @@ def test_config_errors():
         lyapunov_continuous(spin_space(4), MatrixExpectation(np.eye(5)),
                             spinor_from_bloch([0, 0, 1]), t_total=2.0, resample=2.0)
     with pytest.raises(ConfigError, match="dimension"):
-        MatrixExpectation(np.eye(3)).chart_value(SphereChart(4), np.array([0.1 + 0.0j]))
+        MatrixExpectation(np.eye(3)).on(SphereChart(4))

@@ -13,7 +13,7 @@ from cohspace.errors import ConfigError, NumericalError, StiffnessError
 from cohspace.integrate import solve_rk45
 from cohspace.kernels import Point, spin_space
 from cohspace.reps import SpinRep
-from cohspace.tdvp import MatrixExpectation, chart_for, tdvp_rhs
+from cohspace.tdvp import MatrixExpectation, chart_for, chart_rhs
 
 
 def pendulum(t, y):
@@ -163,7 +163,8 @@ def _linear_cases():
     z = Point(np.array([0.8, 0.48 + 0.36j]) / np.linalg.norm([0.8, 0.48 + 0.36j]))
     chart = chart_for(sp, z)
     energy = MatrixExpectation(SpinRep(4).dgamma(1.1 * np.diag([0.5, -0.5]).astype(complex)))
-    yield tdvp_rhs(chart, energy, 1.0), chart.coords(z), np.linspace(0.0, 8.0, 17), 1e-9, 1e-12
+    rhs = chart_rhs(chart, energy.on(chart), 1.0)
+    yield rhs, chart.coords(z), np.linspace(0.0, 8.0, 17), 1e-9, 1e-12
 
 
 def test_dense_samples_match_step_hitting_oracle():

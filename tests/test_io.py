@@ -222,6 +222,7 @@ def _near_misses():
         ("real symmetric, float", np.array([[1.0, 2.0], [2.0, 3.0]]), False),
         ("complex symmetric", np.array([[1, 2 + 1j], [2 + 1j, 3]]), False),
         ("not square", g[:2], False), ("complex64", strided.astype(np.complex64), False),
+        ("one ulp off, transposed", ulp.T, False),
     ]
 
 
@@ -258,15 +259,18 @@ def test_a_failed_render_leaves_the_target_untouched(tmp_path):
 _rng = np.random.default_rng(7)
 _LARGE = {"hermitian 300x300": mirrored(_rng.standard_normal((300, 300))
                                         + 1j * _rng.standard_normal((300, 300))),
-          "float 300x600": _rng.standard_normal((300, 600))}
+          "float 300x600": _rng.standard_normal((300, 600)),
+          "complex 300x300": _rng.standard_normal((300, 300))
+                             + 1j * _rng.standard_normal((300, 300))}
 
 
 @pytest.mark.parametrize("kind", ["csv", "json"])
 @pytest.mark.parametrize("name", list(_LARGE))
 def test_writers_hold_less_than_the_file_they_write(tmp_path, name, kind):
     """The traced allocation peak of a write stays below the file's size:
-    the payload's text is never held whole."""
-    block = _LARGE[name]  # 600 CSV columns either way
+    the payload's text is never held whole.  A block that is not Hermitian
+    is not copied either: the peak stays below the block's own size."""
+    block = _LARGE[name]  # 600 CSV columns each
     assert _is_hermitian(block) is name.startswith("hermitian")
     path = tmp_path / f"p.{kind}"
     tracemalloc.start()
@@ -279,3 +283,9 @@ def test_writers_hold_less_than_the_file_they_write(tmp_path, name, kind):
     finally:
         tracemalloc.stop()
     assert peak < path.stat().st_size, f"peak {peak} B for a file of {path.stat().st_size} B"
+    if not _is_hermitian(block):
+        assert peak < block.nbytes, f"peak {peak} B for a block of {block.nbytes} B"
+    if name.startswith("complex"):
+        header, rows = [f"h{j}" for j in range(600)], [sum(row, []) for row in plain(block)]
+        want = csv_oracle(header, rows) if kind == "csv" else json_oracle({"g": block})
+        assert path.read_bytes() == want.encode()

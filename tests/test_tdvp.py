@@ -31,6 +31,7 @@ from cohspace.tdvp import (
     SphereChart,
     bloch_vector,
     chart_for,
+    chart_rhs,
     dirac_frenkel_flow,
     kahler_metric,
 )
@@ -142,18 +143,16 @@ def test_matrix_expectation_grad_matches_fd():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     ham = a + a.conj().T
-    en = MatrixExpectation(ham)
-    chart = SphereChart(4)
+    derivs = MatrixExpectation(ham).on(SphereChart(4))
     u = np.array([0.4 + 0.9j])
-    fd = wirtinger_conj_fd(lambda x: en.chart_value(chart, x), u)
-    got = en.chart_grad(chart, u)[0]
+    fd = wirtinger_conj_fd(lambda x: derivs(x, 0)[0], u)
+    got = derivs(u, 1)[1][0]
     assert abs(got - fd) <= 1e-6 * (1 + abs(got))
 
-    flat = FlatChart(1)
-    en2 = MatrixExpectation(np.diag(np.arange(64, dtype=float)))
+    derivs2 = MatrixExpectation(np.diag(np.arange(64, dtype=float))).on(FlatChart(1))
     u2 = np.array([0.8 - 0.3j])
-    fd2 = wirtinger_conj_fd(lambda x: en2.chart_value(flat, x), u2)
-    got2 = en2.chart_grad(flat, u2)[0]
+    fd2 = wirtinger_conj_fd(lambda x: derivs2(x, 0)[0], u2)
+    got2 = derivs2(u2, 1)[1][0]
     assert abs(got2 - fd2) <= 1e-6 * (1 + abs(got2))
     # for the number operator h = |zeta|^2, so the conj-gradient is zeta
     assert got2 == pytest.approx(u2[0], abs=1e-12)
@@ -163,18 +162,17 @@ def test_matrix_expectation_second_derivatives():
     rng = np.random.default_rng(9)
     a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     ham = a + a.conj().T
-    en = MatrixExpectation(ham)
-    chart = SphereChart(5)
+    derivs = MatrixExpectation(ham).on(SphereChart(5))
     u = np.array([0.3 - 0.65j])
-    h_val, grad, mixed, grad2 = en.chart_second(chart, u)
-    assert h_val == pytest.approx(en.chart_value(chart, u), abs=1e-13)
-    assert grad == pytest.approx(en.chart_grad(chart, u)[0], abs=1e-13)
+    h_val, grad, mixed, grad2 = derivs(u, 2)
+    assert h_val == pytest.approx(derivs(u, 0)[0], abs=1e-13)
+    assert grad == pytest.approx(derivs(u, 1)[1][0], abs=1e-13)
 
     h = 1e-5
-    gp = en.chart_grad(chart, u + np.array([h]))[0]
-    gm = en.chart_grad(chart, u - np.array([h]))[0]
-    gip = en.chart_grad(chart, u + np.array([1j * h]))[0]
-    gim = en.chart_grad(chart, u - np.array([1j * h]))[0]
+    gp = derivs(u + np.array([h]), 1)[1][0]
+    gm = derivs(u - np.array([h]), 1)[1][0]
+    gip = derivs(u + np.array([1j * h]), 1)[1][0]
+    gim = derivs(u - np.array([1j * h]), 1)[1][0]
     dx = (gp - gm) / (2 * h)
     dy = (gip - gim) / (2 * h)
     assert mixed == pytest.approx((dx - 1j * dy) / 2, rel=1e-5, abs=1e-8)
@@ -224,7 +222,7 @@ _ONE_JET_POINTS = (0.0j, 0.3 - 0.2j, -1.1 + 0.7j, 1.6 + 1.2j)   # up to the swit
 def test_one_jet_agrees_with_the_per_order_route(chart):
     d = len(_per_order_embedding(chart, np.array([0.5j]), 0))
     ham = _random_hermitian(np.random.default_rng(d), d)
-    en = MatrixExpectation(ham)
+    derivs = MatrixExpectation(ham).on(chart)
     for w in _ONE_JET_POINTS:
         u = np.array([w])
         jet = chart.jet(u[0], 2)
@@ -232,8 +230,9 @@ def test_one_jet_agrees_with_the_per_order_route(chart):
             assert jet[m].tobytes() == _per_order_embedding(chart, u, m).tobytes()
             assert chart.embedding(u, m).tobytes() == jet[m].tobytes()
         want = _per_order_route(ham, chart, u)
-        got = (en.chart_value(chart, u), en.chart_grad(chart, u)[0]) + en.chart_second(chart, u)
-        for value, ref in zip(got, (want[0], want[1]) + want):
+        (h0,), (h1, (grad,)) = derivs(u, 0), derivs(u, 1)
+        got = (h0, h1, grad) + derivs(u, 2)
+        for value, ref in zip(got, (want[0], want[0], want[1]) + want):
             assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (w, got, want)
 
 
@@ -245,9 +244,112 @@ def test_batched_sample_energies_match_chart_value(chart):
     en = MatrixExpectation(_random_hermitian(rng, d))
     us = (rng.uniform(-1.4, 1.4, size=(25, 1)) + 1j * rng.uniform(-1.4, 1.4, size=(25, 1)))
     got = en.chart_values(chart, us)
-    want = np.array([en.chart_value(chart, u) for u in us])
+    derivs = en.on(chart)
+    want = np.array([derivs(u, 0)[0] for u in us])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, np.abs(want).max()))
     assert en.chart_values(chart, us[:0]).shape == (0,)
+
+
+# The bound evaluator against the per-call composition it replaced, written
+# out here: moments from one jet per call, the state velocity grad / g /
+# (i hbar), and the tangent field F, A, B of the second-derivative formulas.
+
+
+def _old_moments(ham, chart, w, order):
+    jet = chart.jet(w, order)
+    d = jet.shape[-1]
+    kets = np.dot(jet[0] if order < 2 else jet[:2], np.concatenate((ham.T, np.eye(d)), axis=1))
+    return np.dot(jet.conj(), kets.reshape(-1, d).T).tolist()
+
+
+def _old_state_rhs(ham, chart, u, hbar):
+    (num, den), (dnum, dden) = _old_moments(ham, chart, u[0], 1)
+    den = den.real
+    grad = np.array([(dnum * den - num * dden) / den ** 2])
+    return grad / chart.scalar_metric(u[0]) / (1j * hbar)
+
+
+def _old_tangent_rhs(ham, chart, y, hbar):
+    w = y[0]
+    g, g_w = chart.scalar_metric(w), chart.metric_dw(w)
+    (num, den, dn_h, dd_h), (dn, dd, dndn_h, dddd_h), (dn2, dd2, _, _) = \
+        _old_moments(ham, chart, np.array([w])[0], 2)
+    p = dn * den - num * dd
+    grad = p / den ** 2
+    dp_h = dndn_h * den + dn * dd_h - dn_h * dd - num * dddd_h
+    dp_b = dn2 * den - num * dd2
+    mixed = (dp_h * den - 2.0 * p * dd_h) / den ** 3
+    grad2 = (dp_b * den - 2.0 * p * dd) / den ** 3
+    scale = 1.0 / (1j * hbar * g * g)
+    f = grad / (1j * hbar * g)
+    a = (mixed * g - grad * g_w) * scale
+    b = (grad2 * g - grad * np.conj(g_w)) * scale
+    return np.array([f, a * y[1] + b * np.conj(y[1])])
+
+
+@pytest.mark.parametrize("n", [1, 4, 40])
+def test_chart_rhs_is_the_old_composition_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    en = MatrixExpectation(_random_hermitian(rng, n + 1))
+    for south in (False, True):
+        chart = SphereChart(n, south=south)
+        derivs = en.on(chart)
+        state = chart_rhs(chart, derivs, 0.7)
+        tangent = chart_rhs(chart, derivs, 0.7, tangent=True)
+        points = rng.uniform(-1.5, 1.5, (200, 2)) + 1j * rng.uniform(-1.5, 1.5, (200, 2))
+        for w, dw in points:
+            u, y = np.array([w]), np.array([w, dw])
+            assert state(0.0, u).tobytes() == _old_state_rhs(en.h, chart, u, 0.7).tobytes()
+            assert tangent(0.0, y).tobytes() == _old_tangent_rhs(en.h, chart, y, 0.7).tobytes()
+
+
+def test_a_wrong_size_operator_fails_when_bound(monkeypatch):
+    from cohspace import tdvp
+    from cohspace.chaos import lyapunov_continuous
+    from cohspace.errors import ConfigError
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_rk45 ran")
+
+    monkeypatch.setattr(tdvp, "solve_rk45", no_solve)
+    z0, message = unit_spinor(1.0, 0.2), r"operator is \(5, 5\) but the chart embeds into dimension 4"
+    with pytest.raises(ConfigError, match=message):
+        MatrixExpectation(np.eye(5)).on(SphereChart(3, south=True))
+    with pytest.raises(ConfigError, match=message):
+        dirac_frenkel_flow(spin_space(3), MatrixExpectation(np.eye(5)), z0, (0.0, 1.0))
+    with pytest.raises(ConfigError, match=message):
+        lyapunov_continuous(spin_space(3), MatrixExpectation(np.eye(5)), z0, t_total=4.0,
+                            resample=1.0)
+
+
+def test_callable_energy_calls_per_rhs():
+    # the velocity costs the stencil's 4 calls per chart coordinate, its h
+    # the stencil's mean; the tangent field 21 (value, gradient and the
+    # gradient's own stencil)
+    calls = []
+
+    def fn(p):
+        calls.append(p)
+        return float(abs(p.coords[-1]) ** 2 + 0.3 * p.coords[-1].real)
+
+    en = CallableExpectation(fn)
+    flat = FlatChart(2)
+    chart_rhs(flat, en.on(flat), 1.0)(0.0, np.array([0.3 + 0.1j, -0.2j]))
+    assert len(calls) == 8
+    chart = SphereChart(4, south=True)
+    derivs = en.on(chart)
+    calls.clear()
+    chart_rhs(chart, derivs, 1.0, tangent=True)(0.0, np.array([0.3 + 0.1j, 1.0]))
+    assert len(calls) == 21
+    u = np.array([0.4 - 0.2j])
+    assert abs(derivs(u, 1)[0] - derivs(u, 0)[0]) <= 1e-10
+
+
+def test_charts_of_one_side_share_their_table():
+    for n in (1, 6):
+        north = SphereChart(n)
+        assert north.flipped()._table is SphereChart(n, south=True)._table
+        assert north.flipped().flipped()._table is north._table
 
 
 def test_non_hermitian_energy_matrix_rejected():
