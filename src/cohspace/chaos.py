@@ -36,15 +36,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidPointError
 from .kernels import KernelSpace, Point, spin_space
 from .tdvp import CHART_SWITCH_RADIUS, ExpectationFunction, chart_for, charted_solve
 
 
 def spinor_from_bloch(s) -> Point:
-    """Unit spinor with the given Bloch vector (X, Y, Z)."""
+    """Unit spinor with the direction of the Bloch vector (X, Y, Z); raises
+    InvalidPointError for a vector without one (zero or non-finite)."""
     s = np.asarray(s, dtype=float)
-    x, y, z = s / np.linalg.norm(s)
+    r = np.linalg.norm(s)
+    if not (0.0 < r < math.inf):
+        raise InvalidPointError(f"Bloch vector {s.tolist()} has no direction: "
+                                "it needs a nonzero finite length")
+    x, y, z = s / r
     if z >= 0.0:
         w = (x + 1j * y) / (1.0 + z)
         v = np.array([1.0, w]) / math.sqrt(1.0 + abs(w) ** 2)

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, check_sample_times
 from .integrate import IntegratorStats, solve_rk45
 from .kernels import KernelSpace, Point, kernel_diagonal, row_norms
-from .reps import FockRep, SpinRep, propagate_eig
+from .reps import propagate_eig
 
 
 @dataclass
@@ -112,29 +112,15 @@ class LiftReport:
     rep_dim: int
 
 
-def _rep_hamiltonian(rep, label_generator: np.ndarray) -> np.ndarray:
-    """Derivation action of the label generator in the given representation."""
-    if isinstance(rep, SpinRep):
-        return rep.dgamma(label_generator)
-    if isinstance(rep, FockRep):
-        a = np.asarray(label_generator, dtype=complex)
-        if a.shape != (2, 2) or abs(a[0, 0]) + abs(a[0, 1]) + abs(a[1, 0]) > 1e-14:
-            raise ConfigError(
-                "FockRep lifts need single-mode label generators acting on zeta only "
-                "(first row/column zero)"
-            )
-        return rep.one_body(a[1, 1])
-    raise ConfigError(f"unsupported representation {type(rep).__name__}")
-
-
 def verify_schrodinger_lift(
     rep,
     flow: LinearHamiltonianFlow,
     traj: Trajectory,
     n_checks: int = 5,
 ) -> LiftReport:
-    """Fidelity of the coherent trajectory against exact matrix propagation,
-    with the coherent-state norms K(z, z) the trajectory carries.
+    """Fidelity of the coherent trajectory against exact matrix propagation
+    in `rep` (a SpinRep or FockRep, which lifts the generator by its own
+    dgamma), with the coherent-state norms K(z, z) the trajectory carries.
 
     Time-independent flows are propagated by eigendecomposition (no second
     integrator error budget); time-dependent (callable) flows are integrated in
@@ -150,12 +136,12 @@ def verify_schrodinger_lift(
     times_rel = [traj.times[i] - t0 for i in idx]
     if callable(flow.generator):
         def rhs(t, y):
-            return _rep_hamiltonian(rep, flow.generator(t)) @ y / (1j * flow.hbar)
+            return rep.dgamma(flow.generator(t)) @ y / (1j * flow.hbar)
 
         psis = solve_rk45(rhs, 0.0, times_rel[-1], psi0, rtol=1e-11, atol=1e-14,
                           t_eval=times_rel).states
     else:
-        h_q = _rep_hamiltonian(rep, flow.matrix_at(t0))
+        h_q = rep.dgamma(flow.matrix_at(t0))
         psis = propagate_eig(h_q, psi0, times_rel, hbar=flow.hbar)
     deficits = np.empty(len(idx))
     for row, i in enumerate(idx):

@@ -13,6 +13,7 @@ descriptor, and ``check_sample_times`` checks every time grid.
 from __future__ import annotations
 
 import numbers
+import sys
 
 
 class DomainError(Exception):
@@ -45,19 +46,21 @@ def _bool(value) -> bool:
 # what the error message asks for); any other type ("json") is taken as is.
 TYPES = {
     "int": (int, numbers.Integral, "an integer"),
-    "float": (float, numbers.Real, "a number"),
+    "float": (float, numbers.Real, "a finite number"),
     "str": (str, str, "a string"),
     "bool": (_bool, bool, "true or false"),
 }
 
 
 def check_value(key: str, kind: str, value):
-    """A value of the field's type (floats as float), else ConfigError; a bool
-    is only of type bool."""
+    """A value of the field's type (floats as float, and finite), else
+    ConfigError; a bool is only of type bool."""
     if kind not in TYPES:
         return value
     convert, accepted, noun = TYPES[kind]
     if isinstance(value, bool) != (accepted is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"{key!r} must be {noun}, got {value!r}")
+    if kind == "float" and not abs(value) <= sys.float_info.max:  # nan, inf or a huge int
         raise ConfigError(f"{key!r} must be {noun}, got {value!r}")
     return convert(value)
 

@@ -85,7 +85,8 @@ def _as_real(a):
 def _is_hermitian(a) -> bool:
     """Whether a is a finite square complex128 2-D array equal to its conjugate
     transpose bit for bit: the real parts equal as uint64 and, off the
-    diagonal, the imaginary parts differing in the sign bit alone."""
+    diagonal, the imaginary parts differing in the sign bit alone.  Real parts
+    go first: a mismatch there returns before an n x n integer array exists."""
     if a.ndim != 2 or a.dtype != "complex128" or a.shape[0] != a.shape[1]:
         return False
     import numpy as np
@@ -94,9 +95,11 @@ def _is_hermitian(a) -> bool:
         return False
     bits = np.ascontiguousarray(a).view(np.uint64)
     re, im = bits[:, 0::2], bits[:, 1::2]
+    if not (re == re.T).all():
+        return False
     flips = im ^ im.T
     np.fill_diagonal(flips, 1 << 63)
-    return bool((re == re.T).all() and (flips == 1 << 63).all())
+    return bool((flips == 1 << 63).all())
 
 
 def _hermitian_rows(a, open_="", sep=",", close=""):

@@ -32,6 +32,10 @@ plus a one-point sampler; ``_CATALOG`` maps each kind to (factory, fields).
 included), ``gram_matrix`` mirrors its upper triangle for Hermitian kernels,
 and ``eval_kernel`` is its 1 x 1 case.
 
+Analytic path partials (``KernelPartials``) come with ``trivial`` and
+``klauder``; ``power`` and integer ``spin``, which is the n-th power of the
+trivial kernel, take theirs from one chain rule, ``_power_partials``.
+
 Throughout, <a, b> = sum conj(a_k) b_k.
 """
 
@@ -222,17 +226,40 @@ def _sesquilinear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.conj() @ b.T
 
 
+_SESQUILINEAR_PARTIALS = KernelPartials(
+    d_second=lambda z, v, vdot: np.vdot(z.coords, vdot),
+    d_first_second=lambda u, udot, v, vdot: np.vdot(udot, vdot),
+)
+
+
+def _power_partials(kernel, partials: KernelPartials, n: int) -> KernelPartials:
+    """Partials of the pointwise power K^n (n >= 0) by the chain rule, from
+    the stacked Hermitian base kernel and its partials."""
+
+    def d_second(z, v, vdot):
+        return n * _at(kernel, z, v) ** (n - 1) * partials.d_second(z, v, vdot) if n >= 1 else 0.0j
+
+    def d_first_second(u, udot, v, vdot):
+        if n < 1:
+            return 0.0j
+        k = _at(kernel, u, v)
+        out = n * k ** (n - 1) * partials.d_first_second(u, udot, v, vdot)
+        if n >= 2:
+            # dK/dt of the Hermitian base via conj of the s-derivative with slots swapped
+            dt = np.conj(partials.d_second(v, u, udot))
+            out += n * (n - 1) * k ** (n - 2) * dt * partials.d_second(u, v, vdot)
+        return out
+
+    return KernelPartials(d_second, d_first_second)
+
+
 def trivial_space(dim: int) -> KernelSpace:
-    partials = KernelPartials(
-        d_second=lambda z, v, vdot: np.vdot(z.coords, vdot),
-        d_first_second=lambda u, udot, v, vdot: np.vdot(udot, vdot),
-    )
     return KernelSpace(
         label_dim=dim,
         kind="trivial",
         kernel=_sesquilinear,
         sampler=lambda rng: Point(_cgauss(rng, dim)),
-        partials=partials,
+        partials=_SESQUILINEAR_PARTIALS,
         descriptor={"kind": "trivial", "dim": dim},
     )
 
@@ -315,31 +342,13 @@ def spin_space(exponent: float) -> KernelSpace:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(s != 0, np.exp(n * np.log(s)), 0.0j)
 
-    partials = None
-    if is_int:
-        ni = int(round(n))
-
-        def d_second(z, v, vdot, _n=ni):
-            s = np.vdot(z.coords, v.coords)
-            return _n * s ** (_n - 1) * np.vdot(z.coords, vdot) if _n >= 1 else 0.0j
-
-        def d_first_second(u, udot, v, vdot, _n=ni):
-            s = np.vdot(u.coords, v.coords)
-            out = 0.0j
-            if _n >= 2:
-                out += _n * (_n - 1) * s ** (_n - 2) * np.vdot(udot, v.coords) * np.vdot(u.coords, vdot)
-            if _n >= 1:
-                out += _n * s ** (_n - 1) * np.vdot(udot, vdot)
-            return out
-
-        partials = KernelPartials(d_second, d_first_second)
-
     return KernelSpace(
         label_dim=2,
         kind="spin",
         kernel=kernel,
         sampler=_unit_spinor,
-        partials=partials,
+        partials=(_power_partials(_sesquilinear, _SESQUILINEAR_PARTIALS, int(round(n)))
+                  if is_int else None),
         constraint=_unit_norm_residual,
         constraint_name="unit spinor norm",
         descriptor={"kind": "spin", "exponent": n},
@@ -383,35 +392,13 @@ def power_space(base: KernelSpace, n: int) -> KernelSpace:
     if n < 1:
         raise ConfigError("power kernel needs an integer exponent n >= 1")
 
-    partials = None
-    if base.partials is not None and base.hermitian:
-        bp = base.partials
-
-        def d_first(u, udot, v):
-            # dK/dt of the Hermitian base via conj of the s-derivative with slots swapped
-            return np.conj(bp.d_second(v, u, udot))
-
-        def d_second(z, v, vdot):
-            k = _at(base.kernel, z, v)
-            return n * k ** (n - 1) * bp.d_second(z, v, vdot)
-
-        def d_first_second(u, udot, v, vdot):
-            k = _at(base.kernel, u, v)
-            dt = d_first(u, udot, v)
-            ds = bp.d_second(u, v, vdot)
-            out = n * k ** (n - 1) * bp.d_first_second(u, udot, v, vdot)
-            if n >= 2:
-                out += n * (n - 1) * k ** (n - 2) * dt * ds
-            return out
-
-        partials = KernelPartials(d_second, d_first_second)
-
     # labels, sampler, checks and symmetries are the base's
     return replace(
         base,
         kind="power",
         kernel=lambda a, b: np.power(base.kernel(a, b), n),
-        partials=partials,
+        partials=(_power_partials(base.kernel, base.partials, n)
+                  if base.partials is not None and base.hermitian else None),
         projective_degree=None if base.projective_degree is None else n * base.projective_degree,
         descriptor={"kind": "power", "base": base.descriptor, "n": n},
         base=base,

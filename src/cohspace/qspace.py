@@ -12,8 +12,11 @@ products reproduce kernel values:  B[:, i]* B[:, j] = G[i, j].
 States are either spans (coefficients against label points, possibly off the
 basis) or first derivatives of label paths; inner products of the latter are
 the mixed path derivatives of the kernel, computed analytically when the
-space carries kernel partials and by Richardson-extrapolated central
-differences otherwise.
+space carries kernel partials and by finite differences otherwise.
+
+The package's one numerical-derivative rule: ``central`` (central difference)
+and ``mixed`` (4-point mixed stencil) at steps h and h/2, combined by
+``richardson``; tdvp's generic Kaehler metric and quantize's generators use it.
 """
 
 from __future__ import annotations
@@ -145,6 +148,31 @@ def embed_state(qb: QuantumBasis, state: SpanState, tol: float = 1e-8) -> np.nda
 # ------------------------------------------------------------ derivative states
 
 
+def richardson(q_h, q_half):
+    """Richardson extrapolation of an O(h^2) quotient from its values at steps
+    h and h/2: (4 q(h/2) - q(h)) / 3 is O(h^4)."""
+    return (4.0 * q_half - q_h) / 3.0
+
+
+def central(f: Callable, h: float):
+    """d f / dt at t = 0, f(t) a number or an array: the central difference
+    (f(step) - f(-step)) / (2 step) at steps h and h/2, extrapolated."""
+    def diff(step):
+        return (f(step) - f(-step)) / (2.0 * step)
+
+    return richardson(diff(h), diff(h / 2.0))
+
+
+def mixed(phi: Callable, h: float):
+    """d^2 phi / (dt ds) at (0, 0): the 4-point stencil at steps h and h/2,
+    extrapolated; phi(t, s) is called at (+, +), (+, -), (-, +), (-, -)."""
+    def stencil(step):
+        return ((phi(step, step) - phi(step, -step) - phi(-step, step) + phi(-step, -step))
+                / (4.0 * step * step))
+
+    return richardson(stencil(h), stencil(h / 2.0))
+
+
 @dataclass
 class DerivativeState:
     """First derivative (d/dt)|path(t)> at `time`."""
@@ -160,18 +188,9 @@ def _path_point(space: KernelSpace, path, t: float) -> Point:
 
 
 def _path_tangent(space: KernelSpace, d: DerivativeState, h: float) -> tuple[Point, np.ndarray]:
-    """Richardson central difference of the label path (stencil points validated)."""
-    t = d.time
-    p0 = _path_point(space, d.path, t)
-
-    def diff(step):
-        pp = _path_point(space, d.path, t + step)
-        pm = _path_point(space, d.path, t - step)
-        return (pp.coords - pm.coords) / (2.0 * step)
-
-    d1 = diff(h)
-    d2 = diff(h / 2.0)
-    return p0, (4.0 * d2 - d1) / 3.0
+    """The path point and its tangent by `central` (stencil points validated)."""
+    p0 = _path_point(space, d.path, d.time)
+    return p0, central(lambda dt: _path_point(space, d.path, d.time + dt).coords, h)
 
 
 def derivative_inner(space: KernelSpace, d1: DerivativeState, d2: DerivativeState,
@@ -181,16 +200,8 @@ def derivative_inner(space: KernelSpace, d1: DerivativeState, d2: DerivativeStat
         u, udot = _path_tangent(space, d1, h)
         v, vdot = _path_tangent(space, d2, h)
         return complex(space.partials.d_first_second(u, udot, v, vdot))
-
-    def phi(dt, ds):
-        return eval_kernel(space, _path_point(space, d1.path, d1.time + dt),
-                           _path_point(space, d2.path, d2.time + ds))
-
-    def mixed(step):
-        return (phi(step, step) - phi(step, -step) - phi(-step, step) + phi(-step, -step)) / (4.0 * step * step)
-
-    m1, m2 = mixed(h), mixed(h / 2.0)
-    return (4.0 * m2 - m1) / 3.0
+    return mixed(lambda dt, ds: eval_kernel(space, _path_point(space, d1.path, d1.time + dt),
+                                            _path_point(space, d2.path, d2.time + ds)), h)
 
 
 def mixed_inner(space: KernelSpace, z: Point, d: DerivativeState, h: float = 1e-4) -> complex:
@@ -199,10 +210,4 @@ def mixed_inner(space: KernelSpace, z: Point, d: DerivativeState, h: float = 1e-
     if space.partials is not None:
         v, vdot = _path_tangent(space, d, h)
         return complex(space.partials.d_second(z, v, vdot))
-
-    def psi(ds):
-        return eval_kernel(space, z, _path_point(space, d.path, d.time + ds))
-
-    d1 = (psi(h) - psi(-h)) / (2.0 * h)
-    d2 = (psi(h / 2.0) - psi(-h / 2.0)) / h
-    return (4.0 * d2 - d1) / 3.0
+    return central(lambda ds: eval_kernel(space, z, _path_point(space, d.path, d.time + ds)), h)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, SpanEscapeError, StepSizeError
 from .kernels import Point, cross_gram
-from .qspace import QuantumBasis
+from .qspace import QuantumBasis, richardson
 
 
 @dataclass
@@ -113,4 +113,4 @@ def generator_matrix(qb: QuantumBasis, gen: GeneratorSpec, s: float = 1e-4,
             f"generator quotient unstable: step {s:.1e} vs {s / 2:.1e} differ by "
             f"{disagreement:.3e} (relative); adjust s"
         )
-    return QuantizedOperator(matrix=(4.0 * d2 - d1) / 3.0, residual=max(r1, r2))
+    return QuantizedOperator(matrix=richardson(d1, d2), residual=max(r1, r2))

@@ -12,7 +12,8 @@ quantization and dynamics:
 
 - ``FockRep(cutoff)``: truncated boson Fock space for single-mode Klauder
   labels (z0, zeta); embed(z) = e^{z0} sum_n zeta^n/sqrt(n!) |n>, exact up to
-  the truncated tail (checked against K(z, z) at embed time).
+  the truncated tail (checked against K(z, z) at embed time).  ``dgamma(X)``
+  lifts a generator acting on zeta alone to X[1, 1] times the number operator.
 """
 
 from __future__ import annotations
@@ -116,9 +117,14 @@ class FockRep:
             )
         return v
 
-    def one_body(self, coeff: complex) -> np.ndarray:
-        """dGamma of a scalar label generator acting on zeta: coeff * N."""
-        return coeff * self.number()
+    def dgamma(self, x: np.ndarray) -> np.ndarray:
+        """dGamma of a single-mode label generator X (2x2) acting on zeta
+        alone: X[1, 1] times the number operator."""
+        a = np.asarray(x, dtype=complex)
+        if a.shape != (2, 2) or abs(a[0, 0]) + abs(a[0, 1]) + abs(a[1, 0]) > 1e-14:
+            raise ConfigError("FockRep lifts need single-mode label generators acting on zeta "
+                              "only (first row/column zero)")
+        return a[1, 1] * self.number()
 
 
 def propagate_eig(h: np.ndarray, psi0: np.ndarray, times, hbar: float = 1.0) -> np.ndarray:

@@ -32,7 +32,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateMetricError, IntegratorFailure
+from . import qspace
+from .errors import ConfigError, DegenerateMetricError, IntegratorFailure, InvalidPointError
 from .integrate import IntegratorStats, solve_rk45
 from .kernels import KernelSpace, Point, eval_kernel, kernel_diagonal
 from .dynamics import Trajectory
@@ -193,10 +194,18 @@ _CHARTS = {
 
 
 def chart_for(space: KernelSpace, z0: Point):
+    """The space's chart at the start label z0 (any nonzero multiple of a
+    unit label); raises InvalidPointError when z0 has no finite coordinate."""
     make = _CHARTS.get(space.kind)
     if make is None:
         raise ConfigError(f"no variational chart for kernel kind '{space.kind}'")
-    return make(space, z0)
+    chart = make(space, z0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = chart.coords(z0)
+    if not np.isfinite(u).all():
+        raise InvalidPointError(f"{space.kind}: start label {z0.coords.tolist()} has no finite "
+                                "chart coordinate")
+    return chart
 
 
 # ------------------------------------------------------------ energy surfaces
@@ -318,8 +327,8 @@ def kahler_metric(space: KernelSpace, z: Point) -> np.ndarray:
     """Metric g = d_ubar d_u log K at the diagonal.
 
     Analytic for klauder (identity on the zeta block) and spin (stereographic
-    chart); finite differences over the label coordinates otherwise.  Raises
-    DegenerateMetricError (listing null directions) when the smallest
+    chart); otherwise qspace.mixed of log K along each pair of label axes.
+    Raises DegenerateMetricError (listing null directions) when the smallest
     eigenvalue is indistinguishable from zero — below max(1e-12 * trace,
     FD roundoff floor ~ eps/METRIC_FD_STEP^2) — as for projectively degenerate
     kernels, where the label ray itself is a null direction.
@@ -340,18 +349,7 @@ def kahler_metric(space: KernelSpace, z: Point) -> np.ndarray:
     for j in range(dim):
         for k in range(dim):
             ej, ek = np.eye(dim)[j], np.eye(dim)[k]
-
-            def mixed(step):
-                zp = z.coords
-                return (
-                    logk(zp + step * ej, zp + step * ek)
-                    - logk(zp + step * ej, zp - step * ek)
-                    - logk(zp - step * ej, zp + step * ek)
-                    + logk(zp - step * ej, zp - step * ek)
-                ) / (4.0 * step * step)
-
-            m1, m2 = mixed(h), mixed(h / 2.0)
-            g[j, k] = (4.0 * m2 - m1) / 3.0
+            g[j, k] = qspace.mixed(lambda a, b: logk(z.coords + a * ej, z.coords + b * ek), h)
     g = 0.5 * (g + g.conj().T)
     if not np.isfinite(g).all():
         raise DegenerateMetricError(

@@ -17,6 +17,7 @@ import pytest
 
 from cohspace import cli, kernels, liealg
 from cohspace import io as artifacts
+from cohspace.errors import ConfigError
 from cohspace.kernels import Point, eval_kernel, space_from_descriptor
 from cohspace.liealg import algebra_from_descriptor
 
@@ -506,6 +507,41 @@ def test_bool_flags_are_json_bools(tmp_path, monkeypatch, capsys):
     assert json.loads((tmp_path / "c.json").read_text())["passed"]
     code, _, err = run_cli(args + ["0"], tmp_path, monkeypatch, capsys)
     assert code == 2 and "'nonlocal_violation'" in err
+
+
+_KICKED = ["dyn-lyapunov", "--system", "kicked_top", "--periods", "10"]
+_ZERO_SPINOR = ["--z0", "[[0,0],[0,0]]"]
+_NO_CHART = "spin: start label [0j, 0j] has no finite chart coordinate"
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (_KICKED + ["--kick", "3", "--bloch0", "[0,0,0]"], 1,
+     "Bloch vector [0.0, 0.0, 0.0] has no direction: it needs a nonzero finite length"),
+    (_KICKED + ["--kick", "3"] + _ZERO_SPINOR, 1, _NO_CHART),
+    (_KICKED + ["--kick", "NaN"], 2, "'kick' must be a finite number, got nan"),
+    (["dyn-tdvp"] + _SPIN4 + ["--t-span", "[0,2]"] + _ZERO_SPINOR, 1, _NO_CHART),
+    (["dyn-lyapunov", "--system", "continuous"] + _SPIN4 + ["--t-total", "4"] + _ZERO_SPINOR, 1,
+     _NO_CHART),
+    (["dyn-tdvp"] + _SPIN4 + ["--t-span", "[0,2]", "--z0", "[NaN,1]"], 2,
+     "'z0' must be a finite number, got nan"),
+    (["dyn-tdvp"] + _SPIN4 + ["--t-span", "[0,2]", "--hbar", "1e999"], 2,
+     "'hbar' must be a finite number, got inf"),
+])
+def test_a_start_without_direction_or_a_non_finite_number_fails_by_name(
+        tmp_path, monkeypatch, capsys, args, code, message):
+    # each of these used to end in a NaN exponent with exit 0, or in a
+    # non-finite first integrator stage
+    got, out, err = run_cli(args, tmp_path, monkeypatch, capsys)
+    assert (got, out) == (code, "")
+    if code == 2:
+        assert err == f"config error: {message}\n"
+    else:
+        assert json.loads(err) == {"error": "invalid-point", "message": message}
+
+
+def test_a_json_integer_beyond_the_float_range_is_not_a_finite_number():
+    with pytest.raises(ConfigError, match="'kick' must be a finite number, got 1000"):
+        cli.run({"command": "dyn-lyapunov", "kick": 10 ** 400, "periods": 10})
 
 
 def test_exit_2_on_a_partial_lyapunov_segment(tmp_path, monkeypatch, capsys):

@@ -68,6 +68,21 @@ def test_schrodinger_lift_fock():
     assert report.rep_dim == 64
 
 
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0)])
+def test_fock_lift_rejects_a_generator_touching_z0(entry):
+    sp = klauder_space(1)
+    traj = coherent_flow(sp, klauder_oscillator_flow(1.0), Point([0.0, 0.5]), (0.0, 1.0),
+                         t_eval=np.linspace(0, 1, 5))
+    a = np.diag([0.0, 1.0]).astype(complex)
+    a[entry] = 1e-6
+    message = ("FockRep lifts need single-mode label generators acting on zeta only "
+               "(first row/column zero)")
+    for generator in (a, lambda t: a):  # the exact and the integrated lift
+        with pytest.raises(ConfigError) as exc:
+            verify_schrodinger_lift(FockRep(16), LinearHamiltonianFlow(generator), traj)
+        assert str(exc.value) == message
+
+
 def test_schrodinger_lift_spin():
     n = 6
     sp = spin_space(n)

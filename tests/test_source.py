@@ -7,6 +7,9 @@ imports inside a function.  Names used only inside string annotations count.
 Every function, class, method and class-level field defined in
 ``src/cohspace`` must be named somewhere besides its definition, in ``src``,
 ``tests``, ``scripts`` or ``bench`` (a whole-word search of the Python files).
+
+The numerical-derivative rule is written once: ``src/cohspace`` holds one
+Richardson combination (4.0 * a - b) / 3.0 and one 4-point mixed stencil.
 """
 
 import ast
@@ -144,3 +147,54 @@ def test_every_name_the_package_defines_is_named_elsewhere():
               for path in sorted((root / folder).rglob("*.py"))]
     assert len(package) >= 15 and len(corpus) > len(package)
     assert dead_names(package, corpus) == []
+
+
+# ------------------------------------------------------ derivative rules
+
+
+def _is_number(node, value) -> bool:
+    return isinstance(node, ast.Constant) and node.value == value
+
+
+def _is_binop(node, op) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, op)
+
+
+def derivative_rules(source: str) -> collections.Counter:
+    """How often the source writes the Richardson combination (4.0 * a - b) / 3.0
+    and the 4-point stencil f(..) - f(..) - f(..) + f(..), four calls of one
+    function f with two arguments each."""
+    found = collections.Counter()
+    for node in ast.walk(ast.parse(source)):
+        if (_is_binop(node, ast.Div) and _is_number(node.right, 3.0)
+                and _is_binop(node.left, ast.Sub) and _is_binop(node.left.left, ast.Mult)
+                and _is_number(node.left.left.left, 4.0)):
+            found["richardson"] += 1
+        terms, ops, left = [], [], node
+        while _is_binop(left, (ast.Add, ast.Sub)):
+            terms.append(left.right)
+            ops.append(type(left.op))
+            left = left.left
+        terms.append(left)
+        if (ops == [ast.Add, ast.Sub, ast.Sub]
+                and all(isinstance(t, ast.Call) and len(t.args) == 2 for t in terms)
+                and len({ast.dump(t.func) for t in terms}) == 1):
+            found["stencil"] += 1
+    return found
+
+
+def test_the_scan_finds_the_derivative_rules():
+    source = ("a = (4.0 * q2 - q1) / 3.0\nb = (4.0 * q2 + q1) / 3.0\n"
+              "c = (f(h, h) - f(h, -h) - f(-h, h) + f(-h, -h)) / (4.0 * h * h)\n"
+              "d = (f(x + h * e, x + h * e) - f(x + h * e, x - h * e)\n"
+              "     - f(x - h * e, x + h * e) + f(x - h * e, x - h * e))\n"
+              "e = f(h, h) - g(h, -h) - f(-h, h) + f(-h, -h)\n"
+              "f = f(h) - f(-h) - f(h) + f(-h)\n")
+    assert derivative_rules(source) == {"richardson": 1, "stencil": 2}
+
+
+def test_each_derivative_rule_is_written_once():
+    found = collections.Counter()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += derivative_rules(path.read_text(encoding="utf-8"))
+    assert found == {"richardson": 1, "stencil": 1}
