@@ -12,7 +12,7 @@ Layout:
 - qspace      finite quantum spaces from Gram factorizations; span states
 - reps        concrete finite representations (Fock cutoff, spin monomials)
 - quantize    map/generator quantization on a quantum space
-- integrate   embedded RK5(4) with deterministic stats
+- integrate   embedded Dormand-Prince 8(5,3) pair with deterministic stats
 - dynamics    linear coherent flows and their representation-space lifts
 - tdvp        Kaehler metric and variational (Dirac-Frenkel) flows in charts
 - chaos       kicked semiquantal systems and Lyapunov estimates

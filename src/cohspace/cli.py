@@ -417,6 +417,7 @@ def _h_dyn_tdvp(cfg):
     payload = _trajectory_payload(traj, with_energy=True)
     summary = {
         "steps": int(traj.stats.steps),
+        "rhs_evals": int(traj.stats.rhs_evals),
         "energy_drift": float(traj.energy_drift),
         "chart_switches": int(traj.chart_switches),
     }
@@ -463,9 +464,9 @@ def _h_dyn_lyapunov(cfg):
 # model kind -> (factory of (the spectra module, **fields), fields)
 _MODELS = {
     "oscillator": (lambda spectra, **params: spectra.oscillator_model(**params), (
-        ("omega", "float", None), ("hbar", "float", None), ("n_max", "int", None))),
+        ("omega", "float", None), ("hbar", "positive", None), ("n_max", "int", None))),
     "coulomb": (lambda spectra, **params: spectra.coulomb_model(**params), (
-        ("mass", "float", None), ("alpha", "float", None), ("hbar", "float", None),
+        ("mass", "float", None), ("alpha", "float", None), ("hbar", "positive", None),
         ("n_max", "int", None))),
     "free_particle": (lambda spectra, **params: spectra.free_particle_model(**params), (
         ("mass", "float", None), ("c", "float", None), ("p_max", "float", None))),
@@ -631,19 +632,19 @@ class Command(NamedTuple):
 
 _POINTS = (("space", "json", REQUIRED), ("points", "json", None), ("count", "int", None))
 _FLOW = (("space", "json", REQUIRED), ("z0", "json", REQUIRED), ("t_span", "json", REQUIRED),
-         ("samples", "int", 101), ("hbar", "float", 1.0))
+         ("samples", "int", 101), ("hbar", "positive", 1.0))
 
 SCHEMA = {
     "kernel-eval": Command(_h_kernel_eval, "json", (
         ("space", "json", REQUIRED), ("z", "json", REQUIRED), ("z2", "json", REQUIRED))),
     "kernel-gram": Command(_h_kernel_gram, "csv", _POINTS),
-    "kernel-check": Command(_h_kernel_check, "json", _POINTS + (("tol", "float", None),)),
-    "qspace-build": Command(_h_qspace_build, "csv", _POINTS + (("tol", "float", None),)),
+    "kernel-check": Command(_h_kernel_check, "json", _POINTS + (("tol", "positive", None),)),
+    "qspace-build": Command(_h_qspace_build, "csv", _POINTS + (("tol", "positive", None),)),
     "quantize": Command(_h_quantize, "csv", _POINTS + (
-        ("map", "json", REQUIRED), ("tol", "float", None))),
+        ("map", "json", REQUIRED), ("tol", "positive", None))),
     "dyn-coherent": Command(_h_dyn_coherent, "csv", _FLOW + (("generator", "json", REQUIRED),)),
     "dyn-tdvp": Command(_h_dyn_tdvp, "csv", _FLOW + (
-        ("energy", "json", REQUIRED), ("rtol", "float", 1e-9))),
+        ("energy", "json", REQUIRED), ("rtol", "positive", 1e-9))),
     "dyn-lyapunov": Command(_h_dyn_lyapunov, "csv", (("system", "str", "kicked_top"),), {
         "kicked_top": (_kicked_top_exponent, (
             ("kick", "float", REQUIRED), ("spin", "int", 40),
@@ -652,18 +653,18 @@ SCHEMA = {
         "continuous": (_continuous_exponent, (
             ("space", "json", REQUIRED), ("energy", "json", REQUIRED), ("z0", "json", REQUIRED),
             ("t_total", "float", 200.0), ("resample", "float", 1.0),
-            ("rtol", "float", 1e-10), ("hbar", "float", 1.0))),
+            ("rtol", "positive", 1e-10), ("hbar", "positive", 1.0))),
     }),
     "spec-solve": Command(_h_spec_solve, "csv", (
         ("model", "json", REQUIRED), ("interval", "json", REQUIRED),
-        ("tol", "float", None), ("grid", "int", None))),
+        ("tol", "positive", None), ("grid", "int", None))),
     "lie-evolve": Command(_h_lie_evolve, "csv", (
         ("algebra", "json", REQUIRED), ("hamiltonian", "json", REQUIRED),
         ("state", "json", REQUIRED), ("observables", "json", REQUIRED),
         ("t_span", "json", REQUIRED), ("samples", "int", 201))),
     "causal-check": Command(_h_causal_check, "json", (
         ("kernel", "str", "lattice_weyl"), ("nonlocal_violation", "bool", False),
-        ("triples", "json", None), ("count", "int", 20), ("tol", "float", None))),
+        ("triples", "json", None), ("count", "int", 20), ("tol", "positive", None))),
 }
 
 # two-word spellings accepted on the command line

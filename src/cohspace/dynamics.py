@@ -5,8 +5,9 @@ t -> |z(t)> solves the representation-space Schroedinger equation exactly,
 with Hamiltonian the derivation action of A (no ordering corrections).
 ``coherent_flow`` propagates a time-independent label flow exactly,
 z(t) = exp(-i A (t - t0) / hbar) z0 by ``reps.propagate_eig``, and integrates
-a time-dependent one with RK45; ``verify_schrodinger_lift`` checks the lifted
-trajectory against exact propagation in a concrete finite representation.
+a time-dependent one with the Dormand-Prince 8(5,3) pair of ``integrate``;
+``verify_schrodinger_lift`` checks the lifted trajectory against exact
+propagation in a concrete finite representation.
 """
 
 from __future__ import annotations

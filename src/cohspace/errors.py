@@ -47,20 +47,23 @@ def _bool(value) -> bool:
 TYPES = {
     "int": (int, numbers.Integral, "an integer"),
     "float": (float, numbers.Real, "a finite number"),
+    "positive": (float, numbers.Real, "a positive number"),
     "str": (str, str, "a string"),
     "bool": (_bool, bool, "true or false"),
 }
 
 
 def check_value(key: str, kind: str, value):
-    """A value of the field's type (floats as float, and finite), else
-    ConfigError; a bool is only of type bool."""
+    """A value of the field's type (floats as float, finite, and above 0 for
+    a positive field), else ConfigError; a bool is only of type bool."""
     if kind not in TYPES:
         return value
     convert, accepted, noun = TYPES[kind]
     if isinstance(value, bool) != (accepted is bool) or not isinstance(value, accepted):
         raise ConfigError(f"{key!r} must be {noun}, got {value!r}")
-    if kind == "float" and not abs(value) <= sys.float_info.max:  # nan, inf or a huge int
+    if accepted is numbers.Real and not abs(value) <= sys.float_info.max:  # nan, inf, huge int
+        raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
+    if kind == "positive" and not value > 0:
         raise ConfigError(f"{key!r} must be {noun}, got {value!r}")
     return convert(value)
 

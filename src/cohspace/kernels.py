@@ -578,7 +578,7 @@ _CATALOG: dict[str, tuple[Callable[..., KernelSpace], tuple]] = {
                                                         for row in table])),
                  (("table", "json", REQUIRED),)),
     "icosahedron": (icosahedron_space, ()),
-    "heisenberg": (heisenberg_space, (_MODES, ("hbar", "float", None))),
+    "heisenberg": (heisenberg_space, (_MODES, ("hbar", "positive", None))),
 }
 
 

@@ -741,7 +741,7 @@ def algebra_descriptor(algebra: LieStarAlgebra) -> dict:
 
 
 _DESCRIPTOR = (("name", "str", REQUIRED), ("dim", "int", REQUIRED), ("basis", "json", REQUIRED),
-               ("unit_index", "int", None), ("convention", "str", None), ("hbar", "float", None),
+               ("unit_index", "int", None), ("convention", "str", None), ("hbar", "positive", None),
                ("structure", "json", REQUIRED), ("involution", "json", REQUIRED))
 
 

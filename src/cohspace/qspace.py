@@ -55,8 +55,12 @@ def build_quantum_space(space: KernelSpace, points: Sequence[Point],
                         tol: float = DEFAULT_TRUNCATION_TOL) -> QuantumBasis:
     """Factor the Gram of `points`; eigenvalues below tol * lam_max are truncated.
 
-    Raises CoherenceViolationError if the Gram fails the PSD check at `tol`.
+    Raises CoherenceViolationError if the Gram fails the PSD check at `tol`,
+    and ConfigError unless 0 < tol < 1 (tol >= 1 would truncate every
+    eigenvalue).
     """
+    if not 0.0 < tol < 1.0:
+        raise ConfigError(f"'tol' must lie in (0, 1), got {tol!r}")
     pts = list(points)
     if not pts:
         raise ConfigError("need at least one basis point")

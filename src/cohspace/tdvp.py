@@ -6,7 +6,7 @@ family |z(u)>, u a holomorphic chart, is
     i hbar g(u) du/dt = grad_ubar h(u),      g = d_ubar d_u log K|diagonal,
     h(u) = <z(u)| H |z(u)> / K(z(u), z(u)),
 
-integrated here with the embedded RK5(4).  Charts:
+integrated here with the embedded Dormand-Prince 8(5,3) pair.  Charts:
 
 - Klauder labels: the zeta block (the z0 direction is metric-null, carried as
   a constant spectator); the metric is exactly the identity.
@@ -477,6 +477,7 @@ def dirac_frenkel_flow(
             steps=sum(sol.stats.steps for _, sol in segments),
             rejected=sum(sol.stats.rejected for _, sol in segments),
             final_error_estimate=segments[-1][1].stats.final_error_estimate,
+            rhs_evals=sum(sol.stats.rhs_evals for _, sol in segments),
         ),
         energies=np.concatenate([energy.chart_values(ch, sol.states) for ch, sol in segments]),
         norms=kernel_diagonal(space, coords).real,

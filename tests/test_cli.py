@@ -265,6 +265,31 @@ def test_tdvp_energy_drift_covers_steps_not_samples(tmp_path):
     assert 0.0 < drifts[0] < 1e-8
 
 
+def test_tdvp_rhs_evals_counts_every_chart_velocity_call(tmp_path, monkeypatch):
+    # summed over the three chart segments of this flow; a report entry only
+    from cohspace import tdvp
+
+    calls = []
+    make_rhs = tdvp.chart_rhs
+
+    def counted_rhs(*args, **kwargs):
+        rhs = make_rhs(*args, **kwargs)
+
+        def counted(t, y):
+            calls.append(t)
+            return rhs(t, y)
+        return counted
+
+    monkeypatch.setattr(tdvp, "chart_rhs", counted_rhs)
+    report = cli.run({"command": "dyn-tdvp", "space": {"kind": "spin", "exponent": 4},
+                      "energy": {"kind": "spin_axis", "axis": [1, 0, 0], "coeff": 1.3},
+                      "z0": [1, 0.2], "t_span": [0, 6], "samples": 101, "format": "json",
+                      "out": str(tmp_path / "s.json")})
+    assert report["summary"]["chart_switches"] == 2
+    assert report["summary"]["rhs_evals"] == len(calls) > 12 * report["summary"]["steps"]
+    assert "rhs_evals" not in (tmp_path / "s.json").read_text()
+
+
 def test_dyn_coherent_rows_carry_the_multiplier_of_z0(tmp_path):
     # a line-bundle start point: the flow moves the label, never its multiplier
     cfg = {"command": "dyn-coherent", "space": {"kind": "heisenberg", "modes": 1},
@@ -567,6 +592,24 @@ def test_exit_2_on_a_grid_that_cannot_bracket(tmp_path, monkeypatch, capsys, gri
     assert code == 2
     assert err.startswith("config error: ") and "grid" in err
     assert "Traceback" not in err
+
+
+_SPIN4_COUNT6 = ["--space", '{"kind":"spin","exponent":4}', "--count", "6"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["dyn-tdvp"] + _SPIN4 + ["--t-span", "[0,2]", "--hbar", "0"],
+     "'hbar' must be a positive number, got 0.0"),
+    (["kernel-check"] + _SPIN4_COUNT6 + ["--tol", "-1"], "'tol' must be a positive number, got -1.0"),
+    (["qspace-build"] + _SPIN4_COUNT6 + ["--tol", "2"], "'tol' must lie in (0, 1), got 2.0"),
+    (["dyn-tdvp"] + _SPIN4 + ["--t-span", "[0,2]", "--rtol", "-1"],
+     "'rtol' must be a positive number, got -1.0"),
+], ids=["dyn-tdvp-hbar-0", "kernel-check-tol-negative", "qspace-build-tol-2",
+        "dyn-tdvp-rtol-negative"])
+def test_exit_2_on_a_tolerance_or_hbar_out_of_range(tmp_path, monkeypatch, capsys, args, message):
+    # these used to divide by zero in the chart velocity (exit 1), fail a PSD
+    # Gram, keep rank 0 (both exit 0) and integrate into an energy-drift failure
+    assert run_cli(args, tmp_path, monkeypatch, capsys) == (2, "", f"config error: {message}\n")
 
 
 _NON_HERMITIAN = ["--space", '{"kind":"spin","exponent":1}',

@@ -1,10 +1,13 @@
-"""The embedded RK5(4): accuracy, stats, determinism, failure modes, dense output.
+"""The embedded Dormand-Prince 8(5,3) pair: accuracy, stats, determinism, failure
+modes, dense output, and agreement with scipy's DOP853.
 
 Sample times do not shape the step sequence: states at them are interpolated.
 The route that ends a solve on every sample time, one solve per sample
 interval, stays as the oracle for the interpolated samples (bound 10 rtol,
 relative to max(1, max|y|)).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -142,7 +145,10 @@ def test_rejection_counter_moves_on_rough_problem():
 def test_samples_do_not_change_the_run(f, t1, y0):
     bare = solve_rk45(f, 0.0, t1, y0)
     sampled = solve_rk45(f, 0.0, t1, y0, t_eval=np.linspace(0.0, t1, 301))
-    assert sampled.stats == bare.stats
+    assert dataclasses.replace(sampled.stats, rhs_evals=bare.stats.rhs_evals) == bare.stats
+    # the dense output's 3 extra stages run only on steps that cover a sample
+    extra = sampled.stats.rhs_evals - bare.stats.rhs_evals
+    assert 0 < extra <= 3 * bare.stats.steps and extra % 3 == 0
     assert sampled.t_end == bare.t_end
     assert sampled.y_end.tobytes() == bare.y_end.tobytes()
     assert len(sampled.times) == 301 and len(bare.times) == 0
@@ -188,3 +194,93 @@ def test_sample_on_a_step_end_returns_that_steps_state():
     assert sol.times[1] == t_mid
     assert sol.states[1].tobytes() == y_mid.tobytes()
     assert sol.states[2].tobytes() == ends[-1][1].tobytes()
+
+
+@pytest.mark.parametrize("rtol, atol", [(0.0, 1e-12), (-1e-9, 1e-12), (float("nan"), 1e-12),
+                                        (1e-9, -1e-12), (1e-9, float("nan"))])
+def test_a_tolerance_out_of_range_is_a_config_error(rtol, atol):
+    with pytest.raises(ConfigError, match="rtol > 0 and atol >= 0"):
+        solve_rk45(lambda t, y: -y, 0.0, 1.0, np.array([1.0 + 0j]), rtol=rtol, atol=atol)
+
+
+def test_zero_atol_is_a_pure_relative_tolerance():
+    sol = solve_rk45(lambda t, y: 1j * y, 0.0, 3.0, np.array([1.0 + 0j]), rtol=1e-10, atol=0.0)
+    assert abs(sol.y_end[0] - np.exp(3j)) < 1e-9
+
+
+class Counted:
+    """The RHS wrapped with a call counter."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, t, y):
+        self.calls += 1
+        return self.f(t, y)
+
+
+@pytest.mark.parametrize("f, t1, y0, t_eval, hook", [
+    (pendulum, 7.0, np.array([1.0 + 0j, 0.0j]), None, None),
+    (pendulum, 7.0, np.array([1.0 + 0j, 0.0j]), np.linspace(0.0, 7.0, 301), None),
+    (pendulum, 7.0, np.array([1.0 + 0j, 0.0j]), [0.0, 3.5, 7.0], lambda t, y: t > 4.0),
+    (rough, 3.0, np.array([1.0 + 0j]), np.linspace(0.0, 3.0, 7), None),
+], ids=["bare", "dense", "halted", "rejections"])
+def test_rhs_evals_count_every_call_of_the_rhs(f, t1, y0, t_eval, hook):
+    counted = Counted(f)
+    sol = solve_rk45(counted, 0.0, t1, y0, t_eval=t_eval, step_hook=hook)
+    assert sol.stats.rhs_evals == counted.calls
+    # the initial probe, 11 stages per attempted step, the FSAL stage per
+    # accepted one, and 3 dense stages per step that covers a sample
+    dense = counted.calls - 2 - 11 * (sol.stats.steps + sol.stats.rejected) - sol.stats.steps
+    assert dense % 3 == 0 and 0 <= dense <= 3 * sol.stats.steps
+
+
+# ------------------------------------------------- scipy's DOP853 as oracle
+
+
+def test_tableau_literals_equal_scipys_dop853_coefficients_bit_for_bit():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    from cohspace import integrate
+
+    a = np.zeros((16, 16))
+    for i, row in enumerate(integrate._A):
+        assert len(row) == i
+        a[i, :i] = row
+    assert a.tobytes() == ref.A.tobytes()
+    assert np.array(integrate._C).tobytes() == ref.C.tobytes()
+    assert integrate._B.tobytes() == ref.B.tobytes()
+    # scipy pads both estimators with a weight 0 for the FSAL stage
+    assert integrate._E5.tobytes() == ref.E5[:12].tobytes() and ref.E5[12] == 0.0
+    assert integrate._E3.tobytes() == ref.E3[:12].tobytes() and ref.E3[12] == 0.0
+    assert integrate._D.tobytes() == ref.D.tobytes()
+
+
+def _spin40_chart_flow():
+    # the benchmark's tdvp-spin40 flow: spin 40 under 1.1 n.J, n near (0.3, 0.5, 0.8)
+    axis = np.array([0.3, 0.5, 0.8]) / np.linalg.norm([0.3, 0.5, 0.8])
+    a = 1.1 * (axis[0] * np.array([[0, 1], [1, 0]]) + axis[1] * np.array([[0, -1j], [1j, 0]])
+               + axis[2] * np.diag([1, -1])).astype(complex) / 2
+    z = Point(np.array([0.8, 0.48 + 0.36j]) / np.linalg.norm([0.8, 0.48 + 0.36j]))
+    chart = chart_for(spin_space(40), z)  # |w| stays below 1 on [0, 7.5]: no chart switch
+    energy = MatrixExpectation(SpinRep(40).dgamma(a))
+    return chart_rhs(chart, energy.on(chart), 1.0), chart.coords(z)
+
+
+@pytest.mark.parametrize("case", ["pendulum", "tdvp-spin40"])
+def test_samples_and_end_state_agree_with_scipys_dop853(case):
+    from scipy.integrate import solve_ivp
+
+    if case == "pendulum":
+        f, y0, t1 = pendulum, np.array([1.0 + 0j, 0.0j]), 7.0
+    else:
+        (f, y0), t1 = _spin40_chart_flow(), 7.5
+    rtol, atol = 1e-13, 1e-15
+    times = np.linspace(0.0, t1, 751)
+    ref = solve_ivp(f, (0.0, t1), y0, method="DOP853", rtol=rtol, atol=atol, t_eval=times)
+    assert ref.success
+    sol = solve_rk45(f, 0.0, t1, y0, rtol=rtol, atol=atol, t_eval=times)
+    # two DOP853 runs with different step controllers, each within a few rtol
+    # of the flow (1.6 rtol and 1.1 rtol observed)
+    assert rel_dev(sol.states, ref.y.T) <= 100 * rtol
+    assert rel_dev(sol.y_end, ref.y[:, -1]) <= 100 * rtol

@@ -7,6 +7,7 @@ exp(-i w t) zeta0, driven oscillator closed form).  Metric values are checked
 against finite differences of the log-kernel written out independently here.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -468,7 +469,9 @@ def test_samples_do_not_change_the_variational_run():
                                rtol=1e-10)
     ends = dirac_frenkel_flow(sp, en, z0, (0.0, 6.0), t_eval=[0.0, 6.0], rtol=1e-10)
     assert np.count_nonzero(np.diff(dense.chart_flags)) >= 2  # switched there and back
-    assert dense.stats == ends.stats
+    # same steps; only the dense output's extra stages add RHS evaluations
+    assert dataclasses.replace(dense.stats, rhs_evals=ends.stats.rhs_evals) == ends.stats
+    assert dense.stats.rhs_evals > ends.stats.rhs_evals
     assert dense.points[-1].coords.tobytes() == ends.points[-1].coords.tobytes()
     assert dense.chart_flags[-1] == ends.chart_flags[-1]
 
@@ -513,8 +516,8 @@ def test_energy_conservation_long_run():
     ham = jz + 0.4 * (jx @ jx)
     sp = spin_space(n)
     z0 = unit_spinor(1.0, 0.5 + 0.3j)
-    traj = dirac_frenkel_flow(sp, MatrixExpectation(ham), z0, (0.0, 200.0),
-                              t_eval=np.linspace(0.0, 200.0, 21), rtol=1e-11)
+    traj = dirac_frenkel_flow(sp, MatrixExpectation(ham), z0, (0.0, 1000.0),
+                              t_eval=np.linspace(0.0, 1000.0, 21), rtol=1e-11)
     assert traj.stats.steps >= 10_000
     drift = np.max(np.abs(traj.energies - traj.energies[0]))
     assert drift <= 1e-8 * abs(traj.energies[0])
