@@ -27,6 +27,13 @@ them by central differences), and a chart switch carries the tangent through
 the chart's `transition`.  Both drivers share one renormalization loop;
 tangent length is measured with the chart metric, which makes it continuous
 across chart switches.
+
+The continuous driver carries the integrator's step across renormalizations:
+each segment's first solve starts from the last solve's `h_next` instead of a
+probed initial step.  A renormalization rescales only the tangent, so the flow
+and its state are unchanged and the last step suits the next.  A chart switch
+changes the coordinates the step is controlled in, so each solve after one
+probes its own first step.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidPointError
+from .integrate import IntegratorStats, total_stats
 from .kernels import KernelSpace, Point, spin_space
 from .tdvp import CHART_SWITCH_RADIUS, ExpectationFunction, chart_for, charted_solve
 
@@ -116,6 +124,7 @@ class LyapunovResult:
     running: np.ndarray        # cumulative estimate after each segment
     tail_gap: float            # |last-quarter mean - full mean|
     chart_switches: int
+    stats: IntegratorStats | None = None  # every solve's, summed; None for the kicked top
 
     @property
     def segments(self) -> int:
@@ -184,10 +193,16 @@ def lyapunov_continuous(space: KernelSpace, energy: ExpectationFunction, z0: Poi
     if chart.dim != 1:
         raise ConfigError("tangent linearization implemented for 1-d charts")
 
+    solves = []
+
     def advance(chart, w, delta):  # (w, dw) over one segment, switching charts as needed
         segments, chart, (w, delta) = charted_solve(
-            chart, energy, np.array([w, delta]), (0.0, resample), rtol, atol, hbar, tangent=True)
+            chart, energy, np.array([w, delta]), (0.0, resample), rtol, atol, hbar, tangent=True,
+            first_step=solves[-1].h_next if solves else None)
+        solves.extend(sol for _, sol in segments)
         return chart, w, delta, sum(sol.halted for _, sol in segments)
 
-    return _benettin(chart, complex(chart.coords(z0)[0]), advance, n_seg, resample,
-                     np.random.default_rng(seed))
+    res = _benettin(chart, complex(chart.coords(z0)[0]), advance, n_seg, resample,
+                    np.random.default_rng(seed))
+    res.stats = total_stats([sol.stats for sol in solves])
+    return res

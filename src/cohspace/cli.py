@@ -418,6 +418,8 @@ def _h_dyn_tdvp(cfg):
     summary = {
         "steps": int(traj.stats.steps),
         "rhs_evals": int(traj.stats.rhs_evals),
+        "h_min": float(traj.stats.h_min),
+        "h_max": float(traj.stats.h_max),
         "energy_drift": float(traj.energy_drift),
         "chart_switches": int(traj.chart_switches),
     }
@@ -458,7 +460,11 @@ def _h_dyn_lyapunov(cfg):
     payload = _columns([(["segment"], None, range(1, res.segments + 1)),
                         (["time"], "times", res.times),
                         (["running_estimate"], "running", res.running)], **summary)
-    return payload, dict(summary, segments=int(res.segments)), []
+    report = dict(summary, segments=int(res.segments))
+    if res.stats is not None:  # the integrator's work, in the report only
+        report.update(steps=int(res.stats.steps), rhs_evals=int(res.stats.rhs_evals),
+                      h_min=float(res.stats.h_min), h_max=float(res.stats.h_max))
+    return payload, report, []
 
 
 # model kind -> (factory of (the spectra module, **fields), fields)

@@ -18,6 +18,11 @@ step: the state at each one is interpolated with the 7th-order continuous
 extension of the step that covers it, whose 3 extra stages run only on steps
 that cover an interior sample time, so the step sequence, the end state and
 the step statistics are the same with or without output times.
+
+A solve that continues an earlier one can pass that solve's `h_next`, the
+controller's proposal for the step after its end, as `first_step`: the new
+solve skips the initial-step probe and starts from a step the controller has
+already grown, instead of a small probed one it has to grow back.
 """
 
 from __future__ import annotations
@@ -118,6 +123,21 @@ class IntegratorStats:
     rejected: int
     final_error_estimate: float
     rhs_evals: int  # calls of f, the initial-step probe and dense-output stages included
+    h_min: float  # the smallest and largest accepted step
+    h_max: float
+
+
+def total_stats(parts: Sequence[IntegratorStats]) -> IntegratorStats:
+    """The stats of consecutive solves as one: counts summed, the range of
+    accepted steps combined, the last solve's final error estimate."""
+    return IntegratorStats(
+        steps=sum(p.steps for p in parts),
+        rejected=sum(p.rejected for p in parts),
+        final_error_estimate=parts[-1].final_error_estimate,
+        rhs_evals=sum(p.rhs_evals for p in parts),
+        h_min=min(p.h_min for p in parts),
+        h_max=max(p.h_max for p in parts),
+    )
 
 
 @dataclass
@@ -128,6 +148,7 @@ class RKSolution:
     y_end: np.ndarray
     stats: IntegratorStats
     halted: bool             # True when step_hook requested an early stop
+    h_next: float            # the controller's proposal for the step after t_end
 
 
 def _err_norm(e: np.ndarray, abs0: np.ndarray, abs1: np.ndarray, rtol, atol, h) -> float:
@@ -172,6 +193,7 @@ def solve_rk45(
     t_eval: Optional[Sequence[float]] = None,
     step_hook: Optional[Callable[[float, np.ndarray], bool]] = None,
     max_steps: int = 10_000_000,
+    first_step: Optional[float] = None,
 ) -> RKSolution:
     """Integrate y' = f(t, y) from t0 to t1 (forward only) with DOP853.
 
@@ -182,9 +204,18 @@ def solve_rk45(
     (t1 - t0) raises StiffnessError, or NumericalError (a blow-up) once
     max|y| exceeds BLOW_UP_GROWTH * max(1, max|y0|).  rtol must be positive
     and atol not negative (ConfigError).
+
+    `first_step`, when given (finite and positive, else ConfigError), is the
+    first step tried (clipped to end on t1, as every step is) in place of the
+    initial-step probe, which is then not evaluated.  `h_next` is the controller's proposal for
+    the step after t_end: after a last step clipped to end on t1, the proposal
+    made before the clip; after a halt, the size of the step just accepted.
+    Passing it as the next solve's `first_step` continues the step sequence.
     """
     if not rtol > 0.0 or not atol >= 0.0:
         raise ConfigError(f"need rtol > 0 and atol >= 0, got rtol = {rtol!r}, atol = {atol!r}")
+    if first_step is not None and not 0.0 < first_step < math.inf:
+        raise ConfigError(f"need a finite first_step > 0, got {first_step!r}")
     eval_times = check_sample_times(t0, t1, t_eval) or []
     y = np.asarray(y0, dtype=complex).copy()
     y_abs = np.abs(y)  # |y| of the current state, reused by the next step's error norm
@@ -199,19 +230,22 @@ def solve_rk45(
     k = np.zeros((16, y.size), dtype=complex)  # the stages of one step
     kr = k.view(float)  # real view: real tableau weights act on it by one `dot`
     k[0] = f(t, y)
-    h = _initial_step(f, t, y, k[0], rtol, atol, span)
-    evals = 2
+    if first_step is None:
+        h, evals = _initial_step(f, t, y, k[0], rtol, atol, span), 2
+    else:
+        h, evals = first_step, 1
     accepted = rejected = 0
     err_prev = 1.0
     err = 0.0
     grow = True  # False right after a rejected step: the next step may not grow
     halted = False
     min_h = 1e-14 * span
+    h_min, h_max = math.inf, 0.0
 
     while t < t1 - slack:
         if accepted + rejected > max_steps:
             raise IntegratorFailure(f"exceeded {max_steps} steps at t = {t:.6g}")
-        h = min(h, t1 - t)
+        h_want, h = h, min(h, t1 - t)
         if h < min_h:
             y_max = float(y_abs.max(initial=0.0))
             if y_max > BLOW_UP_GROWTH * max(1.0, y0_max):
@@ -245,13 +279,17 @@ def solve_rk45(
             y, y_abs = y8, y8_abs
             k[0] = k[12]
             accepted += 1
+            h_min, h_max = min(h_min, h), max(h_max, h)
             if step_hook is not None and step_hook(t, y):
                 halted = True
                 break
             # PI controller (Gustafsson) with the exponents of an order-8 pair
             fac = 0.9 * (err + 1e-16) ** (-0.7 / 8) * (err_prev + 1e-16) ** (0.4 / 8)
             err_prev = max(err, 1e-16)
-            h *= min(10.0 if grow else 1.0, max(0.2, fac))
+            if h < h_want:  # clipped to end on t1: the unclipped proposal is the next step
+                h = h_want
+            else:
+                h *= min(10.0 if grow else 1.0, max(0.2, fac))
             grow = True
         elif not math.isfinite(err):
             bad = next((f"stage k{j + 1}" for j in range(12) if not np.isfinite(k[j]).all()),
@@ -270,6 +308,7 @@ def solve_rk45(
         t_end=t,
         y_end=y,
         stats=IntegratorStats(steps=accepted, rejected=rejected, final_error_estimate=err,
-                              rhs_evals=evals),
+                              rhs_evals=evals, h_min=h_min, h_max=h_max),
         halted=halted,
+        h_next=h,
     )

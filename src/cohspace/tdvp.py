@@ -34,7 +34,7 @@ import numpy as np
 
 from . import qspace
 from .errors import ConfigError, DegenerateMetricError, IntegratorFailure, InvalidPointError
-from .integrate import IntegratorStats, solve_rk45
+from .integrate import solve_rk45, total_stats
 from .kernels import KernelSpace, Point, eval_kernel, kernel_diagonal
 from .dynamics import Trajectory
 
@@ -394,7 +394,7 @@ def chart_rhs(chart, derivs, hbar: float, tangent: bool = False):
 
 
 def charted_solve(chart, energy: ExpectationFunction, y, t_span, rtol, atol, hbar=1.0,
-                  tangent=False, t_eval=None, monitor=None):
+                  tangent=False, t_eval=None, monitor=None, first_step=None):
     """Integrate `chart_rhs` across chart switches from t_span[0] to t_span[1],
     binding the energy to each chart once.
 
@@ -402,9 +402,10 @@ def charted_solve(chart, energy: ExpectationFunction, y, t_span, rtol, atol, hba
     the state (w, *tangents) into the flipped chart with `chart.transition`
     and continues there.  `t_eval` samples are recorded by the segment that
     reaches them; `monitor(derivs, t, y)`, derivs the current binding, runs
-    after every accepted step and may raise.  Returns the (chart, RKSolution)
-    segments, and the chart and state at t1 (flipped when the last step
-    itself crossed the radius).
+    after every accepted step and may raise.  `first_step` goes to the first
+    solve only: each solve after a chart switch probes its own initial step.
+    Returns the (chart, RKSolution) segments, and the chart and state at t1
+    (flipped when the last step itself crossed the radius).
     """
     t_cur, t1 = float(t_span[0]), float(t_span[1])
     remaining = None if t_eval is None else [float(t) for t in t_eval]
@@ -419,7 +420,8 @@ def charted_solve(chart, energy: ExpectationFunction, y, t_span, rtol, atol, hba
     while True:
         derivs = energy.on(chart)
         sol = solve_rk45(chart_rhs(chart, derivs, hbar, tangent), t_cur, t1, y, rtol=rtol,
-                         atol=atol, t_eval=remaining, step_hook=hook)
+                         atol=atol, t_eval=remaining, step_hook=hook, first_step=first_step)
+        first_step = None
         segments.append((chart, sol))
         t_cur, y = sol.t_end, sol.y_end
         if remaining is not None:
@@ -473,12 +475,7 @@ def dirac_frenkel_flow(
         space=space,
         times=np.concatenate([sol.times for _, sol in segments]),
         coords=coords,
-        stats=IntegratorStats(
-            steps=sum(sol.stats.steps for _, sol in segments),
-            rejected=sum(sol.stats.rejected for _, sol in segments),
-            final_error_estimate=segments[-1][1].stats.final_error_estimate,
-            rhs_evals=sum(sol.stats.rhs_evals for _, sol in segments),
-        ),
+        stats=total_stats([sol.stats for _, sol in segments]),
         energies=np.concatenate([energy.chart_values(ch, sol.states) for ch, sol in segments]),
         norms=kernel_diagonal(space, coords).real,
         chart_flags=np.concatenate([np.full(len(sol.times), int(getattr(ch, "south", False)))

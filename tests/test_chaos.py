@@ -4,7 +4,10 @@ The variational flow of a spin coherent family under precession + J_z^2
 torsion IS the classical kicked top on the Bloch sphere (the torsion strength
 is normalized by 1/(n-1)), so every quantity here has an independent
 classical oracle: the period map, and Benettin exponents in the chaotic
-(k = 3, lambda ~ 0.35) and regular (k = 0.5, lambda ~ 0) regimes.
+(k = 3, lambda ~ 0.35) and regular (k = 0.5, lambda ~ 0) regimes.  The
+continuous driver carries the integrator's step across renormalizations; the
+route that probes a fresh step on every segment stays as its oracle (running
+estimates within 10 rtol).
 """
 
 import math
@@ -233,6 +236,63 @@ def test_continuous_linear_flow_zero_exponent():
         rtol=1e-10,
     )
     assert abs(res.exponent) < 1e-9
+
+
+def _restart_route(space, energy, z0, t_total, resample, rtol, seed=7):
+    """Oracle: the Benettin loop with a fresh initial-step probe on every
+    segment, as the continuous driver ran before it carried the step."""
+    from cohspace import chaos
+
+    def advance(chart, w, delta):
+        segments, chart, (w, delta) = charted_solve(
+            chart, energy, np.array([w, delta]), (0.0, resample), rtol, 1e-12, tangent=True,
+            first_step=None)
+        steps[0] += sum(sol.stats.steps for _, sol in segments)
+        return chart, w, delta, sum(sol.halted for _, sol in segments)
+
+    steps = [0]
+    chart = chart_for(space, z0)
+    res = chaos._benettin(chart, complex(chart.coords(z0)[0]), advance,
+                          round(t_total / resample), resample, np.random.default_rng(seed))
+    return res, steps[0]
+
+
+def _flows_case():
+    # the benchmark's continuous Lyapunov job: spin 10 under n.J, n near (0, 0.6, 0.8)
+    axis = np.array([0.0, 0.6, 0.8])
+    return (spin_space(10), MatrixExpectation(SpinRep(10).dgamma(axis[1] * SY + axis[2] * SZ)),
+            Point(np.array([0.8, 0.48 + 0.36j])), 15.0)
+
+
+def _twisting_case():
+    # J_z^2 / n + 0.3 J_x at spin 8: a nonlinear flow that switches chart 4 times
+    rep = SpinRep(8)
+    jz, jx = rep.dgamma(SZ), rep.dgamma(SX)
+    return (spin_space(8), MatrixExpectation(jz @ jz / 8 + 0.3 * jx),
+            spinor_from_bloch([0.5, 0.8, 0.0]), 40.0)
+
+
+@pytest.mark.parametrize("case, resample, rtol", [
+    ("flows", 1.0, 1e-10),
+    ("twisting", 0.25, 1e-8), ("twisting", 0.25, 1e-10),
+    ("twisting", 1.0, 1e-8), ("twisting", 1.0, 1e-10),
+])
+def test_carried_step_agrees_with_the_restart_route(case, resample, rtol):
+    space, energy, z0, t_total = _flows_case() if case == "flows" else _twisting_case()
+    carried = lyapunov_continuous(space, energy, z0, t_total=t_total, resample=resample,
+                                  rtol=rtol)
+    restarted, restarted_steps = _restart_route(space, energy, z0, t_total, resample, rtol)
+    assert carried.chart_switches == restarted.chart_switches
+    assert case == "flows" or carried.chart_switches == 4
+    assert carried.times.tobytes() == restarted.times.tobytes()
+    assert np.abs(carried.running - restarted.running).max() <= 10 * rtol
+    # the carried run costs at most one uninterrupted solve of the tangent
+    # system plus a step per segment; the restart route does not
+    chart = chart_for(space, z0)
+    segments, _, _ = charted_solve(chart, energy, np.array([complex(chart.coords(z0)[0]), 1.0]),
+                                   (0.0, t_total), rtol, 1e-12, tangent=True)
+    bound = sum(sol.stats.steps for _, sol in segments) + carried.segments
+    assert carried.stats.steps <= bound < restarted_steps
 
 
 @pytest.mark.parametrize("t_total", [2.0, 1.3])

@@ -290,6 +290,39 @@ def test_tdvp_rhs_evals_counts_every_chart_velocity_call(tmp_path, monkeypatch):
     assert "rhs_evals" not in (tmp_path / "s.json").read_text()
 
 
+@pytest.mark.parametrize("command", [
+    {"command": "dyn-tdvp", "t_span": [0, 6], "samples": 101},
+    {"command": "dyn-lyapunov", "system": "continuous", "t_total": 6, "resample": 0.5},
+], ids=["dyn-tdvp", "dyn-lyapunov-continuous"])
+def test_integrator_work_is_reported_over_every_solve(tmp_path, monkeypatch, command):
+    # summed over Benettin and chart segments; report entries only
+    from cohspace import tdvp
+
+    calls = []
+    make_rhs = tdvp.chart_rhs
+
+    def counted_rhs(*args, **kwargs):
+        rhs = make_rhs(*args, **kwargs)
+
+        def counted(t, y):
+            calls.append(t)
+            return rhs(t, y)
+        return counted
+
+    monkeypatch.setattr(tdvp, "chart_rhs", counted_rhs)
+    report = cli.run(dict(command, space={"kind": "spin", "exponent": 4},
+                          energy={"kind": "spin_axis", "axis": [1, 0, 0], "coeff": 1.3},
+                          z0=[1, 0.2], format="json", out=str(tmp_path / "s.json")))
+    summary = report["summary"]
+    assert summary["chart_switches"] == 2
+    assert summary["rhs_evals"] == len(calls) > 12 * summary["steps"]
+    span = 6.0
+    assert 0.0 < summary["h_min"] <= span / summary["steps"] <= summary["h_max"]
+    text = (tmp_path / "s.json").read_text()
+    for key in ("steps", "rhs_evals", "h_min", "h_max"):
+        assert key not in text
+
+
 def test_dyn_coherent_rows_carry_the_multiplier_of_z0(tmp_path):
     # a line-bundle start point: the flow moves the label, never its multiplier
     cfg = {"command": "dyn-coherent", "space": {"kind": "heisenberg", "modes": 1},

@@ -1,5 +1,6 @@
 """The embedded Dormand-Prince 8(5,3) pair: accuracy, stats, determinism, failure
-modes, dense output, and agreement with scipy's DOP853.
+modes, dense output, agreement with scipy's DOP853, and a step carried from
+one solve into the next (`h_next` as `first_step`).
 
 Sample times do not shape the step sequence: states at them are interpolated.
 The route that ends a solve on every sample time, one solve per sample
@@ -284,3 +285,102 @@ def test_samples_and_end_state_agree_with_scipys_dop853(case):
     # of the flow (1.6 rtol and 1.1 rtol observed)
     assert rel_dev(sol.states, ref.y.T) <= 100 * rtol
     assert rel_dev(sol.y_end, ref.y[:, -1]) <= 100 * rtol
+
+
+# ------------------------------------------- carrying the step across solves
+
+
+@pytest.mark.parametrize("f, t1, y0", [
+    (pendulum, 7.0, np.array([1.0 + 0j, 0.0j])),
+    (rough, 3.0, np.array([1.0 + 0j])),
+])
+def test_a_first_step_replaces_the_initial_probe(f, t1, y0):
+    counted = Counted(f)
+    sol = solve_rk45(counted, 0.0, t1, y0, first_step=0.05)
+    # f at t0, then 11 stages per attempted step and the FSAL stage per accepted one
+    assert sol.stats.rhs_evals == counted.calls
+    assert counted.calls == 1 + 11 * (sol.stats.steps + sol.stats.rejected) + sol.stats.steps
+
+
+@pytest.mark.parametrize("first_step", [0.0, -0.1, float("nan"), float("inf")])
+def test_a_first_step_out_of_range_is_a_config_error(first_step):
+    with pytest.raises(ConfigError, match="first_step"):
+        solve_rk45(pendulum, 0.0, 1.0, np.array([1.0 + 0j, 0.0j]), first_step=first_step)
+
+
+def test_an_oversized_first_step_is_clipped_then_rejected_down():
+    from cohspace.integrate import _C
+
+    y0, rtol = np.array([1.0 + 0j, 0.0j]), 1e-9
+    times = []
+    sol = solve_rk45(lambda t, y: times.append(t) or pendulum(t, y), 0.0, 2.0, y0, rtol=rtol,
+                     first_step=20.0)
+    assert times[1] == _C[1] * 2.0   # the first attempt spans [0, 2]
+    assert sol.stats.rejected > 0
+    assert sol.stats.h_max < 2.0
+    ref = solve_rk45(pendulum, 0.0, 2.0, y0, rtol=rtol)
+    assert sol.t_end == ref.t_end == 2.0
+    assert rel_dev(sol.y_end, ref.y_end) <= 100 * rtol
+
+
+def test_h_next_after_a_clipped_last_step_is_the_proposal_before_the_clip():
+    # the solve over [0, 5] follows the solve over [0, 9] step for step up to
+    # its last step, which it clips; the longer solve takes that step whole
+    y0 = np.array([1.0 + 0j, 0.0j])
+
+    def stepped(t1):
+        ends = [0.0]
+        sol = solve_rk45(pendulum, 0.0, t1, y0, first_step=0.01,
+                         step_hook=lambda t, y: ends.append(t) or False)
+        return sol, ends
+
+    short, short_ends = stepped(5.0)
+    long, long_ends = stepped(9.0)
+    assert long.stats.rejected == 0
+    k = len(short_ends) - 2                      # the short solve's last step starts here
+    assert long_ends[:k + 1] == short_ends[:k + 1]
+    proposal = long_ends[k + 1] - long_ends[k]
+    assert long_ends[k + 1] > 5.0 and short_ends[-1] == 5.0
+    assert short.h_next == pytest.approx(proposal, rel=1e-12)
+    assert short.h_next > 5.0 - short_ends[k]    # the clip shortened the last step
+
+
+def test_h_next_after_a_halt_is_the_step_just_accepted():
+    ends = [0.0]
+    sol = solve_rk45(pendulum, 0.0, 7.0, np.array([1.0 + 0j, 0.0j]),
+                     step_hook=lambda t, y: ends.append(t) or t > 3.0)
+    assert sol.halted
+    assert sol.h_next == pytest.approx(ends[-1] - ends[-2], rel=1e-12)
+
+
+def test_a_carried_step_continues_the_step_sequence():
+    y0 = np.array([1.0 + 0j, 0.0j])
+    whole = solve_rk45(pendulum, 0.0, 2.0, y0)
+    first = solve_rk45(pendulum, 0.0, 1.0, y0)
+    second = solve_rk45(pendulum, 1.0, 2.0, first.y_end, first_step=first.h_next)
+    assert first.stats.steps + second.stats.steps <= whole.stats.steps + 2
+    restarted = solve_rk45(pendulum, 1.0, 2.0, first.y_end)
+    assert second.stats.steps < restarted.stats.steps
+
+
+def test_h_min_and_h_max_bound_the_accepted_steps():
+    from cohspace.integrate import total_stats
+
+    y0 = np.array([1.0 + 0j, 0.0j])
+    ends = [0.0]
+    sol = solve_rk45(rough, 0.0, 3.0, np.array([1.0 + 0j]),
+                     step_hook=lambda t, y: ends.append(t) or False)
+    sizes = np.diff(ends)
+    assert sol.stats.h_min == pytest.approx(sizes.min(), rel=1e-9)
+    assert sol.stats.h_max == pytest.approx(sizes.max(), rel=1e-9)
+    assert sol.stats.h_min <= 3.0 / sol.stats.steps <= sol.stats.h_max
+    # consecutive solves: counts summed, the range of steps combined
+    first = solve_rk45(pendulum, 0.0, 1.0, y0)
+    second = solve_rk45(pendulum, 1.0, 7.0, first.y_end, first_step=first.h_next)
+    both = total_stats([first.stats, second.stats])
+    assert both.steps == first.stats.steps + second.stats.steps
+    assert both.rhs_evals == first.stats.rhs_evals + second.stats.rhs_evals
+    assert both.final_error_estimate == second.stats.final_error_estimate
+    assert both.h_min == min(first.stats.h_min, second.stats.h_min)
+    assert both.h_max == max(first.stats.h_max, second.stats.h_max)
+    assert both.h_min <= (second.t_end - 0.0) / both.steps <= both.h_max
