@@ -25,12 +25,12 @@ antiholomorphic in the first slot, such that every finite Gram matrix
                         degree 1 under (lambda, s) -> (alpha lambda, s).
 
 Each factory states once, over stacked label coordinates, its kernel
-(n, d) x (m, d) -> (n, m) and its point constraint and domain (n, d) -> (n,),
-plus a one-point sampler; ``_CATALOG`` maps each kind to (factory, fields).
-``check_stack`` checks a stack in one pass (``validate_point`` is one row),
-``cross_gram`` applies the kernel to two point lists (line-bundle multipliers
-included), ``gram_matrix`` mirrors its upper triangle for Hermitian kernels,
-and ``eval_kernel`` is its 1 x 1 case.
+(..., n, d) x (..., m, d) -> (..., n, m), its point constraint and domain
+(n, d) -> (n,), and a sampler of `count` labels; ``_CATALOG`` maps each kind
+to (factory, fields).  ``check_stack`` checks a stack in one pass
+(``validate_point`` is one row), ``cross_gram`` applies the kernel to two
+point lists (line-bundle multipliers included), ``gram_matrix`` mirrors its
+upper triangle for Hermitian kernels, and ``eval_kernel`` is its 1 x 1 case.
 
 Analytic path partials (``KernelPartials``) come with ``trivial`` and
 ``klauder``; ``power`` and integer ``spin``, which is the n-th power of the
@@ -103,14 +103,15 @@ def _conj_coords(z: Point) -> Point:
 
 @dataclass
 class KernelSpace:
-    """A catalog space.  ``kernel(A, B)`` maps stacked label coordinates
-    (n, d) x (m, d) to the (n, m) kernel values, without line-bundle
-    multipliers; ``sampler(rng)`` draws one valid point."""
+    """A catalog space.  ``kernel(A, B)`` maps label stacks (..., n, d) x
+    (..., m, d) to the (..., n, m) kernel values, without line-bundle
+    multipliers; ``sampler(rng, count)`` returns valid labels (count, d) and
+    multipliers ((count,) or None), drawn as `count` one-label draws would be."""
 
     label_dim: int
     kind: str
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    sampler: Callable[[np.random.Generator], Point]
+    sampler: Callable[[np.random.Generator, int], tuple]
     conjugate_fn: Callable[[Point], Point] = _conj_coords
     partials: Optional[KernelPartials] = None
     projective_degree: Optional[int] = None
@@ -119,6 +120,7 @@ class KernelSpace:
     constraint_name: str = ""
     domain: Optional[Callable[[np.ndarray], np.ndarray]] = None  # True per row inside
     domain_name: str = ""
+    rowwise_diagonal: bool = False  # kernel takes (n, d) x (m, d) only
     scalar_mult: Optional[Callable[[complex, Point], Point]] = None
     descriptor: dict = field(default_factory=dict)
     base: Optional["KernelSpace"] = None  # set for power spaces
@@ -200,10 +202,14 @@ def eval_kernel(space: KernelSpace, z: Point, z2: Point) -> complex:
 
 
 def kernel_diagonal(space: KernelSpace, coords: np.ndarray, multipliers=None) -> np.ndarray:
-    """K(z_i, z_i) of checked labels (n, d), one row at a time through
-    space.kernel: each equals eval_kernel(z_i, z_i); no n x n matrix is formed."""
+    """K(z_i, z_i) of checked labels (n, d), bit-equal to eval_kernel(z_i, z_i):
+    one kernel call on the 1 x 1 blocks (n, 1, d), or one per row for kinds
+    whose kernel multiplies complex arrays (numpy may fuse a multiply-add on
+    a vector, not on eval_kernel's single element)."""
     check_stack(space, coords, multipliers)
-    k = np.array([space.kernel(row, row)[0, 0] for row in coords[:, None]], dtype=complex)
+    rows = coords[:, None]
+    k = (np.array([space.kernel(r, r)[0, 0] for r in rows], dtype=complex)
+         if space.rowwise_diagonal else space.kernel(rows, rows)[:, 0, 0])
     if space.projective_degree is not None:
         k = np.power(multipliers * multipliers, space.projective_degree) * k
     return k
@@ -218,12 +224,31 @@ def _at(kernel, z: Point, w: Point) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _cgauss(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
-    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
+def _cgauss(rng: np.random.Generator, count: int, *groups: tuple) -> np.ndarray:
+    """Complex Gaussian labels (count, sum of k) from one standard_normal block
+    drawn label by label: each (k, scale) group takes k real, then k imaginary parts."""
+    x = rng.standard_normal((count, 2 * sum(k for k, _ in groups)))
+    out, at = [], 0
+    for k, scale in groups:
+        out.append(scale * (x[:, at:at + k] + 1j * x[:, at + k:at + 2 * k]) / math.sqrt(2.0))
+        at += 2 * k
+    return np.concatenate(out, axis=1)
+
+
+def _per_label(draw: Callable, dim: int, line: bool = False) -> Callable:
+    """A batch sampler from a one-label draw(rng) -> (coords, multiplier),
+    for kinds whose number of draws depends on the values drawn."""
+
+    def sampler(rng, count):
+        drawn = [draw(rng) for _ in range(count)]
+        coords = np.array([c for c, _ in drawn], dtype=complex).reshape(count, dim)
+        return coords, np.array([m for _, m in drawn], dtype=complex) if line else None
+
+    return sampler
 
 
 def _sesquilinear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a.conj() @ b.T
+    return a.conj() @ b.swapaxes(-1, -2)
 
 
 _SESQUILINEAR_PARTIALS = KernelPartials(
@@ -258,7 +283,7 @@ def trivial_space(dim: int) -> KernelSpace:
         label_dim=dim,
         kind="trivial",
         kernel=_sesquilinear,
-        sampler=lambda rng: Point(_cgauss(rng, dim)),
+        sampler=lambda rng, count: (_cgauss(rng, count, (dim, 1.0)), None),
         partials=_SESQUILINEAR_PARTIALS,
         descriptor={"kind": "trivial", "dim": dim},
     )
@@ -267,18 +292,18 @@ def trivial_space(dim: int) -> KernelSpace:
 def euclidean_subset(dim: int, radius: float = 1.0) -> KernelSpace:
     """The trivial kernel restricted to the closed ball ||z|| <= radius."""
 
-    def sample(rng):
-        v = _cgauss(rng, dim)
+    def draw(rng):
+        v = _cgauss(rng, 1, (dim, 1.0))[0]
         r = np.linalg.norm(v)
         if r > radius:
             v = v * (rng.uniform(0.05, 0.95) * radius / r)
-        return Point(v)
+        return v, None
 
     return KernelSpace(
         label_dim=dim,
         kind="euclidean_subset",
         kernel=_sesquilinear,
-        sampler=sample,
+        sampler=_per_label(draw, dim),
         domain=lambda a: row_norms(a) <= radius + POINT_TOL,
         domain_name=f"||z|| <= {radius}",
         descriptor={"kind": "euclidean_subset", "dim": dim, "radius": radius},
@@ -289,12 +314,8 @@ def klauder_space(modes: int = 1) -> KernelSpace:
     """Labels (z0, zeta) in C x C^modes with K = exp(conj(z0) + z0' + <zeta, zeta'>)."""
 
     def kernel(a, b):
-        return np.exp(a[:, :1].conj() + b[:, 0] + a[:, 1:].conj() @ b[:, 1:].T)
-
-    def sample(rng):
-        z0 = _cgauss(rng, 1, 0.3)
-        zeta = _cgauss(rng, modes, 0.8)
-        return Point(np.concatenate([z0, zeta]))
+        return np.exp(a[..., :1].conj() + b[..., None, :, 0]
+                      + _sesquilinear(a[..., 1:], b[..., 1:]))
 
     def d_second(z, v, vdot):
         return _at(kernel, z, v) * (vdot[0] + np.vdot(z.coords[1:], vdot[1:]))
@@ -309,7 +330,7 @@ def klauder_space(modes: int = 1) -> KernelSpace:
         label_dim=1 + modes,
         kind="klauder",
         kernel=kernel,
-        sampler=sample,
+        sampler=lambda rng, count: (_cgauss(rng, count, (1, 0.3), (modes, 0.8)), None),
         partials=KernelPartials(d_second, d_first_second),
         descriptor={"kind": "klauder", "modes": modes},
     )
@@ -319,9 +340,9 @@ def _unit_norm_residual(a: np.ndarray) -> np.ndarray:
     return np.abs(row_norms(a) - 1.0)
 
 
-def _unit_spinor(rng: np.random.Generator) -> Point:
-    v = _cgauss(rng, 2)
-    return Point(v / np.linalg.norm(v))
+def _unit_spinors(rng: np.random.Generator, count: int) -> tuple:
+    v = _cgauss(rng, count, (2, 1.0))
+    return v / row_norms(v)[:, None], None
 
 
 def spin_space(exponent: float) -> KernelSpace:
@@ -346,7 +367,7 @@ def spin_space(exponent: float) -> KernelSpace:
         label_dim=2,
         kind="spin",
         kernel=kernel,
-        sampler=_unit_spinor,
+        sampler=_unit_spinors,
         partials=(_power_partials(_sesquilinear, _SESQUILINEAR_PARTIALS, int(round(n)))
                   if is_int else None),
         constraint=_unit_norm_residual,
@@ -361,8 +382,8 @@ def spin_t_space(exponent: int) -> KernelSpace:
     return KernelSpace(
         label_dim=2,
         kind="spin_t",
-        kernel=lambda a, b: np.power(a @ b.T, n),
-        sampler=_unit_spinor,
+        kernel=lambda a, b: np.power(a @ b.swapaxes(-1, -2), n),
+        sampler=_unit_spinors,
         hermitian=False,
         constraint=_unit_norm_residual,
         constraint_name="unit spinor norm",
@@ -374,14 +395,14 @@ def classical_limit_space(dim: int) -> KernelSpace:
     """K(z, z') = 1 iff z' = conj(z) (within 1e-12) else 0."""
 
     def kernel(a, b):
-        close = np.abs(a.conj()[:, None, :] - b[None, :, :]) <= 1e-12
+        close = np.abs(a.conj()[..., :, None, :] - b[..., None, :, :]) <= 1e-12
         return close.all(axis=-1).astype(complex)
 
     return KernelSpace(
         label_dim=dim,
         kind="classical_limit",
         kernel=kernel,
-        sampler=lambda rng: Point(rng.standard_normal(dim).astype(complex)),
+        sampler=lambda rng, count: (rng.standard_normal((count, dim)).astype(complex), None),
         descriptor={"kind": "classical_limit", "dim": dim},
     )
 
@@ -452,7 +473,8 @@ def debranges_space(coeffs: Sequence[complex] = (1j, 1.0)) -> KernelSpace:
         label_dim=1,
         kind="debranges",
         kernel=kernel,
-        sampler=lambda rng: Point(_cgauss(rng, 1)),
+        sampler=lambda rng, count: (_cgauss(rng, count, (1, 1.0)), None),
+        rowwise_diagonal=True,
         descriptor={"kind": "debranges", "coeffs": [[float(x.real), float(x.imag)] for x in c]},
     )
 
@@ -460,19 +482,20 @@ def debranges_space(coeffs: Sequence[complex] = (1j, 1.0)) -> KernelSpace:
 def moebius_space() -> KernelSpace:
     """Z = {(z1, z2) : |z1| > |z2|}, K = 1/(conj(z1) z1' - conj(z2) z2')."""
 
-    def sample(rng):
-        z1 = _cgauss(rng, 1, 1.0)
+    def draw(rng):
+        z1 = _cgauss(rng, 1, (1, 1.0))[0]
         while abs(z1[0]) < 0.3:
-            z1 = _cgauss(rng, 1, 1.0)
+            z1 = _cgauss(rng, 1, (1, 1.0))[0]
         t = rng.uniform(0.0, 0.7)
         phase = np.exp(2j * math.pi * rng.uniform())
-        return Point(np.array([z1[0], t * abs(z1[0]) * phase]))
+        return np.array([z1[0], t * abs(z1[0]) * phase]), None
 
     return KernelSpace(
         label_dim=2,
         kind="moebius",
         kernel=lambda a, b: 1.0 / (a[:, :1].conj() * b[:, 0] - a[:, 1:].conj() * b[:, 1]),
-        sampler=sample,
+        sampler=_per_label(draw, 2),
+        rowwise_diagonal=True,
         domain=lambda a: np.abs(a[:, 0]) > np.abs(a[:, 1]),
         domain_name="|z1| > |z2|",
         descriptor={"kind": "moebius"},
@@ -497,8 +520,8 @@ def discrete_space(table: np.ndarray) -> KernelSpace:
     return KernelSpace(
         label_dim=1,
         kind="discrete",
-        kernel=lambda a, b: tab[_idx(a[:, 0])[:, None], _idx(b[:, 0])],
-        sampler=lambda rng: Point([complex(rng.integers(0, m))]),
+        kernel=lambda a, b: tab[_idx(a[..., :, 0])[..., :, None], _idx(b[..., None, :, 0])],
+        sampler=lambda rng, count: (rng.integers(0, m, size=count).astype(complex)[:, None], None),
         conjugate_fn=lambda z: z,
         hermitian=herm,
         descriptor={"kind": "discrete", "table": [[[v.real, v.imag] for v in row] for row in tab]},
@@ -527,7 +550,8 @@ def icosahedron_space() -> KernelSpace:
         label_dim=3,
         kind="icosahedron",
         kernel=_sesquilinear,
-        sampler=lambda rng: Point(verts[rng.integers(0, len(verts))].astype(complex)),
+        sampler=lambda rng, count: (verts[rng.integers(0, len(verts), size=count)].astype(complex),
+                                    None),
         constraint=lambda a: np.abs(verts - a[:, None, :]).max(axis=2).min(axis=1),
         constraint_name="icosahedron vertex",
         descriptor={"kind": "icosahedron"},
@@ -541,17 +565,17 @@ def heisenberg_space(modes: int = 1, hbar: float = 1.0) -> KernelSpace:
     projective degree 1 under the scalar action (lambda, s) -> (alpha lambda, s).
     """
 
-    def sample(rng):
-        lam = complex(_cgauss(rng, 1, 1.0)[0])
+    def draw(rng):
+        lam = complex(_cgauss(rng, 1, (1, 1.0))[0, 0])
         while abs(lam) < 0.1:
-            lam = complex(_cgauss(rng, 1, 1.0)[0])
-        return Point(_cgauss(rng, modes, 0.7), multiplier=lam)
+            lam = complex(_cgauss(rng, 1, (1, 1.0))[0, 0])
+        return _cgauss(rng, 1, (modes, 0.7))[0], lam
 
     return KernelSpace(
         label_dim=modes,
         kind="heisenberg",
-        kernel=lambda a, b: np.exp(a @ b.T / hbar),
-        sampler=sample,
+        kernel=lambda a, b: np.exp(a @ b.swapaxes(-1, -2) / hbar),
+        sampler=_per_label(draw, modes, line=True),
         hermitian=False,
         projective_degree=1,
         scalar_mult=lambda a, z: Point(z.coords, a * z.multiplier),
@@ -727,6 +751,10 @@ def gu11_adjoint(a: np.ndarray) -> np.ndarray:
 
 
 def sample_points(space: KernelSpace, rng: np.random.Generator, count: int) -> list[Point]:
-    """Draw `count` valid points with the space's seeded sampler, scaled so
-    Gram matrices stay well-conditioned (used by tests and the CLI)."""
-    return [space.sampler(rng) for _ in range(count)]
+    """`count` valid points drawn one after another by the space's seeded
+    sampler, scaled so Gram matrices stay well-conditioned (used by tests and
+    the CLI); a seed gives the same labels however a count is split."""
+    if count < 0:
+        raise ConfigError(f"count must be nonnegative, got {count}")
+    coords, mults = space.sampler(rng, count)
+    return [Point(c, m) for c, m in zip(coords, [None] * count if mults is None else mults)]

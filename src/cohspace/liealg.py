@@ -302,7 +302,7 @@ class ExpectationTable:
     values[k, i] is <observables[i]> at times[k]; generator is the matrix G
     of the closed linear system de/dt = G e; final_cross_check is the max
     deviation from direct von Neumann propagation of the density matrix at
-    the last sample time (None when no representation/density is available).
+    the last sample time (None without a representation, density or time).
     """
 
     times: np.ndarray
@@ -371,7 +371,7 @@ def evolve_expectations(
     values = propagate_eig(1j * g, e0, times - t0)
 
     cross = None
-    if isinstance(state, DensityState) and rep is not None:
+    if isinstance(state, DensityState) and rep is not None and len(times):
         rep = tuple(np.asarray(r, dtype=complex) for r in rep)
         hmat = _matrix_of(rep, h)
         scale = max(1.0, float(np.max(np.abs(hmat))))

@@ -47,13 +47,12 @@ class SpinRep:
         row k couples to k (diag), k+1 (X12 band) and k-1 (X21 band)."""
         x = np.asarray(x, dtype=complex)
         n = self.n
+        k = np.arange(n + 1)
+        up, down = k[:-1], k[1:]  # rows with a k+1, a k-1 neighbour
         d = np.zeros((n + 1, n + 1), dtype=complex)
-        for k in range(n + 1):
-            d[k, k] = (n - k) * x[0, 0] + k * x[1, 1]
-            if k + 1 <= n:
-                d[k, k + 1] = x[0, 1] * math.sqrt((n - k) * (k + 1))
-            if k - 1 >= 0:
-                d[k, k - 1] = x[1, 0] * math.sqrt(k * (n - k + 1))
+        d[k, k] = (n - k) * x[0, 0] + k * x[1, 1]
+        d[up, up + 1] = x[0, 1] * np.sqrt((n - up) * (up + 1))
+        d[down, down - 1] = x[1, 0] * np.sqrt(down * (n - down + 1))
         return d
 
     def gamma(self, a: np.ndarray) -> np.ndarray:
@@ -65,17 +64,14 @@ class SpinRep:
         a = np.asarray(a, dtype=complex)
         n = self.n
         out = np.zeros((n + 1, n + 1), dtype=complex)
+        root = np.sqrt(np.array([math.comb(n, m) for m in range(n + 1)], dtype=float))
         # column k: embed coefficients of the polynomial
         #   (a11 z1 + a21 z2)^(n-k) (a12 z1 + a22 z2)^k / sqrt(C(n,k))-weights
         for k in range(n + 1):
-            poly = np.zeros(n + 1, dtype=complex)  # coeffs of z1^(n-m) z2^m
-            p1 = _binomial_poly(a[0, 0], a[1, 0], n - k)
-            p2 = _binomial_poly(a[0, 1], a[1, 1], k)
-            conv = np.convolve(p1, p2)
-            poly[: len(conv)] = conv
-            w = math.sqrt(math.comb(n, k))
-            for m in range(n + 1):
-                out[m, k] = poly[m] * w / math.sqrt(math.comb(n, m))
+            # coeffs of z1^(n-m) z2^m, m = 0..n
+            poly = np.convolve(_binomial_poly(a[0, 0], a[1, 0], n - k),
+                               _binomial_poly(a[0, 1], a[1, 1], k))
+            out[:, k] = poly * root[k] / root
         return out
 
 
@@ -128,15 +124,20 @@ class FockRep:
 
 
 def propagate_eig(h: np.ndarray, psi0: np.ndarray, times, hbar: float = 1.0) -> np.ndarray:
-    """Exact propagation exp(-i H t / hbar) psi0, rows = times; psi0 may be a
-    matrix of columns (the identity gives the propagator).  Hermitian H uses
-    its eigendecomposition, any other H scaling-and-squaring expm per time."""
-    h = np.asarray(h, dtype=complex)
+    """Exact propagation exp(-i H t / hbar) psi0, shape (len(times), *psi0.shape);
+    psi0 may be a matrix of columns (the identity gives the propagator).
+    Hermitian H uses its eigendecomposition, with one exp for all phases and
+    one stacked matmul (each time's own product); any other H, expm per time."""
+    h, psi0 = np.asarray(h, dtype=complex), np.asarray(psi0)
+    times = np.asarray(times, dtype=float)
     herm_defect = np.abs(h - h.conj().T).max()
     if herm_defect > 1e-10 * max(1.0, np.abs(h).max()):
         import scipy.linalg  # here, so that runs that never reach this branch never load scipy
 
-        return np.array([scipy.linalg.expm(-1j * float(t) * h / hbar) @ psi0 for t in times])
+        states = [scipy.linalg.expm(-1j * float(t) * h / hbar) @ psi0 for t in times]
+        return np.array(states, dtype=complex).reshape(len(times), *psi0.shape)
     lam, u = np.linalg.eigh(h)
-    c = (u.conj().T @ psi0).T  # eigen-axis last: the phases broadcast over columns
-    return np.array([u @ (np.exp(-1j * lam * float(t) / hbar) * c).T for t in times])
+    c = (u.conj().T @ psi0.reshape(len(u), -1)).T  # (columns, eigen-axis)
+    phases = np.exp(-1j * lam * times[:, None] / hbar)  # (times, eigen-axis)
+    states = u @ (phases[:, None] * c[None]).swapaxes(-1, -2)  # (times, rows, columns)
+    return states.reshape(len(times), *psi0.shape)

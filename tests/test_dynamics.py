@@ -215,6 +215,19 @@ def test_flow_shape_mismatch():
         coherent_flow(sp, LinearHamiltonianFlow(np.eye(3)), Point([0.0, 0.5]), (0.0, 1.0))
 
 
+def test_empty_sample_grid_gives_an_empty_trajectory():
+    a = np.diag([0.0, 1.3]).astype(complex)
+    for space, z0 in ((klauder_space(1), Point([0.2, 1.1 - 0.4j])),
+                      (spin_space(3), Point(np.array([0.6, 0.8j]))),
+                      (heisenberg_space(2), Point([0.2, 0.5j], 0.7))):
+        for generator in (a, lambda t: a):  # exact route, integrator route
+            traj = coherent_flow(space, LinearHamiltonianFlow(generator), z0, (0.0, 5.0),
+                                 t_eval=[])
+            assert traj.times.shape == (0,) and traj.norms.shape == (0,)
+            assert traj.coords.shape == (0, space.label_dim) and traj.points == []
+            assert (traj.multipliers is None) == (z0.multiplier is None)
+
+
 def test_norm_column_records_kernel_diagonal():
     sp = klauder_space(1)
     z0 = Point([0.0, 0.7])

@@ -208,6 +208,20 @@ def test_qubit_precession_with_cross_check():
     assert tab.final_cross_check is not None and tab.final_cross_check <= 1e-8
 
 
+def test_empty_sample_grid_gives_an_empty_table():
+    alg, rep, st = qubit_state(np.array([0.3, -0.2, 0.4]))
+    obs = [alg.basis_vector(k) for k in (1, 2, 3)]
+    tab = evolve_expectations(alg, rep, 0.65 * alg.basis_vector(3), st, obs, (0.0, 5.0),
+                              t_eval=[])
+    assert tab.times.shape == (0,) and tab.values.shape == (0, 3)
+    assert tab.final_cross_check is None
+    # the expm route (i G not Hermitian) too
+    tab = evolve_expectations(alg, rep, alg.basis_vector(3), st, [obs[0], 2.0 * obs[1], obs[2]],
+                              (0.0, 5.0), t_eval=[])
+    assert np.abs(1j * tab.generator - (1j * tab.generator).conj().T).max() > 0.1
+    assert tab.values.shape == (0, 3) and tab.final_cross_check is None
+
+
 def test_rotator_preserves_angular_momentum_norm():
     alg, rep = so3_rotator()
     psi = np.array([0.2 + 0.1j, 0.5, 1.0 - 0.3j])

@@ -10,6 +10,10 @@ Every function, class, method and class-level field defined in
 
 The numerical-derivative rule is written once: ``src/cohspace`` holds one
 Richardson combination (4.0 * a - b) / 3.0 and one 4-point mixed stencil.
+
+Every cohspace name the benchmark's tracer (``bench/spans.py``) wraps is
+defined in ``src/cohspace``, so a rename fails here instead of leaving a
+bench counter at 0.
 """
 
 import ast
@@ -198,3 +202,77 @@ def test_each_derivative_rule_is_written_once():
     for path in sorted(PACKAGE.glob("*.py")):
         found += derivative_rules(path.read_text(encoding="utf-8"))
     assert found == {"richardson": 1, "stencil": 1}
+
+
+# ------------------------------------------------ names the bench wraps
+
+
+def bench_bindings(source: str) -> list:
+    """(module, name) of every cohspace function or method a tracer source
+    wraps: the rows of its _SPANNED, _METHODS and _SPECTRAL_MODELS tables
+    (methods as Class.method) and the every(modules, "<module>", "<name>", ...)
+    calls that spell both names out."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            table = node.targets[0].id
+            if table == "_SPANNED":
+                found += [(module, name) for module, name, _ in ast.literal_eval(node.value)]
+            elif table == "_METHODS":
+                found += [(module, f"{cls}.{name}")
+                          for module, cls, name, _ in ast.literal_eval(node.value)]
+            elif table == "_SPECTRAL_MODELS":
+                found += [("spectra", name) for name in ast.literal_eval(node.value)]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "every" and len(node.args) >= 3
+              and all(isinstance(a, ast.Constant) for a in node.args[1:3])):
+            found.append((node.args[1].value, node.args[2].value))
+    return found
+
+
+def module_names(source: str) -> set:
+    """Names a module binds at its top level (functions, classes, assignments,
+    imports), and Class.method for the methods of its classes."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names |= {f"{node.name}.{f.name}" for f in node.body
+                      if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= set(_bound_names(node))
+    return names
+
+
+def test_the_scan_reads_the_bench_bindings():
+    tracer = ("_SPANNED = (('io', 'write_csv', 'io.write'),)\n"
+              "_METHODS = (('chaos', 'KickedTop', 'period', None),)\n"
+              "_SPECTRAL_MODELS = ('coulomb_model',)\n"
+              "def install(self, modules):\n"
+              "    every = self._patch_everywhere\n"
+              "    every(modules, 'cli', 'run', lambda f, m: f)\n"
+              "    for home, attr, name in _SPANNED:\n"
+              "        every(modules, home, attr, None)\n")
+    assert bench_bindings(tracer) == [("io", "write_csv"), ("chaos", "KickedTop.period"),
+                                      ("spectra", "coulomb_model"), ("cli", "run")]
+    module = ("from .kernels import gram_matrix\nTOL = 1e-8\n"
+              "class KickedTop:\n    size: int = 0\n    def period(self):\n        pass\n"
+              "def run():\n    def inner():\n        pass\n")
+    assert module_names(module) == {"gram_matrix", "TOL", "KickedTop", "KickedTop.period",
+                                    "run"}
+
+
+def test_every_name_the_bench_wraps_is_defined_in_the_package():
+    root = Path(__file__).resolve().parents[1]
+    wrapped = bench_bindings((root / "bench" / "spans.py").read_text(encoding="utf-8"))
+    assert {("kernels", "sample_points"), ("reps", "propagate_eig"), ("kernels", "gram_matrix"),
+            ("kernels", "eval_kernel"), ("reps", "SpinRep.dgamma")} <= set(wrapped)
+    defined = {path.stem: module_names(path.read_text(encoding="utf-8"))
+               for path in PACKAGE.glob("*.py")}
+    assert [(module, name) for module, name in wrapped
+            if name not in defined.get(module, ())] == []
