@@ -7,17 +7,17 @@ implicitly defined spectra, and expectation dynamics over Lie *-algebras.
 
 Layout:
 
-- kernels     kernel catalog, distances, Gram/PSD checks, map admissibility
+- kernels     kernel catalog, distances, Gram/PSD checks, point maps
 - causal      lattice sections and the normalization/causality conditions
-- qspace      finite quantum spaces from Gram factorizations; span states
-- reps        concrete finite representations (Fock cutoff, spin monomials)
+- qspace      finite quantum spaces from Gram factorizations
+- reps        spin monomial representation, exact propagation
 - quantize    map/generator quantization on a quantum space
 - integrate   embedded Dormand-Prince 8(5,3) pair with deterministic stats
-- dynamics    linear coherent flows and their representation-space lifts
-- tdvp        Kaehler metric and variational (Dirac-Frenkel) flows in charts
+- dynamics    linear coherent flows, exact and integrated
+- tdvp        variational (Dirac-Frenkel) flows in holomorphic charts
 - chaos       kicked semiquantal systems and Lyapunov estimates
 - spectra     implicit spectral models lambda_n(E) = m(E) xi_n(E) - k(E)
-- liealg      Lie *-algebras, states, expectation evolution, Koopman example
+- liealg      Lie *-algebras, states, expectation evolution
 - cli         deterministic command-line front end
 """
 

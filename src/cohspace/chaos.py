@@ -107,12 +107,6 @@ class KickedTop:
         w, delta = apply_kick(w, delta, self.kick)
         return chart, w, delta, switches
 
-    def step_point(self, z: Point) -> Point:
-        chart = chart_for(self.space, z)
-        w = chart.coords(z)[0]
-        chart, w, _, _ = self.period(chart, w, 0.0j)
-        return chart.point(np.array([w]))
-
 
 # ---------------------------------------------------------------- Lyapunov
 

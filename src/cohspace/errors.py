@@ -48,6 +48,7 @@ TYPES = {
     "int": (int, numbers.Integral, "an integer"),
     "float": (float, numbers.Real, "a finite number"),
     "positive": (float, numbers.Real, "a positive number"),
+    "size": (int, numbers.Integral, "a positive integer"),
     "str": (str, str, "a string"),
     "bool": (_bool, bool, "true or false"),
 }
@@ -55,7 +56,7 @@ TYPES = {
 
 def check_value(key: str, kind: str, value):
     """A value of the field's type (floats as float, finite, and above 0 for
-    a positive field), else ConfigError; a bool is only of type bool."""
+    a positive or size field), else ConfigError; a bool is only of type bool."""
     if kind not in TYPES:
         return value
     convert, accepted, noun = TYPES[kind]
@@ -63,7 +64,7 @@ def check_value(key: str, kind: str, value):
         raise ConfigError(f"{key!r} must be {noun}, got {value!r}")
     if accepted is numbers.Real and not abs(value) <= sys.float_info.max:  # nan, inf, huge int
         raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
-    if kind == "positive" and not value > 0:
+    if kind in ("positive", "size") and not value > 0:
         raise ConfigError(f"{key!r} must be {noun}, got {value!r}")
     return convert(value)
 
@@ -147,24 +148,12 @@ class SpanEscapeError(DomainError):
         self.residuals = residuals
 
 
-class OutOfSpanError(DomainError):
-    code = "out-of-span"
-
-
 class StepSizeError(DomainError):
     code = "step-size"
 
 
 class StiffnessError(StepSizeError):
     code = "stiffness"
-
-
-class DegenerateMetricError(DomainError):
-    code = "degenerate-metric"
-
-    def __init__(self, message: str, null_directions=None):
-        super().__init__(message)
-        self.null_directions = null_directions
 
 
 class IntegratorFailure(DomainError):

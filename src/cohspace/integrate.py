@@ -211,6 +211,10 @@ def solve_rk45(
     the step after t_end: after a last step clipped to end on t1, the proposal
     made before the clip; after a halt, the size of the step just accepted.
     Passing it as the next solve's `first_step` continues the step sequence.
+
+    An empty `t_eval` without a `step_hook` asks for no state: the solve
+    returns at once, without calling f, at t_end = t0 with y_end = y0, no
+    step taken and `h_next` NaN.
     """
     if not rtol > 0.0 or not atol >= 0.0:
         raise ConfigError(f"need rtol > 0 and atol >= 0, got rtol = {rtol!r}, atol = {atol!r}")
@@ -218,6 +222,12 @@ def solve_rk45(
         raise ConfigError(f"need a finite first_step > 0, got {first_step!r}")
     eval_times = check_sample_times(t0, t1, t_eval) or []
     y = np.asarray(y0, dtype=complex).copy()
+    if t_eval is not None and not eval_times and step_hook is None:
+        return RKSolution(times=np.array([]), states=np.empty((0, y.size), dtype=complex),
+                          t_end=float(t0), y_end=y,
+                          stats=IntegratorStats(steps=0, rejected=0, final_error_estimate=0.0,
+                                                rhs_evals=0, h_min=math.inf, h_max=0.0),
+                          halted=False, h_next=math.nan)
     y_abs = np.abs(y)  # |y| of the current state, reused by the next step's error norm
     y0_max = float(y_abs.max(initial=0.0))
     t = float(t0)

@@ -32,10 +32,6 @@ to (factory, fields).  ``check_stack`` checks a stack in one pass
 point lists (line-bundle multipliers included), ``gram_matrix`` mirrors its
 upper triangle for Hermitian kernels, and ``eval_kernel`` is its 1 x 1 case.
 
-Analytic path partials (``KernelPartials``) come with ``trivial`` and
-``klauder``; ``power`` and integer ``spin``, which is the n-th power of the
-trivial kernel, take theirs from one chain rule, ``_power_partials``.
-
 Throughout, <a, b> = sum conj(a_k) b_k.
 """
 
@@ -75,28 +71,6 @@ class Point:
             return f"Point({self.coords.tolist()})"
         return f"Point({self.coords.tolist()}, multiplier={self.multiplier})"
 
-    def close_to(self, other: "Point", tol: float = 1e-12) -> bool:
-        if self.coords.shape != other.coords.shape:
-            return False
-        if not np.allclose(self.coords, other.coords, rtol=0.0, atol=tol):
-            return False
-        a = 0.0 if self.multiplier is None else self.multiplier
-        b = 0.0 if other.multiplier is None else other.multiplier
-        return abs(a - b) <= tol
-
-
-@dataclass
-class KernelPartials:
-    """Analytic path derivatives of the kernel.
-
-    ``d_second(z, v, vdot)``            = d/ds K(z, v(s))      given v, v' = vdot
-    ``d_first_second(u, udot, v, vdot)`` = d2/(dt ds) K(u(t), v(s))
-    """
-
-    d_second: Callable[[Point, Point, np.ndarray], complex]
-    d_first_second: Callable[[Point, np.ndarray, Point, np.ndarray], complex]
-
-
 def _conj_coords(z: Point) -> Point:
     return Point(np.conj(z.coords), None if z.multiplier is None else np.conj(z.multiplier))
 
@@ -113,7 +87,6 @@ class KernelSpace:
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
     sampler: Callable[[np.random.Generator, int], tuple]
     conjugate_fn: Callable[[Point], Point] = _conj_coords
-    partials: Optional[KernelPartials] = None
     projective_degree: Optional[int] = None
     hermitian: bool = True
     constraint: Optional[Callable[[np.ndarray], np.ndarray]] = None  # residual per row
@@ -123,10 +96,6 @@ class KernelSpace:
     rowwise_diagonal: bool = False  # kernel takes (n, d) x (m, d) only
     scalar_mult: Optional[Callable[[complex, Point], Point]] = None
     descriptor: dict = field(default_factory=dict)
-    base: Optional["KernelSpace"] = None  # set for power spaces
-
-    def eval(self, z: Point, z2: Point) -> complex:
-        return eval_kernel(self, z, z2)
 
     def conjugate(self, z: Point) -> Point:
         validate_point(self, z)
@@ -215,10 +184,6 @@ def kernel_diagonal(space: KernelSpace, coords: np.ndarray, multipliers=None) ->
     return k
 
 
-def _at(kernel, z: Point, w: Point) -> complex:
-    return kernel(z.coords[None, :], w.coords[None, :])[0, 0]
-
-
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
@@ -251,40 +216,12 @@ def _sesquilinear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.conj() @ b.swapaxes(-1, -2)
 
 
-_SESQUILINEAR_PARTIALS = KernelPartials(
-    d_second=lambda z, v, vdot: np.vdot(z.coords, vdot),
-    d_first_second=lambda u, udot, v, vdot: np.vdot(udot, vdot),
-)
-
-
-def _power_partials(kernel, partials: KernelPartials, n: int) -> KernelPartials:
-    """Partials of the pointwise power K^n (n >= 0) by the chain rule, from
-    the stacked Hermitian base kernel and its partials."""
-
-    def d_second(z, v, vdot):
-        return n * _at(kernel, z, v) ** (n - 1) * partials.d_second(z, v, vdot) if n >= 1 else 0.0j
-
-    def d_first_second(u, udot, v, vdot):
-        if n < 1:
-            return 0.0j
-        k = _at(kernel, u, v)
-        out = n * k ** (n - 1) * partials.d_first_second(u, udot, v, vdot)
-        if n >= 2:
-            # dK/dt of the Hermitian base via conj of the s-derivative with slots swapped
-            dt = np.conj(partials.d_second(v, u, udot))
-            out += n * (n - 1) * k ** (n - 2) * dt * partials.d_second(u, v, vdot)
-        return out
-
-    return KernelPartials(d_second, d_first_second)
-
-
 def trivial_space(dim: int) -> KernelSpace:
     return KernelSpace(
         label_dim=dim,
         kind="trivial",
         kernel=_sesquilinear,
         sampler=lambda rng, count: (_cgauss(rng, count, (dim, 1.0)), None),
-        partials=_SESQUILINEAR_PARTIALS,
         descriptor={"kind": "trivial", "dim": dim},
     )
 
@@ -317,21 +254,11 @@ def klauder_space(modes: int = 1) -> KernelSpace:
         return np.exp(a[..., :1].conj() + b[..., None, :, 0]
                       + _sesquilinear(a[..., 1:], b[..., 1:]))
 
-    def d_second(z, v, vdot):
-        return _at(kernel, z, v) * (vdot[0] + np.vdot(z.coords[1:], vdot[1:]))
-
-    def d_first_second(u, udot, v, vdot):
-        k = _at(kernel, u, v)
-        a = np.conj(udot[0]) + np.vdot(udot[1:], v.coords[1:])
-        b = vdot[0] + np.vdot(u.coords[1:], vdot[1:])
-        return k * (a * b + np.vdot(udot[1:], vdot[1:]))
-
     return KernelSpace(
         label_dim=1 + modes,
         kind="klauder",
         kernel=kernel,
         sampler=lambda rng, count: (_cgauss(rng, count, (1, 0.3), (modes, 0.8)), None),
-        partials=KernelPartials(d_second, d_first_second),
         descriptor={"kind": "klauder", "modes": modes},
     )
 
@@ -368,8 +295,6 @@ def spin_space(exponent: float) -> KernelSpace:
         kind="spin",
         kernel=kernel,
         sampler=_unit_spinors,
-        partials=(_power_partials(_sesquilinear, _SESQUILINEAR_PARTIALS, int(round(n)))
-                  if is_int else None),
         constraint=_unit_norm_residual,
         constraint_name="unit spinor norm",
         descriptor={"kind": "spin", "exponent": n},
@@ -418,11 +343,8 @@ def power_space(base: KernelSpace, n: int) -> KernelSpace:
         base,
         kind="power",
         kernel=lambda a, b: np.power(base.kernel(a, b), n),
-        partials=(_power_partials(base.kernel, base.partials, n)
-                  if base.partials is not None and base.hermitian else None),
         projective_degree=None if base.projective_degree is None else n * base.projective_degree,
         descriptor={"kind": "power", "base": base.descriptor, "n": n},
-        base=base,
     )
 
 
@@ -583,8 +505,8 @@ def heisenberg_space(modes: int = 1, hbar: float = 1.0) -> KernelSpace:
     )
 
 
-_DIM = ("dim", "int", REQUIRED)
-_MODES = ("modes", "int", None)
+_DIM = ("dim", "size", REQUIRED)  # label dimensions are positive integers
+_MODES = ("modes", "size", None)
 # kind -> (factory, descriptor fields); unset optional fields take its defaults
 _CATALOG: dict[str, tuple[Callable[..., KernelSpace], tuple]] = {
     "trivial": (trivial_space, (_DIM,)),
@@ -680,30 +602,6 @@ def check_coherence(space: KernelSpace, points: Sequence[Point], tol: float = PS
     return psd_verdict(eigs, tol)
 
 
-def check_coherent_map(space, forward, adjoint=None, samples=None, tol: float = 1e-10):
-    """Verify K(z, A z') = K(A* z, z') over sample pairs.
-
-    ``forward`` may be a CoherentMapSpec-like object carrying .forward/.adjoint,
-    in which case ``adjoint`` is taken from it.  Returns (passed, max_residual)
-    with residuals relative to 1 + |K|.
-    """
-    if adjoint is None and hasattr(forward, "forward"):
-        spec = forward
-        forward, adjoint = spec.forward, spec.adjoint
-    if adjoint is None:
-        raise ConfigError("check_coherent_map needs an adjoint map")
-    if not samples:
-        raise ConfigError("check_coherent_map needs sample pairs")
-    worst = 0.0
-    for z, z2 in samples:
-        az2 = forward(z2)
-        asz = adjoint(z)
-        lhs = eval_kernel(space, z, az2)  # each call checks its labels, images too
-        rhs = eval_kernel(space, asz, z2)
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    return worst <= tol, worst
-
-
 def linear_point_map(matrix: np.ndarray, renormalize: bool = False) -> Callable[[Point], Point]:
     """Point map z -> M z on the label coordinates (multiplier untouched).
 
@@ -719,35 +617,6 @@ def linear_point_map(matrix: np.ndarray, renormalize: bool = False) -> Callable[
         return Point(w, z.multiplier)
 
     return apply
-
-
-@dataclass
-class MoebiusVerdict:
-    member: bool
-    alpha: float
-    beta_abs: float
-    gamma: float
-
-
-def moebius_semigroup_member(a: np.ndarray) -> MoebiusVerdict:
-    """Sufficient condition for a 2x2 matrix to map {|z1|>|z2|} into itself
-    compatibly with the kernel: alpha > 0, |beta| <= alpha, gamma <= alpha - 2|beta|,
-    where alpha = |A11|^2 - |A21|^2, beta = conj(A11) A12 - conj(A21) A22,
-    gamma = |A22|^2 - |A12|^2."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape != (2, 2):
-        raise ConfigError("moebius semigroup test needs a 2x2 matrix")
-    alpha = abs(a[0, 0]) ** 2 - abs(a[1, 0]) ** 2
-    beta = np.conj(a[0, 0]) * a[0, 1] - np.conj(a[1, 0]) * a[1, 1]
-    gamma = abs(a[1, 1]) ** 2 - abs(a[0, 1]) ** 2
-    member = alpha > 0 and abs(beta) <= alpha and gamma <= alpha - 2.0 * abs(beta)
-    return MoebiusVerdict(bool(member), float(alpha), float(abs(beta)), float(gamma))
-
-
-def gu11_adjoint(a: np.ndarray) -> np.ndarray:
-    """Adjoint within GU(1,1): A* = J A^H J with J = diag(1, -1)."""
-    j = np.diag([1.0, -1.0])
-    return j @ np.asarray(a, dtype=complex).conj().T @ j
 
 
 def sample_points(space: KernelSpace, rng: np.random.Generator, count: int) -> list[Point]:

@@ -38,7 +38,6 @@ from .errors import (
     AlgebraAxiomError,
     ClosureError,
     ConfigError,
-    OutOfSpanError,
     PreconditionError,
     StatePositivityError,
     check_fields,
@@ -49,7 +48,6 @@ from .reps import propagate_eig
 AXIOM_TOL = 1e-12
 CLOSURE_TOL = 1e-10
 VARIANCE_FLOOR = -1e-8  # below this a negative variance is a positivity failure
-UNCERTAINTY_RATIO = 0.1  # "much smaller": sigma_X at most this share of |mean| + delta
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,13 +146,6 @@ def lie_product(algebra: LieStarAlgebra, x: np.ndarray, y: np.ndarray) -> np.nda
     return np.einsum("a,b,abc->c", x, y, algebra.structure)
 
 
-def star_element(algebra: LieStarAlgebra, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (algebra.dim,):
-        raise ConfigError(f"elements must be coefficient vectors of length {algebra.dim}")
-    return algebra.involution.T @ np.conj(x)
-
-
 # ---------------------------------------------------------------------------
 # states
 
@@ -236,27 +227,6 @@ def state_from_density(
     algebra: LieStarAlgebra, rep: Sequence[np.ndarray], rho: np.ndarray
 ) -> DensityState:
     return DensityState(algebra, tuple(rep), rho)
-
-
-def koopman_state(
-    algebra: LieStarAlgebra, rep: Sequence[np.ndarray], probabilities: Sequence[float]
-) -> AlgebraState:
-    """Classical state <X, Y> = sum_i p_i conj(X_i) Y_i for diagonal reps."""
-    p = np.asarray(probabilities, dtype=float)
-    if p.ndim != 1 or np.any(p < -1e-15):
-        raise ConfigError("probabilities must be a nonnegative vector")
-    if abs(p.sum() - 1.0) > 1e-12:
-        raise ConfigError(f"probabilities sum to {p.sum():.12g}, need 1")
-    funcs = []
-    for r in rep:
-        r = np.asarray(r, dtype=complex)
-        if np.max(np.abs(r - np.diag(np.diag(r)))) > 1e-14:
-            raise ConfigError("koopman_state needs diagonal (multiplication) reps")
-        funcs.append(np.diag(r))
-    f = np.stack(funcs)
-    if f.shape != (algebra.dim, p.size):
-        raise ConfigError("representation does not match the probability vector")
-    return AlgebraState(algebra, (np.conj(f) * p) @ f.T)
 
 
 def uncertain_value(state: State, x: np.ndarray) -> complex:
@@ -392,7 +362,7 @@ def evolve_expectations(
 
 
 # ---------------------------------------------------------------------------
-# lattice state fields: covariant expectation derivative, observability
+# lattice state fields: covariant expectation derivative
 
 
 def _field_state(state_field, site: tuple) -> State:
@@ -446,59 +416,6 @@ def covariant_ehrenfest_residual(
     return out
 
 
-@dataclass
-class ObservabilityReport:
-    """Truth values of the two observability requirements at a site.
-
-    slow_variation: the mean moves by at most delta under every probe shift;
-    small_uncertainty: sigma_X is below UNCERTAINTY_RATIO * (|mean| + delta).
-    The raw numbers are reported so callers can apply their own reading of
-    "much smaller".
-    """
-
-    max_shift_variation: float
-    slow_variation: bool
-    uncertainty: float
-    scale: float
-    small_uncertainty: bool
-    ratio: float
-
-
-def observability_report(
-    state_field: Union[Mapping, Callable],
-    x: np.ndarray,
-    site: Sequence[int],
-    shifts: Sequence[Sequence[int]],
-    delta: float,
-) -> ObservabilityReport:
-    if delta < 0:
-        raise ConfigError("delta must be nonnegative")
-    site = tuple(int(v) for v in site)
-    base = _field_state(state_field, site)
-    mean0 = uncertain_value(base, x)
-    variation = 0.0
-    for h in shifts:
-        h = tuple(int(v) for v in h)
-        if len(h) != len(site):
-            raise ConfigError(f"shift {h} does not match site dimension {len(site)}")
-        shifted = _field_state(state_field, tuple(s + d for s, d in zip(site, h)))
-        variation = max(variation, abs(uncertain_value(shifted, x) - mean0))
-    sigma = uncertainty(base, x)
-    scale = abs(mean0) + delta
-    if scale > 0:
-        ratio = sigma / scale
-    else:
-        ratio = 0.0 if sigma == 0.0 else float("inf")
-    return ObservabilityReport(
-        max_shift_variation=variation,
-        slow_variation=variation <= delta,
-        uncertainty=sigma,
-        scale=scale,
-        small_uncertainty=sigma <= UNCERTAINTY_RATIO * scale,
-        ratio=ratio,
-    )
-
-
 # ---------------------------------------------------------------------------
 # representations
 
@@ -520,21 +437,6 @@ def rep_defect(algebra: LieStarAlgebra, rep: Sequence[np.ndarray]) -> float:
             want = _matrix_of(rep, algebra.structure[a, b])
             worst = max(worst, float(np.max(np.abs(got - want))))
     return worst
-
-
-def matrix_coefficients(
-    rep: Sequence[np.ndarray], matrix: np.ndarray, tol: float = 1e-10
-) -> np.ndarray:
-    """Expand a matrix over the representation basis (least squares)."""
-    cols = np.stack([np.asarray(r, dtype=complex).ravel() for r in rep], axis=1)
-    y = np.asarray(matrix, dtype=complex).ravel()
-    coeff, *_ = np.linalg.lstsq(cols, y, rcond=None)
-    resid = float(np.linalg.norm(y - cols @ coeff))
-    if resid > tol * max(1.0, float(np.linalg.norm(y))):
-        raise OutOfSpanError(
-            f"matrix is not in the span of the representation basis (residual {resid:.3e})"
-        )
-    return coeff
 
 
 # ---------------------------------------------------------------------------
@@ -667,42 +569,6 @@ def matrix_star_algebra(d: int) -> tuple[LieStarAlgebra, list]:
             c[b, a, 1:] = -coeff
     alg = LieStarAlgebra(f"hermitian_{d}", tuple(names), c, np.eye(dim))
     return alg, rep
-
-
-def classical_function_algebra(n: int) -> tuple[LieStarAlgebra, list]:
-    """Abelian algebra of functions on n points: unit plus site indicators."""
-    if n < 2:
-        raise ConfigError("function algebra needs n >= 2 points")
-    names = ["unit"] + [f"site_{k}" for k in range(1, n)]
-    rep = [np.eye(n, dtype=complex)]
-    for k in range(1, n):
-        rep.append(np.diag(np.eye(n, dtype=complex)[k]))
-    alg = LieStarAlgebra(
-        f"functions_{n}",
-        tuple(names),
-        np.zeros((n, n, n), dtype=complex),
-        np.eye(n),
-        convention="classical",
-    )
-    return alg, rep
-
-
-def koopman_circle(n: int) -> tuple[LieStarAlgebra, list, np.ndarray]:
-    """Hermitian generator whose time-(2 pi / n) flow shifts the n-cycle one site.
-
-    L = F diag(0..n-1) F* with F the unitary DFT; exp(-2 pi i L / n) is the
-    exact one-site cyclic permutation, so stroboscopic indicator expectations
-    permute.  Returns the full matrix algebra, its rep, and the coefficient
-    vector of L.
-    """
-    if n < 2:
-        raise ConfigError("circle needs n >= 2 sites")
-    alg, rep = matrix_star_algebra(n)
-    j = np.arange(n)
-    f = np.exp(-2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
-    gen = f @ np.diag(j.astype(complex)) @ f.conj().T
-    gen = (gen + gen.conj().T) / 2
-    return alg, rep, matrix_coefficients(rep, gen)
 
 
 CATALOG: dict[str, Callable] = {

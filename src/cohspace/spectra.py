@@ -109,13 +109,6 @@ def free_particle_model(mass: float = 1.0, c: float = 1.0, p_max: float = 10.0) 
     )
 
 
-def free_dispersion(p_magnitude: float, mass: float, c: float) -> float:
-    """Positive root E = c sqrt(p^2 + (mc)^2) of the free dispersion relation."""
-    if p_magnitude < 0 or mass < 0 or c <= 0:
-        raise ConfigError("free dispersion needs p, mass >= 0 and c > 0")
-    return c * math.sqrt(p_magnitude ** 2 + (mass * c) ** 2)
-
-
 # ------------------------------------------------------------- root finding
 
 

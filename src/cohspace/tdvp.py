@@ -1,4 +1,4 @@
-"""Kaehler metric and variational (Dirac-Frenkel) flows in holomorphic charts.
+"""Variational (Dirac-Frenkel) flows in holomorphic charts.
 
 The variational projection of  i hbar d/dt |psi> = H |psi>  onto a coherent
 family |z(u)>, u a holomorphic chart, is
@@ -32,17 +32,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import qspace
-from .errors import ConfigError, DegenerateMetricError, IntegratorFailure, InvalidPointError
+from .errors import ConfigError, IntegratorFailure, InvalidPointError
 from .integrate import solve_rk45, total_stats
-from .kernels import KernelSpace, Point, eval_kernel, kernel_diagonal
+from .kernels import KernelSpace, Point, kernel_diagonal
 from .dynamics import Trajectory
 
 CHART_SWITCH_RADIUS = 2.0
 ENERGY_DRIFT_LIMIT = 1e-6
 ENERGY_FD_STEP = 1e-6     # central-difference step of CallableExpectation
 FLAT_CHART_CUTOFF = 64    # Fock levels of the Klauder chart embedding
-METRIC_FD_STEP = 1e-3     # finite-difference step of the generic Kaehler metric
 
 
 # ----------------------------------------------------------------- charts
@@ -320,56 +318,6 @@ class MatrixExpectation(ExpectationFunction):
         return num.real / np.einsum("sd,sd->s", v.conj(), v).real
 
 
-# ------------------------------------------------------------- Kaehler metric
-
-
-def kahler_metric(space: KernelSpace, z: Point) -> np.ndarray:
-    """Metric g = d_ubar d_u log K at the diagonal.
-
-    Analytic for klauder (identity on the zeta block) and spin (stereographic
-    chart); otherwise qspace.mixed of log K along each pair of label axes.
-    Raises DegenerateMetricError (listing null directions) when the smallest
-    eigenvalue is indistinguishable from zero — below max(1e-12 * trace,
-    FD roundoff floor ~ eps/METRIC_FD_STEP^2) — as for projectively degenerate
-    kernels, where the label ray itself is a null direction.
-    """
-    if space.kind in _CHARTS:
-        chart = chart_for(space, z)
-        return chart.scalar_metric(chart.coords(z)[0]) * np.eye(chart.dim)
-    if space.base is not None:  # power space: n times the base metric
-        return space.descriptor["n"] * kahler_metric(space.base, z)
-
-    dim = space.label_dim
-    h = METRIC_FD_STEP
-
-    def logk(a, b):
-        return np.log(eval_kernel(space, Point(a), Point(b)))
-
-    g = np.empty((dim, dim), dtype=complex)
-    for j in range(dim):
-        for k in range(dim):
-            ej, ek = np.eye(dim)[j], np.eye(dim)[k]
-            g[j, k] = qspace.mixed(lambda a, b: logk(z.coords + a * ej, z.coords + b * ek), h)
-    g = 0.5 * (g + g.conj().T)
-    if not np.isfinite(g).all():
-        raise DegenerateMetricError(
-            f"{space.kind}: log-kernel not smooth at the diagonal; no Kaehler metric",
-            null_directions=[],
-        )
-    eigs, vecs = np.linalg.eigh(g)
-    tr = float(np.trace(g).real)
-    log_scale = max(1.0, abs(logk(z.coords, z.coords)))
-    floor = max(1e-12 * max(tr, 1e-300), 32.0 * np.finfo(float).eps * log_scale / h ** 2)
-    if eigs[0] < floor:
-        null = [vecs[:, i] for i in range(dim) if eigs[i] < floor]
-        raise DegenerateMetricError(
-            f"{space.kind}: Kaehler metric degenerate (min eig {eigs[0]:.3e}, trace {tr:.3e}); "
-            f"{len(null)} null direction(s)",
-            null_directions=null,
-        )
-    return g
-
-
 # ------------------------------------------------------------ variational flow
 
 
@@ -484,11 +432,3 @@ def dirac_frenkel_flow(
         energy_drift=worst / h_scale,
     )
 
-
-def bloch_vector(z: Point) -> np.ndarray:
-    """Chart-free (X, Y, Z) of a unit spinor: <sigma> in the defining rep."""
-    z1, z2 = z.coords
-    x = 2.0 * (np.conj(z1) * z2).real
-    y = 2.0 * (np.conj(z1) * z2).imag
-    zc = abs(z1) ** 2 - abs(z2) ** 2
-    return np.array([x, y, zc])

@@ -45,6 +45,13 @@ def spin_monomial_embed(two_j: int, spinor) -> np.ndarray:
     return np.array([math.sqrt(math.comb(n, k)) * z1 ** (n - k) * z2 ** k for k in range(n + 1)])
 
 
+def bloch_vector(spinor) -> np.ndarray:
+    """(X, Y, Z) = <sigma> of the unit spinor (z1, z2) in the defining rep."""
+    z1, z2 = complex(spinor[0]), complex(spinor[1])
+    c = z1.conjugate() * z2
+    return np.array([2.0 * c.real, 2.0 * c.imag, abs(z1) ** 2 - abs(z2) ** 2])
+
+
 # --- truncated Fock space ---
 
 def fock_ops(cutoff: int):

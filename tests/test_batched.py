@@ -29,6 +29,7 @@ from cohspace.kernels import (
     moebius_space,
     power_space,
     sample_points,
+    space_from_descriptor,
     spin_space,
     spin_t_space,
     trivial_space,
@@ -70,7 +71,7 @@ def one_label(space, rng):
     """One label (coords, multiplier) drawn as the one-point samplers did."""
     kind, desc = space.kind, space.descriptor
     if kind == "power":
-        return one_label(space.base, rng)
+        return one_label(space_from_descriptor(desc["base"]), rng)
     if kind == "trivial":
         return _cgauss(rng, desc["dim"]), None
     if kind == "euclidean_subset":
@@ -196,7 +197,7 @@ def two_d_kernel(space):
         return lambda a, b: (np.abs(a.conj()[:, None, :] - b[None, :, :])
                              <= 1e-12).all(axis=-1).astype(complex)
     if kind == "power":
-        base = two_d_kernel(space.base)
+        base = two_d_kernel(space_from_descriptor(desc["base"]))
         return lambda a, b: np.power(base(a, b), desc["n"])
     if kind == "debranges":
         c = np.array([complex(re, im) for re, im in desc["coeffs"]])

@@ -10,6 +10,7 @@ cohspace as the test process, installed or not.
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -507,6 +508,8 @@ _BAD_KEYS = [
     ("kernel-gram", {"space": {"kind": "trivial", "dim": 2.7}, "count": 2}, "space.dim"),
     ("kernel-gram", {"space": {"kind": "power", "base": {"kind": "klauder", "mode": 2}, "n": 2},
                      "count": 2}, "space.base.mode"),
+    ("kernel-gram", {"space": {"kind": "power", "base": {"kind": "trivial", "dim": 0}, "n": 2},
+                     "count": 2}, "space.base.dim"),
     ("dyn-tdvp", {"space": {"kind": "spin", "exponent": 2}, "z0": [1, 0.2], "t_span": [0, 1],
                   "energy": {"kind": "spin_axis", "axis": [0, 0, 1], "coef": 5.0}}, "energy.coef"),
     ("quantize", {"space": {"kind": "trivial", "dim": 2}, "count": 4,
@@ -676,6 +679,39 @@ def test_exit_1_domain_error_as_json_on_stderr(tmp_path, monkeypatch, capsys):
         tmp_path, monkeypatch, capsys)
     assert code == 1
     assert json.loads(err)["error"]
+
+
+def test_exit_1_numerical_error_on_an_overflowed_propagation(tmp_path, monkeypatch, capsys):
+    # the phase 1e308 t overflows from the sample t = 1.8 on
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the run
+        code, _, err = run_cli(
+            ["dyn-coherent", "--space", '{"kind":"klauder","modes":1}',
+             "--generator", "[[[0,0],[0,0]],[[0,0],[1e308,0]]]",
+             "--z0", "[[0.2,0.1],[1.1,-0.4]]", "--t-span", "[0,6]"],
+            tmp_path, monkeypatch, capsys)
+    assert code == 1
+    diag = json.loads(err)
+    assert diag["error"] == "numerical-error" and "t = 1.8" in diag["message"]
+
+
+# every dim and modes field of the space catalog
+_SIZED = [(kind, key) for kind, (_, fields) in kernels._CATALOG.items()
+          for key, _, _ in fields if key in ("dim", "modes")]
+
+
+@pytest.mark.parametrize("command", ["kernel-gram", "kernel-check"])
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("kind, key", _SIZED, ids=[f"{k}.{f}" for k, f in _SIZED])
+def test_exit_2_on_a_label_dimension_below_one(tmp_path, monkeypatch, capsys,
+                                               kind, key, value, command):
+    space = json.dumps({"kind": kind, key: value})
+    code, _, err = run_cli([command, "--space", space, "--count", "3"],
+                           tmp_path, monkeypatch, capsys)
+    assert code == 2
+    assert err.startswith(f"config error: 'space.{key}' must be a positive integer, got {value}")
+    assert "Traceback" not in err
+    assert not (tmp_path / f"cohspace-{command}.json").exists()
 
 
 def test_argparse_usage_error_is_exit_2(tmp_path, monkeypatch, capsys):

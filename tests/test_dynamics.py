@@ -1,22 +1,18 @@
-"""Coherent flows, Schroedinger lifts, Ehrenfest residual."""
+"""Coherent flows: closed forms, Schroedinger lifts, the exact and integrated routes."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
 from cohspace import dynamics, integrate, liealg, tdvp
-from cohspace.dynamics import (
-    LinearHamiltonianFlow,
-    coherent_flow,
-    ehrenfest_residual,
-    verify_schrodinger_lift,
-)
-from cohspace.errors import ConfigError, DomainError
+from cohspace.dynamics import LinearHamiltonianFlow, coherent_flow
+from cohspace.errors import ConfigError
 from cohspace.integrate import solve_rk45
 from cohspace.kernels import Point, eval_kernel, heisenberg_space, klauder_space, spin_space
-from cohspace.reps import FockRep, SpinRep, propagate_eig
+from cohspace.reps import propagate_eig
 
 HBAR = 1.0
 
@@ -29,6 +25,25 @@ def klauder_oscillator_flow(omega=1.0, hbar=1.0):
 def spin_precession_flow(omega=1.0, hbar=1.0):
     # A = hbar omega sigma_z / 2: chart w = z2/z1 rotates as e^{+i omega t}
     return LinearHamiltonianFlow(hbar * omega * np.diag([0.5, -0.5]).astype(complex), hbar=hbar)
+
+
+def spin_lift_deficit(n, flow, traj):
+    """The largest fidelity deficit 1 - |<psi_t, v(z_t)>|^2 / (|psi_t|^2 |v(z_t)|^2)
+    of the trajectory's monomial embeddings v(z_t) against psi_t, the start
+    embedding propagated exactly by the Wigner-matrix lift of the generator:
+    A = tr(A)/2 + sum_k tr(A sigma_k) sigma_k/2 lifts to n tr(A)/2 + sum_k tr(A sigma_k) J_k."""
+    a = flow.matrix_at(0.0)
+    paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
+    h = np.trace(a) / 2 * n * np.eye(n + 1) + sum(
+        np.trace(a @ s) * j for s, j in zip(paulis, oracles.wigner_matrices(n)))
+    psi0 = oracles.spin_monomial_embed(n, traj.coords[0])
+    worst = 0.0
+    for t, z in zip(traj.times, traj.coords):
+        psi = scipy.linalg.expm(-1j * (t - traj.times[0]) * h / flow.hbar) @ psi0
+        v = oracles.spin_monomial_embed(n, z)
+        fidelity = abs(np.vdot(psi, v)) ** 2 / (np.vdot(psi, psi).real * np.vdot(v, v).real)
+        worst = max(worst, 1.0 - fidelity)
+    return worst
 
 
 def test_oscillator_labels_match_closed_form():
@@ -57,32 +72,6 @@ def test_spin_labels_match_closed_form():
         assert abs(np.linalg.norm(p.coords) - 1.0) < 1e-14
 
 
-def test_schrodinger_lift_fock():
-    sp = klauder_space(1)
-    z0 = Point([0.0, 1.2 + 0.4j])
-    traj = coherent_flow(sp, klauder_oscillator_flow(1.0), z0, (0.0, 10.0),
-                         t_eval=np.linspace(0, 10, 41))
-    report = verify_schrodinger_lift(FockRep(64), klauder_oscillator_flow(1.0), traj,
-                                     n_checks=8)
-    assert report.max_deficit < 1e-8
-    assert report.rep_dim == 64
-
-
-@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0)])
-def test_fock_lift_rejects_a_generator_touching_z0(entry):
-    sp = klauder_space(1)
-    traj = coherent_flow(sp, klauder_oscillator_flow(1.0), Point([0.0, 0.5]), (0.0, 1.0),
-                         t_eval=np.linspace(0, 1, 5))
-    a = np.diag([0.0, 1.0]).astype(complex)
-    a[entry] = 1e-6
-    message = ("FockRep lifts need single-mode label generators acting on zeta only "
-               "(first row/column zero)")
-    for generator in (a, lambda t: a):  # the exact and the integrated lift
-        with pytest.raises(ConfigError) as exc:
-            verify_schrodinger_lift(FockRep(16), LinearHamiltonianFlow(generator), traj)
-        assert str(exc.value) == message
-
-
 def test_schrodinger_lift_spin():
     n = 6
     sp = spin_space(n)
@@ -90,8 +79,7 @@ def test_schrodinger_lift_spin():
     z = Point(z / np.linalg.norm(z))
     flow = spin_precession_flow(1.7)
     traj = coherent_flow(sp, flow, z, (0.0, 8.0), t_eval=np.linspace(0, 8, 33))
-    report = verify_schrodinger_lift(SpinRep(n), flow, traj, n_checks=6)
-    assert report.max_deficit < 1e-9
+    assert spin_lift_deficit(n, flow, traj) < 1e-9
 
 
 def test_schrodinger_lift_generic_spin_generator():
@@ -102,11 +90,12 @@ def test_schrodinger_lift_generic_spin_generator():
     flow = LinearHamiltonianFlow(a, hbar=0.7)
     z = Point(np.array([0.8, 0.6j]))
     traj = coherent_flow(sp, flow, z, (0.0, 6.0), t_eval=np.linspace(0, 6, 25))
-    report = verify_schrodinger_lift(SpinRep(n), flow, traj, n_checks=6)
-    assert report.max_deficit < 1e-9
+    assert spin_lift_deficit(n, flow, traj) < 1e-9
 
 
-def test_time_dependent_flow_lift(monkeypatch):
+def test_time_dependent_flow_lift():
+    # a diagonal generator commutes across times, so each label component
+    # has the closed form z_k(t) = exp(-i int_0^t A_kk dt' / hbar) z_k(0)
     n = 2
     sp = spin_space(n)
 
@@ -115,19 +104,11 @@ def test_time_dependent_flow_lift(monkeypatch):
 
     flow = LinearHamiltonianFlow(gen, hbar=1.0)
     z = Point(np.array([1.0, 0.4 + 0.2j]) / np.linalg.norm([1.0, 0.4 + 0.2j]))
-    traj = coherent_flow(sp, flow, z, (0.0, 5.0), t_eval=np.linspace(0, 5, 11),
-                         rtol=1e-11, atol=1e-14)
-    solves = []
-
-    def counted(*args, **kwargs):
-        solves.append(args)
-        return solve_rk45(*args, **kwargs)
-
-    monkeypatch.setattr(dynamics, "solve_rk45", counted)
-    report = verify_schrodinger_lift(SpinRep(n), flow, traj, n_checks=4)
-    # diagonal generators commute across times, so the lift is still exact
-    assert report.max_deficit < 1e-8
-    assert len(solves) == 1 and len(report.checked_times) == 4  # one solve, sampled
+    t_eval = np.linspace(0, 5, 11)
+    traj = coherent_flow(sp, flow, z, (0.0, 5.0), t_eval=t_eval, rtol=1e-11, atol=1e-14)
+    integral = t_eval + 0.5 * (1.0 - np.cos(t_eval))  # int_0^t (1 + sin(t')/2) dt'
+    exact = z.coords * np.exp(-1j * np.outer(integral, [0.5, -0.5]))
+    np.testing.assert_allclose(traj.coords, exact, rtol=0, atol=1e-9)
 
 
 def test_exact_flow_matches_rk45_oracle():
@@ -217,15 +198,23 @@ def test_flow_shape_mismatch():
 
 def test_empty_sample_grid_gives_an_empty_trajectory():
     a = np.diag([0.0, 1.3]).astype(complex)
+    calls = []
+
+    def generator_at(t):
+        calls.append(t)
+        return a
+
     for space, z0 in ((klauder_space(1), Point([0.2, 1.1 - 0.4j])),
                       (spin_space(3), Point(np.array([0.6, 0.8j]))),
                       (heisenberg_space(2), Point([0.2, 0.5j], 0.7))):
-        for generator in (a, lambda t: a):  # exact route, integrator route
+        for generator in (a, generator_at):  # exact route, integrator route
             traj = coherent_flow(space, LinearHamiltonianFlow(generator), z0, (0.0, 5.0),
                                  t_eval=[])
             assert traj.times.shape == (0,) and traj.norms.shape == (0,)
             assert traj.coords.shape == (0, space.label_dim) and traj.points == []
             assert (traj.multipliers is None) == (z0.multiplier is None)
+            assert traj.stats is None or (traj.stats.steps, traj.stats.rhs_evals) == (0, 0)
+    assert calls == []  # the integrator route takes no step for no sample
 
 
 def test_norm_column_records_kernel_diagonal():
@@ -235,41 +224,3 @@ def test_norm_column_records_kernel_diagonal():
                          t_eval=np.linspace(0, 3, 7))
     np.testing.assert_allclose(traj.norms, math.exp(0.49), rtol=1e-9)
 
-
-# -------------------------------------------------------- Ehrenfest residual
-
-
-def test_ehrenfest_residual_second_order():
-    rng = np.random.default_rng(9)
-    dim = 12
-    a, ad, n_op = oracles.fock_ops(dim)
-    h = 1.3 * n_op + 0.4 * (a + ad)
-    x = (a + ad) / math.sqrt(2.0)
-    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    psi /= np.linalg.norm(psi)
-    r1 = ehrenfest_residual(psi, x, h, t=0.7, dt=1e-2)
-    r2 = ehrenfest_residual(psi, x, h, t=0.7, dt=5e-3)
-    assert r1 / r2 >= 3.5  # O(dt^2) halving
-
-
-def test_ehrenfest_residual_density_matrix():
-    rng = np.random.default_rng(4)
-    dim = 6
-    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = h + h.conj().T
-    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    x = x + x.conj().T
-    v = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
-    rho = v @ v.conj().T
-    rho /= np.trace(rho).real
-    r1 = ehrenfest_residual(rho, x, h, t=0.3, dt=1e-2)
-    r2 = ehrenfest_residual(rho, x, h, t=0.3, dt=5e-3)
-    assert r1 / r2 >= 3.5
-
-
-def test_ehrenfest_rejects_unnormalized():
-    dim = 4
-    h = np.eye(dim, dtype=complex)
-    x = np.eye(dim, dtype=complex)
-    with pytest.raises(DomainError):
-        ehrenfest_residual(2.0 * np.ones(dim) / math.sqrt(dim), x, h, 0.0, 1e-3)

@@ -1,6 +1,4 @@
-"""Kernel catalog: values, symmetry, positivity, distances, map admissibility."""
-
-import math
+"""Kernel catalog: values, symmetry, positivity, distances, descriptors."""
 
 import numpy as np
 import pytest
@@ -10,7 +8,6 @@ from cohspace.errors import CoherenceViolationError, ConfigError, InvalidPointEr
 from cohspace.kernels import (
     Point,
     check_coherence,
-    check_coherent_map,
     check_stack,
     classical_limit_space,
     cross_gram,
@@ -20,13 +17,11 @@ from cohspace.kernels import (
     euclidean_subset,
     eval_kernel,
     gram_matrix,
-    gu11_adjoint,
     heisenberg_space,
     icosahedron_space,
     icosahedron_vertices,
     klauder_space,
     linear_point_map,
-    moebius_semigroup_member,
     moebius_space,
     power_space,
     sample_points,
@@ -162,7 +157,7 @@ def test_gram_matches_bruteforce_oracle():
     sp = klauder_space(2)
     pts = sample_points(sp, rng, 6)
     g = gram_matrix(sp, pts)
-    g0 = oracles.gram_bruteforce(sp.eval, pts)
+    g0 = oracles.gram_bruteforce(lambda z, w: eval_kernel(sp, z, w), pts)
     np.testing.assert_allclose(g, g0, rtol=0, atol=1e-13 * max(1.0, np.abs(g0).max()))
 
 
@@ -389,39 +384,19 @@ def test_moebius_kernel_psd_and_geometric_series():
     assert eval_kernel(sp, z, w) == pytest.approx(series, rel=1e-12)
 
 
-def test_moebius_semigroup_members_and_nonmembers():
-    member = moebius_semigroup_member
-    assert member(np.diag([1.0, 0.5])).member
-    assert member(np.array([[2.0, 0.1], [0.05, 1.0]])).member
-    # swap map leaves the domain: alpha = -1
-    v = member(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert not v.member and v.alpha < 0
-    # |beta| > alpha
-    assert not member(np.array([[1.0, 1.5], [0.0, 0.1]])).member
-
-
-def test_moebius_semigroup_numbers_worked_by_hand():
-    # alpha = |A11|^2 - |A21|^2, beta = conj(A11) A12 - conj(A21) A22,
-    # gamma = |A22|^2 - |A12|^2; member iff gamma <= alpha - 2 |beta| (and more)
-    v = moebius_semigroup_member(np.array([[6.0, 0.5], [1.0, 4j]]))
-    # alpha = 36 - 1, beta = 3 - 4i, gamma = 16 - 0.25 <= 35 - 2 * 5
-    assert (v.member, v.alpha, v.beta_abs, v.gamma) == (True, 35.0, 5.0, 15.75)
-    v = moebius_semigroup_member(np.array([[3.0, 1.0], [1.0, 4j]]))
-    # alpha = 9 - 1, beta = 3 - 4i, gamma = 16 - 1 > 8 - 2 * 5
-    assert (v.member, v.alpha, v.beta_abs, v.gamma) == (False, 8.0, 5.0, 15.0)
-
-
 def test_moebius_member_maps_preserve_domain_and_adjoint_identity():
+    # A = [[2, 0.1], [0.05, 1]] maps {|z1| > |z2|} into itself, and the kernel
+    # obeys K(z, A w) = K(A* z, w) with the GU(1,1) adjoint A* = J A^H J,
+    # J = diag(1, -1); eval_kernel checks each image against the domain
     sp = moebius_space()
     rng = np.random.default_rng(RNG_SEED)
     pts = sample_points(sp, rng, 12)
     a = np.array([[2.0, 0.1], [0.05, 1.0]], dtype=complex)
-    assert moebius_semigroup_member(a).member
-    fwd = linear_point_map(a)
-    adj = linear_point_map(gu11_adjoint(a))
-    samples = list(zip(pts[:6], pts[6:]))
-    passed, worst = check_coherent_map(sp, fwd, adj, samples, tol=1e-10)
-    assert passed, f"worst residual {worst:.3e}"
+    j = np.diag([1.0, -1.0])
+    fwd, adj = linear_point_map(a), linear_point_map(j @ a.conj().T @ j)
+    for z, w in zip(pts[:6], pts[6:]):
+        lhs, rhs = eval_kernel(sp, z, fwd(w)), eval_kernel(sp, adj(z), w)
+        assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
 
 def test_moebius_invalid_image_raises():
@@ -429,8 +404,9 @@ def test_moebius_invalid_image_raises():
     rng = np.random.default_rng(RNG_SEED)
     pts = sample_points(sp, rng, 4)
     swap = linear_point_map(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
-    with pytest.raises(InvalidPointError):
-        check_coherent_map(sp, swap, swap, list(zip(pts[:2], pts[2:])))
+    for z, w in zip(pts[:2], pts[2:]):
+        with pytest.raises(InvalidPointError):
+            eval_kernel(sp, z, swap(w))
 
 
 # ------------------------------------------------- non-Hermitian catalog items

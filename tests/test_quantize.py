@@ -102,7 +102,8 @@ def test_quantized_rotation_matches_symmetric_power_rep():
     for j in range(6):
         for i in range(6):
             lhs = np.vdot(qb.factor[:, j], q.matrix @ qb.factor[:, i])
-            rhs = np.vdot(srep.embed(pts[j]), g_rep @ srep.embed(pts[i]))
+            rhs = np.vdot(oracles.spin_monomial_embed(n, pts[j].coords),
+                          g_rep @ oracles.spin_monomial_embed(n, pts[i].coords))
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-10)
 
 
@@ -195,7 +196,8 @@ def test_generator_matches_angular_momentum_rep():
     for j in range(8):
         for i in range(8):
             lhs = np.vdot(qb.factor[:, j], d.matrix @ qb.factor[:, i])
-            rhs = np.vdot(srep.embed(pts[j]), jx @ srep.embed(pts[i]))
+            rhs = np.vdot(oracles.spin_monomial_embed(n, pts[j].coords),
+                          jx @ oracles.spin_monomial_embed(n, pts[i].coords))
             assert lhs == pytest.approx(rhs, rel=1e-7, abs=1e-8)
     # eigenvalues are m = -j..j
     eigs = np.sort(np.linalg.eigvalsh((d.matrix + d.matrix.conj().T) / 2))

@@ -1,15 +1,12 @@
-"""Finite representations vs ladder-operator and Fock oracles."""
-
-import math
+"""Finite representations and exact propagation vs ladder-operator and Fock oracles."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 import oracles
-from cohspace.errors import TruncationError
 from cohspace.kernels import Point, eval_kernel, klauder_space, sample_points, spin_space
-from cohspace.reps import FockRep, SpinRep, propagate_eig
+from cohspace.reps import SpinRep, propagate_eig
 
 SEED = 5
 
@@ -18,10 +15,9 @@ def test_spin_embed_reproduces_kernel():
     rng = np.random.default_rng(SEED)
     for n in (1, 2, 4):
         sp = spin_space(n)
-        rep = SpinRep(n)
         z, w = sample_points(sp, rng, 2)
-        assert np.vdot(rep.embed(z), rep.embed(w)) == pytest.approx(
-            eval_kernel(sp, z, w), rel=1e-12)
+        embed_z, embed_w = (oracles.spin_monomial_embed(n, p.coords) for p in (z, w))
+        assert np.vdot(embed_z, embed_w) == pytest.approx(eval_kernel(sp, z, w), rel=1e-12)
 
 
 def test_spin_dgamma_gives_angular_momentum():
@@ -49,7 +45,8 @@ def test_spin_gamma_is_multiplicative_and_matches_embedding():
     z = sample_points(sp, rng, 1)[0]
     # intertwining with the embedding
     az = Point(a @ z.coords)
-    np.testing.assert_allclose(rep.gamma(a) @ rep.embed(z), rep.embed(az), rtol=1e-11, atol=1e-12)
+    np.testing.assert_allclose(rep.gamma(a) @ oracles.spin_monomial_embed(n, z.coords),
+                               oracles.spin_monomial_embed(n, az.coords), rtol=1e-11, atol=1e-12)
     # multiplicativity
     np.testing.assert_allclose(rep.gamma(a @ b), rep.gamma(a) @ rep.gamma(b), rtol=1e-10, atol=1e-12)
     # exponential consistency with the derivation action
@@ -61,23 +58,9 @@ def test_spin_gamma_is_multiplicative_and_matches_embedding():
 def test_fock_embed_matches_oracle_and_kernel():
     rng = np.random.default_rng(SEED)
     sp = klauder_space(1)
-    rep = FockRep(64)
     z, w = sample_points(sp, rng, 2)
-    np.testing.assert_allclose(rep.embed(z), oracles.fock_coherent(64, *z.coords), atol=1e-14)
-    assert np.vdot(rep.embed(z), rep.embed(w)) == pytest.approx(eval_kernel(sp, z, w), rel=1e-12)
-
-
-def test_fock_tail_error():
-    rep = FockRep(8)
-    with pytest.raises(TruncationError):
-        rep.embed(Point([0.0, 3.0]))  # |zeta|=3 needs far more than 8 levels
-
-
-def test_fock_number_operator():
-    rep = FockRep(16)
-    a, ad, n = oracles.fock_ops(16)
-    np.testing.assert_allclose(rep.number(), n, atol=1e-13)  # sqrt(k)^2 roundoff
-    np.testing.assert_array_equal(rep.lowering(), a)
+    embed_z, embed_w = (oracles.fock_coherent(64, *p.coords) for p in (z, w))
+    assert np.vdot(embed_z, embed_w) == pytest.approx(eval_kernel(sp, z, w), rel=1e-12)
 
 
 def test_propagate_eig_matches_expm():

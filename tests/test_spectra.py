@@ -8,6 +8,8 @@ array scan is held to the per-point scalar scan it replaced, kept here as
 the oracle.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,6 @@ from cohspace.spectra import (
     _polish_bracket,
     assemble_from_algebra,
     coulomb_model,
-    free_dispersion,
     free_particle_model,
     oscillator_model,
     solve_implicit_spectrum,
@@ -73,18 +74,9 @@ def test_continuous_free_particle_interval():
     assert res.discrete == []
     assert len(res.continuous) == 1
     lo, hi = res.continuous[0]
-    assert lo == pytest.approx(free_dispersion(0.0, 4.0, 1.0), abs=1e-9)
-    assert hi == pytest.approx(free_dispersion(3.0, 4.0, 1.0), abs=1e-9)
-
-
-def test_free_dispersion_values():
-    assert free_dispersion(0.0, 2.0, 1.0) == pytest.approx(2.0)
-    assert free_dispersion(7.0, 0.0, 1.0) == pytest.approx(7.0)
-    assert free_dispersion(3.0, 4.0, 1.0) == pytest.approx(5.0)
-    with pytest.raises(ConfigError):
-        free_dispersion(1.0, 1.0, 0.0)
-    with pytest.raises(ConfigError):
-        free_dispersion(-1.0, 1.0, 1.0)
+    mass, c = 4.0, 1.0  # band edges E = c sqrt(p^2 + (mc)^2) at p = 0 and p = p_max
+    assert lo == pytest.approx(c * math.sqrt(0.0 ** 2 + (mass * c) ** 2), abs=1e-9)
+    assert hi == pytest.approx(c * math.sqrt(3.0 ** 2 + (mass * c) ** 2), abs=1e-9)
 
 
 def test_model_degeneracy_detected():

@@ -1,4 +1,4 @@
-"""Variational-flow checks: charts, Kaehler metric, Dirac-Frenkel dynamics.
+"""Variational-flow checks: charts, chart metrics, Dirac-Frenkel dynamics.
 
 Exactness oracles: group-orbit Hamiltonians keep coherent families coherent,
 so the variational flow must reproduce the exact coherent flow to integrator
@@ -13,28 +13,19 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from cohspace.dynamics import LinearHamiltonianFlow, coherent_flow
-from cohspace.errors import DegenerateMetricError, IntegratorFailure
-from cohspace.kernels import (
-    Point,
-    eval_kernel,
-    klauder_space,
-    power_space,
-    sample_points,
-    spin_space,
-    trivial_space,
-)
-from cohspace.reps import FockRep, SpinRep
+from cohspace.errors import IntegratorFailure
+from cohspace.kernels import Point, eval_kernel, klauder_space, spin_space, trivial_space
+from cohspace.reps import SpinRep
 from cohspace.tdvp import (
     CallableExpectation,
     FlatChart,
     MatrixExpectation,
     SphereChart,
-    bloch_vector,
     chart_for,
     chart_rhs,
     dirac_frenkel_flow,
-    kahler_metric,
 )
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) / 2
@@ -61,14 +52,14 @@ def test_sphere_chart_roundtrip_and_embedding():
         # representation embedding of the chart point, scale s^n
         v = chart.embedding(u)
         s = 1.0 / np.sqrt(1.0 + abs(u[0]) ** 2)
-        np.testing.assert_allclose(SpinRep(5).embed(p), v * s**5, atol=1e-14)
+        np.testing.assert_allclose(oracles.spin_monomial_embed(5, p.coords), v * s**5, atol=1e-14)
 
 
 def test_flat_chart_embedding_matches_fock():
     chart = FlatChart(1, z0=0.15 + 0.1j)
     u = np.array([0.7 - 0.35j])
     np.testing.assert_allclose(
-        chart.embedding(u), FockRep(64).embed(chart.point(u)), atol=1e-14
+        chart.embedding(u), oracles.fock_coherent(64, *chart.point(u).coords), atol=1e-14
     )
     # inner products of embeddings reproduce the kernel
     sp = klauder_space(1)
@@ -100,34 +91,6 @@ def test_spin_metric_matches_fd_of_log_kernel():
     g = chart.scalar_metric(u[0])
     assert g == pytest.approx(n / (1 + abs(u[0]) ** 2) ** 2)
     assert fd.real == pytest.approx(g, rel=1e-6)
-
-
-def test_metric_dispatch_values():
-    np.testing.assert_array_equal(kahler_metric(klauder_space(2), Point([0.1, 0.2j, 0.3])), np.eye(2))
-    pole = kahler_metric(spin_space(5), unit_spinor(1.0, 0.0))
-    np.testing.assert_allclose(pole, [[5.0]], atol=1e-14)
-    z = unit_spinor(1.0, 0.45 - 0.2j)
-    doubled = kahler_metric(power_space(spin_space(3), 2), z)
-    direct = kahler_metric(spin_space(6), z)
-    np.testing.assert_allclose(doubled, direct, atol=1e-13)
-
-
-def test_trivial_metric_degenerate():
-    z = Point([0.5 + 0.2j, -0.3j, 1.1])
-    with pytest.raises(DegenerateMetricError) as exc:
-        kahler_metric(trivial_space(3), z)
-    nulls = exc.value.null_directions
-    assert len(nulls) == 1
-    overlap = abs(np.vdot(nulls[0], z.coords)) / np.linalg.norm(z.coords)
-    assert overlap > 0.999
-
-
-def test_metric_positive_at_samples():
-    rng = np.random.default_rng(11)
-    pts = sample_points(klauder_space(2), rng, 50) + sample_points(spin_space(4), rng, 50)
-    for sp, p in zip([klauder_space(2)] * 50 + [spin_space(4)] * 50, pts):
-        g = kahler_metric(sp, p)
-        assert np.linalg.eigvalsh(g)[0] > 0.0
 
 
 # --------------------------------------------------------- energy surfaces
@@ -404,8 +367,8 @@ def test_two_mode_klauder_flow_with_an_energy_callable():
 
 def test_driven_oscillator_closed_form():
     omega, kappa = 1.1, 0.4
-    rep = FockRep(64)
-    ham = omega * rep.number() + kappa * (rep.lowering() + rep.lowering().conj().T)
+    a, ad, num = oracles.fock_ops(64)
+    ham = omega * num + kappa * (a + ad)
     sp = klauder_space(1)
     z0 = Point([0.0, 0.5 + 0.2j])
     t1 = 4.0
@@ -432,7 +395,8 @@ def test_spin_precession_tdvp_matches_exact():
     flow = LinearHamiltonianFlow(omega * SZ)
     ref = coherent_flow(sp, flow, z0, (0.0, 5.0), t_eval=t_eval, rtol=1e-10)
     for p, q in zip(traj.points, ref.points):
-        np.testing.assert_allclose(bloch_vector(p), bloch_vector(q), atol=5e-9)
+        np.testing.assert_allclose(oracles.bloch_vector(p.coords), oracles.bloch_vector(q.coords),
+                                   atol=5e-9)
 
 
 def test_chart_switch_roundtrip():
@@ -447,12 +411,12 @@ def test_chart_switch_roundtrip():
     flow = LinearHamiltonianFlow(omega * SX)
     ref = coherent_flow(sp, flow, z0, (0.0, 6.0), t_eval=t_eval, rtol=1e-10)
     err = max(
-        np.max(np.abs(bloch_vector(p) - bloch_vector(q)))
+        np.max(np.abs(oracles.bloch_vector(p.coords) - oracles.bloch_vector(q.coords)))
         for p, q in zip(traj.points, ref.points)
     )
     assert err <= 1e-7
     # precession about x keeps <J_x> fixed; energy monitored through switches
-    xs = np.array([bloch_vector(p)[0] for p in traj.points])
+    xs = np.array([oracles.bloch_vector(p.coords)[0] for p in traj.points])
     np.testing.assert_allclose(xs, xs[0], atol=1e-8)
     drift = np.max(np.abs(traj.energies - traj.energies[0]))
     assert drift <= 1e-8 * abs(traj.energies[0])
@@ -542,7 +506,7 @@ def test_callable_route_matches_matrix_route():
     z0 = unit_spinor(1.0, 0.3 + 0.1j)
 
     def h_fn(p):
-        v = rep.embed(p)
+        v = oracles.spin_monomial_embed(n, p.coords)
         return (np.vdot(v, ham @ v) / np.vdot(v, v)).real
 
     t_eval = [0.0, 3.0]
