@@ -27,23 +27,29 @@ def spin_precession_flow(omega=1.0, hbar=1.0):
     return LinearHamiltonianFlow(hbar * omega * np.diag([0.5, -0.5]).astype(complex), hbar=hbar)
 
 
-def spin_lift_deficit(n, flow, traj):
+def lift_deficit(h, embed, flow, traj):
     """The largest fidelity deficit 1 - |<psi_t, v(z_t)>|^2 / (|psi_t|^2 |v(z_t)|^2)
-    of the trajectory's monomial embeddings v(z_t) against psi_t, the start
-    embedding propagated exactly by the Wigner-matrix lift of the generator:
-    A = tr(A)/2 + sum_k tr(A sigma_k) sigma_k/2 lifts to n tr(A)/2 + sum_k tr(A sigma_k) J_k."""
+    of the trajectory's embeddings v(z_t) against psi_t, the start embedding
+    propagated exactly by the lifted Hamiltonian h."""
+    psi0 = embed(traj.coords[0])
+    worst = 0.0
+    for t, z in zip(traj.times, traj.coords):
+        psi = scipy.linalg.expm(-1j * (t - traj.times[0]) * h / flow.hbar) @ psi0
+        v = embed(z)
+        fidelity = abs(np.vdot(psi, v)) ** 2 / (np.vdot(psi, psi).real * np.vdot(v, v).real)
+        worst = max(worst, 1.0 - fidelity)
+    return worst
+
+
+def spin_lift_deficit(n, flow, traj):
+    """lift_deficit of the monomial embeddings under the Wigner-matrix lift of
+    the generator: A = tr(A)/2 + sum_k tr(A sigma_k) sigma_k/2 lifts to
+    n tr(A)/2 + sum_k tr(A sigma_k) J_k."""
     a = flow.matrix_at(0.0)
     paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
     h = np.trace(a) / 2 * n * np.eye(n + 1) + sum(
         np.trace(a @ s) * j for s, j in zip(paulis, oracles.wigner_matrices(n)))
-    psi0 = oracles.spin_monomial_embed(n, traj.coords[0])
-    worst = 0.0
-    for t, z in zip(traj.times, traj.coords):
-        psi = scipy.linalg.expm(-1j * (t - traj.times[0]) * h / flow.hbar) @ psi0
-        v = oracles.spin_monomial_embed(n, z)
-        fidelity = abs(np.vdot(psi, v)) ** 2 / (np.vdot(psi, psi).real * np.vdot(v, v).real)
-        worst = max(worst, 1.0 - fidelity)
-    return worst
+    return lift_deficit(h, lambda z: oracles.spin_monomial_embed(n, z), flow, traj)
 
 
 def test_oscillator_labels_match_closed_form():
@@ -70,6 +76,20 @@ def test_spin_labels_match_closed_form():
         np.testing.assert_allclose(p.coords, expected, rtol=1e-8, atol=1e-9)
         # constraint projection keeps points exactly on the sphere
         assert abs(np.linalg.norm(p.coords) - 1.0) < 1e-14
+
+
+def test_schrodinger_lift_fock():
+    # diag(0, hbar omega) acts on zeta only, so it lifts to hbar omega N on the
+    # truncated Fock space of the coherent vectors e^{z0} sum zeta^k/sqrt(k!) |k>
+    sp = klauder_space(1)
+    z0 = Point([0.0, 1.2 + 0.4j])
+    flow = klauder_oscillator_flow(1.0)
+    traj = coherent_flow(sp, flow, z0, (0.0, 10.0), t_eval=np.linspace(0, 10, 41))
+    cutoff = 64
+    _, _, number = oracles.fock_ops(cutoff)
+    deficit = lift_deficit(flow.hbar * 1.0 * number, lambda z: oracles.fock_coherent(cutoff, *z),
+                           flow, traj)
+    assert deficit < 1e-8
 
 
 def test_schrodinger_lift_spin():

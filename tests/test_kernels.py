@@ -384,6 +384,49 @@ def test_moebius_kernel_psd_and_geometric_series():
     assert eval_kernel(sp, z, w) == pytest.approx(series, rel=1e-12)
 
 
+def maps_into_domain(sp, matrix, points):
+    """Whether z -> matrix z keeps every point in the domain: eval_kernel
+    raises InvalidPointError on an image outside it."""
+    image = linear_point_map(matrix)
+    try:
+        for z in points:
+            eval_kernel(sp, z, image(z))
+    except InvalidPointError:
+        return False
+    return True
+
+
+def test_moebius_semigroup_members_and_nonmembers():
+    sp = moebius_space()
+    rng = np.random.default_rng(RNG_SEED)
+    pts = sample_points(sp, rng, 40)
+    # points of the cone {|z1| > |z2|} right up to its boundary, all phases
+    phases = np.exp(2j * np.pi * np.arange(16) / 16)
+    pts += [Point([1.0, 0.999 * ph]) for ph in phases]
+    assert maps_into_domain(sp, np.diag([1.0, 0.5]), pts)
+    assert maps_into_domain(sp, np.array([[2.0, 0.1], [0.05, 1.0]]), pts)
+    # the swap map sends every point of the domain out of it
+    assert not maps_into_domain(sp, np.array([[0.0, 1.0], [1.0, 0.0]]), pts)
+    # |beta| > alpha: (1, -0.66) -> (1 - 0.99, -0.066) leaves the domain
+    assert not maps_into_domain(sp, np.array([[1.0, 1.5], [0.0, 0.1]]), [Point([1.0, -0.66])])
+
+
+def test_moebius_semigroup_numbers_worked_by_hand():
+    sp = moebius_space()
+    # A = [[6, 0.5], [1, 4i]]: A (1, 0) = (6, 1), so K((1, 0), A (1, 0)) = 1/6
+    member = np.array([[6.0, 0.5], [1.0, 4j]])
+    image = linear_point_map(member)(Point([1.0, 0.0]))
+    np.testing.assert_array_equal(image.coords, [6.0, 1.0])
+    assert eval_kernel(sp, Point([1.0, 0.0]), image) == pytest.approx(1.0 / 6.0, rel=1e-15)
+    edge = [Point([1.0, 0.999 * np.exp(2j * np.pi * k / 32)]) for k in range(32)]
+    assert maps_into_domain(sp, member, edge)
+    # A = [[3, 1], [1, 4i]]: A (1, -0.9i) = (3 - 0.9i, 4.6), and |3 - 0.9i| < 4.6
+    nonmember = np.array([[3.0, 1.0], [1.0, 4j]])
+    image = linear_point_map(nonmember)(Point([1.0, -0.9j]))
+    np.testing.assert_allclose(image.coords, [3.0 - 0.9j, 4.6], rtol=0, atol=1e-15)
+    assert not maps_into_domain(sp, nonmember, [Point([1.0, -0.9j])])
+
+
 def test_moebius_member_maps_preserve_domain_and_adjoint_identity():
     # A = [[2, 0.1], [0.05, 1]] maps {|z1| > |z2|} into itself, and the kernel
     # obeys K(z, A w) = K(A* z, w) with the GU(1,1) adjoint A* = J A^H J,

@@ -188,6 +188,19 @@ def test_density_validation():
         state_from_density(alg, [2 * np.eye(2), *pauli_matrices()], np.eye(2) / 2)
 
 
+def test_koopman_form_matches_density_route():
+    # the classical (Koopman) form <X, Y> = sum_k p_k conj(X(k)) Y(k) of the
+    # functions on 4 points is the form of the diagonal density diag(p)
+    alg, rep = abelian_algebra(4)
+    p = np.array([0.1, 0.2, 0.3, 0.4])
+    f = np.stack([np.diag(r) for r in rep])
+    st = AlgebraState(alg, (np.conj(f) * p) @ f.T)
+    st2 = state_from_density(alg, rep, np.diag(p).astype(complex))
+    np.testing.assert_allclose(st.form, st2.form, atol=1e-14)
+    # unit row carries the plain means
+    assert uncertain_value(st, alg.basis_vector(2)) == pytest.approx(p[2], abs=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # expectation dynamics
 
@@ -370,6 +383,31 @@ def test_covariant_residual_needs_neighbours():
     with pytest.raises(PreconditionError, match="site"):
         covariant_ehrenfest_residual(alg, rep, [alg.basis_vector(3)], field,
                                      alg.basis_vector(1), (0,), 1e-3)
+
+
+def test_observability_report():
+    # an observable is observable at a site when its mean varies slowly under
+    # probe shifts (by at most delta) and its uncertainty is much smaller
+    # (a tenth) than |mean| + delta
+    def readings(field, x, delta, site=(0,), shifts=((1,), (-1,))):
+        mean = uncertain_value(field[site], x)
+        variation = max(abs(uncertain_value(field[(site[0] + h[0],)], x) - mean)
+                        for h in shifts)
+        sigma = uncertainty(field[site], x)
+        return variation <= delta, sigma, abs(mean) + delta
+
+    alg, rep, field = translated_qubit_field(1e-3, r=(0.2, 0.1, 0.3))
+    slow, sigma, scale = readings(field, alg.basis_vector(3), 1e-6)
+    assert slow  # sigma_z commutes with the generator
+    assert sigma == pytest.approx(np.sqrt(1 - 0.09), abs=1e-12)
+    assert scale == pytest.approx(0.3 + 1e-6, abs=1e-12)
+    assert not sigma <= 0.1 * scale  # sigma = 0.954 >> 0.3
+    slow, _, _ = readings(field, alg.basis_vector(1), 1e-9)
+    assert not slow  # mean moves ~ omega*dx under a shift
+    # near-pure state: uncertainty small against the mean
+    _, _, sharp = translated_qubit_field(1e-3, r=(0.0, 0.0, 0.9999))
+    slow, sigma, scale = readings(sharp, alg.basis_vector(3), 1e-6)
+    assert slow and sigma <= 0.1 * scale
 
 
 # ---------------------------------------------------------------------------

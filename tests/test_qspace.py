@@ -1,4 +1,4 @@
-"""Quantum spaces: Gram factorization, rank and truncation."""
+"""Quantum spaces: Gram factorization, rank, truncation and span-state coordinates."""
 
 import math
 
@@ -10,6 +10,7 @@ from cohspace.errors import CoherenceViolationError
 from cohspace.kernels import (
     Point,
     classical_limit_space,
+    eval_kernel,
     icosahedron_space,
     icosahedron_vertices,
     klauder_space,
@@ -91,3 +92,45 @@ def test_build_makes_one_gram(monkeypatch):
         build_quantum_space(bad, sample_points(bad, np.random.default_rng(0), 8))
     assert calls == [8]
     assert info.value.min_eigenvalue < -1e-6
+
+
+# ------------------------------------------------------------ span-state coordinates
+
+
+def kernel_form(sp, points, a, b):
+    """<sum a_i |y_i>, sum b_j |y_j>> = sum conj(a_i) b_j K(y_i, y_j), point by point."""
+    return sum(np.conj(a[i]) * b[j] * eval_kernel(sp, y, x)
+               for i, y in enumerate(points) for j, x in enumerate(points))
+
+
+def test_embed_isometry():
+    # the span state sum c_i |y_i> has coordinates B c in C^rank
+    rng = np.random.default_rng(SEED)
+    for sp, n in ((trivial_space(2), 6), (klauder_space(1), 8), (spin_space(3), 9)):
+        pts = sample_points(sp, rng, n)
+        qb = build_quantum_space(sp, pts)
+        coef = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v = qb.factor @ coef
+        n2 = kernel_form(sp, pts, coef, coef).real
+        assert abs(np.vdot(v, v).real - n2) <= 1e-10 * max(1.0, n2)
+
+
+def test_embed_cross_inner_products_match_kernel():
+    rng = np.random.default_rng(SEED)
+    sp = klauder_space(1)
+    pts = sample_points(sp, rng, 7)
+    qb = build_quantum_space(sp, pts)
+    a = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    b = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    va, vb = qb.factor @ a, qb.factor @ b
+    assert np.vdot(va, vb) == pytest.approx(kernel_form(sp, pts, a, b), rel=1e-10, abs=1e-10)
+
+
+def test_embed_handles_duplicate_basis_points():
+    sp = trivial_space(2)
+    z = Point([1.0, 2j])
+    pts = [z, Point([0.5, -1.0]), Point(z.coords.copy())]
+    qb = build_quantum_space(sp, pts)
+    assert qb.rank == 2
+    v = qb.factor @ np.array([1.0, 0.0, -1.0])  # |z> - |z> = 0
+    assert np.linalg.norm(v) <= 1e-12

@@ -16,7 +16,15 @@ import pytest
 import oracles
 from cohspace.dynamics import LinearHamiltonianFlow, coherent_flow
 from cohspace.errors import IntegratorFailure
-from cohspace.kernels import Point, eval_kernel, klauder_space, spin_space, trivial_space
+from cohspace.kernels import (
+    Point,
+    eval_kernel,
+    klauder_space,
+    power_space,
+    sample_points,
+    spin_space,
+    trivial_space,
+)
 from cohspace.reps import SpinRep
 from cohspace.tdvp import (
     CallableExpectation,
@@ -91,6 +99,33 @@ def test_spin_metric_matches_fd_of_log_kernel():
     g = chart.scalar_metric(u[0])
     assert g == pytest.approx(n / (1 + abs(u[0]) ** 2) ** 2)
     assert fd.real == pytest.approx(g, rel=1e-6)
+
+
+def chart_metric(space, z):
+    """The scalar metric of the space's chart at the label z."""
+    chart = chart_for(space, z)
+    return chart.scalar_metric(chart.coords(z)[0])
+
+
+def test_metric_dispatch_values():
+    # chart_for picks the chart whose metric is the Kaehler metric of the kernel
+    flat = Point([0.1, 0.2j, 0.3])
+    assert chart_for(klauder_space(2), flat).dim == 2
+    assert chart_metric(klauder_space(2), flat) == 1.0
+    assert chart_metric(spin_space(5), unit_spinor(1.0, 0.0)) == pytest.approx(5.0, abs=1e-14)
+    # K_3^2 = K_6, so the metric d dbar log K of spin 6 is twice that of spin 3
+    z, w = unit_spinor(1.0, 0.45 - 0.2j), unit_spinor(0.3, 1.0)
+    assert eval_kernel(power_space(spin_space(3), 2), z, w) == pytest.approx(
+        eval_kernel(spin_space(6), z, w), rel=1e-13)
+    assert 2.0 * chart_metric(spin_space(3), z) == pytest.approx(
+        chart_metric(spin_space(6), z), abs=1e-13)
+
+
+def test_metric_positive_at_samples():
+    rng = np.random.default_rng(11)
+    for sp in (klauder_space(2), spin_space(4)):
+        for p in sample_points(sp, rng, 50):
+            assert chart_metric(sp, p) > 0.0
 
 
 # --------------------------------------------------------- energy surfaces
