@@ -260,6 +260,8 @@ def _t_eval_of(cfg):
 
 
 def _spin_axis_hamiltonian(space, axis, coeff=1.0):
+    import numpy as np
+
     from .liealg import pauli_matrices
     from .reps import SpinRep
 
@@ -268,7 +270,8 @@ def _spin_axis_hamiltonian(space, axis, coeff=1.0):
     x, y, z = _numbers(axis, "energy.axis", 3)
     sx, sy, sz = (s / 2 for s in pauli_matrices())
     rep = SpinRep(int(space.descriptor["exponent"]))
-    return rep.dgamma(coeff * (x * sx + y * sy + z * sz))
+    with np.errstate(over="ignore", invalid="ignore"):  # MatrixExpectation rejects inf and NaN
+        return rep.dgamma(coeff * (x * sx + y * sy + z * sz))
 
 
 # energy kind -> (Hamiltonian matrix from (space, **fields), fields)

@@ -172,7 +172,13 @@ def _dense(y: np.ndarray, h: float, kr: np.ndarray, x: np.ndarray) -> np.ndarray
 def _initial_step(f, t0, y0, f0, rtol, atol, span):
     sc = atol + rtol * np.abs(y0)
     d0 = float(np.sqrt(np.mean(np.abs(y0 / sc) ** 2)))
-    d1 = float(np.sqrt(np.mean(np.abs(f0 / sc) ** 2)))
+    with np.errstate(over="ignore"):  # an overflowed norm is reported below
+        d1 = float(np.sqrt(np.mean(np.abs(f0 / sc) ** 2)))
+    if d1 == math.inf:  # the probe step 0.01 d0 / d1 would be 0
+        raise NumericalError(
+            f"right-hand side overflowed at t0 = {t0:.6g}: its scaled norm |f / (atol + rtol |y|)| "
+            f"is inf (max|f| = {float(np.abs(f0).max()):.3e})"
+        )
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, span)
     y1 = y0 + h0 * f0

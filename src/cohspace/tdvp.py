@@ -18,10 +18,14 @@ integrated here with the embedded Dormand-Prince 8(5,3) pair.  Charts:
 `derivs(u, order)`, h and its Wirtinger derivatives up to second order, from
 which `chart_rhs` builds the velocity and the linearized tangent flow.  For a
 Hermitian matrix in the chart's embedding representation they are analytic
-(MatrixExpectation): one embedding jet [v, v', v''] per evaluation, every
-moment <v_a|H|v_b>, <v_a|v_b> from one H-product.  Energy callables take them
-from one central-difference Wirtinger stencil (CallableExpectation).  Each
-chart's metric is a scalar times the identity: the velocity is a division.
+(MatrixExpectation).  The embedding jet rows v, v', v'' are fixed matrices
+S_a times the power vector p = (1, w, ..., w^(d-1)), so every moment
+<v_a|X|v_b> (X = H or 1) is the quadratic form conj(p) . S_a^dagger X S_b . p.
+The matrices of the forms one derivative order needs are stacked once per
+energy and chart side; an evaluation is one mat-vec with that stack and one
+dot with conj(p).  Energy callables take the derivatives from one
+central-difference Wirtinger stencil (CallableExpectation).  Each chart's
+metric is a scalar times the identity: the velocity is a division.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, IntegratorFailure, InvalidPointError
+from .errors import ConfigError, IntegratorFailure, InvalidPointError, NumericalError
 from .integrate import solve_rk45, total_stats
 from .kernels import KernelSpace, Point, kernel_diagonal
 from .dynamics import Trajectory
@@ -65,6 +69,16 @@ def _derivative_table(coef, power) -> tuple:
     return np.array(coefs, dtype=complex), np.array(powers), np.arange(len(powers[0]))
 
 
+def _power_matrices(table: tuple) -> np.ndarray:
+    """S (3, d, d) with the jet rows v_m = S_m p of the power vector p =
+    (w^0 ... w^(d-1)): row k of S_m holds the coefficient coef_mk in the
+    column of its power."""
+    coef, power, exponents = table
+    s = np.zeros(coef.shape + (len(exponents),), dtype=complex)
+    np.put_along_axis(s, power[..., None], coef[..., None], axis=-1)
+    return s
+
+
 def _jet(table: tuple, w, order: int) -> np.ndarray:
     """Rows [v, v', v''] up to `order` of the components coef_k w^power_k.
 
@@ -94,6 +108,7 @@ class SphereChart:
         self.n = int(n)
         self.south = bool(south)
         self._table = _sphere_table(self.n, self.south)
+        self.key = ("sphere", self.n, self.south)  # charts with one key embed alike
 
     @property
     def dim(self) -> int:
@@ -126,6 +141,10 @@ class SphereChart:
         """Monomial embedding v(w) and its w-derivatives up to `order` (see _jet)."""
         return _jet(self._table, w, order)
 
+    def power_matrices(self) -> np.ndarray:
+        """The jet as matrices on the power vector (see _power_matrices)."""
+        return _power_matrices(self._table)
+
     def embedding(self, u: np.ndarray, order: int = 0) -> np.ndarray:
         return self.jet(u[0], order)[order]
 
@@ -134,7 +153,7 @@ class SphereChart:
 
     def metric_dw(self, w: complex) -> complex:
         """d g / d w (holomorphic Wirtinger derivative of the scalar metric)."""
-        return -2.0 * self.n * np.conj(w) / (1.0 + abs(w) ** 2) ** 3
+        return -2.0 * self.n * w.conjugate() / (1.0 + abs(w) ** 2) ** 3
 
 
 class FlatChart:
@@ -146,6 +165,7 @@ class FlatChart:
         n = np.arange(FLAT_CHART_CUTOFF)
         self._fact = np.cumprod(np.concatenate([[1.0], np.sqrt(np.maximum(n[1:], 1))]))
         self._table = _derivative_table(np.exp(self.z0), n)
+        self.key = ("flat", self.modes, self.z0)
 
     @property
     def dim(self) -> int:
@@ -161,11 +181,19 @@ class FlatChart:
     def point(self, u: np.ndarray) -> Point:
         return Point(self.labels(u[None])[0])
 
-    def jet(self, w, order: int = 0) -> np.ndarray:
-        """Fock-basis embedding of the single mode and its derivatives (see _jet)."""
+    def _single_mode(self):
         if self.modes != 1:
             raise ConfigError("matrix energies support a single Klauder mode")
+
+    def jet(self, w, order: int = 0) -> np.ndarray:
+        """Fock-basis embedding of the single mode and its derivatives (see _jet)."""
+        self._single_mode()
         return _jet(self._table, w, order) / self._fact
+
+    def power_matrices(self) -> np.ndarray:
+        """The jet as matrices on the power vector (see _power_matrices)."""
+        self._single_mode()
+        return _power_matrices(self._table) / self._fact[:, None]
 
     def embedding(self, u: np.ndarray, order: int = 0) -> np.ndarray:
         return self.jet(u[0], order)[order]
@@ -266,44 +294,72 @@ class CallableExpectation(ExpectationFunction):
         return derivs
 
 
+# The jet-row pairs (a, b) of the moments <v_a|X|v_b>, X = H then 1, that
+# each derivative order needs.  <v_0|X|v_1> is the conjugate of <v_1|X|v_0>
+# (H is Hermitian), so order 2 takes it from the stack instead.
+_MOMENT_PAIRS = {0: ((0, 0),), 1: ((0, 0), (1, 0)), 2: ((0, 0), (1, 0), (1, 1), (2, 0))}
+
+
+def _form_stack(h: np.ndarray, s: np.ndarray, order: int) -> np.ndarray:
+    """(F d, d): for each pair (a, b) of _MOMENT_PAIRS[order], the matrices
+    M = S_a^dagger H S_b and S_a^dagger S_b of the jet matrices S (see
+    _power_matrices) one below the other, so that <v_a|X|v_b> =
+    conj(p) . M . p.  2-d, so that the product with p is one BLAS mat-vec."""
+    if order not in _MOMENT_PAIRS:
+        raise ConfigError("embedding derivatives available up to order 2")
+    return np.concatenate([m for a, b in _MOMENT_PAIRS[order]
+                           for m in (s[a].conj().T @ h @ s[b], s[a].conj().T @ s[b])])
+
+
 class MatrixExpectation(ExpectationFunction):
     """Energy from a Hermitian operator matrix in the chart's embedding
-    representation; raises ConfigError for a non-Hermitian matrix."""
+    representation; raises ConfigError for a non-Hermitian matrix and
+    NumericalError for one with an inf or NaN entry."""
 
     def __init__(self, matrix: np.ndarray):
         self.h = np.asarray(matrix, dtype=complex)
         if self.h.ndim != 2 or self.h.shape[0] != self.h.shape[1] or not self.h.size:
             raise ConfigError(f"operator must be a square matrix, got shape {self.h.shape}")
+        bad = np.argwhere(~np.isfinite(self.h))
+        if len(bad):  # the Hermitian test below is False for NaN deviations
+            i, j = bad[0]
+            raise NumericalError(f"the energy operator overflowed: entry ({i}, {j}) is "
+                                 f"{complex(self.h[i, j])}, not finite")
         dev = np.abs(self.h - self.h.conj().T)
         i, j = np.unravel_index(np.argmax(dev), dev.shape)
         if dev[i, j] > 1e-12 * max(1.0, np.abs(self.h).max()):
             raise ConfigError(f"energy matrix is not Hermitian: |H - H^dagger| is {dev[i, j]:.3e} "
                               f"between entries ({i}, {j}) and ({j}, {i})")
-        # [H^T | 1]: a row v times it is the row [H v | v]
-        self._ket_map = np.concatenate((self.h.T, np.eye(len(self.h))), axis=1)
+        self._stacks = {}  # chart key -> {derivative order: form stack}
 
     def on(self, chart):
-        """Row a (a <= order) of the Python complex moments of the jet rows
-        v_a is [<v_a|H|v_0>, <v_a|v_0>], followed by [<v_a|H|v_1>, <v_a|v_1>]
-        at order 2, all from one product with H and one small matmul."""
-        jet, ket_map = chart.jet, self._ket_map
-        d = jet(0.0).shape[-1]
+        """Each moment <v_a|X|v_b> (X = H or 1) of the jet rows v_a = S_a p
+        is the quadratic form conj(p) . S_a^dagger X S_b . p of the power
+        vector p = (1, w, ..., w^(d-1)).  The forms an order needs are
+        stacked once per chart side (see _form_stack), so an evaluation is
+        one power, one mat-vec with the stack and one dot with conj(p)."""
+        s = chart.power_matrices()
+        d = s.shape[-1]
         if self.h.shape != (d, d):
             raise ConfigError(f"operator is {self.h.shape} but the chart embeds into dimension {d}")
+        stacks, exponents = self._stacks.setdefault(chart.key, {}), np.arange(d)
 
         def derivs(u, order):
-            v = jet(u[0], order)
-            kets = np.dot(v[0] if order < 2 else v[:2], ket_map)  # [H v_b | v_b]
-            moments = np.dot(v.conj(), kets.reshape(-1, d).T).tolist()
+            stack = stacks.get(order)
+            if stack is None:  # built on the order's first use on this chart side
+                stack = stacks[order] = _form_stack(self.h, s, order)
+            powers = u[0] ** exponents
+            moments = stack.dot(powers).reshape(-1, d).dot(powers.conj()).tolist()
             if order == 0:
-                ((num, den),) = moments
+                num, den = moments
                 return (num.real / den.real,)
             if order == 1:
-                (num, den), (dnum, dden) = moments  # d/d wbar: row 1
+                num, den, dnum, dden = moments  # d/d wbar: <v_1| rows
                 den = den.real
                 return num.real / den, np.array([(dnum * den - num * dden) / den ** 2])
-            # d/d wbar in row 1, d/d w in columns 2-3, d2/d wbar2 in row 2
-            (num, den, dn_h, dd_h), (dn, dd, dndn_h, dddd_h), (dn2, dd2, _, _) = moments
+            # d/d wbar on the bra (v_1, v_2), d/d w on the ket (conjugates)
+            num, den, dn, dd, dndn_h, dddd_h, dn2, dd2 = moments
+            dn_h, dd_h = dn.conjugate(), dd.conjugate()
             p = dn * den - num * dd                   # numerator of dh/dwbar
             dp_h = dndn_h * den + dn * dd_h - dn_h * dd - num * dddd_h
             dp_b = dn2 * den - num * dd2              # d2 num and den wrt wbar2
@@ -327,16 +383,16 @@ def chart_rhs(chart, derivs, hbar: float, tangent: bool = False):
     1-d chart, y = (w, dw) and dw' = A dw + B conj(dw), A = dF/dw, B = dF/dwbar.
     """
     def velocity(t, u):
-        return derivs(u, 1)[1] / chart.scalar_metric(u[0]) / (1j * hbar)
+        return derivs(u, 1)[1] * (1.0 / (1j * hbar * chart.scalar_metric(u.item(0))))
 
     def with_tangent(t, y):
-        w = y[0]
+        w, dw = y.tolist()
         g, g_w = chart.scalar_metric(w), chart.metric_dw(w)
         _, grad, mixed, grad2 = derivs(y[:1], 2)
         scale = 1.0 / (1j * hbar * g * g)
         a = (mixed * g - grad * g_w) * scale
-        b = (grad2 * g - grad * np.conj(g_w)) * scale
-        return np.array([grad / (1j * hbar * g), a * y[1] + b * np.conj(y[1])])
+        b = (grad2 * g - grad * g_w.conjugate()) * scale
+        return np.array([grad / (1j * hbar * g), a * dw + b * dw.conjugate()])
 
     return with_tangent if tangent else velocity
 

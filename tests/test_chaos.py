@@ -299,6 +299,24 @@ def test_carried_step_agrees_with_the_restart_route(case, resample, rtol):
     assert carried.stats.steps <= bound < restarted_steps
 
 
+def test_each_form_stack_is_built_once_per_chart_side(monkeypatch):
+    # 160 Benettin segments and 4 chart switches: one order-2 stack per side
+    from cohspace import tdvp
+
+    builds = []
+    build = tdvp._form_stack
+
+    def counted(h, s, order):
+        builds.append((s.tobytes(), order))
+        return build(h, s, order)
+
+    monkeypatch.setattr(tdvp, "_form_stack", counted)
+    space, energy, z0, t_total = _twisting_case()
+    res = lyapunov_continuous(space, energy, z0, t_total=t_total, resample=0.25, rtol=1e-8)
+    assert res.segments == 160 and res.chart_switches == 4
+    assert len(builds) == len(set(builds)) == 2
+
+
 @pytest.mark.parametrize("t_total", [2.0, 1.3])
 def test_segment_count_must_be_whole(t_total):
     # resample 0.3 divides neither: 2.0 used to run to t = 2.1, and 1.3 to t = 1.2

@@ -253,6 +253,17 @@ def test_tdvp_chart_switches_count_driver_flips_not_samples(tmp_path):
     assert switches == [2, 2, 2]
 
 
+def test_a_tdvp_config_run_twice_in_one_process_writes_the_same_bytes(tmp_path):
+    # the flow crosses the chart radius twice, so both chart sides are bound
+    cfg = {"command": "dyn-tdvp", "space": {"kind": "spin", "exponent": 4},
+           "energy": {"kind": "spin_axis", "axis": [1, 0, 0], "coeff": 1.3},
+           "z0": [1, 0.2], "t_span": [0, 6], "samples": 101}
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    reports = [cli.run(dict(cfg, out=str(path))) for path in paths]
+    assert reports[0]["summary"]["chart_switches"] == 2
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_tdvp_energy_drift_covers_steps_not_samples(tmp_path):
     # read off the samples, the drift would be 6.6e-10, 1.1e-9 and 2.2e-9
     drifts = []
@@ -693,6 +704,25 @@ def test_exit_1_numerical_error_on_an_overflowed_propagation(tmp_path, monkeypat
     assert code == 1
     diag = json.loads(err)
     assert diag["error"] == "numerical-error" and "t = 1.8" in diag["message"]
+
+
+@pytest.mark.parametrize("coeff, message", [
+    ("1e306", "right-hand side overflowed at t0 = 0"),    # H finite, f / scale is not
+    ("1e308", "the energy operator overflowed"),          # H itself is inf
+], ids=["rhs-1e306", "operator-1e308"])
+def test_exit_1_numerical_error_on_an_overflowed_energy(tmp_path, monkeypatch, capsys,
+                                                         coeff, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the run
+        code, _, err = run_cli(
+            ["dyn-tdvp", "--space", '{"kind":"spin","exponent":4}',
+             "--energy", '{"kind":"spin_axis","axis":[0,0,1],"coeff":%s}' % coeff,
+             "--z0", "[[0.8,0],[0.48,0.36]]", "--t-span", "[0,8]"],
+            tmp_path, monkeypatch, capsys)
+    assert code == 1
+    assert "Traceback" not in err
+    diag = json.loads(err)
+    assert diag["error"] == "numerical-error" and message in diag["message"]
 
 
 # every dim and modes field of the space catalog

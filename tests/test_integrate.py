@@ -9,6 +9,7 @@ relative to max(1, max|y|)).
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,16 @@ def test_blow_up_is_reported_as_numerical_not_stiff():
     t = float(msg.split("t = ")[1].split(" ")[0])
     assert t == pytest.approx(1.0, abs=1e-6)
     assert float(msg.split("max|y| = ")[1].split(" ")[0]) > 1e6
+
+
+def test_an_overflowed_first_rhs_is_reported_as_numerical():
+    # |f / (atol + rtol |y|)| overflows: the initial-step probe has no step to try
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as info:
+            solve_rk45(lambda t, y: 1e306j * y, 0.0, 1.0, np.array([1.0 + 0j]))
+    msg = str(info.value)
+    assert "overflowed at t0 = 0" in msg and "max|f| = 1.000e+306" in msg
 
 
 def test_step_hook_halts():
