@@ -170,6 +170,9 @@ def _dense(y: np.ndarray, h: float, kr: np.ndarray, x: np.ndarray) -> np.ndarray
 
 
 def _initial_step(f, t0, y0, f0, rtol, atol, span):
+    if not np.isfinite(f0).all():  # the probe would carry it to t = nan
+        raise NumericalError(f"non-finite right-hand side at t0 = {t0:.6g}; "
+                             "first non-finite: stage k1")
     sc = atol + rtol * np.abs(y0)
     d0 = float(np.sqrt(np.mean(np.abs(y0 / sc) ** 2)))
     with np.errstate(over="ignore"):  # an overflowed norm is reported below

@@ -8,7 +8,8 @@ antiholomorphic in the first slot, such that every finite Gram matrix
 - ``euclidean_subset``  the same kernel restricted to a subset of C^n,
 - ``klauder``           labels (z0, zeta) in C x C^m, K = exp(conj(z0) + z0' + <zeta, zeta'>),
 - ``spin``              unit spinors in C^2, K = <z, z'>^n  (admissible iff n is a
-                        nonnegative integer; n = 2j),
+                        nonnegative integer; n = 2j; other n take the principal
+                        branch, evaluated in polar form on real arrays),
 - ``spin_t``            transpose variant K = (z^T z')^n, *not* Hermitian; it obeys
                         the involutive identity conj K(z, z') = K(conj z, conj z'),
 - ``classical_limit``   K(z, z') = 1 if z' = conj(z) else 0 (delta Gram on
@@ -31,6 +32,9 @@ to (factory, fields).  ``check_stack`` checks a stack in one pass
 (``validate_point`` is one row), ``cross_gram`` applies the kernel to two
 point lists (line-bundle multipliers included), ``gram_matrix`` mirrors its
 upper triangle for Hermitian kernels, and ``eval_kernel`` is its 1 x 1 case.
+``cross_gram`` and ``kernel_diagonal`` evaluate with numpy's overflow
+warnings off and then check every value once: a non-finite kernel value
+raises NumericalError naming the kind and its first entry (i, j).
 
 Throughout, <a, b> = sum conj(a_k) b_k.
 """
@@ -159,10 +163,11 @@ def cross_gram(space: KernelSpace, left: Sequence[Point], right: Sequence[Point]
     passing the same object as both lists checks and stacks it once."""
     a, la = _stacked(space, list(left))
     b, lb = (a, la) if right is left else _stacked(space, list(right))
-    k = space.kernel(a, b)
-    if space.projective_degree is not None:
-        k = np.power(np.outer(la, lb), space.projective_degree) * k
-    return k
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite
+        k = space.kernel(a, b)
+        if space.projective_degree is not None:
+            k = np.power(np.outer(la, lb), space.projective_degree) * k
+    return _finite(space, k)
 
 
 def eval_kernel(space: KernelSpace, z: Point, z2: Point) -> complex:
@@ -177,11 +182,25 @@ def kernel_diagonal(space: KernelSpace, coords: np.ndarray, multipliers=None) ->
     a vector, not on eval_kernel's single element)."""
     check_stack(space, coords, multipliers)
     rows = coords[:, None]
-    k = (np.array([space.kernel(r, r)[0, 0] for r in rows], dtype=complex)
-         if space.rowwise_diagonal else space.kernel(rows, rows)[:, 0, 0])
-    if space.projective_degree is not None:
-        k = np.power(multipliers * multipliers, space.projective_degree) * k
-    return k
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite
+        k = (np.array([space.kernel(r, r)[0, 0] for r in rows], dtype=complex)
+             if space.rowwise_diagonal else space.kernel(rows, rows)[:, 0, 0])
+        if space.projective_degree is not None:
+            k = np.power(multipliers * multipliers, space.projective_degree) * k
+    return _finite(space, k)
+
+
+def _finite(space: KernelSpace, k: np.ndarray) -> np.ndarray:
+    """Kernel values k, (n, m) or the diagonal (n,), if all are finite; else
+    NumericalError naming the first non-finite entry (i, j)."""
+    ok = np.isfinite(k)
+    if ok.all():
+        return k
+    at = int(ok.argmin())
+    i, j = divmod(at, k.shape[1]) if k.ndim == 2 else (at, at)
+    v = complex(k.flat[at])
+    raise NumericalError(f"{space.kind}: the kernel value at entry ({i}, {j}) is not finite "
+                         f"(re = {v.real:g}, im = {v.imag:g}); it overflowed float64")
 
 
 # ---------------------------------------------------------------------------
@@ -272,23 +291,41 @@ def _unit_spinors(rng: np.random.Generator, count: int) -> tuple:
     return v / row_norms(v)[:, None], None
 
 
+def principal_power(s: np.ndarray, n: float) -> np.ndarray:
+    """s^n on the principal branch (arg s in (-pi, pi], as np.log's), 0^n = 0,
+    in polar form on real arrays: r cos(phi) + i r sin(phi) with
+    r = exp(n log|s|) and phi = n arg s.  numpy's complex log is a scalar
+    loop, and about 5x slower again right after the BLAS product that forms
+    s; its float64 abs, log, exp, arctan2, cos and sin are vector loops that
+    do not slow down so.  Both parts are written in place, with no complex
+    multiply, so a 1 x 1 block gives the bits of the same entry in a larger
+    one."""
+    m = np.abs(s)
+    k = np.empty_like(s)
+    with np.errstate(divide="ignore", invalid="ignore"):  # log 0; inf * 0 for n < 0
+        r = np.exp(n * np.log(m))
+        phi = n * np.angle(s)
+        np.multiply(r, np.cos(phi), out=k.real)
+        np.multiply(r, np.sin(phi), out=k.imag)
+    k[m == 0] = 0.0
+    return k
+
+
 def spin_space(exponent: float) -> KernelSpace:
     """Unit spinors in C^2 with K = <z, z'>^n, n = exponent = 2j.
 
     Coherent (all Grams PSD) exactly when the exponent is a nonnegative
     integer; other exponents are accepted for diagnostics and fail the PSD
-    check with a genuinely negative eigenvalue.
+    check with a genuinely negative eigenvalue.  Integer exponents take
+    np.power; the others the principal branch |s|^n e^(i n arg s) of
+    ``principal_power``, on real arrays.
     """
     n = exponent
     is_int = abs(n - round(n)) < 1e-12
 
     def kernel(a, b):
         s = _sesquilinear(a, b)
-        if is_int:
-            return np.power(s, int(round(n)))
-        # principal branch for diagnostic (inadmissible) exponents
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(s != 0, np.exp(n * np.log(s)), 0.0j)
+        return np.power(s, int(round(n))) if is_int else principal_power(s, n)
 
     return KernelSpace(
         label_dim=2,

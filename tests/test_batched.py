@@ -185,10 +185,14 @@ def two_d_kernel(space):
         if n == round(n):
             return lambda a, b: np.power(a.conj() @ b.T, int(n))
 
-        def fractional(a, b):
+        def fractional(a, b):  # the principal branch in polar form
             s = a.conj() @ b.T
             with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(s != 0, np.exp(n * np.log(s)), 0.0j)
+                r, phi = np.exp(n * np.log(np.abs(s))), n * np.angle(s)
+                k = np.zeros_like(s)
+                k.real = np.where(s != 0, r * np.cos(phi), 0.0)
+                k.imag = np.where(s != 0, r * np.sin(phi), 0.0)
+            return k
 
         return fractional
     if kind == "spin_t":

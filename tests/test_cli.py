@@ -8,6 +8,7 @@ directory this process imported cohspace from, so they import the same
 cohspace as the test process, installed or not.
 """
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -723,6 +724,31 @@ def test_exit_1_numerical_error_on_an_overflowed_energy(tmp_path, monkeypatch, c
     assert "Traceback" not in err
     diag = json.loads(err)
     assert diag["error"] == "numerical-error" and message in diag["message"]
+
+
+_KLAUDER = '{"kind":"klauder","modes":1}'
+_FAR = "[[400,0],[0,0]]"  # K(z, z) = exp(400^2) overflows
+
+
+@pytest.mark.parametrize("args, entry", [
+    (["kernel-gram", "--space", _KLAUDER, "--points", f"[{_FAR},[[0.1,0],[0.2,0]]]"], "(0, 0)"),
+    (["kernel-check", "--space", _KLAUDER, "--points", f"[{_FAR},[[0.1,0],[0.2,0]]]"], "(0, 0)"),
+    (["kernel-eval", "--space", _KLAUDER, "--z", _FAR, "--z2", _FAR], "(0, 0)"),
+    (["kernel-check", "--space", '{"kind":"spin","exponent":1e300}', "--count", "6"], None),
+], ids=["klauder-gram", "klauder-check", "klauder-eval", "spin-1e300-check"])
+def test_exit_1_numerical_error_on_an_overflowed_kernel_value(tmp_path, monkeypatch, capsys,
+                                                               args, entry):
+    # an inf Gram entry was written as a result, or failed the PSD test or the eigensolver
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the run
+        code, out, err = run_cli(args, tmp_path, monkeypatch, capsys)
+    assert code == 1 and out == ""
+    assert "Traceback" not in err and "Warning" not in err
+    diag = json.loads(err)
+    assert diag["error"] == "numerical-error"
+    at = re.search(r"the kernel value at entry (\(\d+, \d+\)) is not finite", diag["message"])
+    assert at and entry in (None, at.group(1)) and "overflowed" in diag["message"]
+    assert not list(tmp_path.glob("cohspace-*"))  # no payload
 
 
 # every dim and modes field of the space catalog

@@ -128,6 +128,23 @@ def test_an_overflowed_first_rhs_is_reported_as_numerical():
     assert "overflowed at t0 = 0" in msg and "max|f| = 1.000e+306" in msg
 
 
+def test_a_nan_first_rhs_is_reported_before_any_probe():
+    # h0 = 0.01 d0 / nan would be nan, and the probe would call f at t = nan
+    times = []
+
+    def f(t, y):
+        times.append(t)
+        return np.full_like(y, np.nan)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError) as info:
+            solve_rk45(f, 0.25, 1.0, np.array([1.0 + 0j]))
+    assert times == [0.25]
+    msg = str(info.value)
+    assert "non-finite right-hand side at t0 = 0.25" in msg and "stage k1" in msg
+
+
 def test_step_hook_halts():
     sol = solve_rk45(lambda t, y: y, 0.0, 5.0, np.array([1.0 + 0j]),
                      step_hook=lambda t, y: abs(y[0]) > 3.0)

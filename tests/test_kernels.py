@@ -1,5 +1,7 @@
 """Kernel catalog: values, symmetry, positivity, distances, descriptors."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,10 +22,12 @@ from cohspace.kernels import (
     heisenberg_space,
     icosahedron_space,
     icosahedron_vertices,
+    kernel_diagonal,
     klauder_space,
     linear_point_map,
     moebius_space,
     power_space,
+    principal_power,
     sample_points,
     space_from_descriptor,
     spin_space,
@@ -273,6 +277,63 @@ def test_spin_fractional_exponents_fail_psd():
         verdict = check_coherence(sp, pts, tol=1e-8)
         assert not verdict.passed
         assert verdict.min_eigenvalue < -1e-6
+
+
+def _old_principal_power(s, n):
+    """The complex-log route the polar form replaced, kept as the oracle."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s != 0, np.exp(n * np.log(s)), 0.0j)
+
+
+@pytest.mark.parametrize("n", [0.5, 0.6, 2.5, 7.5, -0.5])
+def test_fractional_spin_kernel_agrees_with_the_complex_log_route(n):
+    sp = spin_space(n)
+    worst = 0.0
+    for seed in range(3):
+        for count in (40, 90, 150):
+            pts = sample_points(sp, np.random.default_rng(seed), count)
+            coords = np.array([p.coords for p in pts])
+            old = _old_principal_power(coords.conj() @ coords.T, n)
+            new = cross_gram(sp, pts, pts)
+            worst = max(worst, float((np.abs(new - old) / np.abs(old)).max()))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("n", [0.5, 2.5, -0.5])
+def test_fractional_spin_kernel_is_zero_on_orthogonal_spinors(n):
+    sp = spin_space(n)
+    pts = [Point([1.0, 0.0]), Point([0.0, 1.0j]), Point([0.6, 0.8])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = cross_gram(sp, pts, pts)
+    assert g[0, 1] == 0 and g[1, 0] == 0
+    assert not np.signbit(g[0, 1].real) and not np.signbit(g[0, 1].imag)
+    assert g[0, 2] == np.exp(n * np.log(0.6)) and g[1, 2] != 0  # <(0, i), (0.6, 0.8)> = -0.8i
+
+
+@pytest.mark.parametrize("n", [0.5, 0.6, 2.5, 7.5, -0.5])
+def test_principal_power_takes_np_logs_branch_on_the_negative_axis(n):
+    # arg(-x + 0i) = pi and arg(-x - 0i) = -pi, as for np.log
+    s = np.array([-2.0, -0.3, -1.0, -1e-3]) + 0j
+    below = s.copy()
+    below.imag = -0.0
+    assert not np.signbit(s.imag).any() and np.signbit(below.imag).all()
+    for side in (s, below):
+        new, old = principal_power(side, n), _old_principal_power(side, n)
+        assert (np.abs(new - old) <= 1e-14 * np.abs(old)).all()
+        assert (np.signbit(new.imag) == np.signbit(old.imag)).all()
+    np.testing.assert_array_equal(principal_power(below, n), principal_power(s, n).conj())
+
+
+@pytest.mark.parametrize("n", [0.6, 2.5, -0.5])
+def test_fractional_spin_diagonal_is_exactly_real(n):
+    sp = spin_space(n)
+    coords, _ = sp.sampler(np.random.default_rng(1), 40)
+    diag = kernel_diagonal(sp, coords)
+    rows = coords[:, None]
+    s = (rows.conj() @ rows.swapaxes(-1, -2))[:, 0, 0]  # |z|^2, as the kernel forms it
+    assert (s.imag == 0).all() and (diag.imag == 0).all()
+    np.testing.assert_array_equal(diag.real, np.exp(n * np.log(s.real)))
 
 
 def test_psd_verdict_threshold_semantics():
