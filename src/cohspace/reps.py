@@ -6,7 +6,8 @@
   ``dgamma(X)`` is the derivation action of a 2x2 label generator
   (dGamma(sigma_a/2) are the standard angular momentum matrices with
   m = j - k, i.e. k = 0 is the north pole); ``gamma(A)`` the group action.
-- ``propagate_eig``: exact propagation exp(-i H t / hbar) psi0.
+- ``propagate_eig``: exact propagation exp(-i H t / hbar) psi0, refused once
+  a phase is too large for a float to carry any of its digits.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import NumericalError
 
 
 @dataclass
@@ -64,7 +67,8 @@ def propagate_eig(h: np.ndarray, psi0: np.ndarray, times, hbar: float = 1.0) -> 
     """Exact propagation exp(-i H t / hbar) psi0, shape (len(times), *psi0.shape);
     psi0 may be a matrix of columns (the identity gives the propagator).
     Hermitian H uses its eigendecomposition, with one exp for all phases and
-    one stacked matmul (each time's own product); any other H, expm per time."""
+    one stacked matmul (each time's own product), and raises NumericalError
+    once a phase |lambda t / hbar| reaches 2^52; any other H, expm per time."""
     h, psi0 = np.asarray(h, dtype=complex), np.asarray(psi0)
     times = np.asarray(times, dtype=float)
     herm_defect = np.abs(h - h.conj().T).max()
@@ -74,6 +78,15 @@ def propagate_eig(h: np.ndarray, psi0: np.ndarray, times, hbar: float = 1.0) -> 
         states = [scipy.linalg.expm(-1j * float(t) * h / hbar) @ psi0 for t in times]
         return np.array(states, dtype=complex).reshape(len(times), *psi0.shape)
     lam, u = np.linalg.eigh(h)
+    with np.errstate(over="ignore"):  # an overflow is inf, which is past the bound
+        turns = np.abs(times)[:, None] * np.abs(lam / hbar)  # |lambda t / hbar|
+    past = turns >= 2.0**52  # where a phase's float spacing reaches 1 rad
+    if past.any():
+        i = past.any(axis=1).argmax()
+        raise NumericalError(f"exact propagation: the phase lambda t / hbar of the eigenvalue "
+                             f"{lam[past[i].argmax()]:.6g} reaches 2^52 rad after a time "
+                             f"{times[i]:.6g}; its float spacing there is 1 rad, so the phase "
+                             f"has no correct digit")
     c = (u.conj().T @ psi0.reshape(len(u), -1)).T  # (columns, eigen-axis)
     phases = np.exp(-1j * lam * times[:, None] / hbar)  # (times, eigen-axis)
     states = u @ (phases[:, None] * c[None]).swapaxes(-1, -2)  # (times, rows, columns)

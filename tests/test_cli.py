@@ -693,18 +693,45 @@ def test_exit_1_domain_error_as_json_on_stderr(tmp_path, monkeypatch, capsys):
     assert json.loads(err)["error"]
 
 
-def test_exit_1_numerical_error_on_an_overflowed_propagation(tmp_path, monkeypatch, capsys):
-    # the phase 1e308 t overflows from the sample t = 1.8 on
+def _exact_klauder_run(tmp_path, monkeypatch, capsys, coeff, t_span, *extra):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy warning fails the run
-        code, _, err = run_cli(
+        return run_cli(
             ["dyn-coherent", "--space", '{"kind":"klauder","modes":1}',
-             "--generator", "[[[0,0],[0,0]],[[0,0],[1e308,0]]]",
-             "--z0", "[[0.2,0.1],[1.1,-0.4]]", "--t-span", "[0,6]"],
+             "--generator", "[[[0,0],[0,0]],[[0,0],[%s,0]]]" % coeff,
+             "--z0", "[[0.2,0.1],[1.1,-0.4]]", "--t-span", t_span, *extra],
             tmp_path, monkeypatch, capsys)
+
+
+def test_exit_1_numerical_error_on_an_overflowed_propagation(tmp_path, monkeypatch, capsys):
+    # the phase 1e308 t overflows from the sample t = 1.8 on, and carries no
+    # correct digit from the first sample after the start, t = 0.06
+    code, _, err = _exact_klauder_run(tmp_path, monkeypatch, capsys, "1e308", "[0,6]")
     assert code == 1
     diag = json.loads(err)
-    assert diag["error"] == "numerical-error" and "t = 1.8" in diag["message"]
+    assert diag["error"] == "numerical-error" and "after a time 0.06;" in diag["message"]
+
+
+@pytest.mark.parametrize("coeff", ["1e308", "1e17"])
+def test_exit_1_numerical_error_on_a_phase_without_correct_digits(tmp_path, monkeypatch, capsys,
+                                                                   coeff):
+    """Finite phases of 1e308 t or 1e17 t are float noise: refused, not written."""
+    code, _, err = _exact_klauder_run(tmp_path, monkeypatch, capsys, coeff, "[0,1.7]",
+                                      "--samples", "3")
+    assert code == 1 and "Traceback" not in err
+    diag = json.loads(err)
+    assert diag["error"] == "numerical-error"
+    assert f"eigenvalue {float(coeff):.6g} reaches 2^52 rad after a time 0.85;" in diag["message"]
+    assert not (tmp_path / "cohspace-dyn-coherent.csv").exists()
+
+
+def test_a_phase_of_1e12_rad_still_propagates(tmp_path, monkeypatch, capsys):
+    code, _, _ = _exact_klauder_run(tmp_path, monkeypatch, capsys, "1e12", "[0,1]",
+                                    "--samples", "3")
+    assert code == 0
+    _, rows = read_csv(tmp_path / "cohspace-dyn-coherent.csv")
+    z = complex(float(rows[-1][3]), float(rows[-1][4]))
+    assert z == pytest.approx((1.1 - 0.4j) * np.exp(-1e12j), abs=1e-3)
 
 
 @pytest.mark.parametrize("coeff, message", [
@@ -902,30 +929,26 @@ _GRAM_SPACES = [{"kind": "spin", "exponent": 3}, {"kind": "klauder", "modes": 2}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_kernel_gram_bytes_do_not_depend_on_the_hermitian_mirror(tmp_path, monkeypatch, fmt):
-    """The mirrored rendering of a Hermitian Gram gives the general route's
-    bytes; a non-Hermitian kind (spin_t) takes the general route."""
+def test_kernel_gram_bytes_match_the_format_cell_and_json_dumps_oracles(tmp_path, monkeypatch,
+                                                                         fmt):
+    """The bulk renderer writes each kind's Gram, Hermitian (spin, Klauder,
+    de Branges) or not (spin_t), as format_cell and json.dumps write it."""
     monkeypatch.chdir(tmp_path)
-    seen, is_hermitian = [], artifacts._is_hermitian
-
-    def spy(a):
-        seen.append(is_hermitian(a))
-        return seen[-1]
-
-    monkeypatch.setattr(artifacts, "_is_hermitian", spy)
-
-    def payloads():
-        out = []
-        for space in _GRAM_SPACES:
-            cli.run({"command": "kernel-gram", "space": space, "count": 9, "seed": 4,
-                     "format": fmt, "out": f"g.{fmt}"})
-            out.append((tmp_path / f"g.{fmt}").read_bytes())
-        return out
-
-    mirrored = payloads()
-    assert seen == [True, True, True, False]
-    monkeypatch.setattr(artifacts, "_is_hermitian", lambda a: False)
-    assert payloads() == mirrored
+    for space in _GRAM_SPACES:
+        cli.run({"command": "kernel-gram", "space": space, "count": 9, "seed": 4,
+                 "format": fmt, "out": f"g.{fmt}"})
+        kind = space_from_descriptor(space)
+        g = kernels.gram_matrix(kind, kernels.sample_points(kind, np.random.default_rng(4), 9))
+        if fmt == "csv":
+            header = ",".join(f"k{j}_{part}" for j in range(9) for part in ("re", "im"))
+            rows = [",".join(artifacts.format_cell(x) for z in row for x in (z.real, z.imag))
+                    for row in g.tolist()]
+            want = "\n".join([header, *rows]) + "\n"
+        else:
+            pairs = [[[z.real, z.imag] for z in row] for row in g.tolist()]
+            want = json.dumps({"gram": pairs, "space": dict(kind.descriptor)},
+                              indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / f"g.{fmt}").read_text() == want
 
 
 def test_point_objects_with_multiplier(tmp_path, monkeypatch, capsys):

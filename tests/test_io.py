@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cohspace.errors import ConfigError
-from cohspace.io import (_is_hermitian, csv_chunks, format_cell, json_chunks, write_csv,
-                         write_json)
+from cohspace.io import _repr_rows, csv_chunks, format_cell, json_chunks, write_csv, write_json
 
 SPECIAL = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
            1e-300, 1.7976931348623157e308, 0.1, -1.5, 1e16, 123456789.0]
@@ -168,8 +167,51 @@ def test_writers_write_the_rendered_text(tmp_path):
     assert (tmp_path / "p.csv").read_text() == "t,x\n0.5,1\n"
 
 
-# Hermitian blocks: each entry above the diagonal is rendered once, its
-# mirror below reuses the texts; both writers must still match the oracles.
+# _repr_rows against float.__repr__, string for string: orjson's digits
+# inside 1e-4 <= |x| < 1e16, repr's own text outside and on every chunk.
+def assert_reprs(f):
+    assert list(_repr_rows(f)) == [list(map(float.__repr__, row)) for row in f.tolist()]
+
+
+def test_bulk_renderer_matches_repr_on_random_bit_patterns():
+    bits = np.random.default_rng(24).integers(0, 2**64, size=200_000, dtype=np.uint64,
+                                              endpoint=False)
+    assert_reprs(bits.view(np.float64).reshape(400, 500))
+
+
+def test_bulk_renderer_matches_repr_at_the_layout_edges():
+    edges = np.array([1e-5, 1e-4, 1e16, 2.0**-14, 2.0**53, 0.1, 123456789.0, 1.5])
+    steps = np.arange(-4, 5)
+    up = np.array([[np.nextafter(x, math.inf) for x in edges]])
+    down = np.array([[np.nextafter(x, 0.0) for x in edges]])
+    near = edges[:, None] * (1 + steps * np.finfo(float).eps / 2)  # a few ulps either side
+    for f in (near, -near, up, down, -up, -down):
+        assert_reprs(f)
+    special = np.array([[0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                         2.2250738585072014e-308, 2.225073858507201e-308, 1e-320,
+                         1.7976931348623157e308, -1e300, 1e-300]])
+    assert_reprs(special)
+    assert_reprs(special.T)
+
+
+def test_bulk_renderer_widens_narrow_and_odd_layouts(folder):
+    f32 = np.array([[0.1, 1e-5, 3e38], [-2.5, 0.0, 1 / 3]], dtype=np.float32)
+    assert next(_repr_rows(f32))[0] == "0.10000000149011612"
+    assert_reprs(f32)
+    big = np.arange(-6.0, 6.0).reshape(3, 4) / 7
+    for f in (big[:, ::2], big.T, big[::-1], big.astype(">f8"), np.zeros((3, 0)),
+              np.zeros((0, 4))):
+        assert_reprs(f)
+    assert list(_repr_rows(np.zeros((3, 0)))) == [[], [], []]
+    wide = np.random.default_rng(1).standard_normal((2, 10_000)) * np.logspace(-8, 18, 10_000)
+    assert_reprs(wide)  # one row wider than a chunk
+    z = np.array([[0.1 + 0.2j, -1e-5 + 3e17j]], dtype=np.complex64)
+    assert text(csv_chunks(["a"] * 4, [z])).startswith("a,a,a,a\n0.10000000149011612,")
+    assert_renders_like_the_oracles(folder, z)
+
+
+# Hermitian blocks and their near misses (mirrors one ulp or one sign bit
+# off, non-finite entries, strided views): both writers match the oracles.
 finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True) \
     | st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1.7976931348623157e308, -1e308])
 square = hnp.arrays(np.complex128, st.integers(0, 5).map(lambda n: (n, n)),
@@ -199,7 +241,6 @@ def test_hermitian_blocks_render_like_the_oracles(folder, a, summed):
         g[np.diag_indices(len(a))] = g.diagonal().real
     else:
         g = mirrored(a)
-        assert _is_hermitian(g)
     assert_renders_like_the_oracles(folder, g)
 
 
@@ -214,24 +255,22 @@ def _near_misses():
     nan[1, 1] = math.nan
     strided = mirrored(np.arange(16.0).reshape(4, 4) * (1 + 0.5j))[::2, ::2]
     return [
-        ("hermitian", g, True), ("one ulp off", ulp, False), ("+0.0 mirror", plus_zero, False),
-        ("inf", inf, False), ("nan", nan, False), ("transposed", g.T, True),
-        ("reversed", g[::-1, ::-1], True), ("strided", strided, True),
-        ("0x0", np.zeros((0, 0), complex), True), ("1x1", np.array([[complex(1.5, -0.0)]]), True),
-        ("real symmetric, complex", mirrored(np.array([[1, 2], [0, 3]], complex)), True),
-        ("real symmetric, float", np.array([[1.0, 2.0], [2.0, 3.0]]), False),
-        ("complex symmetric", np.array([[1, 2 + 1j], [2 + 1j, 3]]), False),
-        ("not square", g[:2], False), ("complex64", strided.astype(np.complex64), False),
-        ("one ulp off, transposed", ulp.T, False),
+        ("hermitian", g), ("one ulp off", ulp), ("+0.0 mirror", plus_zero), ("inf", inf),
+        ("nan", nan), ("transposed", g.T), ("reversed", g[::-1, ::-1]), ("strided", strided),
+        ("0x0", np.zeros((0, 0), complex)), ("1x1", np.array([[complex(1.5, -0.0)]])),
+        ("real symmetric, complex", mirrored(np.array([[1, 2], [0, 3]], complex))),
+        ("real symmetric, float", np.array([[1.0, 2.0], [2.0, 3.0]])),
+        ("complex symmetric", np.array([[1, 2 + 1j], [2 + 1j, 3]])),
+        ("not square", g[:2]), ("complex64", strided.astype(np.complex64)),
+        ("one ulp off, transposed", ulp.T),
     ]
 
 
 _NEAR_MISSES = _near_misses()
 
 
-@pytest.mark.parametrize("name, g, hermitian", _NEAR_MISSES, ids=[c[0] for c in _NEAR_MISSES])
-def test_hermitian_near_misses_render_like_the_oracles(folder, name, g, hermitian):
-    assert _is_hermitian(g) is hermitian
+@pytest.mark.parametrize("name, g", _NEAR_MISSES, ids=[c[0] for c in _NEAR_MISSES])
+def test_hermitian_near_misses_render_like_the_oracles(folder, name, g):
     assert_renders_like_the_oracles(folder, g)
 
 
@@ -268,16 +307,12 @@ _LARGE = {"hermitian 300x300": mirrored(_rng.standard_normal((300, 300))
 @pytest.mark.parametrize("name", list(_LARGE))
 def test_writers_hold_less_than_the_file_they_write(tmp_path, name, kind):
     """The traced allocation peak of a write stays below the file's size:
-    the payload's text is never held whole.  A block that is not Hermitian
-    is not copied either: the peak stays below the block's own size, and
-    the Hermitian test alone turns it down in under 0.25 MB."""
+    the payload's text is never held whole.  The block is not copied
+    either: the peak stays below the block's own size."""
     block = _LARGE[name]  # 600 CSV columns each
     path = tmp_path / f"p.{kind}"
     tracemalloc.start()
     try:
-        hermitian = _is_hermitian(block)
-        check_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
         if kind == "csv":
             write_csv(str(path), [f"h{j}" for j in range(600)], [block])
         else:
@@ -285,11 +320,8 @@ def test_writers_hold_less_than_the_file_they_write(tmp_path, name, kind):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert hermitian is name.startswith("hermitian")
     assert peak < path.stat().st_size, f"peak {peak} B for a file of {path.stat().st_size} B"
-    if not hermitian:
-        assert peak < block.nbytes, f"peak {peak} B for a block of {block.nbytes} B"
-        assert check_peak < 0.25e6, f"peak {check_peak} B to test a block for symmetry"
+    assert peak < block.nbytes, f"peak {peak} B for a block of {block.nbytes} B"
     if name.startswith("complex"):
         header, rows = [f"h{j}" for j in range(600)], [sum(row, []) for row in plain(block)]
         want = csv_oracle(header, rows) if kind == "csv" else json_oracle({"g": block})

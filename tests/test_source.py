@@ -17,11 +17,15 @@ Richardson combination (4.0 * a - b) / 3.0 and no 4-point mixed stencil.
 Every cohspace name the benchmark's tracer (``bench/spans.py``) wraps is
 defined in ``src/cohspace``, so a rename fails here instead of leaving a
 bench counter at 0.
+
+The third-party modules ``src/cohspace`` imports are the ``dependencies``
+that ``pyproject.toml`` declares, no more and no fewer.
 """
 
 import ast
 import collections
 import re
+import sys
 from pathlib import Path
 
 import cohspace
@@ -293,3 +297,34 @@ def test_every_name_the_bench_wraps_is_defined_in_the_package():
                for path in PACKAGE.glob("*.py")}
     assert [(module, name) for module, name in wrapped
             if name not in defined.get(module, ())] == []
+
+
+# ------------------------------------------------- declared dependencies
+
+
+def third_party_imports(source: str) -> set:
+    """Top-level names of the absolute imports outside the standard library."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found - set(sys.stdlib_module_names) - {"__future__"}
+
+
+def test_the_scan_finds_third_party_imports():
+    source = ("from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+              "from . import io\nfrom .errors import ConfigError\n"
+              "def f():\n    import scipy.linalg\n    from orjson import dumps\n")
+    assert third_party_imports(source) == {"numpy", "scipy", "orjson"}
+
+
+def test_declared_dependencies_are_the_third_party_imports():
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    listed = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    declared = set(re.findall(r'"([\w.-]+)', listed))
+    imported = set().union(*(third_party_imports(path.read_text(encoding="utf-8"))
+                             for path in PACKAGE.glob("*.py")))
+    assert declared == imported == {"numpy", "scipy", "orjson"}
