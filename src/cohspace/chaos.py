@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidPointError
+from .errors import ConfigError, InvalidPointError, NumericalError
 from .integrate import IntegratorStats, total_stats
 from .kernels import KernelSpace, Point, spin_space
 from .tdvp import CHART_SWITCH_RADIUS, ExpectationFunction, chart_for, charted_solve
@@ -93,6 +93,10 @@ class KickedTop:
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError("kicked top needs n >= 1 monomials")
+        for key, angle in (("kick", self.kick), ("precession", self.precession)):
+            if abs(angle) >= 2.0**52:  # where a phase's float spacing reaches 1 rad
+                raise NumericalError(f"kicked top: {key} = {angle:.6g} reaches 2^52 rad; its float "
+                                     f"spacing there is 1 rad, so the phase has no correct digit")
         self.space: KernelSpace = spin_space(self.n)
         self._cs = math.cos(self.precession / 2), math.sin(self.precession / 2)
 

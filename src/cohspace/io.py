@@ -15,13 +15,15 @@ row of a JSON array block at a time into it.  At peak, memory holds one
 chunk's text (see below), never the payload's, and a render that fails midway
 leaves the target file as it was.
 
-Every float block goes through one bulk renderer, _repr_rows: orjson turns a
-chunk of about 4,096 values into text in one call, with the shortest
-round-trip digits of Ryu (Adams 2018), which are the digits repr takes from
-Gay's dtoa, laid out as repr lays them out for 0 and 1e-4 <= |x| < 1e16.
-Entries outside that range, nan and inf, are found with one vectorized mask
-per chunk and rendered by float.__repr__ itself.  Either way the text is
-repr's, byte for byte.
+Every float block goes through one bulk renderer, _row_texts, which writes
+each row's comma-joined text straight from orjson's text of a chunk of about
+4,096 values.  orjson's Ryu shortest round-trip digits (Adams 2018) are the
+digits repr takes from Gay's dtoa, laid out as repr lays them out for 0 and
+1e-4 <= |x| < 1e16.  Every other entry is found with one vectorized mask per
+chunk, set to nan in a copy so that orjson writes null there, and spliced in:
+below 1e-4 orjson's own digits relaid by string replacements, and repr's
+text (json.dumps's NaN, Infinity and -Infinity in JSON) for the rest.  The
+bytes are repr's in CSV and json.dumps's in JSON.
 
 Importable without numpy or orjson, so the CLI can pin thread pools before
 any numeric library loads; the array helpers import both lazily.
@@ -84,34 +86,71 @@ def _as_real(a):
     return np.stack([a.real, a.imag], axis=-1)
 
 
-# values per orjson call in _repr_rows
+# values per orjson call in _row_texts
 _CHUNK = 4096
 
+# orjson's layouts below 1e-4 made repr's.  _spliced sorts the entries by
+# size and cuts them at _BOUNDS; the texts of each class, each ending in a
+# comma, take its replacements: none below 1e-9 (exponents of 2 or 3 digits,
+# as repr's), a one-digit exponent padded from 1e-9 (1e-6 -> 1e-06), and
+# 0.0000ddd -> d.dde-05 from 1e-5.  Comparing a float with a bound 10^k sorts
+# it exactly by the exponent of its shortest digits, since the float nearest
+# 10^k prints as 1e<k>.
+_BOUNDS = [1e-9, 1e-5, 1e-4]
+_FIXES = ([], [("e-", "e-0")],
+          [("0.0000" + d, d + ".") for d in "123456789"] + [(",", "e-05,"), (".e", "e")])
 
-def _repr_rows(f):
-    """list(map(float.__repr__, row.tolist())) of each row of the 2-D float
-    array f, byte for byte, from one orjson call per chunk of about _CHUNK
-    values (at least one row).  orjson's Ryu digits are repr's, and its layout
-    is too for 0 and 1e-4 <= |x| < 1e16; every other entry (tiny, huge, nan,
-    inf) takes float.__repr__ itself."""
+
+def _spliced(text: str, v, spell) -> str:
+    """text with its k-th "null" replaced by the text of v[k]: orjson's digits
+    relaid as repr's below 1e-4, spell's (float.__repr__ or json.dumps) for
+    |x| >= 1e16, nan and inf."""
+    import numpy as np
+    import orjson
+
+    size = np.abs(v)
+    order = size.argsort()  # nan last
+    v = v[order]
+    texts, start = [], 0
+    for end, fixes in zip(size[order].searchsorted(_BOUNDS).tolist(), _FIXES):
+        if end > start:  # one orjson call per class
+            s = orjson.dumps(v[start:end], option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1] + ","
+            for old, new in fixes:
+                s = s.replace(old, new)
+            texts += s.split(",")[:-1]
+        start = end
+    texts += map(spell, v[start:].tolist())
+    parts = np.empty(2 * len(v) + 1, dtype=object)
+    parts[::2] = text.split("null")
+    parts[1::2][order] = texts
+    return "".join(parts.tolist())
+
+
+def _row_texts(f, spell=float.__repr__):
+    """",".join(map(spell, row.tolist())) of each row of the 2-D float array
+    f, byte for byte, where spell is float.__repr__ or json.dumps, from one
+    orjson call per chunk of about _CHUNK values (at least one row).
+    orjson's Ryu digits are repr's, and its layout is too for 0 and
+    1e-4 <= |x| < 1e16; every other entry (tiny, huge, nan, inf) is written
+    as null by orjson and spliced in by _spliced."""
     import numpy as np
     import orjson
 
     n, width = f.shape
     if not width:
-        yield from ([] for _ in range(n))
+        yield from itertools.repeat("", n)
         return
     step = max(1, _CHUNK // width)
     for start in range(0, n, step):
         chunk = np.ascontiguousarray(f[start:start + step], dtype=np.float64)
-        text = orjson.dumps(chunk, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-        rows = [row.split(",") for row in text[2:-2].split("],[")]
         size = np.abs(chunk)
-        other = ~((size >= 1e-4) & (size < 1e16) | (chunk == 0))
-        at_row, at_column = other.nonzero()
-        for i, j, x in zip(at_row.tolist(), at_column.tolist(), chunk[other].tolist()):
-            rows[i][j] = float.__repr__(x)
-        yield from rows
+        other = ~((size >= 1e-4) & (size < 1e16) | (chunk == 0))  # one mask per chunk
+        spliced = other.any()
+        dumped = np.where(other, np.nan, chunk) if spliced else chunk  # orjson: nan -> null
+        text = orjson.dumps(dumped, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+        if spliced:
+            text = _spliced(text, chunk[other], spell)
+        yield from text[2:-2].split("],[")
 
 
 def _fragments(block) -> tuple:
@@ -121,8 +160,9 @@ def _fragments(block) -> tuple:
         return 1, map(format_cell, block)
     a = _as_real(block)
     a = a.reshape(a.shape[0], math.prod(a.shape[1:]))  # a 1-D block as one column
-    rows = _repr_rows(a) if a.dtype.kind == "f" else (map(format_cell, row.tolist()) for row in a)
-    return a.shape[1], map(",".join, rows)
+    if a.dtype.kind == "f":
+        return a.shape[1], _row_texts(a)
+    return a.shape[1], (",".join(map(format_cell, row.tolist())) for row in a)
 
 
 def csv_chunks(header, blocks):
@@ -159,13 +199,11 @@ def _layout(items, shape, nl: str) -> str:
 
 def _array_chunks(a, nl: str):
     """_layout of an ndarray, one first-axis row at a time."""
-    import numpy as np
-
     shape = (*a.shape, 2) if a.dtype.kind == "c" else a.shape  # complex as [re, im]
     f = _as_real(a)
     f = f.reshape(len(f), math.prod(f.shape[1:]))
-    if f.dtype.kind == "f" and np.isfinite(f).all():  # json.dumps writes these as repr does
-        rows = _repr_rows(f)
+    if f.dtype.kind == "f":
+        rows = (text.split(",") for text in _row_texts(f, json.dumps))
     else:
         rows = (list(map(json.dumps, row.tolist())) for row in f)
     inner = nl + "  "

@@ -612,6 +612,26 @@ def test_a_start_without_direction_or_a_non_finite_number_fails_by_name(
         assert json.loads(err) == {"error": "invalid-point", "message": message}
 
 
+@pytest.mark.parametrize("key, value", [("kick", "1e300"), ("kick", "-4503599627370496"),
+                                        ("precession", "1e300")])
+def test_exit_1_numerical_error_on_a_kicked_top_angle_without_correct_digits(
+        tmp_path, monkeypatch, capsys, key, value):
+    """At |angle| >= 2^52 the float spacing is 1 rad: refused, not written."""
+    given = {"kick": "3", key: value}  # kick is required
+    flags = [part for k, v in given.items() for part in (f"--{k}", v)]
+    code, out, err = run_cli(_KICKED + flags, tmp_path, monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "numerical-error", "message": (
+        f"kicked top: {key} = {float(value):.6g} reaches 2^52 rad; its float spacing there is "
+        f"1 rad, so the phase has no correct digit")}
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_kicked_top_angle_just_below_2_to_the_52_still_runs(tmp_path, monkeypatch, capsys):
+    code, _, _ = run_cli(_KICKED + ["--kick", "4503599627370495"], tmp_path, monkeypatch, capsys)
+    assert code == 0
+
+
 def test_a_json_integer_beyond_the_float_range_is_not_a_finite_number():
     with pytest.raises(ConfigError, match="'kick' must be a finite number, got 1000"):
         cli.run({"command": "dyn-lyapunov", "kick": 10 ** 400, "periods": 10})

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cohspace.errors import ConfigError
-from cohspace.io import _repr_rows, csv_chunks, format_cell, json_chunks, write_csv, write_json
+from cohspace.io import (_CHUNK, _row_texts, csv_chunks, format_cell, json_chunks, write_csv,
+                         write_json)
 
 SPECIAL = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
            1e-300, 1.7976931348623157e308, 0.1, -1.5, 1e16, 123456789.0]
@@ -167,10 +168,10 @@ def test_writers_write_the_rendered_text(tmp_path):
     assert (tmp_path / "p.csv").read_text() == "t,x\n0.5,1\n"
 
 
-# _repr_rows against float.__repr__, string for string: orjson's digits
-# inside 1e-4 <= |x| < 1e16, repr's own text outside and on every chunk.
-def assert_reprs(f):
-    assert list(_repr_rows(f)) == [list(map(float.__repr__, row)) for row in f.tolist()]
+# _row_texts against float.__repr__, string for string: orjson's digits
+# inside 1e-4 <= |x| < 1e16, spliced in outside and on every chunk.
+def assert_reprs(f, spell=float.__repr__):
+    assert list(_row_texts(f, spell)) == [",".join(map(spell, row)) for row in f.tolist()]
 
 
 def test_bulk_renderer_matches_repr_on_random_bit_patterns():
@@ -180,7 +181,8 @@ def test_bulk_renderer_matches_repr_on_random_bit_patterns():
 
 
 def test_bulk_renderer_matches_repr_at_the_layout_edges():
-    edges = np.array([1e-5, 1e-4, 1e16, 2.0**-14, 2.0**53, 0.1, 123456789.0, 1.5])
+    edges = np.array([1e-5, 1e-4, 1e16, 2.0**-14, 2.0**53, 0.1, 123456789.0, 1.5,
+                      1e-10, 1e-9, 2e-5, 9e-5])  # and where the splice relays differently
     steps = np.arange(-4, 5)
     up = np.array([[np.nextafter(x, math.inf) for x in edges]])
     down = np.array([[np.nextafter(x, 0.0) for x in edges]])
@@ -196,18 +198,53 @@ def test_bulk_renderer_matches_repr_at_the_layout_edges():
 
 def test_bulk_renderer_widens_narrow_and_odd_layouts(folder):
     f32 = np.array([[0.1, 1e-5, 3e38], [-2.5, 0.0, 1 / 3]], dtype=np.float32)
-    assert next(_repr_rows(f32))[0] == "0.10000000149011612"
+    assert next(_row_texts(f32)).split(",")[0] == "0.10000000149011612"
     assert_reprs(f32)
     big = np.arange(-6.0, 6.0).reshape(3, 4) / 7
     for f in (big[:, ::2], big.T, big[::-1], big.astype(">f8"), np.zeros((3, 0)),
               np.zeros((0, 4))):
         assert_reprs(f)
-    assert list(_repr_rows(np.zeros((3, 0)))) == [[], [], []]
+    assert list(_row_texts(np.zeros((3, 0)))) == ["", "", ""]
     wide = np.random.default_rng(1).standard_normal((2, 10_000)) * np.logspace(-8, 18, 10_000)
     assert_reprs(wide)  # one row wider than a chunk
     z = np.array([[0.1 + 0.2j, -1e-5 + 3e17j]], dtype=np.complex64)
     assert text(csv_chunks(["a"] * 4, [z])).startswith("a,a,a,a\n0.10000000149011612,")
     assert_renders_like_the_oracles(folder, z)
+
+
+# every entry outside 1e-4 <= |x| < 1e16 (and 0), one of each class: the
+# 0.0000ddd layout below 1e-4, one-, two- and three-digit exponents,
+# subnormals, |x| >= 1e16 and the non-finite spellings of both writers
+SPLICED = [1e-5, -1e-5, 1.5e-5, -9.999999999999999e-05, 2.5e-6, -1e-9, 3.3e-7, 9.99e-10, -1e-10,
+           1.2345e-50, -1e-99, 1e-100, -4.2e-300, 5e-324, -1e-320, 2.225073858507201e-308,
+           1e16, -1.5e17, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
+
+
+def test_bulk_renderer_splices_every_class():
+    f = np.array([SPLICED])
+    assert list(_row_texts(f)) == [
+        "1e-05,-1e-05,1.5e-05,-9.999999999999999e-05,2.5e-06,-1e-09,3.3e-07,9.99e-10,-1e-10,"
+        "1.2345e-50,-1e-99,1e-100,-4.2e-300,5e-324,-1e-320,2.225073858507201e-308,"
+        "1e+16,-1.5e+17,1.7976931348623157e+308,nan,inf,-inf"]
+    for spell in (float.__repr__, json.dumps):
+        assert_reprs(f, spell)
+        assert_reprs(f.T, spell)
+
+
+def test_bulk_renderer_splices_across_chunk_edges():
+    width = 7
+    step = _CHUNK // width  # rows per orjson call
+    f = np.random.default_rng(5).standard_normal((2 * step + 1, width))
+    f[step - 1] *= 1e-6  # the last row of the first chunk
+    f[step, ::2] = [math.nan, 3e-5, -1e-300, math.inf]  # the first row of the next
+    for spell in (float.__repr__, json.dumps):
+        assert_reprs(f, spell)
+    special = np.array(SPLICED * 2)
+    wide = np.random.default_rng(6).standard_normal((3, _CHUNK + 9))  # a chunk per row
+    wide.flat[np.random.default_rng(7).choice(wide.size, 3 * len(special), replace=False)] = \
+        np.tile(special, 3)  # nan and inf among tiny values, in shuffled places
+    for spell in (float.__repr__, json.dumps):
+        assert_reprs(wide, spell)
 
 
 # Hermitian blocks and their near misses (mirrors one ulp or one sign bit
@@ -300,7 +337,10 @@ _LARGE = {"hermitian 300x300": mirrored(_rng.standard_normal((300, 300))
                                         + 1j * _rng.standard_normal((300, 300))),
           "float 300x600": _rng.standard_normal((300, 600)),
           "complex 300x300": _rng.standard_normal((300, 300))
-                             + 1j * _rng.standard_normal((300, 300))}
+                             + 1j * _rng.standard_normal((300, 300)),
+          # 12% of the entries below 1e-4, as in a spin-8 Gram: spliced per chunk
+          "float 300x600, 12% tiny": _rng.standard_normal((300, 600))
+                                     * np.where(_rng.random((300, 600)) < 0.12, 1e-6, 1.0)}
 
 
 @pytest.mark.parametrize("kind", ["csv", "json"])
