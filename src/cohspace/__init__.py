@@ -7,7 +7,7 @@ implicitly defined spectra, and expectation dynamics over Lie *-algebras.
 
 Layout:
 
-- kernels     kernel catalog, distances, Gram/PSD checks, point maps
+- kernels     kernel catalog, Gram/PSD checks, point maps
 - causal      lattice sections and the normalization/causality conditions
 - qspace      finite quantum spaces from Gram factorizations
 - reps        spin monomial representation, exact propagation

@@ -125,7 +125,7 @@ class InvalidPointError(DomainError):
 
 
 class CoherenceViolationError(DomainError):
-    """Kernel failed a positivity requirement (Gram not PSD, bad distance radicand)."""
+    """Kernel failed a positivity requirement (Gram not PSD)."""
 
     code = "coherence-violation"
 
@@ -158,10 +158,6 @@ class StiffnessError(StepSizeError):
 
 class IntegratorFailure(DomainError):
     code = "integrator-failure"
-
-
-class TruncationError(DomainError):
-    code = "truncation"
 
 
 class ClosureError(DomainError):

@@ -10,20 +10,23 @@ sort_keys=True) + "\\n" of the .tolist() tree, byte for byte.
 
 Both writers stream: csv_chunks and json_chunks check the payload (block
 widths and row counts; the json.dumps skeleton, with a marker for each numeric
-block) before the temp file exists, then render one CSV row or one first-axis
-row of a JSON array block at a time into it.  At peak, memory holds one
-chunk's text (see below), never the payload's, and a render that fails midway
-leaves the target file as it was.
+block) before the temp file exists, then render a chunk of first-axis rows at
+a time into it.  At peak, memory holds one chunk's text (see below), never the
+payload's, and a render that fails midway leaves the target file as it was.
 
-Every float block goes through one bulk renderer, _row_texts, which writes
-each row's comma-joined text straight from orjson's text of a chunk of about
-4,096 values.  orjson's Ryu shortest round-trip digits (Adams 2018) are the
-digits repr takes from Gay's dtoa, laid out as repr lays them out for 0 and
-1e-4 <= |x| < 1e16.  Every other entry is found with one vectorized mask per
-chunk, set to nan in a copy so that orjson writes null there, and spliced in:
-below 1e-4 orjson's own digits relaid by string replacements, and repr's
-text (json.dumps's NaN, Infinity and -Infinity in JSON) for the rest.  The
-bytes are repr's in CSV and json.dumps's in JSON.
+Every float block goes through one bulk renderer, _chunk_texts: one orjson
+call per chunk of about 4,096 values.  orjson's Ryu shortest round-trip
+digits (Adams 2018) are the digits repr takes from Gay's dtoa, laid out as
+repr lays them out for 0 and 1e-4 <= |x| < 1e16.  Every other entry is found
+with one vectorized mask per chunk, set to nan in a copy so that orjson
+writes null there, and spliced in: below 1e-4 orjson's own digits relaid by
+string replacements, and repr's text (json.dumps's NaN, Infinity and
+-Infinity in JSON) for the rest.  A CSV row is the compact text of a chunk
+split at "],[".  A JSON block is laid out by orjson's OPT_INDENT_2, which is
+json.dumps(indent=2)'s layout: each chunk's text loses its outer brackets
+and is re-indented to the block's own line.  The skeleton around the blocks
+is still json.dumps's, so its strings, ints, keys and scalar floats keep the
+stdlib's spellings.
 
 Importable without numpy or orjson, so the CLI can pin thread pools before
 any numeric library loads; the array helpers import both lazily.
@@ -86,7 +89,7 @@ def _as_real(a):
     return np.stack([a.real, a.imag], axis=-1)
 
 
-# values per orjson call in _row_texts
+# values per orjson call in _chunk_texts
 _CHUNK = 4096
 
 # orjson's layouts below 1e-4 made repr's.  _spliced sorts the entries by
@@ -126,30 +129,32 @@ def _spliced(text: str, v, spell) -> str:
     return "".join(parts.tolist())
 
 
-def _row_texts(f, spell=float.__repr__):
-    """",".join(map(spell, row.tolist())) of each row of the 2-D float array
-    f, byte for byte, where spell is float.__repr__ or json.dumps, from one
-    orjson call per chunk of about _CHUNK values (at least one row).
+def _chunk_texts(f, option: int, spell):
+    """orjson's text, with option, of each chunk of about _CHUNK values (at
+    least one first-axis row) of the float array f, widened to float64.
     orjson's Ryu digits are repr's, and its layout is too for 0 and
     1e-4 <= |x| < 1e16; every other entry (tiny, huge, nan, inf) is written
-    as null by orjson and spliced in by _spliced."""
+    as null by orjson and spliced in by _spliced, in spell's spelling
+    (float.__repr__ or json.dumps)."""
     import numpy as np
     import orjson
 
-    n, width = f.shape
-    if not width:
-        yield from itertools.repeat("", n)
-        return
-    step = max(1, _CHUNK // width)
-    for start in range(0, n, step):
+    step = max(1, _CHUNK // max(1, math.prod(f.shape[1:])))
+    for start in range(0, len(f), step):
         chunk = np.ascontiguousarray(f[start:start + step], dtype=np.float64)
         size = np.abs(chunk)
         other = ~((size >= 1e-4) & (size < 1e16) | (chunk == 0))  # one mask per chunk
         spliced = other.any()
         dumped = np.where(other, np.nan, chunk) if spliced else chunk  # orjson: nan -> null
-        text = orjson.dumps(dumped, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-        if spliced:
-            text = _spliced(text, chunk[other], spell)
+        text = orjson.dumps(dumped, option=option | orjson.OPT_SERIALIZE_NUMPY).decode()
+        yield _spliced(text, chunk[other], spell) if spliced else text
+
+
+def _row_texts(f, spell=float.__repr__):
+    """",".join(map(spell, row.tolist())) of each row of the 2-D float array
+    f, byte for byte, where spell is float.__repr__ or json.dumps: the
+    compact text of each chunk, split into rows."""
+    for text in _chunk_texts(f, 0, spell):
         yield from text[2:-2].split("],[")
 
 
@@ -181,35 +186,19 @@ def write_csv(path: str, header, blocks) -> None:
     atomic_write_text(path, csv_chunks(header, blocks))
 
 
-def _layout(items, shape, nl: str) -> str:
-    """The texts items of an array of the given shape (complex as [re, im])
-    laid out as json.dumps(indent=2) lays out its .tolist(), with nl the line
-    break and indent of the array's own line."""
-    for depth in range(len(shape) - 1, -1, -1):  # innermost axis first
-        n = shape[depth]
-        if n == 0:
-            items = ["[]"] * math.prod(shape[:depth])
-            continue
-        inner = nl + "  " * (depth + 1)
-        open_, close = "[" + inner, nl + "  " * depth + "]"
-        groups = map(("," + inner).join, zip(*[iter(items)] * n))  # runs of n items
-        items = [open_ + group + close for group in groups]
-    return items[0]
-
-
 def _array_chunks(a, nl: str):
-    """_layout of an ndarray, one first-axis row at a time."""
-    shape = (*a.shape, 2) if a.dtype.kind == "c" else a.shape  # complex as [re, im]
+    """An ndarray laid out as json.dumps(indent=2) lays out its .tolist()
+    (complex as [re, im]), nl being the line break and indent of the
+    array's own line; a float block one _chunk_texts chunk at a time."""
+    import orjson
+
     f = _as_real(a)
-    f = f.reshape(len(f), math.prod(f.shape[1:]))
-    if f.dtype.kind == "f":
-        rows = (text.split(",") for text in _row_texts(f, json.dumps))
-    else:
-        rows = (list(map(json.dumps, row.tolist())) for row in f)
-    inner = nl + "  "
+    if f.dtype.kind != "f":
+        yield json.dumps(f.tolist(), indent=2).replace("\n", nl)
+        return
     sep = "["
-    for row in rows:
-        yield sep + inner + _layout(row, shape[1:], inner)
+    for text in _chunk_texts(f, orjson.OPT_INDENT_2, json.dumps):
+        yield sep + text[1:-2].replace("\n", nl)  # the rows, without "[" and "\n]"
         sep = ","
     yield "[]" if sep == "[" else nl + "]"
 

@@ -49,7 +49,6 @@ import numpy as np
 
 from .errors import (
     REQUIRED,
-    CoherenceViolationError,
     ConfigError,
     InvalidPointError,
     NumericalError,
@@ -58,7 +57,6 @@ from .errors import (
 
 POINT_TOL = 1e-12          # constraint residual accepted as "on the manifold"
 PSD_TOL = 1e-8             # relative PSD tolerance: eig >= -tol * max(1, ||G||)
-DISTANCE_SLACK = 1e-6      # relative slack before a negative radicand is fatal
 
 
 class Point:
@@ -75,9 +73,6 @@ class Point:
             return f"Point({self.coords.tolist()})"
         return f"Point({self.coords.tolist()}, multiplier={self.multiplier})"
 
-def _conj_coords(z: Point) -> Point:
-    return Point(np.conj(z.coords), None if z.multiplier is None else np.conj(z.multiplier))
-
 
 @dataclass
 class KernelSpace:
@@ -90,7 +85,6 @@ class KernelSpace:
     kind: str
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray]
     sampler: Callable[[np.random.Generator, int], tuple]
-    conjugate_fn: Callable[[Point], Point] = _conj_coords
     projective_degree: Optional[int] = None
     hermitian: bool = True
     constraint: Optional[Callable[[np.ndarray], np.ndarray]] = None  # residual per row
@@ -98,12 +92,7 @@ class KernelSpace:
     domain: Optional[Callable[[np.ndarray], np.ndarray]] = None  # True per row inside
     domain_name: str = ""
     rowwise_diagonal: bool = False  # kernel takes (n, d) x (m, d) only
-    scalar_mult: Optional[Callable[[complex, Point], Point]] = None
     descriptor: dict = field(default_factory=dict)
-
-    def conjugate(self, z: Point) -> Point:
-        validate_point(self, z)
-        return self.conjugate_fn(z)
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:
@@ -481,7 +470,6 @@ def discrete_space(table: np.ndarray) -> KernelSpace:
         kind="discrete",
         kernel=lambda a, b: tab[_idx(a[..., :, 0])[..., :, None], _idx(b[..., None, :, 0])],
         sampler=lambda rng, count: (rng.integers(0, m, size=count).astype(complex)[:, None], None),
-        conjugate_fn=lambda z: z,
         hermitian=herm,
         descriptor={"kind": "discrete", "table": [[[v.real, v.imag] for v in row] for row in tab]},
     )
@@ -537,7 +525,6 @@ def heisenberg_space(modes: int = 1, hbar: float = 1.0) -> KernelSpace:
         sampler=_per_label(draw, modes, line=True),
         hermitian=False,
         projective_degree=1,
-        scalar_mult=lambda a, z: Point(z.coords, a * z.multiplier),
         descriptor={"kind": "heisenberg", "modes": modes, "hbar": hbar},
     )
 
@@ -576,23 +563,6 @@ def space_from_descriptor(desc) -> KernelSpace:
 # ---------------------------------------------------------------------------
 # pointwise operations
 # ---------------------------------------------------------------------------
-
-
-def distance(space: KernelSpace, z: Point, z2: Point) -> float:
-    """Kernel-induced distance sqrt(K(z,z) + K(z',z') - 2 Re K(z,z'))."""
-    if not space.hermitian:
-        raise InvalidPointError(f"{space.kind}: distance needs a Hermitian kernel")
-    kzz = eval_kernel(space, z, z).real
-    kww = eval_kernel(space, z2, z2).real
-    kzw = eval_kernel(space, z, z2)
-    rad = kzz + kww - 2.0 * kzw.real
-    scale = max(1.0, abs(kzz), abs(kww))
-    if rad < -DISTANCE_SLACK * scale:
-        raise CoherenceViolationError(
-            f"{space.kind}: squared distance {rad:.3e} is negative beyond tolerance; "
-            "kernel is not coherent on these labels"
-        )
-    return math.sqrt(max(rad, 0.0))
 
 
 def gram_matrix(space: KernelSpace, points: Sequence[Point]) -> np.ndarray:

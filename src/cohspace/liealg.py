@@ -237,13 +237,12 @@ def uncertain_value(state: State, x: np.ndarray) -> complex:
     return complex(state.form[state.algebra.unit_index] @ x)
 
 
-def uncertainty(state: State, x: np.ndarray, meta: Optional[dict] = None) -> float:
+def uncertainty(state: State, x: np.ndarray) -> float:
     """sqrt(<x, x> - |<1, x>|^2), clamped at zero.
 
-    Tiny negative variances (roundoff against a barely-PSD form) are clamped;
-    when a meta dict is supplied the raw variance and whether clamping fired
-    are recorded there.  A variance below VARIANCE_FLOOR is a genuine
-    positivity violation and raises.
+    Tiny negative variances (roundoff against a barely-PSD form) are clamped.
+    A variance below VARIANCE_FLOOR is a genuine positivity violation and
+    raises.
     """
     x = np.asarray(x, dtype=complex)
     if x.shape != (state.algebra.dim,):
@@ -255,9 +254,6 @@ def uncertainty(state: State, x: np.ndarray, meta: Optional[dict] = None) -> flo
         raise StatePositivityError(
             f"variance {raw:.3e} is negative beyond tolerance {VARIANCE_FLOOR:.0e}"
         )
-    if meta is not None:
-        meta["raw_variance"] = raw
-        meta["clamped"] = raw < 0.0
     return math.sqrt(max(0.0, raw))
 
 

@@ -11,7 +11,8 @@ such as `lambda e: 1.0` is a valid m.  The scan evaluates m and k once on
 the whole grid and each branch once, and reads sign changes off the value
 arrays; the bracket polish and the band-edge refinement call the same
 functions with a single float E.  Roots are bracketed on a uniform scan grid
-and polished by a guarded bisection/secant iteration down to |lambda| <= tol.
+and polished by a guarded bisection/secant iteration down to |lambda| <= tol;
+a polish that has not got there after 200 steps raises NumericalError.
 
 assemble_from_algebra is the independent matrix route: it builds
 I(E) = sum_a c_a(E) rep(X_a) explicitly and locates the E where the smallest
@@ -32,7 +33,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ModelDegeneracyError, TruncationError
+from .errors import ConfigError, ModelDegeneracyError, NumericalError
 
 DEFAULT_GRID = 10_000
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -113,8 +114,9 @@ def free_particle_model(mass: float = 1.0, c: float = 1.0, p_max: float = 10.0) 
 
 
 def _polish_bracket(f: Callable[[float], float], a: float, b: float, fa: float,
-                    fb: float, tol: float) -> tuple[float, float]:
-    """Bisection with secant acceleration inside a sign-change bracket."""
+                    fb: float, tol: float, n: int) -> tuple[float, float]:
+    """Bisection with secant acceleration inside a sign-change bracket of
+    branch n; NumericalError when 200 steps leave |lambda| above tol."""
     x, fx = (a, fa) if abs(fa) < abs(fb) else (b, fb)
     for _ in range(200):
         if abs(fx) <= tol:
@@ -136,7 +138,10 @@ def _polish_bracket(f: Callable[[float], float], a: float, b: float, fa: float,
         x, fx = (a, fa) if abs(fa) < abs(fb) else (b, fb)
         if abs(b - a) <= 1e-15 * max(1.0, abs(a), abs(b)):
             return x, fx
-    return x, fx
+    if abs(fx) <= tol:
+        return x, fx
+    raise NumericalError(f"branch n={n}: 200 polish steps left |lambda| = {abs(fx):.3e} above "
+                         f"tol = {tol:.3g} in the bracket [{min(a, b):.6g}, {max(a, b):.6g}]")
 
 
 def _dedupe(roots: list[tuple[int, float, float]]) -> list[tuple[int, float, float]]:
@@ -202,7 +207,7 @@ def solve_implicit_spectrum(model: ImplicitSpectralModel, interval: tuple[float,
                 roots.append((n, float(es[i]), abs(vals[i])))
             for i in np.flatnonzero(signs[:-1] * signs[1:] < 0):
                 root, fr = _polish_bracket(lam, float(es[i]), float(es[i + 1]),
-                                           float(vals[i]), float(vals[i + 1]), tol)
+                                           float(vals[i]), float(vals[i + 1]), tol, n)
                 roots.append((n, root, abs(fr)))
             # tangency sweep: small interior minima with no sign change
             interior = np.abs(vals[1:-1])
@@ -248,7 +253,7 @@ def _refine_edge(model: ImplicitSpectralModel, e_out: float, e_in: float) -> flo
 def assemble_from_algebra(algebra, rep: Sequence[np.ndarray],
                           i_coeffs: Callable[[float], Sequence[complex]],
                           interval: tuple[float, float], tol: float = 1e-8,
-                          grid: int = 4001, tail_bound: Optional[float] = None) -> SpectrumResult:
+                          grid: int = 4001) -> SpectrumResult:
     """Spectrum as dips of the smallest singular value of I(E) = sum c_a(E) rep(X_a).
 
     Local minima of sigma_min along a uniform scan are polished by
@@ -296,11 +301,6 @@ def assemble_from_algebra(algebra, rep: Sequence[np.ndarray],
         e_best = 0.5 * (a + b)
         s_best, s_top = sigma(e_best)
         if s_best <= tol * s_top:
-            if tail_bound is not None and tail_bound > tol * s_top:
-                raise TruncationError(
-                    f"declared truncation tail bound {tail_bound:.3e} exceeds the "
-                    f"acceptance threshold {tol * s_top:.3e} at E = {e_best:.6g}"
-                )
             found.append((len(found), e_best, s_best / s_top))
     deduped = [(i, e, res) for i, (_, e, res) in enumerate(_dedupe(found))]
     return SpectrumResult(deduped, [], (e_lo, e_hi), warnings)

@@ -627,6 +627,18 @@ def test_exit_1_numerical_error_on_a_kicked_top_angle_without_correct_digits(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_exit_1_numerical_error_when_a_root_polish_stalls(tmp_path, monkeypatch, capsys):
+    """A 1e304-wide bracket cannot be bisected to tol in 200 steps: its end
+    E = 0 (residual 0.5) used to be written as a root with exit 0."""
+    code, out, err = run_cli(["spec-solve", "--model", "oscillator", "--interval", "[0,1e308]"],
+                             tmp_path, monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "numerical-error", "message": (
+        "branch n=0: 200 polish steps left |lambda| = 5.000e-01 above tol = 1e-10 in the "
+        "bracket [0, 6.22364e+243]")}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_kicked_top_angle_just_below_2_to_the_52_still_runs(tmp_path, monkeypatch, capsys):
     code, _, _ = run_cli(_KICKED + ["--kick", "4503599627370495"], tmp_path, monkeypatch, capsys)
     assert code == 0

@@ -94,6 +94,8 @@ def assert_csv_routes(folder, header, blocks, expected):
 @example({"z": np.array([[1 - 0.0j, complex(math.nan, -math.inf)]]), "s": np.complex128(2j)})
 @example({"n": np.arange(3), "b": np.array([True, False]), "x": np.float64(-0.0)})
 @example({"b": {"\"q\\": [], "B": {}, "a": [np.zeros((1, 1)), None]}, "A": ()})
+@example({"a": {"b": np.zeros((0, 3))}})
+@example({"a": [np.zeros((3, 0), complex)]})
 def test_json_text_matches_json_dumps(folder, tree):
     assert_json_routes(folder, tree, json_oracle(tree))
 
@@ -210,6 +212,8 @@ def test_bulk_renderer_widens_narrow_and_odd_layouts(folder):
     z = np.array([[0.1 + 0.2j, -1e-5 + 3e17j]], dtype=np.complex64)
     assert text(csv_chunks(["a"] * 4, [z])).startswith("a,a,a,a\n0.10000000149011612,")
     assert_renders_like_the_oracles(folder, z)
+    cube = (np.random.default_rng(2).standard_normal((110, 4, 5)) + 1j) * np.logspace(-7, 17, 5)
+    assert_json_routes(folder, {"c": [cube]}, json_oracle({"c": [cube]}))  # two chunks
 
 
 # every entry outside 1e-4 <= |x| < 1e16 (and 0), one of each class: the
@@ -231,7 +235,7 @@ def test_bulk_renderer_splices_every_class():
         assert_reprs(f.T, spell)
 
 
-def test_bulk_renderer_splices_across_chunk_edges():
+def test_bulk_renderer_splices_across_chunk_edges(folder):
     width = 7
     step = _CHUNK // width  # rows per orjson call
     f = np.random.default_rng(5).standard_normal((2 * step + 1, width))
@@ -245,6 +249,9 @@ def test_bulk_renderer_splices_across_chunk_edges():
         np.tile(special, 3)  # nan and inf among tiny values, in shuffled places
     for spell in (float.__repr__, json.dumps):
         assert_reprs(wide, spell)
+    line = np.random.default_rng(8).standard_normal(2 * _CHUNK + 3) * 1e-5  # 1-D, three chunks
+    tree = {"f": f, "wide": {"w": wide}, "line": line}
+    assert_json_routes(folder, tree, json_oracle(tree))
 
 
 # Hermitian blocks and their near misses (mirrors one ulp or one sign bit

@@ -147,9 +147,7 @@ def test_maximally_mixed_and_pure_uncertainty():
     alg, _, mixed = qubit_state([0.0, 0.0, 0.0])
     assert uncertainty(mixed, alg.basis_vector(3)) == pytest.approx(1.0, abs=1e-13)
     _, _, pure = qubit_state([0.0, 0.0, 1.0])
-    meta = {}
-    assert uncertainty(pure, alg.basis_vector(3), meta) <= 1e-7
-    assert "raw_variance" in meta and "clamped" in meta
+    assert uncertainty(pure, alg.basis_vector(3)) <= 1e-7
 
 
 def test_uncertainty_clamp_and_positivity_failure():
@@ -157,9 +155,7 @@ def test_uncertainty_clamp_and_positivity_failure():
     # barely-indefinite form: passes state validation, variance along e1 is -3e-11
     s = np.array([[1.0, 0.5], [0.5, 0.25 - 3e-11]])
     st = AlgebraState(alg, s)
-    meta = {}
-    assert uncertainty(st, alg.basis_vector(1), meta) == 0.0
-    assert meta["clamped"] and meta["raw_variance"] == pytest.approx(-3e-11, rel=1e-3)
+    assert uncertainty(st, alg.basis_vector(1)) == 0.0
     with pytest.raises(StatePositivityError, match="variance"):
         uncertainty(st, 40.0 * alg.basis_vector(1))
     with pytest.raises(StatePositivityError):

@@ -15,7 +15,7 @@ import pytest
 
 from oracles import fock_ops, hydrogen_fd_levels
 
-from cohspace.errors import ConfigError, ModelDegeneracyError, TruncationError
+from cohspace.errors import ConfigError, ModelDegeneracyError
 from cohspace.spectra import (
     DEFAULT_GRID,
     ImplicitSpectralModel,
@@ -141,12 +141,6 @@ def test_assemble_oscillator_lower_half_and_route_agreement():
     assert np.max(np.abs(roots_sv - roots_lam) / np.abs(roots_lam)) <= 1e-8
 
 
-def test_assemble_truncation_guard():
-    with pytest.raises(TruncationError):
-        assemble_from_algebra(None, [np.eye(3), np.diag([1.0, 2.0, 3.0])],
-                              lambda e: [e, -1.0], (0.0, 4.0), tol=1e-8, tail_bound=1.0)
-
-
 def test_bad_model_configs():
     with pytest.raises(ConfigError):
         ImplicitSpectralModel(m=lambda e: 1.0, k=lambda e: e)
@@ -184,7 +178,7 @@ def pointwise_scan(model, interval, tol=1e-10, grid=DEFAULT_GRID):
                     roots.append((n, float(es[i]), abs(vals[i])))
                 elif signs[i] * signs[i + 1] < 0:
                     root, fr = _polish_bracket(lam, float(es[i]), float(es[i + 1]),
-                                               float(vals[i]), float(vals[i + 1]), tol)
+                                               float(vals[i]), float(vals[i + 1]), tol, n)
                     roots.append((n, root, abs(fr)))
             if signs[-1] == 0.0:
                 roots.append((n, float(es[-1]), abs(vals[-1])))
