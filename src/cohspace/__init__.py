@@ -13,7 +13,7 @@ Layout:
 - reps        spin monomial representation, exact propagation
 - quantize    map/generator quantization on a quantum space
 - integrate   embedded Dormand-Prince 8(5,3) pair with deterministic stats
-- dynamics    linear coherent flows, exact and integrated
+- dynamics    linear coherent flows, exact
 - tdvp        variational (Dirac-Frenkel) flows in holomorphic charts
 - chaos       kicked semiquantal systems and Lyapunov estimates
 - spectra     implicit spectral models lambda_n(E) = m(E) xi_n(E) - k(E)

@@ -22,11 +22,10 @@ tangent vector dw; for continuous flows it is evolved with the linearized flow
     A = dF/dw,  B = dF/dwbar,  F = grad_wbar h / (i hbar g),
 
 which `tdvp.chart_rhs` builds from the second Wirtinger derivatives of the
-energy bound to each chart (`energy.on(chart)`; CallableExpectation takes
-them by central differences), and a chart switch carries the tangent through
-the chart's `transition`.  Both drivers share one renormalization loop;
-tangent length is measured with the chart metric, which makes it continuous
-across chart switches.
+energy bound to each chart (`energy.on(chart)`), and a chart switch carries
+the tangent through the chart's `transition`.  Both drivers share one
+renormalization loop; tangent length is measured with the chart metric,
+which makes it continuous across chart switches.
 
 The continuous driver carries the integrator's step across renormalizations:
 each segment's first solve starts from the last solve's `h_next` instead of a
@@ -46,7 +45,7 @@ import numpy as np
 from .errors import ConfigError, InvalidPointError, NumericalError
 from .integrate import IntegratorStats, total_stats
 from .kernels import KernelSpace, Point, spin_space
-from .tdvp import CHART_SWITCH_RADIUS, ExpectationFunction, chart_for, charted_solve
+from .tdvp import CHART_SWITCH_RADIUS, MatrixExpectation, chart_for, charted_solve
 
 
 def spinor_from_bloch(s) -> Point:
@@ -176,12 +175,15 @@ def lyapunov_kicked(top: KickedTop, z0: Point, n_periods: int = 2000,
                      np.random.default_rng(seed))
 
 
-def lyapunov_continuous(space: KernelSpace, energy: ExpectationFunction, z0: Point,
+def lyapunov_continuous(space: KernelSpace, energy: MatrixExpectation, z0: Point,
                         t_total: float = 200.0, resample: float = 1.0,
                         rtol: float = 1e-10, atol: float = 1e-12, hbar: float = 1.0,
                         seed: int = 7) -> LyapunovResult:
     """Benettin estimate for an autonomous variational flow (per unit time)."""
     ratio = t_total / resample if resample > 0 else 0.0
+    if not math.isfinite(ratio):
+        raise ConfigError(f"'t_total' ({t_total}) over 'resample' ({resample}) is not a finite "
+                          "number of segments")
     n_seg = round(ratio)
     if abs(ratio - n_seg) > 1e-9 * abs(ratio):
         raise ConfigError(f"'t_total' ({t_total}) must be a whole multiple of 'resample' ({resample})")

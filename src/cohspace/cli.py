@@ -372,10 +372,14 @@ def _h_qspace_build(cfg):
     return payload, summary, []
 
 
-def _linear_map(matrix, renormalize=False):
+def _linear_map(space, matrix, renormalize=False):
     from .kernels import linear_point_map
 
-    return linear_point_map(_matrix_of(matrix, "map.matrix"), renormalize)
+    m = _matrix_of(matrix, "map.matrix")
+    d = space.label_dim
+    if m.shape != (d, d):
+        raise ConfigError(f"'map.matrix' is {m.shape}, expected ({d}, {d}) for the space's labels")
+    return linear_point_map(m, renormalize)
 
 
 _MAPS = {"linear": (_linear_map, (("matrix", "json", REQUIRED), ("renormalize", "bool", None)))}
@@ -388,7 +392,7 @@ def _h_quantize(cfg):
     space = _space_of(cfg)
     pts = _points_of(cfg, space)
     qb = build_quantum_space(space, pts)
-    op = quantize_map(qb, from_descriptor(cfg["map"], _MAPS, "map"), **_given(cfg, "tol"))
+    op = quantize_map(qb, from_descriptor(cfg["map"], _MAPS, "map", space), **_given(cfg, "tol"))
     summary = {"residual": float(op.residual), "rank": int(qb.rank)}
     names = (f"g{j}" for j in range(op.matrix.shape[0]))
     payload = _columns([(_pair_columns(names), "matrix", op.matrix)],

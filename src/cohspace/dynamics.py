@@ -4,35 +4,28 @@ For a linear label flow  i hbar dz/dt = A z  the coherent trajectory
 t -> |z(t)> solves the representation-space Schroedinger equation exactly,
 with Hamiltonian the derivation action of A (no ordering corrections).
 ``coherent_flow`` propagates a time-independent label flow exactly,
-z(t) = exp(-i A (t - t0) / hbar) z0 by ``reps.propagate_eig``, and integrates
-a time-dependent one with the Dormand-Prince 8(5,3) pair of ``integrate``.
+z(t) = exp(-i A (t - t0) / hbar) z0 by ``reps.propagate_eig``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError, check_sample_times
-from .integrate import IntegratorStats, solve_rk45
+from .integrate import IntegratorStats
 from .kernels import KernelSpace, Point, kernel_diagonal, row_norms
 from .reps import propagate_eig
 
 
 @dataclass
 class LinearHamiltonianFlow:
-    """i hbar dz/dt = generator(t) z on label coordinates; generator is a
-    matrix (time-independent) or a callable t -> matrix (time-dependent)."""
+    """i hbar dz/dt = generator z on label coordinates, generator a matrix."""
 
-    generator: Union[np.ndarray, Callable[[float], np.ndarray]]
+    generator: np.ndarray
     hbar: float = 1.0
-
-    def matrix_at(self, t: float) -> np.ndarray:
-        if callable(self.generator):
-            return np.asarray(self.generator(t), dtype=complex)
-        return np.asarray(self.generator, dtype=complex)
 
 
 @dataclass
@@ -71,38 +64,25 @@ def coherent_flow(
     z0: Point,
     t_span: tuple[float, float],
     t_eval: Optional[Sequence[float]] = None,
-    rtol: float = 1e-9,
-    atol: float = 1e-12,
 ) -> Trajectory:
-    """Sample the coherent trajectory at t_eval: exactly for a time-independent
-    generator (``stats`` is None), else by solve_rk45 at rtol/atol.  A
-    propagated state that is not finite (the phases overflow) raises
+    """Sample the coherent trajectory at t_eval exactly (``stats`` is None).
+    A propagated state that is not finite (the phases overflow) raises
     NumericalError naming the first such sample time."""
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t_eval is None:
         t_eval = np.linspace(t0, t1, 101)
-    if callable(flow.generator):
-        def rhs(t, y):
-            return flow.generator(t) @ y / (1j * flow.hbar)
-
-        sol = solve_rk45(rhs, t0, t1, z0.coords, rtol=rtol, atol=atol, t_eval=t_eval)
-        times, states, stats = sol.times, sol.states, sol.stats
-    else:
-        a = flow.matrix_at(t0)
-        if a.shape != (space.label_dim, space.label_dim):
-            raise ConfigError(
-                f"generator is {a.shape}, expected ({space.label_dim}, {space.label_dim})"
-            )
-        times = np.array(check_sample_times(t0, t1, t_eval))
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            states = propagate_eig(a, z0.coords, times - t0, hbar=flow.hbar)
-        stats = None
+    a = np.asarray(flow.generator, dtype=complex)
+    if a.shape != (space.label_dim, space.label_dim):
+        raise ConfigError(f"generator is {a.shape}, expected ({space.label_dim}, {space.label_dim})")
+    times = np.array(check_sample_times(t0, t1, t_eval))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        states = propagate_eig(a, z0.coords, times - t0, hbar=flow.hbar)
     bad = ~np.isfinite(states).all(axis=1)
     if bad.any():
         raise NumericalError(f"coherent flow: the propagated label is not finite at "
                              f"t = {times[bad.argmax()]:.6g}")
     coords = _project_constraint(space, states)
     mults = None if z0.multiplier is None else np.full(len(coords), z0.multiplier, dtype=complex)
-    return Trajectory(space=space, times=times, coords=coords, stats=stats, multipliers=mults,
+    return Trajectory(space=space, times=times, coords=coords, stats=None, multipliers=mults,
                       norms=kernel_diagonal(space, coords, mults).real)
 

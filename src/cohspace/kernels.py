@@ -28,10 +28,10 @@ antiholomorphic in the first slot, such that every finite Gram matrix
 Each factory states once, over stacked label coordinates, its kernel
 (..., n, d) x (..., m, d) -> (..., n, m), its point constraint and domain
 (n, d) -> (n,), and a sampler of `count` labels; ``_CATALOG`` maps each kind
-to (factory, fields).  ``check_stack`` checks a stack in one pass
-(``validate_point`` is one row), ``cross_gram`` applies the kernel to two
-point lists (line-bundle multipliers included), ``gram_matrix`` mirrors its
-upper triangle for Hermitian kernels, and ``eval_kernel`` is its 1 x 1 case.
+to (factory, fields).  ``check_stack`` checks a stack in one pass,
+``cross_gram`` applies the kernel to two point lists (line-bundle
+multipliers included), ``gram_matrix`` mirrors its upper triangle for
+Hermitian kernels, and ``eval_kernel`` is its 1 x 1 case.
 ``cross_gram`` and ``kernel_diagonal`` evaluate with numpy's overflow
 warnings off and then check every value once: a non-finite kernel value
 raises NumericalError naming the kind and its first entry (i, j).
@@ -103,7 +103,7 @@ def row_norms(a: np.ndarray) -> np.ndarray:
 def check_stack(space: KernelSpace, coords: np.ndarray, multipliers=None) -> None:
     """Check labels (n, d) with multipliers (n,) or None in one pass: each
     row's finiteness, multiplier, constraint and domain, in that order.  The
-    first bad row raises the InvalidPointError validate_point gives it."""
+    first bad row raises the InvalidPointError that row alone gives."""
     if coords.ndim != 2 or coords.shape[1] != space.label_dim:
         raise InvalidPointError(f"{space.kind}: label has {coords.shape[-1]} coordinates, "
                                 f"expected {space.label_dim}")
@@ -141,10 +141,6 @@ def _stacked(space: KernelSpace, points: list) -> tuple:
             raise InvalidPointError(f"expected a Point, got {type(points[cut]).__name__}")
         check_stack(space, points[cut].coords[None, :])  # raises
     return coords, mults
-
-
-def validate_point(space: KernelSpace, z: Point) -> None:
-    _stacked(space, [z])
 
 
 def cross_gram(space: KernelSpace, left: Sequence[Point], right: Sequence[Point]) -> np.ndarray:

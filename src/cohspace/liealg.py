@@ -361,14 +361,8 @@ def evolve_expectations(
 # lattice state fields: covariant expectation derivative
 
 
-def _field_state(state_field, site: tuple) -> State:
-    if callable(state_field):
-        try:
-            s = state_field(site)
-        except (KeyError, IndexError):
-            s = None
-    else:
-        s = state_field.get(site)
+def _field_state(state_field: Mapping, site: tuple) -> State:
+    s = state_field.get(site)
     if s is None:
         raise PreconditionError(f"state field has no entry at site {site}")
     return s
@@ -376,21 +370,18 @@ def _field_state(state_field, site: tuple) -> State:
 
 def covariant_ehrenfest_residual(
     algebra: LieStarAlgebra,
-    rep: Optional[Sequence[np.ndarray]],
     momenta: Sequence[np.ndarray],
-    state_field: Union[Mapping, Callable],
+    state_field: Mapping,
     x: np.ndarray,
     site: Sequence[int],
     dx: float,
 ) -> np.ndarray:
     """|central difference of <x> minus <p_nu |> x>| per lattice direction.
 
-    The field of states is sampled on an integer lattice of spacing dx; a
-    site whose +/- neighbour along some direction is missing is a
-    precondition failure.  For a field generated by translating a state
-    with the momenta the residual is O(dx^2).  rep is accepted so call
-    sites can pass the same tuple they hand to evolve_expectations; the
-    residual itself is representation-free.
+    The field of states, a mapping from integer sites to states, is sampled
+    on a lattice of spacing dx; a site whose +/- neighbour along some
+    direction is missing is a precondition failure.  For a field generated by
+    translating a state with the momenta the residual is O(dx^2).
     """
     if dx <= 0:
         raise ConfigError("dx must be positive")

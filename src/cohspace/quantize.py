@@ -1,15 +1,15 @@
 """Quantization of coherent maps and their generators on a quantum space.
 
-A coherent map A acts on labels with an adjoint A* satisfying
-K(z, A z') = K(A* z, z').  Its quantization on span{|y_i>} is the linear
-operator with Gamma(A)|y_i> = |A y_i>.  Numerically: expand each image
-coherent vector in the retained eigenbasis by solving B* u = c with
-c_j = K(y_j, A y_i) (closed-form pseudo-inverse from the stored
-eigendecomposition), record how much of the image escapes the span, and
-assemble Gamma = U B^+.
+A coherent map A is a callable on label points, Point -> Point.  Its
+quantization on span{|y_i>} is the linear operator with Gamma(A)|y_i> =
+|A y_i>.  Numerically: expand each image coherent vector in the retained
+eigenbasis by solving B* u = c with c_j = K(y_j, A y_i) (closed-form
+pseudo-inverse from the stored eigendecomposition), record how much of the
+image escapes the span, and assemble Gamma = U B^+.
 
-Generators are recovered from one-parameter flows by an antisymmetric
-difference quotient with Richardson extrapolation:
+Generators are recovered from one-parameter flows s -> flow(s), a map with
+flow(0) = id, by an antisymmetric difference quotient with Richardson
+extrapolation:
 
     dGamma(X) ~ (Gamma(flow(s)) - Gamma(flow(-s))) / (2 i s).
 """
@@ -17,7 +17,7 @@ difference quotient with Richardson extrapolation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -27,33 +27,20 @@ from .qspace import QuantumBasis, richardson
 
 
 @dataclass
-class CoherentMapSpec:
-    forward: Callable[[Point], Point]
-    adjoint: Optional[Callable[[Point], Point]] = None
-
-
-@dataclass
 class QuantizedOperator:
     matrix: np.ndarray
     residual: float
 
 
-@dataclass
-class GeneratorSpec:
-    """One-parameter label flow s -> flow(s): Point -> Point with flow(0) = id."""
-
-    flow: Callable[[float], Callable[[Point], Point]]
-
-
-def quantize_map(qb: QuantumBasis, a, tol: float = 1e-6) -> QuantizedOperator:
+def quantize_map(qb: QuantumBasis, a: Callable[[Point], Point],
+                 tol: float = 1e-6) -> QuantizedOperator:
     """Gamma(A) on the retained span; raises SpanEscapeError if any image
     coherent vector leaves the span by more than `tol` (relative amplitude;
     note the sqrt in the residual puts the roundoff floor near sqrt(eps),
     so tolerances below ~1e-7 only make sense for exactly-representable maps)."""
-    forward = a.forward if isinstance(a, CoherentMapSpec) else a
     space, pts = qb.space, qb.points
-    n, r = qb.size, qb.rank
-    images = [forward(p) for p in pts]
+    n = qb.size
+    images = [a(p) for p in pts]
     c = cross_gram(space, pts, images)     # c[j, i] = K(y_j, A y_i); validates the images
     kimg = cross_gram(space, images, images).diagonal().real
     # solve B* u = c via the eigendecomposition pseudo-inverse
@@ -73,24 +60,20 @@ def quantize_map(qb: QuantumBasis, a, tol: float = 1e-6) -> QuantizedOperator:
     return QuantizedOperator(matrix=gamma, residual=worst)
 
 
-def check_homomorphism(qb: QuantumBasis, a: CoherentMapSpec, b: CoherentMapSpec,
-                       tol: float = 1e-8) -> float:
+def check_homomorphism(qb: QuantumBasis, a: Callable[[Point], Point],
+                       b: Callable[[Point], Point], tol: float = 1e-8) -> float:
     """Relative defect ||Gamma(A o B) - Gamma(A) Gamma(B)|| / (1 + ||Gamma(A o B)||)."""
-    comp = CoherentMapSpec(
-        forward=lambda z: a.forward(b.forward(z)),
-        adjoint=(None if (a.adjoint is None or b.adjoint is None)
-                 else (lambda z: b.adjoint(a.adjoint(z)))),
-    )
-    g_ab = quantize_map(qb, comp, tol=max(tol, 1e-6)).matrix
+    g_ab = quantize_map(qb, lambda z: a(b(z)), tol=max(tol, 1e-6)).matrix
     g_a = quantize_map(qb, a, tol=max(tol, 1e-6)).matrix
     g_b = quantize_map(qb, b, tol=max(tol, 1e-6)).matrix
     num = np.linalg.norm(g_ab - g_a @ g_b, 2)
     return float(num / (1.0 + np.linalg.norm(g_ab, 2)))
 
 
-def generator_matrix(qb: QuantumBasis, gen: GeneratorSpec, s: float = 1e-4,
-                     tol: float = 1e-8) -> QuantizedOperator:
-    """dGamma(X) by the Richardson-extrapolated antisymmetric quotient.
+def generator_matrix(qb: QuantumBasis, flow: Callable[[float], Callable[[Point], Point]],
+                     s: float = 1e-4, tol: float = 1e-8) -> QuantizedOperator:
+    """dGamma(X) of the one-parameter flow s -> flow(s) by the
+    Richardson-extrapolated antisymmetric quotient.
 
     Raises StepSizeError when the two step estimates disagree by more than
     100 * tol, which signals a badly chosen s (too large: curvature; too
@@ -100,8 +83,8 @@ def generator_matrix(qb: QuantumBasis, gen: GeneratorSpec, s: float = 1e-4,
         raise ConfigError("generator step must be positive")
 
     def quotient(step: float) -> tuple[np.ndarray, float]:
-        qp = quantize_map(qb, CoherentMapSpec(gen.flow(step)), tol=1.0)
-        qm = quantize_map(qb, CoherentMapSpec(gen.flow(-step)), tol=1.0)
+        qp = quantize_map(qb, flow(step), tol=1.0)
+        qm = quantize_map(qb, flow(-step), tol=1.0)
         return (qp.matrix - qm.matrix) / (2j * step), max(qp.residual, qm.residual)
 
     d1, r1 = quotient(s)

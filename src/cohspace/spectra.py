@@ -87,14 +87,21 @@ def coulomb_model(mass: float = 1.0, alpha: float = 1.0, hbar: float = 1.0,
 
     The tilted compact generator has the integer spectrum xi_n = n (n >= 1),
     weighted by m(E) = sqrt(-2 mass E)/hbar against k = mass alpha/hbar^2,
-    which closes to E_n = -mass alpha^2 / (2 hbar^2 n^2).
+    which closes to E_n = -mass alpha^2 / (2 hbar^2 n^2).  Raises
+    NumericalError when hbar^2 underflows to 0 or overflows.
     """
+    try:
+        k = mass * alpha / hbar ** 2
+    except (OverflowError, ZeroDivisionError):
+        raise NumericalError(f"coulomb: hbar = {hbar:.6g} has no nonzero finite square in "
+                             "float64, so k = mass alpha / hbar^2 is not defined") from None
+
     def m(e):
         return np.sqrt(np.maximum(0.0, -2.0 * mass * e)) / hbar
 
     return ImplicitSpectralModel(
         m=m,
-        k=lambda e: mass * alpha / hbar ** 2,
+        k=lambda e: k,
         xi=lambda n, e: float(n),
         indices=range(1, n_max + 1),
     )
@@ -250,7 +257,7 @@ def _refine_edge(model: ImplicitSpectralModel, e_out: float, e_in: float) -> flo
 # ------------------------------------------------------- matrix (SVD) route
 
 
-def assemble_from_algebra(algebra, rep: Sequence[np.ndarray],
+def assemble_from_algebra(rep: Sequence[np.ndarray],
                           i_coeffs: Callable[[float], Sequence[complex]],
                           interval: tuple[float, float], tol: float = 1e-8,
                           grid: int = 4001) -> SpectrumResult:
@@ -261,8 +268,6 @@ def assemble_from_algebra(algebra, rep: Sequence[np.ndarray],
     This is the direct-matrix fallback route for solve_implicit_spectrum.
     """
     mats = [np.asarray(r, dtype=complex) for r in rep]
-    if algebra is not None and len(mats) != algebra.dim:
-        raise ConfigError("need one representation matrix per algebra basis element")
 
     def build(e: float) -> np.ndarray:
         c = np.asarray(i_coeffs(e), dtype=complex)

@@ -23,16 +23,15 @@ S_a times the power vector p = (1, w, ..., w^(d-1)), so every moment
 <v_a|X|v_b> (X = H or 1) is the quadratic form conj(p) . S_a^dagger X S_b . p.
 The matrices of the forms one derivative order needs are stacked once per
 energy and chart side; an evaluation is one mat-vec with that stack and one
-dot with conj(p).  Energy callables take the derivatives from one
-central-difference Wirtinger stencil (CallableExpectation).  Each chart's
-metric is a scalar times the identity: the velocity is a division.
+dot with conj(p).  Each chart's metric is a scalar times the identity: the
+velocity is a division.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -43,7 +42,6 @@ from .dynamics import Trajectory
 
 CHART_SWITCH_RADIUS = 2.0
 ENERGY_DRIFT_LIMIT = 1e-6
-ENERGY_FD_STEP = 1e-6     # central-difference step of CallableExpectation
 FLAT_CHART_CUTOFF = 64    # Fock levels of the Klauder chart embedding
 
 
@@ -237,63 +235,6 @@ def chart_for(space: KernelSpace, z0: Point):
 # ------------------------------------------------------------ energy surfaces
 
 
-class ExpectationFunction:
-    """Normalized energy surface h(u) = <z(u)|H|z(u)> / K(z(u), z(u))."""
-
-    def on(self, chart) -> Callable[[np.ndarray, int], tuple]:
-        """The energy bound to `chart`, checked against it once: derivs(u,
-        order) gives (h,) at order 0, (h, d h / d ubar) at order 1 and, on a
-        1-d chart, (h, dh/dwbar, d2h/(dw dwbar), d2h/dwbar2) at order 2."""
-        raise NotImplementedError
-
-    def chart_values(self, chart, us: np.ndarray) -> np.ndarray:
-        """h at each row of `us` (samples x chart dim), on a chart `on` accepted."""
-        derivs = self.on(chart)
-        return np.array([derivs(u, 0)[0] for u in us], dtype=float)
-
-
-def _wirtinger(f: Callable[[np.ndarray], complex], u: np.ndarray) -> tuple:
-    """(mean, d f/d u row, d f/d ubar row) over the chart coordinates j, from
-    the central differences fx, fy of f along Re u_j and Im u_j
-    (ENERGY_FD_STEP): d/du = (fx - i fy) / 2 and d/dubar = (fx + i fy) / 2.
-    The mean of the 4 dim stencil values is f(u) to O(ENERGY_FD_STEP^2)."""
-    h = ENERGY_FD_STEP
-    out = np.zeros((2, len(u)), dtype=complex)
-    total = 0.0
-    for j in range(len(u)):
-        e = np.zeros(len(u), dtype=complex)
-        e[j] = h
-        xp, xm, yp, ym = f(u + e), f(u - e), f(u + 1j * e), f(u - 1j * e)
-        fx, fy = (xp - xm) / (2 * h), (yp - ym) / (2 * h)
-        out[:, j] = (fx - 1j * fy) / 2, (fx + 1j * fy) / 2
-        total += xp + xm + yp + ym
-    return total / (4 * len(u)), out[0], out[1]
-
-
-class CallableExpectation(ExpectationFunction):
-    """Energy given as a function on label points; derivatives by central FD.
-    At order 1 the stencil's mean stands in for h, so the velocity costs only
-    the stencil's calls; order 2 differentiates the stencil gradient."""
-
-    def __init__(self, fn: Callable[[Point], float]):
-        self.fn = fn
-
-    def on(self, chart):
-        def h(u):
-            return float(self.fn(chart.point(u)))
-
-        def derivs(u, order):
-            if order == 0:
-                return (h(u),)
-            mean, _, grad = _wirtinger(h, u)
-            if order == 1:
-                return mean, grad
-            _, (mixed,), (grad2,) = _wirtinger(lambda v: _wirtinger(h, v)[2][0], u)
-            return h(u), grad[0], mixed, grad2
-
-        return derivs
-
-
 # The jet-row pairs (a, b) of the moments <v_a|X|v_b>, X = H then 1, that
 # each derivative order needs.  <v_0|X|v_1> is the conjugate of <v_1|X|v_0>
 # (H is Hermitian), so order 2 takes it from the stack instead.
@@ -311,10 +252,11 @@ def _form_stack(h: np.ndarray, s: np.ndarray, order: int) -> np.ndarray:
                            for m in (s[a].conj().T @ h @ s[b], s[a].conj().T @ s[b])])
 
 
-class MatrixExpectation(ExpectationFunction):
-    """Energy from a Hermitian operator matrix in the chart's embedding
-    representation; raises ConfigError for a non-Hermitian matrix and
-    NumericalError for one with an inf or NaN entry."""
+class MatrixExpectation:
+    """Normalized energy surface h(u) = <z(u)|H|z(u)> / K(z(u), z(u)) of a
+    Hermitian operator matrix H in the chart's embedding representation;
+    raises ConfigError for a non-Hermitian matrix and NumericalError for one
+    with an inf or NaN entry."""
 
     def __init__(self, matrix: np.ndarray):
         self.h = np.asarray(matrix, dtype=complex)
@@ -333,7 +275,11 @@ class MatrixExpectation(ExpectationFunction):
         self._stacks = {}  # chart key -> {derivative order: form stack}
 
     def on(self, chart):
-        """Each moment <v_a|X|v_b> (X = H or 1) of the jet rows v_a = S_a p
+        """The energy bound to `chart`, checked against it once: derivs(u,
+        order) gives (h,) at order 0, (h, d h / d ubar) at order 1 and, on a
+        1-d chart, (h, dh/dwbar, d2h/(dw dwbar), d2h/dwbar2) at order 2.
+
+        Each moment <v_a|X|v_b> (X = H or 1) of the jet rows v_a = S_a p
         is the quadratic form conj(p) . S_a^dagger X S_b . p of the power
         vector p = (1, w, ..., w^(d-1)).  The forms an order needs are
         stacked once per chart side (see _form_stack), so an evaluation is
@@ -369,6 +315,7 @@ class MatrixExpectation(ExpectationFunction):
         return derivs
 
     def chart_values(self, chart, us):
+        """h at each row of `us` (samples x chart dim)."""
         v = chart.jet(us, 0)[:, 0]       # samples x d
         num = np.einsum("sd,sd->s", v.conj(), v @ self.h.T)
         return num.real / np.einsum("sd,sd->s", v.conj(), v).real
@@ -397,7 +344,7 @@ def chart_rhs(chart, derivs, hbar: float, tangent: bool = False):
     return with_tangent if tangent else velocity
 
 
-def charted_solve(chart, energy: ExpectationFunction, y, t_span, rtol, atol, hbar=1.0,
+def charted_solve(chart, energy: MatrixExpectation, y, t_span, rtol, atol, hbar=1.0,
                   tangent=False, t_eval=None, monitor=None, first_step=None):
     """Integrate `chart_rhs` across chart switches from t_span[0] to t_span[1],
     binding the energy to each chart once.
@@ -439,7 +386,7 @@ def charted_solve(chart, energy: ExpectationFunction, y, t_span, rtol, atol, hba
 
 def dirac_frenkel_flow(
     space: KernelSpace,
-    energy: ExpectationFunction,
+    energy: MatrixExpectation,
     z0: Point,
     t_span: tuple[float, float],
     t_eval: Optional[Sequence[float]] = None,

@@ -119,6 +119,59 @@ def hydrogen_fd_levels(mass: float, alpha: float, hbar: float, n_levels: int,
     return vals
 
 
+# --- energy surface on a chart by central differences ---
+
+ENERGY_FD_STEP = 1e-6
+
+
+def _wirtinger(f, u: np.ndarray) -> tuple:
+    """(mean, d f/d u row, d f/d ubar row) over the chart coordinates j, from
+    the central differences fx, fy of f along Re u_j and Im u_j
+    (ENERGY_FD_STEP): d/du = (fx - i fy) / 2 and d/dubar = (fx + i fy) / 2.
+    The mean of the 4 dim stencil values is f(u) to O(ENERGY_FD_STEP^2)."""
+    h = ENERGY_FD_STEP
+    out = np.zeros((2, len(u)), dtype=complex)
+    total = 0.0
+    for j in range(len(u)):
+        e = np.zeros(len(u), dtype=complex)
+        e[j] = h
+        xp, xm, yp, ym = f(u + e), f(u - e), f(u + 1j * e), f(u - 1j * e)
+        fx, fy = (xp - xm) / (2 * h), (yp - ym) / (2 * h)
+        out[:, j] = (fx - 1j * fy) / 2, (fx + 1j * fy) / 2
+        total += xp + xm + yp + ym
+    return total / (4 * len(u)), out[0], out[1]
+
+
+class FiniteDifferenceEnergy:
+    """Energy h(u) = fn(chart.point(u)) of a function on label points, on any
+    chart with `.point(u)`: the reference route for an energy's `on(chart)`
+    and `chart_values(chart, us)`, its derivatives by central differences.
+    At order 1 the stencil's mean stands in for h, so the velocity costs only
+    the stencil's calls; order 2 differentiates the stencil gradient."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def on(self, chart):
+        def h(u):
+            return float(self.fn(chart.point(u)))
+
+        def derivs(u, order):
+            if order == 0:
+                return (h(u),)
+            mean, _, grad = _wirtinger(h, u)
+            if order == 1:
+                return mean, grad
+            _, (mixed,), (grad2,) = _wirtinger(lambda v: _wirtinger(h, v)[2][0], u)
+            return h(u), grad[0], mixed, grad2
+
+        return derivs
+
+    def chart_values(self, chart, us: np.ndarray) -> np.ndarray:
+        derivs = self.on(chart)
+        return np.array([derivs(u, 0)[0] for u in us], dtype=float)
+
+
 def gram_bruteforce(eval_fn, points) -> np.ndarray:
     n = len(points)
     g = np.empty((n, n), dtype=complex)

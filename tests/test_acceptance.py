@@ -46,13 +46,7 @@ from cohspace.liealg import (
     uncertainty,
 )
 from cohspace.qspace import build_quantum_space
-from cohspace.quantize import (
-    CoherentMapSpec,
-    GeneratorSpec,
-    check_homomorphism,
-    generator_matrix,
-    quantize_map,
-)
+from cohspace.quantize import check_homomorphism, generator_matrix, quantize_map
 from cohspace.reps import SpinRep
 from cohspace.spectra import (
     assemble_from_algebra,
@@ -78,11 +72,6 @@ def _unitary(rng, d):
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(m)
     return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def _linear_spec(u):
-    return CoherentMapSpec(forward=linear_point_map(u),
-                           adjoint=linear_point_map(u.conj().T))
 
 
 # ---------------------------------------------------------------- 1: PSD
@@ -150,10 +139,10 @@ def test_criterion_3_quantization_homomorphism():
         qb = build_quantum_space(space, sample_points(space, rng, n_pts))
         for _ in range(50):
             u1, u2 = _unitary(rng, d), _unitary(rng, d)
-            dev = check_homomorphism(qb, _linear_spec(u1), _linear_spec(u2))
+            dev = check_homomorphism(qb, linear_point_map(u1), linear_point_map(u2))
             worst_dev = max(worst_dev, dev)
             assert dev <= 1e-8, (desc, dev)
-            g = quantize_map(qb, _linear_spec(u1)).matrix
+            g = quantize_map(qb, linear_point_map(u1)).matrix
             uni = np.linalg.norm(g @ g.conj().T - np.eye(qb.rank), 2)
             worst_uni = max(worst_uni, uni)
             assert uni <= 1e-8, (desc, uni)
@@ -161,9 +150,8 @@ def test_criterion_3_quantization_homomorphism():
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         x = 0.2 * (x + x.conj().T)
         dg = generator_matrix(
-            qb, GeneratorSpec(lambda s, x=x: linear_point_map(scipy.linalg.expm(1j * s * x))),
-            s=1e-3).matrix
-        g1 = quantize_map(qb, _linear_spec(scipy.linalg.expm(1j * x))).matrix
+            qb, lambda s, x=x: linear_point_map(scipy.linalg.expm(1j * s * x)), s=1e-3).matrix
+        g1 = quantize_map(qb, linear_point_map(scipy.linalg.expm(1j * x))).matrix
         gap = np.linalg.norm(g1 - scipy.linalg.expm(1j * dg), 2)
         worst_exp = max(worst_exp, gap)
         assert gap <= 1e-6, (desc, gap)
@@ -315,8 +303,7 @@ def test_criterion_7_spectra():
     q = np.sqrt(0.5) * (a + ad)
     p = 1j * np.sqrt(0.5) * (ad - a)
     h = (p @ p + q @ q) / 2
-    sv = assemble_from_algebra(None, [np.eye(64), h], lambda e: [-e, 1.0],
-                               (0.0, 32.0), tol=1e-8)
+    sv = assemble_from_algebra([np.eye(64), h], lambda e: [-e, 1.0], (0.0, 32.0), tol=1e-8)
     lam = solve_implicit_spectrum(oscillator_model(1.0, 1.0, n_max=32),
                                   (0.0, 32.0), tol=1e-12)
     rs = np.array([r[1] for r in sv.discrete])
@@ -384,10 +371,10 @@ def test_criterion_8_lie_state_engine():
         return out
 
     pvec = 0.5 * alg.basis_vector(3)
-    r1 = covariant_ehrenfest_residual(alg, rep, [pvec], field(1e-3),
-                                      alg.basis_vector(1), (0,), 1e-3)[0]
-    r2 = covariant_ehrenfest_residual(alg, rep, [pvec], field(5e-4),
-                                      alg.basis_vector(1), (0,), 5e-4)[0]
+    r1 = covariant_ehrenfest_residual(alg, [pvec], field(1e-3), alg.basis_vector(1), (0,),
+                                      1e-3)[0]
+    r2 = covariant_ehrenfest_residual(alg, [pvec], field(5e-4), alg.basis_vector(1), (0,),
+                                      5e-4)[0]
     assert r1 <= 1e-6
     assert 3.5 <= r1 / r2 <= 4.5
     _finish(8, start, 30.0,

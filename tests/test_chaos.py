@@ -15,8 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (bloch_vector, kicked_top_classical_lyapunov, kicked_top_classical_step,
-                     spin_monomial_embed)
+from oracles import (FiniteDifferenceEnergy, bloch_vector, kicked_top_classical_lyapunov,
+                     kicked_top_classical_step, spin_monomial_embed)
 
 from cohspace.chaos import (
     KickedTop,
@@ -29,7 +29,6 @@ from cohspace.errors import ConfigError
 from cohspace.kernels import Point, klauder_space, spin_space
 from cohspace.reps import SpinRep
 from cohspace.tdvp import (
-    CallableExpectation,
     MatrixExpectation,
     SphereChart,
     chart_for,
@@ -164,7 +163,7 @@ def test_linearized_field_fd_route_consistent():
 
     chart = SphereChart(n)
     analytic = _tangent_field(chart, MatrixExpectation(ham))
-    fd = _tangent_field(chart, CallableExpectation(h_fn))
+    fd = _tangent_field(chart, FiniteDifferenceEnergy(h_fn))
     for w in (0.3 + 0.2j, -0.8 + 0.5j, 1.4 - 0.9j):
         fa, aa, ba = analytic(w)
         fb, ab, bb = fd(w)

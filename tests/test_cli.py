@@ -526,6 +526,9 @@ _BAD_KEYS = [
                   "energy": {"kind": "spin_axis", "axis": [0, 0, 1], "coef": 5.0}}, "energy.coef"),
     ("quantize", {"space": {"kind": "trivial", "dim": 2}, "count": 4,
                   "map": dict(json.loads(_FLIP), renormalise=True)}, "map.renormalise"),
+    # a 1 x 1 map on 2-d labels used to end in numpy's matmul traceback
+    ("quantize", {"space": {"kind": "trivial", "dim": 2}, "count": 4,
+                  "map": {"kind": "linear", "matrix": [[[1, 0]]]}}, "map.matrix"),
     ("lie-evolve", dict(_LIE, algebra=dict(_SU2, hbarr=2.0)), "algebra.hbarr"),
     ("kernel-eval", {"space": {"kind": "trivial", "dim": 1}, "z2": [0.1],
                      "z": {"coords": [0.2], "multipler": [2, 0]}}, "z.multipler"),
@@ -649,12 +652,31 @@ def test_a_json_integer_beyond_the_float_range_is_not_a_finite_number():
         cli.run({"command": "dyn-lyapunov", "kick": 10 ** 400, "periods": 10})
 
 
-def test_exit_2_on_a_partial_lyapunov_segment(tmp_path, monkeypatch, capsys):
-    # t_total 2.0 over resample 0.3 used to run 7 segments to t = 2.1
+@pytest.mark.parametrize("t_total, resample", [
+    ("2.0", "0.3"),      # used to run 7 segments to t = 2.1
+    ("1e300", "1e-300"),  # an infinite ratio used to end in an OverflowError traceback
+], ids=["partial", "infinite"])
+def test_exit_2_on_a_partial_lyapunov_segment(tmp_path, monkeypatch, capsys, t_total, resample):
     code, _, err = run_cli(["dyn-lyapunov", "--system", "continuous"] + _SPIN4
-                           + ["--t-total", "2.0", "--resample", "0.3"], tmp_path, monkeypatch, capsys)
+                           + ["--t-total", t_total, "--resample", resample],
+                           tmp_path, monkeypatch, capsys)
     assert code == 2
     assert err.startswith("config error: ") and "'t_total'" in err and "'resample'" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("hbar", ["1e-200", "1e200"])
+def test_exit_1_numerical_error_on_a_coulomb_hbar_without_a_square(
+        tmp_path, monkeypatch, capsys, hbar):
+    """hbar^2 underflows to 0 or overflows: k = mass alpha / hbar^2 used to end
+    in a ZeroDivisionError or OverflowError traceback."""
+    code, out, err = run_cli(["spec-solve", "--model", f'{{"kind":"coulomb","hbar":{hbar}}}',
+                              "--interval", "[-1,-0.1]"], tmp_path, monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "numerical-error", "message": (
+        f"coulomb: hbar = {float(hbar):.6g} has no nonzero finite square in float64, so "
+        "k = mass alpha / hbar^2 is not defined")}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exit_2_names_a_bad_model_parameter(tmp_path, monkeypatch, capsys):

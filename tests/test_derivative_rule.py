@@ -11,7 +11,7 @@ import scipy.linalg
 
 from cohspace.kernels import Point, klauder_space, linear_point_map, sample_points, spin_space
 from cohspace.qspace import build_quantum_space
-from cohspace.quantize import CoherentMapSpec, GeneratorSpec, generator_matrix, quantize_map
+from cohspace.quantize import generator_matrix, quantize_map
 
 SEED = 23
 
@@ -23,10 +23,10 @@ def same_bits(a, b) -> bool:
 # --------------------------------------------------------------- generators
 
 
-def _hand_generator(qb, gen, s):
+def _hand_generator(qb, flow, s):
     def quotient(step):
-        qp = quantize_map(qb, CoherentMapSpec(gen.flow(step)), tol=1.0)
-        qm = quantize_map(qb, CoherentMapSpec(gen.flow(-step)), tol=1.0)
+        qp = quantize_map(qb, flow(step), tol=1.0)
+        qm = quantize_map(qb, flow(-step), tol=1.0)
         return (qp.matrix - qm.matrix) / (2j * step)
 
     d1, d2 = quotient(s), quotient(s / 2.0)
@@ -34,7 +34,7 @@ def _hand_generator(qb, gen, s):
 
 
 def _spin_generator(x):
-    return GeneratorSpec(lambda s: linear_point_map(scipy.linalg.expm(1j * s * x)))
+    return lambda s: linear_point_map(scipy.linalg.expm(1j * s * x))
 
 
 @pytest.mark.parametrize("n, x", [
@@ -55,6 +55,9 @@ def test_generator_matrix_is_the_hand_written_quotient(n, x):
 def test_klauder_generator_matrix_is_the_hand_written_quotient():
     pts = [Point([0.0, 0.9 * np.exp(2j * np.pi * k / 12)]) for k in range(12)]
     qb = build_quantum_space(klauder_space(1), pts)
-    gen = GeneratorSpec(lambda s: (lambda z: Point([z.coords[0], np.exp(1j * s) * z.coords[1]])))
+
+    def gen(s):
+        return lambda z: Point([z.coords[0], np.exp(1j * s) * z.coords[1]])
+
     assert same_bits(generator_matrix(qb, gen, s=1e-3, tol=1e-5).matrix,
                      _hand_generator(qb, gen, 1e-3))

@@ -1,4 +1,4 @@
-"""Coherent flows: closed forms, Schroedinger lifts, the exact and integrated routes."""
+"""Coherent flows: closed forms, Schroedinger lifts, the exact route against RK45."""
 
 import math
 
@@ -45,7 +45,7 @@ def spin_lift_deficit(n, flow, traj):
     """lift_deficit of the monomial embeddings under the Wigner-matrix lift of
     the generator: A = tr(A)/2 + sum_k tr(A sigma_k) sigma_k/2 lifts to
     n tr(A)/2 + sum_k tr(A sigma_k) J_k."""
-    a = flow.matrix_at(0.0)
+    a = flow.generator
     paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
     h = np.trace(a) / 2 * n * np.eye(n + 1) + sum(
         np.trace(a @ s) * j for s, j in zip(paulis, oracles.wigner_matrices(n)))
@@ -113,24 +113,6 @@ def test_schrodinger_lift_generic_spin_generator():
     assert spin_lift_deficit(n, flow, traj) < 1e-9
 
 
-def test_time_dependent_flow_lift():
-    # a diagonal generator commutes across times, so each label component
-    # has the closed form z_k(t) = exp(-i int_0^t A_kk dt' / hbar) z_k(0)
-    n = 2
-    sp = spin_space(n)
-
-    def gen(t):
-        return np.diag([0.5, -0.5]).astype(complex) * (1.0 + 0.5 * math.sin(t))
-
-    flow = LinearHamiltonianFlow(gen, hbar=1.0)
-    z = Point(np.array([1.0, 0.4 + 0.2j]) / np.linalg.norm([1.0, 0.4 + 0.2j]))
-    t_eval = np.linspace(0, 5, 11)
-    traj = coherent_flow(sp, flow, z, (0.0, 5.0), t_eval=t_eval, rtol=1e-11, atol=1e-14)
-    integral = t_eval + 0.5 * (1.0 - np.cos(t_eval))  # int_0^t (1 + sin(t')/2) dt'
-    exact = z.coords * np.exp(-1j * np.outer(integral, [0.5, -0.5]))
-    np.testing.assert_allclose(traj.coords, exact, rtol=0, atol=1e-9)
-
-
 def test_exact_flow_matches_rk45_oracle():
     # the RK route on the same right-hand side A z / (i hbar), at rtol 1e-12,
     # stays the oracle for exact propagation: agreement within 1e-9 relative
@@ -146,7 +128,7 @@ def test_exact_flow_matches_rk45_oracle():
         t_eval = np.linspace(0.0, t1, 41)
         traj = coherent_flow(sp, flow, Point(z0), (0.0, t1), t_eval)
         assert traj.stats is None
-        a = flow.matrix_at(0.0)
+        a = flow.generator
         ref = solve_rk45(lambda t, y: a @ y / (1j * flow.hbar), 0.0, t1, z0,
                          rtol=1e-12, atol=1e-14, t_eval=t_eval)
         got = np.array([p.coords for p in traj.points])
@@ -178,9 +160,9 @@ def test_time_independent_flows_never_call_the_integrator(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("solve_rk45 called")
 
-    for module in (integrate, dynamics, tdvp):
+    for module in (integrate, tdvp):
         monkeypatch.setattr(module, "solve_rk45", refuse)
-    assert not hasattr(liealg, "solve_rk45")
+    assert not hasattr(dynamics, "solve_rk45") and not hasattr(liealg, "solve_rk45")
     sp = spin_space(2)
     z = Point(np.array([1.0, 0.4 + 0.2j]) / np.linalg.norm([1.0, 0.4 + 0.2j]))
     traj = coherent_flow(sp, spin_precession_flow(1.1), z, (0.0, 5.0))
@@ -190,10 +172,6 @@ def test_time_independent_flows_never_call_the_integrator(monkeypatch):
     tab = liealg.evolve_expectations(alg, rep, alg.basis_vector(3), st,
                                      [alg.basis_vector(k) for k in (1, 2, 3)], (0.0, 4.0))
     assert tab.values.shape == (201, 3) and tab.final_cross_check <= 1e-8
-    # a time-dependent generator still takes the RK route
-    flow = LinearHamiltonianFlow(lambda t: np.diag([0.5, -0.5]).astype(complex) * (1.0 + t))
-    with pytest.raises(AssertionError, match="solve_rk45 called"):
-        coherent_flow(sp, flow, z, (0.0, 1.0))
 
 
 def test_exact_flow_checks_sample_times():
@@ -218,23 +196,14 @@ def test_flow_shape_mismatch():
 
 def test_empty_sample_grid_gives_an_empty_trajectory():
     a = np.diag([0.0, 1.3]).astype(complex)
-    calls = []
-
-    def generator_at(t):
-        calls.append(t)
-        return a
-
     for space, z0 in ((klauder_space(1), Point([0.2, 1.1 - 0.4j])),
                       (spin_space(3), Point(np.array([0.6, 0.8j]))),
                       (heisenberg_space(2), Point([0.2, 0.5j], 0.7))):
-        for generator in (a, generator_at):  # exact route, integrator route
-            traj = coherent_flow(space, LinearHamiltonianFlow(generator), z0, (0.0, 5.0),
-                                 t_eval=[])
-            assert traj.times.shape == (0,) and traj.norms.shape == (0,)
-            assert traj.coords.shape == (0, space.label_dim) and traj.points == []
-            assert (traj.multipliers is None) == (z0.multiplier is None)
-            assert traj.stats is None or (traj.stats.steps, traj.stats.rhs_evals) == (0, 0)
-    assert calls == []  # the integrator route takes no step for no sample
+        traj = coherent_flow(space, LinearHamiltonianFlow(a), z0, (0.0, 5.0), t_eval=[])
+        assert traj.times.shape == (0,) and traj.norms.shape == (0,)
+        assert traj.coords.shape == (0, space.label_dim) and traj.points == []
+        assert (traj.multipliers is None) == (z0.multiplier is None)
+        assert traj.stats is None
 
 
 def test_norm_column_records_kernel_diagonal():

@@ -9,6 +9,7 @@ import oracles
 from cohspace.errors import ConfigError, InvalidPointError
 from cohspace.kernels import (
     Point,
+    _stacked,
     check_coherence,
     check_stack,
     classical_limit_space,
@@ -32,7 +33,6 @@ from cohspace.kernels import (
     spin_space,
     spin_t_space,
     trivial_space,
-    validate_point,
 )
 
 RNG_SEED = 0
@@ -220,11 +220,11 @@ def _invalid_points(sp, good):
 
 
 def _first_rejection(sp, pts):
-    """(index, error class, text) of the first label validate_point rejects
-    on its own, or None: the per-point route, kept as the oracle."""
+    """(index, error class, text) of the first label the stacked check
+    rejects on its own, or None: the per-point route, kept as the oracle."""
     for i, p in enumerate(pts):
         try:
-            validate_point(sp, p)
+            _stacked(sp, [p])
         except InvalidPointError as exc:
             return i, type(exc), str(exc)
     return None

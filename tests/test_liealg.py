@@ -353,23 +353,23 @@ def translated_qubit_field(dx, omega=1.0, r=(0.2, 0.1, 0.3), sites=range(-2, 3))
 def test_covariant_residual_small_and_second_order():
     alg, rep, field = translated_qubit_field(1e-3)
     pvec = 0.5 * alg.basis_vector(3)
-    res = covariant_ehrenfest_residual(alg, rep, [pvec], field, alg.basis_vector(1), (0,), 1e-3)
+    res = covariant_ehrenfest_residual(alg, [pvec], field, alg.basis_vector(1), (0,), 1e-3)
     assert res[0] <= 1e-6
     _, _, half = translated_qubit_field(5e-4)
-    res_half = covariant_ehrenfest_residual(alg, rep, [pvec], half, alg.basis_vector(1), (0,), 5e-4)
+    res_half = covariant_ehrenfest_residual(alg, [pvec], half, alg.basis_vector(1), (0,), 5e-4)
     assert 3.8 <= res[0] / res_half[0] <= 4.2
 
 
 def test_covariant_residual_trivial_cases():
     alg, rep, field = translated_qubit_field(1e-3)
     # the unit is translation invariant and annihilated by the bracket
-    res = covariant_ehrenfest_residual(alg, rep, [0.5 * alg.basis_vector(3)], field,
+    res = covariant_ehrenfest_residual(alg, [0.5 * alg.basis_vector(3)], field,
                                        alg.unit, (0,), 1e-3)
     assert res[0] <= 1e-13
     # constant field with zero momentum: both sides vanish identically
     _, _, const = translated_qubit_field(1e-3, omega=0.0)
     zero = np.zeros(4, dtype=complex)
-    res = covariant_ehrenfest_residual(alg, rep, [zero], const, alg.basis_vector(1), (0,), 1e-3)
+    res = covariant_ehrenfest_residual(alg, [zero], const, alg.basis_vector(1), (0,), 1e-3)
     assert res[0] == 0.0
 
 
@@ -377,7 +377,7 @@ def test_covariant_residual_needs_neighbours():
     alg, rep, field = translated_qubit_field(1e-3)
     del field[(1,)]
     with pytest.raises(PreconditionError, match="site"):
-        covariant_ehrenfest_residual(alg, rep, [alg.basis_vector(3)], field,
+        covariant_ehrenfest_residual(alg, [alg.basis_vector(3)], field,
                                      alg.basis_vector(1), (0,), 1e-3)
 
 

@@ -21,13 +21,7 @@ from cohspace.kernels import (
     trivial_space,
 )
 from cohspace.qspace import build_quantum_space
-from cohspace.quantize import (
-    CoherentMapSpec,
-    GeneratorSpec,
-    check_homomorphism,
-    generator_matrix,
-    quantize_map,
-)
+from cohspace.quantize import check_homomorphism, generator_matrix, quantize_map
 
 SEED = 23
 
@@ -36,25 +30,13 @@ def rand_unitary(rng, n):
     return scipy.stats.unitary_group.rvs(n, random_state=np.random.RandomState(rng.integers(1 << 31)))
 
 
-def linear_spec(m, adjoint=None):
-    return CoherentMapSpec(forward=linear_point_map(m),
-                           adjoint=None if adjoint is None else linear_point_map(adjoint))
-
-
 def circle_klauder_basis(n=12, radius=0.9):
     return [Point([0.0, radius * np.exp(2j * math.pi * k / n)]) for k in range(n)]
 
 
-def klauder_rotation_spec(steps: int, n=12):
+def klauder_rotation(steps: int, n=12):
     phase = np.exp(2j * math.pi * steps / n)
-
-    def fwd(z):
-        return Point([z.coords[0], phase * z.coords[1]])
-
-    def adj(z):
-        return Point([z.coords[0], np.conj(phase) * z.coords[1]])
-
-    return CoherentMapSpec(fwd, adj)
+    return lambda z: Point([z.coords[0], phase * z.coords[1]])
 
 
 # ------------------------------------------------------------------- Gamma(A)
@@ -66,7 +48,7 @@ def test_quantized_map_reproduces_kernel_matrix_elements():
     pts = sample_points(sp, rng, 7)
     qb = build_quantum_space(sp, pts)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    q = quantize_map(qb, linear_spec(a), tol=1e-6)
+    q = quantize_map(qb, linear_point_map(a), tol=1e-6)
     for j in range(7):
         for i in range(7):
             lhs = np.vdot(qb.factor[:, j], q.matrix @ qb.factor[:, i])
@@ -80,7 +62,7 @@ def test_quantized_map_eigenvalues_match_label_matrix_on_trivial_space():
     sp = trivial_space(4)
     qb = build_quantum_space(sp, sample_points(sp, rng, 9))
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    q = quantize_map(qb, linear_spec(a), tol=1e-6)
+    q = quantize_map(qb, linear_point_map(a), tol=1e-6)
     got = np.sort_complex(np.linalg.eigvals(q.matrix))
     want = np.sort_complex(np.linalg.eigvals(a))
     np.testing.assert_allclose(got, want, rtol=1e-8, atol=1e-9)
@@ -97,7 +79,7 @@ def test_quantized_rotation_matches_symmetric_power_rep():
     pts = sample_points(sp, rng, 10)
     qb = build_quantum_space(sp, pts)
     u = rand_unitary(rng, 2)
-    q = quantize_map(qb, linear_spec(u, adjoint=u.conj().T), tol=1e-6)
+    q = quantize_map(qb, linear_point_map(u), tol=1e-6)
     g_rep = srep.gamma(u)
     for j in range(6):
         for i in range(6):
@@ -113,7 +95,7 @@ def test_unitarity_of_quantized_rotations():
         sp = spin_space(n)
         qb = build_quantum_space(sp, sample_points(sp, rng, npts))
         u = rand_unitary(rng, 2)
-        q = quantize_map(qb, linear_spec(u, adjoint=u.conj().T), tol=1e-6)
+        q = quantize_map(qb, linear_point_map(u), tol=1e-6)
         defect = np.linalg.norm(q.matrix.conj().T @ q.matrix - np.eye(qb.rank), 2)
         assert defect <= 1e-8, f"n={n}: unitarity defect {defect:.2e}"
 
@@ -121,7 +103,10 @@ def test_unitarity_of_quantized_rotations():
 def test_span_escape_raises_with_guidance():
     sp = klauder_space(1)
     qb = build_quantum_space(sp, circle_klauder_basis(8, radius=0.6))
-    squeeze = CoherentMapSpec(lambda z: Point([z.coords[0], 1.8 * z.coords[1]]))
+
+    def squeeze(z):
+        return Point([z.coords[0], 1.8 * z.coords[1]])
+
     with pytest.raises(SpanEscapeError, match="enrich the basis"):
         quantize_map(qb, squeeze, tol=1e-8)
 
@@ -138,14 +123,14 @@ def test_homomorphism_50_pairs_under_1e8():
     for _ in range(20):
         a = np.eye(3) + 0.4 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         b = np.eye(3) + 0.4 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        assert check_homomorphism(qb, linear_spec(a), linear_spec(b)) <= 1e-8
+        assert check_homomorphism(qb, linear_point_map(a), linear_point_map(b)) <= 1e-8
         checked += 1
     # spin(4): unitary pairs
     sp = spin_space(4)
     qb = build_quantum_space(sp, sample_points(sp, rng, 12))
     for _ in range(15):
         u, v = rand_unitary(rng, 2), rand_unitary(rng, 2)
-        assert check_homomorphism(qb, linear_spec(u, u.conj().T), linear_spec(v, v.conj().T)) <= 1e-8
+        assert check_homomorphism(qb, linear_point_map(u), linear_point_map(v)) <= 1e-8
         checked += 1
     # icosahedron: symmetry-group elements permuting the vertex basis
     ico = icosahedron_space()
@@ -156,13 +141,13 @@ def test_homomorphism_50_pairs_under_1e8():
     words = [cyc, flip, cyc @ flip, cyc @ cyc, flip @ cyc]
     for i in range(10):
         a, b = words[i % len(words)], words[(i * 2 + 1) % len(words)]
-        assert check_homomorphism(qb, linear_spec(a, a.conj().T), linear_spec(b, b.conj().T)) <= 1e-10
+        assert check_homomorphism(qb, linear_point_map(a), linear_point_map(b)) <= 1e-10
         checked += 1
     # Klauder: basis-preserving rotations of a 12-point circle basis
     sp = klauder_space(1)
     qb = build_quantum_space(sp, circle_klauder_basis(12))
     for i in range(5):
-        assert check_homomorphism(qb, klauder_rotation_spec(i + 1), klauder_rotation_spec(7 - i)) <= 1e-8
+        assert check_homomorphism(qb, klauder_rotation(i + 1), klauder_rotation(7 - i)) <= 1e-8
         checked += 1
     assert checked == 50
 
@@ -177,7 +162,7 @@ def spin_flow(x):
         u = scipy.linalg.expm(1j * s * np.asarray(x, dtype=complex))
         return linear_point_map(u)
 
-    return GeneratorSpec(flow)
+    return flow
 
 
 def test_generator_matches_angular_momentum_rep():
@@ -224,7 +209,7 @@ def test_generator_exponential_consistency():
     x = np.array([[0.2, 0.1], [0.1, -0.3]], dtype=complex)  # Hermitian
     d = generator_matrix(qb, spin_flow(x), s=1e-3).matrix
     u_flow = scipy.linalg.expm(1j * np.asarray(x))
-    g = quantize_map(qb, linear_spec(u_flow, u_flow.conj().T), tol=1e-6).matrix
+    g = quantize_map(qb, linear_point_map(u_flow), tol=1e-6).matrix
     assert np.linalg.norm(g - scipy.linalg.expm(1j * d), 2) <= 1e-6
 
 
@@ -254,7 +239,10 @@ def test_generator_step_size_error():
 
 def test_klauder_number_generator_spectrum():
     qb = build_quantum_space(klauder_space(1), circle_klauder_basis(12))
-    gen = GeneratorSpec(lambda s: (lambda z: Point([z.coords[0], np.exp(1j * s) * z.coords[1]])))
+
+    def gen(s):
+        return lambda z: Point([z.coords[0], np.exp(1j * s) * z.coords[1]])
+
     d = generator_matrix(qb, gen, s=1e-3, tol=1e-5)
     eigs = np.sort(np.linalg.eigvalsh((d.matrix + d.matrix.conj().T) / 2))
     # low-lying number-operator eigenvalues: 0, 1, 2, ... (top of the span is

@@ -6,7 +6,9 @@ imports inside a function.  Names used only inside string annotations count.
 
 Every function, class, method and class-level field defined in
 ``src/cohspace`` must be named somewhere besides its definition, in ``src``,
-``tests``, ``scripts`` or ``bench`` (a whole-word search of the Python files).
+``tests``, ``scripts`` or ``bench``.  A name counts where the code of a
+Python file names it (see ``identifiers``); a mention in a comment or a
+docstring does not.
 Tests alone do not keep a name alive: the search over ``src``, ``scripts``,
 ``bench`` and the acceptance criteria (``tests/test_acceptance.py``) must
 find every name too.
@@ -128,13 +130,36 @@ def defined_names(source: str) -> list:
     return found
 
 
+def identifiers(source: str) -> list:
+    """Every identifier the code of a source names: Name and Attribute
+    nodes, def and class names, import aliases, keyword-argument names, and
+    string constants that are a bare identifier (the bench's tables name
+    functions this way).  Comments and docstrings name nothing."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.append(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append(node.name)
+        elif isinstance(node, ast.alias):
+            found += node.name.split(".") + ([node.asname] if node.asname else [])
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            found.append(node.arg)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            found.append(node.value)
+    return found
+
+
 def dead_names(package_sources, corpus) -> list:
     """Qualified names the package defines that the corpus (the package
     included) names no more often than the package defines them."""
     defined = [pair for source in package_sources for pair in defined_names(source)]
     definitions = collections.Counter(name for _, name in defined)
-    words = collections.Counter(re.findall(r"\w+", "\n".join(corpus)))
-    return sorted(q for q, name in defined if words[name] <= definitions[name])
+    named = collections.Counter(name for source in corpus for name in identifiers(source))
+    return sorted(q for q, name in defined if named[name] <= definitions[name])
 
 
 def test_the_scan_finds_dead_names():
@@ -142,12 +167,22 @@ def test_the_scan_finds_dead_names():
                "    def __init__(self):\n        self.size = 2\n"
                "    def orphan_method(self):\n        return self.size\n"
                "def used_helper():\n    def inner_orphan():\n        return 1\n    return Widget()\n"
-               "def lonely_helper():\n    return used_helper()\n")
+               "def lonely_helper():\n    return used_helper()\n"
+               "def quiet_helper():\n    return 0\n")
     elsewhere = "from pkg import lonely_helper\nlonely_helper()\n"
     assert dead_names([package], [package, elsewhere]) == [
-        "Widget.orphan_method", "Widget.spare_slot", "used_helper.inner_orphan"]
+        "Widget.orphan_method", "Widget.spare_slot", "quiet_helper", "used_helper.inner_orphan"]
     assert dead_names([package], [package]) == [
-        "Widget.orphan_method", "Widget.spare_slot", "lonely_helper", "used_helper.inner_orphan"]
+        "Widget.orphan_method", "Widget.spare_slot", "lonely_helper", "quiet_helper",
+        "used_helper.inner_orphan"]
+    # a docstring or a comment mentions a name without using it
+    mentions = ('"""The docstring mentions quiet_helper."""\n'
+                "# and so does this comment: quiet_helper()\n")
+    assert "quiet_helper" in dead_names([package], [package, elsewhere, mentions])
+    # a bare-identifier string and a keyword argument do use it
+    uses = "getattr(Widget(), 'orphan_method')\nWidget(spare_slot=3)\n"
+    assert dead_names([package], [package, elsewhere, uses]) == [
+        "quiet_helper", "used_helper.inner_orphan"]
 
 
 def _sources(*names):

@@ -116,7 +116,7 @@ def test_root_count_stable_under_grid_doubling():
 
 
 def test_assemble_identity_pencil():
-    res = assemble_from_algebra(None, [np.eye(3), np.diag([1.0, 2.0, 3.0])],
+    res = assemble_from_algebra([np.eye(3), np.diag([1.0, 2.0, 3.0])],
                                 lambda e: [e, -1.0], (0.0, 4.0), tol=1e-8)
     np.testing.assert_allclose([r[1] for r in res.discrete], [1.0, 2.0, 3.0], atol=1e-10)
     assert all(r[2] <= 1e-8 for r in res.discrete)
@@ -125,13 +125,13 @@ def test_assemble_identity_pencil():
 def test_assemble_linear_pencil():
     m = np.diag([1.0, 2.0])
     n = np.diag([2.0, 2.0])
-    res = assemble_from_algebra(None, [m, n], lambda e: [e, -1.0], (0.0, 3.0), tol=1e-8)
+    res = assemble_from_algebra([m, n], lambda e: [e, -1.0], (0.0, 3.0), tol=1e-8)
     np.testing.assert_allclose([r[1] for r in res.discrete], [1.0, 2.0], atol=1e-10)
 
 
 def test_assemble_oscillator_lower_half_and_route_agreement():
     h = truncated_oscillator(64)
-    sv = assemble_from_algebra(None, [np.eye(64), h], lambda e: [-e, 1.0],
+    sv = assemble_from_algebra([np.eye(64), h], lambda e: [-e, 1.0],
                                (0.0, 32.0), tol=1e-8)
     roots_sv = np.array([r[1] for r in sv.discrete])
     assert len(roots_sv) == 32
@@ -151,7 +151,7 @@ def test_bad_model_configs():
     with pytest.raises(ConfigError):
         solve_implicit_spectrum(oscillator_model(), (1.0, 1.0))
     with pytest.raises(ConfigError):
-        assemble_from_algebra(None, [np.eye(2)], lambda e: [1.0, 2.0], (0.0, 1.0))
+        assemble_from_algebra([np.eye(2)], lambda e: [1.0, 2.0], (0.0, 1.0))
 
 
 # ------------------------------------------------------ array scan vs oracle
