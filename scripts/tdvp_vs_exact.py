@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from cohspace.dynamics import LinearHamiltonianFlow, coherent_flow
+from cohspace.dynamics import coherent_flow
 from cohspace.kernels import Point, eval_kernel, spin_space
 from cohspace.reps import SpinRep
 from cohspace.tdvp import MatrixExpectation, dirac_frenkel_flow
@@ -49,7 +49,7 @@ def main(argv=None):
     # --- case 1: precession, exact vs variational -----------------------
     omega = 1.1
     a = omega * np.diag([0.5, -0.5]).astype(complex)
-    exact = coherent_flow(space, LinearHamiltonianFlow(a), Point(z0),
+    exact = coherent_flow(space, a, Point(z0),
                           (0.0, args.t_final), t_eval=t_eval)
     energy = MatrixExpectation(rep.dgamma(a))
     var = dirac_frenkel_flow(space, energy, Point(z0), (0.0, args.t_final),

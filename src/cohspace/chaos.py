@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InvalidPointError, NumericalError
-from .integrate import IntegratorStats, total_stats
+from .integrate import MAX_STEPS, IntegratorStats, total_stats
 from .kernels import KernelSpace, Point, spin_space
 from .tdvp import CHART_SWITCH_RADIUS, MatrixExpectation, chart_for, charted_solve
 
@@ -170,6 +170,9 @@ def lyapunov_kicked(top: KickedTop, z0: Point, n_periods: int = 2000,
     """Benettin estimate of the top's largest Lyapunov exponent (per period)."""
     if n_periods < 4:
         raise ConfigError("need at least 4 periods for a tail estimate")
+    if n_periods > MAX_STEPS:
+        raise ConfigError(f"'periods' ({n_periods}) is more than the {MAX_STEPS} segments a run "
+                          "may take")
     chart = chart_for(top.space, z0)
     return _benettin(chart, complex(chart.coords(z0)[0]), top.period, n_periods, 1.0,
                      np.random.default_rng(seed))
@@ -189,9 +192,10 @@ def lyapunov_continuous(space: KernelSpace, energy: MatrixExpectation, z0: Point
         raise ConfigError(f"'t_total' ({t_total}) must be a whole multiple of 'resample' ({resample})")
     if n_seg < 4:
         raise ConfigError("need at least 4 renormalization segments")
+    if n_seg > MAX_STEPS:
+        raise ConfigError(f"'t_total' ({t_total}) over 'resample' ({resample}) is {ratio:.6g} "
+                          f"segments, more than the {MAX_STEPS} a run may take")
     chart = chart_for(space, z0)
-    if chart.dim != 1:
-        raise ConfigError("tangent linearization implemented for 1-d charts")
 
     solves = []
 

@@ -401,13 +401,13 @@ def _h_quantize(cfg):
 
 
 def _h_dyn_coherent(cfg):
-    from .dynamics import LinearHamiltonianFlow, coherent_flow
+    from .dynamics import coherent_flow
 
     space = _space_of(cfg)
-    flow = LinearHamiltonianFlow(_matrix_of(cfg["generator"], "generator"), hbar=cfg["hbar"])
+    generator = _matrix_of(cfg["generator"], "generator")
     z0 = _point_of(cfg["z0"], "z0")
     t_span, t_eval = _t_eval_of(cfg)
-    traj = coherent_flow(space, flow, z0, t_span, t_eval)
+    traj = coherent_flow(space, generator, z0, t_span, t_eval, hbar=cfg["hbar"])
     payload = _trajectory_payload(traj, with_energy=False)
     return payload, {"final_norm": float(traj.norms[-1])}, []
 

@@ -21,18 +21,9 @@ from .reps import propagate_eig
 
 
 @dataclass
-class LinearHamiltonianFlow:
-    """i hbar dz/dt = generator z on label coordinates, generator a matrix."""
-
-    generator: np.ndarray
-    hbar: float = 1.0
-
-
-@dataclass
 class Trajectory:
     """Label coordinates (S, label_dim) at S times; multipliers (S,) or None."""
 
-    space: KernelSpace
     times: np.ndarray
     coords: np.ndarray
     stats: Optional[IntegratorStats]  # None for exactly propagated flows
@@ -60,29 +51,31 @@ def _project_constraint(space: KernelSpace, coords: np.ndarray) -> np.ndarray:
 
 def coherent_flow(
     space: KernelSpace,
-    flow: LinearHamiltonianFlow,
+    generator: np.ndarray,
     z0: Point,
     t_span: tuple[float, float],
     t_eval: Optional[Sequence[float]] = None,
+    hbar: float = 1.0,
 ) -> Trajectory:
-    """Sample the coherent trajectory at t_eval exactly (``stats`` is None).
+    """Sample the coherent trajectory of  i hbar dz/dt = generator z  at
+    t_eval exactly (``stats`` is None).
     A propagated state that is not finite (the phases overflow) raises
     NumericalError naming the first such sample time."""
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t_eval is None:
         t_eval = np.linspace(t0, t1, 101)
-    a = np.asarray(flow.generator, dtype=complex)
+    a = np.asarray(generator, dtype=complex)
     if a.shape != (space.label_dim, space.label_dim):
         raise ConfigError(f"generator is {a.shape}, expected ({space.label_dim}, {space.label_dim})")
     times = np.array(check_sample_times(t0, t1, t_eval))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        states = propagate_eig(a, z0.coords, times - t0, hbar=flow.hbar)
+        states = propagate_eig(a, z0.coords, times - t0, hbar=hbar)
     bad = ~np.isfinite(states).all(axis=1)
     if bad.any():
         raise NumericalError(f"coherent flow: the propagated label is not finite at "
                              f"t = {times[bad.argmax()]:.6g}")
     coords = _project_constraint(space, states)
     mults = None if z0.multiplier is None else np.full(len(coords), z0.multiplier, dtype=complex)
-    return Trajectory(space=space, times=times, coords=coords, stats=None, multipliers=mults,
+    return Trajectory(times=times, coords=coords, stats=None, multipliers=mults,
                       norms=kernel_diagonal(space, coords, mults).real)
 

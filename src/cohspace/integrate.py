@@ -115,6 +115,7 @@ _Y_POW = np.arange(1, 8) // 2
 
 # y' = y^2 from y0 = 1 reaches max|y| ~ 1e12 before its steps underflow
 BLOW_UP_GROWTH = 1e6
+MAX_STEPS = 10_000_000  # accepted plus rejected steps of one solve
 
 
 @dataclass
@@ -201,7 +202,6 @@ def solve_rk45(
     atol: float = 1e-12,
     t_eval: Optional[Sequence[float]] = None,
     step_hook: Optional[Callable[[float, np.ndarray], bool]] = None,
-    max_steps: int = 10_000_000,
     first_step: Optional[float] = None,
 ) -> RKSolution:
     """Integrate y' = f(t, y) from t0 to t1 (forward only) with DOP853.
@@ -211,8 +211,9 @@ def solve_rk45(
     step is clipped, to end on t1.  `step_hook`, called after every accepted
     step, returns True to halt integration early.  A step below 1e-14
     (t1 - t0) raises StiffnessError, or NumericalError (a blow-up) once
-    max|y| exceeds BLOW_UP_GROWTH * max(1, max|y0|).  rtol must be positive
-    and atol not negative (ConfigError).
+    max|y| exceeds BLOW_UP_GROWTH * max(1, max|y0|); more than MAX_STEPS
+    steps raise IntegratorFailure.  rtol must be positive and atol not
+    negative (ConfigError).
 
     `first_step`, when given (finite and positive, else ConfigError), is the
     first step tried (clipped to end on t1, as every step is) in place of the
@@ -220,10 +221,6 @@ def solve_rk45(
     the step after t_end: after a last step clipped to end on t1, the proposal
     made before the clip; after a halt, the size of the step just accepted.
     Passing it as the next solve's `first_step` continues the step sequence.
-
-    An empty `t_eval` without a `step_hook` asks for no state: the solve
-    returns at once, without calling f, at t_end = t0 with y_end = y0, no
-    step taken and `h_next` NaN.
     """
     if not rtol > 0.0 or not atol >= 0.0:
         raise ConfigError(f"need rtol > 0 and atol >= 0, got rtol = {rtol!r}, atol = {atol!r}")
@@ -231,12 +228,6 @@ def solve_rk45(
         raise ConfigError(f"need a finite first_step > 0, got {first_step!r}")
     eval_times = check_sample_times(t0, t1, t_eval) or []
     y = np.asarray(y0, dtype=complex).copy()
-    if t_eval is not None and not eval_times and step_hook is None:
-        return RKSolution(times=np.array([]), states=np.empty((0, y.size), dtype=complex),
-                          t_end=float(t0), y_end=y,
-                          stats=IntegratorStats(steps=0, rejected=0, final_error_estimate=0.0,
-                                                rhs_evals=0, h_min=math.inf, h_max=0.0),
-                          halted=False, h_next=math.nan)
     y_abs = np.abs(y)  # |y| of the current state, reused by the next step's error norm
     y0_max = float(y_abs.max(initial=0.0))
     t = float(t0)
@@ -262,8 +253,8 @@ def solve_rk45(
     h_min, h_max = math.inf, 0.0
 
     while t < t1 - slack:
-        if accepted + rejected > max_steps:
-            raise IntegratorFailure(f"exceeded {max_steps} steps at t = {t:.6g}")
+        if accepted + rejected > MAX_STEPS:
+            raise IntegratorFailure(f"exceeded {MAX_STEPS} steps at t = {t:.6g}")
         h_want, h = h, min(h, t1 - t)
         if h < min_h:
             y_max = float(y_abs.max(initial=0.0))

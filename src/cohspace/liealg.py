@@ -273,7 +273,6 @@ class ExpectationTable:
 
     times: np.ndarray
     values: np.ndarray
-    observables: list
     generator: np.ndarray
     final_cross_check: Optional[float]
 
@@ -351,7 +350,6 @@ def evolve_expectations(
     return ExpectationTable(
         times=times,
         values=values,
-        observables=obs,
         generator=g,
         final_cross_check=cross,
     )

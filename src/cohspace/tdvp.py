@@ -6,25 +6,29 @@ family |z(u)>, u a holomorphic chart, is
     i hbar g(u) du/dt = grad_ubar h(u),      g = d_ubar d_u log K|diagonal,
     h(u) = <z(u)| H |z(u)> / K(z(u), z(u)),
 
-integrated here with the embedded Dormand-Prince 8(5,3) pair.  Charts:
+integrated here with the embedded Dormand-Prince 8(5,3) pair.  Every chart
+has one complex coordinate w:
 
-- Klauder labels: the zeta block (the z0 direction is metric-null, carried as
-  a constant spectator); the metric is exactly the identity.
+- single-mode Klauder labels (z0, zeta): w = zeta, with z0 (metric-null)
+  carried as a constant spectator; the metric is 1.
 - Spin (n = 2j): stereographic charts w = z2/z1 (north) and 1/w (south),
   metric n/(1+|w|^2)^2; the flow switches chart when |w| > 2, and
   `transition` carries tangents along with the state (dw -> -dw/w^2).
 
-`energy.on(chart)` checks an energy against a chart once and returns
+A chart's embedding is described once, by its power matrices S (3, d, d):
+the jet rows v, v', v'' (the embedding vector and its first two
+w-derivatives) are S_0 p, S_1 p and S_2 p of the power vector p = (1, w,
+..., w^(d-1)).  Each sphere side builds its S once, for all its charts.
+
+`energy.on(chart)` checks a Hermitian matrix H in the chart's embedding
+representation (MatrixExpectation) against the chart once and returns
 `derivs(u, order)`, h and its Wirtinger derivatives up to second order, from
-which `chart_rhs` builds the velocity and the linearized tangent flow.  For a
-Hermitian matrix in the chart's embedding representation they are analytic
-(MatrixExpectation).  The embedding jet rows v, v', v'' are fixed matrices
-S_a times the power vector p = (1, w, ..., w^(d-1)), so every moment
-<v_a|X|v_b> (X = H or 1) is the quadratic form conj(p) . S_a^dagger X S_b . p.
-The matrices of the forms one derivative order needs are stacked once per
-energy and chart side; an evaluation is one mat-vec with that stack and one
-dot with conj(p).  Each chart's metric is a scalar times the identity: the
-velocity is a division.
+which `chart_rhs` builds the velocity and the linearized tangent flow.  Every
+moment <v_a|X|v_b> (X = H or 1) is the quadratic form
+conj(p) . S_a^dagger X S_b . p.  The matrices of the forms one derivative
+order needs are stacked once per energy and chart side; an evaluation is one
+mat-vec with that stack and one dot with conj(p).  The metric is a scalar:
+the velocity is a division.
 """
 
 from __future__ import annotations
@@ -48,69 +52,57 @@ FLAT_CHART_CUTOFF = 64    # Fock levels of the Klauder chart embedding
 # ----------------------------------------------------------------- charts
 
 
-def _derivative_table(coef, power) -> tuple:
-    """(coefficients, powers), rows for orders 0-2, of the components
-    coef_k w^power_k and their w-derivatives, plus the exponents 0 ... d-1.
-
-    The order-m row holds coef_k power_k (power_k - 1) ... and power_k - m,
-    multiplied left to right as the derivative is written; components whose
-    power is below m vanish (coefficient 0, power 0).  Coefficients are
-    stored complex, the type numpy would cast them to for each product with a
-    complex power row, so the products are unchanged.
-    """
-    coefs, powers = [], []
-    for order in range(3):
-        live = power >= order
-        coefs.append(np.where(live, coef, 0))
-        powers.append(np.where(live, power - order, 0))
-        coef = coef * (power - order)
-    return np.array(coefs, dtype=complex), np.array(powers), np.arange(len(powers[0]))
-
-
-def _power_matrices(table: tuple) -> np.ndarray:
-    """S (3, d, d) with the jet rows v_m = S_m p of the power vector p =
-    (w^0 ... w^(d-1)): row k of S_m holds the coefficient coef_mk in the
-    column of its power."""
-    coef, power, exponents = table
-    s = np.zeros(coef.shape + (len(exponents),), dtype=complex)
-    np.put_along_axis(s, power[..., None], coef[..., None], axis=-1)
+def _power_matrices(coef, power) -> np.ndarray:
+    """S (3, d, d) with the jet rows v_m = S_m p (m = 0-2) of the components
+    coef_k w^power_k: row k of S_m holds coef_k power_k (power_k - 1) ...
+    (power_k - m + 1), multiplied left to right as the derivative is written,
+    in the column of power_k - m, and is zero when power_k < m."""
+    d = len(power)
+    s = np.zeros((3, d, d), dtype=complex)
+    for m in range(3):
+        live = power >= m
+        s[m, live.nonzero()[0], power[live] - m] = np.broadcast_to(coef, power.shape)[live]
+        coef = coef * (power - m)
     return s
 
 
-def _jet(table: tuple, w, order: int) -> np.ndarray:
-    """Rows [v, v', v''] up to `order` of the components coef_k w^power_k.
-
-    The rows index the one power vector w^0 ... w^(d-1) with their table
-    powers, so row m equals coef_m * w ** power_m elementwise.  A scalar `w`
-    gives shape (order + 1, d), a column (S, 1) of S points (S, order + 1, d).
-    """
-    if order not in (0, 1, 2):
-        raise ConfigError("embedding derivatives available up to order 2")
-    coef, power, exponents = table
-    return coef[:order + 1] * (w ** exponents).take(power[:order + 1], -1)
-
-
 @functools.cache
-def _sphere_table(n: int, south: bool) -> tuple:
-    """The derivative table of the degree-n monomials on one side, shared by
-    every chart of that side."""
-    weights = np.array([math.sqrt(math.comb(n, k)) for k in range(n + 1)])
+def _sphere_matrices(n: int, south: bool) -> np.ndarray:
+    """S of the degree-n monomials sqrt(C(n, k)) w^k (north) or w^(n-k)
+    (south), shared read-only by every chart of that side."""
     k = np.arange(n + 1)
-    return _derivative_table(weights, (n - k) if south else k)
+    weights = np.array([math.sqrt(math.comb(n, j)) for j in k])
+    s = _power_matrices(weights, (n - k) if south else k)
+    s.flags.writeable = False
+    return s
 
 
-class SphereChart:
+def _jet_row(s: np.ndarray, u: np.ndarray, order: int) -> np.ndarray:
+    """The jet row v_order = S_order p at the chart coordinate u = (w,)."""
+    return s[order] @ u[0] ** np.arange(s.shape[-1])
+
+
+class _Chart:
+    """One complex coordinate w, embedded by the power matrices `_s` (see
+    _power_matrices); `labels` maps coordinates to label rows."""
+
+    south = False
+
+    def point(self, u: np.ndarray) -> Point:
+        return Point(self.labels(u[None])[0])
+
+    def power_matrices(self) -> np.ndarray:
+        return self._s
+
+
+class SphereChart(_Chart):
     """Stereographic chart for unit spinors; monomial embedding of degree n."""
 
     def __init__(self, n: int, south: bool = False):
         self.n = int(n)
         self.south = bool(south)
-        self._table = _sphere_table(self.n, self.south)
+        self._s = _sphere_matrices(self.n, self.south)
         self.key = ("sphere", self.n, self.south)  # charts with one key embed alike
-
-    @property
-    def dim(self) -> int:
-        return 1
 
     def coords(self, z: Point) -> np.ndarray:
         z1, z2 = z.coords
@@ -122,9 +114,6 @@ class SphereChart:
         s = 1.0 / np.sqrt(1.0 + np.abs(w) ** 2)
         return np.stack((w * s, s) if self.south else (s, w * s), axis=1)
 
-    def point(self, u: np.ndarray) -> Point:
-        return Point(self.labels(u[None])[0])
-
     def flipped(self) -> "SphereChart":
         return SphereChart(self.n, south=not self.south)
 
@@ -135,16 +124,8 @@ class SphereChart:
         w = y[0]
         return np.concatenate(([1.0 / w], -y[1:] / (w * w)))
 
-    def jet(self, w, order: int = 0) -> np.ndarray:
-        """Monomial embedding v(w) and its w-derivatives up to `order` (see _jet)."""
-        return _jet(self._table, w, order)
-
-    def power_matrices(self) -> np.ndarray:
-        """The jet as matrices on the power vector (see _power_matrices)."""
-        return _power_matrices(self._table)
-
     def embedding(self, u: np.ndarray, order: int = 0) -> np.ndarray:
-        return self.jet(u[0], order)[order]
+        return _jet_row(self._s, u, order)
 
     def scalar_metric(self, w: complex) -> float:
         return self.n / (1.0 + abs(w) ** 2) ** 2
@@ -154,50 +135,28 @@ class SphereChart:
         return -2.0 * self.n * w.conjugate() / (1.0 + abs(w) ** 2) ** 3
 
 
-class FlatChart:
-    """Klauder zeta-chart: metric identically the identity; z0 is a spectator."""
+class FlatChart(_Chart):
+    """Klauder zeta-chart of one mode: metric 1; z0 is a spectator.  Embeds
+    into the first FLAT_CHART_CUTOFF Fock levels, e^z0 w^k / sqrt(k!)."""
 
-    def __init__(self, modes: int, z0: complex = 0.0):
-        self.modes = int(modes)
+    def __init__(self, z0: complex = 0.0):
         self.z0 = complex(z0)
-        n = np.arange(FLAT_CHART_CUTOFF)
-        self._fact = np.cumprod(np.concatenate([[1.0], np.sqrt(np.maximum(n[1:], 1))]))
-        self._table = _derivative_table(np.exp(self.z0), n)
-        self.key = ("flat", self.modes, self.z0)
-
-    @property
-    def dim(self) -> int:
-        return self.modes
+        k = np.arange(FLAT_CHART_CUTOFF)
+        fact = np.cumprod(np.sqrt(np.maximum(k, 1)))  # sqrt(k!)
+        self._s = _power_matrices(np.exp(self.z0), k) / fact[:, None]
+        self.key = ("flat", self.z0)
 
     def coords(self, z: Point) -> np.ndarray:
         return z.coords[1:].copy()
 
     def labels(self, us: np.ndarray) -> np.ndarray:
-        """Klauder labels (S, 1 + modes): z0 beside each row of us (S, modes)."""
+        """Klauder labels (S, 2): z0 beside each row of us (S, 1)."""
         return np.concatenate([np.full((len(us), 1), self.z0), us], axis=1)
 
-    def point(self, u: np.ndarray) -> Point:
-        return Point(self.labels(u[None])[0])
-
-    def _single_mode(self):
-        if self.modes != 1:
-            raise ConfigError("matrix energies support a single Klauder mode")
-
-    def jet(self, w, order: int = 0) -> np.ndarray:
-        """Fock-basis embedding of the single mode and its derivatives (see _jet)."""
-        self._single_mode()
-        return _jet(self._table, w, order) / self._fact
-
-    def power_matrices(self) -> np.ndarray:
-        """The jet as matrices on the power vector (see _power_matrices)."""
-        self._single_mode()
-        return _power_matrices(self._table) / self._fact[:, None]
-
     def embedding(self, u: np.ndarray, order: int = 0) -> np.ndarray:
-        return self.jet(u[0], order)[order]
+        return _jet_row(self._s, u, order)
 
     def scalar_metric(self, w: complex) -> float:
-        """The metric is 1 times the identity, for every number of modes."""
         return 1.0
 
     def metric_dw(self, w: complex) -> complex:
@@ -211,10 +170,13 @@ def _spin_chart(space: KernelSpace, z0: Point) -> SphereChart:
     return SphereChart(int(round(n)), south=abs(z0.coords[1]) > abs(z0.coords[0]))
 
 
-_CHARTS = {
-    "klauder": lambda space, z0: FlatChart(space.label_dim - 1, z0=z0.coords[0]),
-    "spin": _spin_chart,
-}
+def _klauder_chart(space: KernelSpace, z0: Point) -> FlatChart:
+    if space.label_dim != 2:
+        raise ConfigError("variational flows support a single Klauder mode")
+    return FlatChart(z0.coords[0])
+
+
+_CHARTS = {"klauder": _klauder_chart, "spin": _spin_chart}
 
 
 def chart_for(space: KernelSpace, z0: Point):
@@ -276,14 +238,10 @@ class MatrixExpectation:
 
     def on(self, chart):
         """The energy bound to `chart`, checked against it once: derivs(u,
-        order) gives (h,) at order 0, (h, d h / d ubar) at order 1 and, on a
-        1-d chart, (h, dh/dwbar, d2h/(dw dwbar), d2h/dwbar2) at order 2.
-
-        Each moment <v_a|X|v_b> (X = H or 1) of the jet rows v_a = S_a p
-        is the quadratic form conj(p) . S_a^dagger X S_b . p of the power
-        vector p = (1, w, ..., w^(d-1)).  The forms an order needs are
-        stacked once per chart side (see _form_stack), so an evaluation is
-        one power, one mat-vec with the stack and one dot with conj(p)."""
+        order) gives (h,) at order 0, (h, d h / d ubar) at order 1 and (h,
+        dh/dwbar, d2h/(dw dwbar), d2h/dwbar2) at order 2.  The quadratic forms
+        an order needs are stacked on its first use on a chart side (see
+        _form_stack)."""
         s = chart.power_matrices()
         d = s.shape[-1]
         if self.h.shape != (d, d):
@@ -315,8 +273,9 @@ class MatrixExpectation:
         return derivs
 
     def chart_values(self, chart, us):
-        """h at each row of `us` (samples x chart dim)."""
-        v = chart.jet(us, 0)[:, 0]       # samples x d
+        """h at each row of `us` (samples x 1)."""
+        s = chart.power_matrices()
+        v = (us[:, :1] ** np.arange(s.shape[-1])) @ s[0].T   # samples x d
         num = np.einsum("sd,sd->s", v.conj(), v @ self.h.T)
         return num.real / np.einsum("sd,sd->s", v.conj(), v).real
 
@@ -326,8 +285,8 @@ class MatrixExpectation:
 
 def chart_rhs(chart, derivs, hbar: float, tangent: bool = False):
     """f(t, y) of the variational flow on `chart`, `derivs` the energy bound
-    to it: F = grad_ubar h / g / (i hbar) of y = u, or with `tangent`, on a
-    1-d chart, y = (w, dw) and dw' = A dw + B conj(dw), A = dF/dw, B = dF/dwbar.
+    to it: F = grad_ubar h / g / (i hbar) of y = u, or with `tangent`,
+    y = (w, dw) and dw' = A dw + B conj(dw), A = dF/dw, B = dF/dwbar.
     """
     def velocity(t, u):
         return derivs(u, 1)[1] * (1.0 / (1j * hbar * chart.scalar_metric(u.item(0))))
@@ -423,13 +382,12 @@ def dirac_frenkel_flow(
                                    t_eval=t_eval, monitor=monitor)
     coords = np.concatenate([ch.labels(sol.states) for ch, sol in segments])
     return Trajectory(
-        space=space,
         times=np.concatenate([sol.times for _, sol in segments]),
         coords=coords,
         stats=total_stats([sol.stats for _, sol in segments]),
         energies=np.concatenate([energy.chart_values(ch, sol.states) for ch, sol in segments]),
         norms=kernel_diagonal(space, coords).real,
-        chart_flags=np.concatenate([np.full(len(sol.times), int(getattr(ch, "south", False)))
+        chart_flags=np.concatenate([np.full(len(sol.times), int(ch.south))
                                     for ch, sol in segments]),
         chart_switches=len(segments) - 1,
         energy_drift=worst / h_scale,

@@ -52,6 +52,32 @@ def bloch_vector(spinor) -> np.ndarray:
     return np.array([2.0 * c.real, 2.0 * c.imag, abs(z1) ** 2 - abs(z2) ** 2])
 
 
+def _falling(p: int, m: int) -> int:
+    """p (p - 1) ... (p - m + 1): the m-th derivative factor of w^p."""
+    return math.prod(range(p - m + 1, p + 1))
+
+
+def sphere_jet(n: int, w: complex, south: bool = False) -> np.ndarray:
+    """Rows v, v', v'' (3, n + 1) of the chart monomials sqrt(C(n,k)) w^p_k,
+    p_k = k (north) or n - k (south), and their w-derivatives."""
+    jet = np.zeros((3, n + 1), dtype=complex)
+    for k in range(n + 1):
+        p = n - k if south else k
+        for m in range(min(p, 2) + 1):
+            jet[m, k] = math.sqrt(math.comb(n, k)) * _falling(p, m) * w ** (p - m)
+    return jet
+
+
+def flat_jet(cutoff: int, z0: complex, w: complex) -> np.ndarray:
+    """Rows v, v', v'' (3, cutoff) of the Fock components e^z0 w^k / sqrt(k!)
+    and their w-derivatives."""
+    jet = np.zeros((3, cutoff), dtype=complex)
+    for k in range(cutoff):
+        for m in range(min(k, 2) + 1):
+            jet[m, k] = np.exp(z0) * _falling(k, m) * w ** (k - m) / math.sqrt(math.factorial(k))
+    return jet
+
+
 # --- truncated Fock space ---
 
 def fock_ops(cutoff: int):

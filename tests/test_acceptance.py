@@ -23,7 +23,7 @@ from oracles import (
 
 from cohspace import cli
 from cohspace.chaos import KickedTop, lyapunov_kicked, spinor_from_bloch
-from cohspace.dynamics import LinearHamiltonianFlow, coherent_flow
+from cohspace.dynamics import coherent_flow
 from cohspace.kernels import (
     Point,
     check_coherence,
@@ -170,8 +170,8 @@ def test_criterion_4_exact_coherent_dynamics():
     sp = space_from_descriptor({"kind": "klauder", "modes": 1})
     z0 = Point(np.array([0.2 + 0.1j, 1.1 - 0.4j]))
     t_eval = np.linspace(0.0, 10.0 / omega, 33)
-    traj = coherent_flow(sp, LinearHamiltonianFlow(np.diag([0.0, omega]).astype(complex)),
-                         z0, (0.0, 10.0 / omega), t_eval)
+    traj = coherent_flow(sp, np.diag([0.0, omega]).astype(complex), z0, (0.0, 10.0 / omega),
+                         t_eval)
     _, _, num = fock_ops(64)
     phases = np.exp(-1j * omega * np.diag(num)[None, :] * t_eval[:, None])
     psi0 = fock_coherent(64, z0.coords[0], z0.coords[1])
@@ -194,8 +194,7 @@ def test_criterion_4_exact_coherent_dynamics():
                    + axis[2] * np.diag([1, -1])).astype(complex) / 2
     z = Point(np.array([0.8, 0.6j]))
     t_eval = np.linspace(0.0, 10.0 / omega_s, 33)
-    traj = coherent_flow(sps, LinearHamiltonianFlow(a), z, (0.0, 10.0 / omega_s),
-                         t_eval)
+    traj = coherent_flow(sps, a, z, (0.0, 10.0 / omega_s), t_eval)
     jx, jy, jz = wigner_matrices(n)
     h = omega_s * (axis[0] * jx + axis[1] * jy + axis[2] * jz)
     w, v = np.linalg.eigh(h)
@@ -226,7 +225,7 @@ def test_criterion_5_tdvp_exactness_and_conservation():
     # H in the symmetry algebra: TDVP must reproduce the exact coherent flow
     a = omega * np.diag([0.5, -0.5]).astype(complex)
     t_eval = np.linspace(0.0, 8.0, 17)
-    exact = coherent_flow(sp, LinearHamiltonianFlow(a), z, (0.0, 8.0), t_eval)
+    exact = coherent_flow(sp, a, z, (0.0, 8.0), t_eval)
     tdvp = dirac_frenkel_flow(sp, MatrixExpectation(rep.dgamma(a)), z, (0.0, 8.0),
                               t_eval, rtol=rtol)
     dev = max(_fidelity_deficit(sp, p, q)

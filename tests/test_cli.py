@@ -652,16 +652,36 @@ def test_a_json_integer_beyond_the_float_range_is_not_a_finite_number():
         cli.run({"command": "dyn-lyapunov", "kick": 10 ** 400, "periods": 10})
 
 
-@pytest.mark.parametrize("t_total, resample", [
-    ("2.0", "0.3"),      # used to run 7 segments to t = 2.1
-    ("1e300", "1e-300"),  # an infinite ratio used to end in an OverflowError traceback
-], ids=["partial", "infinite"])
-def test_exit_2_on_a_partial_lyapunov_segment(tmp_path, monkeypatch, capsys, t_total, resample):
-    code, _, err = run_cli(["dyn-lyapunov", "--system", "continuous"] + _SPIN4
-                           + ["--t-total", t_total, "--resample", resample],
-                           tmp_path, monkeypatch, capsys)
+_CONTINUOUS = ["dyn-lyapunov", "--system", "continuous"] + _SPIN4
+
+
+@pytest.mark.parametrize("args, keys", [
+    # used to run 7 segments to t = 2.1
+    (_CONTINUOUS + ["--t-total", "2.0", "--resample", "0.3"], ["t_total", "resample"]),
+    # an infinite ratio used to end in an OverflowError traceback
+    (_CONTINUOUS + ["--t-total", "1e300", "--resample", "1e-300"], ["t_total", "resample"]),
+    # more segments than numpy can allocate used to end in a ValueError traceback
+    (_CONTINUOUS + ["--t-total", "1e300", "--resample", "1"], ["t_total", "resample"]),
+    (["dyn-lyapunov", "--kick", "3", "--periods", "100000000000000000000"], ["periods"]),
+], ids=["partial", "infinite", "huge", "huge-kicked"])
+def test_exit_2_on_a_partial_lyapunov_segment(tmp_path, monkeypatch, capsys, args, keys):
+    code, _, err = run_cli(args, tmp_path, monkeypatch, capsys)
     assert code == 2
-    assert err.startswith("config error: ") and "'t_total'" in err and "'resample'" in err
+    assert err.startswith("config error: ") and all(f"'{key}'" in err for key in keys)
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args", [["dyn-tdvp", "--t-span", "[0,1]"],
+                                  ["dyn-lyapunov", "--system", "continuous"]],
+                         ids=["dyn-tdvp", "dyn-lyapunov-continuous"])
+def test_exit_2_on_a_two_mode_klauder_variational_flow(tmp_path, monkeypatch, capsys, args):
+    code, out, err = run_cli(args + ["--space", '{"kind":"klauder","modes":2}',
+                                     "--energy", '{"kind":"matrix","matrix":[[[1,0]]]}',
+                                     "--z0", "[[0.1,0],[0.5,0.2],[-0.3,0.6]]"],
+                             tmp_path, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err == "config error: variational flows support a single Klauder mode\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -8,7 +8,7 @@ import scipy.linalg
 
 import oracles
 from cohspace import dynamics, integrate, liealg, tdvp
-from cohspace.dynamics import LinearHamiltonianFlow, coherent_flow
+from cohspace.dynamics import coherent_flow
 from cohspace.errors import ConfigError
 from cohspace.integrate import solve_rk45
 from cohspace.kernels import Point, eval_kernel, heisenberg_space, klauder_space, spin_space
@@ -17,46 +17,45 @@ from cohspace.reps import propagate_eig
 HBAR = 1.0
 
 
-def klauder_oscillator_flow(omega=1.0, hbar=1.0):
+def klauder_oscillator_generator(omega=1.0, hbar=1.0):
     # i hbar (z0., zeta.) = diag(0, hbar omega) (z0, zeta): zeta(t) = e^{-i omega t} zeta0
-    return LinearHamiltonianFlow(np.diag([0.0, hbar * omega]).astype(complex), hbar=hbar)
+    return np.diag([0.0, hbar * omega]).astype(complex)
 
 
-def spin_precession_flow(omega=1.0, hbar=1.0):
+def spin_precession_generator(omega=1.0, hbar=1.0):
     # A = hbar omega sigma_z / 2: chart w = z2/z1 rotates as e^{+i omega t}
-    return LinearHamiltonianFlow(hbar * omega * np.diag([0.5, -0.5]).astype(complex), hbar=hbar)
+    return hbar * omega * np.diag([0.5, -0.5]).astype(complex)
 
 
-def lift_deficit(h, embed, flow, traj):
+def lift_deficit(h, embed, hbar, traj):
     """The largest fidelity deficit 1 - |<psi_t, v(z_t)>|^2 / (|psi_t|^2 |v(z_t)|^2)
     of the trajectory's embeddings v(z_t) against psi_t, the start embedding
     propagated exactly by the lifted Hamiltonian h."""
     psi0 = embed(traj.coords[0])
     worst = 0.0
     for t, z in zip(traj.times, traj.coords):
-        psi = scipy.linalg.expm(-1j * (t - traj.times[0]) * h / flow.hbar) @ psi0
+        psi = scipy.linalg.expm(-1j * (t - traj.times[0]) * h / hbar) @ psi0
         v = embed(z)
         fidelity = abs(np.vdot(psi, v)) ** 2 / (np.vdot(psi, psi).real * np.vdot(v, v).real)
         worst = max(worst, 1.0 - fidelity)
     return worst
 
 
-def spin_lift_deficit(n, flow, traj):
+def spin_lift_deficit(n, a, hbar, traj):
     """lift_deficit of the monomial embeddings under the Wigner-matrix lift of
     the generator: A = tr(A)/2 + sum_k tr(A sigma_k) sigma_k/2 lifts to
     n tr(A)/2 + sum_k tr(A sigma_k) J_k."""
-    a = flow.generator
     paulis = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1, -1]))
     h = np.trace(a) / 2 * n * np.eye(n + 1) + sum(
         np.trace(a @ s) * j for s, j in zip(paulis, oracles.wigner_matrices(n)))
-    return lift_deficit(h, lambda z: oracles.spin_monomial_embed(n, z), flow, traj)
+    return lift_deficit(h, lambda z: oracles.spin_monomial_embed(n, z), hbar, traj)
 
 
 def test_oscillator_labels_match_closed_form():
     sp = klauder_space(1)
     z0 = Point([0.1 + 0.05j, 1.2 - 0.3j])
     omega = 1.3
-    traj = coherent_flow(sp, klauder_oscillator_flow(omega), z0, (0.0, 10.0),
+    traj = coherent_flow(sp, klauder_oscillator_generator(omega), z0, (0.0, 10.0),
                          t_eval=np.linspace(0, 10, 21))
     for t, p in zip(traj.times, traj.points):
         expected = np.array([z0.coords[0], np.exp(-1j * omega * t) * z0.coords[1]])
@@ -68,7 +67,7 @@ def test_spin_labels_match_closed_form():
     z = np.array([1.0, 0.6 + 0.3j])
     z = z / np.linalg.norm(z)
     omega = 0.9
-    traj = coherent_flow(sp, spin_precession_flow(omega), Point(z), (0.0, 12.0),
+    traj = coherent_flow(sp, spin_precession_generator(omega), Point(z), (0.0, 12.0),
                          t_eval=np.linspace(0, 12, 25))
     for t, p in zip(traj.times, traj.points):
         expected = np.array([np.exp(-0.5j * omega * t) * z[0], np.exp(0.5j * omega * t) * z[1]])
@@ -83,12 +82,11 @@ def test_schrodinger_lift_fock():
     # truncated Fock space of the coherent vectors e^{z0} sum zeta^k/sqrt(k!) |k>
     sp = klauder_space(1)
     z0 = Point([0.0, 1.2 + 0.4j])
-    flow = klauder_oscillator_flow(1.0)
-    traj = coherent_flow(sp, flow, z0, (0.0, 10.0), t_eval=np.linspace(0, 10, 41))
+    traj = coherent_flow(sp, klauder_oscillator_generator(1.0), z0, (0.0, 10.0),
+                         t_eval=np.linspace(0, 10, 41))
     cutoff = 64
     _, _, number = oracles.fock_ops(cutoff)
-    deficit = lift_deficit(flow.hbar * 1.0 * number, lambda z: oracles.fock_coherent(cutoff, *z),
-                           flow, traj)
+    deficit = lift_deficit(1.0 * number, lambda z: oracles.fock_coherent(cutoff, *z), 1.0, traj)
     assert deficit < 1e-8
 
 
@@ -97,9 +95,9 @@ def test_schrodinger_lift_spin():
     sp = spin_space(n)
     z = np.array([1.0, 0.5 - 0.8j])
     z = Point(z / np.linalg.norm(z))
-    flow = spin_precession_flow(1.7)
-    traj = coherent_flow(sp, flow, z, (0.0, 8.0), t_eval=np.linspace(0, 8, 33))
-    assert spin_lift_deficit(n, flow, traj) < 1e-9
+    a = spin_precession_generator(1.7)
+    traj = coherent_flow(sp, a, z, (0.0, 8.0), t_eval=np.linspace(0, 8, 33))
+    assert spin_lift_deficit(n, a, 1.0, traj) < 1e-9
 
 
 def test_schrodinger_lift_generic_spin_generator():
@@ -107,10 +105,9 @@ def test_schrodinger_lift_generic_spin_generator():
     n = 3
     sp = spin_space(n)
     a = np.array([[0.4, 0.3 - 0.2j], [0.3 + 0.2j, -0.1]], dtype=complex)
-    flow = LinearHamiltonianFlow(a, hbar=0.7)
     z = Point(np.array([0.8, 0.6j]))
-    traj = coherent_flow(sp, flow, z, (0.0, 6.0), t_eval=np.linspace(0, 6, 25))
-    assert spin_lift_deficit(n, flow, traj) < 1e-9
+    traj = coherent_flow(sp, a, z, (0.0, 6.0), t_eval=np.linspace(0, 6, 25), hbar=0.7)
+    assert spin_lift_deficit(n, a, 0.7, traj) < 1e-9
 
 
 def test_exact_flow_matches_rk45_oracle():
@@ -118,18 +115,16 @@ def test_exact_flow_matches_rk45_oracle():
     # stays the oracle for exact propagation: agreement within 1e-9 relative
     z = np.array([1.0, 0.6 + 0.3j]) / np.linalg.norm([1.0, 0.6 + 0.3j])
     cases = [
-        (klauder_space(1), klauder_oscillator_flow(1.3, hbar=0.8),
+        (klauder_space(1), klauder_oscillator_generator(1.3, hbar=0.8), 0.8,
          np.array([0.1 + 0.05j, 1.2 - 0.3j]), 20.0),
-        (spin_space(4), spin_precession_flow(0.9), z, 12.0),
-        (spin_space(3), LinearHamiltonianFlow(
-            np.array([[0.4, 0.3 - 0.2j], [0.3 + 0.2j, -0.1]]), hbar=0.7), z, 9.0),
+        (spin_space(4), spin_precession_generator(0.9), 1.0, z, 12.0),
+        (spin_space(3), np.array([[0.4, 0.3 - 0.2j], [0.3 + 0.2j, -0.1]]), 0.7, z, 9.0),
     ]
-    for sp, flow, z0, t1 in cases:
+    for sp, a, hbar, z0, t1 in cases:
         t_eval = np.linspace(0.0, t1, 41)
-        traj = coherent_flow(sp, flow, Point(z0), (0.0, t1), t_eval)
+        traj = coherent_flow(sp, a, Point(z0), (0.0, t1), t_eval, hbar=hbar)
         assert traj.stats is None
-        a = flow.generator
-        ref = solve_rk45(lambda t, y: a @ y / (1j * flow.hbar), 0.0, t1, z0,
+        ref = solve_rk45(lambda t, y: a @ y / (1j * hbar), 0.0, t1, z0,
                          rtol=1e-12, atol=1e-14, t_eval=t_eval)
         got = np.array([p.coords for p in traj.points])
         assert np.max(np.abs(got - ref.states)) <= 1e-9 * max(1.0, np.abs(ref.states).max())
@@ -145,7 +140,7 @@ def test_coherent_trajectory_matches_the_per_sample_route():
         (heisenberg_space(2), np.diag([0.7, -1.1]), Point([0.3 - 0.2j, 0.5j], 0.8 - 0.6j)),
     ]
     for sp, a, z0 in cases:
-        traj = coherent_flow(sp, LinearHamiltonianFlow(a), z0, (0.0, 4.0),
+        traj = coherent_flow(sp, a, z0, (0.0, 4.0),
                              t_eval=np.linspace(0.0, 4.0, 41))
         states = propagate_eig(a, z0.coords, traj.times)
         want = [y / np.linalg.norm(y) if sp.kind == "spin" else y for y in states]
@@ -165,7 +160,7 @@ def test_time_independent_flows_never_call_the_integrator(monkeypatch):
     assert not hasattr(dynamics, "solve_rk45") and not hasattr(liealg, "solve_rk45")
     sp = spin_space(2)
     z = Point(np.array([1.0, 0.4 + 0.2j]) / np.linalg.norm([1.0, 0.4 + 0.2j]))
-    traj = coherent_flow(sp, spin_precession_flow(1.1), z, (0.0, 5.0))
+    traj = coherent_flow(sp, spin_precession_generator(1.1), z, (0.0, 5.0))
     assert len(traj.points) == 101
     alg, rep = liealg.su2_qubit()
     st = liealg.state_from_density(alg, rep, np.array([[0.7, 0.1j], [-0.1j, 0.3]]))
@@ -183,7 +178,7 @@ def test_exact_flow_checks_sample_times():
     for t_span, t_eval in [((1.0, 0.0), None), ((0.0, 1.0), [0.5, 0.2]),
                            ((0.0, 1.0), [0.5, 2.0])]:
         with pytest.raises(ConfigError):
-            coherent_flow(sp, klauder_oscillator_flow(), z0, t_span, t_eval)
+            coherent_flow(sp, klauder_oscillator_generator(), z0, t_span, t_eval)
         with pytest.raises(ConfigError):
             liealg.evolve_expectations(alg, rep, alg.basis_vector(3), st, obs, t_span, t_eval)
 
@@ -191,7 +186,7 @@ def test_exact_flow_checks_sample_times():
 def test_flow_shape_mismatch():
     sp = klauder_space(1)
     with pytest.raises(ConfigError):
-        coherent_flow(sp, LinearHamiltonianFlow(np.eye(3)), Point([0.0, 0.5]), (0.0, 1.0))
+        coherent_flow(sp, np.eye(3), Point([0.0, 0.5]), (0.0, 1.0))
 
 
 def test_empty_sample_grid_gives_an_empty_trajectory():
@@ -199,7 +194,7 @@ def test_empty_sample_grid_gives_an_empty_trajectory():
     for space, z0 in ((klauder_space(1), Point([0.2, 1.1 - 0.4j])),
                       (spin_space(3), Point(np.array([0.6, 0.8j]))),
                       (heisenberg_space(2), Point([0.2, 0.5j], 0.7))):
-        traj = coherent_flow(space, LinearHamiltonianFlow(a), z0, (0.0, 5.0), t_eval=[])
+        traj = coherent_flow(space, a, z0, (0.0, 5.0), t_eval=[])
         assert traj.times.shape == (0,) and traj.norms.shape == (0,)
         assert traj.coords.shape == (0, space.label_dim) and traj.points == []
         assert (traj.multipliers is None) == (z0.multiplier is None)
@@ -209,7 +204,7 @@ def test_empty_sample_grid_gives_an_empty_trajectory():
 def test_norm_column_records_kernel_diagonal():
     sp = klauder_space(1)
     z0 = Point([0.0, 0.7])
-    traj = coherent_flow(sp, klauder_oscillator_flow(), z0, (0.0, 3.0),
+    traj = coherent_flow(sp, klauder_oscillator_generator(), z0, (0.0, 3.0),
                          t_eval=np.linspace(0, 3, 7))
     np.testing.assert_allclose(traj.norms, math.exp(0.49), rtol=1e-9)
 

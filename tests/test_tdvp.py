@@ -5,8 +5,9 @@ so the variational flow must reproduce the exact coherent flow to integrator
 accuracy (spin precession w(t) = exp(i w t) w0, oscillator zeta(t) =
 exp(-i w t) zeta0, driven oscillator closed form).  Metric values are checked
 against finite differences of the log-kernel written out independently here,
-and the analytic matrix energy against the central-difference energy of
-``oracles.FiniteDifferenceEnergy``.
+the analytic matrix energy against the central-difference energy of
+``oracles.FiniteDifferenceEnergy``, and each chart's power matrices against
+the closed-form jets ``oracles.sphere_jet`` and ``oracles.flat_jet``.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
-from cohspace.dynamics import LinearHamiltonianFlow, coherent_flow
+from cohspace.dynamics import coherent_flow
 from cohspace.errors import IntegratorFailure
 from cohspace.kernels import (
     Point,
@@ -65,7 +66,7 @@ def test_sphere_chart_roundtrip_and_embedding():
 
 
 def test_flat_chart_embedding_matches_fock():
-    chart = FlatChart(1, z0=0.15 + 0.1j)
+    chart = FlatChart(z0=0.15 + 0.1j)
     u = np.array([0.7 - 0.35j])
     np.testing.assert_allclose(
         chart.embedding(u), oracles.fock_coherent(64, *chart.point(u).coords), atol=1e-14
@@ -110,9 +111,7 @@ def chart_metric(space, z):
 
 def test_metric_dispatch_values():
     # chart_for picks the chart whose metric is the Kaehler metric of the kernel
-    flat = Point([0.1, 0.2j, 0.3])
-    assert chart_for(klauder_space(2), flat).dim == 2
-    assert chart_metric(klauder_space(2), flat) == 1.0
+    assert chart_metric(klauder_space(1), Point([0.1, 0.2j])) == 1.0
     assert chart_metric(spin_space(5), unit_spinor(1.0, 0.0)) == pytest.approx(5.0, abs=1e-14)
     # K_3^2 = K_6, so the metric d dbar log K of spin 6 is twice that of spin 3
     z, w = unit_spinor(1.0, 0.45 - 0.2j), unit_spinor(0.3, 1.0)
@@ -124,7 +123,7 @@ def test_metric_dispatch_values():
 
 def test_metric_positive_at_samples():
     rng = np.random.default_rng(11)
-    for sp in (klauder_space(2), spin_space(4)):
+    for sp in (klauder_space(1), spin_space(4)):
         for p in sample_points(sp, rng, 50):
             assert chart_metric(sp, p) > 0.0
 
@@ -149,7 +148,7 @@ def test_matrix_expectation_grad_matches_fd():
     got = derivs(u, 1)[1][0]
     assert abs(got - fd) <= 1e-6 * (1 + abs(got))
 
-    derivs2 = MatrixExpectation(np.diag(np.arange(64, dtype=float))).on(FlatChart(1))
+    derivs2 = MatrixExpectation(np.diag(np.arange(64, dtype=float))).on(FlatChart())
     u2 = np.array([0.8 - 0.3j])
     fd2 = wirtinger_conj_fd(lambda x: derivs2(x, 0)[0], u2)
     got2 = derivs2(u2, 1)[1][0]
@@ -179,20 +178,21 @@ def test_matrix_expectation_second_derivatives():
     assert grad2 == pytest.approx((dx + 1j * dy) / 2, rel=1e-5, abs=1e-8)
 
 
-# One jet per evaluation against the per-order route it replaced: one
-# embedding call per derivative order (coef_m * w ** power_m from the chart's
-# derivative table), one mat-vec per ket and one vdot per moment.
+# The power matrices against the closed-form jet, and the stacked quadratic
+# forms against the per-order route on that jet: one mat-vec per ket and one
+# vdot per moment.
 
 
-def _per_order_embedding(chart, u, order):
-    coef, power, _ = chart._table
-    v = coef[order] * u[0] ** power[order]
-    return v / chart._fact if isinstance(chart, FlatChart) else v
+def _oracle_jet(chart, w):
+    """The chart's jet rows v, v', v'' at w in closed form."""
+    if isinstance(chart, FlatChart):
+        return oracles.flat_jet(64, chart.z0, w)
+    return oracles.sphere_jet(chart.n, w, chart.south)
 
 
 def _per_order_route(ham, chart, u):
     """(h, dh/dwbar, d2h/(dw dwbar), d2h/dwbar2) by the per-order route."""
-    v, v1, v2 = (_per_order_embedding(chart, u, m) for m in range(3))
+    v, v1, v2 = _oracle_jet(chart, u[0])
     hv, hv1 = ham @ v, ham @ v1
     num, den = complex(np.vdot(v, hv)), complex(np.vdot(v, v))
     dn, dd = complex(np.vdot(v1, hv)), complex(np.vdot(v1, v))
@@ -213,21 +213,22 @@ def _random_hermitian(rng, d):
 
 _ONE_JET_CHARTS = [(SphereChart(n, south=south), f"sphere{n}-{'south' if south else 'north'}")
                    for n in (1, 4, 10, 40) for south in (False, True)]
-_ONE_JET_CHARTS.append((FlatChart(1, z0=0.2 - 0.1j), "flat"))
+_ONE_JET_CHARTS.append((FlatChart(z0=0.2 - 0.1j), "flat"))
 _ONE_JET_POINTS = (0.0j, 0.3 - 0.2j, -1.1 + 0.7j, 1.6 + 1.2j)   # up to the switch radius 2
 
 
 @pytest.mark.parametrize("chart", [c for c, _ in _ONE_JET_CHARTS],
                          ids=[name for _, name in _ONE_JET_CHARTS])
 def test_one_jet_agrees_with_the_per_order_route(chart):
-    d = len(_per_order_embedding(chart, np.array([0.5j]), 0))
+    s = chart.power_matrices()
+    d = s.shape[-1]
     ham = _random_hermitian(np.random.default_rng(d), d)
     derivs = MatrixExpectation(ham).on(chart)
     for w in _ONE_JET_POINTS:
         u = np.array([w])
-        jet = chart.jet(u[0], 2)
-        for m in range(3):  # same arithmetic per component: bit-equal rows
-            assert jet[m].tobytes() == _per_order_embedding(chart, u, m).tobytes()
+        jet = s @ w ** np.arange(d)
+        np.testing.assert_allclose(jet, _oracle_jet(chart, w), rtol=1e-13, atol=0)
+        for m in range(3):  # the embedding is the shared table's row
             assert chart.embedding(u, m).tobytes() == jet[m].tobytes()
         want = _per_order_route(ham, chart, u)
         (h0,), (h1, (grad,)) = derivs(u, 0), derivs(u, 1)
@@ -237,7 +238,7 @@ def test_one_jet_agrees_with_the_per_order_route(chart):
 
 
 @pytest.mark.parametrize("chart", [SphereChart(40), SphereChart(7, south=True),
-                                   FlatChart(1, z0=0.1j)], ids=["n40", "n7-south", "flat"])
+                                   FlatChart(z0=0.1j)], ids=["n40", "n7-south", "flat"])
 def test_batched_sample_energies_match_chart_value(chart):
     rng = np.random.default_rng(3)
     d = len(chart.embedding(np.array([0.0j])))
@@ -258,7 +259,7 @@ def test_batched_sample_energies_match_chart_value(chart):
 
 
 def _old_moments(ham, chart, w, order):
-    jet = chart.jet(w, order)
+    jet = _oracle_jet(chart, w)[:order + 1]
     d = jet.shape[-1]
     kets = np.dot(jet[0] if order < 2 else jet[:2], np.concatenate((ham.T, np.eye(d)), axis=1))
     return np.dot(jet.conj(), kets.reshape(-1, d).T).tolist()
@@ -329,9 +330,8 @@ def test_a_wrong_size_operator_fails_when_bound(monkeypatch):
 
 
 def test_callable_energy_calls_per_rhs():
-    # the velocity costs the stencil's 4 calls per chart coordinate, its h
-    # the stencil's mean; the tangent field 21 (value, gradient and the
-    # gradient's own stencil)
+    # the velocity costs the stencil's 4 calls, its h the stencil's mean; the
+    # tangent field 21 (value, gradient and the gradient's own stencil)
     calls = []
 
     def fn(p):
@@ -339,9 +339,9 @@ def test_callable_energy_calls_per_rhs():
         return float(abs(p.coords[-1]) ** 2 + 0.3 * p.coords[-1].real)
 
     en = oracles.FiniteDifferenceEnergy(fn)
-    flat = FlatChart(2)
-    chart_rhs(flat, en.on(flat), 1.0)(0.0, np.array([0.3 + 0.1j, -0.2j]))
-    assert len(calls) == 8
+    flat = FlatChart(0.1)
+    chart_rhs(flat, en.on(flat), 1.0)(0.0, np.array([0.3 + 0.1j]))
+    assert len(calls) == 4
     chart = SphereChart(4, south=True)
     derivs = en.on(chart)
     calls.clear()
@@ -353,9 +353,10 @@ def test_callable_energy_calls_per_rhs():
 
 def test_charts_of_one_side_share_their_table():
     for n in (1, 6):
-        north = SphereChart(n)
-        assert north.flipped()._table is SphereChart(n, south=True)._table
-        assert north.flipped().flipped()._table is north._table
+        north, south = SphereChart(n), SphereChart(n, south=True)
+        assert north.flipped().power_matrices() is south.power_matrices()
+        assert north.flipped().flipped().power_matrices() is north.power_matrices()
+        assert not north.power_matrices().flags.writeable
 
 
 def test_non_hermitian_energy_matrix_rejected():
@@ -411,22 +412,9 @@ def test_oscillator_tdvp_matches_exact():
     np.testing.assert_allclose(traj.norms, traj.norms[0], rtol=1e-9)
 
     # against the exact coherent flow of the same Hamiltonian
-    flow = LinearHamiltonianFlow(np.diag([0.0, omega]))
-    ref = coherent_flow(sp, flow, z0, (0.0, 7.0), t_eval=t_eval)
+    ref = coherent_flow(sp, np.diag([0.0, omega]), z0, (0.0, 7.0), t_eval=t_eval)
     ref_zeta = np.array([p.coords[1] for p in ref.points])
     np.testing.assert_allclose(got, ref_zeta, atol=5e-9)
-
-
-def test_two_mode_klauder_flow_with_an_energy_callable():
-    # the flat chart's metric is the identity for any number of modes
-    omega = np.array([0.7, 1.9])
-    z0 = Point([0.1, 0.5 + 0.2j, -0.3 + 0.6j])
-    energy = oracles.FiniteDifferenceEnergy(lambda p: float(omega @ np.abs(p.coords[1:]) ** 2))
-    t_eval = np.linspace(0.0, 3.0, 7)
-    traj = dirac_frenkel_flow(klauder_space(2), energy, z0, (0.0, 3.0), t_eval=t_eval)
-    got = np.array([p.coords[1:] for p in traj.points])
-    exact = z0.coords[1:] * np.exp(-1j * np.outer(t_eval, omega))
-    np.testing.assert_allclose(got, exact, atol=1e-6)
 
 
 def test_driven_oscillator_closed_form():
@@ -456,8 +444,7 @@ def test_spin_precession_tdvp_matches_exact():
     got = np.array([p.coords[1] / p.coords[0] for p in traj.points])
     np.testing.assert_allclose(got, w0 * np.exp(1j * omega * t_eval), atol=5e-9)
 
-    flow = LinearHamiltonianFlow(omega * SZ)
-    ref = coherent_flow(sp, flow, z0, (0.0, 5.0), t_eval=t_eval)
+    ref = coherent_flow(sp, omega * SZ, z0, (0.0, 5.0), t_eval=t_eval)
     for p, q in zip(traj.points, ref.points):
         np.testing.assert_allclose(oracles.bloch_vector(p.coords), oracles.bloch_vector(q.coords),
                                    atol=5e-9)
@@ -472,8 +459,7 @@ def test_chart_switch_roundtrip():
     traj = dirac_frenkel_flow(sp, en, z0, (0.0, 6.0), t_eval=t_eval, rtol=1e-10)
     assert set(np.unique(traj.chart_flags)) == {0, 1}  # south chart visited
 
-    flow = LinearHamiltonianFlow(omega * SX)
-    ref = coherent_flow(sp, flow, z0, (0.0, 6.0), t_eval=t_eval)
+    ref = coherent_flow(sp, omega * SX, z0, (0.0, 6.0), t_eval=t_eval)
     err = max(
         np.max(np.abs(oracles.bloch_vector(p.coords) - oracles.bloch_vector(q.coords)))
         for p, q in zip(traj.points, ref.points)
@@ -587,3 +573,5 @@ def test_chart_for_rejects_unsupported():
         chart_for(trivial_space(2), Point([1.0, 0.0]))
     with pytest.raises(ConfigError):
         chart_for(spin_space(0.5), Point([1.0, 0.0]))
+    with pytest.raises(ConfigError, match="^variational flows support a single Klauder mode$"):
+        chart_for(klauder_space(2), Point([0.1, 0.2j, 0.3]))
