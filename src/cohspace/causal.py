@@ -1,9 +1,9 @@
 """Lattice sections and the two kernel conditions of a causal coherent space.
 
-A *section* is a finitely supported map from lattice sites (integer tuples,
-here (t, x)) to complex amplitudes.  Given a kernel K on sections and an
-independence relation between sites (causal disjointness), the two conditions
-checked are, for triples (j, k, j'):
+A *section* is a finitely supported map from lattice sites (t, x) to complex
+amplitudes.  Given a kernel K on sections and an independence relation
+between sites (causal disjointness), the two conditions checked are, for
+triples (j, k, j'):
 
 - normalization:  K(j, j') = 1           whenever j and j' are independent,
 - causality:      K(j+k, j'+k) = K(j, j') whenever k is independent of both.
@@ -12,159 +12,163 @@ The independence preconditions are the caller's responsibility; triples that
 do not even satisfy the causality precondition raise PreconditionError naming
 the offending sites.
 
-``lattice_weyl_kernel`` builds the canonical 1+1-dimensional example: the
-exponential of the bilinear pairing with the lattice light-cone commutator
-W(t, x) = -(i/2) sgn(t) [|x| <= |t|] (antisymmetric, supported exactly on the
-cone at unit lattice speed), which satisfies both conditions exactly.
+Triples are arrays (``Triples``, parsed and checked from JSON rows by
+``triples_from_rows``).  A kernel is given by its pairing W of sites,
+K(a, b) = exp(s(a, b)) with s(a, b) = sum_{xi, eta} a(xi) W(xi - eta) b(eta),
+and W and the independence relation take arrays of site differences.  Each
+s is one einsum, and s(j+k, j'+k) = s(j, j') + s(j, k) + s(k, j') + s(k, k).
+
+``lattice_weyl_kernel`` gives the canonical 1+1-dimensional example: the
+lattice light-cone commutator W(t, x) = -(i/2) sgn(t) [|x| <= |t|]
+(antisymmetric, supported exactly on the cone at unit lattice speed), whose
+kernel satisfies both conditions exactly.
 """
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+import itertools
+from typing import NamedTuple
 
-from .errors import ConfigError, PreconditionError
+import numpy as np
 
-Site = tuple[int, ...]
-
-
-@dataclass
-class CausalSection:
-    """Finitely supported complex amplitudes on lattice sites; zeros are dropped."""
-
-    values: dict[Site, complex] = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean: dict[Site, complex] = {}
-        for site, v in self.values.items():
-            v = complex(v)
-            if v != 0:
-                clean[tuple(int(c) for c in site)] = v
-        self.values = clean
-
-    @property
-    def support(self) -> set[Site]:
-        return set(self.values)
-
-    def __add__(self, other: "CausalSection") -> "CausalSection":
-        out = dict(self.values)
-        for site, v in other.values.items():
-            s = out.get(site, 0.0 + 0.0j) + v
-            if s == 0:
-                out.pop(site, None)
-            else:
-                out[site] = s
-        return CausalSection(out)
-
-    def __len__(self) -> int:
-        return len(self.values)
+from .errors import ConfigError, NumericalError, PreconditionError
 
 
-def sections_independent(independent: Callable[[Site, Site], bool],
-                         a: CausalSection, b: CausalSection) -> bool:
-    return all(independent(x, y) for x in a.support for y in b.support)
+class Triples(NamedTuple):
+    """n (j, k, j') triples of sections padded to s rows, (n, 3, s) each: int64
+    sites t and x, complex amplitudes amp (0 on padding; rows at a site add)."""
+
+    t: np.ndarray
+    x: np.ndarray
+    amp: np.ndarray
 
 
-@dataclass
-class CausalVerdict:
+def _rows(spec) -> tuple:
+    """(the rows [t, x, re, im] of every section of the triples spec as an
+    (m, 4) float array, each section's row count), or ConfigError."""
+    if not (set(map(type, spec)) <= {list, tuple} and set(map(len, spec)) <= {3}):
+        raise ConfigError("each entry must hold 3 sections [j, k, j']")
+    sections = [section for triple in spec for section in triple]
+    if not set(map(type, sections)) <= {list, tuple}:
+        raise ConfigError("a section must be a list of [t, x, re, im] rows")
+    rows = [row for section in sections for row in section]
+    values = list(itertools.chain.from_iterable(rows))  # not a bool, not a string:
+    if not (set(map(type, rows)) <= {list, tuple} and set(map(len, rows)) <= {4}
+            and set(map(type, values)) <= {int, float}):
+        raise ConfigError("section rows must be [t, x, re, im] numbers")
+    try:
+        a = np.array(values, dtype=float).reshape(len(rows), 4)
+    except OverflowError:
+        raise ConfigError("section rows hold an integer beyond float64") from None
+    sites = a[:, :2]
+    if not ((np.abs(sites) <= 2.0**53) & (sites == np.round(sites))).all():
+        raise ConfigError("sites t and x must be integers with |t|, |x| <= 2^53")
+    if not np.isfinite(a[:, 2:]).all():
+        raise ConfigError("amplitudes re and im must be finite")
+    return a, np.fromiter(map(len, sections), dtype=np.int64, count=len(sections))
+
+
+def triples_from_rows(spec) -> Triples:
+    """Triples from a list of [j, k, j'] triples, each section a list of
+    [t, x, re, im] rows; a malformed triple raises ConfigError naming the
+    first, triples[i]."""
+    if not isinstance(spec, (list, tuple)):
+        raise ConfigError(f"'triples' must be a list of [j, k, j'] triples, got {spec!r}")
+    try:
+        a, counts = _rows(spec)
+    except ConfigError:
+        for i, triple in enumerate(spec):
+            try:
+                _rows([triple])
+            except ConfigError as exc:
+                raise ConfigError(f"triples[{i}]: {exc}") from None
+    n, s = len(spec), counts.max(initial=1)
+    section = np.repeat(np.arange(3 * n), counts)
+    slot = np.arange(len(a)) - np.repeat(np.cumsum(counts) - counts, counts)
+    t, x = np.zeros((2, 3 * n, s), dtype=np.int64)
+    amp = np.zeros((3 * n, s), dtype=complex)
+    t[section, slot], x[section, slot] = a[:, 0], a[:, 1]
+    amp.real[section, slot], amp.imag[section, slot] = a[:, 2], a[:, 3]
+    return Triples(t.reshape(n, 3, s), x.reshape(n, 3, s), amp.reshape(n, 3, s))
+
+
+class CausalVerdict(NamedTuple):
+    """The verdict, counts and worst deviations, as the causal-check payload."""
+
+    passed: bool
     normal_checked: int
     causal_checked: int
     normal_max: float
     causal_max: float
-    passed: bool
-    tolerance_used: float
+    tolerance: float
 
 
-def check_causal_conditions(
-    kernel: Callable[[CausalSection, CausalSection], complex],
-    independent: Callable[[Site, Site], bool],
-    triples: Sequence[tuple[CausalSection, CausalSection, CausalSection]],
-    tol: float = 1e-12,
-) -> CausalVerdict:
-    """Evaluate both conditions over (j, k, j') triples.
+def check_causal_conditions(kernel, independent, triples: Triples,
+                            tol: float = 1e-12) -> CausalVerdict:
+    """Evaluate both conditions over (j, k, j') triples, for the kernel of
+    the pairing W ``kernel`` and the relation ``independent``, each taking
+    arrays of site differences (dt, dx).
 
     The causality precondition (k independent of j and of j') must hold for
     every triple; the normalization condition is evaluated on those triples
-    whose (j, j') pair happens to be independent.
+    whose (j, j') pair happens to be independent.  A site whose rows add to
+    0 lies in no support.
     """
-    if not triples:
+    t, x, amp = triples
+    if not len(amp):
         raise ConfigError("check_causal_conditions needs at least one triple")
-    n_norm = n_caus = 0
-    worst_norm = worst_caus = 0.0
-    for idx, (j, k, jp) in enumerate(triples):
-        for name, a in (("j", j), ("j'", jp)):
-            if not sections_independent(independent, k, a):
-                bad = [(x, y) for x in k.support for y in a.support if not independent(x, y)]
-                raise PreconditionError(
-                    f"triple {idx}: k is not independent of {name}; "
-                    f"offending site pairs {bad[:4]}"
-                )
-        base = kernel(j, jp)
-        shifted = kernel(j + k, jp + k)
-        worst_caus = max(worst_caus, abs(shifted - base))
-        n_caus += 1
-        if sections_independent(independent, j, jp):
-            worst_norm = max(worst_norm, abs(base - 1.0))
-            n_norm += 1
-    return CausalVerdict(
-        normal_checked=n_norm,
-        causal_checked=n_caus,
-        normal_max=worst_norm,
-        causal_max=worst_caus,
-        passed=bool(worst_norm <= tol and worst_caus <= tol),
-        tolerance_used=float(tol),
-    )
+    same = (t[..., :, None] == t[..., None, :]) & (x[..., :, None] == x[..., None, :])
+    live = np.einsum("...ab,...b->...a", same, amp) != 0  # the supports
+
+    def d(a, b):  # (dt, dx) from each row of section a to each of section b, (n, s, s)
+        return t[:, a, :, None] - t[:, b, None, :], x[:, a, :, None] - x[:, b, None, :]
+
+    def apart(a, b):  # (n, s, s): each row pair not both live, or independent
+        return independent(*d(a, b)) | ~(live[:, a, :, None] & live[:, b, None, :])
+
+    def pair_sum(a, b):  # (n,) sum_{xi, eta} a(xi) W(xi - eta) b(eta)
+        return np.einsum("na,nab,nb->n", amp[:, a], kernel(*d(a, b)), amp[:, b])
+
+    for name, b in (("j", 0), ("j'", 2)):
+        ok = apart(1, b)
+        if not ok.all():
+            i = int(ok.all(axis=(1, 2)).argmin())
+            ti, xi = t[i].tolist(), x[i].tolist()
+            sites = dict.fromkeys(((ti[1][p], xi[1][p]), (ti[b][q], xi[b][q]))
+                                  for p, q in zip(*np.nonzero(~ok[i])))
+            raise PreconditionError(f"triple {i}: k is not independent of {name}; "
+                                    f"offending site pairs {list(sites)[:4]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = pair_sum(0, 2)
+        base = np.exp(s)
+        shifted = np.exp(s + pair_sum(0, 1) + pair_sum(1, 2) + pair_sum(1, 1))
+    finite = np.isfinite(base) & np.isfinite(shifted)
+    if not finite.all():
+        raise NumericalError(f"triple {int(finite.argmin())}: a kernel value overflowed float64")
+    normal = np.abs(base - 1.0)[apart(0, 2).all(axis=(1, 2))]
+    worst_norm, worst_caus = float(normal.max(initial=0.0)), float(np.abs(shifted - base).max())
+    return CausalVerdict(bool(worst_norm <= tol and worst_caus <= tol), len(normal), len(s),
+                         worst_norm, worst_caus, float(tol))
 
 
 # --------------------------------------------------------------- 1+1D example
 
 
-def lightcone_commutator(dt: int, dx: int) -> complex:
-    """W(t, x) = -(i/2) sgn(t) on the closed cone |x| <= |t|, zero elsewhere."""
-    if dt == 0 or abs(dx) > abs(dt):
-        return 0.0j
-    return -0.5j if dt > 0 else 0.5j
+def lightcone_commutator(dt, dx, nonlocal_violation: bool = False):
+    """W(t, x) = -(i/2) sgn(t) on the closed cone |x| <= |t| (or for every
+    t != 0 with nonlocal_violation), zero elsewhere, of arrays of site
+    differences."""
+    return np.where(nonlocal_violation | (np.abs(dx) <= np.abs(dt)), -0.5j * np.sign(dt), 0j)
 
 
 def lattice_weyl_kernel(nonlocal_violation: bool = False):
-    """Kernel and independence relation for the 1+1D lattice Weyl-type example.
-
-    K(j, j') = exp( sum_{xi, eta} j(xi) W(xi - eta) j'(eta) ).
+    """Pairing W and independence relation (strictly spacelike) of the 1+1D
+    lattice Weyl-type example, K(j, j') = exp( sum_{xi, eta} j(xi)
+    W(xi - eta) j'(eta) ), both on arrays of site differences (dt, dx).
 
     With ``nonlocal_violation=True`` the cone restriction of W is dropped
     (sign of the time difference only), which deliberately breaks the
     normalization condition; useful to exercise the checker.
     """
-
-    def w(dt: int, dx: int) -> complex:
-        if nonlocal_violation:
-            return 0.0j if dt == 0 else (-0.5j if dt > 0 else 0.5j)
-        return lightcone_commutator(dt, dx)
-
-    def kernel(a: CausalSection, b: CausalSection) -> complex:
-        s = 0.0j
-        for (ta, xa), va in a.values.items():
-            for (tb, xb), vb in b.values.items():
-                wv = w(ta - tb, xa - xb)
-                if wv != 0:
-                    s += va * wv * vb
-        return cmath.exp(s)
-
-    def independent(p: Site, q: Site) -> bool:
-        return abs(p[1] - q[1]) > abs(p[0] - q[0])
-
-    return kernel, independent
-
-
-def section_from_pairs(pairs: Iterable[Sequence[float]]) -> CausalSection:
-    """Build a section from rows [t, x, re, im] (JSON-friendly form)."""
-    vals: dict[Site, complex] = {}
-    try:
-        for row in pairs:
-            t, x, re, im = row
-            site = (int(t), int(x))
-            vals[site] = vals.get(site, 0.0j) + complex(float(re), float(im))
-    except (TypeError, ValueError):
-        raise ConfigError(f"section rows must be [t, x, re, im] numbers, got {pairs!r}") from None
-    return CausalSection(vals)
+    return (lambda dt, dx: lightcone_commutator(dt, dx, nonlocal_violation),
+            lambda dt, dx: np.abs(dx) > np.abs(dt))

@@ -40,8 +40,8 @@ from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from . import io as artifacts
-from .errors import (REQUIRED, TYPES, ConfigError, DomainError, NumericalError, check_fields,
-                     check_value, from_descriptor)
+from .errors import (REQUIRED, TYPES, ConfigError, DomainError, check_fields, check_value,
+                     from_descriptor)
 
 _BLAS_VARS = (
     "OMP_NUM_THREADS",
@@ -570,63 +570,40 @@ def _h_lie_evolve(cfg):
     return payload, {"final_cross_check": cross, "observables": len(names)}, []
 
 
-def _random_triples(rng, count, independent):
-    """Deterministic (j, k, j') test triples in spacelike-separated bands.
+def _random_triples(rng, count):
+    """Deterministic (j, k, j') triples of [t, x, re, im] rows in spacelike bands.
 
     Times stay in [0, 5]; j lives at x in [0, 2] and k at x in [8, 10], so
     k is strictly spacelike to j by construction.  j' alternates between the
     j band (timelike-entangled pair, causality check only) and a far band at
     x in [16, 18] (independent pair, so the normalization check runs too).
+    A site drawn twice in one section keeps its last amplitude.
     """
-    from .causal import CausalSection, sections_independent
 
     def section(x_lo, x_hi):
         vals = {}
         for _ in range(int(rng.integers(1, 3))):
             site = (int(rng.integers(0, 6)), int(rng.integers(x_lo, x_hi + 1)))
-            vals[site] = complex(rng.standard_normal(), rng.standard_normal())
-        return CausalSection(vals)
+            vals[site] = [float(rng.standard_normal()), float(rng.standard_normal())]
+        return [[*site, *v] for site, v in vals.items()]
 
-    out = []
-    for i in range(count):
-        j, k = section(0, 2), section(8, 10)
-        jp = section(16, 18) if i % 2 else section(0, 2)
-        if not (sections_independent(independent, k, j)
-                and sections_independent(independent, k, jp)):
-            raise NumericalError("default causal triple sampler broke independence")
-        out.append((j, k, jp))
-    return out
+    return [[section(0, 2), section(8, 10), section(16, 18) if i % 2 else section(0, 2)]
+            for i in range(count)]
 
 
 def _h_causal_check(cfg):
     import numpy as np
 
-    from .causal import check_causal_conditions, lattice_weyl_kernel, section_from_pairs
+    from .causal import check_causal_conditions, lattice_weyl_kernel, triples_from_rows
 
     if cfg["kernel"] != "lattice_weyl":
         raise ConfigError(f"unknown causal kernel {cfg['kernel']!r}")
     kernel, independent = lattice_weyl_kernel(cfg["nonlocal_violation"])
     spec = cfg.get("triples")
-    if spec is not None:
-        if not isinstance(spec, (list, tuple)):
-            raise ConfigError(f"'triples' must be a list of [j, k, j'] triples, got {spec!r}")
-        triples = []
-        for i, triple in enumerate(spec):
-            if not (isinstance(triple, (list, tuple)) and len(triple) == 3):
-                raise ConfigError(f"triples[{i}]: each entry must hold 3 sections")
-            triples.append(tuple(section_from_pairs(s) for s in triple))
-    else:
-        rng = np.random.default_rng(cfg["seed"])
-        triples = _random_triples(rng, cfg["count"], independent)
-    verdict = check_causal_conditions(kernel, independent, triples, **_given(cfg, "tol"))
-    obj = {
-        "passed": bool(verdict.passed),
-        "normal_checked": int(verdict.normal_checked),
-        "causal_checked": int(verdict.causal_checked),
-        "normal_max": float(verdict.normal_max),
-        "causal_max": float(verdict.causal_max),
-        "tolerance": float(verdict.tolerance_used),
-    }
+    if spec is None:
+        spec = _random_triples(np.random.default_rng(cfg["seed"]), cfg["count"])
+    obj = check_causal_conditions(kernel, independent, triples_from_rows(spec),
+                                  **_given(cfg, "tol"))._asdict()
     summary = {k: obj[k] for k in ("passed", "normal_max", "causal_max")}
     return _one_row(obj, list(obj)), summary, []
 

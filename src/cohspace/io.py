@@ -9,7 +9,7 @@ gains a trailing [re, im] axis) and writes json.dumps(tree, indent=2,
 sort_keys=True) + "\\n" of the .tolist() tree, byte for byte.
 
 Both writers stream: csv_chunks and json_chunks check the payload (block
-widths and row counts; the json.dumps skeleton, with a marker for each numeric
+widths and row counts; the JSON skeleton, with a marker for each numeric
 block) before the temp file exists, then render a chunk of first-axis rows at
 a time into it.  At peak, memory holds one chunk's text (see below), never the
 payload's, and a render that fails midway leaves the target file as it was.
@@ -25,8 +25,10 @@ string replacements, and repr's text (json.dumps's NaN, Infinity and
 split at "],[".  A JSON block is laid out by orjson's OPT_INDENT_2, which is
 json.dumps(indent=2)'s layout: each chunk's text loses its outer brackets
 and is re-indented to the block's own line.  The skeleton around the blocks
-is still json.dumps's, so its strings, ints, keys and scalar floats keep the
-stdlib's spellings.
+is orjson's OPT_INDENT_2 text too, of a tree built in one pass (_skeleton):
+dicts in json.dumps's sorted order, and a marker for each block and for each
+value that orjson spells otherwise, which is spliced back in json.dumps's
+spelling.
 
 Importable without numpy or orjson, so the CLI can pin thread pools before
 any numeric library loads; the array helpers import both lazily.
@@ -39,6 +41,7 @@ import itertools
 import json
 import math
 import os
+import re
 import tempfile
 
 from .errors import ConfigError
@@ -203,35 +206,65 @@ def _array_chunks(a, nl: str):
     yield "[]" if sep == "[" else nl + "]"
 
 
-# what json.dumps writes for a numeric block until the block is rendered
+# the marker of a value the skeleton leaves out (numbered), and orjson's text of it
 _MARK = "\0cohspace-array\0"
+_MARKED = re.compile(r'"\\u0000cohspace-array\\u0000\d+"')
+
+
+def _mark(parts: list, part) -> str:
+    parts.append(part)
+    return _MARK + str(len(parts))
+
+
+def _skeleton(v, parts: list):
+    """v as a tree whose orjson OPT_INDENT_2 text is json.dumps(v, indent=2,
+    sort_keys=True)'s, with a numbered marker for each numeric block and each
+    value orjson spells otherwise (floats outside 0 and 1e-4 <= |x| < 1e16,
+    ints outside int64, strings not printable ASCII, non-str keys,
+    subclasses); parts gets each marker's block or json.dumps text in order."""
+    t = type(v)
+    if t is float:
+        if 1e-4 <= abs(v) < 1e16 or v == 0:
+            return v
+    elif t is int:
+        if -1 << 63 <= v < 1 << 63:
+            return v
+    elif t is str:
+        if v.isascii() and v.isprintable():
+            return v
+        if v == _MARK:
+            raise ConfigError(f"JSON strings may not equal {_MARK!r}")
+    elif isinstance(v, (list, tuple)):  # plain floats and ints inline: most leaves
+        return [x if type(x) is float and (1e-4 <= abs(x) < 1e16 or x == 0)
+                or type(x) is int and -1 << 63 <= x < 1 << 63 else _skeleton(x, parts) for x in v]
+    elif isinstance(v, dict):  # each key before its value; json's text of a key, or its TypeError
+        return {key if type(key) is str and key.isascii() and key.isprintable()
+                else _mark(parts, json.dumps({key: 0})[1:-4]): _skeleton(x, parts)
+                for key, x in sorted(v.items())}
+    elif v is None or t is bool:
+        return v
+    elif hasattr(v, "dtype"):  # an ndarray block, or a numpy scalar as its .tolist()
+        return _skeleton(_as_real(v).tolist(), parts) if v.shape == () else _mark(parts, v)
+    return _mark(parts, json.dumps(v))  # or json's own TypeError
 
 
 def json_chunks(obj):
-    """json.dumps(obj, indent=2, sort_keys=True) + "\\n" in pieces, with each
-    numpy value (json.dumps cannot encode it) rendered by _array_chunks in
-    place; the skeleton is dumped and split before any block is rendered."""
-    blocks = []
+    """json.dumps(obj, indent=2, sort_keys=True) + "\\n" in pieces: orjson's
+    text of the skeleton, split at its markers, each replaced by its text or
+    by its block's _array_chunks; all but the blocks is done up front."""
+    import orjson
 
-    def stash(value):
-        if not hasattr(value, "dtype"):
-            return json.JSONEncoder().default(value)  # raises json's own TypeError
-        if value.shape == ():  # a numpy scalar, laid out by json.dumps
-            return _as_real(value).tolist()
-        blocks.append(value)
-        return _MARK
-
-    pieces = json.dumps(obj, indent=2, sort_keys=True, default=stash).split(json.dumps(_MARK))
-    if len(pieces) != len(blocks) + 1:
-        raise ConfigError(f"JSON strings may not equal {_MARK!r}")
+    parts = []
+    pieces = _MARKED.split(orjson.dumps(_skeleton(obj, parts), option=orjson.OPT_INDENT_2).decode())
 
     def chunks():
-        yield pieces[0]
-        for block, before, after in zip(blocks, pieces, pieces[1:]):
-            line = before[before.rfind("\n") + 1:]  # the block's own line
-            yield from _array_chunks(block, "\n" + " " * (len(line) - len(line.lstrip(" "))))
-            yield after
-        yield "\n"
+        line = ""  # from the last line break on: a block takes this line's indent
+        for piece, part in zip(pieces, parts):
+            yield piece
+            line = piece[piece.rfind("\n") + 1:] if "\n" in piece else line
+            yield from ((part,) if type(part) is str else
+                        _array_chunks(part, "\n" + " " * (len(line) - len(line.lstrip(" ")))))
+        yield pieces[-1] + "\n"
 
     return chunks()
 

@@ -276,22 +276,24 @@ def _unit_spinors(rng: np.random.Generator, count: int) -> tuple:
     return v / row_norms(v)[:, None], None
 
 
+def polar_exp(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """exp(re + i im) = e^re cos(im) + i e^re sin(im), each part written in
+    place by float64 vector loops (numpy's complex exp and log are scalar
+    loops, and about 5x slower again right after a BLAS product); with no
+    complex multiply, a 1 x 1 block gives the bits of its entry in a larger one."""
+    k = np.empty(np.shape(re), dtype=complex)
+    r = np.exp(re)
+    np.multiply(r, np.cos(im), out=k.real)
+    np.multiply(r, np.sin(im), out=k.imag)
+    return k
+
+
 def principal_power(s: np.ndarray, n: float) -> np.ndarray:
     """s^n on the principal branch (arg s in (-pi, pi], as np.log's), 0^n = 0,
-    in polar form on real arrays: r cos(phi) + i r sin(phi) with
-    r = exp(n log|s|) and phi = n arg s.  numpy's complex log is a scalar
-    loop, and about 5x slower again right after the BLAS product that forms
-    s; its float64 abs, log, exp, arctan2, cos and sin are vector loops that
-    do not slow down so.  Both parts are written in place, with no complex
-    multiply, so a 1 x 1 block gives the bits of the same entry in a larger
-    one."""
+    in polar form on real arrays: exp(n log|s| + i n arg s)."""
     m = np.abs(s)
-    k = np.empty_like(s)
     with np.errstate(divide="ignore", invalid="ignore"):  # log 0; inf * 0 for n < 0
-        r = np.exp(n * np.log(m))
-        phi = n * np.angle(s)
-        np.multiply(r, np.cos(phi), out=k.real)
-        np.multiply(r, np.sin(phi), out=k.imag)
+        k = polar_exp(n * np.log(m), n * np.angle(s))
     k[m == 0] = 0.0
     return k
 
@@ -514,10 +516,14 @@ def heisenberg_space(modes: int = 1, hbar: float = 1.0) -> KernelSpace:
             lam = complex(_cgauss(rng, 1, (1, 1.0))[0, 0])
         return _cgauss(rng, 1, (modes, 0.7))[0], lam
 
+    def kernel(a, b):
+        s = a @ b.swapaxes(-1, -2) / hbar
+        return polar_exp(s.real, s.imag)
+
     return KernelSpace(
         label_dim=modes,
         kind="heisenberg",
-        kernel=lambda a, b: np.exp(a @ b.swapaxes(-1, -2) / hbar),
+        kernel=kernel,
         sampler=_per_label(draw, modes, line=True),
         hermitian=False,
         projective_degree=1,

@@ -7,6 +7,7 @@ production code can be validated against genuinely independent routes.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -205,3 +206,84 @@ def gram_bruteforce(eval_fn, points) -> np.ndarray:
         for j in range(n):
             g[i, j] = eval_fn(points[i], points[j])
     return g
+
+
+# --- causal coherent spaces: dict sections, both conditions pair by pair ---
+
+class CausalSection:
+    """Finitely supported complex amplitudes on lattice sites (t, x), built
+    from rows [t, x, re, im]; rows at one site add, and zeros are dropped."""
+
+    def __init__(self, values: dict):
+        self.values = {tuple(int(c) for c in site): complex(v)
+                       for site, v in values.items() if complex(v) != 0}
+
+    @classmethod
+    def from_rows(cls, rows) -> "CausalSection":
+        vals = {}
+        for t, x, re, im in rows:
+            vals[(int(t), int(x))] = vals.get((int(t), int(x)), 0.0j) + complex(float(re), float(im))
+        return cls(vals)
+
+    @property
+    def support(self) -> set:
+        return set(self.values)
+
+    def __add__(self, other: "CausalSection") -> "CausalSection":
+        out = dict(self.values)
+        for site, v in other.values.items():
+            out[site] = out.get(site, 0.0j) + v
+        return CausalSection(out)
+
+
+def site_independent(p, q) -> bool:
+    """Causal disjointness at unit lattice speed: strictly spacelike."""
+    return abs(p[1] - q[1]) > abs(p[0] - q[0])
+
+
+def sections_independent(a: CausalSection, b: CausalSection) -> bool:
+    return all(site_independent(x, y) for x in a.support for y in b.support)
+
+
+def weyl_commutator(dt: int, dx: int, nonlocal_violation: bool = False) -> complex:
+    """-(i/2) sgn(t) on the closed cone |x| <= |t| (everywhere off t = 0 when
+    nonlocal_violation)."""
+    if dt == 0 or (not nonlocal_violation and abs(dx) > abs(dt)):
+        return 0.0j
+    return -0.5j if dt > 0 else 0.5j
+
+
+def weyl_kernel(a: CausalSection, b: CausalSection, nonlocal_violation: bool = False) -> complex:
+    """exp(sum_{xi, eta} a(xi) W(xi - eta) b(eta)), pair by pair."""
+    s = 0.0j
+    for (ta, xa), va in a.values.items():
+        for (tb, xb), vb in b.values.items():
+            wv = weyl_commutator(ta - tb, xa - xb, nonlocal_violation)
+            if wv != 0:
+                s += va * wv * vb
+    return cmath.exp(s)
+
+
+def causal_check_pairwise(triples, nonlocal_violation: bool = False) -> dict:
+    """Both conditions over (j, k, j') triples of row lists, one section pair
+    at a time: the checked counts and the worst deviations.  A triple whose k
+    is not independent of j (then j') raises ValueError naming the triple,
+    the section and the offending site pairs.  kernel_max is the largest
+    |K| met, the scale of either route's rounding."""
+    out = {"normal_checked": 0, "causal_checked": 0, "normal_max": 0.0, "causal_max": 0.0,
+           "kernel_max": 0.0}
+    for idx, rows in enumerate(triples):
+        j, k, jp = map(CausalSection.from_rows, rows)
+        for name, a in (("j", j), ("j'", jp)):
+            bad = {(x, y) for x in k.support for y in a.support if not site_independent(x, y)}
+            if bad:
+                raise ValueError(idx, name, bad)
+        base = weyl_kernel(j, jp, nonlocal_violation)
+        shifted = weyl_kernel(j + k, jp + k, nonlocal_violation)
+        out["causal_max"] = max(out["causal_max"], abs(shifted - base))
+        out["kernel_max"] = max(out["kernel_max"], abs(base), abs(shifted))
+        out["causal_checked"] += 1
+        if sections_independent(j, jp):
+            out["normal_max"] = max(out["normal_max"], abs(base - 1.0))
+            out["normal_checked"] += 1
+    return out

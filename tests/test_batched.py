@@ -225,8 +225,12 @@ def two_d_kernel(space):
         tab = np.array([[complex(re, im) for re, im in row] for row in desc["table"]])
         return lambda a, b: tab[np.rint(a[:, 0].real).astype(int)[:, None],
                                 np.rint(b[:, 0].real).astype(int)]
-    if kind == "heisenberg":
-        return lambda a, b: np.exp(a @ b.T / desc["hbar"])
+    if kind == "heisenberg":  # exp in polar form, e^re cos(im) + i e^re sin(im)
+        def polar(a, b):
+            s = a @ b.T / desc["hbar"]
+            return np.exp(s.real) * np.cos(s.imag) + 1j * (np.exp(s.real) * np.sin(s.imag))
+
+        return polar
     raise AssertionError(kind)
 
 

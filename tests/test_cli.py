@@ -147,6 +147,36 @@ def test_causal_check_default_and_violation(tmp_path, monkeypatch, capsys):
     assert bad["causal_max"] > bad["tolerance"]
 
 
+_TRIPLE = [[[0, 0, 1.0, 0.0]], [[0, 9, 1.0, 0.0]], [[0, 18, 1.0, 0.0]]]
+_SITES = "sites t and x must be integers with |t|, |x| <= 2^53"
+_ROWS = "section rows must be [t, x, re, im] numbers"
+
+
+def _with_row(row):
+    return [[row], *_TRIPLE[1:]]
+
+
+@pytest.mark.parametrize("triple, message", [
+    (_with_row([0, 0, float("nan"), 0.0]), "amplitudes re and im must be finite"),
+    (_with_row([0.7, 0, 1.0, 0.0]), _SITES),
+    (_with_row([1e300, 0, 1.0, 0.0]), _SITES),
+    (_with_row([10**300, 0, 1.0, 0.0]), _SITES),
+    (_with_row([2**53 + 2, 0, 1.0, 0.0]), _SITES),
+    (_with_row([0, True, 1.0, 0.0]), _ROWS),
+    (_with_row([0, 0, "1", 0.0]), _ROWS),
+    (_with_row([0, 0, 1.0]), _ROWS),
+    (_with_row([0, 10**400, 1.0, 0.0]), "section rows hold an integer beyond float64"),
+    (_TRIPLE[:2], "each entry must hold 3 sections [j, k, j']"),
+    ([[], 5, []], "a section must be a list of [t, x, re, im] rows"),
+], ids=["nan-amplitude", "fractional-t", "float-1e300-t", "int-1e300-t", "t-beyond-2^53",
+        "bool-x", "string-re", "short-row", "int-beyond-float64", "two-sections", "number-section"])
+def test_exit_2_names_the_first_bad_triple(tmp_path, monkeypatch, capsys, triple, message):
+    code, out, err = run_cli(["causal-check", "--triples", json.dumps([_TRIPLE, triple, triple])],
+                             tmp_path, monkeypatch, capsys)
+    assert code == 2 and out == ""
+    assert err == f"config error: triples[1]: {message}\n"
+
+
 def test_quantize_linear_map(tmp_path, monkeypatch, capsys):
     flip = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
     code, _, _ = run_cli(
@@ -465,6 +495,20 @@ def test_every_payload_is_in_canonical_form(tmp_path, monkeypatch, capsys, fmt):
             for line in text.splitlines()[1:]:
                 cells = line.split(",")
                 assert cells == [_canonical_cell(c) for c in cells], (args, line)
+
+
+def test_every_report_is_json_dumps_of_the_report(tmp_path, monkeypatch, capsys):
+    # the README commands, and explicit triples whose echo holds spliced floats
+    triples = [[[[0, 0, 1e-5, -2.5e-7]], [[0, 9, 1e17, 0.1]], [[3, 1, -0.0, 123.25]]]]
+    runs = _README_RUNS + [["causal-check", "--triples", json.dumps(triples)]]
+    reports, run = [], cli.run
+    monkeypatch.setattr(cli, "run", lambda config: reports.append(run(config)) or reports[-1])
+    for i, args in enumerate(runs):
+        code, _, err = run_cli(args + ["--out", f"r{i}"], tmp_path, monkeypatch, capsys)
+        assert code == 0, (args, err)
+        report = dict(reports[-1])
+        text = (tmp_path / report.pop("report_path")).read_text()
+        assert text == json.dumps(report, indent=2, sort_keys=True) + "\n", args
 
 
 # ------------------------------------------------------------ exit codes
@@ -829,6 +873,9 @@ def test_exit_1_numerical_error_on_an_overflowed_energy(tmp_path, monkeypatch, c
 
 _KLAUDER = '{"kind":"klauder","modes":1}'
 _FAR = "[[400,0],[0,0]]"  # K(z, z) = exp(400^2) overflows
+_HEISENBERG = '{"kind":"heisenberg","modes":1}'
+_NEAR_LINE = '{"coords":[[0.5,0]],"multiplier":[1,0]}'
+_FAR_LINE = '{"coords":[[40,0]],"multiplier":[1,0]}'  # exp(40^2) overflows, its phase is 0
 
 
 @pytest.mark.parametrize("args, entry", [
@@ -836,7 +883,11 @@ _FAR = "[[400,0],[0,0]]"  # K(z, z) = exp(400^2) overflows
     (["kernel-check", "--space", _KLAUDER, "--points", f"[{_FAR},[[0.1,0],[0.2,0]]]"], "(0, 0)"),
     (["kernel-eval", "--space", _KLAUDER, "--z", _FAR, "--z2", _FAR], "(0, 0)"),
     (["kernel-check", "--space", '{"kind":"spin","exponent":1e300}', "--count", "6"], None),
-], ids=["klauder-gram", "klauder-check", "klauder-eval", "spin-1e300-check"])
+    (["kernel-eval", "--space", _HEISENBERG, "--z", _FAR_LINE, "--z2", _FAR_LINE], "(0, 0)"),
+    (["kernel-gram", "--space", _HEISENBERG, "--points", f"[{_NEAR_LINE},{_FAR_LINE}]"],
+     "(1, 1)"),
+], ids=["klauder-gram", "klauder-check", "klauder-eval", "spin-1e300-check", "heisenberg-eval",
+        "heisenberg-gram"])
 def test_exit_1_numerical_error_on_an_overflowed_kernel_value(tmp_path, monkeypatch, capsys,
                                                                args, entry):
     # an inf Gram entry was written as a result, or failed the PSD test or the eigensolver

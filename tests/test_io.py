@@ -27,7 +27,16 @@ floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) \
     | st.sampled_from(SPECIAL)
 complexes = st.builds(complex, floats, floats)
 ints = st.integers(-2**62, 2**62)
-keys = st.text(max_size=6) | st.sampled_from(['"', "\\", "\n", "é", " ", "a\x00b", "B", "a"])
+strings = st.sampled_from(['"', "\\", "\n", "é", " ", "a\x00b", "B", "a", "\x7f", "\x1f"])
+keys = st.text(max_size=6) | strings
+
+
+class Count(int):
+    """An int subclass: json.dumps writes int.__repr__'s text."""
+
+
+# ints beyond int64, which orjson refuses, and the int64 edges
+big_ints = st.sampled_from([2**63, -2**63, 2**64, -2**63 - 1, 2**63 - 1])
 shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
 
 arrays = st.one_of(
@@ -36,11 +45,21 @@ arrays = st.one_of(
     hnp.arrays(np.int64, shapes, elements=ints),
     hnp.arrays(np.bool_, shapes),
 )
-scalars = st.one_of(st.none(), st.booleans(), ints, floats, st.text(max_size=4),
-                    st.builds(np.float64, floats), st.builds(np.int64, ints))
+scalars = st.one_of(st.none(), st.booleans(), ints, floats, st.text(max_size=4), strings,
+                    big_ints, st.sampled_from([math.nan, math.inf, 1e-5, 1e-7, 1e16]),
+                    st.builds(Count, ints), st.builds(np.float64, floats),
+                    st.builds(np.int64, ints))
+# one key type per dict, as json.dumps's sort needs
+key_types = [keys, ints | big_ints, floats, st.booleans(), st.none()]
+
+
+def dicts(inner):
+    return st.one_of([st.dictionaries(k, inner, max_size=4) for k in key_types])
+
+
 trees = st.recursive(
     arrays | scalars,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(keys, inner, max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | dicts(inner),
     max_leaves=8,
 )
 
@@ -96,6 +115,9 @@ def assert_csv_routes(folder, header, blocks, expected):
 @example({"b": {"\"q\\": [], "B": {}, "a": [np.zeros((1, 1)), None]}, "A": ()})
 @example({"a": {"b": np.zeros((0, 3))}})
 @example({"a": [np.zeros((3, 0), complex)]})
+@example({"\x7f": "\x1f", "é": ["é", 2**63, -2**63, 2**64, Count(7)],
+          "f": [math.nan, math.inf, 1e-5, 1e-7, 1e16]})
+@example([{1: np.eye(2)}, {2.5: "a", math.nan: np.zeros(1)}, {True: 1, False: 0}, {None: [{}]}])
 def test_json_text_matches_json_dumps(folder, tree):
     assert_json_routes(folder, tree, json_oracle(tree))
 
@@ -158,6 +180,8 @@ def test_csv_text_rejects_ragged_blocks():
 def test_json_text_rejects_what_it_cannot_render():
     with pytest.raises(TypeError, match="set is not JSON serializable"):
         json_chunks({"a": {1, 2}})
+    with pytest.raises(TypeError, match="keys must be str, int, float, bool or None, not tuple"):
+        json_chunks({(1, 2): 0})
     with pytest.raises(ConfigError, match="may not equal"):
         json_chunks({"a": np.zeros(2), "b": "\0cohspace-array\0"})
 
