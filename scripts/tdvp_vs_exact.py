@@ -56,8 +56,8 @@ def main(argv=None):
                              t_eval=t_eval, rtol=1e-10)
     print("precession (exact case):")
     print(f"{'t':>6} {'fidelity deficit':>18}")
-    for t, pe, pv in zip(t_eval, exact.points, var.points):
-        print(f"{t:>6.2f} {fidelity_deficit(space, pe, pv):>18.3e}")
+    for t, pe, pv in zip(t_eval, exact.coords, var.coords):
+        print(f"{t:>6.2f} {fidelity_deficit(space, Point(pe), Point(pv)):>18.3e}")
 
     # --- case 2: twisting energy, conservation check --------------------
     jx = rep.dgamma(np.array([[0, 0.5], [0.5, 0]], dtype=complex))

@@ -11,6 +11,10 @@ defaults all come from that table.  The config and every descriptor in it
 pass errors.check_fields: an unknown key, a missing required key or a value
 of the wrong type is a configuration error that names the key ("space.dim").
 
+A batch of labels (``points`` or ``count``) reaches the library as one
+stack, (coords (n, d), multipliers (n,) or None), read by ``_labels_of``
+in one array conversion; a single label (``z``, ``z0``) is its 1-row case.
+
 Each handler maps the effective config to (payload, summary, warnings).
 The payload is lazy, {"csv": thunk, "json": thunk}, and run calls only the
 thunk of the requested format: the CSV thunk gives a header and column
@@ -31,6 +35,7 @@ Exit codes: 0 success, 1 domain error (diagnostic payload as JSON on stderr),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -192,31 +197,66 @@ def _space_of(cfg):
     return space_from_descriptor(cfg["space"])
 
 
-def _coords_array(coords, name):
-    import numpy as np
-
+def _label(entry, name):
+    """(coords, multiplier or None) of one label entry, read one number at a
+    time: the per-entry rule, whose first ConfigError names the entry."""
+    coords, mult = entry, None
+    if isinstance(entry, dict):
+        e = check_fields(name, entry, (("coords", "json", REQUIRED), ("multiplier", "json", None)))
+        coords, mult = e["coords"], e.get("multiplier")
+    elif not isinstance(entry, (list, tuple)):
+        raise ConfigError(f"{name}: must be a coordinate list or an object with 'coords'")
     if not isinstance(coords, (list, tuple)):
         raise ConfigError(f"{name}: coordinates must be a list")
-    out = []
-    for c in coords:
-        if isinstance(c, (list, tuple)):
-            out.append(complex(*_numbers(c, name, 2)))
-        else:
-            out.append(complex(check_value(name, "float", c)))
-    return np.array(out, dtype=complex)
+    return ([complex(*_numbers(c, name, 2)) if isinstance(c, (list, tuple))
+             else complex(check_value(name, "float", c)) for c in coords],
+            None if mult is None else complex(*_numbers(mult, f"{name}.multiplier", 2)))
+
+
+def _labels_of(entries, names, space=None):
+    """Label entries (coordinate lists or {"coords", "multiplier"} objects; a
+    coordinate is [re, im] or a real x, read as [x, 0]) as one batch: coords
+    (n, d) and multipliers (n,), or None unless every entry has one.  The
+    numbers take one type scan and one np.asarray, the batch is a complex view
+    of the floats (-0.0 stays -0.0).  Anything else is read by _label and
+    checked label by label: the first bad entry raises the ConfigError naming
+    names[i], or, given a space, the first bad label its InvalidPointError."""
+    import numpy as np
+
+    from .kernels import check_stack
+
+    rows, mults = [], []  # row i: the multiplier pair (or [0, 0]), then the coordinate pairs
+    for p in entries:
+        c, m = ((p.get("coords"), p.get("multiplier"))
+                if isinstance(p, dict) and p.keys() <= {"coords", "multiplier"} else (p, None))
+        mults.append(m)
+        rows.append([[0, 0] if m is None else m, *(x if isinstance(x, (list, tuple)) else (x, 0)
+                                                   for x in c)]
+                    if isinstance(c, (list, tuple)) else c)
+    try:
+        numbers = {*map(type, itertools.chain(*itertools.chain(*rows)))}
+        a = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # not a number, ragged, beyond float64
+        numbers = {None}
+    if (numbers <= {int, float} and a.ndim == 3 and a.shape[2] == 2
+            and (space is None or a.shape[1] == space.label_dim + 1)
+            and np.abs(a).max() < sys.float_info.max):
+        z = a.view(complex)[..., 0]
+        return z[:, 1:].copy(), None if None in mults else z[:, 0]
+    labels = [_label(p, name) for p, name in zip(entries, names)]
+    for z, m in labels if space else ():  # label by label, as the stack's check would
+        check_stack(space, np.array([z], dtype=complex), None if m is None else np.array([m]))
+    mults = [m for _, m in labels]
+    return (np.array([z for z, _ in labels], dtype=complex),
+            None if None in mults else np.array(mults, dtype=complex))
 
 
 def _point_of(data, name):
+    """The one-label case of _labels_of, as a Point."""
     from .kernels import Point
 
-    if isinstance(data, dict):
-        point = check_fields(name, data, (("coords", "json", REQUIRED), ("multiplier", "json", None)))
-        mult = point.get("multiplier")
-        return Point(_coords_array(point["coords"], name),
-                     None if mult is None else complex(*_numbers(mult, f"{name}.multiplier", 2)))
-    if isinstance(data, (list, tuple)):
-        return Point(_coords_array(data, name))
-    raise ConfigError(f"{name}: must be a coordinate list or an object with 'coords'")
+    coords, mults = _labels_of([data], [name])
+    return Point(coords[0], None if mults is None else mults[0])
 
 
 def _points_of(cfg, space):
@@ -228,7 +268,7 @@ def _points_of(cfg, space):
     if pts is not None:
         if not isinstance(pts, (list, tuple)) or not pts:
             raise ConfigError("'points' must be a non-empty list")
-        return [_point_of(p, f"points[{i}]") for i, p in enumerate(pts)]
+        return _labels_of(pts, [f"points[{i}]" for i in range(len(pts))], space)
     count = cfg.get("count")
     if count is None:
         raise ConfigError("need either 'points' or 'count'")
@@ -330,8 +370,7 @@ def _h_kernel_gram(cfg):
     from .kernels import gram_matrix
 
     space = _space_of(cfg)
-    pts = _points_of(cfg, space)
-    g = gram_matrix(space, pts)
+    g = gram_matrix(space, *_points_of(cfg, space))
     n = g.shape[0]
     payload = _columns([(_pair_columns(f"k{j}" for j in range(n)), "gram", g)],
                        space=dict(space.descriptor))
@@ -342,14 +381,14 @@ def _h_kernel_check(cfg):
     from .kernels import check_coherence
 
     space = _space_of(cfg)
-    pts = _points_of(cfg, space)
-    verdict = check_coherence(space, pts, **_given(cfg, "tol"))
+    coords, mults = _points_of(cfg, space)
+    verdict = check_coherence(space, coords, mults, **_given(cfg, "tol"))
     obj = {
         "passed": bool(verdict.passed),
         "min_eigenvalue": float(verdict.min_eigenvalue),
         "gram_norm": float(verdict.gram_norm),
         "tolerance": float(verdict.tolerance_used),
-        "points": len(pts),
+        "points": len(coords),
         "space": dict(space.descriptor),
     }
     payload = _one_row(obj, ["passed", "min_eigenvalue", "gram_norm", "tolerance", "points"])
@@ -361,8 +400,7 @@ def _h_qspace_build(cfg):
     from .qspace import build_quantum_space
 
     space = _space_of(cfg)
-    pts = _points_of(cfg, space)
-    qb = build_quantum_space(space, pts, **_given(cfg, "tol"))
+    qb = build_quantum_space(space, *_points_of(cfg, space), **_given(cfg, "tol"))
     index = range(len(qb.eigvals))
     summary = {"rank": int(qb.rank), "size": int(qb.size)}
     payload = _columns([(["index"], None, index), (["eigenvalue"], "eigenvalues", qb.eigvals),
@@ -390,8 +428,7 @@ def _h_quantize(cfg):
     from .quantize import quantize_map
 
     space = _space_of(cfg)
-    pts = _points_of(cfg, space)
-    qb = build_quantum_space(space, pts)
+    qb = build_quantum_space(space, *_points_of(cfg, space))
     op = quantize_map(qb, from_descriptor(cfg["map"], _MAPS, "map", space), **_given(cfg, "tol"))
     summary = {"residual": float(op.residual), "rank": int(qb.rank)}
     names = (f"g{j}" for j in range(op.matrix.shape[0]))

@@ -34,12 +34,6 @@ class Trajectory:
     chart_switches: int = 0  # chart flips made by the driver (not sample-dependent)
     energy_drift: Optional[float] = None  # worst relative drift over accepted steps (TDVP)
 
-    @property
-    def points(self) -> list[Point]:
-        """The samples as Points over views of the coordinate rows, built on each access."""
-        mults = [None] * len(self.coords) if self.multipliers is None else self.multipliers
-        return [Point(c, m) for c, m in zip(self.coords, mults)]
-
 
 def _project_constraint(space: KernelSpace, coords: np.ndarray) -> np.ndarray:
     # unit-norm label manifolds: remove each row's off-manifold (radial)

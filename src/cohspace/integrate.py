@@ -211,8 +211,9 @@ def solve_rk45(
     step is clipped, to end on t1.  `step_hook`, called after every accepted
     step, returns True to halt integration early.  A step below 1e-14
     (t1 - t0) raises StiffnessError, or NumericalError (a blow-up) once
-    max|y| exceeds BLOW_UP_GROWTH * max(1, max|y0|); more than MAX_STEPS
-    steps raise IntegratorFailure.  rtol must be positive and atol not
+    max|y| exceeds BLOW_UP_GROWTH * max(1, max|y0|), or IntegratorFailure if
+    it is the first step yet at least 1e-14 max(1, |t0|) (the span is too
+    long), as do more than MAX_STEPS steps.  rtol must be positive and atol not
     negative (ConfigError).
 
     `first_step`, when given (finite and positive, else ConfigError), is the
@@ -262,6 +263,11 @@ def solve_rk45(
                 raise NumericalError(
                     f"finite-time blow-up at t = {t:.6g} (h = {h:.3e}): max|y| = {y_max:.3e} "
                     f"grew from {y0_max:.3e}"
+                )
+            if not accepted + rejected and h >= 1e-14 * max(1.0, abs(t)):
+                raise IntegratorFailure(
+                    f"a span of {span:.6g} is too long for the float resolution of t: the first "
+                    f"step h = {h:.3e} is below the step floor 1e-14 * span = {min_h:.3e}"
                 )
             raise StiffnessError(
                 f"step size underflow at t = {t:.6g} (h = {h:.3e}); problem appears stiff"

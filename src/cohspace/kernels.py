@@ -25,13 +25,14 @@ antiholomorphic in the first slot, such that every finite Gram matrix
                         lambda lambda' exp(s^T s'/hbar); not Hermitian, projective
                         degree 1 under (lambda, s) -> (alpha lambda, s).
 
-Each factory states once, over stacked label coordinates, its kernel
-(..., n, d) x (..., m, d) -> (..., n, m), its point constraint and domain
-(n, d) -> (n,), and a sampler of `count` labels; ``_CATALOG`` maps each kind
-to (factory, fields).  ``check_stack`` checks a stack in one pass,
-``cross_gram`` applies the kernel to two point lists (line-bundle
-multipliers included), ``gram_matrix`` mirrors its upper triangle for
-Hermitian kernels, and ``eval_kernel`` is its 1 x 1 case.
+A batch of labels is one stack from the config to the kernel: ``coords``
+(n, d) complex and ``multipliers`` (n,) or None.  Each factory states once,
+over such stacks, its kernel (..., n, d) x (..., m, d) -> (..., n, m), its
+point constraint and domain (n, d) -> (n,), and a sampler of `count` labels;
+``_CATALOG`` maps each kind to (factory, fields).  ``check_stack`` checks a
+stack in one pass, ``cross_gram`` applies the kernel to two stacks
+(multipliers included), ``gram_matrix`` mirrors its upper triangle for
+Hermitian kernels, and ``eval_kernel`` is its 1 x 1 case on two ``Point``s.
 ``cross_gram`` and ``kernel_diagonal`` evaluate with numpy's overflow
 warnings off and then check every value once: a non-finite kernel value
 raises NumericalError naming the kind and its first entry (i, j).
@@ -126,38 +127,28 @@ def check_stack(space: KernelSpace, coords: np.ndarray, multipliers=None) -> Non
         raise InvalidPointError(f"{space.kind}: {checks[j][1](row)}")
 
 
-def _stacked(space: KernelSpace, points: list) -> tuple:
-    """Coordinates (n, d) and multipliers ((n,) or None) of a point list,
-    checked as one stack; the first entry that cannot join it (not a Point,
-    a wrong shape, no multiplier) is checked after the rows before it."""
-    d, line = space.label_dim, space.projective_degree is not None
-    cut = next((i for i, p in enumerate(points) if not isinstance(p, Point)
-                or p.coords.shape != (d,) or (line and p.multiplier is None)), len(points))
-    coords = np.array([p.coords for p in points[:cut]], dtype=complex).reshape(cut, d)
-    mults = np.array([p.multiplier for p in points[:cut]], dtype=complex) if line else None
-    check_stack(space, coords, mults)
-    if cut < len(points):
-        if not isinstance(points[cut], Point):
-            raise InvalidPointError(f"expected a Point, got {type(points[cut]).__name__}")
-        check_stack(space, points[cut].coords[None, :])  # raises
-    return coords, mults
-
-
-def cross_gram(space: KernelSpace, left: Sequence[Point], right: Sequence[Point]) -> np.ndarray:
-    """K(left_i, right_j) for two point lists, shape (len(left), len(right));
-    passing the same object as both lists checks and stacks it once."""
-    a, la = _stacked(space, list(left))
-    b, lb = (a, la) if right is left else _stacked(space, list(right))
+def cross_gram(space: KernelSpace, coords: np.ndarray, multipliers=None,
+               coords2: Optional[np.ndarray] = None, multipliers2=None) -> np.ndarray:
+    """K(z_i, z'_j) for label stacks coords (n, d) and coords2 (m, d), with
+    their multipliers, shape (n, m); without coords2 the right stack is the
+    left one, checked once."""
+    check_stack(space, coords, multipliers)
+    if coords2 is None:
+        coords2, multipliers2 = coords, multipliers
+    else:
+        check_stack(space, coords2, multipliers2)
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite
-        k = space.kernel(a, b)
+        k = space.kernel(coords, coords2)
         if space.projective_degree is not None:
-            k = np.power(np.outer(la, lb), space.projective_degree) * k
+            k = np.power(np.outer(multipliers, multipliers2), space.projective_degree) * k
     return _finite(space, k)
 
 
 def eval_kernel(space: KernelSpace, z: Point, z2: Point) -> complex:
-    pts = (z,)
-    return complex(cross_gram(space, pts, pts if z2 is z else (z2,))[0, 0])
+    def one(p):
+        return p.coords[None], None if p.multiplier is None else np.array([p.multiplier])
+
+    return complex(cross_gram(space, *one(z), *(() if z2 is z else one(z2)))[0, 0])
 
 
 def kernel_diagonal(space: KernelSpace, coords: np.ndarray, multipliers=None) -> np.ndarray:
@@ -567,14 +558,13 @@ def space_from_descriptor(desc) -> KernelSpace:
 # ---------------------------------------------------------------------------
 
 
-def gram_matrix(space: KernelSpace, points: Sequence[Point]) -> np.ndarray:
+def gram_matrix(space: KernelSpace, coords: np.ndarray, multipliers=None) -> np.ndarray:
     """Gram matrix G[i, j] = K(z_i, z_j); exactly Hermitian by construction
     for Hermitian kernels (upper triangle kept, lower mirrored, diagonal real)."""
-    pts = list(points)
-    g = cross_gram(space, pts, pts)
+    g = cross_gram(space, coords, multipliers)
     if space.hermitian:
-        np.copyto(g, g.conj().T, where=np.tri(len(pts), k=-1, dtype=bool))
-        g[np.diag_indices(len(pts))] = g.diagonal().real
+        np.copyto(g, g.conj().T, where=np.tri(len(coords), k=-1, dtype=bool))
+        g[np.diag_indices(len(coords))] = g.diagonal().real
     return g
 
 
@@ -599,11 +589,12 @@ def psd_verdict(eigs: np.ndarray, tol: float) -> PsdVerdict:
     )
 
 
-def check_coherence(space: KernelSpace, points: Sequence[Point], tol: float = PSD_TOL) -> PsdVerdict:
+def check_coherence(space: KernelSpace, coords: np.ndarray, multipliers=None,
+                    tol: float = PSD_TOL) -> PsdVerdict:
     """PSD test of the Gram matrix with a relative tolerance (see psd_verdict)."""
     if not space.hermitian:
         raise InvalidPointError(f"{space.kind}: PSD check needs a Hermitian kernel")
-    g = gram_matrix(space, points)
+    g = gram_matrix(space, coords, multipliers)
     try:
         eigs = np.linalg.eigvalsh(g)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
@@ -611,28 +602,27 @@ def check_coherence(space: KernelSpace, points: Sequence[Point], tol: float = PS
     return psd_verdict(eigs, tol)
 
 
-def linear_point_map(matrix: np.ndarray, renormalize: bool = False) -> Callable[[Point], Point]:
-    """Point map z -> M z on the label coordinates (multiplier untouched).
+def linear_point_map(matrix: np.ndarray,
+                     renormalize: bool = False) -> Callable[[np.ndarray], np.ndarray]:
+    """Label map z -> M z on each row of a stack (n, d), bit for bit M @ z
+    row by row (multipliers untouched).
 
-    renormalize=True projects the image back to the unit sphere, for maps that
-    preserve it only up to scale.
+    renormalize=True projects each image back to the unit sphere, for maps
+    that preserve it only up to scale.
     """
     m = np.asarray(matrix, dtype=complex)
 
-    def apply(z: Point) -> Point:
-        w = m @ z.coords
-        if renormalize:
-            w = w / np.linalg.norm(w)
-        return Point(w, z.multiplier)
+    def apply(coords: np.ndarray) -> np.ndarray:
+        w = np.matvec(m, coords)
+        return w / row_norms(w)[:, None] if renormalize else w
 
     return apply
 
 
-def sample_points(space: KernelSpace, rng: np.random.Generator, count: int) -> list[Point]:
-    """`count` valid points drawn one after another by the space's seeded
-    sampler, scaled so Gram matrices stay well-conditioned (used by tests and
-    the CLI); a seed gives the same labels however a count is split."""
+def sample_points(space: KernelSpace, rng: np.random.Generator, count: int) -> tuple:
+    """`count` valid labels and their multipliers, drawn one after another by
+    the space's seeded sampler, scaled so Gram matrices stay well-conditioned;
+    a seed gives the same labels however a count is split."""
     if count < 0:
         raise ConfigError(f"count must be nonnegative, got {count}")
-    coords, mults = space.sampler(rng, count)
-    return [Point(c, m) for c, m in zip(coords, [None] * count if mults is None else mults)]
+    return space.sampler(rng, count)

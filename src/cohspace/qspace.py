@@ -16,12 +16,11 @@ central quotient at steps h and h/2; quantize's generators use it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .errors import CoherenceViolationError, ConfigError, InvalidPointError, NumericalError
-from .kernels import KernelSpace, Point, gram_matrix, psd_verdict
+from .kernels import KernelSpace, gram_matrix, psd_verdict
 
 DEFAULT_TRUNCATION_TOL = 1e-10
 
@@ -29,7 +28,8 @@ DEFAULT_TRUNCATION_TOL = 1e-10
 @dataclass
 class QuantumBasis:
     space: KernelSpace
-    points: list[Point]
+    coords: np.ndarray          # basis labels (n, d)
+    multipliers: np.ndarray | None  # (n,)
     gram: np.ndarray
     factor: np.ndarray          # B with G = B* B, shape (rank, n)
     rank: int
@@ -40,12 +40,12 @@ class QuantumBasis:
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return len(self.coords)
 
 
-def build_quantum_space(space: KernelSpace, points: Sequence[Point],
+def build_quantum_space(space: KernelSpace, coords: np.ndarray, multipliers=None,
                         tol: float = DEFAULT_TRUNCATION_TOL) -> QuantumBasis:
-    """Factor the Gram of `points`; eigenvalues below tol * lam_max are truncated.
+    """Factor the Gram of labels (n, d); eigenvalues below tol * lam_max are truncated.
 
     Raises CoherenceViolationError if the Gram fails the PSD check at `tol`,
     and ConfigError unless 0 < tol < 1 (tol >= 1 would truncate every
@@ -53,20 +53,20 @@ def build_quantum_space(space: KernelSpace, points: Sequence[Point],
     """
     if not 0.0 < tol < 1.0:
         raise ConfigError(f"'tol' must lie in (0, 1), got {tol!r}")
-    pts = list(points)
-    if not pts:
+    n = len(coords)
+    if not n:
         raise ConfigError("need at least one basis point")
     if not space.hermitian:
         raise InvalidPointError(f"{space.kind}: PSD check needs a Hermitian kernel")
-    g = gram_matrix(space, pts)
+    g = gram_matrix(space, coords, multipliers)
     try:
         lam, u = np.linalg.eigh(g)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        raise NumericalError(f"eigensolver failed on a {len(pts)}x{len(pts)} Gram: {exc}") from exc
+        raise NumericalError(f"eigensolver failed on a {n}x{n} Gram: {exc}") from exc
     verdict = psd_verdict(lam, tol)
     if not verdict.passed:
         raise CoherenceViolationError(
-            f"{space.kind}: Gram of {len(pts)} points is not PSD "
+            f"{space.kind}: Gram of {n} points is not PSD "
             f"(min eigenvalue {verdict.min_eigenvalue:.3e})",
             min_eigenvalue=verdict.min_eigenvalue,
         )
@@ -80,7 +80,7 @@ def build_quantum_space(space: KernelSpace, points: Sequence[Point],
     lam_r, u_r = lam[:rank], u[:, :rank]
     factor = np.sqrt(lam_r)[:, None] * u_r.conj().T
     return QuantumBasis(
-        space=space, points=pts, gram=g, factor=factor, rank=rank,
+        space=space, coords=coords, multipliers=multipliers, gram=g, factor=factor, rank=rank,
         truncation_tol=float(tol), eigvals=lam_r, eigvecs=u_r,
     )
 

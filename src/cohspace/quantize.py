@@ -1,6 +1,7 @@
 """Quantization of coherent maps and their generators on a quantum space.
 
-A coherent map A is a callable on label points, Point -> Point.  Its
+A coherent map A acts on label stacks: coords (n, d) -> (n, d), the
+multipliers left as they are (see kernels.linear_point_map).  Its
 quantization on span{|y_i>} is the linear operator with Gamma(A)|y_i> =
 |A y_i>.  Numerically: expand each image coherent vector in the retained
 eigenbasis by solving B* u = c with c_j = K(y_j, A y_i) (closed-form
@@ -22,8 +23,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, SpanEscapeError, StepSizeError
-from .kernels import Point, cross_gram
+from .kernels import cross_gram
 from .qspace import QuantumBasis, richardson
+
+LabelMap = Callable[[np.ndarray], np.ndarray]  # label stack (n, d) -> its image (n, d)
 
 
 @dataclass
@@ -32,17 +35,16 @@ class QuantizedOperator:
     residual: float
 
 
-def quantize_map(qb: QuantumBasis, a: Callable[[Point], Point],
-                 tol: float = 1e-6) -> QuantizedOperator:
+def quantize_map(qb: QuantumBasis, a: LabelMap, tol: float = 1e-6) -> QuantizedOperator:
     """Gamma(A) on the retained span; raises SpanEscapeError if any image
     coherent vector leaves the span by more than `tol` (relative amplitude;
     note the sqrt in the residual puts the roundoff floor near sqrt(eps),
     so tolerances below ~1e-7 only make sense for exactly-representable maps)."""
-    space, pts = qb.space, qb.points
+    space, y, mults = qb.space, qb.coords, qb.multipliers
     n = qb.size
-    images = [a(p) for p in pts]
-    c = cross_gram(space, pts, images)     # c[j, i] = K(y_j, A y_i); validates the images
-    kimg = cross_gram(space, images, images).diagonal().real
+    images = a(y)
+    c = cross_gram(space, y, mults, images, mults)  # c[j, i] = K(y_j, A y_i); checks the images
+    kimg = cross_gram(space, images, mults).diagonal().real
     # solve B* u = c via the eigendecomposition pseudo-inverse
     u_cols = (qb.eigvecs.conj().T @ c) / np.sqrt(qb.eigvals)[:, None]
     proj = (u_cols.conj() * u_cols).real.sum(axis=0)
@@ -60,8 +62,7 @@ def quantize_map(qb: QuantumBasis, a: Callable[[Point], Point],
     return QuantizedOperator(matrix=gamma, residual=worst)
 
 
-def check_homomorphism(qb: QuantumBasis, a: Callable[[Point], Point],
-                       b: Callable[[Point], Point], tol: float = 1e-8) -> float:
+def check_homomorphism(qb: QuantumBasis, a: LabelMap, b: LabelMap, tol: float = 1e-8) -> float:
     """Relative defect ||Gamma(A o B) - Gamma(A) Gamma(B)|| / (1 + ||Gamma(A o B)||)."""
     g_ab = quantize_map(qb, lambda z: a(b(z)), tol=max(tol, 1e-6)).matrix
     g_a = quantize_map(qb, a, tol=max(tol, 1e-6)).matrix
@@ -70,7 +71,7 @@ def check_homomorphism(qb: QuantumBasis, a: Callable[[Point], Point],
     return float(num / (1.0 + np.linalg.norm(g_ab, 2)))
 
 
-def generator_matrix(qb: QuantumBasis, flow: Callable[[float], Callable[[Point], Point]],
+def generator_matrix(qb: QuantumBasis, flow: Callable[[float], LabelMap],
                      s: float = 1e-4, tol: float = 1e-8) -> QuantizedOperator:
     """dGamma(X) of the one-parameter flow s -> flow(s) by the
     Richardson-extrapolated antisymmetric quotient.

@@ -88,9 +88,6 @@ class _Chart:
 
     south = False
 
-    def point(self, u: np.ndarray) -> Point:
-        return Point(self.labels(u[None])[0])
-
     def power_matrices(self) -> np.ndarray:
         return self._s
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
+import sys
 
 import numpy as np
 import scipy.linalg
@@ -170,9 +172,10 @@ def _wirtinger(f, u: np.ndarray) -> tuple:
 
 
 class FiniteDifferenceEnergy:
-    """Energy h(u) = fn(chart.point(u)) of a function on label points, on any
-    chart with `.point(u)`: the reference route for an energy's `on(chart)`
-    and `chart_values(chart, us)`, its derivatives by central differences.
+    """Energy h(u) = fn(z) of a function on label coordinates z (d,), on any
+    chart whose `.labels(us)` gives the label rows of coordinates us: the
+    reference route for an energy's `on(chart)` and `chart_values(chart, us)`,
+    its derivatives by central differences.
     At order 1 the stencil's mean stands in for h, so the velocity costs only
     the stencil's calls; order 2 differentiates the stencil gradient."""
 
@@ -181,7 +184,7 @@ class FiniteDifferenceEnergy:
 
     def on(self, chart):
         def h(u):
-            return float(self.fn(chart.point(u)))
+            return float(self.fn(chart.labels(u[None])[0]))
 
         def derivs(u, order):
             if order == 0:
@@ -206,6 +209,59 @@ def gram_bruteforce(eval_fn, points) -> np.ndarray:
         for j in range(n):
             g[i, j] = eval_fn(points[i], points[j])
     return g
+
+
+# --- config label entries, read one number at a time, then stacked ---
+
+def _finite_number(name: str, x) -> float:
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or not abs(x) <= sys.float_info.max:
+        raise ValueError(f"{name!r} must be a finite number, got {x!r}")
+    return float(x)
+
+
+def _number_pair(name: str, x) -> complex:
+    if not (isinstance(x, (list, tuple)) and len(x) == 2):
+        raise ValueError(f"{name!r} must be a list of 2 numbers, got {x!r}")
+    return complex(_finite_number(name, x[0]), _finite_number(name, x[1]))
+
+
+def label_entry(entry, name: str):
+    """(coords (d,) complex, multiplier or None) of one config label entry: a
+    coordinate list or a {"coords", "multiplier"} object, a coordinate being
+    an [re, im] pair or a real number.  A bad entry raises ValueError with
+    the command line's message, naming the entry."""
+    coords, mult = entry, None
+    if isinstance(entry, dict):
+        unknown = sorted(set(entry) - {"coords", "multiplier"})
+        if unknown:
+            keys = ", ".join(repr(f"{name}.{key}") for key in unknown)
+            raise ValueError(f"unknown key {keys}; accepted keys: coords, multiplier")
+        if entry.get("coords") is None:
+            raise ValueError(f"missing required key '{name}.coords'")
+        coords, mult = entry["coords"], entry.get("multiplier")
+    elif not isinstance(entry, (list, tuple)):
+        raise ValueError(f"{name}: must be a coordinate list or an object with 'coords'")
+    if not isinstance(coords, (list, tuple)):
+        raise ValueError(f"{name}: coordinates must be a list")
+    z = [_number_pair(name, c) if isinstance(c, (list, tuple)) else complex(_finite_number(name, c))
+         for c in coords]
+    return (np.array(z, dtype=complex),
+            None if mult is None else _number_pair(f"{name}.multiplier", mult))
+
+
+def label_stack(labels, dim: int, line: bool, check):
+    """Coordinates (n, dim) and multipliers ((n,) on a line bundle, else None)
+    of (coords, multiplier) labels, passed to check(coords, multipliers) as
+    one stack up to the first label that cannot join it (another dimension,
+    or no multiplier on a line bundle), which is then checked alone."""
+    cut = next((i for i, (z, m) in enumerate(labels) if z.shape != (dim,) or (line and m is None)),
+               len(labels))
+    coords = np.array([z for z, _ in labels[:cut]], dtype=complex).reshape(cut, dim)
+    mults = np.array([m for _, m in labels[:cut]], dtype=complex) if line else None
+    check(coords, mults)
+    if cut < len(labels):
+        check(labels[cut][0][None, :], None)
+    return coords, mults
 
 
 # --- causal coherent spaces: dict sections, both conditions pair by pair ---

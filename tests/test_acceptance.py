@@ -20,6 +20,7 @@ from oracles import (
     spin_monomial_embed,
     wigner_matrices,
 )
+from labels import points
 
 from cohspace import cli
 from cohspace.chaos import KickedTop, lyapunov_kicked, spinor_from_bloch
@@ -90,12 +91,12 @@ def test_criterion_1_psd_suite():
     worst = 0.0
     for i, desc in enumerate(suite):
         space = space_from_descriptor(desc)
-        pts = sample_points(space, np.random.default_rng(1000 + i), 50)
-        verdict = check_coherence(space, pts, tol=1e-8)
+        coords, mults = sample_points(space, np.random.default_rng(1000 + i), 50)
+        verdict = check_coherence(space, coords, mults, tol=1e-8)
         assert verdict.passed, (desc, verdict.min_eigenvalue)
         worst = min(worst, verdict.min_eigenvalue / max(1.0, verdict.gram_norm))
     bad = check_coherence(spin_space(0.6),
-                          sample_points(spin_space(0.6), np.random.default_rng(7), 50),
+                          *sample_points(spin_space(0.6), np.random.default_rng(7), 50),
                           tol=1e-8)
     assert not bad.passed
     assert bad.min_eigenvalue < -1e-6  # certified negative witness
@@ -110,13 +111,13 @@ def test_criterion_1_psd_suite():
 def test_criterion_2_quantum_space_dimensions():
     start = time.perf_counter()
     ico = space_from_descriptor({"kind": "icosahedron"})
-    qb = build_quantum_space(ico, [Point(v) for v in icosahedron_vertices()])
+    qb = build_quantum_space(ico, icosahedron_vertices().astype(complex))
     assert qb.rank == 3 and qb.size == 12
     ranks = []
     for n in range(9):
         sp = spin_space(n)
-        pts = sample_points(sp, np.random.default_rng(2000 + n), n + 4)
-        ranks.append(build_quantum_space(sp, pts).rank)
+        labels = sample_points(sp, np.random.default_rng(2000 + n), n + 4)
+        ranks.append(build_quantum_space(sp, *labels).rank)
         assert ranks[-1] == n + 1, (n, ranks[-1])
     _finish(2, start, 5.0,
             f"icosahedron rank 3 on 12 vertices; spin ranks {ranks} = n+1 for n <= 8")
@@ -136,7 +137,7 @@ def test_criterion_3_quantization_homomorphism():
     for i, (desc, d, n_pts) in enumerate(cases):
         space = space_from_descriptor(desc)
         rng = np.random.default_rng(3000 + i)
-        qb = build_quantum_space(space, sample_points(space, rng, n_pts))
+        qb = build_quantum_space(space, *sample_points(space, rng, n_pts))
         for _ in range(50):
             u1, u2 = _unitary(rng, d), _unitary(rng, d)
             dev = check_homomorphism(qb, linear_point_map(u1), linear_point_map(u2))
@@ -176,7 +177,7 @@ def test_criterion_4_exact_coherent_dynamics():
     phases = np.exp(-1j * omega * np.diag(num)[None, :] * t_eval[:, None])
     psi0 = fock_coherent(64, z0.coords[0], z0.coords[1])
     deficit_fock = 0.0
-    for i, p in enumerate(traj.points):
+    for i, p in enumerate(points(traj.coords, traj.multipliers)):
         oracle = phases[i] * psi0
         emb = fock_coherent(64, p.coords[0], p.coords[1])
         f = abs(np.vdot(oracle, emb)) ** 2 / (
@@ -201,7 +202,7 @@ def test_criterion_4_exact_coherent_dynamics():
     psi0 = spin_monomial_embed(n, z.coords)
     c0 = v.conj().T @ psi0
     deficit_wigner = 0.0
-    for i, p in enumerate(traj.points):
+    for i, p in enumerate(points(traj.coords, traj.multipliers)):
         oracle = v @ (np.exp(-1j * w * t_eval[i]) * c0)
         emb = spin_monomial_embed(n, p.coords)
         f = abs(np.vdot(oracle, emb)) ** 2 / (
@@ -229,7 +230,7 @@ def test_criterion_5_tdvp_exactness_and_conservation():
     tdvp = dirac_frenkel_flow(sp, MatrixExpectation(rep.dgamma(a)), z, (0.0, 8.0),
                               t_eval, rtol=rtol)
     dev = max(_fidelity_deficit(sp, p, q)
-              for p, q in zip(exact.points, tdvp.points))
+              for p, q in zip(points(exact.coords, exact.multipliers), points(tdvp.coords, tdvp.multipliers)))
     assert dev <= 10 * rtol
 
     # nonlinear spin instance: conservation over >= 1e4 accepted steps

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from labels import points
 from cohspace import kernels
 from cohspace.errors import ConfigError
 from cohspace.kernels import (
@@ -114,15 +115,15 @@ def test_sample_points_draws_one_label_after_another(space):
     for seed in range(3):
         for count in COUNTS:
             batch, loop = np.random.default_rng(seed), np.random.default_rng(seed)
-            pts = sample_points(space, batch, count)
+            coords, mults = sample_points(space, batch, count)
             drawn = [one_label(space, loop) for _ in range(count)]
-            assert len(pts) == count
-            for p, (coords, mult) in zip(pts, drawn):
-                assert p.coords.shape == (space.label_dim,)
-                np.testing.assert_array_equal(bits(p.coords), bits(coords))
-                assert (p.multiplier is None) == (mult is None)
+            assert coords.shape == (count, space.label_dim)
+            assert (mults is None) == (space.projective_degree is None)
+            for i, (z, mult) in enumerate(drawn):
+                np.testing.assert_array_equal(bits(coords[i]), bits(z))
+                assert (mults is None) == (mult is None)
                 if mult is not None:
-                    np.testing.assert_array_equal(bits(p.multiplier), bits(mult))
+                    np.testing.assert_array_equal(bits(mults[i]), bits(mult))
             assert batch.bit_generator.state == loop.bit_generator.state
             np.testing.assert_array_equal(batch.standard_normal(3).view(np.uint64),
                                           loop.standard_normal(3).view(np.uint64))
@@ -130,10 +131,10 @@ def test_sample_points_draws_one_label_after_another(space):
 
 def test_split_counts_draw_the_same_labels():
     sp = klauder_space(2)
-    whole = sample_points(sp, np.random.default_rng(4), 9)
+    whole, _ = sample_points(sp, np.random.default_rng(4), 9)
     rng = np.random.default_rng(4)
-    parts = sample_points(sp, rng, 4) + sample_points(sp, rng, 0) + sample_points(sp, rng, 5)
-    np.testing.assert_array_equal(bits([p.coords for p in whole]), bits([p.coords for p in parts]))
+    parts = [sample_points(sp, rng, count)[0] for count in (4, 0, 5)]
+    np.testing.assert_array_equal(bits(whole), bits(np.concatenate(parts)))
 
 
 def test_negative_count_is_a_config_error():
@@ -148,11 +149,8 @@ def test_negative_count_is_a_config_error():
 
 
 def _labels(space, seed, count):
-    pts = sample_points(space, np.random.default_rng(seed), count)
-    coords = np.array([p.coords for p in pts], dtype=complex).reshape(count, space.label_dim)
-    mults = (None if space.projective_degree is None
-             else np.array([p.multiplier for p in pts], dtype=complex))
-    return pts, coords, mults
+    coords, mults = sample_points(space, np.random.default_rng(seed), count)
+    return points(coords, mults), coords, mults
 
 
 @pytest.mark.parametrize("space", catalog(), ids=lambda sp: sp.kind)
@@ -239,11 +237,11 @@ def test_two_d_gram_is_the_two_d_kernel(space):
     kernel = two_d_kernel(space)
     for seed in range(3):
         for count in COUNTS[1:]:
-            pts, coords, mults = _labels(space, seed, count)
+            _, coords, mults = _labels(space, seed, count)
             expect = kernel(coords, coords)
             if mults is not None:
                 expect = np.power(np.outer(mults, mults), space.projective_degree) * expect
-            np.testing.assert_array_equal(bits(cross_gram(space, pts, pts)), bits(expect))
+            np.testing.assert_array_equal(bits(cross_gram(space, coords, mults)), bits(expect))
 
 
 # ---------------------------------------------------------- propagation

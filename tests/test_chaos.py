@@ -17,7 +17,7 @@ import pytest
 
 from oracles import (FiniteDifferenceEnergy, bloch_vector, kicked_top_classical_lyapunov,
                      kicked_top_classical_step, spin_monomial_embed)
-
+from labels import chart_point
 from cohspace.chaos import (
     KickedTop,
     apply_kick,
@@ -64,7 +64,7 @@ def test_period_map_matches_classical():
         z = spinor_from_bloch(s)
         chart = chart_for(top.space, z)
         chart, w, _, _ = top.period(chart, chart.coords(z)[0], 0.0j)
-        got = bloch_vector(chart.point(np.array([w])).coords)
+        got = bloch_vector(chart_point(chart, [w]).coords)
         np.testing.assert_allclose(got, kicked_top_classical_step(s, 3.0, PREC), atol=1e-10)
 
 
@@ -90,8 +90,8 @@ def test_exact_period_matches_integrated_precession():
                 _, ch_i, (wi, di) = charted_solve(chart, energy, np.array([w, d]), (0.0, 1.0),
                                                   1e-12, 1e-14, tangent=True)
                 wi, di = apply_kick(wi, di, top.kick)
-                np.testing.assert_allclose(bloch_vector(ch.point(np.array([wg])).coords),
-                                           bloch_vector(ch_i.point(np.array([wi])).coords),
+                np.testing.assert_allclose(bloch_vector(chart_point(ch, [wg]).coords),
+                                           bloch_vector(chart_point(ch_i, [wi]).coords),
                                            atol=1e-10)
                 ell = _metric_len(ch_i, wi, di)
                 assert abs(_metric_len(ch, wg, dg) - ell) <= 1e-10 * ell
@@ -157,8 +157,8 @@ def test_linearized_field_fd_route_consistent():
     rep = SpinRep(n)
     ham = rep.dgamma(SZ) + 0.4 * (rep.dgamma(SX) @ rep.dgamma(SX))
 
-    def h_fn(p):
-        v = spin_monomial_embed(n, p.coords)
+    def h_fn(z):
+        v = spin_monomial_embed(n, z)
         return (np.vdot(v, ham @ v) / np.vdot(v, v)).real
 
     chart = SphereChart(n)

@@ -7,6 +7,7 @@ fixture from tests/conftest.py, whose PYTHONPATH starts with the absolute
 directory this process imported cohspace from, so they import the same
 cohspace as the test process, installed or not.
 """
+import inspect
 import json
 import re
 import subprocess
@@ -16,10 +17,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from cohspace import cli, kernels, liealg
 from cohspace import io as artifacts
-from cohspace.errors import ConfigError
+from cohspace.errors import ConfigError, InvalidPointError
 from cohspace.kernels import Point, eval_kernel, space_from_descriptor
 from cohspace.liealg import algebra_from_descriptor
 
@@ -1044,9 +1048,9 @@ def test_json_and_csv_formats_agree(tmp_path, monkeypatch, capsys):
     space = space_from_descriptor({"kind": "spin", "exponent": 2})
     rng = np.random.default_rng(9)
     from cohspace.kernels import sample_points
-    pts = sample_points(space, rng, 4)
+    coords, _ = sample_points(space, rng, 4)
     assert g_csv[0, 1] == pytest.approx(
-        complex(eval_kernel(space, pts[0], pts[1])), abs=1e-15)
+        complex(eval_kernel(space, Point(coords[0]), Point(coords[1]))), abs=1e-15)
 
 
 _GRAM_SPACES = [{"kind": "spin", "exponent": 3}, {"kind": "klauder", "modes": 2},
@@ -1063,7 +1067,7 @@ def test_kernel_gram_bytes_match_the_format_cell_and_json_dumps_oracles(tmp_path
         cli.run({"command": "kernel-gram", "space": space, "count": 9, "seed": 4,
                  "format": fmt, "out": f"g.{fmt}"})
         kind = space_from_descriptor(space)
-        g = kernels.gram_matrix(kind, kernels.sample_points(kind, np.random.default_rng(4), 9))
+        g = kernels.gram_matrix(kind, *kernels.sample_points(kind, np.random.default_rng(4), 9))
         if fmt == "csv":
             header = ",".join(f"k{j}_{part}" for j in range(9) for part in ("re", "im"))
             rows = [",".join(artifacts.format_cell(x) for z in row for x in (z.real, z.imag))
@@ -1088,3 +1092,186 @@ def test_point_objects_with_multiplier(tmp_path, monkeypatch, capsys):
     z_pt = Point([1, 0], 0.1 + 0.2j)
     want = eval_kernel(space, z_pt, z_pt)
     assert complex(payload["re"], payload["im"]) == pytest.approx(want, rel=1e-12)
+
+
+_UNIT = [1, 0]
+_HUGE = "1" + "0" * 400  # 10**400 as a JSON integer
+_ABOVE_MAX = str(int(sys.float_info.max) + 1)  # float() rounds it down to the largest float
+_NAMED = "'points[1]' must be a finite number, got"
+
+
+@pytest.mark.parametrize("space, points, code, message", [
+    ("spin", f"[{_UNIT},[1,true]]", 2, f"{_NAMED} True"),
+    ("spin", f"[{_UNIT},[[1,0],[true,0]]]", 2, f"{_NAMED} True"),
+    ("spin", f'[{_UNIT},[1,"0"]]', 2, f"{_NAMED} '0'"),
+    ("spin", f"[{_UNIT},[1,NaN]]", 2, f"{_NAMED} nan"),
+    ("spin", f"[{_UNIT},[[1,Infinity],0]]", 2, f"{_NAMED} inf"),
+    ("spin", f"[{_UNIT},[1,{_HUGE}]]", 2, f"{_NAMED} {_HUGE}"),
+    ("spin", f"[{_UNIT},[1,{_ABOVE_MAX}]]", 2, f"{_NAMED} {_ABOVE_MAX}"),
+    ("spin", f"[{_UNIT},[[1,2,3],0]]", 2, "'points[1]' must be a list of 2 numbers, got [1, 2, 3]"),
+    ("spin", f"[{_UNIT},[1,0,0]]", 1, "spin: label has 3 coordinates, expected 2"),
+    ("spin", "[[1,0,0],[1,0,0]]", 1, "spin: label has 3 coordinates, expected 2"),
+    ("spin", f"[{_UNIT},[]]", 1, "spin: label has 0 coordinates, expected 2"),
+    ("spin", "[]", 2, "'points' must be a non-empty list"),
+    ("spin", f"[{_UNIT},5]", 2, "points[1]: must be a coordinate list or an object with 'coords'"),
+    ("spin", f'[{_UNIT},{{"coords":3}}]', 2, "points[1]: coordinates must be a list"),
+    ("spin", f'[{_UNIT},{{"multiplier":[1,0]}}]', 2, "missing required key 'points[1].coords'"),
+    ("spin", f'[{_UNIT},{{"coords":[1,0],"x":1}}]', 2,
+     "unknown key 'points[1].x'; accepted keys: coords, multiplier"),
+    ("heisenberg", '[{"coords":[1],"multiplier":[1,0]},{"coords":[1],"multiplier":1}]', 2,
+     "'points[1].multiplier' must be a list of 2 numbers, got 1"),
+    ("heisenberg", '[{"coords":[1],"multiplier":[1,0]},{"coords":[1],"multiplier":[1,NaN]}]', 2,
+     "'points[1].multiplier' must be a finite number, got nan"),
+    ("heisenberg", '[{"coords":[1],"multiplier":[1,0]},[1]]', 1,
+     "heisenberg: line-bundle point needs a multiplier"),
+    ("spin", f"[{_UNIT},[0.6,0.6],[1,0,0]]", 1,
+     "spin: constraint 'unit spinor norm' violated (residual 1.515e-01)"),
+    ("spin", f"[{_UNIT},[1,0,0],[0.6,0.6]]", 1, "spin: label has 3 coordinates, expected 2"),
+    ("spin", f"[{_UNIT},[0.6,0.6],[[0.9,0],[0,0.9]],[0.5,0]]", 1,
+     "spin: constraint 'unit spinor norm' violated (residual 1.515e-01)"),
+], ids=["bool", "bool-in-pair", "string", "nan", "inf", "int-beyond-float64",
+        "int-just-beyond-float64", "three-numbers",
+        "ragged", "wrong-dimension", "no-coordinates", "no-points", "number-point",
+        "number-coords", "no-coords", "unknown-key", "bare-multiplier", "nan-multiplier",
+        "no-multiplier", "off-sphere-before-ragged", "ragged-before-off-sphere",
+        "first-off-sphere-row"])
+def test_bad_points_fail_with_the_first_bad_entry(tmp_path, monkeypatch, capsys,
+                                                  space, points, code, message):
+    # exit 2 names points[i]; exit 1 is the first bad row's invalid-point diagnostic
+    space = json.dumps({"spin": {"kind": "spin", "exponent": 2},
+                        "heisenberg": {"kind": "heisenberg", "modes": 1}}[space])
+    got, out, err = run_cli(["kernel-gram", "--space", space, "--points", points],
+                            tmp_path, monkeypatch, capsys)
+    assert (got, out) == (code, "")
+    if code == 2:
+        assert err == f"config error: {message}\n"
+    else:
+        assert json.loads(err) == {"error": "invalid-point", "message": message}
+    assert not list(tmp_path.glob("cohspace-*"))
+
+
+_FLOAT_MAX = int(sys.float_info.max)
+_GOOD = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-2**64, 2**64),
+                  st.sampled_from([-0.0, 0, 2**53 + 1, _FLOAT_MAX, -sys.float_info.max]))
+_BAD = st.sampled_from([True, False, "1", None, float("nan"), float("inf"), -float("inf"),
+                        10**400, _FLOAT_MAX + 1, [1.0], {"re": 1.0}])
+_NUMBER = st.one_of(_GOOD, _GOOD, _GOOD, _GOOD, _GOOD, _BAD)
+_PAIR = st.lists(_NUMBER, min_size=2, max_size=2)
+_COORD = st.one_of(_NUMBER, _PAIR, _PAIR, _PAIR, st.lists(_GOOD, min_size=0, max_size=3))
+
+
+# unit spinors written as pairs and bare reals, with signed zeros
+_SPINORS = st.sampled_from([[1, 0], [0, 1.0], [0.6, 0.8], [[0.6, -0.0], [0, 0.8]],
+                            [[-0.0, 0.6], -0.8], [-0.6, [0, -0.8]], [[0.0, -1.0], -0.0]])
+_GOOD_PAIR = st.lists(_GOOD, min_size=2, max_size=2)
+
+
+def _good_entry(space):
+    """A config label entry the space accepts."""
+    d = space.label_dim
+    coords = (_SPINORS if space.kind == "spin" else
+              st.lists(st.one_of(_GOOD, _GOOD_PAIR), min_size=d, max_size=d))
+    with_mult = st.fixed_dictionaries({"coords": coords, "multiplier": _GOOD_PAIR})
+    if space.projective_degree is not None:
+        return with_mult
+    return st.one_of(coords, coords, st.fixed_dictionaries({"coords": coords}), with_mult)
+
+
+def _entry(dim):
+    """A config label entry: often of the right shape, with every way it can go wrong."""
+    coords = st.one_of(*[st.lists(_COORD, min_size=dim, max_size=dim)] * 6,
+                       st.lists(_COORD, min_size=0, max_size=dim + 1))
+    mult = st.one_of(_PAIR, _PAIR, _PAIR, _NUMBER, st.lists(_GOOD, min_size=3, max_size=3))
+    return st.one_of(
+        coords, coords, coords,
+        st.fixed_dictionaries({"coords": coords}, optional={"multiplier": mult}),
+        st.fixed_dictionaries({"coords": coords, "multiplier": mult}),
+        st.fixed_dictionaries({"coords": coords, "multiplier": mult}),
+        st.fixed_dictionaries({"multiplier": mult}, optional={"coords": st.one_of(_NUMBER, coords),
+                                                              "other": _GOOD}),
+        _NUMBER, st.text(max_size=2))
+
+
+def _parsed(parse):
+    """("ok", coords, multipliers) of a parse, or (error kind, message)."""
+    try:
+        return ("ok",) + parse()
+    except (ConfigError, ValueError) as exc:
+        return "config", str(exc)
+    except InvalidPointError as exc:
+        return "invalid-point", str(exc)
+
+
+@given(st.sampled_from([{"kind": "spin", "exponent": 2}, {"kind": "heisenberg", "modes": 1},
+                        {"kind": "trivial", "dim": 1}]), st.data())
+@settings(max_examples=400)
+def test_points_parse_as_the_per_entry_route(desc, data):
+    """The one-conversion parse gives the bits and the first error of the
+    per-entry parse kept in oracles (label_entry, then label_stack)."""
+    space = space_from_descriptor(desc)
+    line = space.projective_degree is not None
+    entries = data.draw(st.lists(_good_entry(space), min_size=1, max_size=6))
+    for _ in range(data.draw(st.integers(0, 2))):  # up to two entries replaced or appended
+        at = data.draw(st.integers(0, len(entries)))
+        entries[at:at + 1] = [data.draw(_entry(space.label_dim))]
+    names = [f"points[{i}]" for i in range(len(entries))]
+
+    def stacked():
+        coords, mults = cli._points_of({"points": entries}, space)
+        kernels.check_stack(space, coords, mults)  # as the Gram does
+        return coords, mults if line else None  # off a line bundle no kernel reads them
+
+    def oracle():
+        labels = [oracles.label_entry(e, name) for e, name in zip(entries, names)]
+        return oracles.label_stack(labels, space.label_dim, line,
+                                   lambda c, m: kernels.check_stack(space, c, m))
+
+    got, want = _parsed(stacked), _parsed(oracle)
+    assert got[0] == want[0], (got, want)
+    if got[0] != "ok":
+        assert got[1] == want[1]
+        return
+    assert got[1].shape == want[1].shape and got[1].tobytes() == want[1].tobytes()
+    assert (got[2] is None) == (want[2] is None)
+    assert got[2] is None or got[2].tobytes() == want[2].tobytes()
+
+
+def test_exit_1_names_a_span_too_long_for_the_float_resolution_of_t(tmp_path, monkeypatch,
+                                                                    capsys):
+    # the README variational flow: its first step, 0.04, is below the floor 1e-14 * span
+    code, out, err = run_cli(
+        ["dyn-tdvp", "--space", '{"kind":"spin","exponent":4}',
+         "--energy", '{"kind":"spin_axis","axis":[0,0,1],"coeff":1.1}',
+         "--z0", "[[0.8,0],[0.48,0.36]]", "--t-span", "[0,1e13]"], tmp_path, monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {
+        "error": "integrator-failure",
+        "message": "a span of 1e+13 is too long for the float resolution of t: the first step "
+                   "h = 4.118e-02 is below the step floor 1e-14 * span = 1.000e-01"}
+
+
+def test_the_second_argument_of_gram_matrix_counts_the_labels(tmp_path, monkeypatch):
+    """The benchmark's tracer counts Gram entries as len(args[1]) ** 2 of
+    gram_matrix: its second argument is the (n, d) label stack on every route."""
+    from cohspace import qspace
+
+    assert list(inspect.signature(kernels.gram_matrix).parameters)[:2] == ["space", "coords"]
+    original, seen = kernels.gram_matrix, []
+
+    def spy(*args, **kwargs):
+        seen.append((len(args[1]), args[1].shape))
+        return original(*args, **kwargs)
+
+    for module in (kernels, qspace):
+        monkeypatch.setattr(module, "gram_matrix", spy)
+    monkeypatch.chdir(tmp_path)
+    spin = {"kind": "spin", "exponent": 2}
+    flip = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+    spinors = [[1, 0], [0, 1], [0.6, 0.8]]
+    for config in ({"command": "kernel-gram", "space": spin, "points": spinors},
+                   {"command": "kernel-check", "space": spin, "count": 5},
+                   {"command": "qspace-build", "space": {"kind": "klauder"}, "count": 4},
+                   {"command": "quantize", "space": spin, "count": 6,
+                    "map": {"kind": "linear", "matrix": flip}}):
+        cli.run(config)
+    assert seen == [(3, (3, 2)), (5, (5, 2)), (4, (4, 2)), (6, (6, 2))]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cohspace.kernels import Point, klauder_space, linear_point_map, sample_points, spin_space
+from cohspace.kernels import klauder_space, linear_point_map, sample_points, spin_space
 from cohspace.qspace import build_quantum_space
 from cohspace.quantize import generator_matrix, quantize_map
 
@@ -46,18 +46,18 @@ def _spin_generator(x):
 def test_generator_matrix_is_the_hand_written_quotient(n, x):
     rng = np.random.default_rng(SEED + n)
     sp = spin_space(n)
-    qb = build_quantum_space(sp, sample_points(sp, rng, 2 * n + 4))
+    qb = build_quantum_space(sp, *sample_points(sp, rng, 2 * n + 4))
     gen = _spin_generator(np.asarray(x, dtype=complex))
     assert same_bits(generator_matrix(qb, gen, s=1e-3, tol=1e-6).matrix,
                      _hand_generator(qb, gen, 1e-3))
 
 
 def test_klauder_generator_matrix_is_the_hand_written_quotient():
-    pts = [Point([0.0, 0.9 * np.exp(2j * np.pi * k / 12)]) for k in range(12)]
-    qb = build_quantum_space(klauder_space(1), pts)
+    labels = np.array([[0.0, 0.9 * np.exp(2j * np.pi * k / 12)] for k in range(12)])
+    qb = build_quantum_space(klauder_space(1), labels)
 
     def gen(s):
-        return lambda z: Point([z.coords[0], np.exp(1j * s) * z.coords[1]])
+        return lambda z: np.column_stack((z[:, 0], np.exp(1j * s) * z[:, 1]))
 
     assert same_bits(generator_matrix(qb, gen, s=1e-3, tol=1e-5).matrix,
                      _hand_generator(qb, gen, 1e-3))

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 import oracles
+from labels import points
 from cohspace import dynamics, integrate, liealg, tdvp
 from cohspace.dynamics import coherent_flow
 from cohspace.errors import ConfigError
@@ -57,7 +58,7 @@ def test_oscillator_labels_match_closed_form():
     omega = 1.3
     traj = coherent_flow(sp, klauder_oscillator_generator(omega), z0, (0.0, 10.0),
                          t_eval=np.linspace(0, 10, 21))
-    for t, p in zip(traj.times, traj.points):
+    for t, p in zip(traj.times, points(traj.coords, traj.multipliers)):
         expected = np.array([z0.coords[0], np.exp(-1j * omega * t) * z0.coords[1]])
         np.testing.assert_allclose(p.coords, expected, rtol=1e-8, atol=1e-10)
 
@@ -69,7 +70,7 @@ def test_spin_labels_match_closed_form():
     omega = 0.9
     traj = coherent_flow(sp, spin_precession_generator(omega), Point(z), (0.0, 12.0),
                          t_eval=np.linspace(0, 12, 25))
-    for t, p in zip(traj.times, traj.points):
+    for t, p in zip(traj.times, points(traj.coords, traj.multipliers)):
         expected = np.array([np.exp(-0.5j * omega * t) * z[0], np.exp(0.5j * omega * t) * z[1]])
         # coherent states are label-valued: compare up to nothing, labels are exact here
         np.testing.assert_allclose(p.coords, expected, rtol=1e-8, atol=1e-9)
@@ -126,7 +127,7 @@ def test_exact_flow_matches_rk45_oracle():
         assert traj.stats is None
         ref = solve_rk45(lambda t, y: a @ y / (1j * hbar), 0.0, t1, z0,
                          rtol=1e-12, atol=1e-14, t_eval=t_eval)
-        got = np.array([p.coords for p in traj.points])
+        got = np.array([p.coords for p in points(traj.coords, traj.multipliers)])
         assert np.max(np.abs(got - ref.states)) <= 1e-9 * max(1.0, np.abs(ref.states).max())
         np.testing.assert_array_equal(traj.times, ref.times)
 
@@ -145,7 +146,7 @@ def test_coherent_trajectory_matches_the_per_sample_route():
         states = propagate_eig(a, z0.coords, traj.times)
         want = [y / np.linalg.norm(y) if sp.kind == "spin" else y for y in states]
         np.testing.assert_allclose(traj.coords, want, rtol=0, atol=1e-15)
-        pts = traj.points
+        pts = points(traj.coords, traj.multipliers)
         assert [p.multiplier for p in pts] == [z0.multiplier] * 41
         norms = [eval_kernel(sp, p, p).real for p in pts]
         np.testing.assert_allclose(traj.norms, norms, rtol=1e-13, atol=0)
@@ -161,7 +162,7 @@ def test_time_independent_flows_never_call_the_integrator(monkeypatch):
     sp = spin_space(2)
     z = Point(np.array([1.0, 0.4 + 0.2j]) / np.linalg.norm([1.0, 0.4 + 0.2j]))
     traj = coherent_flow(sp, spin_precession_generator(1.1), z, (0.0, 5.0))
-    assert len(traj.points) == 101
+    assert len(points(traj.coords, traj.multipliers)) == 101
     alg, rep = liealg.su2_qubit()
     st = liealg.state_from_density(alg, rep, np.array([[0.7, 0.1j], [-0.1j, 0.3]]))
     tab = liealg.evolve_expectations(alg, rep, alg.basis_vector(3), st,
@@ -196,7 +197,7 @@ def test_empty_sample_grid_gives_an_empty_trajectory():
                       (heisenberg_space(2), Point([0.2, 0.5j], 0.7))):
         traj = coherent_flow(space, a, z0, (0.0, 5.0), t_eval=[])
         assert traj.times.shape == (0,) and traj.norms.shape == (0,)
-        assert traj.coords.shape == (0, space.label_dim) and traj.points == []
+        assert traj.coords.shape == (0, space.label_dim) and points(traj.coords, traj.multipliers) == []
         assert (traj.multipliers is None) == (z0.multiplier is None)
         assert traj.stats is None
 

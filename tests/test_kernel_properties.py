@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from labels import sampled, stack
 from cohspace.kernels import (
     Point,
     check_coherence,
@@ -21,7 +22,6 @@ from cohspace.kernels import (
     klauder_space,
     moebius_space,
     power_space,
-    sample_points,
     spin_space,
     spin_t_space,
     trivial_space,
@@ -72,7 +72,7 @@ def test_klauder_hermitian(z, w):
 @given(spinor(), spinor(), spinor())
 @settings(max_examples=100)
 def test_spin_triangle_inequality(a, b, c):
-    g = gram_matrix(spin_space(2), [a, b, c]).real
+    g = gram_matrix(spin_space(2), *stack([a, b, c], 2)).real
     d = np.sqrt(np.maximum(np.add.outer(g.diagonal(), g.diagonal()) - 2.0 * g, 0.0))
     assert d[0, 2] <= d[0, 1] + d[1, 2] + 1e-9
 
@@ -80,7 +80,7 @@ def test_spin_triangle_inequality(a, b, c):
 @given(st.lists(klauder_pt(), min_size=2, max_size=6))
 @settings(max_examples=60)
 def test_klauder_small_grams_psd(pts):
-    assert check_coherence(klauder_space(1), pts, tol=1e-8).passed
+    assert check_coherence(klauder_space(1), *stack(pts, 2), tol=1e-8).passed
 
 
 @given(cvec(2), cvec(2))
@@ -184,7 +184,7 @@ def _oracle(k, left, right):
 
 def _labels(sp, seed, count, mirrored):
     """Sampled points plus conjugates of the first few (exercising z' = conj z)."""
-    pts = sample_points(sp, np.random.default_rng(seed), count)
+    pts = sampled(sp, np.random.default_rng(seed), count)
     return pts + [Point(p.coords.conj(), None if p.multiplier is None else np.conj(p.multiplier))
                   for p in pts[:mirrored]]
 
@@ -196,11 +196,11 @@ def test_batched_gram_and_cross_gram_match_pairwise_oracle(name, seed, count, mi
     make, k = CATALOG[name]
     sp = make()
     pts = _labels(sp, seed, count, mirrored)
-    g = gram_matrix(sp, pts)
+    g = gram_matrix(sp, *stack(pts, sp.label_dim))
     g0 = _oracle(k, pts, pts)
     np.testing.assert_allclose(g, g0, rtol=0, atol=1e-13 * max(1.0, np.abs(g0).max()))
     left, right = pts[:split], pts[split:]
-    c = cross_gram(sp, left, right)
+    c = cross_gram(sp, *stack(left, sp.label_dim), *stack(right, sp.label_dim))
     c0 = _oracle(k, left, right)
     assert c.shape == (len(left), len(right))
     np.testing.assert_allclose(c, c0, rtol=0, atol=1e-13 * max(1.0, np.abs(c0).max(initial=0.0)))
@@ -213,6 +213,6 @@ def test_batched_gram_and_cross_gram_match_pairwise_oracle(name, seed, count, mi
 @settings(max_examples=150, deadline=None)
 def test_hermitian_grams_are_exactly_hermitian_with_real_diagonal(name, seed, count, mirrored):
     sp = CATALOG[name][0]()
-    g = gram_matrix(sp, _labels(sp, seed, count, mirrored))
+    g = gram_matrix(sp, *stack(_labels(sp, seed, count, mirrored), sp.label_dim))
     assert np.array_equal(g, g.conj().T)
     assert np.all(g.diagonal().imag == 0.0)

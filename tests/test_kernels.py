@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import oracles
+from labels import points, sampled, stack
 from cohspace.errors import ConfigError, InvalidPointError
 from cohspace.kernels import (
     Point,
-    _stacked,
     check_coherence,
     check_stack,
     classical_limit_space,
@@ -78,7 +78,7 @@ def test_spin_kernel_matches_monomial_embedding():
     for n in (1, 2, 3, 4):
         sp = spin_space(n)
         rng = np.random.default_rng(RNG_SEED + n)
-        z, w = sample_points(sp, rng, 2)
+        z, w = sampled(sp, rng, 2)
         lhs = eval_kernel(sp, z, w)
         rhs = np.vdot(oracles.spin_monomial_embed(n, z.coords), oracles.spin_monomial_embed(n, w.coords))
         assert lhs == pytest.approx(rhs, rel=1e-12)
@@ -87,7 +87,7 @@ def test_spin_kernel_matches_monomial_embedding():
 def test_power_kernel_exact_for_small_exponents():
     base = trivial_space(2)
     rng = np.random.default_rng(RNG_SEED)
-    pts = sample_points(base, rng, 6)
+    pts = sampled(base, rng, 6)
     for n in (1, 2, 3):
         sp = power_space(base, n)
         for z in pts[:3]:
@@ -99,15 +99,15 @@ def test_euclidean_subset_restriction_matches_trivial():
     sub = euclidean_subset(2)
     triv = trivial_space(2)
     rng = np.random.default_rng(RNG_SEED)
-    pts = sample_points(sub, rng, 8)
-    assert np.array_equal(gram_matrix(sub, pts), gram_matrix(triv, pts))
+    coords, _ = sample_points(sub, rng, 8)
+    assert np.array_equal(gram_matrix(sub, coords), gram_matrix(triv, coords))
 
 
 def test_euclidean_subset_samples_lie_in_their_own_ball():
     rng = np.random.default_rng(RNG_SEED)
     for radius in (0.5, 3.0):
         sub = euclidean_subset(2, radius=radius)
-        coords = np.array([p.coords for p in sample_points(sub, rng, 200)])
+        coords, _ = sample_points(sub, rng, 200)
         check_stack(sub, coords)   # raises on a sample outside the closed ball
     assert np.linalg.norm(coords, axis=1).max() > 1.0   # radius 3 reaches past the unit ball
 
@@ -127,7 +127,7 @@ def test_hermitian_symmetry_500_pairs():
     pairs_per_space = 500 // len(spaces) + 1
     for sp in spaces:
         for _ in range(pairs_per_space):
-            z, w = sample_points(sp, rng, 2)
+            z, w = sampled(sp, rng, 2)
             k = eval_kernel(sp, z, w)
             k2 = eval_kernel(sp, w, z)
             assert abs(k - np.conj(k2)) <= 1e-12 * (1.0 + abs(k))
@@ -140,8 +140,7 @@ def test_positivity_50_seeded_samples():
     while runs < 50:
         for sp in spaces:
             n = int(rng.integers(2, 13))
-            pts = sample_points(sp, rng, n)
-            verdict = check_coherence(sp, pts, tol=1e-8)
+            verdict = check_coherence(sp, *sample_points(sp, rng, n), tol=1e-8)
             assert verdict.passed, f"{sp.kind}: min eig {verdict.min_eigenvalue:.3e}"
             runs += 1
             if runs >= 50:
@@ -151,15 +150,15 @@ def test_positivity_50_seeded_samples():
 def test_gram_exactly_hermitian_by_construction():
     rng = np.random.default_rng(RNG_SEED)
     for sp in (trivial_space(3), klauder_space(1), spin_space(3)):
-        g = gram_matrix(sp, sample_points(sp, rng, 7))
+        g = gram_matrix(sp, *sample_points(sp, rng, 7))
         assert np.array_equal(g, g.conj().T)
 
 
 def test_gram_matches_bruteforce_oracle():
     rng = np.random.default_rng(RNG_SEED)
     sp = klauder_space(2)
-    pts = sample_points(sp, rng, 6)
-    g = gram_matrix(sp, pts)
+    pts = sampled(sp, rng, 6)
+    g = gram_matrix(sp, *stack(pts, 3))
     g0 = oracles.gram_bruteforce(lambda z, w: eval_kernel(sp, z, w), pts)
     np.testing.assert_allclose(g, g0, rtol=0, atol=1e-13 * max(1.0, np.abs(g0).max()))
 
@@ -168,7 +167,8 @@ def test_a_point_list_on_both_sides_is_validated_once(monkeypatch):
     import cohspace.kernels as kernels
 
     sp = heisenberg_space(1)  # projective: the multipliers pair up as well
-    pts = sample_points(sp, np.random.default_rng(RNG_SEED), 5)
+    coords, mults = sample_points(sp, np.random.default_rng(RNG_SEED), 5)
+    pts = points(coords, mults)
     rows = []
     check = kernels.check_stack
     monkeypatch.setattr(kernels, "check_stack",
@@ -180,11 +180,11 @@ def test_a_point_list_on_both_sides_is_validated_once(monkeypatch):
         out = fn(sp, *args)
         return list(rows), out
 
-    n_same, same = count(cross_gram, pts, pts)
-    n_apart, apart = count(cross_gram, pts, list(pts))
-    assert (n_same, n_apart) == ([5], [5, 5])  # one stacked check per distinct list
+    n_same, same = count(cross_gram, coords, mults)
+    n_apart, apart = count(cross_gram, coords, mults, coords.copy(), mults.copy())
+    assert (n_same, n_apart) == ([5], [5, 5])  # one stacked check per distinct stack
     assert same.tobytes() == apart.tobytes()
-    assert count(gram_matrix, pts)[0] == [5]
+    assert count(gram_matrix, coords, mults)[0] == [5]
     n_diag, diag = count(eval_kernel, pts[2], pts[2])
     assert n_diag == [1] and diag == same[2, 2]
     assert count(eval_kernel, pts[2], pts[3]) == ([1, 1], same[2, 3])
@@ -205,7 +205,7 @@ def _invalid_points(sp, good):
     d, m = sp.label_dim, good.multiplier
     cases = [(Point(np.zeros(d + 1), m), True), (Point(np.full(d, np.nan), m), True),
              (Point(np.r_[np.inf, np.zeros(d - 1)], m), True),
-             (Point(np.full(d, complex(0.0, -np.inf)), m), True), ("not a point", True)]
+             (Point(np.full(d, complex(0.0, -np.inf)), m), True)]
     if sp.projective_degree is not None:
         cases += [(Point(good.coords), True), (Point(good.coords, complex(np.nan, 1.0)), True),
                   (Point(np.full(d, np.nan)), True)]
@@ -224,7 +224,7 @@ def _first_rejection(sp, pts):
     rejects on its own, or None: the per-point route, kept as the oracle."""
     for i, p in enumerate(pts):
         try:
-            _stacked(sp, [p])
+            check_stack(sp, *stack([p], len(p.coords)))
         except InvalidPointError as exc:
             return i, type(exc), str(exc)
     return None
@@ -232,7 +232,7 @@ def _first_rejection(sp, pts):
 
 def _stacked_rejection(sp, pts):
     try:
-        cross_gram(sp, pts, pts)
+        cross_gram(sp, *stack(pts, sp.label_dim))
     except InvalidPointError as exc:
         return type(exc), str(exc)
     return None
@@ -241,12 +241,14 @@ def _stacked_rejection(sp, pts):
 def test_the_stacked_check_agrees_with_the_per_point_route():
     rng = np.random.default_rng(RNG_SEED)
     for sp in _checked_catalog():
-        good = sample_points(sp, rng, 4)
+        good = sampled(sp, rng, 4)
         cases = _invalid_points(sp, good[0])
         for bad, verdict in cases:
             if verdict is not None:
                 assert (_first_rejection(sp, [bad]) is not None) == verdict, (sp.kind, bad)
-        bad = [b for b, _ in cases]
+        # the labels a stack can hold: d coordinates, multipliers on a line bundle
+        bad = [b for b, _ in cases if b.coords.shape == (sp.label_dim,)
+               and (b.multiplier is None) == (sp.projective_degree is None)]
         lists = ([good] + [good[:2] + [b] + good[2:] for b in bad]
                  + [[b, c] + good for b, c in zip(bad, bad[1:] + bad[:1])])
         for pts in lists:
@@ -263,7 +265,7 @@ def test_spin_integer_exponents_are_coherent():
     rng = np.random.default_rng(RNG_SEED)
     for n in (0, 1, 2, 3, 4):
         sp = spin_space(n)
-        verdict = check_coherence(sp, sample_points(sp, rng, 12), tol=1e-8)
+        verdict = check_coherence(sp, *sample_points(sp, rng, 12), tol=1e-8)
         assert verdict.passed
 
 
@@ -272,8 +274,7 @@ def test_spin_fractional_exponents_fail_psd():
     for ex in (0.5, 1.3):
         sp = spin_space(ex)
         rng = np.random.default_rng(RNG_SEED)
-        pts = sample_points(sp, rng, 8)
-        verdict = check_coherence(sp, pts, tol=1e-8)
+        verdict = check_coherence(sp, *sample_points(sp, rng, 8), tol=1e-8)
         assert not verdict.passed
         assert verdict.min_eigenvalue < -1e-6
 
@@ -290,10 +291,9 @@ def test_fractional_spin_kernel_agrees_with_the_complex_log_route(n):
     worst = 0.0
     for seed in range(3):
         for count in (40, 90, 150):
-            pts = sample_points(sp, np.random.default_rng(seed), count)
-            coords = np.array([p.coords for p in pts])
+            coords, _ = sample_points(sp, np.random.default_rng(seed), count)
             old = _old_principal_power(coords.conj() @ coords.T, n)
-            new = cross_gram(sp, pts, pts)
+            new = cross_gram(sp, coords)
             worst = max(worst, float((np.abs(new - old) / np.abs(old)).max()))
     assert worst <= 1e-14
 
@@ -301,10 +301,9 @@ def test_fractional_spin_kernel_agrees_with_the_complex_log_route(n):
 @pytest.mark.parametrize("n", [0.5, 2.5, -0.5])
 def test_fractional_spin_kernel_is_zero_on_orthogonal_spinors(n):
     sp = spin_space(n)
-    pts = [Point([1.0, 0.0]), Point([0.0, 1.0j]), Point([0.6, 0.8])]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g = cross_gram(sp, pts, pts)
+        g = cross_gram(sp, np.array([[1.0, 0.0], [0.0, 1.0j], [0.6, 0.8]]))
     assert g[0, 1] == 0 and g[1, 0] == 0
     assert not np.signbit(g[0, 1].real) and not np.signbit(g[0, 1].imag)
     assert g[0, 2] == np.exp(n * np.log(0.6)) and g[1, 2] != 0  # <(0, i), (0.6, 0.8)> = -0.8i
@@ -338,7 +337,7 @@ def test_fractional_spin_diagonal_is_exactly_real(n):
 def test_psd_verdict_threshold_semantics():
     sp = trivial_space(2)
     rng = np.random.default_rng(RNG_SEED)
-    v = check_coherence(sp, sample_points(sp, rng, 5), tol=1e-8)
+    v = check_coherence(sp, *sample_points(sp, rng, 5), tol=1e-8)
     assert v.passed == (v.min_eigenvalue >= -v.tolerance_used * max(1.0, v.gram_norm))
     assert v.gram_norm > 0
 
@@ -346,8 +345,7 @@ def test_psd_verdict_threshold_semantics():
 def test_classical_limit_gram_is_identity_on_real_points():
     sp = classical_limit_space(3)
     rng = np.random.default_rng(RNG_SEED)
-    pts = sample_points(sp, rng, 6)
-    np.testing.assert_array_equal(gram_matrix(sp, pts), np.eye(6))
+    np.testing.assert_array_equal(gram_matrix(sp, *sample_points(sp, rng, 6)), np.eye(6))
 
 
 # ------------------------------------------------------------------ distances
@@ -360,7 +358,7 @@ def test_triangle_inequality_1000_triples():
     per = 1000 // len(spaces) + 1
     for sp in spaces:
         for _ in range(per):
-            g = gram_matrix(sp, sample_points(sp, rng, 3)).real
+            g = gram_matrix(sp, *sample_points(sp, rng, 3)).real
             d = np.sqrt(np.maximum(np.add.outer(g.diagonal(), g.diagonal()) - 2.0 * g, 0.0))
             assert d[0, 2] <= d[0, 1] + d[1, 2] + 1e-9
 
@@ -371,7 +369,7 @@ def test_triangle_inequality_1000_triples():
 def test_debranges_default_is_constant_one():
     sp = debranges_space([1j, 1.0])  # E = z + i
     rng = np.random.default_rng(RNG_SEED)
-    pts = sample_points(sp, rng, 10)
+    pts = sampled(sp, rng, 10)
     for z in pts[:5]:
         for w in pts[5:]:
             assert eval_kernel(sp, z, w) == pytest.approx(1.0, abs=1e-12)
@@ -406,7 +404,7 @@ def test_debranges_hermitian_across_branches():
 def test_debranges_diagonal_nonnegative():
     sp = debranges_space([-2.0, 3j, 1.0])
     rng = np.random.default_rng(RNG_SEED)
-    for z in sample_points(sp, rng, 20):
+    for z in sampled(sp, rng, 20):
         kzz = eval_kernel(sp, z, z)
         assert abs(kzz.imag) < 1e-12 * (1 + abs(kzz))
         assert kzz.real >= -1e-12
@@ -418,8 +416,8 @@ def test_debranges_diagonal_nonnegative():
 def test_moebius_kernel_psd_and_geometric_series():
     sp = moebius_space()
     rng = np.random.default_rng(RNG_SEED)
-    pts = sample_points(sp, rng, 10)
-    assert check_coherence(sp, pts).passed
+    pts = sampled(sp, rng, 10)
+    assert check_coherence(sp, *stack(pts, 2)).passed
     # value agrees with the geometric-series feature expansion
     z, w = pts[0], pts[1]
     a = np.conj(z.coords[0]) * w.coords[0]
@@ -428,13 +426,18 @@ def test_moebius_kernel_psd_and_geometric_series():
     assert eval_kernel(sp, z, w) == pytest.approx(series, rel=1e-12)
 
 
-def maps_into_domain(sp, matrix, points):
+def mapped(label_map, z):
+    """The image of the Point z under a map of label stacks."""
+    return Point(label_map(z.coords[None])[0], z.multiplier)
+
+
+def maps_into_domain(sp, matrix, pts):
     """Whether z -> matrix z keeps every point in the domain: eval_kernel
     raises InvalidPointError on an image outside it."""
     image = linear_point_map(matrix)
     try:
-        for z in points:
-            eval_kernel(sp, z, image(z))
+        for z in pts:
+            eval_kernel(sp, z, mapped(image, z))
     except InvalidPointError:
         return False
     return True
@@ -443,7 +446,7 @@ def maps_into_domain(sp, matrix, points):
 def test_moebius_semigroup_members_and_nonmembers():
     sp = moebius_space()
     rng = np.random.default_rng(RNG_SEED)
-    pts = sample_points(sp, rng, 40)
+    pts = sampled(sp, rng, 40)
     # points of the cone {|z1| > |z2|} right up to its boundary, all phases
     phases = np.exp(2j * np.pi * np.arange(16) / 16)
     pts += [Point([1.0, 0.999 * ph]) for ph in phases]
@@ -459,14 +462,14 @@ def test_moebius_semigroup_numbers_worked_by_hand():
     sp = moebius_space()
     # A = [[6, 0.5], [1, 4i]]: A (1, 0) = (6, 1), so K((1, 0), A (1, 0)) = 1/6
     member = np.array([[6.0, 0.5], [1.0, 4j]])
-    image = linear_point_map(member)(Point([1.0, 0.0]))
+    image = mapped(linear_point_map(member), Point([1.0, 0.0]))
     np.testing.assert_array_equal(image.coords, [6.0, 1.0])
     assert eval_kernel(sp, Point([1.0, 0.0]), image) == pytest.approx(1.0 / 6.0, rel=1e-15)
     edge = [Point([1.0, 0.999 * np.exp(2j * np.pi * k / 32)]) for k in range(32)]
     assert maps_into_domain(sp, member, edge)
     # A = [[3, 1], [1, 4i]]: A (1, -0.9i) = (3 - 0.9i, 4.6), and |3 - 0.9i| < 4.6
     nonmember = np.array([[3.0, 1.0], [1.0, 4j]])
-    image = linear_point_map(nonmember)(Point([1.0, -0.9j]))
+    image = mapped(linear_point_map(nonmember), Point([1.0, -0.9j]))
     np.testing.assert_allclose(image.coords, [3.0 - 0.9j, 4.6], rtol=0, atol=1e-15)
     assert not maps_into_domain(sp, nonmember, [Point([1.0, -0.9j])])
 
@@ -477,23 +480,23 @@ def test_moebius_member_maps_preserve_domain_and_adjoint_identity():
     # J = diag(1, -1); eval_kernel checks each image against the domain
     sp = moebius_space()
     rng = np.random.default_rng(RNG_SEED)
-    pts = sample_points(sp, rng, 12)
+    pts = sampled(sp, rng, 12)
     a = np.array([[2.0, 0.1], [0.05, 1.0]], dtype=complex)
     j = np.diag([1.0, -1.0])
     fwd, adj = linear_point_map(a), linear_point_map(j @ a.conj().T @ j)
     for z, w in zip(pts[:6], pts[6:]):
-        lhs, rhs = eval_kernel(sp, z, fwd(w)), eval_kernel(sp, adj(z), w)
+        lhs, rhs = eval_kernel(sp, z, mapped(fwd, w)), eval_kernel(sp, mapped(adj, z), w)
         assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
 
 def test_moebius_invalid_image_raises():
     sp = moebius_space()
     rng = np.random.default_rng(RNG_SEED)
-    pts = sample_points(sp, rng, 4)
+    pts = sampled(sp, rng, 4)
     swap = linear_point_map(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
     for z, w in zip(pts[:2], pts[2:]):
         with pytest.raises(InvalidPointError):
-            eval_kernel(sp, z, swap(w))
+            eval_kernel(sp, z, mapped(swap, w))
 
 
 # ------------------------------------------------- non-Hermitian catalog items
@@ -503,19 +506,19 @@ def test_spin_t_involutive_identity():
     sp = spin_t_space(2)
     rng = np.random.default_rng(RNG_SEED)
     for _ in range(50):
-        z, w = sample_points(sp, rng, 2)
+        z, w = sampled(sp, rng, 2)
         k = eval_kernel(sp, z, w)
         k_conj_labels = eval_kernel(sp, Point(z.coords.conj()), Point(w.coords.conj()))
         assert np.conj(k) == pytest.approx(k_conj_labels, rel=1e-12)
     with pytest.raises(InvalidPointError):
-        check_coherence(sp, sample_points(sp, rng, 3))
+        check_coherence(sp, *sample_points(sp, rng, 3))
 
 
 def test_heisenberg_projective_degree_one_exact():
     sp = heisenberg_space(1)
     assert sp.projective_degree == 1
     rng = np.random.default_rng(RNG_SEED)
-    z, w = sample_points(sp, rng, 2)
+    z, w = sampled(sp, rng, 2)
     for alpha in (2.0, -0.3 + 1.7j, 1j):
         scaled = Point(z.coords, alpha * z.multiplier)
         assert eval_kernel(sp, scaled, w) == pytest.approx(alpha * eval_kernel(sp, z, w), rel=1e-12)
@@ -524,7 +527,7 @@ def test_heisenberg_projective_degree_one_exact():
 def test_heisenberg_involutive_identity_and_bilinearity():
     sp = heisenberg_space(1)
     rng = np.random.default_rng(RNG_SEED)
-    z, w = sample_points(sp, rng, 2)
+    z, w = sampled(sp, rng, 2)
     k = eval_kernel(sp, z, w)
     zc, wc = (Point(p.coords.conj(), np.conj(p.multiplier)) for p in (z, w))
     assert np.conj(k) == pytest.approx(eval_kernel(sp, zc, wc), rel=1e-12)
@@ -540,13 +543,12 @@ def test_heisenberg_involutive_identity_and_bilinearity():
 def test_icosahedron_gram_rank_three():
     sp = icosahedron_space()
     verts = icosahedron_vertices()
-    pts = [Point(v.astype(complex)) for v in verts]
-    g = gram_matrix(sp, pts)
+    g = gram_matrix(sp, verts.astype(complex))
     np.testing.assert_allclose(g, verts @ verts.T, atol=1e-14)
     eigs = np.linalg.eigvalsh(g)
     assert (eigs > 1e-8).sum() == 3
     np.testing.assert_allclose(eigs[-3:], 4.0, atol=1e-12)  # 12/3 by symmetry
-    assert check_coherence(sp, pts).passed
+    assert check_coherence(sp, verts.astype(complex)).passed
 
 
 def test_icosahedron_rejects_non_vertex():
@@ -560,7 +562,7 @@ def test_discrete_space_table_lookup():
     sp = discrete_space(tab)
     assert eval_kernel(sp, Point([0.0]), Point([1.0])) == 0.5j
     assert sp.hermitian
-    assert check_coherence(sp, [Point([0.0]), Point([1.0])]).passed
+    assert check_coherence(sp, np.array([[0.0], [1.0]], dtype=complex)).passed
 
 
 # ------------------------------------------------------------------ descriptors
@@ -573,7 +575,7 @@ def test_descriptor_roundtrip_catalog():
         sp2 = space_from_descriptor(sp.descriptor)
         assert sp2.descriptor == sp.descriptor
         assert sp2.kind == sp.kind and sp2.label_dim == sp.label_dim
-        z, w = sample_points(sp, rng, 2)
+        z, w = sampled(sp, rng, 2)
         assert eval_kernel(sp2, z, w) == eval_kernel(sp, z, w)
 
 
@@ -589,7 +591,7 @@ def test_descriptor_errors():
 def test_sampled_points_are_valid_everywhere():
     rng = np.random.default_rng(RNG_SEED)
     for sp in hermitian_catalog() + [spin_t_space(2), heisenberg_space(1)]:
-        for p in sample_points(sp, rng, 5):
+        for p in sampled(sp, rng, 5):
             eval_kernel(sp, p, p)  # validates both slots
 
 

@@ -31,12 +31,12 @@ def rand_unitary(rng, n):
 
 
 def circle_klauder_basis(n=12, radius=0.9):
-    return [Point([0.0, radius * np.exp(2j * math.pi * k / n)]) for k in range(n)]
+    return np.array([[0.0, radius * np.exp(2j * math.pi * k / n)] for k in range(n)])
 
 
 def klauder_rotation(steps: int, n=12):
     phase = np.exp(2j * math.pi * steps / n)
-    return lambda z: Point([z.coords[0], phase * z.coords[1]])
+    return lambda z: np.column_stack((z[:, 0], phase * z[:, 1]))
 
 
 # ------------------------------------------------------------------- Gamma(A)
@@ -45,14 +45,14 @@ def klauder_rotation(steps: int, n=12):
 def test_quantized_map_reproduces_kernel_matrix_elements():
     rng = np.random.default_rng(SEED)
     sp = trivial_space(3)
-    pts = sample_points(sp, rng, 7)
+    pts, _ = sample_points(sp, rng, 7)
     qb = build_quantum_space(sp, pts)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     q = quantize_map(qb, linear_point_map(a), tol=1e-6)
     for j in range(7):
         for i in range(7):
             lhs = np.vdot(qb.factor[:, j], q.matrix @ qb.factor[:, i])
-            rhs = eval_kernel(sp, pts[j], Point(a @ pts[i].coords))
+            rhs = eval_kernel(sp, Point(pts[j]), Point(a @ pts[i]))
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-10)
     assert q.residual <= 5e-8  # rank-complete basis: residual at the sqrt(eps) floor
 
@@ -60,7 +60,7 @@ def test_quantized_map_reproduces_kernel_matrix_elements():
 def test_quantized_map_eigenvalues_match_label_matrix_on_trivial_space():
     rng = np.random.default_rng(SEED + 1)
     sp = trivial_space(4)
-    qb = build_quantum_space(sp, sample_points(sp, rng, 9))
+    qb = build_quantum_space(sp, *sample_points(sp, rng, 9))
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     q = quantize_map(qb, linear_point_map(a), tol=1e-6)
     got = np.sort_complex(np.linalg.eigvals(q.matrix))
@@ -76,7 +76,7 @@ def test_quantized_rotation_matches_symmetric_power_rep():
     from cohspace.reps import SpinRep
 
     srep = SpinRep(n)
-    pts = sample_points(sp, rng, 10)
+    pts, _ = sample_points(sp, rng, 10)
     qb = build_quantum_space(sp, pts)
     u = rand_unitary(rng, 2)
     q = quantize_map(qb, linear_point_map(u), tol=1e-6)
@@ -84,8 +84,8 @@ def test_quantized_rotation_matches_symmetric_power_rep():
     for j in range(6):
         for i in range(6):
             lhs = np.vdot(qb.factor[:, j], q.matrix @ qb.factor[:, i])
-            rhs = np.vdot(oracles.spin_monomial_embed(n, pts[j].coords),
-                          g_rep @ oracles.spin_monomial_embed(n, pts[i].coords))
+            rhs = np.vdot(oracles.spin_monomial_embed(n, pts[j]),
+                          g_rep @ oracles.spin_monomial_embed(n, pts[i]))
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-10)
 
 
@@ -93,7 +93,7 @@ def test_unitarity_of_quantized_rotations():
     rng = np.random.default_rng(SEED + 3)
     for n, npts in ((2, 9), (3, 11)):
         sp = spin_space(n)
-        qb = build_quantum_space(sp, sample_points(sp, rng, npts))
+        qb = build_quantum_space(sp, *sample_points(sp, rng, npts))
         u = rand_unitary(rng, 2)
         q = quantize_map(qb, linear_point_map(u), tol=1e-6)
         defect = np.linalg.norm(q.matrix.conj().T @ q.matrix - np.eye(qb.rank), 2)
@@ -105,7 +105,7 @@ def test_span_escape_raises_with_guidance():
     qb = build_quantum_space(sp, circle_klauder_basis(8, radius=0.6))
 
     def squeeze(z):
-        return Point([z.coords[0], 1.8 * z.coords[1]])
+        return np.column_stack((z[:, 0], 1.8 * z[:, 1]))
 
     with pytest.raises(SpanEscapeError, match="enrich the basis"):
         quantize_map(qb, squeeze, tol=1e-8)
@@ -119,7 +119,7 @@ def test_homomorphism_50_pairs_under_1e8():
     checked = 0
     # trivial C^3, generic invertible pairs
     sp = trivial_space(3)
-    qb = build_quantum_space(sp, sample_points(sp, rng, 8))
+    qb = build_quantum_space(sp, *sample_points(sp, rng, 8))
     for _ in range(20):
         a = np.eye(3) + 0.4 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         b = np.eye(3) + 0.4 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
@@ -127,15 +127,14 @@ def test_homomorphism_50_pairs_under_1e8():
         checked += 1
     # spin(4): unitary pairs
     sp = spin_space(4)
-    qb = build_quantum_space(sp, sample_points(sp, rng, 12))
+    qb = build_quantum_space(sp, *sample_points(sp, rng, 12))
     for _ in range(15):
         u, v = rand_unitary(rng, 2), rand_unitary(rng, 2)
         assert check_homomorphism(qb, linear_point_map(u), linear_point_map(v)) <= 1e-8
         checked += 1
     # icosahedron: symmetry-group elements permuting the vertex basis
     ico = icosahedron_space()
-    pts = [Point(v.astype(complex)) for v in icosahedron_vertices()]
-    qb = build_quantum_space(ico, pts)
+    qb = build_quantum_space(ico, icosahedron_vertices().astype(complex))
     cyc = np.roll(np.eye(3), 1, axis=0).astype(complex)       # (x,y,z) -> (z,x,y)
     flip = np.diag([-1.0, -1.0, 1.0]).astype(complex)
     words = [cyc, flip, cyc @ flip, cyc @ cyc, flip @ cyc]
@@ -169,7 +168,7 @@ def test_generator_matches_angular_momentum_rep():
     rng = np.random.default_rng(SEED + 5)
     n = 4
     sp = spin_space(n)
-    pts = sample_points(sp, rng, 12)
+    pts, _ = sample_points(sp, rng, 12)
     qb = build_quantum_space(sp, pts)
     from cohspace.reps import SpinRep
 
@@ -181,8 +180,8 @@ def test_generator_matches_angular_momentum_rep():
     for j in range(8):
         for i in range(8):
             lhs = np.vdot(qb.factor[:, j], d.matrix @ qb.factor[:, i])
-            rhs = np.vdot(oracles.spin_monomial_embed(n, pts[j].coords),
-                          jx @ oracles.spin_monomial_embed(n, pts[i].coords))
+            rhs = np.vdot(oracles.spin_monomial_embed(n, pts[j]),
+                          jx @ oracles.spin_monomial_embed(n, pts[i]))
             assert lhs == pytest.approx(rhs, rel=1e-7, abs=1e-8)
     # eigenvalues are m = -j..j
     eigs = np.sort(np.linalg.eigvalsh((d.matrix + d.matrix.conj().T) / 2))
@@ -192,7 +191,7 @@ def test_generator_matches_angular_momentum_rep():
 def test_generator_additivity():
     rng = np.random.default_rng(SEED + 6)
     sp = spin_space(3)
-    qb = build_quantum_space(sp, sample_points(sp, rng, 10))
+    qb = build_quantum_space(sp, *sample_points(sp, rng, 10))
     x = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.5]])
     y = np.array([[0.1, 0.4j], [-0.4j, 0.2]])
     dx = generator_matrix(qb, spin_flow(x), s=1e-3).matrix
@@ -205,7 +204,7 @@ def test_generator_additivity():
 def test_generator_exponential_consistency():
     rng = np.random.default_rng(SEED + 7)
     sp = spin_space(2)
-    qb = build_quantum_space(sp, sample_points(sp, rng, 9))
+    qb = build_quantum_space(sp, *sample_points(sp, rng, 9))
     x = np.array([[0.2, 0.1], [0.1, -0.3]], dtype=complex)  # Hermitian
     d = generator_matrix(qb, spin_flow(x), s=1e-3).matrix
     u_flow = scipy.linalg.expm(1j * np.asarray(x))
@@ -218,8 +217,8 @@ def test_generator_uniqueness_across_bases():
     # spectra agree to 1e-8
     rng = np.random.default_rng(SEED + 8)
     sp = spin_space(2)
-    qb1 = build_quantum_space(sp, sample_points(sp, rng, 9))
-    qb2 = build_quantum_space(sp, sample_points(sp, rng, 11))
+    qb1 = build_quantum_space(sp, *sample_points(sp, rng, 9))
+    qb2 = build_quantum_space(sp, *sample_points(sp, rng, 11))
     sz = np.diag([0.5, -0.5]).astype(complex)
     d1 = generator_matrix(qb1, spin_flow(sz), s=1e-3).matrix
     d2 = generator_matrix(qb2, spin_flow(sz), s=1e-3).matrix
@@ -231,7 +230,7 @@ def test_generator_uniqueness_across_bases():
 def test_generator_step_size_error():
     rng = np.random.default_rng(SEED + 9)
     sp = spin_space(3)
-    qb = build_quantum_space(sp, sample_points(sp, rng, 10))
+    qb = build_quantum_space(sp, *sample_points(sp, rng, 10))
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     with pytest.raises(StepSizeError):
         generator_matrix(qb, spin_flow(x), s=1.5, tol=1e-10)
@@ -241,7 +240,7 @@ def test_klauder_number_generator_spectrum():
     qb = build_quantum_space(klauder_space(1), circle_klauder_basis(12))
 
     def gen(s):
-        return lambda z: Point([z.coords[0], np.exp(1j * s) * z.coords[1]])
+        return lambda z: np.column_stack((z[:, 0], np.exp(1j * s) * z[:, 1]))
 
     d = generator_matrix(qb, gen, s=1e-3, tol=1e-5)
     eigs = np.sort(np.linalg.eigvalsh((d.matrix + d.matrix.conj().T) / 2))

@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg
 
 import oracles
-from cohspace.kernels import Point, eval_kernel, klauder_space, sample_points, spin_space
+from labels import sampled
+from cohspace.kernels import Point, eval_kernel, klauder_space, spin_space
 from cohspace.reps import SpinRep, propagate_eig
 
 SEED = 5
@@ -15,7 +16,7 @@ def test_spin_embed_reproduces_kernel():
     rng = np.random.default_rng(SEED)
     for n in (1, 2, 4):
         sp = spin_space(n)
-        z, w = sample_points(sp, rng, 2)
+        z, w = sampled(sp, rng, 2)
         embed_z, embed_w = (oracles.spin_monomial_embed(n, p.coords) for p in (z, w))
         assert np.vdot(embed_z, embed_w) == pytest.approx(eval_kernel(sp, z, w), rel=1e-12)
 
@@ -42,7 +43,7 @@ def test_spin_gamma_is_multiplicative_and_matches_embedding():
     sp = spin_space(n)
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    z = sample_points(sp, rng, 1)[0]
+    (z,) = sampled(sp, rng, 1)
     # intertwining with the embedding
     az = Point(a @ z.coords)
     np.testing.assert_allclose(rep.gamma(a) @ oracles.spin_monomial_embed(n, z.coords),
@@ -58,7 +59,7 @@ def test_spin_gamma_is_multiplicative_and_matches_embedding():
 def test_fock_embed_matches_oracle_and_kernel():
     rng = np.random.default_rng(SEED)
     sp = klauder_space(1)
-    z, w = sample_points(sp, rng, 2)
+    z, w = sampled(sp, rng, 2)
     embed_z, embed_w = (oracles.fock_coherent(64, *p.coords) for p in (z, w))
     assert np.vdot(embed_z, embed_w) == pytest.approx(eval_kernel(sp, z, w), rel=1e-12)
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
+from labels import chart_point, points, sampled
 from cohspace.dynamics import coherent_flow
 from cohspace.errors import IntegratorFailure
 from cohspace.kernels import (
@@ -24,7 +25,6 @@ from cohspace.kernels import (
     eval_kernel,
     klauder_space,
     power_space,
-    sample_points,
     spin_space,
     trivial_space,
 )
@@ -55,7 +55,7 @@ def test_sphere_chart_roundtrip_and_embedding():
     for south in (False, True):
         chart = SphereChart(5, south=south)
         u = np.array([0.6 - 1.1j])
-        p = chart.point(u)
+        p = chart_point(chart, u)
         assert np.linalg.norm(p.coords) == pytest.approx(1.0, abs=1e-14)
         np.testing.assert_allclose(chart.coords(p), u, atol=1e-14)
         # embedding is the unnormalized monomial lift: proportional to the
@@ -69,13 +69,13 @@ def test_flat_chart_embedding_matches_fock():
     chart = FlatChart(z0=0.15 + 0.1j)
     u = np.array([0.7 - 0.35j])
     np.testing.assert_allclose(
-        chart.embedding(u), oracles.fock_coherent(64, *chart.point(u).coords), atol=1e-14
+        chart.embedding(u), oracles.fock_coherent(64, *chart_point(chart, u).coords), atol=1e-14
     )
     # inner products of embeddings reproduce the kernel
     sp = klauder_space(1)
     b = np.array([-0.2 + 0.55j])
     lhs = np.vdot(chart.embedding(u), chart.embedding(b))
-    rhs = eval_kernel(sp, chart.point(u), chart.point(b))
+    rhs = eval_kernel(sp, chart_point(chart, u), chart_point(chart, b))
     assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
@@ -89,7 +89,7 @@ def test_spin_metric_matches_fd_of_log_kernel():
     u = np.array([0.7 - 0.3j])
 
     def logk(a, b):
-        return np.log(eval_kernel(sp, chart.point(np.array([a])), chart.point(np.array([b]))))
+        return np.log(eval_kernel(sp, chart_point(chart, [a]), chart_point(chart, [b])))
 
     h = 1e-4
     fd = (
@@ -124,7 +124,7 @@ def test_metric_dispatch_values():
 def test_metric_positive_at_samples():
     rng = np.random.default_rng(11)
     for sp in (klauder_space(1), spin_space(4)):
-        for p in sample_points(sp, rng, 50):
+        for p in sampled(sp, rng, 50):
             assert chart_metric(sp, p) > 0.0
 
 
@@ -303,8 +303,8 @@ def test_chart_rhs_agrees_with_the_old_composition(n):
         derivs = en.on(chart)
         state = chart_rhs(chart, derivs, 0.7)
         tangent = chart_rhs(chart, derivs, 0.7, tangent=True)
-        points = rng.uniform(-1.5, 1.5, (200, 2)) + 1j * rng.uniform(-1.5, 1.5, (200, 2))
-        for w, dw in points:
+        starts = rng.uniform(-1.5, 1.5, (200, 2)) + 1j * rng.uniform(-1.5, 1.5, (200, 2))
+        for w, dw in starts:
             u, y = np.array([w]), np.array([w, dw])
             _assert_close(state(0.0, u), _old_state_rhs(en.h, chart, u, 0.7))
             _assert_close(tangent(0.0, y), _old_tangent_rhs(en.h, chart, y, 0.7))
@@ -334,9 +334,9 @@ def test_callable_energy_calls_per_rhs():
     # tangent field 21 (value, gradient and the gradient's own stencil)
     calls = []
 
-    def fn(p):
-        calls.append(p)
-        return float(abs(p.coords[-1]) ** 2 + 0.3 * p.coords[-1].real)
+    def fn(z):
+        calls.append(z)
+        return float(abs(z[-1]) ** 2 + 0.3 * z[-1].real)
 
     en = oracles.FiniteDifferenceEnergy(fn)
     flat = FlatChart(0.1)
@@ -404,16 +404,16 @@ def test_oscillator_tdvp_matches_exact():
     traj = dirac_frenkel_flow(sp, en, z0, (0.0, 7.0), t_eval=t_eval, rtol=1e-10)
     zeta0 = z0.coords[1]
     exact = zeta0 * np.exp(-1j * omega * t_eval)
-    got = np.array([p.coords[1] for p in traj.points])
+    got = np.array([p.coords[1] for p in points(traj.coords, traj.multipliers)])
     np.testing.assert_allclose(got, exact, atol=5e-9)
     # spectator z0 untouched, energies flat, norms constant (|zeta| preserved)
-    assert all(p.coords[0] == z0.coords[0] for p in traj.points)
+    assert all(p.coords[0] == z0.coords[0] for p in points(traj.coords, traj.multipliers))
     assert np.max(np.abs(traj.energies - traj.energies[0])) <= 1e-9 * abs(traj.energies[0])
     np.testing.assert_allclose(traj.norms, traj.norms[0], rtol=1e-9)
 
     # against the exact coherent flow of the same Hamiltonian
     ref = coherent_flow(sp, np.diag([0.0, omega]), z0, (0.0, 7.0), t_eval=t_eval)
-    ref_zeta = np.array([p.coords[1] for p in ref.points])
+    ref_zeta = np.array([p.coords[1] for p in points(ref.coords, ref.multipliers)])
     np.testing.assert_allclose(got, ref_zeta, atol=5e-9)
 
 
@@ -428,7 +428,7 @@ def test_driven_oscillator_closed_form():
                               t_eval=[0.0, t1], rtol=1e-11)
     shift = kappa / omega
     zeta_exact = (z0.coords[1] + shift) * np.exp(-1j * omega * t1) - shift
-    assert traj.points[-1].coords[1] == pytest.approx(zeta_exact, abs=1e-8)
+    assert points(traj.coords, traj.multipliers)[-1].coords[1] == pytest.approx(zeta_exact, abs=1e-8)
     # the driven orbit changes |zeta|, so the coherent norm genuinely moves
     assert np.max(traj.norms) - np.min(traj.norms) > 1e-3
 
@@ -441,11 +441,11 @@ def test_spin_precession_tdvp_matches_exact():
     en = MatrixExpectation(omega * SpinRep(n).dgamma(SZ))
     t_eval = np.linspace(0.0, 5.0, 51)
     traj = dirac_frenkel_flow(sp, en, z0, (0.0, 5.0), t_eval=t_eval, rtol=1e-10)
-    got = np.array([p.coords[1] / p.coords[0] for p in traj.points])
+    got = np.array([p.coords[1] / p.coords[0] for p in points(traj.coords, traj.multipliers)])
     np.testing.assert_allclose(got, w0 * np.exp(1j * omega * t_eval), atol=5e-9)
 
     ref = coherent_flow(sp, omega * SZ, z0, (0.0, 5.0), t_eval=t_eval)
-    for p, q in zip(traj.points, ref.points):
+    for p, q in zip(points(traj.coords, traj.multipliers), points(ref.coords, ref.multipliers)):
         np.testing.assert_allclose(oracles.bloch_vector(p.coords), oracles.bloch_vector(q.coords),
                                    atol=5e-9)
 
@@ -462,11 +462,11 @@ def test_chart_switch_roundtrip():
     ref = coherent_flow(sp, omega * SX, z0, (0.0, 6.0), t_eval=t_eval)
     err = max(
         np.max(np.abs(oracles.bloch_vector(p.coords) - oracles.bloch_vector(q.coords)))
-        for p, q in zip(traj.points, ref.points)
+        for p, q in zip(points(traj.coords, traj.multipliers), points(ref.coords, ref.multipliers))
     )
     assert err <= 1e-7
     # precession about x keeps <J_x> fixed; energy monitored through switches
-    xs = np.array([oracles.bloch_vector(p.coords)[0] for p in traj.points])
+    xs = np.array([oracles.bloch_vector(p.coords)[0] for p in points(traj.coords, traj.multipliers)])
     np.testing.assert_allclose(xs, xs[0], atol=1e-8)
     drift = np.max(np.abs(traj.energies - traj.energies[0]))
     assert drift <= 1e-8 * abs(traj.energies[0])
@@ -486,7 +486,7 @@ def test_samples_do_not_change_the_variational_run():
     # same steps; only the dense output's extra stages add RHS evaluations
     assert dataclasses.replace(dense.stats, rhs_evals=ends.stats.rhs_evals) == ends.stats
     assert dense.stats.rhs_evals > ends.stats.rhs_evals
-    assert dense.points[-1].coords.tobytes() == ends.points[-1].coords.tobytes()
+    assert points(dense.coords, dense.multipliers)[-1].coords.tobytes() == points(ends.coords, ends.multipliers)[-1].coords.tobytes()
     assert dense.chart_flags[-1] == ends.chart_flags[-1]
 
 
@@ -519,7 +519,7 @@ def test_trajectory_labels_match_the_per_sample_route(monkeypatch, kind):
     assert len(segments) == (3 if kind == "spin" else 1)
     want = [_per_sample_label(ch, u) for ch, sol in segments for u in sol.states]
     np.testing.assert_allclose(traj.coords, want, rtol=0, atol=1e-15)
-    norms = [eval_kernel(sp, p, p).real for p in traj.points]
+    norms = [eval_kernel(sp, p, p).real for p in points(traj.coords, traj.multipliers)]
     np.testing.assert_allclose(traj.norms, norms, rtol=1e-13, atol=0)
 
 
@@ -555,15 +555,15 @@ def test_callable_route_matches_matrix_route():
     sp = spin_space(n)
     z0 = unit_spinor(1.0, 0.3 + 0.1j)
 
-    def h_fn(p):
-        v = oracles.spin_monomial_embed(n, p.coords)
+    def h_fn(z):
+        v = oracles.spin_monomial_embed(n, z)
         return (np.vdot(v, ham @ v) / np.vdot(v, v)).real
 
     t_eval = [0.0, 3.0]
     a = dirac_frenkel_flow(sp, MatrixExpectation(ham), z0, (0.0, 3.0), t_eval=t_eval)
     b = dirac_frenkel_flow(sp, oracles.FiniteDifferenceEnergy(h_fn), z0, (0.0, 3.0),
                            t_eval=t_eval)
-    np.testing.assert_allclose(a.points[-1].coords, b.points[-1].coords, atol=1e-7)
+    np.testing.assert_allclose(points(a.coords, a.multipliers)[-1].coords, points(b.coords, b.multipliers)[-1].coords, atol=1e-7)
 
 
 def test_chart_for_rejects_unsupported():
