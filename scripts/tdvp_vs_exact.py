@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from cohspace.dynamics import coherent_flow
-from cohspace.kernels import Point, eval_kernel, spin_space
+from cohspace.kernels import eval_kernel, spin_space
 from cohspace.reps import SpinRep
 from cohspace.tdvp import MatrixExpectation, dirac_frenkel_flow
 
@@ -42,29 +42,29 @@ def main(argv=None):
     n = args.spin
     space = spin_space(n)
     rep = SpinRep(n)
-    z0 = np.array([0.8, 0.48 + 0.36j])
-    z0 /= np.linalg.norm(z0)
+    z0 = np.array([[0.8, 0.48 + 0.36j]])
+    z0 = z0 / np.linalg.norm(z0), None  # a label: its one-row stack, no multiplier
     t_eval = np.linspace(0.0, args.t_final, args.samples)
 
     # --- case 1: precession, exact vs variational -----------------------
     omega = 1.1
     a = omega * np.diag([0.5, -0.5]).astype(complex)
-    exact = coherent_flow(space, a, Point(z0),
+    exact = coherent_flow(space, a, z0,
                           (0.0, args.t_final), t_eval=t_eval)
     energy = MatrixExpectation(rep.dgamma(a))
-    var = dirac_frenkel_flow(space, energy, Point(z0), (0.0, args.t_final),
+    var = dirac_frenkel_flow(space, energy, z0, (0.0, args.t_final),
                              t_eval=t_eval, rtol=1e-10)
     print("precession (exact case):")
     print(f"{'t':>6} {'fidelity deficit':>18}")
     for t, pe, pv in zip(t_eval, exact.coords, var.coords):
-        print(f"{t:>6.2f} {fidelity_deficit(space, Point(pe), Point(pv)):>18.3e}")
+        print(f"{t:>6.2f} {fidelity_deficit(space, (pe[None], None), (pv[None], None)):>18.3e}")
 
     # --- case 2: twisting energy, conservation check --------------------
     jx = rep.dgamma(np.array([[0, 0.5], [0.5, 0]], dtype=complex))
     jz = rep.dgamma(np.diag([0.5, -0.5]).astype(complex))
     h = jz @ jz / n + 0.3 * jx
     t_eval2 = np.linspace(0.0, 50.0, 11)
-    tw = dirac_frenkel_flow(space, MatrixExpectation(h), Point(z0),
+    tw = dirac_frenkel_flow(space, MatrixExpectation(h), z0,
                             (0.0, 50.0), t_eval=t_eval2, rtol=1e-10)
     e0 = tw.energies[0]
     print("\ntwisting (projected case):")

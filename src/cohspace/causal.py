@@ -26,12 +26,12 @@ kernel satisfies both conditions exactly.
 
 from __future__ import annotations
 
-import itertools
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, PreconditionError
+from .errors import ConfigError, NumberError, NumericalError, PreconditionError, check_numbers
 
 
 class Triples(NamedTuple):
@@ -43,53 +43,54 @@ class Triples(NamedTuple):
     amp: np.ndarray
 
 
-def _rows(spec) -> tuple:
-    """(the rows [t, x, re, im] of every section of the triples spec as an
-    (m, 4) float array, each section's row count), or ConfigError."""
-    if not (set(map(type, spec)) <= {list, tuple} and set(map(len, spec)) <= {3}):
-        raise ConfigError("each entry must hold 3 sections [j, k, j']")
-    sections = [section for triple in spec for section in triple]
-    if not set(map(type, sections)) <= {list, tuple}:
-        raise ConfigError("a section must be a list of [t, x, re, im] rows")
-    rows = [row for section in sections for row in section]
-    values = list(itertools.chain.from_iterable(rows))  # not a bool, not a string:
-    if not (set(map(type, rows)) <= {list, tuple} and set(map(len, rows)) <= {4}
-            and set(map(type, values)) <= {int, float}):
-        raise ConfigError("section rows must be [t, x, re, im] numbers")
+_SITES = "sites t and x must be integers with |t|, |x| <= 2^53"
+
+
+def _read(rows: list, counts: list) -> np.ndarray:
+    """The rows (m, 4) of sections of counts rows, or the ConfigError naming
+    the triple of the first bad row; a row's numbers come before its sites."""
+    def triple(r):
+        return int(np.searchsorted(np.cumsum(counts), r, side="right")) // 3
+
     try:
-        a = np.array(values, dtype=float).reshape(len(rows), 4)
-    except OverflowError:
-        raise ConfigError("section rows hold an integer beyond float64") from None
-    sites = a[:, :2]
-    if not ((np.abs(sites) <= 2.0**53) & (sites == np.round(sites))).all():
-        raise ConfigError("sites t and x must be integers with |t|, |x| <= 2^53")
-    if not np.isfinite(a[:, 2:]).all():
-        raise ConfigError("amplitudes re and im must be finite")
-    return a, np.fromiter(map(len, sections), dtype=np.int64, count=len(sections))
+        a = check_numbers(rows, "triples", (None, 4))
+    except NumberError as exc:
+        r, v = exc.at[0], exc.value
+        _read(rows[:r], counts)  # a bad site in an earlier row comes first
+        real = len(exc.at) == 2 and not isinstance(v, bool) and isinstance(v, numbers.Real)
+        fault = ("section rows must be [t, x, re, im] numbers" if not real else
+                 "section rows hold an integer beyond float64" if isinstance(v, int) else
+                 _SITES if exc.at[1] < 2 else "amplitudes re and im must be finite")
+        raise ConfigError(f"triples[{triple(r)}]: {fault}") from None
+    bad = ~((np.abs(a[:, :2]) <= 2.0**53) & (a[:, :2] == np.round(a[:, :2]))).all(axis=1)
+    if bad.any():
+        raise ConfigError(f"triples[{triple(int(bad.argmax()))}]: {_SITES}")
+    return a
 
 
 def triples_from_rows(spec) -> Triples:
-    """Triples from a list of [j, k, j'] triples, each section a list of
-    [t, x, re, im] rows; a malformed triple raises ConfigError naming the
-    first, triples[i]."""
+    """Triples from a list of [j, k, j'] triples of sections of [t, x, re, im]
+    rows.  A malformed triple raises ConfigError naming the first, triples[i],
+    with its first fault in reading order: sections, then rows (numbers, sites)."""
     if not isinstance(spec, (list, tuple)):
         raise ConfigError(f"'triples' must be a list of [j, k, j'] triples, got {spec!r}")
-    try:
-        a, counts = _rows(spec)
-    except ConfigError:
-        for i, triple in enumerate(spec):
-            try:
-                _rows([triple])
-            except ConfigError as exc:
-                raise ConfigError(f"triples[{i}]: {exc}") from None
-    n, s = len(spec), counts.max(initial=1)
-    section = np.repeat(np.arange(3 * n), counts)
-    slot = np.arange(len(a)) - np.repeat(np.cumsum(counts) - counts, counts)
-    t, x = np.zeros((2, 3 * n, s), dtype=np.int64)
-    amp = np.zeros((3 * n, s), dtype=complex)
-    t[section, slot], x[section, slot] = a[:, 0], a[:, 1]
-    amp.real[section, slot], amp.imag[section, slot] = a[:, 2], a[:, 3]
-    return Triples(t.reshape(n, 3, s), x.reshape(n, 3, s), amp.reshape(n, 3, s))
+    rows, counts = [], []
+    for i, triple in enumerate(spec):
+        fault = ("each entry must hold 3 sections [j, k, j']"
+                 if not (isinstance(triple, (list, tuple)) and len(triple) == 3) else
+                 "a section must be a list of [t, x, re, im] rows"
+                 if not all(isinstance(section, (list, tuple)) for section in triple) else None)
+        if fault:
+            _read(rows, counts)  # an earlier triple's fault comes first
+            raise ConfigError(f"triples[{i}]: {fault}")
+        for section in triple:
+            rows += section
+            counts.append(len(section))
+    a, n, s = _read(rows, counts), len(spec), max([1, *counts])
+    cells = np.zeros((n, 3, s, 4))  # row j of a section in slot j; 0 on padding
+    cells.reshape(3 * n, s, 4)[np.arange(s) < np.array(counts)[:, None]] = a
+    return Triples(*cells[..., :2].astype(np.int64).transpose(3, 0, 1, 2),
+                   cells[..., 2:].copy().view(complex)[..., 0])
 
 
 class CausalVerdict(NamedTuple):

@@ -44,13 +44,13 @@ import numpy as np
 
 from .errors import ConfigError, InvalidPointError, NumericalError
 from .integrate import MAX_STEPS, IntegratorStats, total_stats
-from .kernels import KernelSpace, Point, spin_space
+from .kernels import KernelSpace, spin_space
 from .tdvp import CHART_SWITCH_RADIUS, MatrixExpectation, chart_for, charted_solve
 
 
-def spinor_from_bloch(s) -> Point:
-    """Unit spinor with the direction of the Bloch vector (X, Y, Z); raises
-    InvalidPointError for a vector without one (zero or non-finite)."""
+def spinor_from_bloch(s) -> tuple:
+    """The one-row stack of the unit spinor along the Bloch vector (X, Y, Z);
+    raises InvalidPointError for a vector without one (zero or non-finite)."""
     s = np.asarray(s, dtype=float)
     r = np.linalg.norm(s)
     if not (0.0 < r < math.inf):
@@ -63,7 +63,7 @@ def spinor_from_bloch(s) -> Point:
     else:
         wt = (x - 1j * y) / (1.0 - z)
         v = np.array([wt, 1.0]) / math.sqrt(1.0 + abs(wt) ** 2)
-    return Point(v)
+    return v[None], None
 
 
 # ------------------------------------------------------------- kicked top
@@ -165,7 +165,7 @@ def _benettin(chart, w: complex, advance, n_seg: int, duration: float,
     )
 
 
-def lyapunov_kicked(top: KickedTop, z0: Point, n_periods: int = 2000,
+def lyapunov_kicked(top: KickedTop, z0: tuple, n_periods: int = 2000,
                     seed: int = 7) -> LyapunovResult:
     """Benettin estimate of the top's largest Lyapunov exponent (per period)."""
     if n_periods < 4:
@@ -173,12 +173,12 @@ def lyapunov_kicked(top: KickedTop, z0: Point, n_periods: int = 2000,
     if n_periods > MAX_STEPS:
         raise ConfigError(f"'periods' ({n_periods}) is more than the {MAX_STEPS} segments a run "
                           "may take")
-    chart = chart_for(top.space, z0)
-    return _benettin(chart, complex(chart.coords(z0)[0]), top.period, n_periods, 1.0,
+    chart, u = chart_for(top.space, z0)
+    return _benettin(chart, complex(u[0]), top.period, n_periods, 1.0,
                      np.random.default_rng(seed))
 
 
-def lyapunov_continuous(space: KernelSpace, energy: MatrixExpectation, z0: Point,
+def lyapunov_continuous(space: KernelSpace, energy: MatrixExpectation, z0: tuple,
                         t_total: float = 200.0, resample: float = 1.0,
                         rtol: float = 1e-10, atol: float = 1e-12, hbar: float = 1.0,
                         seed: int = 7) -> LyapunovResult:
@@ -195,7 +195,7 @@ def lyapunov_continuous(space: KernelSpace, energy: MatrixExpectation, z0: Point
     if n_seg > MAX_STEPS:
         raise ConfigError(f"'t_total' ({t_total}) over 'resample' ({resample}) is {ratio:.6g} "
                           f"segments, more than the {MAX_STEPS} a run may take")
-    chart = chart_for(space, z0)
+    chart, u = chart_for(space, z0)
 
     solves = []
 
@@ -206,7 +206,7 @@ def lyapunov_continuous(space: KernelSpace, energy: MatrixExpectation, z0: Point
         solves.extend(sol for _, sol in segments)
         return chart, w, delta, sum(sol.halted for _, sol in segments)
 
-    res = _benettin(chart, complex(chart.coords(z0)[0]), advance, n_seg, resample,
+    res = _benettin(chart, complex(u[0]), advance, n_seg, resample,
                     np.random.default_rng(seed))
     res.stats = total_stats([sol.stats for sol in solves])
     return res

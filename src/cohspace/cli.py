@@ -13,7 +13,9 @@ of the wrong type is a configuration error that names the key ("space.dim").
 
 A batch of labels (``points`` or ``count``) reaches the library as one
 stack, (coords (n, d), multipliers (n,) or None), read by ``_labels_of``
-in one array conversion; a single label (``z``, ``z0``) is its 1-row case.
+in one array conversion; a single label (``z``, ``z2``, ``z0``) is its
+one-row case.  Every number of a config, in labels, matrices, descriptors,
+triples and fixed-length lists, is read by errors.check_numbers.
 
 Each handler maps the effective config to (payload, summary, warnings).
 The payload is lazy, {"csv": thunk, "json": thunk}, and run calls only the
@@ -35,7 +37,7 @@ Exit codes: 0 success, 1 domain error (diagnostic payload as JSON on stderr),
 from __future__ import annotations
 
 import argparse
-import itertools
+import bisect
 import json
 import math
 import os
@@ -45,8 +47,8 @@ from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from . import io as artifacts
-from .errors import (REQUIRED, TYPES, ConfigError, DomainError, check_fields, check_value,
-                     from_descriptor)
+from .errors import (REQUIRED, TYPES, ConfigError, DomainError, check_fields, check_numbers,
+                     check_value, from_descriptor)
 
 _BLAS_VARS = (
     "OMP_NUM_THREADS",
@@ -85,13 +87,6 @@ def _pin_threads(cfg: dict) -> None:
 
 
 # ------------------------------------------------------ fields and values
-
-
-def _numbers(value, key: str, n: int) -> list:
-    """A list of n numbers as floats, else ConfigError naming the key."""
-    if not (isinstance(value, (list, tuple)) and len(value) == n):
-        raise ConfigError(f"{key!r} must be a list of {n} numbers, got {value!r}")
-    return [check_value(key, "float", v) for v in value]
 
 
 def _parse_flag(raw: str, kind: str, key: str):
@@ -197,66 +192,48 @@ def _space_of(cfg):
     return space_from_descriptor(cfg["space"])
 
 
-def _label(entry, name):
-    """(coords, multiplier or None) of one label entry, read one number at a
-    time: the per-entry rule, whose first ConfigError names the entry."""
-    coords, mult = entry, None
-    if isinstance(entry, dict):
-        e = check_fields(name, entry, (("coords", "json", REQUIRED), ("multiplier", "json", None)))
-        coords, mult = e["coords"], e.get("multiplier")
-    elif not isinstance(entry, (list, tuple)):
-        raise ConfigError(f"{name}: must be a coordinate list or an object with 'coords'")
-    if not isinstance(coords, (list, tuple)):
-        raise ConfigError(f"{name}: coordinates must be a list")
-    return ([complex(*_numbers(c, name, 2)) if isinstance(c, (list, tuple))
-             else complex(check_value(name, "float", c)) for c in coords],
-            None if mult is None else complex(*_numbers(mult, f"{name}.multiplier", 2)))
-
-
-def _labels_of(entries, names, space=None):
+def _labels_of(entries, name, space=None):
     """Label entries (coordinate lists or {"coords", "multiplier"} objects; a
-    coordinate is [re, im] or a real x, read as [x, 0]) as one batch: coords
-    (n, d) and multipliers (n,), or None unless every entry has one.  The
-    numbers take one type scan and one np.asarray, the batch is a complex view
-    of the floats (-0.0 stays -0.0).  Anything else is read by _label and
-    checked label by label: the first bad entry raises the ConfigError naming
-    names[i], or, given a space, the first bad label its InvalidPointError."""
-    import numpy as np
-
+    coordinate is [re, im] or a real x) as coords (n, d) and multipliers (n,),
+    or None unless every entry has one, read by one check_numbers call (errors
+    name name(i), in list order).  Given a space, the labels before the first
+    of another dimension are checked as one stack, then that one alone."""
     from .kernels import check_stack
 
-    rows, mults = [], []  # row i: the multiplier pair (or [0, 0]), then the coordinate pairs
-    for p in entries:
+    pairs, ends, has_mult = [], [], []  # entry i's pairs end at ends[i], with its multiplier
+
+    def key(at):  # the entry holding pair at[0], whose last pair is its multiplier
+        i = bisect.bisect_right(ends, at[0])
+        return name(i) + (".multiplier" if at[0] == ends[i] - 1 else "")
+
+    for i, p in enumerate(entries):
         c, m = ((p.get("coords"), p.get("multiplier"))
                 if isinstance(p, dict) and p.keys() <= {"coords", "multiplier"} else (p, None))
-        mults.append(m)
-        rows.append([[0, 0] if m is None else m, *(x if isinstance(x, (list, tuple)) else (x, 0)
-                                                   for x in c)]
-                    if isinstance(c, (list, tuple)) else c)
-    try:
-        numbers = {*map(type, itertools.chain(*itertools.chain(*rows)))}
-        a = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # not a number, ragged, beyond float64
-        numbers = {None}
-    if (numbers <= {int, float} and a.ndim == 3 and a.shape[2] == 2
-            and (space is None or a.shape[1] == space.label_dim + 1)
-            and np.abs(a).max() < sys.float_info.max):
-        z = a.view(complex)[..., 0]
-        return z[:, 1:].copy(), None if None in mults else z[:, 0]
-    labels = [_label(p, name) for p, name in zip(entries, names)]
-    for z, m in labels if space else ():  # label by label, as the stack's check would
-        check_stack(space, np.array([z], dtype=complex), None if m is None else np.array([m]))
-    mults = [m for _, m in labels]
-    return (np.array([z for z, _ in labels], dtype=complex),
-            None if None in mults else np.array(mults, dtype=complex))
+        if not isinstance(c, (list, tuple)):
+            check_numbers(pairs, key, (None, 2), pairs=True)  # an earlier bad number comes first
+            if isinstance(p, dict):
+                check_fields(name(i), p, (("coords", "json", REQUIRED),
+                                          ("multiplier", "json", None)))
+                raise ConfigError(f"{name(i)}: coordinates must be a list")
+            raise ConfigError(f"{name(i)}: must be a coordinate list or an object with 'coords'")
+        pairs += [x if isinstance(x, (list, tuple)) else (x, 0) for x in c]
+        pairs.append([0, 0] if m is None else m)
+        ends.append(len(pairs))
+        has_mult.append(m is not None)
+    z = check_numbers(pairs, key, (None, 2), pairs=True)
+    width = ends[0] if space is None else space.label_dim + 1
+    cut = next((i for i, end in enumerate(ends) if end != (i + 1) * width), len(ends))
+    stack = z[:cut * width].reshape(cut, width)
+    coords, mults = stack[:, :-1].copy(), stack[:, -1] if all(has_mult[:cut]) else None
+    if cut < len(ends):
+        check_stack(space, coords, mults)
+        check_stack(space, z[ends[cut - 1] if cut else 0:ends[cut] - 1][None], None)
+    return coords, mults
 
 
-def _point_of(data, name):
-    """The one-label case of _labels_of, as a Point."""
-    from .kernels import Point
-
-    coords, mults = _labels_of([data], [name])
-    return Point(coords[0], None if mults is None else mults[0])
+def _label_of(data, name):
+    """One label as its one-row stack (coords (1, d), multipliers (1,) or None)."""
+    return _labels_of([data], lambda i: name)
 
 
 def _points_of(cfg, space):
@@ -268,7 +245,7 @@ def _points_of(cfg, space):
     if pts is not None:
         if not isinstance(pts, (list, tuple)) or not pts:
             raise ConfigError("'points' must be a non-empty list")
-        return _labels_of(pts, [f"points[{i}]" for i in range(len(pts))], space)
+        return _labels_of(pts, lambda i: f"points[{i}]", space)
     count = cfg.get("count")
     if count is None:
         raise ConfigError("need either 'points' or 'count'")
@@ -276,13 +253,6 @@ def _points_of(cfg, space):
         raise ConfigError("'count' must be positive")
     rng = np.random.default_rng(cfg["seed"])
     return sample_points(space, rng, count)
-
-
-def _matrix_of(data, key):
-    m = artifacts.pairs_to_complex(data)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ConfigError(f"'{key}' must be a square matrix of [re, im] pairs")
-    return m
 
 
 def _pair_columns(names):
@@ -293,7 +263,7 @@ def _pair_columns(names):
 def _t_eval_of(cfg):
     import numpy as np
 
-    t0, t1 = _numbers(cfg["t_span"], "t_span", 2)
+    t0, t1 = check_numbers(cfg["t_span"], "t_span", (2,)).tolist()
     if cfg["samples"] < 2:
         raise ConfigError("'samples' must be at least 2")
     return (t0, t1), np.linspace(t0, t1, cfg["samples"])
@@ -307,7 +277,7 @@ def _spin_axis_hamiltonian(space, axis, coeff=1.0):
 
     if space.kind not in ("spin", "spin_t"):
         raise ConfigError("spin_axis energies need a spin space")
-    x, y, z = _numbers(axis, "energy.axis", 3)
+    x, y, z = check_numbers(axis, "energy.axis", (3,)).tolist()
     sx, sy, sz = (s / 2 for s in pauli_matrices())
     rep = SpinRep(int(space.descriptor["exponent"]))
     with np.errstate(over="ignore", invalid="ignore"):  # MatrixExpectation rejects inf and NaN
@@ -316,8 +286,7 @@ def _spin_axis_hamiltonian(space, axis, coeff=1.0):
 
 # energy kind -> (Hamiltonian matrix from (space, **fields), fields)
 _ENERGIES = {
-    "matrix": (lambda space, matrix: _matrix_of(matrix, "energy.matrix"),
-               (("matrix", "json", REQUIRED),)),
+    "matrix": (lambda space, matrix: matrix, (("matrix", "matrix", REQUIRED),)),
     "spin_axis": (_spin_axis_hamiltonian, (("axis", "json", REQUIRED), ("coeff", "float", None))),
 }
 
@@ -361,7 +330,7 @@ def _h_kernel_eval(cfg):
     from .kernels import eval_kernel
 
     space = _space_of(cfg)
-    v = eval_kernel(space, _point_of(cfg["z"], "z"), _point_of(cfg["z2"], "z2"))
+    v = eval_kernel(space, _label_of(cfg["z"], "z"), _label_of(cfg["z2"], "z2"))
     out = {"re": float(v.real), "im": float(v.imag)}
     return _one_row(out, ["re", "im"]), dict(out), []
 
@@ -413,14 +382,14 @@ def _h_qspace_build(cfg):
 def _linear_map(space, matrix, renormalize=False):
     from .kernels import linear_point_map
 
-    m = _matrix_of(matrix, "map.matrix")
     d = space.label_dim
-    if m.shape != (d, d):
-        raise ConfigError(f"'map.matrix' is {m.shape}, expected ({d}, {d}) for the space's labels")
-    return linear_point_map(m, renormalize)
+    if matrix.shape != (d, d):
+        raise ConfigError(f"'map.matrix' is {matrix.shape}, expected ({d}, {d}) for the space's "
+                          "labels")
+    return linear_point_map(matrix, renormalize)
 
 
-_MAPS = {"linear": (_linear_map, (("matrix", "json", REQUIRED), ("renormalize", "bool", None)))}
+_MAPS = {"linear": (_linear_map, (("matrix", "matrix", REQUIRED), ("renormalize", "bool", None)))}
 
 
 def _h_quantize(cfg):
@@ -441,8 +410,8 @@ def _h_dyn_coherent(cfg):
     from .dynamics import coherent_flow
 
     space = _space_of(cfg)
-    generator = _matrix_of(cfg["generator"], "generator")
-    z0 = _point_of(cfg["z0"], "z0")
+    generator = check_numbers(cfg["generator"], "generator", (None, None, 2), pairs=True)
+    z0 = _label_of(cfg["z0"], "z0")
     t_span, t_eval = _t_eval_of(cfg)
     traj = coherent_flow(space, generator, z0, t_span, t_eval, hbar=cfg["hbar"])
     payload = _trajectory_payload(traj, with_energy=False)
@@ -454,7 +423,7 @@ def _h_dyn_tdvp(cfg):
 
     space = _space_of(cfg)
     energy = _energy_of(cfg, space)
-    z0 = _point_of(cfg["z0"], "z0")
+    z0 = _label_of(cfg["z0"], "z0")
     t_span, t_eval = _t_eval_of(cfg)
     traj = dirac_frenkel_flow(space, energy, z0, t_span, t_eval,
                               rtol=cfg["rtol"], hbar=cfg["hbar"])
@@ -475,9 +444,9 @@ def _kicked_top_exponent(cfg):
 
     top = KickedTop(cfg["spin"], kick=cfg["kick"], precession=cfg["precession"])
     if "z0" in cfg:
-        z0 = _point_of(cfg["z0"], "z0")
+        z0 = _label_of(cfg["z0"], "z0")
     else:
-        z0 = spinor_from_bloch(_numbers(cfg["bloch0"], "bloch0", 3))
+        z0 = spinor_from_bloch(check_numbers(cfg["bloch0"], "bloch0", (3,)))
     return lyapunov_kicked(top, z0, n_periods=cfg["periods"], seed=cfg["seed"])
 
 
@@ -487,7 +456,7 @@ def _continuous_exponent(cfg):
     space = _space_of(cfg)
     energy = _energy_of(cfg, space)
     return lyapunov_continuous(
-        space, energy, _point_of(cfg["z0"], "z0"),
+        space, energy, _label_of(cfg["z0"], "z0"),
         t_total=cfg["t_total"], resample=cfg["resample"], rtol=cfg["rtol"],
         hbar=cfg["hbar"], seed=cfg["seed"],
     )
@@ -527,7 +496,7 @@ def _h_spec_solve(cfg):
     from . import spectra
 
     model = from_descriptor(cfg["model"], _MODELS, "model", spectra)
-    interval = tuple(_numbers(cfg["interval"], "interval", 2))
+    interval = tuple(check_numbers(cfg["interval"], "interval", (2,)).tolist())
     res = spectra.solve_implicit_spectrum(model, interval, **_given(cfg, "tol", "grid"))
     header = ["kind", "branch", "energy_lo", "energy_hi", "residual"]
     rows = ([("discrete", n, e, e, r) for n, e, r in res.discrete]
@@ -558,20 +527,15 @@ def _algebra_of(cfg):
 
 
 def _coeff_vector(data, algebra, what):
-    import numpy as np
-
     if isinstance(data, str):
         if data not in algebra.basis_names:
             raise ConfigError(f"{what}: unknown basis element {data!r}")
         return algebra.basis_vector(algebra.basis_names.index(data))
-    v = artifacts.pairs_to_complex(data)
-    if v.ndim != 1 or v.shape[0] != algebra.dim:
-        raise ConfigError(f"{what}: expected {algebra.dim} coefficient pairs, got shape {v.shape}")
-    return np.asarray(v)
+    return check_numbers(data, what, (algebra.dim, 2), pairs=True)
 
 
 # a lie-evolve state gives exactly one of these
-_STATE = (("density", "json", None), ("form", "json", None))
+_STATE = (("density", "matrix", None), ("form", "matrix", None))
 
 
 def _h_lie_evolve(cfg):
@@ -587,9 +551,9 @@ def _h_lie_evolve(cfg):
     if "density" in spec:
         if rep is None:
             raise ConfigError("density states need an algebra with a catalog rep")
-        state = DensityState(algebra, rep, artifacts.pairs_to_complex(spec["density"]))
+        state = DensityState(algebra, rep, spec["density"])
     else:
-        state = AlgebraState(algebra, artifacts.pairs_to_complex(spec["form"]))
+        state = AlgebraState(algebra, spec["form"])
     obs_spec = cfg["observables"]
     if not isinstance(obs_spec, (list, tuple)) or not obs_spec:
         raise ConfigError("'observables' must be a non-empty list")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, check_sample_times
 from .integrate import IntegratorStats
-from .kernels import KernelSpace, Point, kernel_diagonal, row_norms
+from .kernels import KernelSpace, kernel_diagonal, row_norms
 from .reps import propagate_eig
 
 
@@ -46,13 +46,13 @@ def _project_constraint(space: KernelSpace, coords: np.ndarray) -> np.ndarray:
 def coherent_flow(
     space: KernelSpace,
     generator: np.ndarray,
-    z0: Point,
+    z0: tuple,
     t_span: tuple[float, float],
     t_eval: Optional[Sequence[float]] = None,
     hbar: float = 1.0,
 ) -> Trajectory:
-    """Sample the coherent trajectory of  i hbar dz/dt = generator z  at
-    t_eval exactly (``stats`` is None).
+    """Sample the coherent trajectory of  i hbar dz/dt = generator z  from
+    the one-row label stack z0 at t_eval exactly (``stats`` is None).
     A propagated state that is not finite (the phases overflow) raises
     NumericalError naming the first such sample time."""
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -63,13 +63,13 @@ def coherent_flow(
         raise ConfigError(f"generator is {a.shape}, expected ({space.label_dim}, {space.label_dim})")
     times = np.array(check_sample_times(t0, t1, t_eval))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        states = propagate_eig(a, z0.coords, times - t0, hbar=hbar)
+        states = propagate_eig(a, z0[0][0], times - t0, hbar=hbar)
     bad = ~np.isfinite(states).all(axis=1)
     if bad.any():
         raise NumericalError(f"coherent flow: the propagated label is not finite at "
                              f"t = {times[bad.argmax()]:.6g}")
     coords = _project_constraint(space, states)
-    mults = None if z0.multiplier is None else np.full(len(coords), z0.multiplier, dtype=complex)
+    mults = None if z0[1] is None else np.repeat(z0[1], len(coords))
     return Trajectory(times=times, coords=coords, stats=None, multipliers=mults,
                       norms=kernel_diagonal(space, coords, mults).real)
 

@@ -7,11 +7,13 @@ configuration problems (unparseable JSON, unknown kind or key, ill-typed
 value) are ConfigError and map to exit code 2.  ``check_fields`` checks every
 input object (the config and each descriptor in it) against its (key, type,
 default) fields, ``from_descriptor`` builds an object from a {"kind": ...}
-descriptor, and ``check_sample_times`` checks every time grid.
+descriptor, ``check_numbers`` reads every numeric array of a config (numpy
+imported lazily), and ``check_sample_times`` checks every time grid.
 """
 
 from __future__ import annotations
 
+import itertools
 import numbers
 import sys
 
@@ -27,6 +29,14 @@ class DomainError(Exception):
 
 class ConfigError(Exception):
     """Malformed configuration / unknown names; CLI exit code 2."""
+
+
+class NumberError(ConfigError):
+    """A field check_numbers refuses: `at` is its first bad item's index path, `value` the item."""
+
+    def __init__(self, message: str, at: tuple, value):
+        super().__init__(message)
+        self.at, self.value = at, value
 
 
 # A field is (key, type, default).  A default of None leaves the key to the
@@ -52,11 +62,63 @@ TYPES = {
     "str": (str, str, "a string"),
     "bool": (_bool, bool, "true or false"),
 }
+# numeric field type -> (shape, pairs) as check_numbers reads it
+NUMBERS = {"pairs": ((None, 2), True), "matrix": ((None, None, 2), True)}
+
+
+def check_numbers(data, key, shape: tuple, pairs: bool = False):
+    """A config field's numbers: a float array of `shape` (None: any length),
+    or with pairs=True the complex array of its [re, im] pairs, -0.0 kept.
+    Numbers are reals (JSON's are ints and floats), not bools, with |x| <= the
+    largest float.  A field that fails one type scan, np.asarray and bound
+    check raises NumberError at its first bad item in reading order, naming
+    the list at fault: key and its indices ('map.matrix[1][0]'), or key(indices)."""
+    import numpy as np
+
+    leaves = data
+    try:
+        for _ in shape[1:]:
+            leaves = itertools.chain.from_iterable(leaves)
+        a = np.asarray(data, dtype=float) if {*map(type, leaves)} <= {int, float} else None
+    except (TypeError, ValueError, OverflowError):  # not a list, ragged, beyond float64
+        a = None
+    if (a is None or a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape))
+            or not (np.abs(a) < sys.float_info.max).all()):
+        if fault := _first_bad(data, shape):
+            at, where, value, wanted = fault
+            name = key(where) if callable(key) else key + "".join(f"[{i}]" for i in where)
+            raise NumberError(f"{name!r} must be {wanted}, got {value!r}", at, value)
+        # sound after all: a number of exactly the largest float, or empty lists
+        a = np.asarray(data, dtype=float)
+        a = a.reshape(a.shape + tuple(n or 0 for n in shape[a.ndim:]))
+    return a.view(complex)[..., 0] if pairs else a
+
+
+def _first_bad(data, shape: tuple, at: tuple = ()):
+    """(index path, path of the list at fault, item, what it must be) of the
+    first bad item of data in reading order (a list's length before its items,
+    its first item fixing the free lengths of the rest), or None."""
+    n, inner = shape[0], shape[1:]
+    if not isinstance(data, (list, tuple)) or n is not None and len(data) != n:
+        count = "" if n is None else f"{n} "
+        return at, at, data, f"a list of {count}{'lists' if inner else 'numbers'}"
+    for i, x in enumerate(data):
+        if not inner:
+            if isinstance(x, bool) or not (isinstance(x, numbers.Real)
+                                           and abs(x) <= sys.float_info.max):
+                return at + (i,), at, x, "a finite number"
+        elif fault := _first_bad(x, inner, at + (i,)):
+            return fault
+        else:
+            inner = (len(x),) + inner[1:]
+    return None
 
 
 def check_value(key: str, kind: str, value):
     """A value of the field's type (floats as float, finite, and above 0 for
-    a positive or size field), else ConfigError; a bool is only of type bool."""
+    a positive or size field; NUMBERS by check_numbers), else ConfigError."""
+    if kind in NUMBERS:
+        return check_numbers(value, key, *NUMBERS[kind])
     if kind not in TYPES:
         return value
     convert, accepted, noun = TYPES[kind]

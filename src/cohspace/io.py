@@ -280,15 +280,3 @@ def sha256_file(path: str) -> str:
             h.update(chunk)
     return h.hexdigest()
 
-
-def pairs_to_complex(data):
-    """Nested [re, im] pairs -> complex ndarray (last axis must have length 2)."""
-    import numpy as np
-
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"complex data must be nested [re, im] pairs: {exc}") from None
-    if arr.ndim < 1 or arr.shape[-1] != 2:
-        raise ConfigError("complex data must be nested [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]

@@ -32,7 +32,8 @@ point constraint and domain (n, d) -> (n,), and a sampler of `count` labels;
 ``_CATALOG`` maps each kind to (factory, fields).  ``check_stack`` checks a
 stack in one pass, ``cross_gram`` applies the kernel to two stacks
 (multipliers included), ``gram_matrix`` mirrors its upper triangle for
-Hermitian kernels, and ``eval_kernel`` is its 1 x 1 case on two ``Point``s.
+Hermitian kernels, and ``eval_kernel`` is its 1 x 1 case: a single label is
+the one-row stack (coords (1, d), multipliers (1,) or None).
 ``cross_gram`` and ``kernel_diagonal`` evaluate with numpy's overflow
 warnings off and then check every value once: a non-finite kernel value
 raises NumericalError naming the kind and its first entry (i, j).
@@ -58,21 +59,6 @@ from .errors import (
 
 POINT_TOL = 1e-12          # constraint residual accepted as "on the manifold"
 PSD_TOL = 1e-8             # relative PSD tolerance: eig >= -tol * max(1, ||G||)
-
-
-class Point:
-    """A label point: complex coordinate vector plus an optional line-bundle multiplier."""
-
-    __slots__ = ("coords", "multiplier")
-
-    def __init__(self, coords, multiplier: complex | None = None):
-        self.coords = np.atleast_1d(np.asarray(coords, dtype=complex))
-        self.multiplier = None if multiplier is None else complex(multiplier)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.multiplier is None:
-            return f"Point({self.coords.tolist()})"
-        return f"Point({self.coords.tolist()}, multiplier={self.multiplier})"
 
 
 @dataclass
@@ -144,15 +130,13 @@ def cross_gram(space: KernelSpace, coords: np.ndarray, multipliers=None,
     return _finite(space, k)
 
 
-def eval_kernel(space: KernelSpace, z: Point, z2: Point) -> complex:
-    def one(p):
-        return p.coords[None], None if p.multiplier is None else np.array([p.multiplier])
-
-    return complex(cross_gram(space, *one(z), *(() if z2 is z else one(z2)))[0, 0])
+def eval_kernel(space: KernelSpace, z: tuple, z2: tuple) -> complex:
+    """K(z, z') of two one-row label stacks (coords (1, d), multipliers (1,) or None)."""
+    return complex(cross_gram(space, *z, *(() if z2 is z else z2))[0, 0])
 
 
 def kernel_diagonal(space: KernelSpace, coords: np.ndarray, multipliers=None) -> np.ndarray:
-    """K(z_i, z_i) of checked labels (n, d), bit-equal to eval_kernel(z_i, z_i):
+    """K(z_i, z_i) of checked labels (n, d), bit-equal to eval_kernel of row i with itself:
     one kernel call on the 1 x 1 blocks (n, 1, d), or one per row for kinds
     whose kernel multiplies complex arrays (numpy may fuse a multiply-add on
     a vector, not on eval_kernel's single element)."""
@@ -442,8 +426,8 @@ def moebius_space() -> KernelSpace:
 def discrete_space(table: np.ndarray) -> KernelSpace:
     """Finite label set {0..m-1} with kernel values from an explicit table."""
     tab = np.asarray(table, dtype=complex)
-    if tab.ndim != 2 or tab.shape[0] != tab.shape[1]:
-        raise ConfigError("discrete kernel table must be square")
+    if tab.ndim != 2 or tab.shape[0] != tab.shape[1] or not tab.size:
+        raise ConfigError("discrete kernel table must be square and non-empty")
     m = tab.shape[0]
     herm = bool(np.allclose(tab, tab.conj().T, rtol=0.0, atol=1e-12))
 
@@ -460,7 +444,7 @@ def discrete_space(table: np.ndarray) -> KernelSpace:
         kernel=lambda a, b: tab[_idx(a[..., :, 0])[..., :, None], _idx(b[..., None, :, 0])],
         sampler=lambda rng, count: (rng.integers(0, m, size=count).astype(complex)[:, None], None),
         hermitian=herm,
-        descriptor={"kind": "discrete", "table": [[[v.real, v.imag] for v in row] for row in tab]},
+        descriptor={"kind": "discrete", "table": np.stack((tab.real, tab.imag), -1).tolist()},
     )
 
 
@@ -534,12 +518,9 @@ _CATALOG: dict[str, tuple[Callable[..., KernelSpace], tuple]] = {
     "classical_limit": (classical_limit_space, (_DIM,)),
     "power": (lambda base, n: power_space(from_descriptor(base, _CATALOG, "space.base"), n),
               (("base", "json", REQUIRED), ("n", "int", REQUIRED))),
-    "debranges": (lambda coeffs: debranges_space([complex(re, im) for re, im in coeffs]),
-                  (("coeffs", "json", ((0.0, 1.0), (1.0, 0.0))),)),
+    "debranges": (debranges_space, (("coeffs", "pairs", None),)),
     "moebius": (moebius_space, ()),
-    "discrete": (lambda table: discrete_space(np.array([[complex(re, im) for re, im in row]
-                                                        for row in table])),
-                 (("table", "json", REQUIRED),)),
+    "discrete": (discrete_space, (("table", "matrix", REQUIRED),)),
     "icosahedron": (icosahedron_space, ()),
     "heisenberg": (heisenberg_space, (_MODES, ("hbar", "positive", None))),
 }

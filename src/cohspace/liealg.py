@@ -41,6 +41,7 @@ from .errors import (
     PreconditionError,
     StatePositivityError,
     check_fields,
+    check_numbers,
     check_sample_times,
 )
 from .reps import propagate_eig
@@ -591,25 +592,28 @@ def algebra_descriptor(algebra: LieStarAlgebra) -> dict:
     }
 
 
-_DESCRIPTOR = (("name", "str", REQUIRED), ("dim", "int", REQUIRED), ("basis", "json", REQUIRED),
+_DESCRIPTOR = (("name", "str", REQUIRED), ("dim", "size", REQUIRED), ("basis", "json", REQUIRED),
                ("unit_index", "int", None), ("convention", "str", None), ("hbar", "positive", None),
                ("structure", "json", REQUIRED), ("involution", "json", REQUIRED))
 
 
 def algebra_from_descriptor(data: Mapping) -> LieStarAlgebra:
-    """The algebra of a descriptor as algebra_descriptor writes it."""
+    """The algebra of a descriptor as algebra_descriptor writes it: rows [i_1,
+    ..., i_k, re, im] of structure (k = 3) and involution (k = 2), indices in
+    0..dim-1, read by check_numbers; a later row at the same indices wins."""
     spec = check_fields("algebra", data, _DESCRIPTOR)
-    dim = spec.pop("dim")
-    try:
-        names = tuple(str(s) for s in spec.pop("basis"))
-        c = np.zeros((dim, dim, dim), dtype=complex)
-        for a, b, cc, re, im in spec.pop("structure"):
-            c[int(a), int(b), int(cc)] = float(re) + 1j * float(im)
-        m = np.zeros((dim, dim), dtype=complex)
-        for a, b, re, im in spec.pop("involution"):
-            m[int(a), int(b)] = float(re) + 1j * float(im)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ConfigError(f"bad algebra descriptor: {exc}") from None
-    if len(names) != dim:
-        raise ConfigError(f"descriptor lists {len(names)} basis names for dim {dim}")
-    return LieStarAlgebra(basis_names=names, structure=c, involution=m, **spec)
+    dim, basis = spec.pop("dim"), spec.pop("basis")
+    if not isinstance(basis, (list, tuple)) or len(basis) != dim:
+        raise ConfigError(f"'algebra.basis' must list {dim} basis names, got {basis!r}")
+    for key, k in (("structure", 3), ("involution", 2)):
+        rows, spec[key] = spec[key], np.zeros((dim,) * k, dtype=complex)
+        a = check_numbers(rows, f"algebra.{key}", (None, k + 2))
+        idx = a[:, :k]
+        bad = ((idx != np.round(idx)) | (idx < 0) | (idx >= dim)).any(axis=1)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ConfigError(f"'algebra.{key}[{i}]' must start with {k} indices in 0..{dim - 1}, "
+                              f"got {rows[i]!r}")
+        for at, v in zip(idx.astype(int).tolist(), a[:, k:].copy().view(complex)[:, 0]):
+            spec[key][tuple(at)] = v
+    return LieStarAlgebra(basis_names=tuple(map(str, basis)), **spec)

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigError, IntegratorFailure, InvalidPointError, NumericalError
 from .integrate import solve_rk45, total_stats
-from .kernels import KernelSpace, Point, kernel_diagonal
+from .kernels import KernelSpace, kernel_diagonal
 from .dynamics import Trajectory
 
 CHART_SWITCH_RADIUS = 2.0
@@ -84,7 +84,7 @@ def _jet_row(s: np.ndarray, u: np.ndarray, order: int) -> np.ndarray:
 
 class _Chart:
     """One complex coordinate w, embedded by the power matrices `_s` (see
-    _power_matrices); `labels` maps coordinates to label rows."""
+    _power_matrices); `labels` maps coordinates (S, 1) to label rows, `coords` back."""
 
     south = False
 
@@ -101,9 +101,9 @@ class SphereChart(_Chart):
         self._s = _sphere_matrices(self.n, self.south)
         self.key = ("sphere", self.n, self.south)  # charts with one key embed alike
 
-    def coords(self, z: Point) -> np.ndarray:
-        z1, z2 = z.coords
-        return np.array([z1 / z2 if self.south else z2 / z1])
+    def coords(self, zs: np.ndarray) -> np.ndarray:
+        z1, z2 = zs[:, :1], zs[:, 1:]
+        return z1 / z2 if self.south else z2 / z1
 
     def labels(self, us: np.ndarray) -> np.ndarray:
         """Unit spinors (S, 2) of the chart coordinates us (S, 1)."""
@@ -143,8 +143,8 @@ class FlatChart(_Chart):
         self._s = _power_matrices(np.exp(self.z0), k) / fact[:, None]
         self.key = ("flat", self.z0)
 
-    def coords(self, z: Point) -> np.ndarray:
-        return z.coords[1:].copy()
+    def coords(self, zs: np.ndarray) -> np.ndarray:
+        return zs[:, 1:].copy()
 
     def labels(self, us: np.ndarray) -> np.ndarray:
         """Klauder labels (S, 2): z0 beside each row of us (S, 1)."""
@@ -160,35 +160,35 @@ class FlatChart(_Chart):
         return 0.0j
 
 
-def _spin_chart(space: KernelSpace, z0: Point) -> SphereChart:
+def _spin_chart(space: KernelSpace, z0: np.ndarray) -> SphereChart:
     n = space.descriptor["exponent"]
     if abs(n - round(n)) > 1e-12 or n < 1:
         raise ConfigError("variational flow needs an integer spin exponent >= 1")
-    return SphereChart(int(round(n)), south=abs(z0.coords[1]) > abs(z0.coords[0]))
+    return SphereChart(int(round(n)), south=abs(z0[1]) > abs(z0[0]))
 
 
-def _klauder_chart(space: KernelSpace, z0: Point) -> FlatChart:
+def _klauder_chart(space: KernelSpace, z0: np.ndarray) -> FlatChart:
     if space.label_dim != 2:
         raise ConfigError("variational flows support a single Klauder mode")
-    return FlatChart(z0.coords[0])
+    return FlatChart(z0[0])
 
 
 _CHARTS = {"klauder": _klauder_chart, "spin": _spin_chart}
 
 
-def chart_for(space: KernelSpace, z0: Point):
-    """The space's chart at the start label z0 (any nonzero multiple of a
-    unit label); raises InvalidPointError when z0 has no finite coordinate."""
+def chart_for(space: KernelSpace, z0: tuple):
+    """(chart, coordinate (1,)) of the start label z0, a one-row stack of any
+    nonzero multiple of a unit label; InvalidPointError if it has none finite."""
     make = _CHARTS.get(space.kind)
     if make is None:
         raise ConfigError(f"no variational chart for kernel kind '{space.kind}'")
-    chart = make(space, z0)
+    chart = make(space, z0[0][0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = chart.coords(z0)
+        u = chart.coords(z0[0])[0]
     if not np.isfinite(u).all():
-        raise InvalidPointError(f"{space.kind}: start label {z0.coords.tolist()} has no finite "
+        raise InvalidPointError(f"{space.kind}: start label {z0[0][0].tolist()} has no finite "
                                 "chart coordinate")
-    return chart
+    return chart, u
 
 
 # ------------------------------------------------------------ energy surfaces
@@ -343,7 +343,7 @@ def charted_solve(chart, energy: MatrixExpectation, y, t_span, rtol, atol, hbar=
 def dirac_frenkel_flow(
     space: KernelSpace,
     energy: MatrixExpectation,
-    z0: Point,
+    z0: tuple,
     t_span: tuple[float, float],
     t_eval: Optional[Sequence[float]] = None,
     rtol: float = 1e-9,
@@ -359,8 +359,7 @@ def dirac_frenkel_flow(
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t_eval is None:
         t_eval = np.linspace(t0, t1, 101)
-    chart = chart_for(space, z0)
-    u = chart.coords(z0)
+    chart, u = chart_for(space, z0)
     h0 = energy.on(chart)(u, 0)[0]
     h_scale = max(abs(h0), 1e-12)
     worst = 0.0

@@ -264,6 +264,85 @@ def label_stack(labels, dim: int, line: bool, check):
     return coords, mults
 
 
+# --- numeric config fields and triples, read one number at a time ---
+
+def number_array(data, key: str, shape: tuple, pairs: bool = False) -> np.ndarray:
+    """The numbers of a config field, nested lists of `shape` (None: any
+    length at the top, and the first item's length below), read one at a
+    time: floats, or with pairs=True complex(re, im) of each innermost pair.
+    The first bad item in reading order (a list's length before its items)
+    raises ValueError naming the list at fault, key and its indices."""
+    def walk(x, shape, path):
+        name = key + "".join(f"[{i}]" for i in path)
+        n, rest = shape[0], shape[1:]
+        if not isinstance(x, (list, tuple)) or n is not None and len(x) != n:
+            count = "" if n is None else f"{n} "
+            raise ValueError(f"{name!r} must be a list of {count}{'lists' if rest else 'numbers'}, "
+                             f"got {x!r}")
+        if not rest:
+            values = [_finite_number(name, v) for v in x]
+            return complex(*values) if pairs else values
+        out = []
+        for i, item in enumerate(x):
+            out.append(walk(item, rest, path + (i,)))
+            rest = (len(item),) + rest[1:]
+        return out
+
+    out, dims, x = walk(data, shape, ()), [], data
+    for n in shape[:-1] if pairs else shape:
+        dims.append(len(x) if len(x) or n is None else n)
+        x = x[0] if len(x) else []
+    return np.array(out, dtype=complex if pairs else float).reshape(dims)
+
+
+_SITES = "sites t and x must be integers with |t|, |x| <= 2^53"
+_ROWS = "section rows must be [t, x, re, im] numbers"
+
+
+def _triple_row(row) -> list:
+    """The floats of one [t, x, re, im] row, or ValueError with its first fault."""
+    if not (isinstance(row, (list, tuple)) and len(row) == 4):
+        raise ValueError(_ROWS)
+    out = []
+    for col, v in enumerate(row):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(_ROWS)
+        if isinstance(v, int) and abs(v) > sys.float_info.max:
+            raise ValueError("section rows hold an integer beyond float64")
+        if not math.isfinite(v):
+            raise ValueError(_SITES if col < 2 else "amplitudes re and im must be finite")
+        out.append(float(v))
+    if not all(abs(s) <= 2.0**53 and s == math.floor(s) for s in out[:2]):
+        raise ValueError(_SITES)
+    return out
+
+
+def triples_walk(spec) -> tuple:
+    """(t, x, amp) padded to (n, 3, s) of [j, k, j'] triples of [t, x, re, im]
+    rows, read one triple, row and number at a time: the first bad triple
+    raises ValueError naming it, triples[i], with its first fault in reading
+    order (its sections, then each row's numbers and then its sites)."""
+    if not isinstance(spec, (list, tuple)):
+        raise ValueError(f"'triples' must be a list of [j, k, j'] triples, got {spec!r}")
+    sections = []
+    for i, triple in enumerate(spec):
+        try:
+            if not (isinstance(triple, (list, tuple)) and len(triple) == 3):
+                raise ValueError("each entry must hold 3 sections [j, k, j']")
+            if not all(isinstance(section, (list, tuple)) for section in triple):
+                raise ValueError("a section must be a list of [t, x, re, im] rows")
+            sections += [[_triple_row(row) for row in section] for section in triple]
+        except ValueError as exc:
+            raise ValueError(f"triples[{i}]: {exc}") from None
+    n, s = len(spec), max([1] + [len(section) for section in sections])
+    t, x = np.zeros((2, 3 * n, s), dtype=np.int64)
+    amp = np.zeros((3 * n, s), dtype=complex)
+    for k, section in enumerate(sections):
+        for j, (tj, xj, re, im) in enumerate(section):
+            t[k, j], x[k, j], amp[k, j] = int(tj), int(xj), complex(re, im)
+    return t.reshape(n, 3, s), x.reshape(n, 3, s), amp.reshape(n, 3, s)
+
+
 # --- causal coherent spaces: dict sections, both conditions pair by pair ---
 
 class CausalSection:

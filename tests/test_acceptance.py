@@ -20,13 +20,12 @@ from oracles import (
     spin_monomial_embed,
     wigner_matrices,
 )
-from labels import points
+from labels import label, points
 
 from cohspace import cli
 from cohspace.chaos import KickedTop, lyapunov_kicked, spinor_from_bloch
 from cohspace.dynamics import coherent_flow
 from cohspace.kernels import (
-    Point,
     check_coherence,
     eval_kernel,
     icosahedron_vertices,
@@ -169,17 +168,17 @@ def test_criterion_4_exact_coherent_dynamics():
     # Klauder oscillator against truncated Fock propagation
     omega = 1.3
     sp = space_from_descriptor({"kind": "klauder", "modes": 1})
-    z0 = Point(np.array([0.2 + 0.1j, 1.1 - 0.4j]))
+    z0 = label(np.array([0.2 + 0.1j, 1.1 - 0.4j]))
     t_eval = np.linspace(0.0, 10.0 / omega, 33)
     traj = coherent_flow(sp, np.diag([0.0, omega]).astype(complex), z0, (0.0, 10.0 / omega),
                          t_eval)
     _, _, num = fock_ops(64)
     phases = np.exp(-1j * omega * np.diag(num)[None, :] * t_eval[:, None])
-    psi0 = fock_coherent(64, z0.coords[0], z0.coords[1])
+    psi0 = fock_coherent(64, z0[0][0][0], z0[0][0][1])
     deficit_fock = 0.0
     for i, p in enumerate(points(traj.coords, traj.multipliers)):
         oracle = phases[i] * psi0
-        emb = fock_coherent(64, p.coords[0], p.coords[1])
+        emb = fock_coherent(64, p[0][0][0], p[0][0][1])
         f = abs(np.vdot(oracle, emb)) ** 2 / (
             np.vdot(oracle, oracle).real * np.vdot(emb, emb).real)
         deficit_fock = max(deficit_fock, 1.0 - f)
@@ -193,18 +192,18 @@ def test_criterion_4_exact_coherent_dynamics():
     a = omega_s * (axis[0] * np.array([[0, 1], [1, 0]])
                    + axis[1] * np.array([[0, -1j], [1j, 0]])
                    + axis[2] * np.diag([1, -1])).astype(complex) / 2
-    z = Point(np.array([0.8, 0.6j]))
+    z = label(np.array([0.8, 0.6j]))
     t_eval = np.linspace(0.0, 10.0 / omega_s, 33)
     traj = coherent_flow(sps, a, z, (0.0, 10.0 / omega_s), t_eval)
     jx, jy, jz = wigner_matrices(n)
     h = omega_s * (axis[0] * jx + axis[1] * jy + axis[2] * jz)
     w, v = np.linalg.eigh(h)
-    psi0 = spin_monomial_embed(n, z.coords)
+    psi0 = spin_monomial_embed(n, z[0][0])
     c0 = v.conj().T @ psi0
     deficit_wigner = 0.0
     for i, p in enumerate(points(traj.coords, traj.multipliers)):
         oracle = v @ (np.exp(-1j * w * t_eval[i]) * c0)
-        emb = spin_monomial_embed(n, p.coords)
+        emb = spin_monomial_embed(n, p[0][0])
         f = abs(np.vdot(oracle, emb)) ** 2 / (
             np.vdot(oracle, oracle).real * np.vdot(emb, emb).real)
         deficit_wigner = max(deficit_wigner, 1.0 - f)
@@ -222,7 +221,7 @@ def test_criterion_5_tdvp_exactness_and_conservation():
     n, omega, rtol = 4, 1.1, 1e-9
     sp = spin_space(n)
     rep = SpinRep(n)
-    z = Point(np.array([0.8, 0.48 + 0.36j]) / np.linalg.norm([0.8, 0.48 + 0.36j]))
+    z = label(np.array([0.8, 0.48 + 0.36j]) / np.linalg.norm([0.8, 0.48 + 0.36j]))
     # H in the symmetry algebra: TDVP must reproduce the exact coherent flow
     a = omega * np.diag([0.5, -0.5]).astype(complex)
     t_eval = np.linspace(0.0, 8.0, 17)

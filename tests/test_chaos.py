@@ -17,7 +17,7 @@ import pytest
 
 from oracles import (FiniteDifferenceEnergy, bloch_vector, kicked_top_classical_lyapunov,
                      kicked_top_classical_step, spin_monomial_embed)
-from labels import chart_point
+from labels import chart_point, label
 from cohspace.chaos import (
     KickedTop,
     apply_kick,
@@ -26,7 +26,7 @@ from cohspace.chaos import (
     spinor_from_bloch,
 )
 from cohspace.errors import ConfigError
-from cohspace.kernels import Point, klauder_space, spin_space
+from cohspace.kernels import klauder_space, spin_space
 from cohspace.reps import SpinRep
 from cohspace.tdvp import (
     MatrixExpectation,
@@ -51,8 +51,8 @@ def test_spinor_from_bloch_roundtrip():
         s = rng.standard_normal(3)
         s /= np.linalg.norm(s)
         p = spinor_from_bloch(s)
-        assert np.linalg.norm(p.coords) == pytest.approx(1.0, abs=1e-14)
-        np.testing.assert_allclose(bloch_vector(p.coords), s, atol=1e-13)
+        assert np.linalg.norm(p[0][0]) == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(bloch_vector(p[0][0]), s, atol=1e-13)
 
 
 def test_period_map_matches_classical():
@@ -62,9 +62,9 @@ def test_period_map_matches_classical():
         s = rng.standard_normal(3)
         s /= np.linalg.norm(s)
         z = spinor_from_bloch(s)
-        chart = chart_for(top.space, z)
-        chart, w, _, _ = top.period(chart, chart.coords(z)[0], 0.0j)
-        got = bloch_vector(chart_point(chart, [w]).coords)
+        chart, u = chart_for(top.space, z)
+        chart, w, _, _ = top.period(chart, u[0], 0.0j)
+        got = bloch_vector(chart_point(chart, [w])[0][0])
         np.testing.assert_allclose(got, kicked_top_classical_step(s, 3.0, PREC), atol=1e-10)
 
 
@@ -83,15 +83,15 @@ def test_exact_period_matches_integrated_precession():
             starts += list(rng.standard_normal((4, 3)))
             for s0 in starts:
                 z = spinor_from_bloch(s0)
-                chart = chart_for(top.space, z)
-                w = complex(chart.coords(z)[0])
+                chart, u = chart_for(top.space, z)
+                w = complex(u[0])
                 d = complex(*rng.standard_normal(2))
                 ch, wg, dg, switched = top.period(chart, w, d)
                 _, ch_i, (wi, di) = charted_solve(chart, energy, np.array([w, d]), (0.0, 1.0),
                                                   1e-12, 1e-14, tangent=True)
                 wi, di = apply_kick(wi, di, top.kick)
-                np.testing.assert_allclose(bloch_vector(chart_point(ch, [wg]).coords),
-                                           bloch_vector(chart_point(ch_i, [wi]).coords),
+                np.testing.assert_allclose(bloch_vector(chart_point(ch, [wg])[0][0]),
+                                           bloch_vector(chart_point(ch_i, [wi])[0][0]),
                                            atol=1e-10)
                 ell = _metric_len(ch_i, wi, di)
                 assert abs(_metric_len(ch, wg, dg) - ell) <= 1e-10 * ell
@@ -121,8 +121,8 @@ def test_tangent_flow_matches_flowmap_fd():
     # must agree with central differences of the period map itself
     top = KickedTop(6, 0.8, PREC)
     z = spinor_from_bloch(np.array([0.2, 0.1, 0.97]) / np.linalg.norm([0.2, 0.1, 0.97]))
-    chart0 = chart_for(top.space, z)
-    w0 = complex(chart0.coords(z)[0])
+    chart0, u0 = chart_for(top.space, z)
+    w0 = complex(u0[0])
 
     def flow3(w, d):
         ch, ww, dd = chart0, w, d
@@ -233,7 +233,7 @@ def test_continuous_linear_flow_zero_exponent():
     res = lyapunov_continuous(
         klauder_space(1),
         MatrixExpectation(1.3 * np.diag(np.arange(64.0))),
-        Point([0.0, 0.7 + 0.2j]),
+        label([0.0, 0.7 + 0.2j]),
         t_total=16.0,
         resample=2.0,
         rtol=1e-10,
@@ -254,8 +254,8 @@ def _restart_route(space, energy, z0, t_total, resample, rtol, seed=7):
         return chart, w, delta, sum(sol.halted for _, sol in segments)
 
     steps = [0]
-    chart = chart_for(space, z0)
-    res = chaos._benettin(chart, complex(chart.coords(z0)[0]), advance,
+    chart, u = chart_for(space, z0)
+    res = chaos._benettin(chart, complex(u[0]), advance,
                           round(t_total / resample), resample, np.random.default_rng(seed))
     return res, steps[0]
 
@@ -264,7 +264,7 @@ def _flows_case():
     # the benchmark's continuous Lyapunov job: spin 10 under n.J, n near (0, 0.6, 0.8)
     axis = np.array([0.0, 0.6, 0.8])
     return (spin_space(10), MatrixExpectation(SpinRep(10).dgamma(axis[1] * SY + axis[2] * SZ)),
-            Point(np.array([0.8, 0.48 + 0.36j])), 15.0)
+            label(np.array([0.8, 0.48 + 0.36j])), 15.0)
 
 
 def _twisting_case():
@@ -291,8 +291,8 @@ def test_carried_step_agrees_with_the_restart_route(case, resample, rtol):
     assert np.abs(carried.running - restarted.running).max() <= 10 * rtol
     # the carried run costs at most one uninterrupted solve of the tangent
     # system plus a step per segment; the restart route does not
-    chart = chart_for(space, z0)
-    segments, _, _ = charted_solve(chart, energy, np.array([complex(chart.coords(z0)[0]), 1.0]),
+    chart, u = chart_for(space, z0)
+    segments, _, _ = charted_solve(chart, energy, np.array([complex(u[0]), 1.0]),
                                    (0.0, t_total), rtol, 1e-12, tangent=True)
     bound = sum(sol.stats.steps for _, sol in segments) + carried.segments
     assert carried.stats.steps <= bound < restarted_steps

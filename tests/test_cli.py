@@ -21,10 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from cohspace import cli, kernels, liealg
+from labels import label
+from cohspace import causal, cli, errors, kernels, liealg
 from cohspace import io as artifacts
 from cohspace.errors import ConfigError, InvalidPointError
-from cohspace.kernels import Point, eval_kernel, space_from_descriptor
+from cohspace.kernels import eval_kernel, space_from_descriptor
 from cohspace.liealg import algebra_from_descriptor
 
 
@@ -179,6 +180,80 @@ def test_exit_2_names_the_first_bad_triple(tmp_path, monkeypatch, capsys, triple
                              tmp_path, monkeypatch, capsys)
     assert code == 2 and out == ""
     assert err == f"config error: triples[1]: {message}\n"
+
+
+_HALF = [[[0.5, 0, 1.0, 0.0]], *_TRIPLE[1:]]  # a fractional site in the first row
+
+
+@pytest.mark.parametrize("triples, message", [
+    ([_HALF, _with_row([0, True, 1.0, 0.0])], f"triples[0]: {_SITES}"),
+    ([_TRIPLE, [[[0.5, 0, 1.0, 0.0], [0, 0, float("nan"), 0.0]], *_TRIPLE[1:]]],
+     f"triples[1]: {_SITES}"),
+    ([_TRIPLE, [[[0, 0, float("nan"), 0.0], [0, True, 1.0, 0.0]], *_TRIPLE[1:]]],
+     "triples[1]: amplitudes re and im must be finite"),
+    ([_TRIPLE, [[[0.5, 0, 1.0, "1"]], *_TRIPLE[1:]]], f"triples[1]: {_ROWS}"),
+    ([_TRIPLE, _HALF, _TRIPLE[:2]], f"triples[1]: {_SITES}"),
+    ([_TRIPLE[:2], _with_row([0, 10**400, 1.0, 0.0])], "triples[0]: each entry must hold 3 "
+                                                        "sections [j, k, j']"),
+], ids=["earlier-triple-site", "earlier-row-site", "earlier-row-amplitude", "numbers-before-site",
+        "site-before-later-sections", "sections-before-later-rows"])
+def test_the_first_fault_in_reading_order_names_the_triple(tmp_path, monkeypatch, capsys,
+                                                           triples, message):
+    # the first bad triple is named; in it, its sections, then each row's numbers, then its sites
+    code, out, err = run_cli(["causal-check", "--triples", json.dumps(triples)],
+                             tmp_path, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"config error: {message}\n"
+
+
+_SPIN2 = ["--space", '{"kind":"spin","exponent":2}']
+_COHERENT_RUN = ["dyn-coherent"] + _SPIN2 + ["--z0", "[[1,0],[0,0]]", "--t-span", "[0,1]",
+                                            "--samples", "3", "--generator"]
+_GRAM_RUN = ["kernel-gram", "--count", "3", "--space"]
+_LIE_RUN = ["lie-evolve", "--algebra", "su2_qubit", "--observables", '["pauli_z"]', "--t-span",
+            "[0,1]", "--state"]
+_UNIT_FORM = json.dumps({"form": np.stack([np.eye(4), np.zeros((4, 4))], -1).tolist()})
+
+
+@pytest.mark.parametrize("args, message", [
+    (_COHERENT_RUN + ['[[[true,0],[0,0]],[[0,0],["1",0]]]'],
+     "'generator[0][0]' must be a finite number, got True"),
+    (_COHERENT_RUN + ["[[[1,0],[0,0]],[[0,0],[NaN,0]]]"],
+     "'generator[1][1]' must be a finite number, got nan"),
+    (_GRAM_RUN + ['{"kind":"debranges","coeffs":[[true,0],[0,3],[1,0]]}'],
+     "'space.coeffs[0]' must be a finite number, got True"),
+    (_GRAM_RUN + ['{"kind":"debranges","coeffs":[[1,0],[0,NaN],[1,0]]}'],
+     "'space.coeffs[1]' must be a finite number, got nan"),
+    (_GRAM_RUN + ['{"kind":"power","n":2,"base":{"kind":"debranges","coeffs":[[1,0],[0,"3"]]}}'],
+     "'space.base.coeffs[1]' must be a finite number, got '3'"),
+    (_GRAM_RUN + ['{"kind":"discrete","table":[[[1,0],[0,0]],[[0,0],[true,0]]]}'],
+     "'space.table[1][1]' must be a finite number, got True"),
+    (_GRAM_RUN + ['{"kind":"discrete","table":[[[1,0],[0,0]],[[0,0],[1,Infinity]]]}'],
+     "'space.table[1][1]' must be a finite number, got inf"),
+    (_GRAM_RUN + ['{"kind":"discrete","table":[[[1,0],[0,0]],[[0,0],[1]]]}'],
+     "'space.table[1][1]' must be a list of 2 numbers, got [1]"),
+    (_GRAM_RUN + ['{"kind":"discrete","table":[[[1,0],[0,0]],[[0,0]]]}'],
+     "'space.table[1]' must be a list of 2 lists, got [[0, 0]]"),
+    (["quantize", "--count", "6"] + _SPIN2
+     + ["--map", '{"kind":"linear","matrix":[[[1,0],[0,0]],[[0,0],["1",-0.0]]]}'],
+     "'map.matrix[1][1]' must be a finite number, got '1'"),
+    (["dyn-tdvp", "--z0", "[1,0]", "--t-span", "[0,1]", "--space", '{"kind":"spin","exponent":1}',
+      "--energy", '{"kind":"matrix","matrix":[[[1,0],[0,0]],[[0,0],[false,0]]]}'],
+     "'energy.matrix[1][1]' must be a finite number, got False"),
+    (_LIE_RUN + ['{"density":[[[1,0],[0,0]],[[0,0],[0,NaN]]]}', "--hamiltonian", "pauli_z"],
+     "'state.density[1][1]' must be a finite number, got nan"),
+    (_LIE_RUN + [_UNIT_FORM, "--hamiltonian", "[[0,0],[0,0],[0,0],[1,true]]"],
+     "'hamiltonian[3]' must be a finite number, got True"),
+], ids=["generator-bool-and-string", "generator-nan", "coeffs-bool", "coeffs-nan",
+        "base-coeffs-string", "table-bool", "table-inf", "table-one-number", "table-ragged",
+        "map-string", "energy-bool", "density-nan", "coefficient-bool"])
+def test_exit_2_names_the_first_bad_matrix_or_descriptor_entry(tmp_path, monkeypatch, capsys,
+                                                              args, message):
+    # each of these exited 0, exited 1 naming an overflow, or ended in a traceback
+    code, out, err = run_cli(args, tmp_path, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"config error: {message}\n"
+    assert not list(tmp_path.glob("cohspace-*"))
 
 
 def test_quantize_linear_map(tmp_path, monkeypatch, capsys):
@@ -1050,7 +1125,7 @@ def test_json_and_csv_formats_agree(tmp_path, monkeypatch, capsys):
     from cohspace.kernels import sample_points
     coords, _ = sample_points(space, rng, 4)
     assert g_csv[0, 1] == pytest.approx(
-        complex(eval_kernel(space, Point(coords[0]), Point(coords[1]))), abs=1e-15)
+        complex(eval_kernel(space, label(coords[0]), label(coords[1]))), abs=1e-15)
 
 
 _GRAM_SPACES = [{"kind": "spin", "exponent": 3}, {"kind": "klauder", "modes": 2},
@@ -1089,7 +1164,7 @@ def test_point_objects_with_multiplier(tmp_path, monkeypatch, capsys):
     assert code == 0
     payload = json.loads((tmp_path / "k.json").read_text())
     space = space_from_descriptor({"kind": "klauder", "modes": 1})
-    z_pt = Point([1, 0], 0.1 + 0.2j)
+    z_pt = label([1, 0], 0.1 + 0.2j)
     want = eval_kernel(space, z_pt, z_pt)
     assert complex(payload["re"], payload["im"]) == pytest.approx(want, rel=1e-12)
 
@@ -1193,7 +1268,7 @@ def _entry(dim):
 
 
 def _parsed(parse):
-    """("ok", coords, multipliers) of a parse, or (error kind, message)."""
+    """("ok", *arrays) of a parse, or (error kind, message)."""
     try:
         return ("ok",) + parse()
     except (ConfigError, ValueError) as exc:
@@ -1202,13 +1277,78 @@ def _parsed(parse):
         return "invalid-point", str(exc)
 
 
-@given(st.sampled_from([{"kind": "spin", "exponent": 2}, {"kind": "heisenberg", "modes": 1},
+_GOOD_ROWS = st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), _GOOD, _GOOD).map(list),
+                      max_size=2)
+# what a mutation puts in place of an item: bad numbers, odd lists and non-integral sites
+_ODD = st.one_of(st.sampled_from([0.5, -2.0, 1e300, 10**300, 2**53 + 2, float("nan"), 10**400]),
+                 _BAD, st.lists(_NUMBER, max_size=5), _GOOD)
+
+# numeric field -> (its sound config values, the package's reader, the one-number-at-a-time oracle)
+_FIELDS = {
+    "matrix": (st.integers(0, 3).flatmap(lambda n: st.lists(
+        st.lists(_GOOD_PAIR, min_size=n, max_size=n), min_size=n, max_size=n)),
+        lambda v: (errors.check_value("map.matrix", "matrix", v),),
+        lambda v: (oracles.number_array(v, "map.matrix", (None, None, 2), True),)),
+    "pairs": (st.lists(_GOOD_PAIR, max_size=3),
+              lambda v: (errors.check_value("space.coeffs", "pairs", v),),
+              lambda v: (oracles.number_array(v, "space.coeffs", (None, 2), True),)),
+    "rows": (st.lists(st.lists(_GOOD, min_size=5, max_size=5), max_size=3),
+             lambda v: (errors.check_numbers(v, "algebra.structure", (None, 5)),),
+             lambda v: (oracles.number_array(v, "algebra.structure", (None, 5)),)),
+    "fixed": (_GOOD_PAIR, lambda v: (errors.check_numbers(v, "t_span", (2,)),),
+              lambda v: (oracles.number_array(v, "t_span", (2,)),)),
+    "triples": (st.lists(st.lists(_GOOD_ROWS, min_size=3, max_size=3), max_size=3),
+                lambda v: tuple(causal.triples_from_rows(v)), oracles.triples_walk),
+}
+
+
+def _paths(x, at=()):
+    """The index path of nested lists x and of every item in them."""
+    yield at
+    if isinstance(x, list):
+        for i, item in enumerate(x):
+            yield from _paths(item, at + (i,))
+
+
+def _mutated(data, value):
+    """value with up to two of its items, or itself, replaced by an odd one."""
+    for _ in range(data.draw(st.integers(0, 2))):
+        *parent, last = data.draw(st.sampled_from(list(_paths(value))[::-1])) or [None]
+        if last is None:
+            value = data.draw(_ODD)
+            continue
+        holder = value
+        for i in parent:
+            holder = holder[i]
+        holder[last] = data.draw(_ODD)
+    return value
+
+
+@given(st.sampled_from(["points"] * 6 + ["fields"]),
+       st.sampled_from([{"kind": "spin", "exponent": 2}, {"kind": "heisenberg", "modes": 1},
                         {"kind": "trivial", "dim": 1}]), st.data())
-@settings(max_examples=400)
-def test_points_parse_as_the_per_entry_route(desc, data):
+@settings(max_examples=480)
+def test_points_parse_as_the_per_entry_route(kind, desc, data):
     """The one-conversion parse gives the bits and the first error of the
-    per-entry parse kept in oracles (label_entry, then label_stack)."""
-    space = space_from_descriptor(desc)
+    per-entry parse kept in oracles: label_entry, then label_stack, for
+    points; number_array for each numeric field and triples_walk for triples."""
+    if kind == "points":
+        cases = [_parsed_points(space_from_descriptor(desc), data)]
+    else:
+        values = [(_mutated(data, data.draw(field[0])), field) for field in _FIELDS.values()]
+        cases = [[_parsed(lambda: route(value)) for route in field[1:]] for value, field in values]
+    for got, want in cases:
+        assert got[0] == want[0], (got, want)
+        if got[0] != "ok":
+            assert got[1] == want[1]
+            continue
+        for a, b in zip(got[1:], want[1:]):
+            assert (a is None) == (b is None)
+            assert a is None or (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def _parsed_points(space, data):
+    """The parse of drawn points by the CLI and by the oracle."""
     line = space.projective_degree is not None
     entries = data.draw(st.lists(_good_entry(space), min_size=1, max_size=6))
     for _ in range(data.draw(st.integers(0, 2))):  # up to two entries replaced or appended
@@ -1226,14 +1366,7 @@ def test_points_parse_as_the_per_entry_route(desc, data):
         return oracles.label_stack(labels, space.label_dim, line,
                                    lambda c, m: kernels.check_stack(space, c, m))
 
-    got, want = _parsed(stacked), _parsed(oracle)
-    assert got[0] == want[0], (got, want)
-    if got[0] != "ok":
-        assert got[1] == want[1]
-        return
-    assert got[1].shape == want[1].shape and got[1].tobytes() == want[1].tobytes()
-    assert (got[2] is None) == (want[2] is None)
-    assert got[2] is None or got[2].tobytes() == want[2].tobytes()
+    return _parsed(stacked), _parsed(oracle)
 
 
 def test_exit_1_names_a_span_too_long_for_the_float_resolution_of_t(tmp_path, monkeypatch,

@@ -14,9 +14,10 @@ import warnings
 import numpy as np
 import pytest
 
+from labels import label
 from cohspace.errors import ConfigError, NumericalError, StiffnessError
 from cohspace.integrate import solve_rk45
-from cohspace.kernels import Point, spin_space
+from cohspace.kernels import spin_space
 from cohspace.reps import SpinRep
 from cohspace.tdvp import MatrixExpectation, chart_for, chart_rhs
 
@@ -199,11 +200,11 @@ def _linear_cases():
            np.linspace(0.0, 10.0 / 1.1, 33), 1e-9, 1e-12)
     # criterion 5: the variational chart flow of spin 4 under 1.1 J_z
     sp = spin_space(4)
-    z = Point(np.array([0.8, 0.48 + 0.36j]) / np.linalg.norm([0.8, 0.48 + 0.36j]))
-    chart = chart_for(sp, z)
+    z = label(np.array([0.8, 0.48 + 0.36j]) / np.linalg.norm([0.8, 0.48 + 0.36j]))
+    chart, u = chart_for(sp, z)
     energy = MatrixExpectation(SpinRep(4).dgamma(1.1 * np.diag([0.5, -0.5]).astype(complex)))
     rhs = chart_rhs(chart, energy.on(chart), 1.0)
-    yield rhs, chart.coords(z), np.linspace(0.0, 8.0, 17), 1e-9, 1e-12
+    yield rhs, u, np.linspace(0.0, 8.0, 17), 1e-9, 1e-12
 
 
 def test_dense_samples_match_step_hitting_oracle():
@@ -304,10 +305,10 @@ def _spin40_chart_flow():
     axis = np.array([0.3, 0.5, 0.8]) / np.linalg.norm([0.3, 0.5, 0.8])
     a = 1.1 * (axis[0] * np.array([[0, 1], [1, 0]]) + axis[1] * np.array([[0, -1j], [1j, 0]])
                + axis[2] * np.diag([1, -1])).astype(complex) / 2
-    z = Point(np.array([0.8, 0.48 + 0.36j]) / np.linalg.norm([0.8, 0.48 + 0.36j]))
-    chart = chart_for(spin_space(40), z)  # |w| stays below 1 on [0, 7.5]: no chart switch
+    z = label(np.array([0.8, 0.48 + 0.36j]) / np.linalg.norm([0.8, 0.48 + 0.36j]))
+    chart, u = chart_for(spin_space(40), z)  # |w| stays below 1 on [0, 7.5]: no chart switch
     energy = MatrixExpectation(SpinRep(40).dgamma(a))
-    return chart_rhs(chart, energy.on(chart), 1.0), chart.coords(z)
+    return chart_rhs(chart, energy.on(chart), 1.0), u
 
 
 @pytest.mark.parametrize("case", ["pendulum", "tdvp-spin40"])

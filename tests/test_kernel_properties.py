@@ -6,9 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labels import sampled, stack
+from labels import label, sampled, stack
 from cohspace.kernels import (
-    Point,
     check_coherence,
     classical_limit_space,
     cross_gram,
@@ -44,21 +43,21 @@ def spinor(draw):
     if n < 1e-3:
         v = np.array([1.0 + 0j, 0.0j])
         n = 1.0
-    return Point(v / n)
+    return label(v / n)
 
 
 @st.composite
 def klauder_pt(draw):
     v = draw(cvec(2))
-    return Point(np.array([0.3 * v[0], 0.8 * v[1]]))
+    return label(np.array([0.3 * v[0], 0.8 * v[1]]))
 
 
 @given(cvec(3), cvec(3))
 @settings(max_examples=150)
 def test_trivial_hermitian(a, b):
     sp = trivial_space(3)
-    k = eval_kernel(sp, Point(a), Point(b))
-    assert abs(k - np.conj(eval_kernel(sp, Point(b), Point(a)))) <= 1e-12 * (1 + abs(k))
+    k = eval_kernel(sp, label(a), label(b))
+    assert abs(k - np.conj(eval_kernel(sp, label(b), label(a)))) <= 1e-12 * (1 + abs(k))
 
 
 @given(klauder_pt(), klauder_pt())
@@ -88,8 +87,8 @@ def test_klauder_small_grams_psd(pts):
 def test_power_square_is_product(a, b):
     base = trivial_space(2)
     sq = power_space(base, 2)
-    k = eval_kernel(base, Point(a), Point(b))
-    assert eval_kernel(sq, Point(a), Point(b)) == k * k
+    k = eval_kernel(base, label(a), label(b))
+    assert eval_kernel(sq, label(a), label(b)) == k * k
 
 
 # ------------------------------------------- batched kernels vs per-pair oracle
@@ -99,7 +98,7 @@ def test_power_square_is_product(a, b):
 
 
 def _vdot(z, w):
-    return complex(np.vdot(z.coords, w.coords))
+    return complex(np.vdot(z[0][0], w[0][0]))
 
 
 def _debranges(coeffs):
@@ -119,7 +118,7 @@ def _debranges(coeffs):
         return de(x.conjugate()).conjugate()
 
     def k(z, w):
-        zb, x = complex(z.coords[0]).conjugate(), complex(w.coords[0])
+        zb, x = complex(z[0][0][0]).conjugate(), complex(w[0][0][0])
         if abs(zb - x) <= 1e-8 * (1.0 + abs(zb) + abs(x)):
             m = 0.5 * (zb + x)
             return (es(m) * de(m) - e(m) * des(m)) / (-2j)
@@ -129,12 +128,12 @@ def _debranges(coeffs):
 
 
 def _klauder(z, w):
-    return cmath.exp(z.coords[0].conjugate() + w.coords[0] + complex(np.vdot(z.coords[1:], w.coords[1:])))
+    return cmath.exp(z[0][0][0].conjugate() + w[0][0][0] + complex(np.vdot(z[0][0][1:], w[0][0][1:])))
 
 
 def _heisenberg(hbar):
     def k(z, w):
-        return z.multiplier * w.multiplier * cmath.exp(complex(np.sum(z.coords * w.coords)) / hbar)
+        return z[1][0] * w[1][0] * cmath.exp(complex(np.sum(z[0][0] * w[0][0])) / hbar)
 
     return k
 
@@ -156,10 +155,10 @@ CATALOG = {
     "klauder2": (lambda: klauder_space(2), _klauder),
     "spin3": (lambda: spin_space(3), lambda z, w: _vdot(z, w) ** 3),
     "spin2.5": (lambda: spin_space(2.5), _fractional(2.5)),
-    "spin_t": (lambda: spin_t_space(2), lambda z, w: complex(np.sum(z.coords * w.coords)) ** 2),
+    "spin_t": (lambda: spin_t_space(2), lambda z, w: complex(np.sum(z[0][0] * w[0][0])) ** 2),
     "classical_limit": (
         lambda: classical_limit_space(2),
-        lambda z, w: 1.0 + 0j if all(abs(a.conjugate() - b) <= 1e-12 for a, b in zip(z.coords, w.coords)) else 0j,
+        lambda z, w: 1.0 + 0j if all(abs(a.conjugate() - b) <= 1e-12 for a, b in zip(z[0][0], w[0][0])) else 0j,
     ),
     "power": (lambda: power_space(klauder_space(1), 3), lambda z, w: _klauder(z, w) ** 3),
     "power_heisenberg": (lambda: power_space(heisenberg_space(1), 2), lambda z, w: _heisenberg(1.0)(z, w) ** 2),
@@ -167,11 +166,11 @@ CATALOG = {
     "debranges2": (lambda: debranges_space([-2.0, 3j, 1.0]), _debranges([-2.0, 3j, 1.0])),
     "moebius": (
         lambda: moebius_space(),
-        lambda z, w: 1.0 / (z.coords[0].conjugate() * w.coords[0] - z.coords[1].conjugate() * w.coords[1]),
+        lambda z, w: 1.0 / (z[0][0][0].conjugate() * w[0][0][0] - z[0][0][1].conjugate() * w[0][0][1]),
     ),
     "discrete": (
         lambda: discrete_space(_TABLE),
-        lambda z, w: complex(_TABLE[int(round(z.coords[0].real)), int(round(w.coords[0].real))]),
+        lambda z, w: complex(_TABLE[int(round(z[0][0][0].real)), int(round(w[0][0][0].real))]),
     ),
     "icosahedron": (lambda: icosahedron_space(), _vdot),
     "heisenberg": (lambda: heisenberg_space(2, hbar=0.7), _heisenberg(0.7)),
@@ -185,8 +184,7 @@ def _oracle(k, left, right):
 def _labels(sp, seed, count, mirrored):
     """Sampled points plus conjugates of the first few (exercising z' = conj z)."""
     pts = sampled(sp, np.random.default_rng(seed), count)
-    return pts + [Point(p.coords.conj(), None if p.multiplier is None else np.conj(p.multiplier))
-                  for p in pts[:mirrored]]
+    return pts + [(c.conj(), None if m is None else m.conj()) for c, m in pts[:mirrored]]
 
 
 @given(st.sampled_from(sorted(CATALOG)), st.integers(0, 2**32 - 1), st.integers(1, 7),

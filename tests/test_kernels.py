@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 import oracles
-from labels import points, sampled, stack
+from labels import label, points, sampled, stack
 from cohspace.errors import ConfigError, InvalidPointError
 from cohspace.kernels import (
-    Point,
     check_coherence,
     check_stack,
     classical_limit_space,
@@ -60,15 +59,15 @@ def hermitian_catalog():
 
 def test_trivial_kernel_is_standard_inner_product():
     sp = trivial_space(3)
-    z = Point([1 + 2j, 0.5, -1j])
-    w = Point([2.0, 1j, 0.25])
-    assert eval_kernel(sp, z, w) == np.vdot(z.coords, w.coords)
+    z = label([1 + 2j, 0.5, -1j])
+    w = label([2.0, 1j, 0.25])
+    assert eval_kernel(sp, z, w) == np.vdot(z[0][0], w[0][0])
 
 
 def test_klauder_value_matches_closed_form():
     sp = klauder_space(1)
-    z = Point([0.3 + 0.1j, 0.2 - 0.5j])
-    w = Point([-0.1j, 0.4 + 0.2j])
+    z = label([0.3 + 0.1j, 0.2 - 0.5j])
+    w = label([-0.1j, 0.4 + 0.2j])
     expected = np.exp(np.conj(0.3 + 0.1j) + (-0.1j) + np.conj(0.2 - 0.5j) * (0.4 + 0.2j))
     assert eval_kernel(sp, z, w) == pytest.approx(expected, rel=1e-15)
 
@@ -80,7 +79,7 @@ def test_spin_kernel_matches_monomial_embedding():
         rng = np.random.default_rng(RNG_SEED + n)
         z, w = sampled(sp, rng, 2)
         lhs = eval_kernel(sp, z, w)
-        rhs = np.vdot(oracles.spin_monomial_embed(n, z.coords), oracles.spin_monomial_embed(n, w.coords))
+        rhs = np.vdot(oracles.spin_monomial_embed(n, z[0][0]), oracles.spin_monomial_embed(n, w[0][0]))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -115,7 +114,7 @@ def test_euclidean_subset_samples_lie_in_their_own_ball():
 def test_euclidean_subset_rejects_outside_points():
     sub = euclidean_subset(2)
     with pytest.raises(InvalidPointError):
-        eval_kernel(sub, Point([1.5, 0.0]), Point([0.1, 0.0]))
+        eval_kernel(sub, label([1.5, 0.0]), label([0.1, 0.0]))
 
 
 # ------------------------------------------------------------ symmetry / PSD
@@ -202,20 +201,20 @@ def _checked_catalog():
 def _invalid_points(sp, good):
     """(label, verdict) for each way a label can go wrong in sp: True when it
     must be rejected, False when it must pass, None when the kind decides."""
-    d, m = sp.label_dim, good.multiplier
-    cases = [(Point(np.zeros(d + 1), m), True), (Point(np.full(d, np.nan), m), True),
-             (Point(np.r_[np.inf, np.zeros(d - 1)], m), True),
-             (Point(np.full(d, complex(0.0, -np.inf)), m), True)]
+    d, m = sp.label_dim, None if good[1] is None else good[1][0]
+    cases = [(label(np.zeros(d + 1), m), True), (label(np.full(d, np.nan), m), True),
+             (label(np.r_[np.inf, np.zeros(d - 1)], m), True),
+             (label(np.full(d, complex(0.0, -np.inf)), m), True)]
     if sp.projective_degree is not None:
-        cases += [(Point(good.coords), True), (Point(good.coords, complex(np.nan, 1.0)), True),
-                  (Point(np.full(d, np.nan)), True)]
+        cases += [(label(good[0][0]), True), (label(good[0][0], complex(np.nan, 1.0)), True),
+                  (label(np.full(d, np.nan)), True)]
     if sp.constraint is not None or sp.domain is not None:
         unit = sp.constraint_name == "unit spinor norm"
-        one_off = good.coords + np.r_[np.zeros(d - 1), 0.5]  # the last coordinate moved
-        cases += [(Point(np.full(d, 5.0), m), True),
-                  (Point(one_off, m), True if sp.constraint is not None else None),
-                  (Point(good.coords * (1 + 3e-12), m), True if unit else None),
-                  (Point(good.coords * (1 + 3e-13), m), False)]
+        one_off = good[0][0] + np.r_[np.zeros(d - 1), 0.5]  # the last coordinate moved
+        cases += [(label(np.full(d, 5.0), m), True),
+                  (label(one_off, m), True if sp.constraint is not None else None),
+                  (label(good[0][0] * (1 + 3e-12), m), True if unit else None),
+                  (label(good[0][0] * (1 + 3e-13), m), False)]
     return cases
 
 
@@ -224,7 +223,7 @@ def _first_rejection(sp, pts):
     rejects on its own, or None: the per-point route, kept as the oracle."""
     for i, p in enumerate(pts):
         try:
-            check_stack(sp, *stack([p], len(p.coords)))
+            check_stack(sp, *stack([p], p[0].shape[1]))
         except InvalidPointError as exc:
             return i, type(exc), str(exc)
     return None
@@ -247,8 +246,8 @@ def test_the_stacked_check_agrees_with_the_per_point_route():
             if verdict is not None:
                 assert (_first_rejection(sp, [bad]) is not None) == verdict, (sp.kind, bad)
         # the labels a stack can hold: d coordinates, multipliers on a line bundle
-        bad = [b for b, _ in cases if b.coords.shape == (sp.label_dim,)
-               and (b.multiplier is None) == (sp.projective_degree is None)]
+        bad = [b for b, _ in cases if b[0][0].shape == (sp.label_dim,)
+               and (b[1] is None) == (sp.projective_degree is None)]
         lists = ([good] + [good[:2] + [b] + good[2:] for b in bad]
                  + [[b, c] + good for b, c in zip(bad, bad[1:] + bad[:1])])
         for pts in lists:
@@ -380,12 +379,12 @@ def test_debranges_branch_consistency_order_one():
     # generic branch must converge to the diagonal branch as z' -> conj(z),
     # with convergence order >= 1
     sp = debranges_space([-2.0, 3j, 1.0])
-    z = Point([0.4 + 0.7j])
-    diag = eval_kernel(sp, z, Point([np.conj(z.coords[0])]))
+    z = label([0.4 + 0.7j])
+    diag = eval_kernel(sp, z, label([np.conj(z[0][0][0])]))
     hs = np.array([1e-1, 1e-2, 1e-3, 1e-4])
     errs = []
     for h in hs:
-        w = Point([np.conj(z.coords[0]) + h * np.exp(0.3j)])
+        w = label([np.conj(z[0][0][0]) + h * np.exp(0.3j)])
         errs.append(abs(eval_kernel(sp, z, w) - diag))
     errs = np.array(errs)
     order = np.polyfit(np.log(hs), np.log(errs), 1)[0]
@@ -394,9 +393,9 @@ def test_debranges_branch_consistency_order_one():
 
 def test_debranges_hermitian_across_branches():
     sp = debranges_space([-2.0, 3j, 1.0])
-    z = Point([0.2 - 0.9j])
+    z = label([0.2 - 0.9j])
     # z' exactly conjugate-diagonal: both orders must hit the diagonal branch
-    w = Point([np.conj(z.coords[0])])
+    w = label([np.conj(z[0][0][0])])
     k, k2 = eval_kernel(sp, z, w), eval_kernel(sp, w, z)
     assert abs(k - np.conj(k2)) <= 1e-13 * (1 + abs(k))
 
@@ -420,15 +419,15 @@ def test_moebius_kernel_psd_and_geometric_series():
     assert check_coherence(sp, *stack(pts, 2)).passed
     # value agrees with the geometric-series feature expansion
     z, w = pts[0], pts[1]
-    a = np.conj(z.coords[0]) * w.coords[0]
-    b = np.conj(z.coords[1]) * w.coords[1]
+    a = np.conj(z[0][0][0]) * w[0][0][0]
+    b = np.conj(z[0][0][1]) * w[0][0][1]
     series = sum((b / a) ** n / a for n in range(200))
     assert eval_kernel(sp, z, w) == pytest.approx(series, rel=1e-12)
 
 
 def mapped(label_map, z):
-    """The image of the Point z under a map of label stacks."""
-    return Point(label_map(z.coords[None])[0], z.multiplier)
+    """The image of the label z under a map of label stacks."""
+    return label_map(z[0]), z[1]
 
 
 def maps_into_domain(sp, matrix, pts):
@@ -449,29 +448,29 @@ def test_moebius_semigroup_members_and_nonmembers():
     pts = sampled(sp, rng, 40)
     # points of the cone {|z1| > |z2|} right up to its boundary, all phases
     phases = np.exp(2j * np.pi * np.arange(16) / 16)
-    pts += [Point([1.0, 0.999 * ph]) for ph in phases]
+    pts += [label([1.0, 0.999 * ph]) for ph in phases]
     assert maps_into_domain(sp, np.diag([1.0, 0.5]), pts)
     assert maps_into_domain(sp, np.array([[2.0, 0.1], [0.05, 1.0]]), pts)
     # the swap map sends every point of the domain out of it
     assert not maps_into_domain(sp, np.array([[0.0, 1.0], [1.0, 0.0]]), pts)
     # |beta| > alpha: (1, -0.66) -> (1 - 0.99, -0.066) leaves the domain
-    assert not maps_into_domain(sp, np.array([[1.0, 1.5], [0.0, 0.1]]), [Point([1.0, -0.66])])
+    assert not maps_into_domain(sp, np.array([[1.0, 1.5], [0.0, 0.1]]), [label([1.0, -0.66])])
 
 
 def test_moebius_semigroup_numbers_worked_by_hand():
     sp = moebius_space()
     # A = [[6, 0.5], [1, 4i]]: A (1, 0) = (6, 1), so K((1, 0), A (1, 0)) = 1/6
     member = np.array([[6.0, 0.5], [1.0, 4j]])
-    image = mapped(linear_point_map(member), Point([1.0, 0.0]))
-    np.testing.assert_array_equal(image.coords, [6.0, 1.0])
-    assert eval_kernel(sp, Point([1.0, 0.0]), image) == pytest.approx(1.0 / 6.0, rel=1e-15)
-    edge = [Point([1.0, 0.999 * np.exp(2j * np.pi * k / 32)]) for k in range(32)]
+    image = mapped(linear_point_map(member), label([1.0, 0.0]))
+    np.testing.assert_array_equal(image[0][0], [6.0, 1.0])
+    assert eval_kernel(sp, label([1.0, 0.0]), image) == pytest.approx(1.0 / 6.0, rel=1e-15)
+    edge = [label([1.0, 0.999 * np.exp(2j * np.pi * k / 32)]) for k in range(32)]
     assert maps_into_domain(sp, member, edge)
     # A = [[3, 1], [1, 4i]]: A (1, -0.9i) = (3 - 0.9i, 4.6), and |3 - 0.9i| < 4.6
     nonmember = np.array([[3.0, 1.0], [1.0, 4j]])
-    image = mapped(linear_point_map(nonmember), Point([1.0, -0.9j]))
-    np.testing.assert_allclose(image.coords, [3.0 - 0.9j, 4.6], rtol=0, atol=1e-15)
-    assert not maps_into_domain(sp, nonmember, [Point([1.0, -0.9j])])
+    image = mapped(linear_point_map(nonmember), label([1.0, -0.9j]))
+    np.testing.assert_allclose(image[0][0], [3.0 - 0.9j, 4.6], rtol=0, atol=1e-15)
+    assert not maps_into_domain(sp, nonmember, [label([1.0, -0.9j])])
 
 
 def test_moebius_member_maps_preserve_domain_and_adjoint_identity():
@@ -508,7 +507,7 @@ def test_spin_t_involutive_identity():
     for _ in range(50):
         z, w = sampled(sp, rng, 2)
         k = eval_kernel(sp, z, w)
-        k_conj_labels = eval_kernel(sp, Point(z.coords.conj()), Point(w.coords.conj()))
+        k_conj_labels = eval_kernel(sp, label(z[0][0].conj()), label(w[0][0].conj()))
         assert np.conj(k) == pytest.approx(k_conj_labels, rel=1e-12)
     with pytest.raises(InvalidPointError):
         check_coherence(sp, *sample_points(sp, rng, 3))
@@ -520,7 +519,7 @@ def test_heisenberg_projective_degree_one_exact():
     rng = np.random.default_rng(RNG_SEED)
     z, w = sampled(sp, rng, 2)
     for alpha in (2.0, -0.3 + 1.7j, 1j):
-        scaled = Point(z.coords, alpha * z.multiplier)
+        scaled = z[0], alpha * z[1]
         assert eval_kernel(sp, scaled, w) == pytest.approx(alpha * eval_kernel(sp, z, w), rel=1e-12)
 
 
@@ -529,12 +528,12 @@ def test_heisenberg_involutive_identity_and_bilinearity():
     rng = np.random.default_rng(RNG_SEED)
     z, w = sampled(sp, rng, 2)
     k = eval_kernel(sp, z, w)
-    zc, wc = (Point(p.coords.conj(), np.conj(p.multiplier)) for p in (z, w))
+    zc, wc = ((c.conj(), m.conj()) for c, m in (z, w))
     assert np.conj(k) == pytest.approx(eval_kernel(sp, zc, wc), rel=1e-12)
     # bilinear (not sesquilinear) in the multipliers
-    assert eval_kernel(sp, Point(z.coords, 1j * z.multiplier), w) == pytest.approx(1j * k, rel=1e-12)
+    assert eval_kernel(sp, (z[0], 1j * z[1]), w) == pytest.approx(1j * k, rel=1e-12)
     with pytest.raises(InvalidPointError):
-        eval_kernel(sp, Point(z.coords), w)  # missing multiplier
+        eval_kernel(sp, (z[0], None), w)  # missing multiplier
 
 
 # ------------------------------------------------------- discrete / icosahedron
@@ -554,13 +553,13 @@ def test_icosahedron_gram_rank_three():
 def test_icosahedron_rejects_non_vertex():
     sp = icosahedron_space()
     with pytest.raises(InvalidPointError):
-        eval_kernel(sp, Point([1.0, 0.0, 0.0]), Point([0.0, 1.0, 0.0]))
+        eval_kernel(sp, label([1.0, 0.0, 0.0]), label([0.0, 1.0, 0.0]))
 
 
 def test_discrete_space_table_lookup():
     tab = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
     sp = discrete_space(tab)
-    assert eval_kernel(sp, Point([0.0]), Point([1.0])) == 0.5j
+    assert eval_kernel(sp, label([0.0]), label([1.0])) == 0.5j
     assert sp.hermitian
     assert check_coherence(sp, np.array([[0.0], [1.0]], dtype=complex)).passed
 
@@ -598,6 +597,6 @@ def test_sampled_points_are_valid_everywhere():
 def test_point_shape_mismatch_raises():
     sp = trivial_space(3)
     with pytest.raises(InvalidPointError):
-        eval_kernel(sp, Point([1.0, 2.0]), Point([1.0, 2.0, 3.0]))
+        eval_kernel(sp, label([1.0, 2.0]), label([1.0, 2.0, 3.0]))
     with pytest.raises(InvalidPointError):
-        eval_kernel(sp, Point([np.nan, 0.0, 0.0]), Point([1.0, 2.0, 3.0]))
+        eval_kernel(sp, label([np.nan, 0.0, 0.0]), label([1.0, 2.0, 3.0]))

@@ -430,3 +430,37 @@ def test_descriptor_rejects_garbage():
     data["structure"][0][3] = 99.0  # breaks antisymmetry -> axiom failure
     with pytest.raises(AlgebraAxiomError):
         algebra_from_descriptor(data)
+
+
+def test_descriptor_rows_parse_to_the_catalog_bits():
+    # every catalog algebra through its JSON descriptor, which lists the
+    # nonzero entries: their bits come back, -0.0 parts included
+    for build in CATALOG.values():
+        alg = build()[0]
+        back = algebra_from_descriptor(json.loads(json.dumps(algebra_descriptor(alg))))
+        for got, want in ((back.structure, alg.structure), (back.involution, alg.involution)):
+            assert got.tobytes() == np.where(want != 0, want, 0).tobytes()
+
+
+_INDICES = "must start with {} indices in 0..3, got"
+
+
+@pytest.mark.parametrize("key, row, message", [
+    ("structure", [-1, 0.7, "1", True, 0], "'algebra.structure[1]' must be a finite number, got '1'"),
+    ("structure", [-1, 0, 1, 1, 0], f"'algebra.structure[1]' {_INDICES.format(3)} [-1, 0, 1, 1, 0]"),
+    ("structure", [0.5, 0, 1, 1, 0], f"'algebra.structure[1]' {_INDICES.format(3)} [0.5, 0, 1, 1, 0]"),
+    ("structure", [1, 2, 4, 1, 0], f"'algebra.structure[1]' {_INDICES.format(3)} [1, 2, 4, 1, 0]"),
+    ("structure", [1, 2, 3, float("nan"), 0],
+     "'algebra.structure[1]' must be a finite number, got nan"),
+    ("structure", [1, 2, 3, 1], "'algebra.structure[1]' must be a list of 5 numbers, got [1, 2, 3, 1]"),
+    ("involution", [0, 4, 1, 0], f"'algebra.involution[1]' {_INDICES.format(2)} [0, 4, 1, 0]"),
+    ("involution", [0, 0, True, 0], "'algebra.involution[1]' must be a finite number, got True"),
+], ids=["string-and-bool", "negative-index", "fractional-index", "index-beyond-dim", "nan-value",
+        "short-row", "involution-index", "involution-bool"])
+def test_descriptor_rows_name_the_first_bad_row(key, row, message):
+    # the first row stays sound; the second used to be read with int() and float()
+    data = json.loads(json.dumps(algebra_descriptor(su2_qubit()[0])))
+    data[key][1] = row
+    with pytest.raises(ConfigError) as exc:
+        algebra_from_descriptor(data)
+    assert str(exc.value) == message

@@ -8,9 +8,9 @@ import scipy.linalg
 import scipy.stats
 
 import oracles
+from labels import label
 from cohspace.errors import SpanEscapeError, StepSizeError
 from cohspace.kernels import (
-    Point,
     eval_kernel,
     icosahedron_space,
     icosahedron_vertices,
@@ -52,7 +52,7 @@ def test_quantized_map_reproduces_kernel_matrix_elements():
     for j in range(7):
         for i in range(7):
             lhs = np.vdot(qb.factor[:, j], q.matrix @ qb.factor[:, i])
-            rhs = eval_kernel(sp, Point(pts[j]), Point(a @ pts[i]))
+            rhs = eval_kernel(sp, label(pts[j]), label(a @ pts[i]))
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-10)
     assert q.residual <= 5e-8  # rank-complete basis: residual at the sqrt(eps) floor
 

@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg
 
 import oracles
-from labels import sampled
-from cohspace.kernels import Point, eval_kernel, klauder_space, spin_space
+from labels import label, sampled
+from cohspace.kernels import eval_kernel, klauder_space, spin_space
 from cohspace.reps import SpinRep, propagate_eig
 
 SEED = 5
@@ -17,7 +17,7 @@ def test_spin_embed_reproduces_kernel():
     for n in (1, 2, 4):
         sp = spin_space(n)
         z, w = sampled(sp, rng, 2)
-        embed_z, embed_w = (oracles.spin_monomial_embed(n, p.coords) for p in (z, w))
+        embed_z, embed_w = (oracles.spin_monomial_embed(n, p[0][0]) for p in (z, w))
         assert np.vdot(embed_z, embed_w) == pytest.approx(eval_kernel(sp, z, w), rel=1e-12)
 
 
@@ -45,9 +45,9 @@ def test_spin_gamma_is_multiplicative_and_matches_embedding():
     b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     (z,) = sampled(sp, rng, 1)
     # intertwining with the embedding
-    az = Point(a @ z.coords)
-    np.testing.assert_allclose(rep.gamma(a) @ oracles.spin_monomial_embed(n, z.coords),
-                               oracles.spin_monomial_embed(n, az.coords), rtol=1e-11, atol=1e-12)
+    az = label(a @ z[0][0])
+    np.testing.assert_allclose(rep.gamma(a) @ oracles.spin_monomial_embed(n, z[0][0]),
+                               oracles.spin_monomial_embed(n, az[0][0]), rtol=1e-11, atol=1e-12)
     # multiplicativity
     np.testing.assert_allclose(rep.gamma(a @ b), rep.gamma(a) @ rep.gamma(b), rtol=1e-10, atol=1e-12)
     # exponential consistency with the derivation action
@@ -60,7 +60,7 @@ def test_fock_embed_matches_oracle_and_kernel():
     rng = np.random.default_rng(SEED)
     sp = klauder_space(1)
     z, w = sampled(sp, rng, 2)
-    embed_z, embed_w = (oracles.fock_coherent(64, *p.coords) for p in (z, w))
+    embed_z, embed_w = (oracles.fock_coherent(64, *p[0][0]) for p in (z, w))
     assert np.vdot(embed_z, embed_w) == pytest.approx(eval_kernel(sp, z, w), rel=1e-12)
 
 

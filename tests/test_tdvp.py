@@ -17,11 +17,10 @@ import numpy as np
 import pytest
 
 import oracles
-from labels import chart_point, points, sampled
+from labels import chart_point, label, points, sampled
 from cohspace.dynamics import coherent_flow
 from cohspace.errors import IntegratorFailure
 from cohspace.kernels import (
-    Point,
     eval_kernel,
     klauder_space,
     power_space,
@@ -45,7 +44,7 @@ SZ = np.diag([0.5, -0.5]).astype(complex)
 
 def unit_spinor(a, b):
     v = np.array([a, b], dtype=complex)
-    return Point(v / np.linalg.norm(v))
+    return label(v / np.linalg.norm(v))
 
 
 # ------------------------------------------------------------------- charts
@@ -56,20 +55,20 @@ def test_sphere_chart_roundtrip_and_embedding():
         chart = SphereChart(5, south=south)
         u = np.array([0.6 - 1.1j])
         p = chart_point(chart, u)
-        assert np.linalg.norm(p.coords) == pytest.approx(1.0, abs=1e-14)
-        np.testing.assert_allclose(chart.coords(p), u, atol=1e-14)
+        assert np.linalg.norm(p[0][0]) == pytest.approx(1.0, abs=1e-14)
+        np.testing.assert_allclose(chart.coords(p[0])[0], u, atol=1e-14)
         # embedding is the unnormalized monomial lift: proportional to the
         # representation embedding of the chart point, scale s^n
         v = chart.embedding(u)
         s = 1.0 / np.sqrt(1.0 + abs(u[0]) ** 2)
-        np.testing.assert_allclose(oracles.spin_monomial_embed(5, p.coords), v * s**5, atol=1e-14)
+        np.testing.assert_allclose(oracles.spin_monomial_embed(5, p[0][0]), v * s**5, atol=1e-14)
 
 
 def test_flat_chart_embedding_matches_fock():
     chart = FlatChart(z0=0.15 + 0.1j)
     u = np.array([0.7 - 0.35j])
     np.testing.assert_allclose(
-        chart.embedding(u), oracles.fock_coherent(64, *chart_point(chart, u).coords), atol=1e-14
+        chart.embedding(u), oracles.fock_coherent(64, *chart_point(chart, u)[0][0]), atol=1e-14
     )
     # inner products of embeddings reproduce the kernel
     sp = klauder_space(1)
@@ -105,13 +104,13 @@ def test_spin_metric_matches_fd_of_log_kernel():
 
 def chart_metric(space, z):
     """The scalar metric of the space's chart at the label z."""
-    chart = chart_for(space, z)
-    return chart.scalar_metric(chart.coords(z)[0])
+    chart, u = chart_for(space, z)
+    return chart.scalar_metric(u[0])
 
 
 def test_metric_dispatch_values():
     # chart_for picks the chart whose metric is the Kaehler metric of the kernel
-    assert chart_metric(klauder_space(1), Point([0.1, 0.2j])) == 1.0
+    assert chart_metric(klauder_space(1), label([0.1, 0.2j])) == 1.0
     assert chart_metric(spin_space(5), unit_spinor(1.0, 0.0)) == pytest.approx(5.0, abs=1e-14)
     # K_3^2 = K_6, so the metric d dbar log K of spin 6 is twice that of spin 3
     z, w = unit_spinor(1.0, 0.45 - 0.2j), unit_spinor(0.3, 1.0)
@@ -398,22 +397,22 @@ def test_one_energy_gives_each_chart_side_its_own_stack():
 def test_oscillator_tdvp_matches_exact():
     omega = 1.3
     sp = klauder_space(1)
-    z0 = Point([0.1 + 0.05j, 0.8 - 0.4j])
+    z0 = label([0.1 + 0.05j, 0.8 - 0.4j])
     en = MatrixExpectation(omega * np.diag(np.arange(64, dtype=float)))
     t_eval = np.linspace(0.0, 7.0, 61)
     traj = dirac_frenkel_flow(sp, en, z0, (0.0, 7.0), t_eval=t_eval, rtol=1e-10)
-    zeta0 = z0.coords[1]
+    zeta0 = z0[0][0][1]
     exact = zeta0 * np.exp(-1j * omega * t_eval)
-    got = np.array([p.coords[1] for p in points(traj.coords, traj.multipliers)])
+    got = np.array([p[0][0][1] for p in points(traj.coords, traj.multipliers)])
     np.testing.assert_allclose(got, exact, atol=5e-9)
     # spectator z0 untouched, energies flat, norms constant (|zeta| preserved)
-    assert all(p.coords[0] == z0.coords[0] for p in points(traj.coords, traj.multipliers))
+    assert all(p[0][0][0] == z0[0][0][0] for p in points(traj.coords, traj.multipliers))
     assert np.max(np.abs(traj.energies - traj.energies[0])) <= 1e-9 * abs(traj.energies[0])
     np.testing.assert_allclose(traj.norms, traj.norms[0], rtol=1e-9)
 
     # against the exact coherent flow of the same Hamiltonian
     ref = coherent_flow(sp, np.diag([0.0, omega]), z0, (0.0, 7.0), t_eval=t_eval)
-    ref_zeta = np.array([p.coords[1] for p in points(ref.coords, ref.multipliers)])
+    ref_zeta = np.array([p[0][0][1] for p in points(ref.coords, ref.multipliers)])
     np.testing.assert_allclose(got, ref_zeta, atol=5e-9)
 
 
@@ -422,13 +421,13 @@ def test_driven_oscillator_closed_form():
     a, ad, num = oracles.fock_ops(64)
     ham = omega * num + kappa * (a + ad)
     sp = klauder_space(1)
-    z0 = Point([0.0, 0.5 + 0.2j])
+    z0 = label([0.0, 0.5 + 0.2j])
     t1 = 4.0
     traj = dirac_frenkel_flow(sp, MatrixExpectation(ham), z0, (0.0, t1),
                               t_eval=[0.0, t1], rtol=1e-11)
     shift = kappa / omega
-    zeta_exact = (z0.coords[1] + shift) * np.exp(-1j * omega * t1) - shift
-    assert points(traj.coords, traj.multipliers)[-1].coords[1] == pytest.approx(zeta_exact, abs=1e-8)
+    zeta_exact = (z0[0][0][1] + shift) * np.exp(-1j * omega * t1) - shift
+    assert points(traj.coords, traj.multipliers)[-1][0][0][1] == pytest.approx(zeta_exact, abs=1e-8)
     # the driven orbit changes |zeta|, so the coherent norm genuinely moves
     assert np.max(traj.norms) - np.min(traj.norms) > 1e-3
 
@@ -437,16 +436,16 @@ def test_spin_precession_tdvp_matches_exact():
     n, omega = 6, 1.7
     sp = spin_space(n)
     z0 = unit_spinor(1.0, 0.35 - 0.2j)
-    w0 = z0.coords[1] / z0.coords[0]
+    w0 = z0[0][0][1] / z0[0][0][0]
     en = MatrixExpectation(omega * SpinRep(n).dgamma(SZ))
     t_eval = np.linspace(0.0, 5.0, 51)
     traj = dirac_frenkel_flow(sp, en, z0, (0.0, 5.0), t_eval=t_eval, rtol=1e-10)
-    got = np.array([p.coords[1] / p.coords[0] for p in points(traj.coords, traj.multipliers)])
+    got = np.array([p[0][0][1] / p[0][0][0] for p in points(traj.coords, traj.multipliers)])
     np.testing.assert_allclose(got, w0 * np.exp(1j * omega * t_eval), atol=5e-9)
 
     ref = coherent_flow(sp, omega * SZ, z0, (0.0, 5.0), t_eval=t_eval)
     for p, q in zip(points(traj.coords, traj.multipliers), points(ref.coords, ref.multipliers)):
-        np.testing.assert_allclose(oracles.bloch_vector(p.coords), oracles.bloch_vector(q.coords),
+        np.testing.assert_allclose(oracles.bloch_vector(p[0][0]), oracles.bloch_vector(q[0][0]),
                                    atol=5e-9)
 
 
@@ -461,12 +460,12 @@ def test_chart_switch_roundtrip():
 
     ref = coherent_flow(sp, omega * SX, z0, (0.0, 6.0), t_eval=t_eval)
     err = max(
-        np.max(np.abs(oracles.bloch_vector(p.coords) - oracles.bloch_vector(q.coords)))
+        np.max(np.abs(oracles.bloch_vector(p[0][0]) - oracles.bloch_vector(q[0][0])))
         for p, q in zip(points(traj.coords, traj.multipliers), points(ref.coords, ref.multipliers))
     )
     assert err <= 1e-7
     # precession about x keeps <J_x> fixed; energy monitored through switches
-    xs = np.array([oracles.bloch_vector(p.coords)[0] for p in points(traj.coords, traj.multipliers)])
+    xs = np.array([oracles.bloch_vector(p[0][0])[0] for p in points(traj.coords, traj.multipliers)])
     np.testing.assert_allclose(xs, xs[0], atol=1e-8)
     drift = np.max(np.abs(traj.energies - traj.energies[0]))
     assert drift <= 1e-8 * abs(traj.energies[0])
@@ -486,7 +485,7 @@ def test_samples_do_not_change_the_variational_run():
     # same steps; only the dense output's extra stages add RHS evaluations
     assert dataclasses.replace(dense.stats, rhs_evals=ends.stats.rhs_evals) == ends.stats
     assert dense.stats.rhs_evals > ends.stats.rhs_evals
-    assert points(dense.coords, dense.multipliers)[-1].coords.tobytes() == points(ends.coords, ends.multipliers)[-1].coords.tobytes()
+    assert points(dense.coords, dense.multipliers)[-1][0][0].tobytes() == points(ends.coords, ends.multipliers)[-1][0][0].tobytes()
     assert dense.chart_flags[-1] == ends.chart_flags[-1]
 
 
@@ -512,7 +511,7 @@ def test_trajectory_labels_match_the_per_sample_route(monkeypatch, kind):
         sp, z0 = spin_space(4), unit_spinor(1.0, 0.2)
         en = MatrixExpectation(1.3 * SpinRep(4).dgamma(SX))
     else:
-        sp, z0 = klauder_space(1), Point([0.1 + 0.05j, 0.8 - 0.4j])
+        sp, z0 = klauder_space(1), label([0.1 + 0.05j, 0.8 - 0.4j])
         en = MatrixExpectation(1.3 * np.diag(np.arange(64, dtype=float)))
     traj = dirac_frenkel_flow(sp, en, z0, (0.0, 6.0), t_eval=np.linspace(0.0, 6.0, 121))
     ((segments, _, _),) = runs
@@ -563,15 +562,15 @@ def test_callable_route_matches_matrix_route():
     a = dirac_frenkel_flow(sp, MatrixExpectation(ham), z0, (0.0, 3.0), t_eval=t_eval)
     b = dirac_frenkel_flow(sp, oracles.FiniteDifferenceEnergy(h_fn), z0, (0.0, 3.0),
                            t_eval=t_eval)
-    np.testing.assert_allclose(points(a.coords, a.multipliers)[-1].coords, points(b.coords, b.multipliers)[-1].coords, atol=1e-7)
+    np.testing.assert_allclose(points(a.coords, a.multipliers)[-1][0][0], points(b.coords, b.multipliers)[-1][0][0], atol=1e-7)
 
 
 def test_chart_for_rejects_unsupported():
     from cohspace.errors import ConfigError
 
     with pytest.raises(ConfigError):
-        chart_for(trivial_space(2), Point([1.0, 0.0]))
+        chart_for(trivial_space(2), label([1.0, 0.0]))
     with pytest.raises(ConfigError):
-        chart_for(spin_space(0.5), Point([1.0, 0.0]))
+        chart_for(spin_space(0.5), label([1.0, 0.0]))
     with pytest.raises(ConfigError, match="^variational flows support a single Klauder mode$"):
-        chart_for(klauder_space(2), Point([0.1, 0.2j, 0.3]))
+        chart_for(klauder_space(2), label([0.1, 0.2j, 0.3]))
