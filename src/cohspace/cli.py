@@ -539,8 +539,8 @@ _STATE = (("density", "matrix", None), ("form", "matrix", None))
 
 
 def _h_lie_evolve(cfg):
-    from .liealg import (AlgebraState, DensityState, algebra_descriptor,
-                         evolve_expectations)
+    from .liealg import (AlgebraState, algebra_descriptor, evolve_expectations,
+                         state_from_density)
 
     algebra, rep = _algebra_of(cfg)
     h = _coeff_vector(cfg["hamiltonian"], algebra, "hamiltonian")
@@ -551,7 +551,7 @@ def _h_lie_evolve(cfg):
     if "density" in spec:
         if rep is None:
             raise ConfigError("density states need an algebra with a catalog rep")
-        state = DensityState(algebra, rep, spec["density"])
+        state = state_from_density(algebra, rep, spec["density"])
     else:
         state = AlgebraState(algebra, spec["form"])
     obs_spec = cfg["observables"]
@@ -643,7 +643,7 @@ SCHEMA = {
             ("bloch0", "json", (0.62, 0.4, 0.68)), ("z0", "json", None))),
         "continuous": (_continuous_exponent, (
             ("space", "json", REQUIRED), ("energy", "json", REQUIRED), ("z0", "json", REQUIRED),
-            ("t_total", "float", 200.0), ("resample", "float", 1.0),
+            ("t_total", "positive", 200.0), ("resample", "positive", 1.0),
             ("rtol", "positive", 1e-10), ("hbar", "positive", 1.0))),
     }),
     "spec-solve": Command(_h_spec_solve, "csv", (

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, check_sample_times
 from .integrate import IntegratorStats
-from .kernels import KernelSpace, kernel_diagonal, row_norms
+from .kernels import KernelSpace, kernel_diagonal, row_norms, unit_norm_residual
 from .reps import propagate_eig
 
 
@@ -38,7 +38,7 @@ class Trajectory:
 def _project_constraint(space: KernelSpace, coords: np.ndarray) -> np.ndarray:
     # unit-norm label manifolds: remove each row's off-manifold (radial)
     # error; the exact flow preserves the norm, so this only subtracts noise
-    if space.constraint_name == "unit spinor norm":
+    if space.constraint is unit_norm_residual:
         return coords / row_norms(coords)[:, None]
     return coords
 

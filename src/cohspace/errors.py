@@ -67,7 +67,8 @@ NUMBERS = {"pairs": ((None, 2), True), "matrix": ((None, None, 2), True)}
 
 
 def check_numbers(data, key, shape: tuple, pairs: bool = False):
-    """A config field's numbers: a float array of `shape` (None: any length),
+    """A config field's numbers: a float array of `shape` (None: any length;
+    a second None is the first's, every such field being a square matrix),
     or with pairs=True the complex array of its [re, im] pairs, -0.0 kept.
     Numbers are reals (JSON's are ints and floats), not bools, with |x| <= the
     largest float.  A field that fails one type scan, np.asarray and bound
@@ -83,6 +84,7 @@ def check_numbers(data, key, shape: tuple, pairs: bool = False):
     except (TypeError, ValueError, OverflowError):  # not a list, ragged, beyond float64
         a = None
     if (a is None or a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape))
+            or shape[1:2] == (None,) and a.shape[1] != a.shape[0]
             or not (np.abs(a) < sys.float_info.max).all()):
         if fault := _first_bad(data, shape):
             at, where, value, wanted = fault
@@ -97,11 +99,13 @@ def check_numbers(data, key, shape: tuple, pairs: bool = False):
 def _first_bad(data, shape: tuple, at: tuple = ()):
     """(index path, path of the list at fault, item, what it must be) of the
     first bad item of data in reading order (a list's length before its items,
-    its first item fixing the free lengths of the rest), or None."""
+    a square matrix's row count fixing its row length), or None."""
     n, inner = shape[0], shape[1:]
     if not isinstance(data, (list, tuple)) or n is not None and len(data) != n:
         count = "" if n is None else f"{n} "
         return at, at, data, f"a list of {count}{'lists' if inner else 'numbers'}"
+    if inner[:1] == (None,):
+        inner = (len(data),) + inner[1:]
     for i, x in enumerate(data):
         if not inner:
             if isinstance(x, bool) or not (isinstance(x, numbers.Real)
@@ -109,8 +113,6 @@ def _first_bad(data, shape: tuple, at: tuple = ()):
                 return at + (i,), at, x, "a finite number"
         elif fault := _first_bad(x, inner, at + (i,)):
             return fault
-        else:
-            inner = (len(x),) + inner[1:]
     return None
 
 

@@ -122,7 +122,6 @@ MAX_STEPS = 10_000_000  # accepted plus rejected steps of one solve
 class IntegratorStats:
     steps: int
     rejected: int
-    final_error_estimate: float
     rhs_evals: int  # calls of f, the initial-step probe and dense-output stages included
     h_min: float  # the smallest and largest accepted step
     h_max: float
@@ -130,11 +129,10 @@ class IntegratorStats:
 
 def total_stats(parts: Sequence[IntegratorStats]) -> IntegratorStats:
     """The stats of consecutive solves as one: counts summed, the range of
-    accepted steps combined, the last solve's final error estimate."""
+    accepted steps combined."""
     return IntegratorStats(
         steps=sum(p.steps for p in parts),
         rejected=sum(p.rejected for p in parts),
-        final_error_estimate=parts[-1].final_error_estimate,
         rhs_evals=sum(p.rhs_evals for p in parts),
         h_min=min(p.h_min for p in parts),
         h_max=max(p.h_max for p in parts),
@@ -247,7 +245,6 @@ def solve_rk45(
         h, evals = first_step, 1
     accepted = rejected = 0
     err_prev = 1.0
-    err = 0.0
     grow = True  # False right after a rejected step: the next step may not grow
     halted = False
     min_h = 1e-14 * span
@@ -323,8 +320,8 @@ def solve_rk45(
         states=states[:ei],
         t_end=t,
         y_end=y,
-        stats=IntegratorStats(steps=accepted, rejected=rejected, final_error_estimate=err,
-                              rhs_evals=evals, h_min=h_min, h_max=h_max),
+        stats=IntegratorStats(steps=accepted, rejected=rejected, rhs_evals=evals, h_min=h_min,
+                              h_max=h_max),
         halted=halted,
         h_next=h,
     )

@@ -242,7 +242,8 @@ def klauder_space(modes: int = 1) -> KernelSpace:
     )
 
 
-def _unit_norm_residual(a: np.ndarray) -> np.ndarray:
+def unit_norm_residual(a: np.ndarray) -> np.ndarray:
+    """|row norm - 1| of each row: the constraint of the unit-spinor kinds."""
     return np.abs(row_norms(a) - 1.0)
 
 
@@ -294,7 +295,7 @@ def spin_space(exponent: float) -> KernelSpace:
         kind="spin",
         kernel=kernel,
         sampler=_unit_spinors,
-        constraint=_unit_norm_residual,
+        constraint=unit_norm_residual,
         constraint_name="unit spinor norm",
         descriptor={"kind": "spin", "exponent": n},
     )
@@ -309,7 +310,7 @@ def spin_t_space(exponent: int) -> KernelSpace:
         kernel=lambda a, b: np.power(a @ b.swapaxes(-1, -2), n),
         sampler=_unit_spinors,
         hermitian=False,
-        constraint=_unit_norm_residual,
+        constraint=unit_norm_residual,
         constraint_name="unit spinor norm",
         descriptor={"kind": "spin_t", "exponent": n},
     )

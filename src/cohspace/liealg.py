@@ -17,19 +17,21 @@ star(x) = M^T conj(x).
 
 A state is the sesquilinear expectation form S[a, b] = <X_a, X_b>,
 antilinear in the first slot.  Means are Xbar = <1, X>, uncertainties
-sqrt(<X, X> - |Xbar|^2).  Given a density matrix and a compatible matrix
-representation (unit represented by the identity),
+sqrt(<X, X> - |Xbar|^2).  ``state_from_density`` gives the state of a
+density matrix under a compatible matrix representation (unit represented by
+the identity),
 
     S[a, b] = Tr(rep_b rho rep_a^dagger),
 
-which is Hermitian and positive semidefinite by construction.
+which is Hermitian and positive semidefinite by construction; the state
+keeps rho, so that evolve_expectations can cross-check against it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -95,10 +97,6 @@ class LieStarAlgebra:
         e[a] = 1.0
         return e
 
-    @property
-    def unit(self) -> np.ndarray:
-        return self.basis_vector(self.unit_index)
-
 
 def _check_axioms(alg: LieStarAlgebra) -> None:
     c = alg.structure
@@ -153,10 +151,12 @@ def lie_product(algebra: LieStarAlgebra, x: np.ndarray, y: np.ndarray) -> np.nda
 
 @dataclass(eq=False)
 class AlgebraState:
-    """Expectation form over the algebra basis; Hermitian, PSD, <1,1> = 1."""
+    """Expectation form over the algebra basis; Hermitian, PSD, <1,1> = 1.
+    rho is the density matrix the form comes from, or None."""
 
     algebra: LieStarAlgebra
     form: np.ndarray
+    rho: Optional[np.ndarray] = None
 
     def __post_init__(self):
         s = np.asarray(self.form, dtype=complex)
@@ -178,59 +178,36 @@ class AlgebraState:
         self.form = s
 
 
-@dataclass(eq=False)
-class DensityState:
-    """State backed by a density matrix and a matrix representation.
-
-    rep must represent the unit by the identity; the expectation form
-    S[a, b] = Tr(rep_b rho rep_a^dagger) is computed on construction.
-    """
-
-    algebra: LieStarAlgebra
-    rep: tuple[np.ndarray, ...]
-    rho: np.ndarray
-    form: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ConfigError(f"density matrix is {rho.shape}, needs square")
-        n = rho.shape[0]
-        rep = tuple(np.asarray(r, dtype=complex) for r in self.rep)
-        if len(rep) != self.algebra.dim:
-            raise ConfigError(
-                f"representation has {len(rep)} matrices for a dim-{self.algebra.dim} algebra"
-            )
-        if any(r.shape != (n, n) for r in rep):
-            raise ConfigError("representation matrices must match the density matrix shape")
-        if np.max(np.abs(rep[self.algebra.unit_index] - np.eye(n))) > 1e-12:
-            raise ConfigError("the unit must be represented by the identity matrix")
-        if abs(np.trace(rho) - 1.0) > 1e-12:
-            raise ConfigError(f"density matrix has trace {np.trace(rho):.12g}, needs 1")
-        scale = max(1.0, float(np.max(np.abs(rho))))
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-12 * scale:
-            raise ConfigError("density matrix is not Hermitian")
-        w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-        if w[0] < -1e-12:
-            raise StatePositivityError(f"density matrix has negative eigenvalue {w[0]:.3e}")
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "rep", rep)
-        if self.form is None:
-            r = np.stack(rep)
-            prod = np.einsum("bij,jk->bik", r, rho)
-            self.form = np.tensordot(np.conj(r), prod, axes=([1, 2], [1, 2]))
-
-
-State = Union[AlgebraState, DensityState]
-
-
 def state_from_density(
     algebra: LieStarAlgebra, rep: Sequence[np.ndarray], rho: np.ndarray
-) -> DensityState:
-    return DensityState(algebra, tuple(rep), rho)
+) -> AlgebraState:
+    """The state of a density matrix under a matrix representation whose
+    unit is the identity: S[a, b] = Tr(rep_b rho rep_a^dagger), rho kept."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ConfigError(f"density matrix is {rho.shape}, needs square")
+    n = rho.shape[0]
+    rep = tuple(np.asarray(r, dtype=complex) for r in rep)
+    if len(rep) != algebra.dim:
+        raise ConfigError(f"representation has {len(rep)} matrices for a dim-{algebra.dim} algebra")
+    if any(r.shape != (n, n) for r in rep):
+        raise ConfigError("representation matrices must match the density matrix shape")
+    if np.max(np.abs(rep[algebra.unit_index] - np.eye(n))) > 1e-12:
+        raise ConfigError("the unit must be represented by the identity matrix")
+    if abs(np.trace(rho) - 1.0) > 1e-12:
+        raise ConfigError(f"density matrix has trace {np.trace(rho):.12g}, needs 1")
+    scale = max(1.0, float(np.max(np.abs(rho))))
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-12 * scale:
+        raise ConfigError("density matrix is not Hermitian")
+    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
+    if w[0] < -1e-12:
+        raise StatePositivityError(f"density matrix has negative eigenvalue {w[0]:.3e}")
+    r = np.stack(rep)
+    prod = np.einsum("bij,jk->bik", r, rho)
+    return AlgebraState(algebra, np.tensordot(np.conj(r), prod, axes=([1, 2], [1, 2])), rho)
 
 
-def uncertain_value(state: State, x: np.ndarray) -> complex:
+def uncertain_value(state: AlgebraState, x: np.ndarray) -> complex:
     """Mean <1, x> of an algebra element in the given state."""
     x = np.asarray(x, dtype=complex)
     if x.shape != (state.algebra.dim,):
@@ -238,7 +215,7 @@ def uncertain_value(state: State, x: np.ndarray) -> complex:
     return complex(state.form[state.algebra.unit_index] @ x)
 
 
-def uncertainty(state: State, x: np.ndarray) -> float:
+def uncertainty(state: AlgebraState, x: np.ndarray) -> float:
     """sqrt(<x, x> - |<1, x>|^2), clamped at zero.
 
     Tiny negative variances (roundoff against a barely-PSD form) are clamped.
@@ -290,7 +267,7 @@ def evolve_expectations(
     algebra: LieStarAlgebra,
     rep: Optional[Sequence[np.ndarray]],
     hamiltonian: np.ndarray,
-    state: State,
+    state: AlgebraState,
     observables: Sequence[np.ndarray],
     t_span: tuple[float, float],
     t_eval: Optional[Sequence[float]] = None,
@@ -337,7 +314,7 @@ def evolve_expectations(
     values = propagate_eig(1j * g, e0, times - t0)
 
     cross = None
-    if isinstance(state, DensityState) and rep is not None and len(times):
+    if state.rho is not None and rep is not None and len(times):
         rep = tuple(np.asarray(r, dtype=complex) for r in rep)
         hmat = _matrix_of(rep, h)
         scale = max(1.0, float(np.max(np.abs(hmat))))
@@ -360,7 +337,7 @@ def evolve_expectations(
 # lattice state fields: covariant expectation derivative
 
 
-def _field_state(state_field: Mapping, site: tuple) -> State:
+def _field_state(state_field: Mapping, site: tuple) -> AlgebraState:
     s = state_field.get(site)
     if s is None:
         raise PreconditionError(f"state field has no entry at site {site}")

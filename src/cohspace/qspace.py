@@ -1,13 +1,9 @@
-"""Finite quantum spaces from Gram factorizations.
+"""Finite quantum spaces from Gram eigendecompositions.
 
 A quantum space over basis labels y_1..y_n is the span of the coherent
-vectors |y_i>.  Numerically it is carried by the factor B with G = B* B,
-obtained from the eigendecomposition G = U diag(lam) U*: the retained rows
-
-    B = diag(sqrt(lam_r)) U_r*          (rank x n)
-
-give coordinates of |y_i> as the columns of B, so plain C^rank inner
-products reproduce kernel values:  B[:, i]* B[:, j] = G[i, j].
+vectors |y_i>.  Numerically it is carried by the eigendecomposition
+G = U diag(lam) U* of their Gram, truncated to the eigenvalues above
+tol * lam_max: the retained (lam_r, U_r) are all that quantize reads.
 
 The package's one numerical-derivative rule, ``richardson``, combines a
 central quotient at steps h and h/2; quantize's generators use it.
@@ -15,7 +11,7 @@ central quotient at steps h and h/2; quantize's generators use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,13 +26,10 @@ class QuantumBasis:
     space: KernelSpace
     coords: np.ndarray          # basis labels (n, d)
     multipliers: np.ndarray | None  # (n,)
-    gram: np.ndarray
-    factor: np.ndarray          # B with G = B* B, shape (rank, n)
     rank: int
     truncation_tol: float
-    # eigendecomposition kept for pseudo-inverse work in quantization
-    eigvals: np.ndarray = field(repr=False, default=None)
-    eigvecs: np.ndarray = field(repr=False, default=None)
+    eigvals: np.ndarray         # retained Gram eigenvalues, descending (rank,)
+    eigvecs: np.ndarray         # their eigenvectors, shape (n, rank)
 
     @property
     def size(self) -> int:
@@ -45,7 +38,8 @@ class QuantumBasis:
 
 def build_quantum_space(space: KernelSpace, coords: np.ndarray, multipliers=None,
                         tol: float = DEFAULT_TRUNCATION_TOL) -> QuantumBasis:
-    """Factor the Gram of labels (n, d); eigenvalues below tol * lam_max are truncated.
+    """Eigendecompose the Gram of labels (n, d); eigenvalues at or below
+    tol * lam_max are truncated.
 
     Raises CoherenceViolationError if the Gram fails the PSD check at `tol`,
     and ConfigError unless 0 < tol < 1 (tol >= 1 would truncate every
@@ -77,12 +71,8 @@ def build_quantum_space(space: KernelSpace, coords: np.ndarray, multipliers=None
         raise CoherenceViolationError(f"{space.kind}: Gram has no positive eigenvalues")
     keep = lam > tol * lam_max
     rank = int(np.count_nonzero(keep))
-    lam_r, u_r = lam[:rank], u[:, :rank]
-    factor = np.sqrt(lam_r)[:, None] * u_r.conj().T
-    return QuantumBasis(
-        space=space, coords=coords, multipliers=multipliers, gram=g, factor=factor, rank=rank,
-        truncation_tol=float(tol), eigvals=lam_r, eigvecs=u_r,
-    )
+    return QuantumBasis(space=space, coords=coords, multipliers=multipliers, rank=rank,
+                        truncation_tol=float(tol), eigvals=lam[:rank], eigvecs=u[:, :rank])
 
 
 # ------------------------------------------------------------ derivative rule

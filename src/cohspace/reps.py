@@ -5,14 +5,13 @@
   the monomial embedding reproduces the spin kernel <z, z'>^n exactly.
   ``dgamma(X)`` is the derivation action of a 2x2 label generator
   (dGamma(sigma_a/2) are the standard angular momentum matrices with
-  m = j - k, i.e. k = 0 is the north pole); ``gamma(A)`` the group action.
+  m = j - k, i.e. k = 0 is the north pole).
 - ``propagate_eig``: exact propagation exp(-i H t / hbar) psi0, refused once
   a phase is too large for a float to carry any of its digits.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,31 +35,6 @@ class SpinRep:
         d[up, up + 1] = x[0, 1] * np.sqrt((n - up) * (up + 1))
         d[down, down - 1] = x[1, 0] * np.sqrt(down * (n - down + 1))
         return d
-
-    def gamma(self, a: np.ndarray) -> np.ndarray:
-        """Symmetric-power action: Gamma(A) embed(z) = embed(A z) exactly.
-
-        Column k expands (a11 z1 + a21 z2)^(n-k) (a12 z1 + a22 z2)^k by
-        binomial convolution back onto the weighted monomial basis.
-        """
-        a = np.asarray(a, dtype=complex)
-        n = self.n
-        out = np.zeros((n + 1, n + 1), dtype=complex)
-        root = np.sqrt(np.array([math.comb(n, m) for m in range(n + 1)], dtype=float))
-        # column k: embed coefficients of the polynomial
-        #   (a11 z1 + a21 z2)^(n-k) (a12 z1 + a22 z2)^k / sqrt(C(n,k))-weights
-        for k in range(n + 1):
-            # coeffs of z1^(n-m) z2^m, m = 0..n
-            poly = np.convolve(_binomial_poly(a[0, 0], a[1, 0], n - k),
-                               _binomial_poly(a[0, 1], a[1, 1], k))
-            out[:, k] = poly * root[k] / root
-        return out
-
-
-def _binomial_poly(alpha: complex, beta: complex, p: int) -> np.ndarray:
-    """Coefficients of (alpha z1 + beta z2)^p in the z1^(p-m) z2^m basis."""
-    return np.array([math.comb(p, m) * alpha ** (p - m) * beta ** m for m in range(p + 1)],
-                    dtype=complex)
 
 
 def propagate_eig(h: np.ndarray, psi0: np.ndarray, times, hbar: float = 1.0) -> np.ndarray:

@@ -48,6 +48,20 @@ def spin_monomial_embed(two_j: int, spinor) -> np.ndarray:
     return np.array([math.sqrt(math.comb(n, k)) * z1 ** (n - k) * z2 ** k for k in range(n + 1)])
 
 
+def spin_gamma(two_j: int, a) -> np.ndarray:
+    """Gamma(A) on the monomial basis, Gamma(A) |z> = |A z>: column k expands
+    (a11 z1 + a21 z2)^(n-k) (a12 z1 + a22 z2)^k one coefficient at a time."""
+    n = two_j
+    out = np.zeros((n + 1, n + 1), dtype=complex)
+    for k in range(n + 1):
+        p1 = [math.comb(n - k, m) * a[0, 0] ** (n - k - m) * a[1, 0] ** m for m in range(n - k + 1)]
+        p2 = [math.comb(k, m) * a[0, 1] ** (k - m) * a[1, 1] ** m for m in range(k + 1)]
+        poly = np.convolve(np.array(p1, dtype=complex), np.array(p2, dtype=complex))
+        for m in range(n + 1):
+            out[m, k] = poly[m] * math.sqrt(math.comb(n, k)) / math.sqrt(math.comb(n, m))
+    return out
+
+
 def bloch_vector(spinor) -> np.ndarray:
     """(X, Y, Z) = <sigma> of the unit spinor (z1, z2) in the defining rep."""
     z1, z2 = complex(spinor[0]), complex(spinor[1])
@@ -268,8 +282,8 @@ def label_stack(labels, dim: int, line: bool, check):
 
 def number_array(data, key: str, shape: tuple, pairs: bool = False) -> np.ndarray:
     """The numbers of a config field, nested lists of `shape` (None: any
-    length at the top, and the first item's length below), read one at a
-    time: floats, or with pairs=True complex(re, im) of each innermost pair.
+    length at the top, and the top's length below it: a square matrix), read
+    one at a time: floats, or with pairs=True complex(re, im) of each innermost pair.
     The first bad item in reading order (a list's length before its items)
     raises ValueError naming the list at fault, key and its indices."""
     def walk(x, shape, path):
@@ -282,11 +296,9 @@ def number_array(data, key: str, shape: tuple, pairs: bool = False) -> np.ndarra
         if not rest:
             values = [_finite_number(name, v) for v in x]
             return complex(*values) if pairs else values
-        out = []
-        for i, item in enumerate(x):
-            out.append(walk(item, rest, path + (i,)))
-            rest = (len(item),) + rest[1:]
-        return out
+        if rest[0] is None:
+            rest = (len(x),) + rest[1:]
+        return [walk(item, rest, path + (i,)) for i, item in enumerate(x)]
 
     out, dims, x = walk(data, shape, ()), [], data
     for n in shape[:-1] if pairs else shape:

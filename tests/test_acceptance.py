@@ -36,7 +36,6 @@ from cohspace.kernels import (
 )
 from cohspace.liealg import (
     CATALOG,
-    DensityState,
     covariant_ehrenfest_residual,
     evolve_expectations,
     matrix_star_algebra,
@@ -330,7 +329,7 @@ def test_criterion_8_lie_state_engine():
     # Ehrenfest vs von Neumann on qubit and rotator
     alg, rep = algebras["su2_qubit"]
     rho = np.array([[0.7, 0.15 - 0.05j], [0.15 + 0.05j, 0.3]])
-    state = DensityState(alg, rep, rho)
+    state = state_from_density(alg, rep, rho)
     obs = [alg.basis_vector(k) for k in (1, 2, 3)]
     tab = evolve_expectations(alg, rep, 0.65 * alg.basis_vector(3), state, obs,
                               (0.0, 6.0))
@@ -350,7 +349,7 @@ def test_criterion_8_lie_state_engine():
     states = [
         ("qubit mixed", alg, state),
         ("qubit near-pure", alg,
-         DensityState(alg, rep, np.array([[0.999, 0.0], [0.0, 0.001]]))),
+         state_from_density(alg, rep, np.array([[0.999, 0.0], [0.0, 0.001]]))),
         ("rotator pure", alg_r, state_r),
     ]
     for i, (label, a_s, s) in enumerate(states):

@@ -294,21 +294,3 @@ def test_spin_dgamma_fills_its_bands_as_the_row_loop():
         for _ in range(3):
             x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             np.testing.assert_array_equal(bits(SpinRep(n).dgamma(x)), bits(dgamma_per_row(n, x)))
-
-
-def gamma_per_entry(n, a):
-    out = np.zeros((n + 1, n + 1), dtype=complex)
-    for k in range(n + 1):
-        p1 = [math.comb(n - k, m) * a[0, 0] ** (n - k - m) * a[1, 0] ** m for m in range(n - k + 1)]
-        p2 = [math.comb(k, m) * a[0, 1] ** (k - m) * a[1, 1] ** m for m in range(k + 1)]
-        poly = np.convolve(np.array(p1, dtype=complex), np.array(p2, dtype=complex))
-        for m in range(n + 1):
-            out[m, k] = poly[m] * math.sqrt(math.comb(n, k)) / math.sqrt(math.comb(n, m))
-    return out
-
-
-def test_spin_gamma_fills_each_column_as_the_entry_loop():
-    rng = np.random.default_rng(12)
-    for n in list(range(25)) + [60, 90]:
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        np.testing.assert_array_equal(bits(SpinRep(n).gamma(a)), bits(gamma_per_entry(n, a)))

@@ -213,6 +213,7 @@ _GRAM_RUN = ["kernel-gram", "--count", "3", "--space"]
 _LIE_RUN = ["lie-evolve", "--algebra", "su2_qubit", "--observables", '["pauli_z"]', "--t-span",
             "[0,1]", "--state"]
 _UNIT_FORM = json.dumps({"form": np.stack([np.eye(4), np.zeros((4, 4))], -1).tolist()})
+_SHORT_FIRST_ROW = "[[[1,0]],[[0,0],[1,0]]]"
 
 
 @pytest.mark.parametrize("args, message", [
@@ -244,12 +245,26 @@ _UNIT_FORM = json.dumps({"form": np.stack([np.eye(4), np.zeros((4, 4))], -1).tol
      "'state.density[1][1]' must be a finite number, got nan"),
     (_LIE_RUN + [_UNIT_FORM, "--hamiltonian", "[[0,0],[0,0],[0,0],[1,true]]"],
      "'hamiltonian[3]' must be a finite number, got True"),
+    # a matrix's row count fixes its row length; the first row's length used
+    # to, so these three named the second row and the last one reached the
+    # command's shape check ("generator is (1, 2), expected (2, 2)")
+    (_COHERENT_RUN + [_SHORT_FIRST_ROW], "'generator[0]' must be a list of 2 lists, got [[1, 0]]"),
+    (["quantize", "--count", "6"] + _SPIN2
+     + ["--map", f'{{"kind":"linear","matrix":{_SHORT_FIRST_ROW}}}'],
+     "'map.matrix[0]' must be a list of 2 lists, got [[1, 0]]"),
+    (_GRAM_RUN + [f'{{"kind":"discrete","table":{_SHORT_FIRST_ROW}}}'],
+     "'space.table[0]' must be a list of 2 lists, got [[1, 0]]"),
+    (_COHERENT_RUN + ["[[[1,0],[0,0]]]"],
+     "'generator[0]' must be a list of 1 lists, got [[1, 0], [0, 0]]"),
 ], ids=["generator-bool-and-string", "generator-nan", "coeffs-bool", "coeffs-nan",
         "base-coeffs-string", "table-bool", "table-inf", "table-one-number", "table-ragged",
-        "map-string", "energy-bool", "density-nan", "coefficient-bool"])
+        "map-string", "energy-bool", "density-nan", "coefficient-bool",
+        "generator-short-first-row", "map-short-first-row", "table-short-first-row",
+        "generator-rectangular"])
 def test_exit_2_names_the_first_bad_matrix_or_descriptor_entry(tmp_path, monkeypatch, capsys,
                                                               args, message):
-    # each of these exited 0, exited 1 naming an overflow, or ended in a traceback
+    # each of these exited 0, exited 1 naming an overflow, ended in a
+    # traceback or named the wrong row
     code, out, err = run_cli(args, tmp_path, monkeypatch, capsys)
     assert (code, out) == (2, "")
     assert err == f"config error: {message}\n"
@@ -793,6 +808,19 @@ def test_exit_2_on_a_partial_lyapunov_segment(tmp_path, monkeypatch, capsys, arg
     assert err.startswith("config error: ") and all(f"'{key}'" in err for key in keys)
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--resample", "-1"], "'resample' must be a positive number, got -1.0"),
+    (["--resample", "0"], "'resample' must be a positive number, got 0.0"),
+    (["--t-total", "-200"], "'t_total' must be a positive number, got -200.0"),
+    (["--t-total", "0"], "'t_total' must be a positive number, got 0.0"),
+], ids=["resample-negative", "resample-0", "t-total-negative", "t-total-0"])
+def test_exit_2_names_a_non_positive_lyapunov_time(tmp_path, monkeypatch, capsys, args, message):
+    # each of these used to exit 2 with "need at least 4 renormalization
+    # segments", which names no key
+    assert run_cli(_CONTINUOUS + args, tmp_path, monkeypatch, capsys) == (
+        2, "", f"config error: {message}\n")
 
 
 @pytest.mark.parametrize("args", [["dyn-tdvp", "--t-span", "[0,1]"],

@@ -1,5 +1,6 @@
 """Coherent flows: closed forms, Schroedinger lifts, the exact route against RK45."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,8 @@ from cohspace import dynamics, integrate, liealg, tdvp
 from cohspace.dynamics import coherent_flow
 from cohspace.errors import ConfigError
 from cohspace.integrate import solve_rk45
-from cohspace.kernels import eval_kernel, heisenberg_space, klauder_space, spin_space
+from cohspace.kernels import (eval_kernel, heisenberg_space, klauder_space, power_space,
+                              spin_space, spin_t_space)
 from cohspace.reps import propagate_eig
 
 HBAR = 1.0
@@ -168,6 +170,21 @@ def test_time_independent_flows_never_call_the_integrator(monkeypatch):
     tab = liealg.evolve_expectations(alg, rep, alg.basis_vector(3), st,
                                      [alg.basis_vector(k) for k in (1, 2, 3)], (0.0, 4.0))
     assert tab.values.shape == (201, 3) and tab.final_cross_check <= 1e-8
+
+
+@pytest.mark.parametrize("space", [
+    spin_space(2), spin_t_space(3), power_space(spin_space(1), 2),
+    dataclasses.replace(spin_space(2), constraint_name="reworded"), klauder_space(1)],
+    ids=["spin", "spin_t", "power-of-spin", "spin-reworded", "klauder"])
+def test_unit_norm_kinds_are_projected_back_onto_the_sphere(space):
+    # a decaying generator shrinks every label as e^(-t/2): the unit-norm kinds
+    # are put back on their sphere, whatever their constraint's message says,
+    # and a klauder label keeps its decayed norm
+    traj = coherent_flow(space, -0.5j * np.eye(2), label([0.6, 0.8j]), (0.0, 2.0),
+                         t_eval=[0.0, 1.0, 2.0])
+    norms = np.linalg.norm(traj.coords, axis=1)
+    want = np.ones(3) if space.kind != "klauder" else np.exp(-0.5 * traj.times)
+    np.testing.assert_allclose(norms, want, rtol=1e-14)
 
 
 def test_exact_flow_checks_sample_times():

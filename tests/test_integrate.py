@@ -423,7 +423,6 @@ def test_h_min_and_h_max_bound_the_accepted_steps():
     both = total_stats([first.stats, second.stats])
     assert both.steps == first.stats.steps + second.stats.steps
     assert both.rhs_evals == first.stats.rhs_evals + second.stats.rhs_evals
-    assert both.final_error_estimate == second.stats.final_error_estimate
     assert both.h_min == min(first.stats.h_min, second.stats.h_min)
     assert both.h_max == max(first.stats.h_max, second.stats.h_max)
     assert both.h_min <= (second.t_end - 0.0) / both.steps <= both.h_max

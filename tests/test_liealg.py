@@ -364,7 +364,7 @@ def test_covariant_residual_trivial_cases():
     alg, rep, field = translated_qubit_field(1e-3)
     # the unit is translation invariant and annihilated by the bracket
     res = covariant_ehrenfest_residual(alg, [0.5 * alg.basis_vector(3)], field,
-                                       alg.unit, (0,), 1e-3)
+                                       alg.basis_vector(alg.unit_index), (0,), 1e-3)
     assert res[0] <= 1e-13
     # constant field with zero momentum: both sides vanish identically
     _, _, const = translated_qubit_field(1e-3, omega=0.0)

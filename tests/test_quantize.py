@@ -30,6 +30,12 @@ def rand_unitary(rng, n):
     return scipy.stats.unitary_group.rvs(n, random_state=np.random.RandomState(rng.integers(1 << 31)))
 
 
+def factor(qb):
+    """B = diag(sqrt(lam)) U* of the retained eigendecomposition: the columns
+    of B are the coordinates of the |y_i>, with B* B = G."""
+    return np.sqrt(qb.eigvals)[:, None] * qb.eigvecs.conj().T
+
+
 def circle_klauder_basis(n=12, radius=0.9):
     return np.array([[0.0, radius * np.exp(2j * math.pi * k / n)] for k in range(n)])
 
@@ -49,9 +55,10 @@ def test_quantized_map_reproduces_kernel_matrix_elements():
     qb = build_quantum_space(sp, pts)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     q = quantize_map(qb, linear_point_map(a), tol=1e-6)
+    b = factor(qb)
     for j in range(7):
         for i in range(7):
-            lhs = np.vdot(qb.factor[:, j], q.matrix @ qb.factor[:, i])
+            lhs = np.vdot(b[:, j], q.matrix @ b[:, i])
             rhs = eval_kernel(sp, label(pts[j]), label(a @ pts[i]))
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-10)
     assert q.residual <= 5e-8  # rank-complete basis: residual at the sqrt(eps) floor
@@ -72,18 +79,15 @@ def test_quantized_rotation_matches_symmetric_power_rep():
     rng = np.random.default_rng(SEED + 2)
     n = 3
     sp = spin_space(n)
-    rep = oracles  # silence linters; real oracle below
-    from cohspace.reps import SpinRep
-
-    srep = SpinRep(n)
     pts, _ = sample_points(sp, rng, 10)
     qb = build_quantum_space(sp, pts)
     u = rand_unitary(rng, 2)
     q = quantize_map(qb, linear_point_map(u), tol=1e-6)
-    g_rep = srep.gamma(u)
+    g_rep = oracles.spin_gamma(n, u)
+    b = factor(qb)
     for j in range(6):
         for i in range(6):
-            lhs = np.vdot(qb.factor[:, j], q.matrix @ qb.factor[:, i])
+            lhs = np.vdot(b[:, j], q.matrix @ b[:, i])
             rhs = np.vdot(oracles.spin_monomial_embed(n, pts[j]),
                           g_rep @ oracles.spin_monomial_embed(n, pts[i]))
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-10)
@@ -177,9 +181,10 @@ def test_generator_matches_angular_momentum_rep():
     d = generator_matrix(qb, spin_flow(sx), s=1e-3, tol=1e-6)
     # compare matrix elements against dGamma(sigma_x/2) = J_x in the monomial rep
     jx = srep.dgamma(sx)
+    b = factor(qb)
     for j in range(8):
         for i in range(8):
-            lhs = np.vdot(qb.factor[:, j], d.matrix @ qb.factor[:, i])
+            lhs = np.vdot(b[:, j], d.matrix @ b[:, i])
             rhs = np.vdot(oracles.spin_monomial_embed(n, pts[j]),
                           jx @ oracles.spin_monomial_embed(n, pts[i]))
             assert lhs == pytest.approx(rhs, rel=1e-7, abs=1e-8)

