@@ -25,6 +25,15 @@ antiholomorphic in the first slot, such that every finite Gram matrix
                         lambda lambda' exp(s^T s'/hbar); not Hermitian, projective
                         degree 1 under (lambda, s) -> (alpha lambda, s).
 
+The kinds whose kernel factors through a finite feature map,
+K(z, z') = <phi(z), phi(z')> with phi(z) in C^D, also carry phi in the
+``features`` column: ``trivial``, ``euclidean_subset`` and ``icosahedron``
+(phi = z), and ``spin`` at an integer exponent 0 <= n <= 1029 (the monomials
+sqrt(C(n, k)) z1^(n-k) z2^k, whose weights ``monomial_weights`` gives; above
+n = 1029 they overflow float64).  ``feature_matrix`` evaluates phi on a
+checked stack; qspace takes a quantum space of these kinds from the SVD of
+the features instead of the Gram.
+
 A batch of labels is one stack from the config to the kernel: ``coords``
 (n, d) complex and ``multipliers`` (n,) or None.  Each factory states once,
 over such stacks, its kernel (..., n, d) x (..., m, d) -> (..., n, m), its
@@ -66,7 +75,10 @@ class KernelSpace:
     """A catalog space.  ``kernel(A, B)`` maps label stacks (..., n, d) x
     (..., m, d) to the (..., n, m) kernel values, without line-bundle
     multipliers; ``sampler(rng, count)`` returns valid labels (count, d) and
-    multipliers ((count,) or None), drawn as `count` one-label draws would be."""
+    multipliers ((count,) or None), drawn as `count` one-label draws would be.
+    ``features``, where set, maps labels (n, d) to phi (n, D) with
+    kernel(A, B) = conj(phi(A)) @ phi(B).T; it is None for every kind whose
+    kernel has no finite feature map (and for line-bundle kinds)."""
 
     label_dim: int
     kind: str
@@ -79,6 +91,7 @@ class KernelSpace:
     domain: Optional[Callable[[np.ndarray], np.ndarray]] = None  # True per row inside
     domain_name: str = ""
     rowwise_diagonal: bool = False  # kernel takes (n, d) x (m, d) only
+    features: Optional[Callable[[np.ndarray], np.ndarray]] = None  # labels (n, d) -> (n, D)
     descriptor: dict = field(default_factory=dict)
 
 
@@ -130,6 +143,14 @@ def cross_gram(space: KernelSpace, coords: np.ndarray, multipliers=None,
     return _finite(space, k)
 
 
+def feature_matrix(space: KernelSpace, coords: np.ndarray, multipliers=None) -> np.ndarray:
+    """phi(z_i) of checked labels (n, d), shape (n, D), for a kind with features."""
+    check_stack(space, coords, multipliers)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite
+        phi = space.features(coords)
+    return _finite(space, phi, "feature")
+
+
 def eval_kernel(space: KernelSpace, z: tuple, z2: tuple) -> complex:
     """K(z, z') of two one-row label stacks (coords (1, d), multipliers (1,) or None)."""
     return complex(cross_gram(space, *z, *(() if z2 is z else z2))[0, 0])
@@ -150,16 +171,16 @@ def kernel_diagonal(space: KernelSpace, coords: np.ndarray, multipliers=None) ->
     return _finite(space, k)
 
 
-def _finite(space: KernelSpace, k: np.ndarray) -> np.ndarray:
-    """Kernel values k, (n, m) or the diagonal (n,), if all are finite; else
-    NumericalError naming the first non-finite entry (i, j)."""
+def _finite(space: KernelSpace, k: np.ndarray, what: str = "kernel") -> np.ndarray:
+    """Kernel values k, (n, m) or the diagonal (n,), or features (n, D), if
+    all are finite; else NumericalError naming the first non-finite entry (i, j)."""
     ok = np.isfinite(k)
     if ok.all():
         return k
     at = int(ok.argmin())
     i, j = divmod(at, k.shape[1]) if k.ndim == 2 else (at, at)
     v = complex(k.flat[at])
-    raise NumericalError(f"{space.kind}: the kernel value at entry ({i}, {j}) is not finite "
+    raise NumericalError(f"{space.kind}: the {what} value at entry ({i}, {j}) is not finite "
                          f"(re = {v.real:g}, im = {v.imag:g}); it overflowed float64")
 
 
@@ -195,12 +216,17 @@ def _sesquilinear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.conj() @ b.swapaxes(-1, -2)
 
 
+def _identity(a: np.ndarray) -> np.ndarray:
+    return a
+
+
 def trivial_space(dim: int) -> KernelSpace:
     return KernelSpace(
         label_dim=dim,
         kind="trivial",
         kernel=_sesquilinear,
         sampler=lambda rng, count: (_cgauss(rng, count, (dim, 1.0)), None),
+        features=_identity,
         descriptor={"kind": "trivial", "dim": dim},
     )
 
@@ -222,6 +248,7 @@ def euclidean_subset(dim: int, radius: float = 1.0) -> KernelSpace:
         sampler=_per_label(draw, dim),
         domain=lambda a: row_norms(a) <= radius + POINT_TOL,
         domain_name=f"||z|| <= {radius}",
+        features=_identity,
         descriptor={"kind": "euclidean_subset", "dim": dim, "radius": radius},
     )
 
@@ -274,6 +301,22 @@ def principal_power(s: np.ndarray, n: float) -> np.ndarray:
     return k
 
 
+MONOMIAL_MAX_DEGREE = 1029  # sqrt(C(n, n // 2)) overflows float64 above it
+
+
+def monomial_weights(n: int) -> np.ndarray:
+    """sqrt(C(n, k)) for k = 0..n: the weights of the degree-n spin monomials."""
+    return np.array([math.sqrt(math.comb(n, k)) for k in range(n + 1)])
+
+
+def _monomials(n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """phi_k(z) = sqrt(C(n, k)) z1^(n-k) z2^k of spinors (m, 2), shape (m, n + 1),
+    so that <phi(z), phi(z')> = <z, z'>^n by the binomial theorem."""
+    k = np.arange(n + 1)
+    weights = monomial_weights(n)
+    return lambda a: weights * a[:, :1] ** (n - k) * a[:, 1:] ** k
+
+
 def spin_space(exponent: float) -> KernelSpace:
     """Unit spinors in C^2 with K = <z, z'>^n, n = exponent = 2j.
 
@@ -281,14 +324,16 @@ def spin_space(exponent: float) -> KernelSpace:
     integer; other exponents are accepted for diagnostics and fail the PSD
     check with a genuinely negative eigenvalue.  Integer exponents take
     np.power; the others the principal branch |s|^n e^(i n arg s) of
-    ``principal_power``, on real arrays.
+    ``principal_power``, on real arrays.  Integer exponents up to
+    MONOMIAL_MAX_DEGREE carry the monomial features.
     """
     n = exponent
     is_int = abs(n - round(n)) < 1e-12
+    degree = int(round(n)) if is_int else None
 
     def kernel(a, b):
         s = _sesquilinear(a, b)
-        return np.power(s, int(round(n))) if is_int else principal_power(s, n)
+        return np.power(s, degree) if is_int else principal_power(s, n)
 
     return KernelSpace(
         label_dim=2,
@@ -297,6 +342,8 @@ def spin_space(exponent: float) -> KernelSpace:
         sampler=_unit_spinors,
         constraint=unit_norm_residual,
         constraint_name="unit spinor norm",
+        features=(_monomials(degree) if is_int and 0 <= degree <= MONOMIAL_MAX_DEGREE
+                  else None),
         descriptor={"kind": "spin", "exponent": n},
     )
 
@@ -338,11 +385,12 @@ def power_space(base: KernelSpace, n: int) -> KernelSpace:
     if n < 1:
         raise ConfigError("power kernel needs an integer exponent n >= 1")
 
-    # labels, sampler, checks and symmetries are the base's
+    # labels, sampler, checks and symmetries are the base's; its features are not K^n's
     return replace(
         base,
         kind="power",
         kernel=lambda a, b: np.power(base.kernel(a, b), n),
+        features=None,
         projective_degree=None if base.projective_degree is None else n * base.projective_degree,
         descriptor={"kind": "power", "base": base.descriptor, "n": n},
     )
@@ -475,6 +523,7 @@ def icosahedron_space() -> KernelSpace:
                                     None),
         constraint=lambda a: np.abs(verts - a[:, None, :]).max(axis=2).min(axis=1),
         constraint_name="icosahedron vertex",
+        features=_identity,
         descriptor={"kind": "icosahedron"},
     )
 

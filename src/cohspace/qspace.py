@@ -3,7 +3,17 @@
 A quantum space over basis labels y_1..y_n is the span of the coherent
 vectors |y_i>.  Numerically it is carried by the eigendecomposition
 G = U diag(lam) U* of their Gram, truncated to the eigenvalues above
-tol * lam_max: the retained (lam_r, U_r) are all that quantize reads.
+tol * lam_max.  It is taken by one of two routes:
+
+- a kind with features (kernels.KernelSpace.features, K(z, z') =
+  <phi(z), phi(z')>) has G = conj(Phi) conj(Phi)* for its feature matrix
+  Phi (n, D), so the thin SVD conj(Phi) = U diag(sigma) V* gives lam =
+  sigma^2 and U without forming G; the rows of V* span the coherent vectors
+  in feature coordinates, and the retained ones are kept for quantize;
+- every other kind forms G and runs eigh on it, after the PSD check.
+
+The retained (lam_r, U_r), and V*_r on the feature route, are all that
+quantize reads.
 
 The package's one numerical-derivative rule, ``richardson``, combines a
 central quotient at steps h and h/2; quantize's generators use it.
@@ -16,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoherenceViolationError, ConfigError, InvalidPointError, NumericalError
-from .kernels import KernelSpace, gram_matrix, psd_verdict
+from .kernels import KernelSpace, feature_matrix, gram_matrix, psd_verdict
 
 DEFAULT_TRUNCATION_TOL = 1e-10
 
@@ -30,6 +40,7 @@ class QuantumBasis:
     truncation_tol: float
     eigvals: np.ndarray         # retained Gram eigenvalues, descending (rank,)
     eigvecs: np.ndarray         # their eigenvectors, shape (n, rank)
+    feature_basis: np.ndarray | None = None  # retained rows of V* (rank, D); None without features
 
     @property
     def size(self) -> int:
@@ -38,12 +49,13 @@ class QuantumBasis:
 
 def build_quantum_space(space: KernelSpace, coords: np.ndarray, multipliers=None,
                         tol: float = DEFAULT_TRUNCATION_TOL) -> QuantumBasis:
-    """Eigendecompose the Gram of labels (n, d); eigenvalues at or below
-    tol * lam_max are truncated.
+    """The Gram spectrum of labels (n, d), descending, with the eigenvalues
+    at or below tol * lam_max truncated: from the SVD of the features for a
+    kind that has them, else from eigh of the Gram.
 
-    Raises CoherenceViolationError if the Gram fails the PSD check at `tol`,
-    and ConfigError unless 0 < tol < 1 (tol >= 1 would truncate every
-    eigenvalue).
+    Raises CoherenceViolationError if the Gram fails the PSD check at `tol`
+    or has no positive eigenvalue, and ConfigError unless 0 < tol < 1
+    (tol >= 1 would truncate every eigenvalue).
     """
     if not 0.0 < tol < 1.0:
         raise ConfigError(f"'tol' must lie in (0, 1), got {tol!r}")
@@ -52,6 +64,24 @@ def build_quantum_space(space: KernelSpace, coords: np.ndarray, multipliers=None
         raise ConfigError("need at least one basis point")
     if not space.hermitian:
         raise InvalidPointError(f"{space.kind}: PSD check needs a Hermitian kernel")
+    vh = None
+    if space.features is None:
+        lam, u = _gram_spectrum(space, coords, multipliers, tol)
+    else:
+        lam, u, vh = _feature_spectrum(space, coords, multipliers)
+    lam_max = lam[0]
+    if lam_max <= 0.0:
+        raise CoherenceViolationError(f"{space.kind}: Gram has no positive eigenvalues")
+    rank = int(np.count_nonzero(lam > tol * lam_max))
+    return QuantumBasis(space=space, coords=coords, multipliers=multipliers, rank=rank,
+                        truncation_tol=float(tol), eigvals=lam[:rank], eigvecs=u[:, :rank],
+                        feature_basis=None if vh is None else vh[:rank])
+
+
+def _gram_spectrum(space: KernelSpace, coords: np.ndarray, multipliers,
+                   tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, U) of the Gram by eigh, descending, after its PSD check at `tol`."""
+    n = len(coords)
     g = gram_matrix(space, coords, multipliers)
     try:
         lam, u = np.linalg.eigh(g)
@@ -65,14 +95,25 @@ def build_quantum_space(space: KernelSpace, coords: np.ndarray, multipliers=None
             min_eigenvalue=verdict.min_eigenvalue,
         )
     order = np.argsort(lam)[::-1]          # descending, fixed tie order
-    lam, u = lam[order], u[:, order]
-    lam_max = lam[0]
-    if lam_max <= 0.0:
-        raise CoherenceViolationError(f"{space.kind}: Gram has no positive eigenvalues")
-    keep = lam > tol * lam_max
-    rank = int(np.count_nonzero(keep))
-    return QuantumBasis(space=space, coords=coords, multipliers=multipliers, rank=rank,
-                        truncation_tol=float(tol), eigvals=lam[:rank], eigvecs=u[:, :rank])
+    return lam[order], u[:, order]
+
+
+def _feature_spectrum(space: KernelSpace, coords: np.ndarray,
+                      multipliers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sigma^2, U, V*) of the thin SVD conj(Phi) = U diag(sigma) V*, descending:
+    G = conj(Phi) Phi^T = U diag(sigma^2) U*, which is PSD by construction."""
+    phi = feature_matrix(space, coords, multipliers)
+    try:
+        u, sigma, vh = np.linalg.svd(phi.conj(), full_matrices=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
+        raise NumericalError(f"SVD failed on {phi.shape[0]}x{phi.shape[1]} features: "
+                             f"{exc}") from exc
+    with np.errstate(over="ignore"):  # reported below
+        lam = sigma * sigma
+    if not np.isfinite(lam[0]):
+        raise NumericalError(f"{space.kind}: the largest Gram eigenvalue ({sigma[0]:.3e})^2 "
+                             "is not finite; it overflowed float64")
+    return lam, u, vh
 
 
 # ------------------------------------------------------------ derivative rule

@@ -4,9 +4,17 @@ A coherent map A acts on label stacks: coords (n, d) -> (n, d), the
 multipliers left as they are (see kernels.linear_point_map).  Its
 quantization on span{|y_i>} is the linear operator with Gamma(A)|y_i> =
 |A y_i>.  Numerically: expand each image coherent vector in the retained
-eigenbasis by solving B* u = c with c_j = K(y_j, A y_i) (closed-form
-pseudo-inverse from the stored eigendecomposition), record how much of the
-image escapes the span, and assemble Gamma = U B^+.
+orthonormal basis e_r = sum_j U_jr |y_j> / sqrt(lam_r) of the span, record
+how much of the image escapes the span, and assemble Gamma = u B^+, with
+B = diag(sqrt(lam)) U* the coordinates of the |y_i>.  The coordinates u_ri =
+<e_r|A y_i> come from one of the two routes of the quantum space:
+
+- Gram route: solve B* u = c with c_j = K(y_j, A y_i) (closed-form
+  pseudo-inverse from the stored eigendecomposition); the escape is
+  sqrt(K(Ay, Ay) - |u|^2), whose roundoff floor is near sqrt(eps);
+- feature route: e_r is the r-th retained row of V*, conjugated, so u = V*_r
+  phi(A y)^T, and the escape is the norm of phi(A y) minus its projection
+  V_r u, at the roundoff floor eps.
 
 Generators are recovered from one-parameter flows s -> flow(s), a map with
 flow(0) = id, by an antisymmetric difference quotient with Richardson
@@ -23,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, SpanEscapeError, StepSizeError
-from .kernels import cross_gram
+from .kernels import cross_gram, feature_matrix
 from .qspace import QuantumBasis, richardson
 
 LabelMap = Callable[[np.ndarray], np.ndarray]  # label stack (n, d) -> its image (n, d)
@@ -38,18 +46,26 @@ class QuantizedOperator:
 def quantize_map(qb: QuantumBasis, a: LabelMap, tol: float = 1e-6) -> QuantizedOperator:
     """Gamma(A) on the retained span; raises SpanEscapeError if any image
     coherent vector leaves the span by more than `tol` (relative amplitude;
-    note the sqrt in the residual puts the roundoff floor near sqrt(eps),
-    so tolerances below ~1e-7 only make sense for exactly-representable maps)."""
+    on the Gram route the sqrt in the residual puts the roundoff floor near
+    sqrt(eps), so tolerances below ~1e-7 only make sense for
+    exactly-representable maps)."""
     space, y, mults = qb.space, qb.coords, qb.multipliers
     n = qb.size
     images = a(y)
-    c = cross_gram(space, y, mults, images, mults)  # c[j, i] = K(y_j, A y_i); checks the images
-    kimg = cross_gram(space, images, mults).diagonal().real
-    # solve B* u = c via the eigendecomposition pseudo-inverse
-    u_cols = (qb.eigvecs.conj().T @ c) / np.sqrt(qb.eigvals)[:, None]
-    proj = (u_cols.conj() * u_cols).real.sum(axis=0)
-    residuals = np.sqrt(np.divide(np.maximum(0.0, kimg - proj), kimg,
-                                  out=np.zeros(n), where=kimg > 0))
+    if qb.feature_basis is None:
+        c = cross_gram(space, y, mults, images, mults)  # c[j, i] = K(y_j, A y_i); checks the images
+        kimg = cross_gram(space, images, mults).diagonal().real
+        # solve B* u = c via the eigendecomposition pseudo-inverse
+        u_cols = (qb.eigvecs.conj().T @ c) / np.sqrt(qb.eigvals)[:, None]
+        proj = (u_cols.conj() * u_cols).real.sum(axis=0)
+        residuals = np.sqrt(np.divide(np.maximum(0.0, kimg - proj), kimg,
+                                      out=np.zeros(n), where=kimg > 0))
+    else:
+        phi = feature_matrix(space, images, mults).T  # column i is phi(A y_i); checks the images
+        u_cols = qb.feature_basis @ phi
+        norms = np.linalg.norm(phi, axis=0)
+        escape = np.linalg.norm(phi - qb.feature_basis.conj().T @ u_cols, axis=0)
+        residuals = np.divide(escape, norms, out=np.zeros(n), where=norms > 0)
     worst = float(residuals.max()) if n else 0.0
     if worst > tol:
         bad = int(np.argmax(residuals))

@@ -186,7 +186,8 @@ def solve_implicit_spectrum(model: ImplicitSpectralModel, interval: tuple[float,
     Scans a uniform grid for sign changes, polishes each bracket to
     |lambda| <= tol, collapses duplicates within 1e-10 relative, and flags
     possible tangencies (near-zero grid minima without a sign change) as
-    multiplicity-uncertain warnings.
+    multiplicity-uncertain warnings.  A root on the last branch of the
+    model's indices warns that the branches above it were not scanned.
     """
     (e_lo, e_hi), es = _scan_grid(interval, grid)
     m_vals = np.broadcast_to(model.m(es), es.shape)
@@ -227,6 +228,10 @@ def solve_implicit_spectrum(model: ImplicitSpectralModel, interval: tuple[float,
                         f"E = {es[j]:.6g} without a sign change; possible tangency "
                         f"(multiplicity uncertain) — refine the grid beyond {grid} points"
                     )
+        # a root on the last branch scanned: the unscanned branches may have some too
+        if any(r[0] == model.indices[-1] for r in roots):
+            warnings.append(f"branches above n_max={model.indices[-1]} may have roots in "
+                            f"[{e_lo:g}, {e_hi:g}]; raise n_max")
         return SpectrumResult(_dedupe(roots), [], (e_lo, e_hi), warnings)
 
     # continuous family: each run of grid points inside the solution set is

@@ -34,14 +34,13 @@ the velocity is a division.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, IntegratorFailure, InvalidPointError, NumericalError
 from .integrate import solve_rk45, total_stats
-from .kernels import KernelSpace, kernel_diagonal
+from .kernels import KernelSpace, kernel_diagonal, monomial_weights
 from .dynamics import Trajectory
 
 CHART_SWITCH_RADIUS = 2.0
@@ -71,8 +70,7 @@ def _sphere_matrices(n: int, south: bool) -> np.ndarray:
     """S of the degree-n monomials sqrt(C(n, k)) w^k (north) or w^(n-k)
     (south), shared read-only by every chart of that side."""
     k = np.arange(n + 1)
-    weights = np.array([math.sqrt(math.comb(n, j)) for j in k])
-    s = _power_matrices(weights, (n - k) if south else k)
+    s = _power_matrices(monomial_weights(n), (n - k) if south else k)
     s.flags.writeable = False
     return s
 

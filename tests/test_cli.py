@@ -69,6 +69,22 @@ def test_spec_solve_oscillator_half_integers(tmp_path, monkeypatch, capsys):
     assert energies == pytest.approx([n + 0.5 for n in range(10)], abs=1e-10)
 
 
+@pytest.mark.parametrize("model, interval, roots, warnings", [
+    ("oscillator", "[0,100]", 33,
+     ["branches above n_max=32 may have roots in [0, 100]; raise n_max"]),
+    ("oscillator", "[0,10]", 10, []),
+    ("coulomb", "[-0.6,-0.015]", 5, []),
+])
+def test_spec_solve_warns_when_the_last_branch_has_a_root(tmp_path, monkeypatch, capsys,
+                                                          model, interval, roots, warnings):
+    code, out, _ = run_cli(["spec-solve", "--model", model, "--interval", interval],
+                           tmp_path, monkeypatch, capsys)
+    assert code == 0
+    report = json.loads((tmp_path / json.loads(out)["report"]).read_text())
+    assert report["summary"]["n_discrete"] == roots
+    assert report["warnings"] == warnings
+
+
 def test_lyapunov_kicked_cli_positive_exponent(tmp_path, monkeypatch, capsys):
     code, _, _ = run_cli(
         ["dyn-lyapunov", "--kick", "3.0", "--spin", "8", "--periods", "150",
@@ -1413,7 +1429,8 @@ def test_exit_1_names_a_span_too_long_for_the_float_resolution_of_t(tmp_path, mo
 
 def test_the_second_argument_of_gram_matrix_counts_the_labels(tmp_path, monkeypatch):
     """The benchmark's tracer counts Gram entries as len(args[1]) ** 2 of
-    gram_matrix: its second argument is the (n, d) label stack on every route."""
+    gram_matrix: its second argument is the (n, d) label stack on every route
+    that forms a Gram (spin quantum spaces take the SVD of their features instead)."""
     from cohspace import qspace
 
     assert list(inspect.signature(kernels.gram_matrix).parameters)[:2] == ["space", "coords"]
@@ -1427,12 +1444,12 @@ def test_the_second_argument_of_gram_matrix_counts_the_labels(tmp_path, monkeypa
         monkeypatch.setattr(module, "gram_matrix", spy)
     monkeypatch.chdir(tmp_path)
     spin = {"kind": "spin", "exponent": 2}
-    flip = [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]
+    identity = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
     spinors = [[1, 0], [0, 1], [0.6, 0.8]]
     for config in ({"command": "kernel-gram", "space": spin, "points": spinors},
                    {"command": "kernel-check", "space": spin, "count": 5},
                    {"command": "qspace-build", "space": {"kind": "klauder"}, "count": 4},
-                   {"command": "quantize", "space": spin, "count": 6,
-                    "map": {"kind": "linear", "matrix": flip}}):
+                   {"command": "quantize", "space": {"kind": "klauder"}, "count": 6,
+                    "map": {"kind": "linear", "matrix": identity}}):
         cli.run(config)
     assert seen == [(3, (3, 2)), (5, (5, 2)), (4, (4, 2)), (6, (6, 2))]

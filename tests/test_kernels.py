@@ -1,5 +1,6 @@
-"""Kernel catalog: values, symmetry, positivity, distances, descriptors."""
+"""Kernel catalog: values, symmetry, positivity, distances, descriptors, features."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 
 import oracles
 from labels import label, points, sampled, stack
-from cohspace.errors import ConfigError, InvalidPointError
+from cohspace.errors import ConfigError, InvalidPointError, NumericalError
 from cohspace.kernels import (
+    MONOMIAL_MAX_DEGREE,
     check_coherence,
     check_stack,
     classical_limit_space,
@@ -17,6 +19,7 @@ from cohspace.kernels import (
     discrete_space,
     euclidean_subset,
     eval_kernel,
+    feature_matrix,
     gram_matrix,
     heisenberg_space,
     icosahedron_space,
@@ -24,6 +27,7 @@ from cohspace.kernels import (
     kernel_diagonal,
     klauder_space,
     linear_point_map,
+    monomial_weights,
     moebius_space,
     power_space,
     principal_power,
@@ -81,6 +85,76 @@ def test_spin_kernel_matches_monomial_embedding():
         lhs = eval_kernel(sp, z, w)
         rhs = np.vdot(oracles.spin_monomial_embed(n, z[0][0]), oracles.spin_monomial_embed(n, w[0][0]))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+# ---------------------------------------------------------------- features
+
+FEATURE_KINDS = [trivial_space(3), euclidean_subset(4, 2.0), icosahedron_space(),
+                 *(spin_space(n) for n in (0, 1, 3, 8, 40))]
+_FEATURE_IDS = ["trivial3", "euclidean4", "icosahedron", "spin0", "spin1", "spin3", "spin8",
+                "spin40"]
+
+
+@pytest.mark.parametrize("sp", FEATURE_KINDS, ids=_FEATURE_IDS)
+def test_features_reproduce_the_kernel(sp):
+    """K(a, b) = <phi(a), phi(b)> on sampled labels, to 1e-14 |phi(a)| |phi(b)|
+    (both sides round a sum of at most 41 products)."""
+    rng = np.random.default_rng(RNG_SEED)
+    (a, _), (b, _) = sample_points(sp, rng, 7), sample_points(sp, rng, 5)
+    phi_a, phi_b = feature_matrix(sp, a), feature_matrix(sp, b)
+    scale = np.outer(np.linalg.norm(phi_a, axis=1), np.linalg.norm(phi_b, axis=1))
+    assert (np.abs(phi_a.conj() @ phi_b.T - sp.kernel(a, b)) <= 1e-14 * scale).all()
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 8, 40])
+def test_spin_features_are_the_oracle_monomials(n):
+    sp = spin_space(n)
+    coords, _ = sample_points(sp, np.random.default_rng(RNG_SEED + n), 6)
+    phi = feature_matrix(sp, coords)
+    assert phi.shape == (6, n + 1)
+    for row, z in zip(phi, coords):
+        np.testing.assert_allclose(row, oracles.spin_monomial_embed(n, z), rtol=1e-14, atol=1e-15)
+
+
+def test_monomial_weights_are_root_binomials():
+    for n in (0, 1, 8, MONOMIAL_MAX_DEGREE):
+        w = monomial_weights(n)
+        assert w.shape == (n + 1,) and np.isfinite(w).all()
+        assert w[0] == w[-1] == 1.0
+    with pytest.raises(OverflowError):  # the degree limit is where the weights leave float64
+        monomial_weights(MONOMIAL_MAX_DEGREE + 1)
+    assert monomial_weights(8)[4] ** 2 == pytest.approx(70.0, rel=1e-15)
+
+
+_NO_FEATURES = {
+    "klauder": klauder_space(1),
+    "spin2.5": spin_space(2.5),
+    "spin-2": spin_space(-2),
+    "spin-above-max-degree": spin_space(MONOMIAL_MAX_DEGREE + 1),
+    "spin_t": spin_t_space(2),
+    "classical_limit": classical_limit_space(2),
+    "power-of-spin": power_space(spin_space(2), 2),
+    "power-of-trivial": power_space(trivial_space(2), 1),
+    "debranges": debranges_space(),
+    "moebius": moebius_space(),
+    "discrete": discrete_space(np.eye(2)),
+    "heisenberg": heisenberg_space(1),
+}
+
+
+@pytest.mark.parametrize("name", list(_NO_FEATURES))
+def test_kinds_without_a_finite_feature_map_carry_no_features(name):
+    # a power inherits its base's checks and sampler, never its base's features
+    assert _NO_FEATURES[name].features is None
+
+
+def test_a_non_finite_feature_raises_naming_its_entry():
+    sp = dataclasses.replace(trivial_space(1), features=lambda a: a * 1e300)
+    with pytest.raises(NumericalError, match=r"trivial: the feature value at entry \(1, 0\) "
+                                             r"is not finite"):
+        feature_matrix(sp, np.array([[1.0], [1e10]], dtype=complex))
+    with pytest.raises(InvalidPointError, match="unit spinor norm"):
+        feature_matrix(spin_space(2), np.array([[1.0, 1.0]], dtype=complex))
 
 
 def test_power_kernel_exact_for_small_exponents():

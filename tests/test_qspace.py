@@ -1,5 +1,6 @@
 """Quantum spaces: Gram factorization, rank, truncation and span-state coordinates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,14 +8,21 @@ import pytest
 
 import oracles
 from labels import points
-from cohspace.errors import CoherenceViolationError
+from cohspace.errors import (
+    CoherenceViolationError,
+    ConfigError,
+    InvalidPointError,
+    NumericalError,
+)
 from cohspace.kernels import (
     classical_limit_space,
+    euclidean_subset,
     eval_kernel,
     gram_matrix,
     icosahedron_space,
     icosahedron_vertices,
     klauder_space,
+    power_space,
     sample_points,
     spin_space,
     trivial_space,
@@ -76,6 +84,7 @@ def test_build_rejects_non_psd_kernel():
 
 
 def test_build_makes_one_gram(monkeypatch):
+    """A kind without features forms its Gram once; a kind with features forms none."""
     import cohspace.kernels
     import cohspace.qspace
 
@@ -90,6 +99,10 @@ def test_build_makes_one_gram(monkeypatch):
         monkeypatch.setattr(module, "gram_matrix", counting)
     sp = spin_space(3)
     build_quantum_space(sp, *sample_points(sp, np.random.default_rng(SEED), 9))
+    assert calls == []
+
+    sp = klauder_space(1)
+    build_quantum_space(sp, *sample_points(sp, np.random.default_rng(SEED), 9))
     assert calls == [9]
 
     calls.clear()
@@ -98,6 +111,104 @@ def test_build_makes_one_gram(monkeypatch):
         build_quantum_space(bad, *sample_points(bad, np.random.default_rng(0), 8))
     assert calls == [8]
     assert info.value.min_eigenvalue < -1e-6
+
+
+# ------------------------------------------------------------ SVD route against eigh
+
+
+def gram_route(sp):
+    """The space without its features: build_quantum_space takes eigh of the Gram."""
+    return dataclasses.replace(sp, features=None)
+
+
+def sin_largest_angle(u, v):
+    """sin of the largest principal angle between the column spans of the
+    orthonormal u and v (of one dimension)."""
+    return np.linalg.norm(v - u @ (u.conj().T @ v), 2)
+
+
+_ROUTE_CASES = {
+    "spin8-200": (spin_space(8), 200),
+    "spin8-5": (spin_space(8), 5),   # fewer labels than the 9 features
+    "spin3-40": (spin_space(3), 40),
+    "spin0-4": (spin_space(0), 4),
+    "trivial3-30": (trivial_space(3), 30),
+    "euclidean4-12": (euclidean_subset(4), 12),
+    "icosahedron-12": (icosahedron_space(), 12),
+}
+
+
+@pytest.mark.parametrize("name", list(_ROUTE_CASES))
+def test_svd_route_matches_eigh_of_the_gram(name):
+    """sigma^2 within 1e-14 lam_max of eigh's eigenvalues, the same rank, and
+    retained spans within 1e-12 in the sine of their largest principal angle
+    (eps-level perturbations over retained gaps of at least 0.05 lam_max)."""
+    sp, count = _ROUTE_CASES[name]
+    coords, _ = sample_points(sp, np.random.default_rng(SEED), count)
+    qb = build_quantum_space(sp, coords)
+    lam = np.linalg.eigvalsh(gram_matrix(sp, coords))[::-1]
+    assert qb.feature_basis is not None and qb.feature_basis.shape[0] == qb.rank
+    assert np.abs(qb.eigvals - lam[:qb.rank]).max() <= 1e-14 * lam[0]
+    oracle = build_quantum_space(gram_route(sp), coords)
+    assert oracle.feature_basis is None and oracle.rank == qb.rank
+    assert sin_largest_angle(qb.eigvecs, oracle.eigvecs) <= 1e-12
+
+
+def _ico_rows(*signed):
+    """Icosahedron vertex rows; -k is the antipode of vertex k (nonzero k)."""
+    v = icosahedron_vertices()
+    return np.array([np.sign(k) * v[abs(k)] for k in signed], dtype=complex)
+
+
+@pytest.mark.parametrize("sp, coords, rank", [
+    (icosahedron_space(), _ico_rows(1, 1, 1), 1),                     # one vertex thrice
+    (icosahedron_space(), _ico_rows(1, -1), 1),                       # an antipodal pair
+    (icosahedron_space(), _ico_rows(1, -1, 2, -2, 2), 2),
+    (icosahedron_space(), _ico_rows(1, 2, 3, -1, -2, -3), 3),
+    (spin_space(8), np.array([[1, 0], [0.6, 0.8], [1, 0], [0.6, 0.8]], dtype=complex), 2),
+    (trivial_space(2), np.array([[1, 2j], [0.5, -1.0], [1, 2j]]), 2),
+], ids=["ico-repeated", "ico-antipodes", "ico-two-axes", "ico-three-axes", "spin8-repeated",
+        "trivial-repeated"])
+def test_rank_deficient_labels_give_one_rank_on_both_routes(sp, coords, rank):
+    assert build_quantum_space(sp, coords).rank == rank
+    assert build_quantum_space(gram_route(sp), coords).rank == rank
+
+
+@pytest.mark.parametrize("route", [lambda sp: sp, gram_route], ids=["svd", "eigh"])
+def test_both_routes_keep_the_checks(route):
+    spin3, triv = route(spin_space(3)), route(trivial_space(2))
+    good, _ = sample_points(spin3, np.random.default_rng(SEED), 4)
+    with pytest.raises(InvalidPointError, match="unit spinor norm"):
+        build_quantum_space(spin3, np.array([[1.0, 1.0]], dtype=complex))
+    with pytest.raises(InvalidPointError, match="non-finite label coordinates"):
+        build_quantum_space(triv, np.array([[1.0, np.nan]], dtype=complex))
+    for tol in (0.0, 1.0):
+        with pytest.raises(ConfigError, match="'tol' must lie in"):
+            build_quantum_space(spin3, good, tol=tol)
+    with pytest.raises(ConfigError, match="at least one basis point"):
+        build_quantum_space(spin3, good[:0])
+    with pytest.raises(CoherenceViolationError, match="trivial: Gram has no positive eigenvalues"):
+        build_quantum_space(triv, np.zeros((3, 2), dtype=complex))
+    with pytest.raises(NumericalError, match="overflowed float64"):  # |z|^2 = 1e400
+        build_quantum_space(triv, np.array([[1e200, 0.0]], dtype=complex))
+
+
+def test_powers_and_fractional_spins_stay_on_the_gram_route():
+    """A power of spin has no features (its base's would give K, not K^2),
+    so its build is eigh of its own Gram: rank 5 for <z, z'>^(2 * 2)."""
+    sp = power_space(spin_space(2), 2)
+    coords, _ = sample_points(sp, np.random.default_rng(SEED), 12)
+    lam = np.linalg.eigh(gram_matrix(sp, coords))[0][::-1]
+    qb = build_quantum_space(sp, coords)
+    assert sp.features is None and qb.feature_basis is None
+    assert qb.rank == 5 and np.array_equal(qb.eigvals, lam[:5])
+
+    frac = spin_space(2.5)
+    coords, _ = sample_points(frac, np.random.default_rng(SEED), 12)
+    with pytest.raises(CoherenceViolationError) as info:
+        build_quantum_space(frac, coords)
+    assert frac.features is None
+    assert info.value.min_eigenvalue == np.linalg.eigh(gram_matrix(frac, coords))[0][0]
 
 
 # ------------------------------------------------------------ span-state coordinates

@@ -1,5 +1,6 @@
 """Quantized maps and generators against embedding-route oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import scipy.stats
 
 import oracles
 from labels import label
-from cohspace.errors import SpanEscapeError, StepSizeError
+from cohspace.errors import InvalidPointError, SpanEscapeError, StepSizeError
 from cohspace.kernels import (
     eval_kernel,
     icosahedron_space,
@@ -113,6 +114,60 @@ def test_span_escape_raises_with_guidance():
 
     with pytest.raises(SpanEscapeError, match="enrich the basis"):
         quantize_map(qb, squeeze, tol=1e-8)
+
+
+# ------------------------------------------------------- feature route against eigh
+
+
+def _feature_cases():
+    rng = np.random.default_rng(SEED + 5)
+    perm = np.roll(np.eye(3), 1, axis=0) * np.exp(1j * rng.uniform(0, 2 * math.pi, 3))
+    return {
+        "spin8-su2": (spin_space(8), 30, np.exp(0.7j) * rand_unitary(rng, 2)),
+        "spin3-su2": (spin_space(3), 4, rand_unitary(rng, 2)),
+        "trivial3-perm": (trivial_space(3), 24, perm),
+        "trivial3-general": (trivial_space(3), 7, rng.standard_normal((3, 3))
+                             + 1j * rng.standard_normal((3, 3))),
+        "icosahedron-antipodal": (icosahedron_space(), 12, -np.eye(3)),
+    }
+
+
+_FEATURE_CASES = _feature_cases()
+
+
+@pytest.mark.parametrize("name", list(_FEATURE_CASES))
+def test_feature_route_quantizes_as_the_gram_route(name):
+    """The label-basis matrix elements <y_j|Gamma|y_i> = K(y_j, A y_i) of the
+    two routes agree to 1e-13 of their largest, and the feature route's
+    residual of a rank-complete basis sits at the eps floor (below 1e-14)."""
+    sp, count, m = _FEATURE_CASES[name]
+    coords, _ = sample_points(sp, np.random.default_rng(SEED), count)
+    qb = build_quantum_space(sp, coords)
+    gram_qb = build_quantum_space(dataclasses.replace(sp, features=None), coords)
+    q, want = quantize_map(qb, linear_point_map(m)), quantize_map(gram_qb, linear_point_map(m))
+    got_elements = factor(qb).conj().T @ q.matrix @ factor(qb)
+    want_elements = factor(gram_qb).conj().T @ want.matrix @ factor(gram_qb)
+    scale = np.abs(want_elements).max()
+    assert np.abs(got_elements - want_elements).max() <= 1e-13 * scale
+    assert q.residual <= 1e-14
+
+
+def test_feature_route_reports_the_escape_of_the_gram_route():
+    sp = trivial_space(3)
+    coords = np.array([[1.0, 0.0, 0.0], [0.6, 0.8j, 0.0]])  # span the first two axes
+    tilt = linear_point_map(np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.0], [0.0, 0.8, 1.0]]))
+    escapes = []
+    for route in (sp, dataclasses.replace(sp, features=None)):
+        with pytest.raises(SpanEscapeError, match="image of basis point 1 escapes") as info:
+            quantize_map(build_quantum_space(route, coords), tilt)
+        escapes.append(info.value.residuals)
+    # the escape of point 1 is 0.64 on both; point 0 stays at each route's floor
+    np.testing.assert_allclose(escapes[0], escapes[1], rtol=1e-12, atol=1e-7)
+    assert escapes[0][0] <= 1e-15
+    with pytest.raises(InvalidPointError, match="unit spinor norm"):  # the images are checked
+        spin = spin_space(2)
+        quantize_map(build_quantum_space(spin, np.array([[1.0, 0.0], [0.0, 1.0]])),
+                     linear_point_map(2.0 * np.eye(2)))
 
 
 # -------------------------------------------------------------- homomorphism

@@ -191,6 +191,10 @@ def pointwise_scan(model, interval, tol=1e-10, grid=DEFAULT_GRID):
                         f"E = {es[j]:.6g} without a sign change; possible tangency "
                         f"(multiplicity uncertain) — refine the grid beyond {grid} points"
                     )
+        last = list(model.indices)[-1]
+        if [r for r in roots if r[0] == last]:
+            warnings.append(f"branches above n_max={last} may have roots in "
+                            f"[{e_lo:g}, {e_hi:g}]; raise n_max")
         return _dedupe(roots), [], warnings
 
     def inside(e):

@@ -236,6 +236,18 @@ def test_one_jet_agrees_with_the_per_order_route(chart):
             assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), (w, got, want)
 
 
+@pytest.mark.parametrize("n", [0, 1, 4, 40])
+def test_sphere_charts_embed_by_the_spin_features(n):
+    """Order 0 of the north (south) chart at w is the spin-n feature vector
+    of the spinor (1, w) ((w, 1)): both take the weights of monomial_weights."""
+    features = spin_space(n).features
+    for w in _ONE_JET_POINTS:
+        for south, spinor in ((False, [1.0, w]), (True, [w, 1.0])):
+            row = SphereChart(n, south=south).power_matrices()[0] @ w ** np.arange(n + 1)
+            want = features(np.array([spinor], dtype=complex))[0]
+            np.testing.assert_allclose(row, want, rtol=1e-15, atol=0)
+
+
 @pytest.mark.parametrize("chart", [SphereChart(40), SphereChart(7, south=True),
                                    FlatChart(z0=0.1j)], ids=["n40", "n7-south", "flat"])
 def test_batched_sample_energies_match_chart_value(chart):
