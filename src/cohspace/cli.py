@@ -2,8 +2,9 @@
 
 Every run writes a payload (CSV or JSON with the numbers) and a JSON run
 report echoing the complete effective configuration — defaults and seed
-included — plus a SHA-256 of the payload, so a report and its input files
-reproduce the run bit for bit.  Writes are atomic (temp file + rename).
+included — plus the payload's SHA-256, so a report and its input files
+reproduce the run bit for bit.  Writes are atomic (temp file + rename), and
+the writer hashes the payload's bytes as it writes them (see cohspace.io).
 
 Each command is declared once, in SCHEMA: its handler, its default payload
 format and its config fields.  The argparse flags, the config checks and the
@@ -687,10 +688,9 @@ def run(config: dict) -> dict:
     content = payload[fmt]()
     try:
         if fmt == "csv":
-            artifacts.write_csv(out_path, *content)
+            digest = artifacts.write_csv(out_path, *content)
         else:
-            artifacts.write_json(out_path, content)
-        digest = artifacts.sha256_file(out_path)
+            digest = artifacts.write_json(out_path, content)
     except OSError as exc:
         raise ConfigError(f"cannot write payload {out_path!r}: {exc}")
 

@@ -13,6 +13,9 @@ widths and row counts; the JSON skeleton, with a marker for each numeric
 block) before the temp file exists, then render a chunk of first-axis rows at
 a time into it.  At peak, memory holds one chunk's text (see below), never the
 payload's, and a render that fails midway leaves the target file as it was.
+Each chunk is encoded once, as UTF-8, and its bytes go both to the file and
+to one sha256, so the writers return the payload's digest without reading
+the file back.
 
 Every float block goes through one bulk renderer, _chunk_texts: one orjson
 call per chunk of about 4,096 values.  orjson's Ryu shortest round-trip
@@ -20,11 +23,14 @@ digits (Adams 2018) are the digits repr takes from Gay's dtoa, laid out as
 repr lays them out for 0 and 1e-4 <= |x| < 1e16.  Every other entry is found
 with one vectorized mask per chunk, set to nan in a copy so that orjson
 writes null there, and spliced in: below 1e-4 orjson's own digits relaid by
-string replacements, and repr's text (json.dumps's NaN, Infinity and
--Infinity in JSON) for the rest.  A CSV row is the compact text of a chunk
-split at "],[".  A JSON block is laid out by orjson's OPT_INDENT_2, which is
-json.dumps(indent=2)'s layout: each chunk's text loses its outer brackets
-and is re-indented to the block's own line.  The skeleton around the blocks
+string replacements, one group per exponent class and, in 1e-5 <= |x| <
+1e-4, per leading digit (see _BOUNDS), and repr's text (json.dumps's NaN,
+Infinity and -Infinity in JSON) for the rest.  A CSV row is the compact text
+of a chunk split at "],[".  A JSON block is laid out by orjson's
+OPT_INDENT_2, which is json.dumps(indent=2)'s layout: a block whose line is
+indented k levels has each chunk dumped inside k one-item lists, so that its
+rows come out at their final indent, and the chunk's text loses the
+wrappers' lines and its own brackets.  The skeleton around the blocks
 is orjson's OPT_INDENT_2 text too, of a tree built in one pass (_skeleton):
 dicts in json.dumps's sorted order, and a marker for each block and for each
 value that orjson spells otherwise, which is spliced back in json.dumps's
@@ -47,15 +53,20 @@ import tempfile
 from .errors import ConfigError
 
 
-def atomic_write_text(path: str, chunks) -> None:
-    """Write the strings of chunks via a temp file in the target directory,
-    then rename it into place."""
+def atomic_write_text(path: str, chunks) -> str:
+    """Write the strings of chunks, UTF-8 encoded, via a temp file in the
+    target directory, then rename it into place; return the sha256 hex
+    digest of the bytes written, hashed as each chunk is written."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    digest = hashlib.sha256()
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
-            f.writelines(chunks)
+        with os.fdopen(fd, "wb") as f:
+            for chunk in chunks:
+                data = chunk.encode()
+                digest.update(data)
+                f.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -63,6 +74,7 @@ def atomic_write_text(path: str, chunks) -> None:
         except OSError:
             pass
         raise
+    return digest.hexdigest()
 
 
 def format_cell(value) -> str:
@@ -99,12 +111,13 @@ _CHUNK = 4096
 # size and cuts them at _BOUNDS; the texts of each class, each ending in a
 # comma, take its replacements: none below 1e-9 (exponents of 2 or 3 digits,
 # as repr's), a one-digit exponent padded from 1e-9 (1e-6 -> 1e-06), and
-# 0.0000ddd -> d.dde-05 from 1e-5.  Comparing a float with a bound 10^k sorts
-# it exactly by the exponent of its shortest digits, since the float nearest
-# 10^k prints as 1e<k>.
-_BOUNDS = [1e-9, 1e-5, 1e-4]
+# 0.0000dxx -> d.xxe-05 from 1e-5, one class per leading digit d.  Comparing
+# a float with a bound d * 10^k sorts it exactly by the exponent and leading
+# digit of its shortest digits, since the float nearest d * 10^k prints as
+# de<k>.
+_BOUNDS = [1e-9, 1e-5, 2e-5, 3e-5, 4e-5, 5e-5, 6e-5, 7e-5, 8e-5, 9e-5, 1e-4]
 _FIXES = ([], [("e-", "e-0")],
-          [("0.0000" + d, d + ".") for d in "123456789"] + [(",", "e-05,"), (".e", "e")])
+          *([("0.0000" + d, d + "."), (",", "e-05,"), (".e", "e")] for d in "123456789"))
 
 
 def _spliced(text: str, v, spell) -> str:
@@ -132,13 +145,13 @@ def _spliced(text: str, v, spell) -> str:
     return "".join(parts.tolist())
 
 
-def _chunk_texts(f, option: int, spell):
+def _chunk_texts(f, option: int, spell, depth: int = 0):
     """orjson's text, with option, of each chunk of about _CHUNK values (at
-    least one first-axis row) of the float array f, widened to float64.
-    orjson's Ryu digits are repr's, and its layout is too for 0 and
-    1e-4 <= |x| < 1e16; every other entry (tiny, huge, nan, inf) is written
-    as null by orjson and spliced in by _spliced, in spell's spelling
-    (float.__repr__ or json.dumps)."""
+    least one first-axis row) of the float array f, widened to float64, the
+    chunk wrapped in depth one-item lists.  orjson's Ryu digits are repr's,
+    and its layout is too for 0 and 1e-4 <= |x| < 1e16; every other entry
+    (tiny, huge, nan, inf) is written as null by orjson and spliced in by
+    _spliced, in spell's spelling (float.__repr__ or json.dumps)."""
     import numpy as np
     import orjson
 
@@ -149,6 +162,8 @@ def _chunk_texts(f, option: int, spell):
         other = ~((size >= 1e-4) & (size < 1e16) | (chunk == 0))  # one mask per chunk
         spliced = other.any()
         dumped = np.where(other, np.nan, chunk) if spliced else chunk  # orjson: nan -> null
+        for _ in range(depth):
+            dumped = [dumped]
         text = orjson.dumps(dumped, option=option | orjson.OPT_SERIALIZE_NUMPY).decode()
         yield _spliced(text, chunk[other], spell) if spliced else text
 
@@ -185,23 +200,30 @@ def csv_chunks(header, blocks):
     return (line + "\n" for line in itertools.chain([",".join(header)], rows))
 
 
-def write_csv(path: str, header, blocks) -> None:
-    atomic_write_text(path, csv_chunks(header, blocks))
+def write_csv(path: str, header, blocks) -> str:
+    """Write the CSV of csv_chunks; return the file's sha256 hex digest."""
+    return atomic_write_text(path, csv_chunks(header, blocks))
 
 
-def _array_chunks(a, nl: str):
+def _array_chunks(a, depth: int):
     """An ndarray laid out as json.dumps(indent=2) lays out its .tolist()
-    (complex as [re, im]), nl being the line break and indent of the
-    array's own line; a float block one _chunk_texts chunk at a time."""
+    (complex as [re, im]) on a line indented by depth levels; a float block
+    one _chunk_texts chunk at a time, each dumped inside depth lists, so that
+    orjson's OPT_INDENT_2 writes its rows at their final indent."""
     import orjson
 
     f = _as_real(a)
+    nl = "\n" + "  " * depth
     if f.dtype.kind != "f":
         yield json.dumps(f.tolist(), indent=2).replace("\n", nl)
         return
+    # the text opens with the wrappers' lines "[\n", "  [\n", ... and the
+    # chunk's own indented "[" (head characters) and closes with the same
+    # brackets mirrored, each on its own line (head + 1): the rest is the rows
+    head = depth * depth + 3 * depth + 1
     sep = "["
-    for text in _chunk_texts(f, orjson.OPT_INDENT_2, json.dumps):
-        yield sep + text[1:-2].replace("\n", nl)  # the rows, without "[" and "\n]"
+    for text in _chunk_texts(f, orjson.OPT_INDENT_2, json.dumps, depth):
+        yield sep + text[head:-head - 1]
         sep = ","
     yield "[]" if sep == "[" else nl + "]"
 
@@ -263,14 +285,15 @@ def json_chunks(obj):
             yield piece
             line = piece[piece.rfind("\n") + 1:] if "\n" in piece else line
             yield from ((part,) if type(part) is str else
-                        _array_chunks(part, "\n" + " " * (len(line) - len(line.lstrip(" ")))))
+                        _array_chunks(part, (len(line) - len(line.lstrip(" "))) // 2))
         yield pieces[-1] + "\n"
 
     return chunks()
 
 
-def write_json(path: str, obj) -> None:
-    atomic_write_text(path, json_chunks(obj))
+def write_json(path: str, obj) -> str:
+    """Write the JSON of json_chunks; return the file's sha256 hex digest."""
+    return atomic_write_text(path, json_chunks(obj))
 
 
 def sha256_file(path: str) -> str:

@@ -305,7 +305,11 @@ MONOMIAL_MAX_DEGREE = 1029  # sqrt(C(n, n // 2)) overflows float64 above it
 
 
 def monomial_weights(n: int) -> np.ndarray:
-    """sqrt(C(n, k)) for k = 0..n: the weights of the degree-n spin monomials."""
+    """sqrt(C(n, k)) for k = 0..n: the weights of the degree-n spin monomials;
+    ConfigError above MONOMIAL_MAX_DEGREE."""
+    if n > MONOMIAL_MAX_DEGREE:
+        raise ConfigError(f"spin monomials of degree {n} overflow float64; the degree limit is "
+                          f"MONOMIAL_MAX_DEGREE = {MONOMIAL_MAX_DEGREE}")
     return np.array([math.sqrt(math.comb(n, k)) for k in range(n + 1)])
 
 

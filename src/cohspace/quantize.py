@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, SpanEscapeError, StepSizeError
-from .kernels import cross_gram, feature_matrix
+from .kernels import cross_gram, feature_matrix, kernel_diagonal
 from .qspace import QuantumBasis, richardson
 
 LabelMap = Callable[[np.ndarray], np.ndarray]  # label stack (n, d) -> its image (n, d)
@@ -54,7 +54,7 @@ def quantize_map(qb: QuantumBasis, a: LabelMap, tol: float = 1e-6) -> QuantizedO
     images = a(y)
     if qb.feature_basis is None:
         c = cross_gram(space, y, mults, images, mults)  # c[j, i] = K(y_j, A y_i); checks the images
-        kimg = cross_gram(space, images, mults).diagonal().real
+        kimg = kernel_diagonal(space, images, mults).real
         # solve B* u = c via the eigendecomposition pseudo-inverse
         u_cols = (qb.eigvecs.conj().T @ c) / np.sqrt(qb.eigvals)[:, None]
         proj = (u_cols.conj() * u_cols).real.sum(axis=0)

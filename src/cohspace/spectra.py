@@ -131,6 +131,8 @@ def _polish_bracket(f: Callable[[float], float], a: float, b: float, fa: float,
         # secant candidate from the bracket endpoints, else bisect
         if fb != fa:
             s = b - fb * (b - a) / (fb - fa)
+            if not math.isfinite(s):  # fb * (b - a) overflowed: the same step from x
+                s = x - fx * ((b - a) / (fb - fa))
         else:
             s = 0.5 * (a + b)
         if not (min(a, b) < s < max(a, b)):

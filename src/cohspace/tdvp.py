@@ -96,8 +96,12 @@ class SphereChart(_Chart):
     def __init__(self, n: int, south: bool = False):
         self.n = int(n)
         self.south = bool(south)
-        self._s = _sphere_matrices(self.n, self.south)
         self.key = ("sphere", self.n, self.south)  # charts with one key embed alike
+
+    @functools.cached_property
+    def _s(self) -> np.ndarray:
+        """Built on first use: the kicked top reads only the metric and the flip."""
+        return _sphere_matrices(self.n, self.south)
 
     def coords(self, zs: np.ndarray) -> np.ndarray:
         z1, z2 = zs[:, :1], zs[:, 1:]

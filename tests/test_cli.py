@@ -7,6 +7,7 @@ fixture from tests/conftest.py, whose PYTHONPATH starts with the absolute
 directory this process imported cohspace from, so they import the same
 cohspace as the test process, installed or not.
 """
+import hashlib
 import inspect
 import json
 import re
@@ -607,6 +608,22 @@ def test_every_payload_is_in_canonical_form(tmp_path, monkeypatch, capsys, fmt):
                 assert cells == [_canonical_cell(c) for c in cells], (args, line)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_each_payload_is_hashed_as_it_is_written(tmp_path, monkeypatch, capsys, fmt):
+    """No run reads its payload back: the report's sha256 is the write's own."""
+    def reopened(path):
+        raise AssertionError(f"{path} was read back to hash it")
+
+    monkeypatch.setattr(artifacts, "sha256_file", reopened)
+    for i, args in enumerate(_RUNS):
+        code, out, err = run_cli(args + ["--format", fmt, "--out", f"p{i}"],
+                                 tmp_path, monkeypatch, capsys)
+        assert code == 0, (args, err)
+        report = json.loads((tmp_path / json.loads(out)["report"]).read_text())
+        payload = (tmp_path / f"p{i}").read_bytes()
+        assert report["payload"]["sha256"] == hashlib.sha256(payload).hexdigest(), args
+
+
 def test_every_report_is_json_dumps_of_the_report(tmp_path, monkeypatch, capsys):
     # the README commands, and explicit triples whose echo holds spliced floats
     triples = [[[[0, 0, 1e-5, -2.5e-7]], [[0, 9, 1e17, 0.1]], [[3, 1, -0.0, 123.25]]]]
@@ -784,15 +801,41 @@ def test_exit_1_numerical_error_on_a_kicked_top_angle_without_correct_digits(
     assert list(tmp_path.iterdir()) == []
 
 
-def test_exit_1_numerical_error_when_a_root_polish_stalls(tmp_path, monkeypatch, capsys):
-    """A 1e304-wide bracket cannot be bisected to tol in 200 steps: its end
-    E = 0 (residual 0.5) used to be written as a root with exit 0."""
-    code, out, err = run_cli(["spec-solve", "--model", "oscillator", "--interval", "[0,1e308]"],
+def test_a_secant_step_that_overflows_is_taken_from_the_better_end(tmp_path, monkeypatch, capsys):
+    """In the bracket [0, 6.2e243] of branch 0, fb * (b - a) overflows: every
+    polish step used to bisect, and 200 of them stalled with exit 1."""
+    code, out, _ = run_cli(["spec-solve", "--model", "oscillator", "--interval", "[0,1e308]",
+                            "--out", "osc.csv"], tmp_path, monkeypatch, capsys)
+    assert code == 0
+    report = json.loads((tmp_path / json.loads(out)["report"]).read_text())
+    assert report["warnings"] == [
+        "branches above n_max=32 may have roots in [0, 1e+308]; raise n_max"]
+    header, rows = read_csv(tmp_path / "osc.csv")
+    assert header == ["kind", "branch", "energy_lo", "energy_hi", "residual"]
+    assert rows == [["discrete", str(n), repr(n + 0.5), repr(n + 0.5), "0.0"] for n in range(33)]
+
+
+def test_a_kicked_top_above_the_monomial_degree_limit_runs(tmp_path, monkeypatch, capsys):
+    """The kicked top reads only the chart metric n / (1 + |w|^2)^2, whose
+    scale n cancels in the exponent, and builds no degree-n embedding."""
+    exponents = []
+    for spin in ("20", "2000"):
+        code, out, err = run_cli(["dyn-lyapunov", "--system", "kicked_top", "--kick", "3",
+                                  "--spin", spin, "--periods", "200"],
+                                 tmp_path, monkeypatch, capsys)
+        assert code == 0, err
+        exponents.append(json.loads(out)["summary"]["exponent"])
+    assert abs(exponents[1] - exponents[0]) <= 1e-12
+
+
+def test_exit_2_names_the_spin_monomial_degree_limit(tmp_path, monkeypatch, capsys):
+    code, out, err = run_cli(["dyn-tdvp", "--space", '{"kind":"spin","exponent":1100}',
+                              "--energy", '{"kind":"spin_axis","axis":[0,0,1],"coeff":1}',
+                              "--z0", "[[0.8,0],[0.6,0]]", "--t-span", "[0,1]"],
                              tmp_path, monkeypatch, capsys)
-    assert (code, out) == (1, "")
-    assert json.loads(err) == {"error": "numerical-error", "message": (
-        "branch n=0: 200 polish steps left |lambda| = 5.000e-01 above tol = 1e-10 in the "
-        "bracket [0, 6.22364e+243]")}
+    assert (code, out) == (2, "")
+    assert err == ("config error: spin monomials of degree 1100 overflow float64; the degree "
+                   "limit is MONOMIAL_MAX_DEGREE = 1029\n")
     assert list(tmp_path.iterdir()) == []
 
 

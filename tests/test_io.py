@@ -7,6 +7,7 @@ written here from plain Python values, and the writers must match them
 exactly: the chunks they stream, joined, string for string, and the file
 they write, byte for byte.
 """
+import hashlib
 import json
 import math
 import tracemalloc
@@ -187,11 +188,36 @@ def test_json_text_rejects_what_it_cannot_render():
 
 
 def test_writers_write_the_rendered_text(tmp_path):
-    tree = {"m": np.eye(2) * (1 + 1j), "t": 0.5}
-    write_json(str(tmp_path / "p.json"), tree)
+    tree = {"m": np.eye(2) * (1 + 1j), "t": 0.5, "é": "\x7f"}
+    digest = write_json(str(tmp_path / "p.json"), tree)
     assert (tmp_path / "p.json").read_text() == json_oracle(tree)
-    write_csv(str(tmp_path / "p.csv"), ["t", "x"], [np.array([0.5]), [1]])
-    assert (tmp_path / "p.csv").read_text() == "t,x\n0.5,1\n"
+    assert digest == hashlib.sha256((tmp_path / "p.json").read_bytes()).hexdigest()
+    digest = write_csv(str(tmp_path / "p.csv"), ["t", "x"], [np.array([0.5]), ["é"]])
+    assert (tmp_path / "p.csv").read_bytes() == "t,x\n0.5,é\n".encode()
+    assert digest == hashlib.sha256((tmp_path / "p.csv").read_bytes()).hexdigest()
+
+
+def _nested(block, depth: int, in_dicts: bool):
+    """block depth levels down, each level a dict (the block after a tiny
+    float in key order) or a list (the block before a plain float)."""
+    for _ in range(depth):
+        block = {"b": block, "a": 1e-5} if in_dicts else [block, 0.5]
+    return block
+
+
+@pytest.mark.parametrize("in_dicts", [False, True], ids=["lists", "dicts"])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_json_blocks_are_laid_out_at_their_depth(folder, depth, in_dicts):
+    rng = np.random.default_rng(depth)
+    blocks = [rng.standard_normal((3, 2)) * np.array([1e-7, 1e17]),
+              (rng.standard_normal((2, 2, 2)) + 1j) * 1e-5,
+              rng.standard_normal(_CHUNK + 5),  # two chunks
+              np.array([5e-324, math.nan, -math.inf, -0.0]),
+              np.zeros(0), np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((1, 0), complex),
+              np.arange(4).reshape(2, 2), np.array([[True], [False]])]
+    for block in blocks:
+        tree = _nested(block, depth, in_dicts)
+        assert_json_routes(folder, tree, json_oracle(tree))
 
 
 # _row_texts against float.__repr__, string for string: orjson's digits
@@ -206,15 +232,19 @@ def test_bulk_renderer_matches_repr_on_random_bit_patterns():
     assert_reprs(bits.view(np.float64).reshape(400, 500))
 
 
-def test_bulk_renderer_matches_repr_at_the_layout_edges():
-    edges = np.array([1e-5, 1e-4, 1e16, 2.0**-14, 2.0**53, 0.1, 123456789.0, 1.5,
-                      1e-10, 1e-9, 2e-5, 9e-5])  # and where the splice relays differently
+def test_bulk_renderer_matches_repr_at_the_layout_edges(folder):
+    # and where the splice relays differently: each leading digit d * 1e-5
+    edges = np.array([1e-4, 1e16, 2.0**-14, 2.0**53, 0.1, 123456789.0, 1.5, 1e-10, 1e-9]
+                     + [float(f"{d}e-5") for d in range(1, 10)])
     steps = np.arange(-4, 5)
     up = np.array([[np.nextafter(x, math.inf) for x in edges]])
     down = np.array([[np.nextafter(x, 0.0) for x in edges]])
     near = edges[:, None] * (1 + steps * np.finfo(float).eps / 2)  # a few ulps either side
     for f in (near, -near, up, down, -up, -down):
         assert_reprs(f)
+        assert_reprs(f, json.dumps)
+    tree = {"near": [near, -near], "next": np.concatenate([up, down, -up, -down])}
+    assert_json_routes(folder, tree, json_oracle(tree))
     special = np.array([[0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
                          2.2250738585072014e-308, 2.225073858507201e-308, 1e-320,
                          1.7976931348623157e308, -1e300, 1e-300]])

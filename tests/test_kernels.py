@@ -1,6 +1,7 @@
 """Kernel catalog: values, symmetry, positivity, distances, descriptors, features."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -121,8 +122,12 @@ def test_monomial_weights_are_root_binomials():
         w = monomial_weights(n)
         assert w.shape == (n + 1,) and np.isfinite(w).all()
         assert w[0] == w[-1] == 1.0
-    with pytest.raises(OverflowError):  # the degree limit is where the weights leave float64
-        monomial_weights(MONOMIAL_MAX_DEGREE + 1)
+    top = MONOMIAL_MAX_DEGREE + 1  # the degree limit is where the weights leave float64
+    with pytest.raises(OverflowError):
+        math.sqrt(math.comb(top, top // 2))
+    with pytest.raises(ConfigError, match=f"spin monomials of degree {top} overflow float64; "
+                                          f"the degree limit is MONOMIAL_MAX_DEGREE = 1029"):
+        monomial_weights(top)
     assert monomial_weights(8)[4] ** 2 == pytest.approx(70.0, rel=1e-15)
 
 

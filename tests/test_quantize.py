@@ -10,13 +10,17 @@ import scipy.stats
 
 import oracles
 from labels import label
+from cohspace import quantize
 from cohspace.errors import InvalidPointError, SpanEscapeError, StepSizeError
 from cohspace.kernels import (
+    cross_gram,
+    debranges_space,
     eval_kernel,
     icosahedron_space,
     icosahedron_vertices,
     klauder_space,
     linear_point_map,
+    moebius_space,
     sample_points,
     spin_space,
     trivial_space,
@@ -168,6 +172,39 @@ def test_feature_route_reports_the_escape_of_the_gram_route():
         spin = spin_space(2)
         quantize_map(build_quantum_space(spin, np.array([[1.0, 0.0], [0.0, 1.0]])),
                      linear_point_map(2.0 * np.eye(2)))
+
+
+def _image_norm_cases():
+    rng = np.random.default_rng(SEED)
+    reverse = lambda z: z[::-1]  # a permutation of the basis points: every image in the span
+    moebius, debranges = moebius_space(), debranges_space((-2.0, 3j, 1.0))
+    return {
+        "klauder": (klauder_space(1), circle_klauder_basis(12), klauder_rotation(5)),
+        "moebius": (moebius, sample_points(moebius, rng, 4)[0], reverse),
+        "debranges": (debranges, sample_points(debranges, rng, 6)[0], reverse),
+    }
+
+
+_IMAGE_NORM_CASES = _image_norm_cases()
+
+
+@pytest.mark.parametrize("name", list(_IMAGE_NORM_CASES))
+def test_gram_route_reads_image_norms_from_the_kernel_diagonal(monkeypatch, name):
+    """K(A y_i, A y_i) from kernel_diagonal, against the diagonal of the whole
+    image Gram as the oracle.  Gamma does not read the norms, so it is equal
+    bit for bit; the residual does, and moebius and debranges evaluate their
+    diagonal row by row, so theirs may move within its sqrt(eps) floor."""
+    sp, coords, a = _IMAGE_NORM_CASES[name]
+    qb = build_quantum_space(sp, coords)
+    assert qb.feature_basis is None
+    got = quantize_map(qb, a)
+    monkeypatch.setattr(quantize, "kernel_diagonal",
+                        lambda space, images, mults: cross_gram(space, images, mults).diagonal())
+    want = quantize_map(qb, a)
+    assert np.array_equal(got.matrix, want.matrix)
+    if name == "klauder":
+        assert got.residual == want.residual
+    assert max(got.residual, want.residual) < 1e-7
 
 
 # -------------------------------------------------------------- homomorphism

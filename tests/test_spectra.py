@@ -9,13 +9,14 @@ the oracle.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from oracles import fock_ops, hydrogen_fd_levels
 
-from cohspace.errors import ConfigError, ModelDegeneracyError
+from cohspace.errors import ConfigError, ModelDegeneracyError, NumericalError
 from cohspace.spectra import (
     DEFAULT_GRID,
     ImplicitSpectralModel,
@@ -102,6 +103,16 @@ def test_duplicate_roots_collapsed():
     res = solve_implicit_spectrum(model, (0.0, 2.0), tol=1e-12)
     assert len(res.discrete) == 1
     assert res.discrete[0][1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_a_polish_that_cannot_close_its_bracket_names_it():
+    """A sign change with no root (a step) in a bracket 1e300 wide: each
+    secant step is a bisection, 200 of them leave it 6e239 wide, and its end
+    E = 0 (residual 0.5) is not written as a root."""
+    with pytest.raises(NumericalError, match=re.escape(
+            "branch n=3: 200 polish steps left |lambda| = 5.000e-01 above tol = 1e-10 in the "
+            "bracket [0, 6.22302e+239]")):
+        _polish_bracket(lambda e: -0.5 if e < 1.0 else 0.5, 0.0, 1e300, -0.5, 0.5, 1e-10, 3)
 
 
 def test_root_count_stable_under_grid_doubling():
