@@ -15,25 +15,29 @@ has one complex coordinate w:
   metric n/(1+|w|^2)^2; the flow switches chart when |w| > 2, and
   `transition` carries tangents along with the state (dw -> -dw/w^2).
 
-A chart's embedding is described once, by its power matrices S (3, d, d):
-the jet rows v, v', v'' (the embedding vector and its first two
-w-derivatives) are S_0 p, S_1 p and S_2 p of the power vector p = (1, w,
-..., w^(d-1)).  Each sphere side builds its S once, for all its charts.
+A chart's embedding is described by the powers p of its d components and
+their jet coefficients c (3, d): the jet rows v, v', v'' (the embedding
+vector and its first two w-derivatives) are v_m = c_m w^(p - m).
 
 `energy.on(chart)` checks a Hermitian matrix H in the chart's embedding
 representation (MatrixExpectation) against the chart once and returns
 `derivs(u, order)`, h and its Wirtinger derivatives up to second order, from
 which `chart_rhs` builds the velocity and the linearized tangent flow.  Every
-moment <v_a|X|v_b> (X = H or 1) is the quadratic form
-conj(p) . S_a^dagger X S_b . p.  The matrices of the forms one derivative
-order needs are stacked once per energy and chart side; an evaluation is one
-mat-vec with that stack and one dot with conj(p).  The metric is a scalar:
-the velocity is a division.
+moment <v_a|X|v_b> (X = H or 1) is the quadratic form conj(q) . M . q of the
+power vector q = (1, w, ..., w^(d-1)), written directly from the
+coefficients: M[p_k - a, p_l - b] = conj(c_a[k]) X[k, l] c_b[l].  The forms
+are stacked once per energy and chart side; an evaluation of order 0, 1 or 2
+is one mat-vec with the stack's first 2, 4 or 8 blocks of d rows and one dot
+with conj(q).  The metric is a scalar: the velocity is a division.
+
+A flow ends in NumericalError when its moments overflow float64, and on a
+Klauder chart when the state leaves the chart's Fock levels (FOCK_TAIL_LIMIT).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -46,62 +50,49 @@ from .dynamics import Trajectory
 CHART_SWITCH_RADIUS = 2.0
 ENERGY_DRIFT_LIMIT = 1e-6
 FLAT_CHART_CUTOFF = 64    # Fock levels of the Klauder chart embedding
+FOCK_TAIL_LIMIT = 1e-10   # largest Poisson weight a Klauder flow may carry beyond them
 
 
 # ----------------------------------------------------------------- charts
 
 
-def _power_matrices(coef, power) -> np.ndarray:
-    """S (3, d, d) with the jet rows v_m = S_m p (m = 0-2) of the components
-    coef_k w^power_k: row k of S_m holds coef_k power_k (power_k - 1) ...
-    (power_k - m + 1), multiplied left to right as the derivative is written,
-    in the column of power_k - m, and is zero when power_k < m."""
-    d = len(power)
-    s = np.zeros((3, d, d), dtype=complex)
+def _jet(coef, power) -> np.ndarray:
+    """Jet coefficients c (3, d) of the components coef_k w^power_k: the jet
+    row v_m (m = 0-2) is c[m] w^(power - m), c[m, k] being coef_k power_k
+    (power_k - 1) ... (power_k - m + 1), multiplied left to right as the
+    derivative is written; the falling factorial is zero where power_k < m."""
+    c = np.empty((3, len(power)), dtype=complex)
     for m in range(3):
-        live = power >= m
-        s[m, live.nonzero()[0], power[live] - m] = np.broadcast_to(coef, power.shape)[live]
+        c[m] = coef
         coef = coef * (power - m)
-    return s
+    return c
 
 
-@functools.cache
-def _sphere_matrices(n: int, south: bool) -> np.ndarray:
-    """S of the degree-n monomials sqrt(C(n, k)) w^k (north) or w^(n-k)
-    (south), shared read-only by every chart of that side."""
-    k = np.arange(n + 1)
-    s = _power_matrices(monomial_weights(n), (n - k) if south else k)
-    s.flags.writeable = False
-    return s
-
-
-def _jet_row(s: np.ndarray, u: np.ndarray, order: int) -> np.ndarray:
-    """The jet row v_order = S_order p at the chart coordinate u = (w,)."""
-    return s[order] @ u[0] ** np.arange(s.shape[-1])
-
-
-class _Chart:
-    """One complex coordinate w, embedded by the power matrices `_s` (see
-    _power_matrices); `labels` maps coordinates (S, 1) to label rows, `coords` back."""
-
-    south = False
-
-    def power_matrices(self) -> np.ndarray:
-        return self._s
-
-
-class SphereChart(_Chart):
-    """Stereographic chart for unit spinors; monomial embedding of degree n."""
+class SphereChart:
+    """Stereographic chart for unit spinors, embedded by sqrt(C(n, k)) w^k
+    (north) or w^(n-k) (south); `labels` maps coordinates to labels, `coords` back."""
 
     def __init__(self, n: int, south: bool = False):
         self.n = int(n)
         self.south = bool(south)
         self.key = ("sphere", self.n, self.south)  # charts with one key embed alike
 
+    def __str__(self) -> str:
+        return f"the degree-{self.n} spin chart"
+
     @functools.cached_property
-    def _s(self) -> np.ndarray:
-        """Built on first use: the kicked top reads only the metric and the flip."""
-        return _sphere_matrices(self.n, self.south)
+    def power(self) -> np.ndarray:
+        """Built on first use, as `jet` is: the kicked top never reads them."""
+        k = np.arange(self.n + 1)
+        return self.n - k if self.south else k
+
+    @functools.cached_property
+    def jet(self) -> np.ndarray:
+        return _jet(monomial_weights(self.n), self.power)
+
+    def embedding(self, u: np.ndarray, order: int = 0) -> np.ndarray:
+        """The jet row v_order at the chart coordinate u = (w,)."""
+        return self.jet[order] * u[0] ** np.maximum(self.power - order, 0)
 
     def coords(self, zs: np.ndarray) -> np.ndarray:
         z1, z2 = zs[:, :1], zs[:, 1:]
@@ -123,9 +114,6 @@ class SphereChart(_Chart):
         w = y[0]
         return np.concatenate(([1.0 / w], -y[1:] / (w * w)))
 
-    def embedding(self, u: np.ndarray, order: int = 0) -> np.ndarray:
-        return _jet_row(self._s, u, order)
-
     def scalar_metric(self, w: complex) -> float:
         return self.n / (1.0 + abs(w) ** 2) ** 2
 
@@ -134,16 +122,24 @@ class SphereChart(_Chart):
         return -2.0 * self.n * w.conjugate() / (1.0 + abs(w) ** 2) ** 3
 
 
-class FlatChart(_Chart):
+class FlatChart:
     """Klauder zeta-chart of one mode: metric 1; z0 is a spectator.  Embeds
     into the first FLAT_CHART_CUTOFF Fock levels, e^z0 w^k / sqrt(k!)."""
 
+    south = False
+
     def __init__(self, z0: complex = 0.0):
         self.z0 = complex(z0)
-        k = np.arange(FLAT_CHART_CUTOFF)
-        fact = np.cumprod(np.sqrt(np.maximum(k, 1)))  # sqrt(k!)
-        self._s = _power_matrices(np.exp(self.z0), k) / fact[:, None]
+        self.power = np.arange(FLAT_CHART_CUTOFF)
+        fact = np.cumprod(np.sqrt(np.maximum(self.power, 1)))  # sqrt(k!)
+        self.jet = _jet(np.exp(self.z0), self.power) / fact
         self.key = ("flat", self.z0)
+
+    def __str__(self) -> str:
+        return f"the Klauder chart at z0 = {self.z0:.6g}"
+
+    def embedding(self, u: np.ndarray, order: int = 0) -> np.ndarray:
+        return self.jet[order] * u[0] ** np.maximum(self.power - order, 0)
 
     def coords(self, zs: np.ndarray) -> np.ndarray:
         return zs[:, 1:].copy()
@@ -152,14 +148,28 @@ class FlatChart(_Chart):
         """Klauder labels (S, 2): z0 beside each row of us (S, 1)."""
         return np.concatenate([np.full((len(us), 1), self.z0), us], axis=1)
 
-    def embedding(self, u: np.ndarray, order: int = 0) -> np.ndarray:
-        return _jet_row(self._s, u, order)
-
     def scalar_metric(self, w: complex) -> float:
         return 1.0
 
     def metric_dw(self, w: complex) -> complex:
         return 0.0j
+
+
+def _check_fock_reach(t: float, zeta: complex) -> None:
+    """NumericalError unless the Klauder state at zeta puts at most
+    FOCK_TAIL_LIMIT of Poisson weight beyond the FLAT_CHART_CUTOFF Fock levels
+    of its chart: 1 - sum_{k < cutoff} e^-x x^k / k!, x = |zeta|^2, is the
+    squared distance of the normalized state from its truncation."""
+    x = min(abs(zeta), 1e3) ** 2   # e^-x is 0 from there on; an inf x would make 0 * inf
+    term = head = math.exp(-x)
+    for k in range(1, FLAT_CHART_CUTOFF):
+        term *= x / k
+        head += term
+    if 1.0 - head > FOCK_TAIL_LIMIT:
+        raise NumericalError(
+            f"the Klauder state at zeta = {zeta:.6g} (t = {t:.6g}) puts a Poisson weight of "
+            f"{1.0 - head:.3e} beyond the {FLAT_CHART_CUTOFF} Fock levels of its chart; the "
+            f"variational flow allows at most {FOCK_TAIL_LIMIT:.0e}")
 
 
 def _spin_chart(space: KernelSpace, z0: np.ndarray) -> SphereChart:
@@ -196,21 +206,27 @@ def chart_for(space: KernelSpace, z0: tuple):
 # ------------------------------------------------------------ energy surfaces
 
 
-# The jet-row pairs (a, b) of the moments <v_a|X|v_b>, X = H then 1, that
-# each derivative order needs.  <v_0|X|v_1> is the conjugate of <v_1|X|v_0>
-# (H is Hermitian), so order 2 takes it from the stack instead.
-_MOMENT_PAIRS = {0: ((0, 0),), 1: ((0, 0), (1, 0)), 2: ((0, 0), (1, 0), (1, 1), (2, 0))}
+# The jet-row pairs (a, b) of the moments <v_a|X|v_b>, X = H then 1: derivative
+# order 0 needs the first, order 1 two, order 2 all four.  <v_0|X|v_1> is the
+# conjugate of <v_1|X|v_0> (H is Hermitian), so order 2 takes it from the stack.
+_MOMENT_PAIRS = ((0, 0), (1, 0), (1, 1), (2, 0))
 
 
-def _form_stack(h: np.ndarray, s: np.ndarray, order: int) -> np.ndarray:
-    """(F d, d): for each pair (a, b) of _MOMENT_PAIRS[order], the matrices
-    M = S_a^dagger H S_b and S_a^dagger S_b of the jet matrices S (see
-    _power_matrices) one below the other, so that <v_a|X|v_b> =
-    conj(p) . M . p.  2-d, so that the product with p is one BLAS mat-vec."""
-    if order not in _MOMENT_PAIRS:
-        raise ConfigError("embedding derivatives available up to order 2")
-    return np.concatenate([m for a, b in _MOMENT_PAIRS[order]
-                           for m in (s[a].conj().T @ h @ s[b], s[a].conj().T @ s[b])])
+def _form_stack(h: np.ndarray, power: np.ndarray, jet: np.ndarray) -> np.ndarray:
+    """(8 d, d): for each pair (a, b) of _MOMENT_PAIRS, the matrices M of
+    <v_a|X|v_b> = conj(q) . M . q for X = H and X = 1, one below the other.
+    M[power_k - a, power_l - b] = conj(c_a[k]) X[k, l] c_b[l] (see _jet) and
+    is zero elsewhere.  2-d, so that the product with q is one BLAS mat-vec."""
+    d = len(power)
+    order = np.argsort(power)  # power is a permutation of 0..d-1
+    c, xs = jet[:, order], (h[np.ix_(order, order)], np.eye(d))
+    stack = np.zeros((len(_MOMENT_PAIRS), len(xs), d, d), dtype=complex)
+    for (a, b), forms in zip(_MOMENT_PAIRS, stack):
+        for x, m in zip(xs, forms):
+            block = m[:d - a, :d - b]
+            np.multiply(c[a, a:].conj()[:, None], x[a:, b:], out=block)
+            block *= c[b, b:]
+    return stack.reshape(-1, d)
 
 
 class MatrixExpectation:
@@ -233,48 +249,54 @@ class MatrixExpectation:
         if dev[i, j] > 1e-12 * max(1.0, np.abs(self.h).max()):
             raise ConfigError(f"energy matrix is not Hermitian: |H - H^dagger| is {dev[i, j]:.3e} "
                               f"between entries ({i}, {j}) and ({j}, {i})")
-        self._stacks = {}  # chart key -> {derivative order: form stack}
+        self._stacks = {}  # chart key -> form stack
+
+    def spectral_radius(self) -> float:
+        """The largest |eigenvalue| of H: it bounds |h| on every chart."""
+        return float(np.abs(np.linalg.eigvalsh(self.h)).max())
 
     def on(self, chart):
         """The energy bound to `chart`, checked against it once: derivs(u,
         order) gives (h,) at order 0, (h, d h / d ubar) at order 1 and (h,
-        dh/dwbar, d2h/(dw dwbar), d2h/dwbar2) at order 2.  The quadratic forms
-        an order needs are stacked on its first use on a chart side (see
-        _form_stack)."""
-        s = chart.power_matrices()
-        d = s.shape[-1]
+        dh/dwbar, d2h/(dw dwbar), d2h/dwbar2) at order 2, and raises
+        NumericalError where the moments overflow float64.  The form stack
+        (see _form_stack) is built on a chart side's first binding."""
+        d = chart.jet.shape[1]
         if self.h.shape != (d, d):
             raise ConfigError(f"operator is {self.h.shape} but the chart embeds into dimension {d}")
-        stacks, exponents = self._stacks.setdefault(chart.key, {}), np.arange(d)
+        stack = self._stacks.get(chart.key)
+        if stack is None:
+            stack = self._stacks[chart.key] = _form_stack(self.h, chart.power, chart.jet)
+        prefixes, exponents = [stack[:blocks * d] for blocks in (2, 4, 8)], np.arange(d)
 
         def derivs(u, order):
-            stack = stacks.get(order)
-            if stack is None:  # built on the order's first use on this chart side
-                stack = stacks[order] = _form_stack(self.h, s, order)
             powers = u[0] ** exponents
-            moments = stack.dot(powers).reshape(-1, d).dot(powers.conj()).tolist()
+            moments = prefixes[order].dot(powers).reshape(-1, d).dot(powers.conj()).tolist()
             if order == 0:
                 num, den = moments
                 return (num.real / den.real,)
-            if order == 1:
-                num, den, dnum, dden = moments  # d/d wbar: <v_1| rows
-                den = den.real
-                return num.real / den, np.array([(dnum * den - num * dden) / den ** 2])
-            # d/d wbar on the bra (v_1, v_2), d/d w on the ket (conjugates)
-            num, den, dn, dd, dndn_h, dddd_h, dn2, dd2 = moments
-            dn_h, dd_h = dn.conjugate(), dd.conjugate()
-            p = dn * den - num * dd                   # numerator of dh/dwbar
-            dp_h = dndn_h * den + dn * dd_h - dn_h * dd - num * dddd_h
-            dp_b = dn2 * den - num * dd2              # d2 num and den wrt wbar2
-            return ((num / den).real, p / den ** 2, (dp_h * den - 2.0 * p * dd_h) / den ** 3,
-                    (dp_b * den - 2.0 * p * dd) / den ** 3)
+            try:
+                if order == 1:
+                    num, den, dnum, dden = moments  # d/d wbar: <v_1| rows
+                    den = den.real
+                    return num.real / den, np.array([(dnum * den - num * dden) / den ** 2])
+                # d/d wbar on the bra (v_1, v_2), d/d w on the ket (conjugates)
+                num, den, dn, dd, dndn_h, dddd_h, dn2, dd2 = moments
+                dn_h, dd_h = dn.conjugate(), dd.conjugate()
+                p = dn * den - num * dd                   # numerator of dh/dwbar
+                dp_h = dndn_h * den + dn * dd_h - dn_h * dd - num * dddd_h
+                dp_b = dn2 * den - num * dd2              # d2 num and den wrt wbar2
+                return ((num / den).real, p / den ** 2, (dp_h * den - 2.0 * p * dd_h) / den ** 3,
+                        (dp_b * den - 2.0 * p * dd) / den ** 3)
+            except OverflowError:
+                raise NumericalError(f"the energy moments of {chart} overflow float64 at "
+                                     f"|w| = {abs(u[0]):.6g}") from None
 
         return derivs
 
     def chart_values(self, chart, us):
         """h at each row of `us` (samples x 1)."""
-        s = chart.power_matrices()
-        v = (us[:, :1] ** np.arange(s.shape[-1])) @ s[0].T   # samples x d
+        v = chart.jet[0] * us[:, :1] ** chart.power   # samples x d
         num = np.einsum("sd,sd->s", v.conj(), v @ self.h.T)
         return num.real / np.einsum("sd,sd->s", v.conj(), v).real
 
@@ -309,12 +331,14 @@ def charted_solve(chart, energy: MatrixExpectation, y, t_span, rtol, atol, hbar=
 
     On a sphere chart the solve halts once |y[0]| > CHART_SWITCH_RADIUS, maps
     the state (w, *tangents) into the flipped chart with `chart.transition`
-    and continues there.  `t_eval` samples are recorded by the segment that
-    reaches them; `monitor(derivs, t, y)`, derivs the current binding, runs
-    after every accepted step and may raise.  `first_step` goes to the first
-    solve only: each solve after a chart switch probes its own initial step.
-    Returns the (chart, RKSolution) segments, and the chart and state at t1
-    (flipped when the last step itself crossed the radius).
+    and continues there; on a Klauder chart it checks the state's Fock
+    reach (_check_fock_reach) at the start and after every accepted step.
+    `t_eval` samples are recorded by the segment that reaches them;
+    `monitor(derivs, t, y)`, derivs the current binding, runs after every
+    accepted step and may raise.  `first_step` goes to the first solve only:
+    each solve after a chart switch probes its own initial step.  Returns the
+    (chart, RKSolution) segments, and the chart and state at t1 (flipped when
+    the last step itself crossed the radius).
     """
     t_cur, t1 = float(t_span[0]), float(t_span[1])
     remaining = None if t_eval is None else [float(t) for t in t_eval]
@@ -322,10 +346,14 @@ def charted_solve(chart, energy: MatrixExpectation, y, t_span, rtol, atol, hbar=
     can_switch = isinstance(chart, SphereChart)
 
     def hook(t, yy):  # reads the current binding: it changes only between solves
+        if not can_switch:
+            _check_fock_reach(t, yy[0])
         if monitor is not None:
             monitor(derivs, t, yy)
         return can_switch and abs(yy[0]) > CHART_SWITCH_RADIUS
 
+    if not can_switch:
+        _check_fock_reach(t_cur, y[0])
     while True:
         derivs = energy.on(chart)
         sol = solve_rk45(chart_rhs(chart, derivs, hbar, tangent), t_cur, t1, y, rtol=rtol,
@@ -354,16 +382,17 @@ def dirac_frenkel_flow(
 ) -> Trajectory:
     """Variational flow in the space's chart; chart switches are automatic.
 
-    Energy is monitored at every accepted step; relative drift beyond
-    ENERGY_DRIFT_LIMIT raises IntegratorFailure with the observed drift, and the
-    largest relative drift is returned as `Trajectory.energy_drift`.
+    Energy is monitored at every accepted step against the spectral radius
+    of H, which bounds |h| on every chart: a drift beyond ENERGY_DRIFT_LIMIT
+    times it raises IntegratorFailure with the observed drift, and the
+    largest drift in its units is returned as `Trajectory.energy_drift`.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t_eval is None:
         t_eval = np.linspace(t0, t1, 101)
     chart, u = chart_for(space, z0)
     h0 = energy.on(chart)(u, 0)[0]
-    h_scale = max(abs(h0), 1e-12)
+    h_scale = max(energy.spectral_radius(), np.finfo(float).tiny)
     worst = 0.0
 
     def monitor(derivs, t, uu):
@@ -371,8 +400,8 @@ def dirac_frenkel_flow(
         dev = abs(derivs(uu, 0)[0] - h0)
         if dev > ENERGY_DRIFT_LIMIT * h_scale:
             raise IntegratorFailure(
-                f"energy drift {dev:.3e} exceeds {ENERGY_DRIFT_LIMIT:.1e} x |h| "
-                f"at t = {t:.6g}; tighten rtol"
+                f"energy drift {dev:.3e} exceeds {ENERGY_DRIFT_LIMIT:.1e} x {h_scale:.3e}, the "
+                f"spectral radius of H, at t = {t:.6g}; tighten rtol"
             )
         worst = max(worst, dev)
 

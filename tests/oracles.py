@@ -95,6 +95,43 @@ def flat_jet(cutoff: int, z0: complex, w: complex) -> np.ndarray:
     return jet
 
 
+def power_matrices(coef, power) -> np.ndarray:
+    """Dense power matrices S (3, d, d) of the components coef_k w^power_k:
+    the jet rows v, v', v'' are S_0 p, S_1 p and S_2 p of the power vector
+    p = (1, w, ..., w^(d-1)).  Row k of S_m holds coef_k power_k (power_k - 1)
+    ... (power_k - m + 1), multiplied left to right as the derivative is
+    written, in the column of power_k - m, and is zero when power_k < m."""
+    d = len(power)
+    s = np.zeros((3, d, d), dtype=complex)
+    for m in range(3):
+        live = power >= m
+        s[m, live.nonzero()[0], power[live] - m] = np.broadcast_to(coef, power.shape)[live]
+        coef = coef * (power - m)
+    return s
+
+
+def sphere_power_matrices(n: int, south: bool = False) -> np.ndarray:
+    """S of the spin chart monomials sqrt(C(n, k)) w^k (north) or w^(n-k) (south)."""
+    k = np.arange(n + 1)
+    weights = np.array([math.sqrt(math.comb(n, j)) for j in range(n + 1)])
+    return power_matrices(weights, n - k if south else k)
+
+
+def flat_power_matrices(cutoff: int, z0: complex) -> np.ndarray:
+    """S of the Fock components e^z0 w^k / sqrt(k!), k < cutoff."""
+    k = np.arange(cutoff)
+    fact = np.cumprod(np.sqrt(np.maximum(k, 1)))  # sqrt(k!)
+    return power_matrices(np.exp(complex(z0)), k) / fact[:, None]
+
+
+def dense_form_stack(ham: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(8 d, d): for the jet-row pairs (a, b) = (0, 0), (1, 0), (1, 1), (2, 0),
+    S_a^dagger H S_b and S_a^dagger S_b one below the other, so that
+    <v_a|X|v_b> = conj(p) . M . p for X = H and X = 1."""
+    return np.concatenate([m for a, b in ((0, 0), (1, 0), (1, 1), (2, 0))
+                           for m in (s[a].conj().T @ ham @ s[b], s[a].conj().T @ s[b])])
+
+
 # --- truncated Fock space ---
 
 def fock_ops(cutoff: int):
@@ -191,10 +228,16 @@ class FiniteDifferenceEnergy:
     reference route for an energy's `on(chart)` and `chart_values(chart, us)`,
     its derivatives by central differences.
     At order 1 the stencil's mean stands in for h, so the velocity costs only
-    the stencil's calls; order 2 differentiates the stencil gradient."""
+    the stencil's calls; order 2 differentiates the stencil gradient.
+    `radius` bounds |fn| and is the scale a flow's drift check measures
+    against, as a matrix energy's spectral radius is."""
 
-    def __init__(self, fn):
+    def __init__(self, fn, radius: float = 1.0):
         self.fn = fn
+        self.radius = radius
+
+    def spectral_radius(self) -> float:
+        return self.radius
 
     def on(self, chart):
         def h(u):

@@ -299,15 +299,15 @@ def test_carried_step_agrees_with_the_restart_route(case, resample, rtol):
 
 
 def test_each_form_stack_is_built_once_per_chart_side(monkeypatch):
-    # 160 Benettin segments and 4 chart switches: one order-2 stack per side
+    # 160 Benettin segments and 4 chart switches: one form stack per side
     from cohspace import tdvp
 
     builds = []
     build = tdvp._form_stack
 
-    def counted(h, s, order):
-        builds.append((s.tobytes(), order))
-        return build(h, s, order)
+    def counted(h, power, jet):
+        builds.append((power.tobytes(), jet.tobytes()))
+        return build(h, power, jet)
 
     monkeypatch.setattr(tdvp, "_form_stack", counted)
     space, energy, z0, t_total = _twisting_case()

@@ -1069,6 +1069,77 @@ def test_exit_1_numerical_error_on_an_overflowed_kernel_value(tmp_path, monkeypa
     assert not list(tmp_path.glob("cohspace-*"))  # no payload
 
 
+# the number operator N on the 64 Fock levels of a Klauder chart: zeta(t) = zeta0 e^-it
+_FOCK_N = json.dumps({"kind": "matrix", "matrix": [[[float(i) if i == j else 0.0, 0.0]
+                                                    for j in range(64)] for i in range(64)]})
+
+
+@pytest.mark.parametrize("zeta", [2, 5])
+def test_a_klauder_flow_inside_its_fock_levels_runs(tmp_path, monkeypatch, capsys, zeta):
+    # the Poisson weight beyond the 64 levels is 4e-16 and 5.2e-11
+    code, _, err = run_cli(["dyn-tdvp", "--space", _KLAUDER, "--energy", _FOCK_N,
+                            "--z0", f"[[0,0],[{zeta},0]]", "--t-span", "[0,1]", "--out", "k.csv"],
+                           tmp_path, monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    header, rows = read_csv(tmp_path / "k.csv")
+    end = complex(float(rows[-1][header.index("c1_re")]), float(rows[-1][header.index("c1_im")]))
+    assert abs(end - zeta * np.exp(-1j)) <= 5e-8
+
+
+@pytest.mark.parametrize("zeta, weight", [("5.5", "6.208e-08"), ("7", "2.259e-02"),
+                                          ("9", "9.774e-01")])
+@pytest.mark.parametrize("args", [["dyn-tdvp", "--t-span", "[0,1]"],
+                                  ["dyn-lyapunov", "--system", "continuous", "--t-total", "4"]],
+                         ids=["dyn-tdvp", "dyn-lyapunov-continuous"])
+def test_exit_1_numerical_error_on_a_klauder_flow_beyond_its_fock_levels(
+        tmp_path, monkeypatch, capsys, args, zeta, weight):
+    # these used to exit 0: zeta0 = 9 ended at (8.963, -0.820) against the exact (4.863, -7.573)
+    code, out, err = run_cli(args + ["--space", _KLAUDER, "--energy", _FOCK_N,
+                                     "--z0", f"[[0,0],[{zeta},0]]"], tmp_path, monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "numerical-error", "message": (
+        f"the Klauder state at zeta = {zeta}+0j (t = 0) puts a Poisson weight of {weight} beyond "
+        "the 64 Fock levels of its chart; the variational flow allows at most 1e-10")}
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args, message", [
+    (["dyn-lyapunov", "--system", "continuous", "--space", '{"kind":"spin","exponent":160}',
+      "--energy", '{"kind":"spin_axis","axis":[1,0.3,0],"coeff":1}', "--z0", "[[1,0],[0,0]]",
+      "--t-total", "20"],
+     "the energy moments of the degree-160 spin chart overflow float64 at |w| = 1.861"),
+    (["dyn-tdvp", "--space", '{"kind":"spin","exponent":800}',
+      "--energy", '{"kind":"spin_axis","axis":[0,0,1],"coeff":1}', "--z0", "[[0.8,0],[0.6,0]]",
+      "--t-span", "[0,0.1]", "--samples", "3"],
+     "the energy moments of the degree-800 spin chart overflow float64 at |w| = 0.75"),
+    (["dyn-tdvp", "--space", _KLAUDER, "--energy", _FOCK_N, "--z0", "[[200,0],[1,0]]",
+      "--t-span", "[0,1]"],
+     "the energy moments of the Klauder chart at z0 = 200+0j overflow float64 at |w| = 1"),
+], ids=["dyn-lyapunov-spin160", "dyn-tdvp-spin800", "dyn-tdvp-klauder-z0-200"])
+def test_exit_1_numerical_error_when_chart_moments_overflow(tmp_path, monkeypatch, capsys,
+                                                            args, message):
+    # den = (1 + |w|^2)^n or e^(2 Re z0 + |zeta|^2) overflows in den ** 3 or den ** 2:
+    # each used to end in an OverflowError traceback
+    code, out, err = run_cli(args, tmp_path, monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    assert json.loads(err) == {"error": "numerical-error", "message": message}
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 40])
+def test_a_flow_whose_energy_starts_at_zero_passes_its_drift_check(tmp_path, monkeypatch, capsys,
+                                                                    n):
+    # z0 on the equator under J_z: h0 = 0, and the check used to allow a drift
+    # of 1e-6 x 1e-12, so rounding alone failed it with "tighten rtol"
+    code, out, err = run_cli(["dyn-tdvp", "--space", f'{{"kind":"spin","exponent":{n}}}',
+                              "--energy", '{"kind":"spin_axis","axis":[0,0,1],"coeff":1}',
+                              "--z0", "[[0.7071067811865476,0],[0.7071067811865476,0]]",
+                              "--t-span", "[0,2]", "--out", "e.csv"], tmp_path, monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["summary"]["energy_drift"] <= 1e-12
+
+
 # every dim and modes field of the space catalog
 _SIZED = [(kind, key) for kind, (_, fields) in kernels._CATALOG.items()
           for key, _, _ in fields if key in ("dim", "modes")]

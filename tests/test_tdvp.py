@@ -6,12 +6,15 @@ accuracy (spin precession w(t) = exp(i w t) w0, oscillator zeta(t) =
 exp(-i w t) zeta0, driven oscillator closed form).  Metric values are checked
 against finite differences of the log-kernel written out independently here,
 the analytic matrix energy against the central-difference energy of
-``oracles.FiniteDifferenceEnergy``, and each chart's power matrices against
-the closed-form jets ``oracles.sphere_jet`` and ``oracles.flat_jet``.
+``oracles.FiniteDifferenceEnergy``, each chart's jet rows against the
+closed-form jets ``oracles.sphere_jet`` and ``oracles.flat_jet``, and its
+form stack against the dense power-matrix route of ``oracles``.
 """
 
 import dataclasses
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ import pytest
 import oracles
 from labels import chart_point, label, points, sampled
 from cohspace.dynamics import coherent_flow
-from cohspace.errors import IntegratorFailure
+from cohspace.errors import IntegratorFailure, NumericalError
 from cohspace.kernels import (
     eval_kernel,
     klauder_space,
@@ -177,7 +180,8 @@ def test_matrix_expectation_second_derivatives():
     assert grad2 == pytest.approx((dx + 1j * dy) / 2, rel=1e-5, abs=1e-8)
 
 
-# The power matrices against the closed-form jet, and the stacked quadratic
+# The jet coefficients and the stacked quadratic forms against the dense
+# power matrices S of ``oracles``, the jet against its closed form, and the
 # forms against the per-order route on that jet: one mat-vec per ket and one
 # vdot per moment.
 
@@ -187,6 +191,13 @@ def _oracle_jet(chart, w):
     if isinstance(chart, FlatChart):
         return oracles.flat_jet(64, chart.z0, w)
     return oracles.sphere_jet(chart.n, w, chart.south)
+
+
+def _dense_matrices(chart):
+    """The chart's power matrices S (3, d, d) by the dense oracle route."""
+    if isinstance(chart, FlatChart):
+        return oracles.flat_power_matrices(64, chart.z0)
+    return oracles.sphere_power_matrices(chart.n, chart.south)
 
 
 def _per_order_route(ham, chart, u):
@@ -219,7 +230,7 @@ _ONE_JET_POINTS = (0.0j, 0.3 - 0.2j, -1.1 + 0.7j, 1.6 + 1.2j)   # up to the swit
 @pytest.mark.parametrize("chart", [c for c, _ in _ONE_JET_CHARTS],
                          ids=[name for _, name in _ONE_JET_CHARTS])
 def test_one_jet_agrees_with_the_per_order_route(chart):
-    s = chart.power_matrices()
+    s = _dense_matrices(chart)
     d = s.shape[-1]
     ham = _random_hermitian(np.random.default_rng(d), d)
     derivs = MatrixExpectation(ham).on(chart)
@@ -227,8 +238,8 @@ def test_one_jet_agrees_with_the_per_order_route(chart):
         u = np.array([w])
         jet = s @ w ** np.arange(d)
         np.testing.assert_allclose(jet, _oracle_jet(chart, w), rtol=1e-13, atol=0)
-        for m in range(3):  # the embedding is the shared table's row
-            assert chart.embedding(u, m).tobytes() == jet[m].tobytes()
+        for m in range(3):  # the embedding's coefficient rows give the dense route's rows
+            np.testing.assert_allclose(chart.embedding(u, m), jet[m], rtol=1e-15, atol=0)
         want = _per_order_route(ham, chart, u)
         (h0,), (h1, (grad,)) = derivs(u, 0), derivs(u, 1)
         got = (h0, h1, grad) + derivs(u, 2)
@@ -243,7 +254,7 @@ def test_sphere_charts_embed_by_the_spin_features(n):
     features = spin_space(n).features
     for w in _ONE_JET_POINTS:
         for south, spinor in ((False, [1.0, w]), (True, [w, 1.0])):
-            row = SphereChart(n, south=south).power_matrices()[0] @ w ** np.arange(n + 1)
+            row = SphereChart(n, south=south).embedding(np.array([w]))
             want = features(np.array([spinor], dtype=complex))[0]
             np.testing.assert_allclose(row, want, rtol=1e-15, atol=0)
 
@@ -363,11 +374,15 @@ def test_callable_energy_calls_per_rhs():
 
 
 def test_charts_of_one_side_share_their_table():
+    # a flipped chart embeds as the other side's chart does, and shares its
+    # key, under which an energy keeps the side's form stack
     for n in (1, 6):
         north, south = SphereChart(n), SphereChart(n, south=True)
-        assert north.flipped().power_matrices() is south.power_matrices()
-        assert north.flipped().flipped().power_matrices() is north.power_matrices()
-        assert not north.power_matrices().flags.writeable
+        assert north.key != south.key
+        for chart, side in ((north.flipped(), south), (north.flipped().flipped(), north)):
+            assert chart.key == side.key
+            assert chart.power.tobytes() == side.power.tobytes()
+            assert chart.jet.tobytes() == side.jet.tobytes()
 
 
 def test_non_hermitian_energy_matrix_rejected():
@@ -397,10 +412,49 @@ def test_one_energy_gives_each_chart_side_its_own_stack():
     u = np.array([0.3 + 0.2j])
     for chart in (north, south):
         en.on(chart)(u, 2)
-    stack_n, stack_s = en._stacks[north.key][2], en._stacks[south.key][2]
+    stack_n, stack_s = en._stacks[north.key], en._stacks[south.key]
     assert stack_n.shape == stack_s.shape and not np.array_equal(stack_n, stack_s)
     en.on(north.flipped().flipped())(u, 2)  # a new chart of a side already bound
-    assert en._stacks[north.key][2] is stack_n and len(en._stacks) == 2
+    assert en._stacks[north.key] is stack_n and len(en._stacks) == 2
+
+
+@pytest.mark.parametrize("n", [1, 4, 10, 40, 100, 300])
+def test_spin_form_stacks_equal_the_dense_route(n):
+    ham = _random_hermitian(np.random.default_rng(n), n + 1)
+    en = MatrixExpectation(ham)
+    for south in (False, True):
+        chart = SphereChart(n, south=south)
+        en.on(chart)
+        want = oracles.dense_form_stack(ham, oracles.sphere_power_matrices(n, south))
+        assert np.array_equal(en._stacks[chart.key], want)  # real coefficients: no rounding
+
+
+@pytest.mark.parametrize("z0", [0.0, 0.2 - 0.1j, -1.5 + 2.5j])
+def test_klauder_form_stack_matches_the_dense_route(z0):
+    ham = _random_hermitian(np.random.default_rng(7), 64)
+    en, chart = MatrixExpectation(ham), FlatChart(z0)
+    en.on(chart)
+    want = oracles.dense_form_stack(ham, oracles.flat_power_matrices(64, z0))
+    got = en._stacks[chart.key]
+    assert got.shape == (8 * 64, 64)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+def test_a_spin_1000_chart_carries_coefficient_rows():
+    chart, d = SphereChart(1000), 1001
+    assert chart.jet.shape == (3, d) and chart.power.shape == (d,)
+    en = MatrixExpectation(np.diag(np.arange(d, dtype=float)))
+    tracemalloc.start()
+    try:
+        en.on(chart)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stack = en._stacks[chart.key]
+    assert stack.shape == (8 * d, d)
+    # the stack, H in power order and the identity: power matrices (3, d, d)
+    # on top of them would pass this bound
+    assert peak < stack.nbytes + 3 * d * d * 16
 
 
 # ------------------------------------------------------------------- flows
@@ -557,6 +611,37 @@ def test_energy_drift_guard_trips():
     with pytest.raises(IntegratorFailure, match="energy drift"):
         dirac_frenkel_flow(sp, MatrixExpectation(ham), z0, (0.0, 500.0),
                            t_eval=[0.0, 500.0], rtol=1e-3, atol=1e-6)
+
+
+def test_energy_drift_guard_names_the_spectral_radius():
+    # the drift is measured against max |eigenvalue| of H, 4.406 here, which
+    # bounds |h| on every chart
+    n = 6
+    rep = SpinRep(n)
+    ham = rep.dgamma(SZ) + 0.4 * (rep.dgamma(SX) @ rep.dgamma(SX))
+    en = MatrixExpectation(ham)
+    assert en.spectral_radius() == np.abs(np.linalg.eigvalsh(ham)).max()
+    with pytest.raises(IntegratorFailure) as err:
+        dirac_frenkel_flow(spin_space(n), en, unit_spinor(1.0, 0.5 + 0.3j), (0.0, 500.0),
+                           t_eval=[0.0, 500.0], rtol=1e-3, atol=1e-6)
+    assert str(err.value) == ("energy drift 6.972e-04 exceeds 1.0e-06 x 4.406e+00, the spectral "
+                              "radius of H, at t = 4.16664; tighten rtol")
+
+
+def test_a_klauder_flow_that_leaves_its_fock_levels_stops():
+    # driven from zeta = 0, zeta(t) = 3 (e^-it - 1) reaches |zeta| = 6 at t = pi;
+    # the flow stops once the weight beyond the 64 levels exceeds 1e-10
+    a, ad, num = oracles.fock_ops(64)
+    en = MatrixExpectation(num + 3.0 * (a + ad))
+    with pytest.raises(NumericalError) as err:
+        dirac_frenkel_flow(klauder_space(1), en, label([0.0, 0.0]), (0.0, 4.0), t_eval=[0.0, 4.0])
+    found = re.fullmatch(r"the Klauder state at zeta = (\S+) \(t = (\S+)\) puts a Poisson weight "
+                         r"of (\S+) beyond the 64 Fock levels of its chart; the variational flow "
+                         r"allows at most 1e-10", str(err.value))
+    zeta, t, weight = complex(found.group(1)), float(found.group(2)), float(found.group(3))
+    assert abs(zeta - 3.0 * (np.exp(-1j * t) - 1.0)) <= 1e-4  # 6 digits of each
+    assert 5.0 < abs(zeta) < 6.0
+    assert 1e-10 < weight < 1e-6
 
 
 def test_callable_route_matches_matrix_route():
