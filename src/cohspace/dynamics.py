@@ -32,7 +32,7 @@ class Trajectory:
     norms: Optional[np.ndarray] = None
     chart_flags: Optional[np.ndarray] = None  # used by variational flows
     chart_switches: int = 0  # chart flips made by the driver (not sample-dependent)
-    energy_drift: Optional[float] = None  # worst relative drift over accepted steps (TDVP)
+    energy_drift: Optional[float] = None  # worst drift over accepted steps / max(|h0|, 1e-3 x rho(H)) (TDVP)
 
 
 def _project_constraint(space: KernelSpace, coords: np.ndarray) -> np.ndarray:

@@ -49,6 +49,7 @@ from .dynamics import Trajectory
 
 CHART_SWITCH_RADIUS = 2.0
 ENERGY_DRIFT_LIMIT = 1e-6
+DRIFT_SCALE_FLOOR = 1e-3  # of the spectral radius of H: the drift scale where |h0| is smaller
 FLAT_CHART_CUTOFF = 64    # Fock levels of the Klauder chart embedding
 FOCK_TAIL_LIMIT = 1e-10   # largest Poisson weight a Klauder flow may carry beyond them
 
@@ -261,11 +262,11 @@ class MatrixExpectation:
         dh/dwbar, d2h/(dw dwbar), d2h/dwbar2) at order 2, and raises
         NumericalError where the moments overflow float64.  The form stack
         (see _form_stack) is built on a chart side's first binding."""
-        d = chart.jet.shape[1]
+        d = len(chart.power)
         if self.h.shape != (d, d):
             raise ConfigError(f"operator is {self.h.shape} but the chart embeds into dimension {d}")
         stack = self._stacks.get(chart.key)
-        if stack is None:
+        if stack is None:  # a chart of a side already bound never builds its jet
             stack = self._stacks[chart.key] = _form_stack(self.h, chart.power, chart.jet)
         prefixes, exponents = [stack[:blocks * d] for blocks in (2, 4, 8)], np.arange(d)
 
@@ -382,17 +383,19 @@ def dirac_frenkel_flow(
 ) -> Trajectory:
     """Variational flow in the space's chart; chart switches are automatic.
 
-    Energy is monitored at every accepted step against the spectral radius
-    of H, which bounds |h| on every chart: a drift beyond ENERGY_DRIFT_LIMIT
-    times it raises IntegratorFailure with the observed drift, and the
-    largest drift in its units is returned as `Trajectory.energy_drift`.
+    Energy is monitored at every accepted step against |h0|, floored at
+    DRIFT_SCALE_FLOOR times the spectral radius of H (which bounds |h| on
+    every chart) so that an energy starting at zero is not held to rounding:
+    a drift beyond ENERGY_DRIFT_LIMIT times that scale raises
+    IntegratorFailure with the observed drift, and the largest drift in its
+    units is returned as `Trajectory.energy_drift`.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t_eval is None:
         t_eval = np.linspace(t0, t1, 101)
     chart, u = chart_for(space, z0)
     h0 = energy.on(chart)(u, 0)[0]
-    h_scale = max(energy.spectral_radius(), np.finfo(float).tiny)
+    h_scale = max(abs(h0), DRIFT_SCALE_FLOOR * energy.spectral_radius(), np.finfo(float).tiny)
     worst = 0.0
 
     def monitor(derivs, t, uu):
@@ -401,7 +404,8 @@ def dirac_frenkel_flow(
         if dev > ENERGY_DRIFT_LIMIT * h_scale:
             raise IntegratorFailure(
                 f"energy drift {dev:.3e} exceeds {ENERGY_DRIFT_LIMIT:.1e} x {h_scale:.3e}, the "
-                f"spectral radius of H, at t = {t:.6g}; tighten rtol"
+                f"larger of |h0| and {DRIFT_SCALE_FLOOR:.0e} x the spectral radius of H, "
+                f"at t = {t:.6g}; tighten rtol"
             )
         worst = max(worst, dev)
 

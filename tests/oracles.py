@@ -228,16 +228,15 @@ class FiniteDifferenceEnergy:
     reference route for an energy's `on(chart)` and `chart_values(chart, us)`,
     its derivatives by central differences.
     At order 1 the stencil's mean stands in for h, so the velocity costs only
-    the stencil's calls; order 2 differentiates the stencil gradient.
-    `radius` bounds |fn| and is the scale a flow's drift check measures
-    against, as a matrix energy's spectral radius is."""
+    the stencil's calls; order 2 differentiates the stencil gradient."""
 
-    def __init__(self, fn, radius: float = 1.0):
+    def __init__(self, fn):
         self.fn = fn
-        self.radius = radius
 
     def spectral_radius(self) -> float:
-        return self.radius
+        """The drift scale a flow floors |h0| with, as a matrix energy's
+        spectral radius is: 1 for this oracle."""
+        return 1.0
 
     def on(self, chart):
         def h(u):

@@ -1131,13 +1131,15 @@ def test_exit_1_numerical_error_when_chart_moments_overflow(tmp_path, monkeypatc
 def test_a_flow_whose_energy_starts_at_zero_passes_its_drift_check(tmp_path, monkeypatch, capsys,
                                                                     n):
     # z0 on the equator under J_z: h0 = 0, and the check used to allow a drift
-    # of 1e-6 x 1e-12, so rounding alone failed it with "tighten rtol"
+    # of 1e-6 x 1e-12, so rounding alone failed it with "tighten rtol"; the
+    # drift is reported in units of 1e-3 x the spectral radius n/2, so the
+    # bound below is a drift of 1e-12 x n/2
     code, out, err = run_cli(["dyn-tdvp", "--space", f'{{"kind":"spin","exponent":{n}}}',
                               "--energy", '{"kind":"spin_axis","axis":[0,0,1],"coeff":1}',
                               "--z0", "[[0.7071067811865476,0],[0.7071067811865476,0]]",
                               "--t-span", "[0,2]", "--out", "e.csv"], tmp_path, monkeypatch, capsys)
     assert (code, err) == (0, "")
-    assert json.loads(out)["summary"]["energy_drift"] <= 1e-12
+    assert json.loads(out)["summary"]["energy_drift"] <= 1e-9
 
 
 # every dim and modes field of the space catalog
