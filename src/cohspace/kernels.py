@@ -31,8 +31,9 @@ K(z, z') = <phi(z), phi(z')> with phi(z) in C^D, also carry phi in the
 (phi = z), and ``spin`` at an integer exponent 0 <= n <= 1029 (the monomials
 sqrt(C(n, k)) z1^(n-k) z2^k, whose weights ``monomial_weights`` gives; above
 n = 1029 they overflow float64).  ``feature_matrix`` evaluates phi on a
-checked stack; qspace takes a quantum space of these kinds from the SVD of
-the features instead of the Gram.
+checked stack, and ``feature_spectrum`` the Gram spectrum sigma^2 from the
+thin SVD of the features, without forming the Gram: qspace takes a quantum
+space of these kinds from it, and ``check_coherence`` its PSD verdict.
 
 A batch of labels is one stack from the config to the kernel: ``coords``
 (n, d) complex and ``multipliers`` (n,) or None.  Each factory states once,
@@ -149,6 +150,26 @@ def feature_matrix(space: KernelSpace, coords: np.ndarray, multipliers=None) -> 
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite
         phi = space.features(coords)
     return _finite(space, phi, "feature")
+
+
+def feature_spectrum(space: KernelSpace, coords: np.ndarray,
+                     multipliers=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sigma^2, U, V*) of the thin SVD conj(Phi) = U diag(sigma) V* of the
+    features Phi (n, D) of labels (n, d), descending: the Gram conj(Phi) Phi^T
+    is U diag(sigma^2) U*, PSD by construction.  NumericalError where the
+    largest eigenvalue sigma_max^2 overflows float64."""
+    phi = feature_matrix(space, coords, multipliers)
+    try:
+        u, sigma, vh = np.linalg.svd(phi.conj(), full_matrices=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
+        raise NumericalError(f"SVD failed on {phi.shape[0]}x{phi.shape[1]} features: "
+                             f"{exc}") from exc
+    with np.errstate(over="ignore"):  # reported below
+        lam = sigma * sigma
+    if not np.isfinite(lam[0]):
+        raise NumericalError(f"{space.kind}: the largest Gram eigenvalue ({sigma[0]:.3e})^2 "
+                             "is not finite; it overflowed float64")
+    return lam, u, vh
 
 
 def eval_kernel(space: KernelSpace, z: tuple, z2: tuple) -> complex:
@@ -626,9 +647,15 @@ def psd_verdict(eigs: np.ndarray, tol: float) -> PsdVerdict:
 
 def check_coherence(space: KernelSpace, coords: np.ndarray, multipliers=None,
                     tol: float = PSD_TOL) -> PsdVerdict:
-    """PSD test of the Gram matrix with a relative tolerance (see psd_verdict)."""
+    """PSD test of the Gram matrix with a relative tolerance (see psd_verdict).
+    A kind with features takes the eigenvalues sigma^2 of feature_spectrum,
+    with n - D exact zeros below them where the n labels outnumber the D
+    features, and forms no Gram; every other kind takes eigvalsh of its Gram."""
     if not space.hermitian:
         raise InvalidPointError(f"{space.kind}: PSD check needs a Hermitian kernel")
+    if space.features is not None:
+        lam = feature_spectrum(space, coords, multipliers)[0]
+        return psd_verdict(np.concatenate((np.zeros(len(coords) - len(lam)), lam[::-1])), tol)
     g = gram_matrix(space, coords, multipliers)
     try:
         eigs = np.linalg.eigvalsh(g)

@@ -7,9 +7,11 @@ tol * lam_max.  It is taken by one of two routes:
 
 - a kind with features (kernels.KernelSpace.features, K(z, z') =
   <phi(z), phi(z')>) has G = conj(Phi) conj(Phi)* for its feature matrix
-  Phi (n, D), so the thin SVD conj(Phi) = U diag(sigma) V* gives lam =
-  sigma^2 and U without forming G; the rows of V* span the coherent vectors
-  in feature coordinates, and the retained ones are kept for quantize;
+  Phi (n, D), so the thin SVD conj(Phi) = U diag(sigma) V* of
+  kernels.feature_spectrum gives lam = sigma^2 and U without forming G (the
+  one spectrum kernels.check_coherence also takes its verdict from); the
+  rows of V* span the coherent vectors in feature coordinates, and the
+  retained ones are kept for quantize;
 - every other kind forms G and runs eigh on it, after the PSD check.
 
 The retained (lam_r, U_r), and V*_r on the feature route, are all that
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoherenceViolationError, ConfigError, InvalidPointError, NumericalError
-from .kernels import KernelSpace, feature_matrix, gram_matrix, psd_verdict
+from .kernels import KernelSpace, feature_spectrum, gram_matrix, psd_verdict
 
 DEFAULT_TRUNCATION_TOL = 1e-10
 
@@ -68,7 +70,7 @@ def build_quantum_space(space: KernelSpace, coords: np.ndarray, multipliers=None
     if space.features is None:
         lam, u = _gram_spectrum(space, coords, multipliers, tol)
     else:
-        lam, u, vh = _feature_spectrum(space, coords, multipliers)
+        lam, u, vh = feature_spectrum(space, coords, multipliers)
     lam_max = lam[0]
     if lam_max <= 0.0:
         raise CoherenceViolationError(f"{space.kind}: Gram has no positive eigenvalues")
@@ -96,24 +98,6 @@ def _gram_spectrum(space: KernelSpace, coords: np.ndarray, multipliers,
         )
     order = np.argsort(lam)[::-1]          # descending, fixed tie order
     return lam[order], u[:, order]
-
-
-def _feature_spectrum(space: KernelSpace, coords: np.ndarray,
-                      multipliers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sigma^2, U, V*) of the thin SVD conj(Phi) = U diag(sigma) V*, descending:
-    G = conj(Phi) Phi^T = U diag(sigma^2) U*, which is PSD by construction."""
-    phi = feature_matrix(space, coords, multipliers)
-    try:
-        u, sigma, vh = np.linalg.svd(phi.conj(), full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        raise NumericalError(f"SVD failed on {phi.shape[0]}x{phi.shape[1]} features: "
-                             f"{exc}") from exc
-    with np.errstate(over="ignore"):  # reported below
-        lam = sigma * sigma
-    if not np.isfinite(lam[0]):
-        raise NumericalError(f"{space.kind}: the largest Gram eigenvalue ({sigma[0]:.3e})^2 "
-                             "is not finite; it overflowed float64")
-    return lam, u, vh
 
 
 # ------------------------------------------------------------ derivative rule

@@ -30,8 +30,9 @@ are stacked once per energy and chart side; an evaluation of order 0, 1 or 2
 is one mat-vec with the stack's first 2, 4 or 8 blocks of d rows and one dot
 with conj(q).  The metric is a scalar: the velocity is a division.
 
-A flow ends in NumericalError when its moments overflow float64, and on a
-Klauder chart when the state leaves the chart's Fock levels (FOCK_TAIL_LIMIT).
+A flow ends in NumericalError when its forms or moments overflow float64,
+and on a Klauder chart when the state leaves the chart's Fock levels
+(FOCK_TAIL_LIMIT).
 """
 
 from __future__ import annotations
@@ -133,7 +134,8 @@ class FlatChart:
         self.z0 = complex(z0)
         self.power = np.arange(FLAT_CHART_CUTOFF)
         fact = np.cumprod(np.sqrt(np.maximum(self.power, 1)))  # sqrt(k!)
-        self.jet = _jet(np.exp(self.z0), self.power) / fact
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf e^z0: see MatrixExpectation.on
+            self.jet = _jet(np.exp(self.z0), self.power) / fact
         self.key = ("flat", self.z0)
 
     def __str__(self) -> str:
@@ -261,13 +263,19 @@ class MatrixExpectation:
         order) gives (h,) at order 0, (h, d h / d ubar) at order 1 and (h,
         dh/dwbar, d2h/(dw dwbar), d2h/dwbar2) at order 2, and raises
         NumericalError where the moments overflow float64.  The form stack
-        (see _form_stack) is built on a chart side's first binding."""
+        (see _form_stack) is built and checked on a chart side's first
+        binding: NumericalError naming the chart where its entries overflow."""
         d = len(chart.power)
         if self.h.shape != (d, d):
             raise ConfigError(f"operator is {self.h.shape} but the chart embeds into dimension {d}")
         stack = self._stacks.get(chart.key)
         if stack is None:  # a chart of a side already bound never builds its jet
-            stack = self._stacks[chart.key] = _form_stack(self.h, chart.power, chart.jet)
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                stack = _form_stack(self.h, chart.power, chart.jet)
+            if not np.isfinite(stack).all():
+                raise NumericalError(f"the energy forms of {chart} overflow float64 (largest "
+                                     f"embedding coefficient {np.abs(chart.jet[0]).max():.3e})")
+            self._stacks[chart.key] = stack
         prefixes, exponents = [stack[:blocks * d] for blocks in (2, 4, 8)], np.arange(d)
 
         def derivs(u, order):

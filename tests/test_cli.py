@@ -7,6 +7,7 @@ fixture from tests/conftest.py, whose PYTHONPATH starts with the absolute
 directory this process imported cohspace from, so they import the same
 cohspace as the test process, installed or not.
 """
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -1115,14 +1116,27 @@ def test_exit_1_numerical_error_on_a_klauder_flow_beyond_its_fock_levels(
     (["dyn-tdvp", "--space", _KLAUDER, "--energy", _FOCK_N, "--z0", "[[200,0],[1,0]]",
       "--t-span", "[0,1]"],
      "the energy moments of the Klauder chart at z0 = 200+0j overflow float64 at |w| = 1"),
-], ids=["dyn-lyapunov-spin160", "dyn-tdvp-spin800", "dyn-tdvp-klauder-z0-200"])
+    (["dyn-tdvp", "--space", '{"kind":"spin","exponent":1029}',
+      "--energy", '{"kind":"spin_axis","axis":[0,0,1],"coeff":1}', "--z0", "[[0.8,0],[0.6,0]]",
+      "--t-span", "[0,0.1]", "--samples", "3"],
+     "the energy forms of the degree-1029 spin chart overflow float64 (largest embedding "
+     "coefficient 1.196e+154)"),
+    *((["dyn-tdvp", "--space", _KLAUDER, "--energy", _FOCK_N, "--z0", f"[[{z0},0],[1,0]]",
+        "--t-span", "[0,1]"],
+       f"the energy forms of the Klauder chart at z0 = {z0}+0j overflow float64 (largest "
+       f"embedding coefficient {e_z0})") for z0, e_z0 in ((400, "5.221e+173"), (800, "inf"))),
+], ids=["dyn-lyapunov-spin160", "dyn-tdvp-spin800", "dyn-tdvp-klauder-z0-200",
+        "dyn-tdvp-spin1029-forms", "dyn-tdvp-klauder-z0-400-forms", "dyn-tdvp-klauder-z0-800-forms"])
 def test_exit_1_numerical_error_when_chart_moments_overflow(tmp_path, monkeypatch, capsys,
                                                             args, message):
     # den = (1 + |w|^2)^n or e^(2 Re z0 + |zeta|^2) overflows in den ** 3 or den ** 2:
-    # each used to end in an OverflowError traceback
-    code, out, err = run_cli(args, tmp_path, monkeypatch, capsys)
+    # each used to end in an OverflowError traceback; conj(c_a) H c_b overflows while the
+    # form stack is built (the last three), where it used to warn and then fail at an RK stage
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the run
+        code, out, err = run_cli(args, tmp_path, monkeypatch, capsys)
     assert (code, out) == (1, "")
-    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert json.loads(err) == {"error": "numerical-error", "message": message}
     assert list(tmp_path.iterdir()) == []
 
@@ -1546,7 +1560,8 @@ def test_exit_1_names_a_span_too_long_for_the_float_resolution_of_t(tmp_path, mo
 def test_the_second_argument_of_gram_matrix_counts_the_labels(tmp_path, monkeypatch):
     """The benchmark's tracer counts Gram entries as len(args[1]) ** 2 of
     gram_matrix: its second argument is the (n, d) label stack on every route
-    that forms a Gram (spin quantum spaces take the SVD of their features instead)."""
+    that forms a Gram (the PSD checks and quantum spaces of integer spins take
+    the SVD of their features instead)."""
     from cohspace import qspace
 
     assert list(inspect.signature(kernels.gram_matrix).parameters)[:2] == ["space", "coords"]
@@ -1563,9 +1578,65 @@ def test_the_second_argument_of_gram_matrix_counts_the_labels(tmp_path, monkeypa
     identity = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
     spinors = [[1, 0], [0, 1], [0.6, 0.8]]
     for config in ({"command": "kernel-gram", "space": spin, "points": spinors},
-                   {"command": "kernel-check", "space": spin, "count": 5},
+                   {"command": "kernel-check", "space": {"kind": "spin", "exponent": 2.5},
+                    "count": 5},
                    {"command": "qspace-build", "space": {"kind": "klauder"}, "count": 4},
                    {"command": "quantize", "space": {"kind": "klauder"}, "count": 6,
                     "map": {"kind": "linear", "matrix": identity}}):
         cli.run(config)
     assert seen == [(3, (3, 2)), (5, (5, 2)), (4, (4, 2)), (6, (6, 2))]
+
+
+_FEATURE_CHECKS = [{"kind": "trivial", "dim": 3}, {"kind": "euclidean_subset", "dim": 2},
+                   "icosahedron", {"kind": "spin", "exponent": 0},
+                   {"kind": "spin", "exponent": 8}, {"kind": "spin", "exponent": 40}]
+
+
+def test_a_feature_kind_check_forms_no_gram_and_runs_no_eigensolver(tmp_path, monkeypatch):
+    """kernel-check takes sigma^2 from the feature SVD for the feature kinds;
+    a fractional spin and Klauder still form one Gram and solve it once."""
+    seen = []
+
+    def spy(name, original):
+        def wrapped(*args, **kwargs):
+            seen.append((name, len(args[1] if name == "gram" else args[0])))
+            return original(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(kernels, "gram_matrix", spy("gram", kernels.gram_matrix))
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.chdir(tmp_path)
+    for space in _FEATURE_CHECKS:
+        cli.run({"command": "kernel-check", "space": space, "count": 12})
+    assert seen == []
+    for space in ({"kind": "spin", "exponent": 2.5}, {"kind": "klauder"}):
+        cli.run({"command": "kernel-check", "space": space, "count": 7})
+    assert seen == [("gram", 7), ("eigvalsh", 7)] * 2
+
+
+@pytest.mark.parametrize("space", _FEATURE_CHECKS, ids=["trivial3", "euclidean2", "icosahedron",
+                                                        "spin0", "spin8", "spin40"])
+def test_kernel_check_gram_norm_is_the_first_qspace_eigenvalue_bit_for_bit(tmp_path, monkeypatch,
+                                                                           space):
+    monkeypatch.chdir(tmp_path)
+    for command in ("kernel-check", "qspace-build"):
+        cli.run({"command": command, "space": space, "count": 30, "seed": 3})
+    check = json.loads((tmp_path / "cohspace-kernel-check.json").read_text())
+    _, rows = read_csv(tmp_path / "cohspace-qspace-build.csv")
+    assert check["passed"] and check["gram_norm"] == float(rows[0][1])
+
+
+def test_exit_1_numerical_error_on_an_overflowed_feature_spectrum(tmp_path, monkeypatch, capsys):
+    # the features 1e300 z are finite; sigma_max^2 = 2e600 is not
+    factory, fields = kernels._CATALOG["trivial"]
+    monkeypatch.setitem(kernels._CATALOG, "trivial", (
+        lambda dim: dataclasses.replace(factory(dim), features=lambda a: a * 1e300), fields))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the run
+        code, out, err = run_cli(["kernel-check", "--space", '{"kind":"trivial","dim":1}',
+                                  "--points", "[[1],[1]]"], tmp_path, monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "numerical-error", "message": (
+        "trivial: the largest Gram eigenvalue (1.414e+300)^2 is not finite; "
+        "it overflowed float64")}
+    assert list(tmp_path.iterdir()) == []

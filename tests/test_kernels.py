@@ -21,6 +21,7 @@ from cohspace.kernels import (
     euclidean_subset,
     eval_kernel,
     feature_matrix,
+    feature_spectrum,
     gram_matrix,
     heisenberg_space,
     icosahedron_space,
@@ -160,6 +161,37 @@ def test_a_non_finite_feature_raises_naming_its_entry():
         feature_matrix(sp, np.array([[1.0], [1e10]], dtype=complex))
     with pytest.raises(InvalidPointError, match="unit spinor norm"):
         feature_matrix(spin_space(2), np.array([[1.0, 1.0]], dtype=complex))
+
+
+# ---------------------------------------------- PSD verdicts: feature SVD against eigvalsh
+
+_CHECK_KINDS = {**{f"trivial{d}": (trivial_space(d), d) for d in (1, 2, 3, 4)},
+                "euclidean3": (euclidean_subset(3, 2.0), 3), "icosahedron": (icosahedron_space(), 3),
+                **{f"spin{n}": (spin_space(n), n + 1) for n in (*range(9), 40)}}
+# every feature kind with fewer labels than its D features (where D > 1), D labels and more
+_CHECK_CASES = {f"{name}-{rel}": (sp, dim, count) for name, (sp, dim) in _CHECK_KINDS.items()
+                for rel, count in (("fewer", dim - 1), ("equal", dim), ("more", 2 * dim + 3))
+                if count}
+
+
+@pytest.mark.parametrize("sp, dim, count", _CHECK_CASES.values(), ids=list(_CHECK_CASES))
+def test_a_feature_kind_check_matches_eigvalsh_of_its_gram(sp, dim, count):
+    """The verdict from sigma^2 against eigvalsh of the Gram (features=None):
+    the same `passed`, `gram_norm` within 1e-14 of itself, and `min_eigenvalue`
+    exactly 0.0 past D labels, where the Gram's is rounding noise within
+    1e-12 lam_max; up to D labels it is the smallest sigma^2, within
+    1e-14 lam_max of eigvalsh's (both err by a few eps lam_max)."""
+    coords, mults = sample_points(sp, np.random.default_rng(RNG_SEED), count)
+    svd = check_coherence(sp, coords, mults)
+    gram = check_coherence(dataclasses.replace(sp, features=None), coords, mults)
+    assert svd.passed and gram.passed
+    assert abs(svd.gram_norm - gram.gram_norm) <= 1e-14 * gram.gram_norm
+    if count > dim:
+        assert svd.min_eigenvalue == 0.0 and math.copysign(1.0, svd.min_eigenvalue) == 1.0
+        assert abs(gram.min_eigenvalue) <= 1e-12 * gram.gram_norm
+    else:
+        assert svd.min_eigenvalue == feature_spectrum(sp, coords, mults)[0][-1] >= 0.0
+        assert abs(svd.min_eigenvalue - gram.min_eigenvalue) <= 1e-14 * gram.gram_norm
 
 
 def test_power_kernel_exact_for_small_exponents():
