@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidPointError, NumericalError
+from .errors import ConfigError, IntegratorFailure, InvalidPointError, NumericalError
 from .integrate import MAX_STEPS, IntegratorStats, total_stats
 from .kernels import KernelSpace, spin_space
 from .tdvp import CHART_SWITCH_RADIUS, MatrixExpectation, chart_for, charted_solve
@@ -197,13 +197,21 @@ def lyapunov_continuous(space: KernelSpace, energy: MatrixExpectation, z0: tuple
                           f"segments, more than the {MAX_STEPS} a run may take")
     chart, u = chart_for(space, z0)
 
-    solves = []
+    solves, first, spent, done = [], 0, 0, 0  # steps of the first segment and of all so far
 
     def advance(chart, w, delta):  # (w, dw) over one segment, switching charts as needed
+        nonlocal first, spent, done
         segments, chart, (w, delta) = charted_solve(
             chart, energy, np.array([w, delta]), (0.0, resample), rtol, atol, hbar, tangent=True,
             first_step=solves[-1].h_next if solves else None)
         solves.extend(sol for _, sol in segments)
+        spent += sum(sol.stats.steps + sol.stats.rejected for _, sol in segments)
+        first, done = first or spent, done + 1
+        if first * n_seg > MAX_STEPS or spent > MAX_STEPS:
+            raise IntegratorFailure(
+                f"a continuous Lyapunov run of {n_seg} segments took {first} steps in its first, "
+                f"{first * n_seg} projected, and {spent} by segment {done}: more than the budget "
+                f"of MAX_STEPS = {MAX_STEPS} steps a run may take")
         return chart, w, delta, sum(sol.halted for _, sol in segments)
 
     res = _benettin(chart, complex(u[0]), advance, n_seg, resample,

@@ -31,9 +31,13 @@ K(z, z') = <phi(z), phi(z')> with phi(z) in C^D, also carry phi in the
 (phi = z), and ``spin`` at an integer exponent 0 <= n <= 1029 (the monomials
 sqrt(C(n, k)) z1^(n-k) z2^k, whose weights ``monomial_weights`` gives; above
 n = 1029 they overflow float64).  ``feature_matrix`` evaluates phi on a
-checked stack, and ``feature_spectrum`` the Gram spectrum sigma^2 from the
-thin SVD of the features, without forming the Gram: qspace takes a quantum
-space of these kinds from it, and ``check_coherence`` its PSD verdict.
+checked stack.
+
+``gram_spectrum`` is the one Gram spectrum: it requires a Hermitian kernel
+and takes the thin SVD of the features, without forming the Gram, for a kind
+that has them, else eigh (or eigvalsh) of the Gram.  ``check_coherence`` is
+the PSD rule ``psd_verdict`` on its eigenvalues, and qspace takes a quantum
+space from its eigenvalues and vectors under the same rule.
 
 A batch of labels is one stack from the config to the kernel: ``coords``
 (n, d) complex and ``multipliers`` (n,) or None.  Each factory states once,
@@ -150,26 +154,6 @@ def feature_matrix(space: KernelSpace, coords: np.ndarray, multipliers=None) -> 
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _finite
         phi = space.features(coords)
     return _finite(space, phi, "feature")
-
-
-def feature_spectrum(space: KernelSpace, coords: np.ndarray,
-                     multipliers=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sigma^2, U, V*) of the thin SVD conj(Phi) = U diag(sigma) V* of the
-    features Phi (n, D) of labels (n, d), descending: the Gram conj(Phi) Phi^T
-    is U diag(sigma^2) U*, PSD by construction.  NumericalError where the
-    largest eigenvalue sigma_max^2 overflows float64."""
-    phi = feature_matrix(space, coords, multipliers)
-    try:
-        u, sigma, vh = np.linalg.svd(phi.conj(), full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        raise NumericalError(f"SVD failed on {phi.shape[0]}x{phi.shape[1]} features: "
-                             f"{exc}") from exc
-    with np.errstate(over="ignore"):  # reported below
-        lam = sigma * sigma
-    if not np.isfinite(lam[0]):
-        raise NumericalError(f"{space.kind}: the largest Gram eigenvalue ({sigma[0]:.3e})^2 "
-                             "is not finite; it overflowed float64")
-    return lam, u, vh
 
 
 def eval_kernel(space: KernelSpace, z: tuple, z2: tuple) -> complex:
@@ -633,9 +617,9 @@ class PsdVerdict:
 
 
 def psd_verdict(eigs: np.ndarray, tol: float) -> PsdVerdict:
-    """The PSD rule on ascending Gram eigenvalues:
+    """The PSD rule on descending Gram eigenvalues (gram_spectrum's):
     passed iff min eig >= -tol * max(1, ||G||_2)."""
-    lo = float(eigs[0])
+    lo = float(eigs[-1])
     norm = float(max(abs(eigs[0]), abs(eigs[-1])))
     return PsdVerdict(
         min_eigenvalue=lo,
@@ -645,23 +629,47 @@ def psd_verdict(eigs: np.ndarray, tol: float) -> PsdVerdict:
     )
 
 
-def check_coherence(space: KernelSpace, coords: np.ndarray, multipliers=None,
-                    tol: float = PSD_TOL) -> PsdVerdict:
-    """PSD test of the Gram matrix with a relative tolerance (see psd_verdict).
-    A kind with features takes the eigenvalues sigma^2 of feature_spectrum,
-    with n - D exact zeros below them where the n labels outnumber the D
-    features, and forms no Gram; every other kind takes eigvalsh of its Gram."""
+def gram_spectrum(space: KernelSpace, coords: np.ndarray, multipliers=None,
+                  vectors: bool = True) -> tuple:
+    """(lam, U, V*) of the Gram G = [K(z_i, z_j)] of labels (n, d): its n
+    eigenvalues lam, descending, and, with `vectors`, eigenvectors U with
+    G = U diag(lam) U* (over U's columns).  A kind with features takes the
+    thin SVD conj(Phi) = U diag(sigma) V* of its features Phi (n, D) and forms
+    no Gram: lam is sigma^2, PSD by construction, with n - D exact zeros below
+    it where the labels outnumber the features, and the rows of V* span the
+    coherent vectors in feature coordinates, whatever `vectors` says (one
+    SVD gives every caller the same sigma^2, bit for bit).  Every other kind
+    takes eigh of its Gram, or eigvalsh without `vectors` (U None), and has
+    V* None.  InvalidPointError for a non-Hermitian kernel; NumericalError
+    where the solver fails or sigma_max^2 overflows float64."""
     if not space.hermitian:
         raise InvalidPointError(f"{space.kind}: PSD check needs a Hermitian kernel")
-    if space.features is not None:
-        lam = feature_spectrum(space, coords, multipliers)[0]
-        return psd_verdict(np.concatenate((np.zeros(len(coords) - len(lam)), lam[::-1])), tol)
-    g = gram_matrix(space, coords, multipliers)
+    n = len(coords)
     try:
-        eigs = np.linalg.eigvalsh(g)
+        if space.features is not None:
+            u, sigma, vh = np.linalg.svd(feature_matrix(space, coords, multipliers).conj(),
+                                         full_matrices=False)
+            with np.errstate(over="ignore"):  # reported below
+                lam = np.concatenate((sigma * sigma, np.zeros(n - len(sigma))))
+            if not np.isfinite(lam[0]):
+                raise NumericalError(f"{space.kind}: the largest Gram eigenvalue "
+                                     f"({sigma[0]:.3e})^2 is not finite; it overflowed float64")
+            return lam, u, vh
+        g = gram_matrix(space, coords, multipliers)
+        if not vectors:
+            return np.linalg.eigvalsh(g)[::-1], None, None
+        lam, u = np.linalg.eigh(g)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        raise NumericalError(f"eigensolver failed on a {g.shape[0]}x{g.shape[0]} Gram: {exc}") from exc
-    return psd_verdict(eigs, tol)
+        raise NumericalError(f"the Gram spectrum of {n} labels failed: {exc}") from exc
+    order = np.argsort(lam)[::-1]          # descending, fixed tie order
+    return lam[order], u[:, order], None
+
+
+def check_coherence(space: KernelSpace, coords: np.ndarray, multipliers=None,
+                    tol: float = PSD_TOL) -> PsdVerdict:
+    """PSD test of the Gram eigenvalues of gram_spectrum, values only, with a
+    relative tolerance (see psd_verdict)."""
+    return psd_verdict(gram_spectrum(space, coords, multipliers, vectors=False)[0], tol)
 
 
 def linear_point_map(matrix: np.ndarray,

@@ -3,16 +3,12 @@
 A quantum space over basis labels y_1..y_n is the span of the coherent
 vectors |y_i>.  Numerically it is carried by the eigendecomposition
 G = U diag(lam) U* of their Gram, truncated to the eigenvalues above
-tol * lam_max.  It is taken by one of two routes:
-
-- a kind with features (kernels.KernelSpace.features, K(z, z') =
-  <phi(z), phi(z')>) has G = conj(Phi) conj(Phi)* for its feature matrix
-  Phi (n, D), so the thin SVD conj(Phi) = U diag(sigma) V* of
-  kernels.feature_spectrum gives lam = sigma^2 and U without forming G (the
-  one spectrum kernels.check_coherence also takes its verdict from); the
-  rows of V* span the coherent vectors in feature coordinates, and the
-  retained ones are kept for quantize;
-- every other kind forms G and runs eigh on it, after the PSD check.
+tol * lam_max.  kernels.gram_spectrum gives (lam, U, V*), the one spectrum
+kernels.check_coherence also takes its verdict from: the thin SVD of the
+features for a kind with features (kernels.KernelSpace.features), which
+forms no Gram and whose retained rows of V* span the coherent vectors in
+feature coordinates, else eigh of the Gram (V* None).  Both routes pass
+the same PSD rule, kernels.psd_verdict, at tol; the SVD route always does.
 
 The retained (lam_r, U_r), and V*_r on the feature route, are all that
 quantize reads.
@@ -27,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoherenceViolationError, ConfigError, InvalidPointError, NumericalError
-from .kernels import KernelSpace, feature_spectrum, gram_matrix, psd_verdict
+from .errors import CoherenceViolationError, ConfigError
+from .kernels import KernelSpace, gram_spectrum, psd_verdict
 
 DEFAULT_TRUNCATION_TOL = 1e-10
 
@@ -51,9 +47,8 @@ class QuantumBasis:
 
 def build_quantum_space(space: KernelSpace, coords: np.ndarray, multipliers=None,
                         tol: float = DEFAULT_TRUNCATION_TOL) -> QuantumBasis:
-    """The Gram spectrum of labels (n, d), descending, with the eigenvalues
-    at or below tol * lam_max truncated: from the SVD of the features for a
-    kind that has them, else from eigh of the Gram.
+    """The Gram spectrum of labels (n, d) from kernels.gram_spectrum,
+    descending, with the eigenvalues at or below tol * lam_max truncated.
 
     Raises CoherenceViolationError if the Gram fails the PSD check at `tol`
     or has no positive eigenvalue, and ConfigError unless 0 < tol < 1
@@ -64,31 +59,7 @@ def build_quantum_space(space: KernelSpace, coords: np.ndarray, multipliers=None
     n = len(coords)
     if not n:
         raise ConfigError("need at least one basis point")
-    if not space.hermitian:
-        raise InvalidPointError(f"{space.kind}: PSD check needs a Hermitian kernel")
-    vh = None
-    if space.features is None:
-        lam, u = _gram_spectrum(space, coords, multipliers, tol)
-    else:
-        lam, u, vh = feature_spectrum(space, coords, multipliers)
-    lam_max = lam[0]
-    if lam_max <= 0.0:
-        raise CoherenceViolationError(f"{space.kind}: Gram has no positive eigenvalues")
-    rank = int(np.count_nonzero(lam > tol * lam_max))
-    return QuantumBasis(space=space, coords=coords, multipliers=multipliers, rank=rank,
-                        truncation_tol=float(tol), eigvals=lam[:rank], eigvecs=u[:, :rank],
-                        feature_basis=None if vh is None else vh[:rank])
-
-
-def _gram_spectrum(space: KernelSpace, coords: np.ndarray, multipliers,
-                   tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, U) of the Gram by eigh, descending, after its PSD check at `tol`."""
-    n = len(coords)
-    g = gram_matrix(space, coords, multipliers)
-    try:
-        lam, u = np.linalg.eigh(g)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
-        raise NumericalError(f"eigensolver failed on a {n}x{n} Gram: {exc}") from exc
+    lam, u, vh = gram_spectrum(space, coords, multipliers)
     verdict = psd_verdict(lam, tol)
     if not verdict.passed:
         raise CoherenceViolationError(
@@ -96,8 +67,12 @@ def _gram_spectrum(space: KernelSpace, coords: np.ndarray, multipliers,
             f"(min eigenvalue {verdict.min_eigenvalue:.3e})",
             min_eigenvalue=verdict.min_eigenvalue,
         )
-    order = np.argsort(lam)[::-1]          # descending, fixed tie order
-    return lam[order], u[:, order]
+    if lam[0] <= 0.0:
+        raise CoherenceViolationError(f"{space.kind}: Gram has no positive eigenvalues")
+    rank = int(np.count_nonzero(lam > tol * lam[0]))
+    return QuantumBasis(space=space, coords=coords, multipliers=multipliers, rank=rank,
+                        truncation_tol=float(tol), eigvals=lam[:rank], eigvecs=u[:, :rank],
+                        feature_basis=None if vh is None else vh[:rank])
 
 
 # ------------------------------------------------------------ derivative rule

@@ -37,6 +37,7 @@ and on a Klauder chart when the state leaves the chart's Fock levels
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from typing import Optional, Sequence
@@ -281,25 +282,28 @@ class MatrixExpectation:
         def derivs(u, order):
             powers = u[0] ** exponents
             moments = prefixes[order].dot(powers).reshape(-1, d).dot(powers.conj()).tolist()
-            if order == 0:
-                num, den = moments
-                return (num.real / den.real,)
-            try:
-                if order == 1:
+            try:  # ** raises OverflowError; products overflow to inf or nan, checked below
+                if order == 0:
+                    num, den = moments
+                    out = (num.real / den.real,)
+                elif order == 1:
                     num, den, dnum, dden = moments  # d/d wbar: <v_1| rows
                     den = den.real
-                    return num.real / den, np.array([(dnum * den - num * dden) / den ** 2])
-                # d/d wbar on the bra (v_1, v_2), d/d w on the ket (conjugates)
-                num, den, dn, dd, dndn_h, dddd_h, dn2, dd2 = moments
-                dn_h, dd_h = dn.conjugate(), dd.conjugate()
-                p = dn * den - num * dd                   # numerator of dh/dwbar
-                dp_h = dndn_h * den + dn * dd_h - dn_h * dd - num * dddd_h
-                dp_b = dn2 * den - num * dd2              # d2 num and den wrt wbar2
-                return ((num / den).real, p / den ** 2, (dp_h * den - 2.0 * p * dd_h) / den ** 3,
-                        (dp_b * den - 2.0 * p * dd) / den ** 3)
+                    out = num.real / den, (dnum * den - num * dden) / den ** 2
+                else:  # d/d wbar on the bra (v_1, v_2), d/d w on the ket (conjugates)
+                    num, den, dn, dd, dndn_h, dddd_h, dn2, dd2 = moments
+                    dn_h, dd_h = dn.conjugate(), dd.conjugate()
+                    p = dn * den - num * dd                   # numerator of dh/dwbar
+                    dp_h = dndn_h * den + dn * dd_h - dn_h * dd - num * dddd_h
+                    dp_b = dn2 * den - num * dd2              # d2 num and den wrt wbar2
+                    out = ((num / den).real, p / den ** 2, (dp_h * den - 2.0 * p * dd_h) / den ** 3,
+                           (dp_b * den - 2.0 * p * dd) / den ** 3)
+                if all(map(cmath.isfinite, out)):
+                    return (out[0], np.array(out[1:])) if order == 1 else out
             except OverflowError:
-                raise NumericalError(f"the energy moments of {chart} overflow float64 at "
-                                     f"|w| = {abs(u[0]):.6g}") from None
+                pass
+            raise NumericalError(f"the energy moments of {chart} overflow float64 at "
+                                 f"|w| = {abs(u[0]):.6g}")
 
         return derivs
 

@@ -14,6 +14,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -883,6 +884,44 @@ def test_exit_2_names_a_non_positive_lyapunov_time(tmp_path, monkeypatch, capsys
         2, "", f"config error: {message}\n")
 
 
+_SPIN4_TILTED = ["dyn-lyapunov", "--system", "continuous",
+                 "--space", '{"kind":"spin","exponent":4}',
+                 "--energy", '{"kind":"spin_axis","axis":[1,0.3,0]}']
+
+
+def test_exit_1_when_a_continuous_lyapunov_run_projects_past_its_budget(tmp_path, monkeypatch,
+                                                                         capsys):
+    # accepted, this run of 10^7 segments was still going when an 8 s timeout ended it
+    start = time.perf_counter()
+    code, out, err = run_cli(_SPIN4_TILTED + ["--z0", "[[0.8,0],[0.6,0]]", "--t-total", "1e7",
+                                              "--resample", "1"], tmp_path, monkeypatch, capsys)
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "integrator-failure", "message": (
+        "a continuous Lyapunov run of 10000000 segments took 9 steps in its first, 90000000 "
+        "projected, and 9 by segment 1: more than the budget of MAX_STEPS = 10000000 steps a "
+        "run may take")}
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("budget, spent", [(51, "13 by segment 1"), (52, "55 by segment 4")],
+                         ids=["projected", "summed"])
+def test_a_continuous_lyapunov_run_stops_when_its_steps_pass_the_budget(tmp_path, monkeypatch,
+                                                                        capsys, budget, spent):
+    # its four segments take 13, 15, 17 and 10 steps: the first projects 52, the run
+    # sums 55, so a budget of 52 passes the projection and stops at the fourth segment
+    from cohspace import chaos
+
+    monkeypatch.setattr(chaos, "MAX_STEPS", budget)
+    code, out, err = run_cli(_SPIN4_TILTED + ["--z0", "[[0.6,0],[0.8,0]]", "--t-total", "8",
+                                              "--resample", "2"], tmp_path, monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "integrator-failure", "message": (
+        f"a continuous Lyapunov run of 4 segments took 13 steps in its first, 52 projected, and "
+        f"{spent}: more than the budget of MAX_STEPS = {budget} steps a run may take")}
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("args", [["dyn-tdvp", "--t-span", "[0,1]"],
                                   ["dyn-lyapunov", "--system", "continuous"]],
                          ids=["dyn-tdvp", "dyn-lyapunov-continuous"])
@@ -1125,8 +1164,16 @@ def test_exit_1_numerical_error_on_a_klauder_flow_beyond_its_fock_levels(
         "--t-span", "[0,1]"],
        f"the energy forms of the Klauder chart at z0 = {z0}+0j overflow float64 (largest "
        f"embedding coefficient {e_z0})") for z0, e_z0 in ((400, "5.221e+173"), (800, "inf"))),
+    # the moments are finite and products of them overflow to inf or nan without an
+    # OverflowError: these used to name an RK stage ("first non-finite: stage k11", "k1")
+    *((["dyn-tdvp", "--space", f'{{"kind":"spin","exponent":{n}}}',
+        "--energy", '{"kind":"spin_axis","axis":[1,0.3,0.2],"coeff":1}',
+        "--z0", "[[0.8,0],[0.6,0]]", "--t-span", "[0,2]"],
+       f"the energy moments of the degree-{n} spin chart overflow float64 at |w| = {w}")
+      for n, w in ((700, "0.80533"), (790, "0.75"))),
 ], ids=["dyn-lyapunov-spin160", "dyn-tdvp-spin800", "dyn-tdvp-klauder-z0-200",
-        "dyn-tdvp-spin1029-forms", "dyn-tdvp-klauder-z0-400-forms", "dyn-tdvp-klauder-z0-800-forms"])
+        "dyn-tdvp-spin1029-forms", "dyn-tdvp-klauder-z0-400-forms",
+        "dyn-tdvp-klauder-z0-800-forms", "dyn-tdvp-spin700-products", "dyn-tdvp-spin790-products"])
 def test_exit_1_numerical_error_when_chart_moments_overflow(tmp_path, monkeypatch, capsys,
                                                             args, message):
     # den = (1 + |w|^2)^n or e^(2 Re z0 + |zeta|^2) overflows in den ** 3 or den ** 2:
@@ -1562,8 +1609,6 @@ def test_the_second_argument_of_gram_matrix_counts_the_labels(tmp_path, monkeypa
     gram_matrix: its second argument is the (n, d) label stack on every route
     that forms a Gram (the PSD checks and quantum spaces of integer spins take
     the SVD of their features instead)."""
-    from cohspace import qspace
-
     assert list(inspect.signature(kernels.gram_matrix).parameters)[:2] == ["space", "coords"]
     original, seen = kernels.gram_matrix, []
 
@@ -1571,8 +1616,7 @@ def test_the_second_argument_of_gram_matrix_counts_the_labels(tmp_path, monkeypa
         seen.append((len(args[1]), args[1].shape))
         return original(*args, **kwargs)
 
-    for module in (kernels, qspace):
-        monkeypatch.setattr(module, "gram_matrix", spy)
+    monkeypatch.setattr(kernels, "gram_matrix", spy)
     monkeypatch.chdir(tmp_path)
     spin = {"kind": "spin", "exponent": 2}
     identity = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]

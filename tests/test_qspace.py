@@ -15,16 +15,22 @@ from cohspace.errors import (
     NumericalError,
 )
 from cohspace.kernels import (
+    check_coherence,
     classical_limit_space,
+    debranges_space,
+    discrete_space,
     euclidean_subset,
     eval_kernel,
     gram_matrix,
+    heisenberg_space,
     icosahedron_space,
     icosahedron_vertices,
     klauder_space,
+    moebius_space,
     power_space,
     sample_points,
     spin_space,
+    spin_t_space,
     trivial_space,
 )
 from cohspace.qspace import build_quantum_space
@@ -76,17 +82,55 @@ def test_rank_stable_under_1e6_perturbation():
     assert build_quantum_space(sp, bumped).rank == r0
 
 
+_NOT_PSD = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+_PSD_RULE_SPACES = {
+    "trivial3": trivial_space(3), "euclidean3": euclidean_subset(3, 0.8),
+    "klauder1": klauder_space(1), "klauder3": klauder_space(3), "spin4": spin_space(4),
+    "spin0.5": spin_space(0.5), "spin0.6": spin_space(0.6), "spin2.5": spin_space(2.5),
+    "classical2": classical_limit_space(2), "power-spin2": power_space(spin_space(2), 3),
+    "debranges": debranges_space(), "debranges-quadratic": debranges_space([-2.0, 3j, 1.0]),
+    "moebius": moebius_space(), "icosahedron": icosahedron_space(),
+    "discrete": discrete_space(np.array([[2.0, 1.0, 0.5], [1.0, 2.0, 1.0], [0.5, 1.0, 2.0]])),
+    "discrete-not-psd": discrete_space(_NOT_PSD),
+}
+
+
 def test_build_rejects_non_psd_kernel():
-    sp = spin_space(0.5)
-    rng = np.random.default_rng(0)
-    with pytest.raises(CoherenceViolationError):
-        build_quantum_space(sp, *sample_points(sp, rng, 8))
+    """One PSD rule: over the Hermitian catalog, a build at tol fails exactly
+    where check_coherence at tol does, with the same min eigenvalue within
+    1e-12 lam_max (eigh against eigvalsh of one Gram)."""
+    failing = {}
+    for name, sp in _PSD_RULE_SPACES.items():
+        coords, mults = sample_points(sp, np.random.default_rng(0), 8)
+        if name == "discrete-not-psd":
+            coords = np.array([[0], [1], [0]], dtype=complex)
+        for tol in (1e-10, 1e-8, 1e-4, 0.5):
+            verdict = check_coherence(sp, coords, mults, tol=tol)
+            if verdict.passed:
+                build_quantum_space(sp, coords, mults, tol=tol)
+                continue
+            failing.setdefault(name, []).append(tol)
+            with pytest.raises(CoherenceViolationError) as info:
+                build_quantum_space(sp, coords, mults, tol=tol)
+            assert (abs(info.value.min_eigenvalue - verdict.min_eigenvalue)
+                    <= 1e-12 * verdict.gram_norm)
+    # each negative eigenvalue lies below -lam_max / 4 and above -lam_max / 2
+    assert failing == {name: [1e-10, 1e-8, 1e-4]
+                       for name in ("spin0.5", "spin0.6", "spin2.5", "discrete-not-psd")}
+
+
+@pytest.mark.parametrize("sp", [spin_t_space(3), heisenberg_space(2, 0.7), discrete_space(
+    np.array([[1.0, 0.5j], [0.5j, 1.0]]))], ids=["spin_t", "heisenberg", "discrete-not-hermitian"])
+def test_build_and_check_reject_a_non_hermitian_kernel_alike(sp):
+    coords, mults = sample_points(sp, np.random.default_rng(0), 4)
+    for run in (check_coherence, build_quantum_space):
+        with pytest.raises(InvalidPointError, match=f"{sp.kind}: PSD check needs a Hermitian"):
+            run(sp, coords, mults)
 
 
 def test_build_makes_one_gram(monkeypatch):
     """A kind without features forms its Gram once; a kind with features forms none."""
     import cohspace.kernels
-    import cohspace.qspace
 
     calls = []
 
@@ -95,8 +139,7 @@ def test_build_makes_one_gram(monkeypatch):
         return original(space, coords, multipliers)
 
     original = cohspace.kernels.gram_matrix
-    for module in (cohspace.kernels, cohspace.qspace):
-        monkeypatch.setattr(module, "gram_matrix", counting)
+    monkeypatch.setattr(cohspace.kernels, "gram_matrix", counting)
     sp = spin_space(3)
     build_quantum_space(sp, *sample_points(sp, np.random.default_rng(SEED), 9))
     assert calls == []

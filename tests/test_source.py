@@ -16,6 +16,10 @@ find every name too.
 The numerical-derivative rule is written once: ``src/cohspace`` holds one
 Richardson combination (4.0 * a - b) / 3.0 and no 4-point mixed stencil.
 
+The Gram spectrum is solved in one function: in ``kernels``, ``qspace`` and
+``quantize`` every ``eigh``, ``eigvalsh`` and ``svd`` call lies inside
+``kernels.gram_spectrum``.
+
 Every cohspace name the benchmark's tracer (``bench/spans.py``) wraps is
 defined in ``src/cohspace``, so a rename fails here instead of leaving a
 bench counter at 0.
@@ -258,6 +262,55 @@ def test_each_derivative_rule_is_written_once():
     for path in sorted(PACKAGE.glob("*.py")):
         found += derivative_rules(path.read_text(encoding="utf-8"))
     assert found == {"richardson": 1}
+
+
+# --------------------------------------------------- Gram spectrum route
+
+SPECTRUM_SOLVERS = ("eigh", "eigvalsh", "svd")
+
+
+def spectrum_solver_calls(source: str) -> list:
+    """(outermost function, solver) of every call of a spectrum solver, any
+    ``<...>.eigh``, ``.eigvalsh`` or ``.svd`` (np.linalg's or another
+    module's): a method is Class.method, and a call outside every function
+    has None."""
+    found = []
+
+    def visit(node, prefix, owner):
+        for child in ast.iter_child_nodes(node):
+            if owner is None and isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", None)
+            elif owner is None and isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix, prefix + child.name)
+            else:
+                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                        and child.func.attr in SPECTRUM_SOLVERS):
+                    found.append((owner, child.func.attr))
+                visit(child, prefix, owner)
+
+    visit(ast.parse(source), "", None)
+    return found
+
+
+def test_the_scan_finds_the_spectrum_solvers():
+    source = ("import numpy as np\nimport scipy.linalg as sl\n"
+              "TOP = np.linalg.eigvalsh(np.eye(2))\n"
+              "def spectrum(g):\n    def inner():\n        return np.linalg.svd(g)\n"
+              "    return np.linalg.eigh(g), inner()\n"
+              "class Chart:\n    def radius(self):\n        return sl.eigh(self.h)\n"
+              "def other(g):\n    return np.linalg.norm(g), np.linalg.eigvals(g)\n")
+    assert spectrum_solver_calls(source) == [
+        (None, "eigvalsh"), ("spectrum", "svd"), ("spectrum", "eigh"), ("Chart.radius", "eigh")]
+
+
+def test_the_gram_spectrum_is_solved_in_one_function():
+    """kernels.gram_spectrum is the only place where kernels, qspace and
+    quantize factor a Gram or a feature matrix."""
+    found = {name: spectrum_solver_calls((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+             for name in ("kernels", "qspace", "quantize")}
+    assert {name: sorted({owner for owner, _ in calls}) for name, calls in found.items()} == {
+        "kernels": ["gram_spectrum"], "qspace": [], "quantize": []}
+    assert sorted(solver for _, solver in found["kernels"]) == ["eigh", "eigvalsh", "svd"]
 
 
 # ------------------------------------------------ names the bench wraps
