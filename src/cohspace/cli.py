@@ -489,7 +489,7 @@ _MODELS = {
         ("mass", "float", None), ("alpha", "float", None), ("hbar", "positive", None),
         ("n_max", "int", None))),
     "free_particle": (lambda spectra, **params: spectra.free_particle_model(**params), (
-        ("mass", "float", None), ("c", "float", None), ("p_max", "float", None))),
+        ("mass", "float", None), ("c", "positive", None), ("p_max", "float", None))),
 }
 
 

@@ -25,6 +25,11 @@ the identity),
 
 which is Hermitian and positive semidefinite by construction; the state
 keeps rho, so that evolve_expectations can cross-check against it.
+
+A representation is one stacked (dim, n, n) array R checked by one rule
+(square matrices of one shape, unit represented by the identity); an operator
+sum sum_a c_a R[a] is one contraction, np.tensordot(c, R, 1), and all the
+commutators [R[a], R[b]] one batched product.
 """
 
 from __future__ import annotations
@@ -137,11 +142,42 @@ def _check_axioms(alg: LieStarAlgebra) -> None:
         )
 
 
-def lie_product(algebra: LieStarAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _coeffs(algebra: LieStarAlgebra, x, what: str = "element") -> np.ndarray:
+    """x as a complex coefficient vector of length algebra.dim, else ConfigError."""
     x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if x.shape != (algebra.dim,) or y.shape != (algebra.dim,):
-        raise ConfigError(f"elements must be coefficient vectors of length {algebra.dim}")
+    if x.shape != (algebra.dim,):
+        raise ConfigError(f"{what} must be a coefficient vector of length {algebra.dim}")
+    return x
+
+
+def _rep(algebra: LieStarAlgebra, rep) -> np.ndarray:
+    """rep as one (dim, n, n) complex stack of square matrices whose unit is
+    the identity, else ConfigError."""
+    try:
+        r = np.asarray(rep, dtype=complex)
+    except ValueError:
+        raise ConfigError("representation matrices must be square and of one shape") from None
+    if r.ndim != 3 or r.shape[0] != algebra.dim or r.shape[1] != r.shape[2]:
+        raise ConfigError(f"representation is {r.shape}, needs ({algebra.dim}, n, n)")
+    if np.max(np.abs(r[algebra.unit_index] - np.eye(r.shape[1]))) > 1e-12:
+        raise ConfigError("the unit must be represented by the identity matrix")
+    return r
+
+
+def _check_hermitian_psd(a: np.ndarray, what: str, tol: float) -> None:
+    """a Hermitian to tol * max(1, max |a_ij|) (else ConfigError), no eigenvalue
+    below -tol * max(1, the largest) (else StatePositivityError)."""
+    scale = max(1.0, float(np.max(np.abs(a))))
+    herm = np.max(np.abs(a - a.conj().T))
+    if herm > tol * scale:
+        raise ConfigError(f"{what} is not Hermitian (deviation {herm:.3e})")
+    w = np.linalg.eigvalsh((a + a.conj().T) / 2)
+    if w[0] < -tol * max(1.0, w[-1]):
+        raise StatePositivityError(f"{what} has negative eigenvalue {w[0]:.3e}")
+
+
+def lie_product(algebra: LieStarAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    x, y = _coeffs(algebra, x), _coeffs(algebra, y)
     return np.einsum("a,b,abc->c", x, y, algebra.structure)
 
 
@@ -163,15 +199,7 @@ class AlgebraState:
         dim = self.algebra.dim
         if s.shape != (dim, dim):
             raise ConfigError(f"expectation form is {s.shape}, needs ({dim}, {dim})")
-        scale = max(1.0, float(np.max(np.abs(s))))
-        herm = np.max(np.abs(s - s.conj().T))
-        if herm > 1e-10 * scale:
-            raise ConfigError(f"expectation form is not Hermitian (deviation {herm:.3e})")
-        w = np.linalg.eigvalsh((s + s.conj().T) / 2)
-        if w[0] < -1e-10 * max(1.0, w[-1]):
-            raise StatePositivityError(
-                f"expectation form has negative eigenvalue {w[0]:.3e}"
-            )
+        _check_hermitian_psd(s, "expectation form", 1e-10)
         u = self.algebra.unit_index
         if abs(s[u, u] - 1.0) > 1e-10:
             raise ConfigError(f"<1, 1> = {s[u, u]:.12g}, needs 1")
@@ -183,36 +211,21 @@ def state_from_density(
 ) -> AlgebraState:
     """The state of a density matrix under a matrix representation whose
     unit is the identity: S[a, b] = Tr(rep_b rho rep_a^dagger), rho kept."""
+    r = _rep(algebra, rep)
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ConfigError(f"density matrix is {rho.shape}, needs square")
-    n = rho.shape[0]
-    rep = tuple(np.asarray(r, dtype=complex) for r in rep)
-    if len(rep) != algebra.dim:
-        raise ConfigError(f"representation has {len(rep)} matrices for a dim-{algebra.dim} algebra")
-    if any(r.shape != (n, n) for r in rep):
-        raise ConfigError("representation matrices must match the density matrix shape")
-    if np.max(np.abs(rep[algebra.unit_index] - np.eye(n))) > 1e-12:
-        raise ConfigError("the unit must be represented by the identity matrix")
+    if rho.shape != r.shape[1:]:
+        raise ConfigError(f"density matrix is {rho.shape}; the {algebra.name} "
+                          f"representation needs {r.shape[1:]}")
     if abs(np.trace(rho) - 1.0) > 1e-12:
         raise ConfigError(f"density matrix has trace {np.trace(rho):.12g}, needs 1")
-    scale = max(1.0, float(np.max(np.abs(rho))))
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-12 * scale:
-        raise ConfigError("density matrix is not Hermitian")
-    w = np.linalg.eigvalsh((rho + rho.conj().T) / 2)
-    if w[0] < -1e-12:
-        raise StatePositivityError(f"density matrix has negative eigenvalue {w[0]:.3e}")
-    r = np.stack(rep)
+    _check_hermitian_psd(rho, "density matrix", 1e-12)
     prod = np.einsum("bij,jk->bik", r, rho)
     return AlgebraState(algebra, np.tensordot(np.conj(r), prod, axes=([1, 2], [1, 2])), rho)
 
 
 def uncertain_value(state: AlgebraState, x: np.ndarray) -> complex:
     """Mean <1, x> of an algebra element in the given state."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (state.algebra.dim,):
-        raise ConfigError(f"elements must be coefficient vectors of length {state.algebra.dim}")
-    return complex(state.form[state.algebra.unit_index] @ x)
+    return complex(state.form[state.algebra.unit_index] @ _coeffs(state.algebra, x))
 
 
 def uncertainty(state: AlgebraState, x: np.ndarray) -> float:
@@ -222,9 +235,7 @@ def uncertainty(state: AlgebraState, x: np.ndarray) -> float:
     A variance below VARIANCE_FLOOR is a genuine positivity violation and
     raises.
     """
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (state.algebra.dim,):
-        raise ConfigError(f"elements must be coefficient vectors of length {state.algebra.dim}")
+    x = _coeffs(state.algebra, x)
     xx = float(np.real(np.conj(x) @ state.form @ x))
     mean = uncertain_value(state, x)
     raw = xx - abs(mean) ** 2
@@ -255,14 +266,6 @@ class ExpectationTable:
     final_cross_check: Optional[float]
 
 
-def _matrix_of(rep: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(np.asarray(rep[0], dtype=complex))
-    for coeff, r in zip(x, rep):
-        if coeff != 0.0:
-            out = out + coeff * np.asarray(r, dtype=complex)
-    return out
-
-
 def evolve_expectations(
     algebra: LieStarAlgebra,
     rep: Optional[Sequence[np.ndarray]],
@@ -282,14 +285,10 @@ def evolve_expectations(
     representation is supplied, the final row is cross-checked against
     unitary propagation of rho.
     """
-    h = np.asarray(hamiltonian, dtype=complex)
-    if h.shape != (algebra.dim,):
-        raise ConfigError(f"hamiltonian must be a coefficient vector of length {algebra.dim}")
-    obs = [np.asarray(o, dtype=complex) for o in observables]
+    h = _coeffs(algebra, hamiltonian, "hamiltonian")
+    obs = [_coeffs(algebra, o, f"observables[{i}]") for i, o in enumerate(observables)]
     if not obs:
         raise ConfigError("need at least one observable")
-    if any(o.shape != (algebra.dim,) for o in obs):
-        raise ConfigError(f"observables must be coefficient vectors of length {algebra.dim}")
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t_eval is None:
         t_eval = np.linspace(t0, t1, 201)
@@ -315,8 +314,8 @@ def evolve_expectations(
 
     cross = None
     if state.rho is not None and rep is not None and len(times):
-        rep = tuple(np.asarray(r, dtype=complex) for r in rep)
-        hmat = _matrix_of(rep, h)
+        rep = _rep(algebra, rep)
+        hmat = np.tensordot(h, rep, 1)
         scale = max(1.0, float(np.max(np.abs(hmat))))
         if np.max(np.abs(hmat - hmat.conj().T)) > 1e-10 * scale:
             raise ConfigError("represented hamiltonian is not Hermitian; cannot cross-check")
@@ -364,7 +363,7 @@ def covariant_ehrenfest_residual(
     site = tuple(int(v) for v in site)
     if len(momenta) != len(site):
         raise ConfigError(f"{len(momenta)} momenta for a {len(site)}-dimensional site")
-    x = np.asarray(x, dtype=complex)
+    x = _coeffs(algebra, x, "x")
     center = _field_state(state_field, site)
     out = np.empty(len(momenta))
     for nu, p in enumerate(momenta):
@@ -374,7 +373,7 @@ def covariant_ehrenfest_residual(
             uncertain_value(_field_state(state_field, plus), x)
             - uncertain_value(_field_state(state_field, minus), x)
         ) / (2.0 * dx)
-        gen = uncertain_value(center, lie_product(algebra, np.asarray(p, dtype=complex), x))
+        gen = uncertain_value(center, lie_product(algebra, p, x))
         out[nu] = abs(diff - gen)
     return out
 
@@ -390,16 +389,9 @@ def rep_defect(algebra: LieStarAlgebra, rep: Sequence[np.ndarray]) -> float:
     closed expectation system agree; the classical catalog entries are
     arranged so their reps satisfy the same commutator identity.
     """
-    rep = [np.asarray(r, dtype=complex) for r in rep]
-    if len(rep) != algebra.dim:
-        raise ConfigError(f"representation has {len(rep)} matrices for dim {algebra.dim}")
-    worst = 0.0
-    for a in range(algebra.dim):
-        for b in range(algebra.dim):
-            got = (1j / algebra.hbar) * (rep[a] @ rep[b] - rep[b] @ rep[a])
-            want = _matrix_of(rep, algebra.structure[a, b])
-            worst = max(worst, float(np.max(np.abs(got - want))))
-    return worst
+    r = _rep(algebra, rep)
+    got = (1j / algebra.hbar) * (r[:, None] @ r[None] - r[None] @ r[:, None])
+    return float(np.max(np.abs(got - np.tensordot(algebra.structure, r, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +431,7 @@ def so3_rotator() -> tuple[LieStarAlgebra, list]:
     alg = LieStarAlgebra(
         "so3_rotator", ("unit", "jx", "jy", "jz"), c, np.eye(4), convention="classical"
     )
-    rep = [np.eye(3, dtype=complex)]
-    for a in range(3):
-        rep.append(1j * _EPS3[a].astype(complex))
-    return alg, rep
+    return alg, [np.eye(3, dtype=complex), *(1j * _EPS3)]
 
 
 def oscillator_algebra(mass: float = 1.0, spring: float = 1.0) -> tuple[LieStarAlgebra, None]:
@@ -522,15 +511,11 @@ def matrix_star_algebra(d: int) -> tuple[LieStarAlgebra, list]:
     if d < 2:
         raise ConfigError("matrix algebra needs d >= 2")
     rep, names = hermitian_basis(d)
-    dim = d * d
-    c = np.zeros((dim, dim, dim), dtype=complex)
-    for a in range(1, dim):
-        for b in range(a + 1, dim):
-            comm = 1j * (rep[a] @ rep[b] - rep[b] @ rep[a])
-            coeff = np.array([np.trace(rep[k].conj().T @ comm) for k in range(1, dim)])
-            c[a, b, 1:] = coeff
-            c[b, a, 1:] = -coeff
-    alg = LieStarAlgebra(f"hermitian_{d}", tuple(names), c, np.eye(dim))
+    r = np.stack(rep)
+    # C[a, b, k] = Tr(R_k^dagger i[R_a, R_b]); the unit (k = 0) takes no part
+    c = np.einsum("kij,abij->abk", r.conj(), 1j * (r[:, None] @ r[None] - r[None] @ r[:, None]))
+    c[..., 0] = 0.0
+    alg = LieStarAlgebra(f"hermitian_{d}", tuple(names), c, np.eye(d * d))
     return alg, rep
 
 
@@ -549,14 +534,9 @@ CATALOG: dict[str, Callable] = {
 
 def algebra_descriptor(algebra: LieStarAlgebra) -> dict:
     """JSON-ready description; structure and involution as sparse triples."""
-    structure = []
-    for a, b, cc in zip(*np.nonzero(algebra.structure)):
-        v = algebra.structure[a, b, cc]
-        structure.append([int(a), int(b), int(cc), float(v.real), float(v.imag)])
-    involution = []
-    for a, b in zip(*np.nonzero(algebra.involution)):
-        v = algebra.involution[a, b]
-        involution.append([int(a), int(b), float(v.real), float(v.imag)])
+    structure, involution = (
+        [at + [v.real, v.imag] for at, v in zip(np.argwhere(m).tolist(), m[m != 0].tolist())]
+        for m in (algebra.structure, algebra.involution))
     return {
         "name": algebra.name,
         "dim": algebra.dim,

@@ -15,8 +15,9 @@ and polished by a guarded bisection/secant iteration down to |lambda| <= tol;
 a polish that has not got there after 200 steps raises NumericalError.
 
 assemble_from_algebra is the independent matrix route: it builds
-I(E) = sum_a c_a(E) rep(X_a) explicitly and locates the E where the smallest
-singular value of I(E) dips to zero, polishing by golden-section search.
+I(E) = sum_a c_a(E) rep(X_a) explicitly, as one contraction, and locates the
+E where the smallest singular value of I(E) dips to zero, polishing by
+golden-section search.
 The two routes are cross-checked against each other in the test suite.
 
 Catalog: harmonic oscillator (xi_n = hbar w (n + 1/2)), an attractive
@@ -72,12 +73,20 @@ class SpectrumResult:
 # ---------------------------------------------------------------- catalog
 
 
+def _branches(first: int, n_max: int) -> range:
+    """Branches first..n_max; a ConfigError when that leaves none to scan."""
+    if n_max < first:
+        raise ConfigError(f"n_max is {n_max}, which leaves no branch to scan; "
+                          f"the least n_max is {first}")
+    return range(first, n_max + 1)
+
+
 def oscillator_model(omega: float = 1.0, hbar: float = 1.0, n_max: int = 32) -> ImplicitSpectralModel:
     return ImplicitSpectralModel(
         m=lambda e: 1.0,
         k=lambda e: e,
         xi=lambda n, e: hbar * omega * (n + 0.5),
-        indices=range(n_max + 1),
+        indices=_branches(0, n_max),
     )
 
 
@@ -103,7 +112,7 @@ def coulomb_model(mass: float = 1.0, alpha: float = 1.0, hbar: float = 1.0,
         m=m,
         k=lambda e: k,
         xi=lambda n, e: float(n),
-        indices=range(1, n_max + 1),
+        indices=_branches(1, n_max),
     )
 
 
@@ -274,19 +283,13 @@ def assemble_from_algebra(rep: Sequence[np.ndarray],
     golden-section search; E is accepted when sigma_min <= tol * ||I(E)||_2.
     This is the direct-matrix fallback route for solve_implicit_spectrum.
     """
-    mats = [np.asarray(r, dtype=complex) for r in rep]
-
-    def build(e: float) -> np.ndarray:
-        c = np.asarray(i_coeffs(e), dtype=complex)
-        if len(c) != len(mats):
-            raise ConfigError("coefficient vector length must match the representation")
-        out = np.zeros_like(mats[0])
-        for ci, mi in zip(c, mats):
-            out = out + ci * mi
-        return out
+    mats = np.asarray(rep, dtype=complex)
 
     def sigma(e: float) -> tuple[float, float]:
-        s = np.linalg.svd(build(e), compute_uv=False)
+        c = np.asarray(i_coeffs(e), dtype=complex)
+        if c.shape != mats.shape[:1]:
+            raise ConfigError("coefficient vector length must match the representation")
+        s = np.linalg.svd(np.tensordot(c, mats, 1), compute_uv=False)
         return float(s[-1]), float(s[0])
 
     (e_lo, e_hi), es = _scan_grid(interval, grid)
@@ -295,7 +298,6 @@ def assemble_from_algebra(rep: Sequence[np.ndarray],
     minima = (mid <= smin[:-2]) & (mid <= smin[2:]) & (mid < 0.5 * smax[1:-1])
 
     found: list[tuple[int, float, float]] = []
-    warnings: list[str] = []
     for i in np.flatnonzero(minima) + 1:
         a, b = float(es[i - 1]), float(es[i + 1])
         x1 = b - GOLDEN * (b - a)
@@ -315,4 +317,4 @@ def assemble_from_algebra(rep: Sequence[np.ndarray],
         if s_best <= tol * s_top:
             found.append((len(found), e_best, s_best / s_top))
     deduped = [(i, e, res) for i, (_, e, res) in enumerate(_dedupe(found))]
-    return SpectrumResult(deduped, [], (e_lo, e_hi), warnings)
+    return SpectrumResult(deduped, [], (e_lo, e_hi))

@@ -476,3 +476,40 @@ def causal_check_pairwise(triples, nonlocal_violation: bool = False) -> dict:
             out["normal_max"] = max(out["normal_max"], abs(base - 1.0))
             out["normal_checked"] += 1
     return out
+
+
+# --- Lie algebras of matrices: one basis pair and one matrix at a time ---
+
+def operator_sum(coeffs, mats) -> np.ndarray:
+    """sum_a c_a M_a, adding the matrices of nonzero coefficients one by one."""
+    out = np.zeros_like(np.asarray(mats[0], dtype=complex))
+    for c, m in zip(coeffs, mats):
+        if c != 0.0:
+            out = out + c * np.asarray(m, dtype=complex)
+    return out
+
+
+def commutator_structure(basis) -> np.ndarray:
+    """C[a, b, k] = Tr(B_k^dagger i[B_a, B_b]) of a basis whose first element is
+    the identity and whose others are trace-orthonormal, pair by pair (a < b;
+    C[b, a] = -C[a, b]); the identity takes no part."""
+    dim = len(basis)
+    c = np.zeros((dim, dim, dim), dtype=complex)
+    for a in range(1, dim):
+        for b in range(a + 1, dim):
+            comm = 1j * (basis[a] @ basis[b] - basis[b] @ basis[a])
+            coeff = np.array([np.trace(basis[k].conj().T @ comm) for k in range(1, dim)])
+            c[a, b, 1:] = coeff
+            c[b, a, 1:] = -coeff
+    return c
+
+
+def rep_defect_pairwise(structure, rep, hbar: float = 1.0) -> float:
+    """max over basis pairs of |(i/hbar)[R_a, R_b] - sum_c C[a, b, c] R_c|."""
+    rep = [np.asarray(r, dtype=complex) for r in rep]
+    worst = 0.0
+    for a in range(len(rep)):
+        for b in range(len(rep)):
+            got = (1j / hbar) * (rep[a] @ rep[b] - rep[b] @ rep[a])
+            worst = max(worst, float(np.max(np.abs(got - operator_sum(structure[a, b], rep)))))
+    return worst

@@ -733,6 +733,17 @@ def test_exit_2_unless_the_state_gives_one_of_density_and_form(tmp_path, monkeyp
     assert err.startswith("config error: ") and "'state'" in err
 
 
+def test_exit_2_names_both_shapes_when_the_density_does_not_fit_the_rep(
+        tmp_path, monkeypatch, capsys):
+    density = np.stack([np.eye(3) / 3, np.zeros((3, 3))], -1).tolist()
+    (tmp_path / "c.json").write_text(json.dumps(dict(_LIE, algebra="su2_qubit",
+                                                     state={"density": density})))
+    code, out, err = run_cli(["lie-evolve", "--config", "c.json"], tmp_path, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err == ("config error: density matrix is (3, 3); "
+                   "the su2_qubit representation needs (2, 2)\n")
+
+
 _NOT_BOOLS = [
     ("quantize", lambda v: {"space": {"kind": "trivial", "dim": 2}, "count": 4,
                             "map": dict(json.loads(_FLIP), renormalize=v)}, "map.renormalize"),
@@ -955,6 +966,38 @@ def test_exit_2_names_a_bad_model_parameter(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert err.startswith("config error: ") and "omega" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("c", ["0", "-1.5"])
+def test_exit_2_on_a_free_particle_speed_of_light_that_is_not_positive(
+        tmp_path, monkeypatch, capsys, c):
+    """c = 0 used to divide by zero in k(E) (two RuntimeWarnings, exit 0 with
+    an empty spectrum), and a negative c acted as |c|."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(["spec-solve", "--model", f'{{"kind":"free_particle","c":{c}}}',
+                                  "--interval", "[0,10]"], tmp_path, monkeypatch, capsys)
+    assert (code, out, caught) == (2, "", [])
+    assert err == f"config error: 'model.c' must be a positive number, got {json.loads(c)!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind, n_max, least", [("oscillator", -5, 0), ("oscillator", -1, 0),
+                                                ("coulomb", 0, 1), ("coulomb", -3, 1)])
+def test_exit_2_on_an_n_max_below_the_first_branch(tmp_path, monkeypatch, capsys,
+                                                   kind, n_max, least):
+    """Such an n_max scanned no branch and exited 0 with no root and no warning;
+    the least n_max scans one."""
+    code, out, err = run_cli(["spec-solve", "--model", f'{{"kind":"{kind}","n_max":{n_max}}}',
+                              "--interval", "[-1,10]"], tmp_path, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"config error: n_max is {n_max}, which leaves no branch to scan; "
+                   f"the least n_max is {least}\n")
+    assert list(tmp_path.iterdir()) == []
+    code, _, _ = run_cli(["spec-solve", "--model", f'{{"kind":"{kind}","n_max":{least}}}',
+                          "--interval", "[-1,10]", "--format", "json"], tmp_path, monkeypatch, capsys)
+    payload = json.loads((tmp_path / "cohspace-spec-solve.json").read_text())
+    assert (code, [r["branch"] for r in payload["discrete"]]) == (0, [least])
 
 
 @pytest.mark.parametrize("grid", ["0", "-5", "1"])

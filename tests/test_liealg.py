@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import fock_ops, fock_coherent
+from oracles import commutator_structure, fock_coherent, fock_ops, rep_defect_pairwise
 
 from cohspace.integrate import solve_rk45
 from cohspace.errors import (
@@ -28,6 +28,7 @@ from cohspace.liealg import (
     algebra_from_descriptor,
     covariant_ehrenfest_residual,
     evolve_expectations,
+    hermitian_basis,
     lie_product,
     matrix_star_algebra,
     oscillator_algebra,
@@ -72,6 +73,47 @@ def test_catalog_axioms_and_rep_defects():
     assert rep_defect(alg, rep) <= 1e-12
     alg, rep = abelian_algebra(4)
     assert rep_defect(alg, rep) == 0.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_matrix_structure_matches_the_pairwise_commutator_loop(d):
+    alg, rep = matrix_star_algebra(d)
+    want = commutator_structure(hermitian_basis(d)[0])
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(alg.structure - want)) <= 1e-15 * scale
+    assert rep_defect(alg, rep) == pytest.approx(rep_defect_pairwise(want, rep), abs=1e-15 * scale)
+
+
+def test_rep_defect_matches_the_pairwise_loop_on_every_catalog_rep():
+    reps = {name: build() for name, build in CATALOG.items()}
+    reps.update(abelian_4=abelian_algebra(4), matrix_3=matrix_star_algebra(3))
+    checked = []
+    for name, (alg, rep) in reps.items():
+        if rep is None:
+            continue
+        scale = max(1.0, float(np.max(np.abs(alg.structure))))
+        want = rep_defect_pairwise(alg.structure, rep, alg.hbar)
+        assert abs(rep_defect(alg, rep) - want) <= 1e-15 * scale, name
+        checked.append(name)
+    assert checked == ["su2_qubit", "so3_rotator", "abelian_4", "matrix_3"]
+
+
+@pytest.mark.parametrize("rep, message", [
+    ([np.eye(2), np.eye(3)], "square and of one shape"),
+    ([np.eye(2)] * 3, r"representation is \(3, 2, 2\), needs \(4, n, n\)"),
+    ([np.ones((2, 3))] * 4, r"representation is \(4, 2, 3\)"),
+    ([2 * np.eye(2)] * 4, "identity"),
+])
+def test_one_rule_checks_a_rep_for_every_caller(rep, message):
+    alg, good = su2_qubit()
+    calls = [lambda: rep_defect(alg, rep),
+             lambda: state_from_density(alg, rep, np.eye(2) / 2),
+             lambda: evolve_expectations(alg, rep, alg.basis_vector(3),
+                                         state_from_density(alg, good, np.eye(2) / 2),
+                                         [alg.basis_vector(3)], (0.0, 1.0))]
+    for call in calls:
+        with pytest.raises(ConfigError, match=message):
+            call()
 
 
 def test_pauli_structure_against_commutators():

@@ -313,6 +313,29 @@ def test_the_gram_spectrum_is_solved_in_one_function():
     assert sorted(solver for _, solver in found["kernels"]) == ["eigh", "eigvalsh", "svd"]
 
 
+def eigvalsh_owners(source: str) -> list:
+    """The functions (Class.method for a method) that call an eigvalsh, sorted."""
+    return sorted({owner for owner, solver in spectrum_solver_calls(source)
+                   if solver == "eigvalsh"})
+
+
+def test_the_eigvalsh_scan_tells_one_check_from_two():
+    one = ("import numpy as np\n"
+           "def _check_hermitian_psd(a):\n    return np.linalg.eigvalsh(a)\n"
+           "class State:\n    def __post_init__(self):\n        _check_hermitian_psd(self.form)\n")
+    two = ("import numpy as np\n"
+           "class State:\n    def __post_init__(self):\n        np.linalg.eigvalsh(self.form)\n"
+           "def state_from_density(rho):\n    return np.linalg.eigh(rho), np.linalg.eigvalsh(rho)\n")
+    assert eigvalsh_owners(one) == ["_check_hermitian_psd"]
+    assert eigvalsh_owners(two) == ["State.__post_init__", "state_from_density"]
+
+
+def test_liealg_runs_eigvalsh_only_in_its_hermitian_psd_check():
+    """Expectation forms and densities share one Hermitian-PSD check."""
+    source = (PACKAGE / "liealg.py").read_text(encoding="utf-8")
+    assert eigvalsh_owners(source) == ["_check_hermitian_psd"]
+
+
 # ------------------------------------------------ names the bench wraps
 
 

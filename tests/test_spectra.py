@@ -14,8 +14,9 @@ import re
 import numpy as np
 import pytest
 
-from oracles import fock_ops, hydrogen_fd_levels
+from oracles import fock_ops, hydrogen_fd_levels, operator_sum
 
+from cohspace import spectra
 from cohspace.errors import ConfigError, ModelDegeneracyError, NumericalError
 from cohspace.spectra import (
     DEFAULT_GRID,
@@ -150,6 +151,26 @@ def test_assemble_oscillator_lower_half_and_route_agreement():
     roots_lam = np.array([r[1] for r in lam.discrete])
     # the two routes agree on the truncation-clean lower half
     assert np.max(np.abs(roots_sv - roots_lam) / np.abs(roots_lam)) <= 1e-8
+
+
+def test_assembled_pencil_finds_the_roots_of_a_loop_built_one(monkeypatch):
+    """I(E) as one contraction against I(E) summed matrix by matrix (the
+    oracle loop, swapped in for the contraction) on criterion 7's 64-level
+    oscillator."""
+    args = ([np.eye(64), truncated_oscillator(64)], lambda e: [-e, 1.0], (0.0, 32.0))
+    contracted = [r[1] for r in assemble_from_algebra(*args, tol=1e-8).discrete]
+    calls = []
+
+    def loop_sum(c, mats, axes):
+        calls.append(axes)
+        return operator_sum(c, mats)
+
+    monkeypatch.setattr(spectra.np, "tensordot", loop_sum)
+    looped = [r[1] for r in assemble_from_algebra(*args, tol=1e-8).discrete]
+    monkeypatch.undo()
+    assert calls and set(calls) == {1}
+    assert len(contracted) == len(looped) == 32
+    np.testing.assert_allclose(contracted, looped, rtol=1e-12, atol=0)
 
 
 def test_bad_model_configs():
