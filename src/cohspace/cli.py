@@ -48,8 +48,8 @@ from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from . import io as artifacts
-from .errors import (REQUIRED, TYPES, ConfigError, DomainError, check_fields, check_numbers,
-                     check_value, from_descriptor)
+from .errors import (REQUIRED, TYPES, ConfigError, DomainError, NumberError, check_fields,
+                     check_numbers, check_value, from_descriptor)
 
 _BLAS_VARS = (
     "OMP_NUM_THREADS",
@@ -197,10 +197,21 @@ def _labels_of(entries, name, space=None):
     """Label entries (coordinate lists or {"coords", "multiplier"} objects; a
     coordinate is [re, im] or a real x) as coords (n, d) and multipliers (n,),
     or None unless every entry has one, read by one check_numbers call (errors
-    name name(i), in list order).  Given a space, the labels before the first
-    of another dimension are checked as one stack, then that one alone."""
+    name name(i), in list order).  A plain stack, every entry a list of d
+    [re, im] pairs (d the space's label_dim, else the first entry's length),
+    is that call on the entries as they are; any other stack, or one that
+    call refuses, is read entry by entry into one list of pairs, so that an
+    error names its entry.  Given a space, the labels before the first of
+    another dimension are checked as one stack, then that one alone."""
     from .kernels import check_stack
 
+    if {*map(type, entries)} == {list}:
+        d = len(entries[0]) if space is None else space.label_dim
+        if {*map(len, entries)} == {d}:
+            try:
+                return check_numbers(entries, name, (None, d, 2), pairs=True), None
+            except NumberError:  # read again entry by entry, to name the entry at fault
+                pass
     pairs, ends, has_mult = [], [], []  # entry i's pairs end at ends[i], with its multiplier
 
     def key(at):  # the entry holding pair at[0], whose last pair is its multiplier
@@ -484,12 +495,12 @@ def _h_dyn_lyapunov(cfg):
 # model kind -> (factory of (the spectra module, **fields), fields)
 _MODELS = {
     "oscillator": (lambda spectra, **params: spectra.oscillator_model(**params), (
-        ("omega", "float", None), ("hbar", "positive", None), ("n_max", "int", None))),
+        ("omega", "positive", None), ("hbar", "positive", None), ("n_max", "int", None))),
     "coulomb": (lambda spectra, **params: spectra.coulomb_model(**params), (
-        ("mass", "float", None), ("alpha", "float", None), ("hbar", "positive", None),
+        ("mass", "positive", None), ("alpha", "float", None), ("hbar", "positive", None),
         ("n_max", "int", None))),
     "free_particle": (lambda spectra, **params: spectra.free_particle_model(**params), (
-        ("mass", "float", None), ("c", "positive", None), ("p_max", "float", None))),
+        ("mass", "nonnegative", None), ("c", "positive", None), ("p_max", "positive", None))),
 }
 
 

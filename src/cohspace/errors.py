@@ -58,6 +58,7 @@ TYPES = {
     "int": (int, numbers.Integral, "an integer"),
     "float": (float, numbers.Real, "a finite number"),
     "positive": (float, numbers.Real, "a positive number"),
+    "nonnegative": (float, numbers.Real, "zero or a positive number"),
     "size": (int, numbers.Integral, "a positive integer"),
     "str": (str, str, "a string"),
     "bool": (_bool, bool, "true or false"),
@@ -117,8 +118,9 @@ def _first_bad(data, shape: tuple, at: tuple = ()):
 
 
 def check_value(key: str, kind: str, value):
-    """A value of the field's type (floats as float, finite, and above 0 for
-    a positive or size field; NUMBERS by check_numbers), else ConfigError."""
+    """A value of the field's type (floats as float, finite, above 0 for a
+    positive or size field and not below 0 for a nonnegative one; NUMBERS by
+    check_numbers), else ConfigError."""
     if kind in NUMBERS:
         return check_numbers(value, key, *NUMBERS[kind])
     if kind not in TYPES:
@@ -128,7 +130,7 @@ def check_value(key: str, kind: str, value):
         raise ConfigError(f"{key!r} must be {noun}, got {value!r}")
     if accepted is numbers.Real and not abs(value) <= sys.float_info.max:  # nan, inf, huge int
         raise ConfigError(f"{key!r} must be a finite number, got {value!r}")
-    if kind in ("positive", "size") and not value > 0:
+    if kind in ("positive", "size") and not value > 0 or kind == "nonnegative" and not value >= 0:
         raise ConfigError(f"{key!r} must be {noun}, got {value!r}")
     return convert(value)
 

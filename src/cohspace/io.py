@@ -34,7 +34,15 @@ wrappers' lines and its own brackets.  The skeleton around the blocks
 is orjson's OPT_INDENT_2 text too, of a tree built in one pass (_skeleton):
 dicts in json.dumps's sorted order, and a marker for each block and for each
 value that orjson spells otherwise, which is spliced back in json.dumps's
-spelling.
+spelling.  A list nest with every leaf at one depth and every leaf a plain
+float or int that orjson spells as json.dumps does (a config's label list,
+most often) enters the tree whole, after one type scan per level and one
+mask over its leaves; any other list is walked item by item.
+
+Each file is written to .tmp-<pid>-<n>~ in the target directory, opened by
+one os.open (O_EXCL, mode 0o600; n counts per process, and a taken name
+moves on to the next n), and renamed into place; the directory is made only
+when that open finds it missing.
 
 Importable without numpy or orjson, so the CLI can pin thread pools before
 any numeric library loads; the array helpers import both lazily.
@@ -48,18 +56,37 @@ import json
 import math
 import os
 import re
-import tempfile
 
 from .errors import ConfigError
+
+# the n of the temp files .tmp-<pid>-<n>~, one count per process
+_TEMP_COUNT = itertools.count()
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW | os.O_CLOEXEC
+
+
+def _open_temp(directory: str) -> tuple:
+    """(fd, path) of a new file .tmp-<pid>-<n>~ in directory, mode 0o600,
+    opened by one os.open; a taken name moves on to the next n, and a
+    missing directory is made, with its parents, once."""
+    made = False
+    while True:
+        tmp = os.path.join(directory, f".tmp-{os.getpid()}-{next(_TEMP_COUNT)}~")
+        try:
+            return os.open(tmp, _TEMP_FLAGS, 0o600), tmp
+        except FileExistsError:
+            pass
+        except FileNotFoundError:
+            if made:
+                raise
+            os.makedirs(directory, exist_ok=True)
+            made = True
 
 
 def atomic_write_text(path: str, chunks) -> str:
     """Write the strings of chunks, UTF-8 encoded, via a temp file in the
     target directory, then rename it into place; return the sha256 hex
     digest of the bytes written, hashed as each chunk is written."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    fd, tmp = _open_temp(os.path.dirname(os.path.abspath(path)))
     digest = hashlib.sha256()
     try:
         with os.fdopen(fd, "wb") as f:
@@ -238,12 +265,36 @@ def _mark(parts: list, part) -> str:
     return _MARK + str(len(parts))
 
 
-def _skeleton(v, parts: list):
+def _plain_nest(v: list) -> bool:
+    """Whether v is a nest of lists, every leaf at one depth of at least two,
+    whose leaves orjson spells as json.dumps does: plain floats and ints, each
+    0 or 1e-4 <= |x| < 1e16 (so an int is within int64).  One type scan per
+    level and one mask over the leaves; the scan stops at orjson's 255
+    levels, so a list that holds itself is not plain."""
+    level, depth = v, 0
+    while (types := {*map(type, level)}) == {list} and depth < 255:
+        level = [*itertools.chain.from_iterable(level)]
+        depth += 1
+    if not depth or not types <= {float, int}:
+        return False
+    import numpy as np
+
+    try:
+        a = np.array(level, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        return False
+    size = np.abs(a)
+    return bool(((size >= 1e-4) & (size < 1e16) | (a == 0)).all())
+
+
+def _skeleton(v, parts: list, whole: bool = True):
     """v as a tree whose orjson OPT_INDENT_2 text is json.dumps(v, indent=2,
     sort_keys=True)'s, with a numbered marker for each numeric block and each
     value orjson spells otherwise (floats outside 0 and 1e-4 <= |x| < 1e16,
     ints outside int64, strings not printable ASCII, non-str keys,
-    subclasses); parts gets each marker's block or json.dumps text in order."""
+    subclasses); parts gets each marker's block or json.dumps text in order.
+    A plain nest (_plain_nest) is taken as it is, in one piece, unless it
+    lies in a list that was not one (whole False): that is walked."""
     t = type(v)
     if t is float:
         if 1e-4 <= abs(v) < 1e16 or v == 0:
@@ -257,8 +308,11 @@ def _skeleton(v, parts: list):
         if v == _MARK:
             raise ConfigError(f"JSON strings may not equal {_MARK!r}")
     elif isinstance(v, (list, tuple)):  # plain floats and ints inline: most leaves
+        if whole and t is list and _plain_nest(v):
+            return v
         return [x if type(x) is float and (1e-4 <= abs(x) < 1e16 or x == 0)
-                or type(x) is int and -1 << 63 <= x < 1 << 63 else _skeleton(x, parts) for x in v]
+                or type(x) is int and -1 << 63 <= x < 1 << 63 else _skeleton(x, parts, False)
+                for x in v]
     elif isinstance(v, dict):  # each key before its value; json's text of a key, or its TypeError
         return {key if type(key) is str and key.isascii() and key.isprintable()
                 else _mark(parts, json.dumps({key: 0})[1:-4]): _skeleton(x, parts)

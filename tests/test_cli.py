@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from labels import label
@@ -982,6 +983,40 @@ def test_exit_2_on_a_free_particle_speed_of_light_that_is_not_positive(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("model, message", [
+    ('{"kind":"oscillator","omega":0}', "'model.omega' must be a positive number, got 0"),
+    ('{"kind":"oscillator","omega":-1}', "'model.omega' must be a positive number, got -1"),
+    ('{"kind":"free_particle","mass":-1}',
+     "'model.mass' must be zero or a positive number, got -1"),
+    ('{"kind":"free_particle","p_max":-10}', "'model.p_max' must be a positive number, got -10"),
+    ('{"kind":"free_particle","p_max":0}', "'model.p_max' must be a positive number, got 0"),
+    ('{"kind":"coulomb","mass":-1}', "'model.mass' must be a positive number, got -1"),
+], ids=["omega-0", "omega-negative", "free-mass-negative", "p_max-negative", "p_max-0",
+        "coulomb-mass-negative"])
+def test_exit_2_on_a_model_parameter_of_the_wrong_sign(tmp_path, monkeypatch, capsys,
+                                                       model, message):
+    """Each exited 0: omega 0 wrote the one root 0 and omega -1 the roots
+    -4.5 ... -0.5; a negative free-particle mass or p_max wrote the intervals
+    of its size and p_max 0 an empty spectrum; a negative Coulomb mass wrote
+    no root and no warning."""
+    code, out, err = run_cli(["spec-solve", "--model", model, "--interval", "[-5,20]"],
+                             tmp_path, monkeypatch, capsys)
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fmt, sha256", [
+    ("csv", "3ab40b46a178a807d6e01e4137acae83e5416a98654877a779007ac317acdead"),
+    ("json", "7cab5f1d2d79edacc1da324aa640c8864162ce4dfdd3fc6e101a67d831be995c")])
+def test_a_massless_free_particle_keeps_its_payload(tmp_path, monkeypatch, capsys, fmt, sha256):
+    """mass 0 is the massless branch, one interval [-p_max c, p_max c]: the
+    payload's digest is the one it had before mass was checked for sign."""
+    code, _, _ = run_cli(["spec-solve", "--model", '{"kind":"free_particle","mass":0}',
+                          "--interval", "[-5,20]", "--format", fmt], tmp_path, monkeypatch, capsys)
+    path = tmp_path / f"cohspace-spec-solve.{fmt}"
+    assert (code, hashlib.sha256(path.read_bytes()).hexdigest()) == (0, sha256)
+
+
 @pytest.mark.parametrize("kind, n_max, least", [("oscillator", -5, 0), ("oscillator", -1, 0),
                                                 ("coulomb", 0, 1), ("coulomb", -3, 1)])
 def test_exit_2_on_an_n_max_below_the_first_branch(tmp_path, monkeypatch, capsys,
@@ -1631,6 +1666,77 @@ def _parsed_points(space, data):
                                    lambda c, m: kernels.check_stack(space, c, m))
 
     return _parsed(stacked), _parsed(oracle)
+
+
+def _stack(d, n, data):
+    """n config labels of d [re, im] pairs: floats, ints and signed zeros."""
+    parts = data.draw(hnp.arrays(np.float64, (n, d, 2), elements=st.floats(
+        allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 0.0, -1.5])))
+    ints = np.trunc(np.clip(parts, -2.0**62, 2.0**62)).astype(np.int64).astype(object)
+    return np.where(data.draw(hnp.arrays(np.bool_, (n, d, 2))), ints,
+                    parts.astype(object)).tolist()
+
+
+@given(st.integers(1, 3), st.integers(1, 400), st.data())
+@settings(max_examples=60)
+def test_a_plain_point_stack_reads_as_one_conversion(d, n, data):
+    """A stack of plain [re, im] lists is read by one check_numbers call on the
+    whole nest, and gives the bits (signs of zero too) of the per-entry route,
+    which one {"coords": ...} entry forces."""
+    space = space_from_descriptor({"kind": "trivial", "dim": d})
+    entries = _stack(d, n, data)
+    at = data.draw(st.integers(0, n - 1))
+    shapes = []
+
+    def counted(value, key, shape, pairs=False):
+        shapes.append(shape)
+        return errors.check_numbers(value, key, shape, pairs)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "check_numbers", counted)
+        got = cli._points_of({"points": entries}, space)
+        assert shapes == [(None, d, 2)]
+        want = cli._points_of({"points": entries[:at] + [{"coords": entries[at]}]
+                                         + entries[at + 1:]}, space)
+        assert shapes[1:] == [(None, 2)]
+    assert got[1] is None and want[1] is None
+    assert (got[0].dtype, got[0].shape, got[0].tobytes()) == \
+        (want[0].dtype, want[0].shape, want[0].tobytes())
+
+
+_PINNED = np.random.default_rng(3).standard_normal((400, 2, 2)).tolist()
+
+
+@pytest.mark.parametrize("entry, code, message", [
+    ("[[1.0,NaN],[0.5,0.5]]", 2, "config error: 'points[250]' must be a finite number, got nan"),
+    ("[[1.0,true],[0.5,0.5]]", 2, "config error: 'points[250]' must be a finite number, got True"),
+    ('[[1.0,"0"],[0.5,0.5]]', 2, "config error: 'points[250]' must be a finite number, got '0'"),
+    ("[[1.0,2.0,3.0],[0.5,0.5]]", 2,
+     "config error: 'points[250]' must be a list of 2 numbers, got [1.0, 2.0, 3.0]"),
+    ("[[1.0,0.0],[0.5,0.5],[0.1,0.2]]", 1,
+     '{"error": "invalid-point", "message": "trivial: label has 3 coordinates, expected 2"}'),
+], ids=["nan", "bool", "string", "three-numbers", "width-change"])
+def test_a_bad_entry_deep_in_a_plain_stack_keeps_its_message(tmp_path, monkeypatch, capsys,
+                                                             entry, code, message):
+    """Entry 250 of 400 spoils the one-conversion read; the per-entry route
+    then names it, with the messages it gives on its own (a width change is
+    the label check's, which names the dimensions)."""
+    points = [json.dumps(p) for p in _PINNED]
+    points[250] = entry
+    got, out, err = run_cli(["kernel-gram", "--space", '{"kind":"trivial","dim":2}',
+                             "--points", f"[{','.join(points)}]"], tmp_path, monkeypatch, capsys)
+    assert (got, out, err) == (code, "", message + "\n")
+
+
+def test_the_report_echoes_a_400_point_config_as_json_dumps(tmp_path):
+    """The report of a kernel-check on 400 labels is json.dumps's text of the
+    report, the effective config included."""
+    config = {"command": "kernel-check", "space": {"kind": "trivial", "dim": 2},
+              "points": _PINNED, "out": str(tmp_path / "p.csv")}
+    report = cli.run(config)
+    report_path = report.pop("report_path")
+    text = Path(report_path).read_text()
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def test_exit_1_names_a_span_too_long_for_the_float_resolution_of_t(tmp_path, monkeypatch,

@@ -10,6 +10,8 @@ they write, byte for byte.
 import hashlib
 import json
 import math
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -18,9 +20,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from cohspace import io
 from cohspace.errors import ConfigError
-from cohspace.io import (_CHUNK, _row_texts, csv_chunks, format_cell, json_chunks, write_csv,
-                         write_json)
+from cohspace.io import (_CHUNK, _row_texts, atomic_write_text, csv_chunks, format_cell,
+                         json_chunks, write_csv, write_json)
 
 SPECIAL = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
            1e-300, 1.7976931348623157e308, 0.1, -1.5, 1e16, 123456789.0]
@@ -195,6 +198,112 @@ def test_writers_write_the_rendered_text(tmp_path):
     digest = write_csv(str(tmp_path / "p.csv"), ["t", "x"], [np.array([0.5]), ["é"]])
     assert (tmp_path / "p.csv").read_bytes() == "t,x\n0.5,é\n".encode()
     assert digest == hashlib.sha256((tmp_path / "p.csv").read_bytes()).hexdigest()
+
+
+# what a config nest may hold in place of one plain leaf: values orjson spells
+# otherwise (tiny, huge, non-finite, beyond int64, subclasses), bools and -0.0
+_ODD_LEAVES = [1e-5, 1e16, math.nan, math.inf, True, 2**63, -2**63 - 1, Count(3), -0.0, 5e-324]
+
+
+@st.composite
+def config_trees(draw):
+    """A config as cli.run echoes it: a label nest of 1-3 depths and up to 400
+    entries, of plain floats and ints, at times with one odd leaf."""
+    shape = (draw(st.integers(0, 400)),) + tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    plain_floats = st.floats(1e-4, 1e6) | st.floats(-1e6, -1e-4) | st.sampled_from([0.0, -0.0])
+    floats_ = draw(hnp.arrays(np.float64, shape, elements=plain_floats))
+    ints_ = draw(hnp.arrays(np.int64, shape, elements=st.integers(-2**40, 2**40)))
+    nest = np.where(draw(hnp.arrays(np.bool_, shape)), ints_.astype(object),
+                    floats_.astype(object))
+    if nest.size and draw(st.booleans()):
+        nest.flat[draw(st.integers(0, nest.size - 1))] = draw(st.sampled_from(_ODD_LEAVES))
+    return {"command": "kernel-check", "points": nest.tolist(), "seed": draw(ints),
+            "space": {"kind": "spin", "exponent": draw(floats)}, "tol": None}
+
+
+def _with(nest, at, value):
+    """nest with nest[at[0]][at[1]]... replaced by value."""
+    nest = json.loads(json.dumps(nest))
+    holder = nest
+    for i in at[:-1]:
+        holder = holder[i]
+    holder[at[-1]] = value
+    return nest
+
+
+# 400 labels of two [re, im] pairs, each part 1e-3 <= |x| < 2: a plain nest
+_PLAIN_NEST = (np.random.default_rng(5).uniform(1e-3, 2, (400, 2, 2))
+               * np.random.default_rng(6).choice([-1.0, 1.0], (400, 2, 2))).tolist()
+
+
+@given(config_trees())
+@example({"points": _PLAIN_NEST})
+@example({"points": []})
+@example({"points": [[], []]})
+def test_config_trees_render_like_json_dumps(folder, tree):
+    assert_json_routes(folder, tree, json_oracle(tree))
+
+
+@pytest.mark.parametrize("at, value", [
+    ((3, 1, 0), 1e-5), ((3, 1, 0), 1e16), ((3, 1, 0), math.nan), ((3, 1, 0), True),
+    ((3, 1, 0), 2**63), ((3, 1, 0), Count(7)), ((3, 1), (0.5, -0.25)), ((3, 1, 0), -0.0),
+    ((3,), [[1.0], 2.0]), ((3, 1), []), ((3,), []), ((3,), [[], []])],
+    ids=["tiny", "huge", "nan", "bool", "beyond-int64", "int-subclass", "tuple", "minus-zero",
+         "mixed-depth", "empty-pair", "empty-entry", "empty-pairs"])
+def test_config_nests_render_like_json_dumps(folder, at, value):
+    """A 400 x 2 x 2 float nest with one odd item, inside a config."""
+    tree = {"command": "qspace-build", "points": _with(_PLAIN_NEST, at, value), "tol": 1e-9}
+    assert_json_routes(folder, tree, json_oracle(tree))
+
+
+def test_a_plain_nest_enters_the_skeleton_whole(monkeypatch):
+    """No call per inner list for a plain nest; a nest with one odd leaf is walked."""
+    calls = []
+    walk = io._skeleton
+    monkeypatch.setattr(io, "_skeleton", lambda *args: calls.append(1) or walk(*args))
+    tree = {"points": _PLAIN_NEST, "interval": [0.5, 2]}
+    assert text(json_chunks(tree)) == json_oracle(tree)
+    assert len(calls) == 3  # the dict and its two values
+    calls.clear()
+    tree["points"] = _with(_PLAIN_NEST, (0, 0, 0), 1e-5)
+    assert text(json_chunks(tree)) == json_oracle(tree)
+    assert len(calls) == 3 + 400 + 800 + 1  # every entry, every pair and the tiny leaf
+
+
+def test_the_first_write_makes_the_missing_directories(tmp_path):
+    path = tmp_path / "a" / "b" / "p.json"
+    write_json(str(path), {"x": 1.5})
+    assert path.read_text() == '{\n  "x": 1.5\n}\n'
+    assert [f.name for f in path.parent.iterdir()] == ["p.json"]
+
+
+def test_a_taken_temp_name_is_skipped_and_left_alone(tmp_path):
+    n = next(io._TEMP_COUNT) + 1  # the n of the next write
+    taken = tmp_path / f".tmp-{os.getpid()}-{n}~"
+    taken.write_text("not ours")
+    digest = atomic_write_text(str(tmp_path / "p"), ["ab", "c"])
+    assert (tmp_path / "p").read_text() == "abc"
+    assert digest == hashlib.sha256(b"abc").hexdigest()
+    assert taken.read_text() == "not ours"
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(["p", taken.name])
+
+
+def test_a_render_that_fails_partway_leaves_no_temp_file(tmp_path):
+    (tmp_path / "p").write_text("before")
+
+    def chunks():
+        yield "half of a payload"
+        raise RuntimeError("render failed")
+
+    with pytest.raises(RuntimeError, match="render failed"):
+        atomic_write_text(str(tmp_path / "p"), chunks())
+    assert (tmp_path / "p").read_text() == "before"
+    assert [f.name for f in tmp_path.iterdir()] == ["p"]
+
+
+def test_a_written_file_has_mode_0600(tmp_path):
+    write_csv(str(tmp_path / "p.csv"), ["x"], [np.arange(2.0)])
+    assert stat.S_IMODE((tmp_path / "p.csv").stat().st_mode) == 0o600
 
 
 def _nested(block, depth: int, in_dicts: bool):
